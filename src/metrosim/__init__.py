@@ -31,7 +31,6 @@ from .fiscal import (
     ChannelWeights,
     DistributionPolicy,
     MpfTable,
-    TaxEvent,
     TaxKind,
     TaxLedger,
     TaxRates,
@@ -60,7 +59,7 @@ __version__ = "1.0.0"
 __all__ = [
     "Citizen", "Family", "Firm", "House", "HousingParams", "MarketParams",
     "MunicipalitySpec", "RegionSpec", "SimulationState", "WorldConfig",
-    "TaxKind", "TaxEvent", "TaxLedger", "TaxRates", "Treasury",
+    "TaxKind", "TaxLedger", "TaxRates", "Treasury",
     "ChannelWeights", "DistributionPolicy", "MpfTable",
     "policy_for_case", "equal_shares", "mpf_shares", "distribute", "invest",
     "hedonic_price", "step_ages", "apply_mortality", "apply_fertility",

@@ -24,9 +24,9 @@ from .config import (
     serialize_config,
 )
 from .engine import RunResult, batch_tasks, run_batch, run_scenario
-from .errors import ConfigError, InvariantViolation, MetrosimError, ParseError, ValidationError
+from .errors import ConfigError, InvariantViolation, MetrosimError, ParseError
 from .fiscal import TAX_KINDS
-from .worldgen import default_apc_batch, generate_region, load_region, save_region
+from .worldgen import RegionSpec, default_apc_batch, generate_region, load_region, save_region
 
 OUTPUT_DIR_ENV = "METROSIM_OUTPUT_DIR"
 
@@ -69,6 +69,12 @@ def _load_config(args) -> ScenarioConfig:
         cfg = replace(cfg, engine=replace(cfg.engine, runs_per_scenario=args.runs))
     if getattr(args, "case", None) is not None:
         cfg = replace(cfg, fiscal=replace(cfg.fiscal, case_id=args.case))
+    cfg.validate()  # the overrides above are checked like the keys they replace
+    cases = getattr(args, "cases", None)
+    if cases is not None and (len(set(cases)) != len(cases) or not set(cases) <= {1, 2, 3, 4}):
+        raise ConfigError(f"--cases must be distinct values in 1..4, got {cases}")
+    if getattr(args, "jobs", 1) < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     return cfg
 
 
@@ -79,7 +85,12 @@ def _output_dir(args) -> Path:
     return path
 
 
-def _resolve_batch_regions(cfg: ScenarioConfig):
+def resolve_regions(cfg: ScenarioConfig) -> list[RegionSpec]:
+    """The regions a config names, for every command that simulates.
+
+    A generated region is drawn once from ``engine.seed`` and shared by every
+    run and case, so ``run --seed S`` reproduces run 0 of ``compare --seed S``.
+    """
     src = cfg.region
     if src.mode == "default-batch":
         return default_apc_batch()
@@ -157,8 +168,14 @@ def cmd_gen_region(args) -> int:
 
 def cmd_run(args) -> int:
     cfg = _load_config(args)
+    if cfg.region.mode == "default-batch":
+        raise ConfigError(
+            "region.mode 'default-batch' cannot run as a single scenario; "
+            "use a 'generate' or 'file' region, or a batch command"
+        )
+    [region] = resolve_regions(cfg)
     out_dir = _output_dir(args)
-    result = run_scenario(cfg, cfg.engine.seed)
+    result = run_scenario(cfg, cfg.engine.seed, region)
     path = _export_run(result, out_dir)
     final = result.final_qli()
     print(f"run complete: {result.apc_id} case {result.case_id} seed {result.seed}")
@@ -169,7 +186,7 @@ def cmd_run(args) -> int:
 
 
 def _execute_batch(cfg: ScenarioConfig, cases: list[int], args):
-    regions = _resolve_batch_regions(cfg)
+    regions = resolve_regions(cfg)
     tasks = batch_tasks(cfg, regions, cases)
     scenarios = run_batch(tasks, jobs=args.jobs)
     return regions, scenarios
@@ -418,9 +435,6 @@ def main(argv=None) -> int:
     except InvariantViolation as exc:
         print(f"simulation aborted: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except MetrosimError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
+import math
 from dataclasses import dataclass, field, fields
 from typing import Any
 
@@ -69,6 +70,8 @@ class EngineConfig:
             raise ConfigError("engine.horizon_months must be >= 1")
         if self.runs_per_scenario < 1:
             raise ConfigError("engine.runs_per_scenario must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"engine.seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -102,6 +105,17 @@ _SECTIONS: dict[str, type] = {
 }
 
 
+def _finite(value: int | float, path: str) -> float:
+    """float(value), rejecting NaN and +-Infinity: they slip past every range check."""
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
+    return number
+
+
 def _coerce(value: Any, target, path: str):
     """Check/convert one JSON value against a dataclass field annotation."""
     if target in ("int", int):
@@ -111,7 +125,7 @@ def _coerce(value: Any, target, path: str):
     if target in ("float", float):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{path}: expected number, got {value!r}")
-        return float(value)
+        return _finite(value, path)
     if target in ("bool", bool):
         if not isinstance(value, bool):
             raise ConfigError(f"{path}: expected true/false, got {value!r}")
@@ -131,7 +145,7 @@ def _coerce(value: Any, target, path: str):
             or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
         ):
             raise ConfigError(f"{path}: expected a pair of numbers, got {value!r}")
-        return (float(value[0]), float(value[1]))
+        return (_finite(value[0], path), _finite(value[1], path))
     if isinstance(target, str) and target.startswith("tuple[float, ...]"):
         if value is None:
             return None
@@ -139,7 +153,7 @@ def _coerce(value: Any, target, path: str):
             isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
         ):
             raise ConfigError(f"{path}: expected a list of numbers or null, got {value!r}")
-        return tuple(float(v) for v in value)
+        return tuple(_finite(v, path) for v in value)
     raise ConfigError(f"{path}: unsupported config field type {target!r}")
 
 

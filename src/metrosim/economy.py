@@ -34,7 +34,6 @@ class Firm:
     last_production: float = 0.0
     revenue_this_month: float = 0.0
     payroll_this_month: float = 0.0
-    has_vacancy: bool = False
     vacancy_unfilled: bool = False
 
 
@@ -126,8 +125,7 @@ def set_wage_and_vacancy(firm: Firm, params: MarketParams) -> bool:
         firm.vacancy_unfilled = False  # signal consumed; set again only by a new failed round
     elif payroll_due > 0 and firm.cash < payroll_due:
         firm.wage_offer *= 1.0 - params.wage_step
-    firm.has_vacancy = firm.inventory <= params.sold_out_level
-    return firm.has_vacancy
+    return firm.inventory <= params.sold_out_level
 
 
 def run_labor_market(

@@ -30,7 +30,7 @@ from .economy import (
     set_wage_and_vacancy,
     settle_profit_tax,
 )
-from .errors import InvariantViolation, ValidationError
+from .errors import InvariantViolation
 from .fiscal import (
     TAX_KINDS,
     DistributionPolicy,
@@ -43,7 +43,7 @@ from .fiscal import (
 from .housing import Transaction, collect_property_tax, run_housing_market
 from .rng import RngStreams
 from .state import SimulationState
-from .worldgen import RegionSpec, generate_region, instantiate_world, load_region
+from .worldgen import RegionSpec, instantiate_world
 
 log = logging.getLogger(__name__)
 
@@ -71,7 +71,6 @@ class RunResult:
     avg_workers_per_firm: list[float] = field(default_factory=list)
     avg_firm_profit: list[float] = field(default_factory=list)
     units_consumed: list[float] = field(default_factory=list)
-    consumption_spent: list[float] = field(default_factory=list)
     taxes_by_kind: dict[str, list[float]] = field(default_factory=dict)
     housing_sales: list[int] = field(default_factory=list)
     transactions: list[Transaction] = field(default_factory=list)
@@ -81,9 +80,6 @@ class RunResult:
 
     def final_qli(self) -> dict[str, float]:
         return {m: series[-1] for m, series in self.qli.items()}
-
-    def total_tax_collected(self) -> float:
-        return sum(sum(series) for series in self.taxes_by_kind.values())
 
 
 @dataclass
@@ -305,7 +301,6 @@ def step_month(state: SimulationState, runtime: _Runtime, result: RunResult) -> 
     )
     result.avg_firm_profit.append(profit_total / n_firms if n_firms else 0.0)
     result.units_consumed.append(units_consumed)
-    result.consumption_spent.append(spent_total)
     for kind in TAX_KINDS:
         result.taxes_by_kind[kind.value].append(collected_by_kind[kind])
     result.housing_sales.append(len(transactions))
@@ -317,33 +312,8 @@ def step_month(state: SimulationState, runtime: _Runtime, result: RunResult) -> 
     _check_invariants(state, runtime, month)
 
 
-def _resolve_region(config: ScenarioConfig, streams: RngStreams) -> RegionSpec:
-    src = config.region
-    if src.mode == "file":
-        return load_region(src.path)
-    if src.mode == "generate":
-        return generate_region(
-            src.n_municipalities,
-            src.total_population,
-            src.skew,
-            streams.worldgen,
-            mean_family_size=config.world.mean_family_size,
-            inhabitants_per_firm=config.world.inhabitants_per_firm,
-            firm_concentration=config.world.firm_concentration,
-            vacancy_margin=config.world.vacancy_margin,
-        )
-    raise ValidationError(
-        "region.mode 'default-batch' cannot run as a single scenario; "
-        "pass an explicit region or use the batch commands"
-    )
-
-
-def run_scenario(
-    config: ScenarioConfig,
-    seed: int,
-    region: RegionSpec | None = None,
-) -> RunResult:
-    """Instantiate a world and run it to the horizon, recording every month.
+def run_scenario(config: ScenarioConfig, seed: int, region: RegionSpec) -> RunResult:
+    """Instantiate ``region`` as a world and run it to the horizon, recording every month.
 
     With ``engine.reinstantiate_per_run`` off, the initial world is always
     drawn from the base seed, so repeated runs share one world and differ
@@ -353,8 +323,6 @@ def run_scenario(
     world_streams = (
         streams if config.engine.reinstantiate_per_run else RngStreams(config.engine.seed)
     )
-    if region is None:
-        region = _resolve_region(config, world_streams)
     state = instantiate_world(region, config.world, world_streams.worldgen)
     state.rng = streams
     runtime = _build_runtime(config)
@@ -401,7 +369,7 @@ class RunTask:
     """One picklable unit of batch work."""
 
     config: ScenarioConfig
-    region: RegionSpec | None
+    region: RegionSpec
     seed: int
 
 
@@ -415,12 +383,6 @@ class ScenarioResult:
     flagged: bool = False
     median_final_qli: dict[str, float] = field(default_factory=dict)
     controls: dict[str, float] = field(default_factory=dict)
-
-    @property
-    def municipality_count(self) -> int:
-        if self.runs and self.runs[0].municipality_ids:
-            return len(self.runs[0].municipality_ids)
-        return 0
 
 
 def _median(values: list[float]) -> float:
@@ -436,9 +398,8 @@ def _execute_task(task: RunTask) -> RunResult:
     try:
         return run_scenario(task.config, task.seed, task.region)
     except Exception as exc:  # failed runs are batch data, not batch crashes
-        apc = task.region.id if task.region is not None else "<generated>"
         failed = RunResult(
-            apc_id=apc,
+            apc_id=task.region.id,
             case_id=task.config.fiscal.case_id,
             seed=task.seed,
             horizon=task.config.engine.horizon_months,
@@ -484,10 +445,12 @@ def run_batch(
     output is identical for any ``jobs`` value.
     """
     ordered = list(tasks)
-    if jobs <= 1:
+    # never more workers than tasks: a fork-context pool starts all of them at once
+    workers = min(jobs, len(ordered))
+    if workers <= 1:
         raw = [_execute_task(task) for _, _, task in ordered]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             raw = list(pool.map(_execute_task, [task for _, _, task in ordered], chunksize=1))
     grouped: dict[tuple[str, int], list[RunResult]] = {}
     for (apc_id, case_id, _), result in zip(ordered, raw):

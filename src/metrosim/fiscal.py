@@ -33,15 +33,6 @@ class TaxKind(Enum):
 TAX_KINDS = tuple(TaxKind)
 
 
-@dataclass(frozen=True)
-class TaxEvent:
-    """Atomic record of tax money collected."""
-
-    kind: TaxKind
-    amount: float
-    origin: str  # municipality id
-
-
 @dataclass
 class TaxRates:
     """Statutory rates, all configurable. Property is an annual rate applied monthly."""
@@ -81,9 +72,6 @@ class TaxLedger:
         key = (kind, origin)
         self.amounts[key] = self.amounts.get(key, 0.0) + amount
         self.event_count += 1
-
-    def record(self, event: TaxEvent) -> None:
-        self.add(event.kind, event.origin, event.amount)
 
     def total(self) -> float:
         return sum(self.amounts.values())

@@ -24,12 +24,6 @@ class RngStreams:
             name: np.random.default_rng(ss) for name, ss in zip(STREAM_NAMES, children)
         }
 
-    def stream(self, name: str) -> np.random.Generator:
-        try:
-            return self._streams[name]
-        except KeyError:
-            raise KeyError(f"unknown rng stream {name!r}; known: {STREAM_NAMES}") from None
-
     @property
     def worldgen(self) -> np.random.Generator:
         return self._streams["worldgen"]

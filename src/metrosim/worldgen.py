@@ -73,7 +73,6 @@ class WorldConfig:
     qualification_levels: int = 21
     # None means uniform over 1..Q; otherwise Q weights summing to 1.
     initial_qualification_distribution: tuple[float, ...] | None = None
-    rng_seed: int = 0
     labor_entry_age_months: int = 192
     initial_employment_rate: float = 0.9
     initial_firm_cash: float = 10.0

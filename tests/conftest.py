@@ -7,6 +7,7 @@ region is generated (not the shipped batch) so engine tests stay fast.
 import numpy as np
 import pytest
 
+from metrosim import cli
 from metrosim.config import (
     EngineConfig,
     FiscalConfig,
@@ -119,6 +120,11 @@ def add_house(state, muni, size=1.0, quality=1.0, owner=None, resident=None, hou
     )
     state.houses[house_id] = house
     return house
+
+
+def region_of(cfg):
+    """The region the CLI would run for ``cfg`` (generate or file mode)."""
+    return cli.resolve_regions(cfg)[0]
 
 
 def rng(seed=0) -> np.random.Generator:

@@ -27,6 +27,8 @@ from metrosim.fiscal import TAX_KINDS, MpfTable, TaxKind, mpf_shares, policy_for
 from metrosim.housing import HousingParams
 from metrosim.worldgen import default_apc_batch, generate_region
 
+from conftest import region_of
+
 CURRENCY_UNIT = 0.01
 
 # Table of channel weights per case: (local, equal, bracket-fund) per tax kind
@@ -109,10 +111,11 @@ def test_criterion_03_single_municipality_case_invariance():
     start = perf_counter()
     seeds = np.random.default_rng(2026).integers(0, 2**31, size=10)
     cfg = generated_scenario(1, 5_000, 0.0, fraction=0.05, horizon=240)
+    region = region_of(cfg)
     for seed in seeds:
         runs = {
             case_id: run_scenario(replace(cfg, fiscal=replace(cfg.fiscal, case_id=case_id)),
-                                  seed=int(seed))
+                                  seed=int(seed), region=region)
             for case_id in (1, 2, 3, 4)
         }
         reference = runs[1]
@@ -205,7 +208,7 @@ def test_criterion_09_comparative_statics():
     def medians(cfg):
         units, volumes = [], []
         for seed in seeds:
-            result = run_scenario(cfg, seed=seed)
+            result = run_scenario(cfg, seed=seed, region=region_of(cfg))
             units.append(sum(result.units_consumed))
             volumes.append(len(result.transactions))
         mid = len(units) // 2

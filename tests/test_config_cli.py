@@ -1,6 +1,7 @@
 """Config parsing and the command-line surface, including exit codes."""
 import json
 import logging
+import math
 
 import pytest
 
@@ -76,6 +77,15 @@ def test_type_mismatches_name_the_path():
         config_from_dict({"engine": {"horizon_months": 6.5}})
     with pytest.raises(ConfigError, match="expected true/false"):
         config_from_dict({"fiscal": {"freeze_mpf_shares": "yes"}})
+    for bad in (math.nan, math.inf, -math.inf, 10**400):
+        with pytest.raises(ConfigError, match="fiscal.qli_unit_cost: expected a finite"):
+            config_from_dict({"fiscal": {"qli_unit_cost": bad}})
+        with pytest.raises(ConfigError, match="market.savings_rate_bounds: expected a finite"):
+            config_from_dict({"market": {"savings_rate_bounds": [0.1, bad]}})
+        with pytest.raises(ConfigError,
+                           match="world.initial_qualification_distribution: expected a finite"):
+            config_from_dict({"world": {"qualification_levels": 1,
+                                        "initial_qualification_distribution": [bad]}})
 
 
 def test_semantic_errors_become_config_errors():
@@ -138,6 +148,36 @@ def test_run_rejects_default_batch_mode(tmp_path, capsys):
     code = cli.main(["run", "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_CONFIG
     assert "batch" in capsys.readouterr().err
+
+
+def test_run_reproduces_compare_run_zero(tmp_path):
+    # both commands draw the generated region once, from engine.seed
+    cfg_path = write_config(tmp_path, SMALL_SCENARIO)
+    code = cli.main(["run", "--config", cfg_path, "--case", "1", "--seed", "5",
+                     "--out", str(tmp_path / "run")])
+    assert code == 0
+    code = cli.main(["compare", "--config", cfg_path, "--cases", "1", "--runs", "1",
+                     "--export-runs", "--seed", "5", "--out", str(tmp_path / "cmp")])
+    assert code == 0
+    name = "region_case1_5.csv"
+    assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "cmp" / "runs" / name).read_bytes()
+
+
+@pytest.mark.parametrize("flags", [
+    ["--runs", "0"],
+    ["--runs", "-2"],
+    ["--seed", "-1"],
+    ["--cases", "1,5"],
+    ["--cases", "1,1"],
+    ["--jobs", "0"],
+])
+def test_bad_flags_exit_one_before_any_run(tmp_path, capsys, flags):
+    cfg_path = write_config(tmp_path, SMALL_SCENARIO)
+    out_dir = tmp_path / "cmp"
+    code = cli.main(["compare", "--config", cfg_path, "--out", str(out_dir), *flags])
+    assert code == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not (out_dir / "MANIFEST.json").exists()
 
 
 def test_bad_config_exits_one(tmp_path, capsys):

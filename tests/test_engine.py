@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import pytest
 
+from metrosim import engine
 from metrosim.config import EngineConfig
 from metrosim.engine import (
     RunResult,
@@ -11,11 +12,10 @@ from metrosim.engine import (
     run_scenario,
     summarize_runs,
 )
-from metrosim.errors import ValidationError
 from metrosim.fiscal import TAX_KINDS, TaxRates
 from metrosim.worldgen import generate_region
 
-from conftest import rng
+from conftest import region_of, rng
 
 
 def with_case(cfg, case_id):
@@ -30,7 +30,7 @@ def with_case(cfg, case_id):
 def test_smoke_three_citizen_world(gen_config):
     cfg = gen_config(n_municipalities=1, total_population=3, skew=0.0,
                      population_fraction=1.0, horizon=12)
-    result = run_scenario(cfg, seed=0)
+    result = run_scenario(cfg, seed=0, region=region_of(cfg))
     assert not result.failed
     assert result.horizon == 12
     assert len(result.gdp_value) == 12
@@ -41,7 +41,7 @@ def test_smoke_three_citizen_world(gen_config):
 
 def test_series_lengths_match_horizon(gen_config):
     cfg = gen_config(horizon=7)
-    result = run_scenario(cfg, seed=1)
+    result = run_scenario(cfg, seed=1, region=region_of(cfg))
     for series in (result.gdp_value, result.gdp_index, result.inflation,
                    result.unemployment, result.units_consumed, result.housing_sales):
         assert len(series) == 7
@@ -54,8 +54,9 @@ def test_series_lengths_match_horizon(gen_config):
 
 def test_same_seed_same_run(gen_config):
     cfg = gen_config(horizon=8)
-    a = run_scenario(cfg, seed=3)
-    b = run_scenario(cfg, seed=3)
+    region = region_of(cfg)
+    a = run_scenario(cfg, seed=3, region=region)
+    b = run_scenario(cfg, seed=3, region=region)
     assert a.qli == b.qli
     assert a.gdp_value == b.gdp_value
     assert a.transactions == b.transactions
@@ -64,18 +65,21 @@ def test_same_seed_same_run(gen_config):
 
 def test_different_seeds_differ(gen_config):
     cfg = gen_config(horizon=8)
-    a = run_scenario(cfg, seed=3)
-    b = run_scenario(cfg, seed=4)
+    region = region_of(cfg)
+    a = run_scenario(cfg, seed=3, region=region)
+    b = run_scenario(cfg, seed=4, region=region)
     assert a.gdp_value != b.gdp_value
 
 
 def test_gdp_index_starts_at_hundred(gen_config):
-    result = run_scenario(gen_config(horizon=3), seed=0)
+    cfg = gen_config(horizon=3)
+    result = run_scenario(cfg, seed=0, region=region_of(cfg))
     assert result.gdp_index[0] == 100.0
 
 
 def test_qli_never_decreases(gen_config):
-    result = run_scenario(gen_config(horizon=18), seed=2)
+    cfg = gen_config(horizon=18)
+    result = run_scenario(cfg, seed=2, region=region_of(cfg))
     for muni in result.municipality_ids:
         series = result.qli[muni]
         assert all(b >= a for a, b in zip(series, series[1:]))
@@ -84,7 +88,7 @@ def test_qli_never_decreases(gen_config):
 
 def test_zero_tax_rates_freeze_public_sector(gen_config):
     cfg = gen_config(horizon=12, tax_rates=TaxRates(0.0, 0.0, 0.0, 0.0, 0.0))
-    result = run_scenario(cfg, seed=0)
+    result = run_scenario(cfg, seed=0, region=region_of(cfg))
     for muni in result.municipality_ids:
         assert result.qli[muni] == [0.0] * 12
     for kind in TAX_KINDS:
@@ -96,7 +100,8 @@ def test_single_municipality_cases_identical(gen_config):
     # with one municipality every channel routes to the same treasury, so the
     # four distribution cases cannot differ
     base = gen_config(n_municipalities=1, total_population=2_000, skew=0.0, horizon=12)
-    runs = {c: run_scenario(with_case(base, c), seed=5) for c in (1, 2, 3, 4)}
+    region = region_of(base)
+    runs = {c: run_scenario(with_case(base, c), seed=5, region=region) for c in (1, 2, 3, 4)}
     reference = runs[1]
     for case_id in (2, 3, 4):
         assert runs[case_id].qli == reference.qli
@@ -106,23 +111,17 @@ def test_single_municipality_cases_identical(gen_config):
 def test_frozen_world_mode_shares_world_draw(gen_config):
     frozen = gen_config(horizon=4)
     frozen.engine = EngineConfig(horizon_months=4, seed=0, reinstantiate_per_run=False)
-    a = run_scenario(frozen, seed=11)
-    b = run_scenario(frozen, seed=22)
+    region = region_of(frozen)
+    a = run_scenario(frozen, seed=11, region=region)
+    b = run_scenario(frozen, seed=22, region=region)
     # money_base is fixed at instantiation, so equal bases mean one shared
     # world; the monthly dynamics still use the per-run seed
     assert a.final_snapshot["money_base"] == b.final_snapshot["money_base"]
 
     fresh = gen_config(horizon=4)
-    c = run_scenario(fresh, seed=11)
-    d = run_scenario(fresh, seed=22)
+    c = run_scenario(fresh, seed=11, region=region)
+    d = run_scenario(fresh, seed=22, region=region)
     assert c.final_snapshot["money_base"] != d.final_snapshot["money_base"]
-
-
-def test_default_batch_mode_rejected_for_single_run(gen_config):
-    cfg = gen_config()
-    cfg.region = replace(cfg.region, mode="default-batch")
-    with pytest.raises(ValidationError, match="batch"):
-        run_scenario(cfg, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -200,15 +199,37 @@ def test_parallel_batch_equals_serial(gen_config):
         assert serial[key] == parallel[key]
 
 
-def test_failed_cell_is_flagged_not_fatal(gen_config):
+def test_pool_never_larger_than_task_list(gen_config, monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", SerialPool)
+    cfg = gen_config(horizon=2, total_population=2_000, n_municipalities=2)
+    tasks = batch_tasks(cfg, [region_of(cfg)], cases=[1], runs_per_scenario=2)
+    run_batch(tasks, jobs=8)
+    assert started == [2]
+
+
+def test_failed_cell_is_flagged_not_fatal(gen_config, tmp_path):
     cfg = gen_config()
-    # a file-mode config pointing nowhere fails inside the worker, not outside
-    cfg.region = replace(cfg.region, mode="file", path="/nonexistent/region.json")
+    # a missing MPF table is only opened when a run starts, so every run fails
+    # inside the worker while the batch itself completes
+    cfg.fiscal = replace(cfg.fiscal, mpf_table_file=str(tmp_path / "missing.csv"))
     tasks = batch_tasks(cfg, [generate_region(1, 500, 0.0, rng(0))], cases=[1],
                         runs_per_scenario=2)
-    # region is passed explicitly, so this batch actually runs; break it harder
-    broken = [(a, c, replace(t, region=None)) for a, c, t in tasks]
-    results = run_batch(broken, jobs=1)
+    results = run_batch(tasks, jobs=1)
     scenario = results[(tasks[0][0], 1)]
     assert scenario.flagged
     assert all(r.failed for r in scenario.runs)
