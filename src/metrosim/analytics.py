@@ -399,29 +399,22 @@ class ValidationReport:
             if share is None:
                 lines.append(f"  {kind:<16} share: undefined (no tax collected)")
             else:
-                flag = self.share_flags.get(kind, "")
-                suffix = f"  [{flag}]" if flag else ""
-                lines.append(f"  {kind:<16} share: {share:7.2%}{suffix}")
+                lines.append(f"  {kind:<16} share: {share:7.2%}")
         lines.append(f"mean inflation (monthly): {self.inflation_mean:+.5f}")
         lines.append(f"mean unemployment: {self.unemployment_mean:.2%}")
         return "\n".join(lines) + "\n"
 
 
-def validation_report(
-    runs: Sequence,
-    share_bands: Mapping[str, tuple[float, float]] | None = None,
-) -> ValidationReport:
-    """Aggregate tax shares and macro outcomes over healthy runs.
+def validation_report(runs: Sequence) -> ValidationReport:
+    """Aggregate tax shares and macro outcomes over completed runs.
 
-    Shares are fractions of total tax by kind; a configured band flags any
-    share outside it. With zero collection, shares are undefined and
-    explicitly flagged rather than silently zero.
+    Shares are fractions of total tax by kind. With zero collection, shares
+    are undefined and explicitly flagged rather than silently zero.
     """
-    healthy = [r for r in runs if not getattr(r, "failed", False)]
-    if not healthy:
-        raise ValidationError("validation needs at least one healthy run")
+    if not runs:
+        raise ValidationError("validation needs at least one completed run")
     totals: dict[str, float] = {}
-    for run in healthy:
+    for run in runs:
         for kind, series in run.taxes_by_kind.items():
             totals[kind] = totals.get(kind, 0.0) + sum(series)
     grand = sum(totals.values())
@@ -431,18 +424,13 @@ def validation_report(
         if grand <= 0:
             shares[kind] = None
             flags[kind] = "undefined"
-            continue
-        share = totals[kind] / grand
-        shares[kind] = share
-        if share_bands and kind in share_bands:
-            lo, hi = share_bands[kind]
-            if not lo <= share <= hi:
-                flags[kind] = f"outside band [{lo:.2f}, {hi:.2f}]"
-    gdp_total = sum(sum(r.gdp_value) for r in healthy)
+        else:
+            shares[kind] = totals[kind] / grand
+    gdp_total = sum(sum(r.gdp_value) for r in runs)
     tax_to_gdp = grand / gdp_total if gdp_total > 0 else math.nan
 
     def mean_over_runs(attr: str) -> float:
-        per_run = [sum(getattr(r, attr)) / len(getattr(r, attr)) for r in healthy]
+        per_run = [sum(getattr(r, attr)) / len(getattr(r, attr)) for r in runs]
         return sum(per_run) / len(per_run)
 
     return ValidationReport(
@@ -451,5 +439,5 @@ def validation_report(
         share_flags=flags,
         inflation_mean=mean_over_runs("inflation"),
         unemployment_mean=mean_over_runs("unemployment"),
-        runs_used=len(healthy),
+        runs_used=len(runs),
     )

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -24,8 +25,8 @@ from .config import (
     serialize_config,
 )
 from .engine import RunResult, batch_tasks, run_batch, run_scenario
-from .errors import ConfigError, InvariantViolation, MetrosimError, ParseError
-from .fiscal import TAX_KINDS
+from .errors import ConfigError, InvariantViolation, MetrosimError, ParseError, ValidationError
+from .fiscal import TAX_KINDS, load_mpf_table
 from .worldgen import RegionSpec, default_apc_batch, generate_region, load_region, save_region
 
 OUTPUT_DIR_ENV = "METROSIM_OUTPUT_DIR"
@@ -75,6 +76,12 @@ def _load_config(args) -> ScenarioConfig:
         raise ConfigError(f"--cases must be distinct values in 1..4, got {cases}")
     if getattr(args, "jobs", 1) < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
+    if cfg.fiscal.mpf_table_file:
+        # every run reloads the table; a bad one is an input error, found before any run
+        try:
+            load_mpf_table(cfg.fiscal.mpf_table_file)
+        except (OSError, UnicodeDecodeError, ParseError, ValidationError) as exc:
+            raise ConfigError(f"fiscal.mpf_table_file: {exc}") from None
     return cfg
 
 
@@ -151,6 +158,10 @@ def _write_manifest(directory: Path, payload: dict) -> None:
 
 
 def cmd_gen_region(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+    if not math.isfinite(args.skew):
+        raise ConfigError(f"--skew must be finite, got {args.skew}")
     rng = np.random.default_rng(args.seed)
     region = generate_region(
         args.municipalities,
@@ -197,10 +208,9 @@ def _batch_manifest(cfg: ScenarioConfig, cases, scenarios, files) -> dict:
         f"{apc}/case{case}" for (apc, case), s in scenarios.items() if s.flagged
     )
     failed_runs = sorted(
-        f"{r.apc_id}/case{r.case_id}/seed{r.seed}"
-        for s in scenarios.values()
-        for r in s.runs
-        if r.failed
+        f"{apc}/case{case}/seed{f.seed}: {f.error}"
+        for (apc, case), s in scenarios.items()
+        for f in s.failures
     )
     return {
         "cases": cases,
@@ -245,8 +255,6 @@ def cmd_compare(args) -> int:
     for (apc_id, case_id) in sorted(scenarios):
         scenario = scenarios[(apc_id, case_id)]
         for run in scenario.runs:
-            if run.failed:
-                continue
             months = len(run.gdp_index)
             stride_months = [m for m in range(months) if (m + 1) % 12 == 0 or m == months - 1]
             for month in stride_months:
@@ -270,8 +278,7 @@ def cmd_compare(args) -> int:
         runs_dir.mkdir(exist_ok=True)
         for scenario in scenarios.values():
             for run in scenario.runs:
-                if not run.failed:
-                    files.append(str(_export_run(run, runs_dir).relative_to(out_dir)))
+                files.append(str(_export_run(run, runs_dir).relative_to(out_dir)))
 
     manifest = _batch_manifest(cfg, cases, scenarios, files)
     _write_manifest(out_dir, manifest)

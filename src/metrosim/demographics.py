@@ -6,13 +6,12 @@ empties escheats its savings and houses to the municipality.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, ValidationError
+from .errors import ConfigError, ValidationError
 
 if TYPE_CHECKING:
     from .state import SimulationState
@@ -114,30 +113,6 @@ class VitalRates:
 
     def fertility_at(self, age_months: int) -> float:
         return float(self.fertility_by_month[min(age_months, MAX_AGE_MONTHS - 1)])
-
-
-def load_vital_rates(path) -> VitalRates:
-    """Read a bracket CSV (bracket_start_age, bracket_end_age, monthly_mortality, monthly_fertility)."""
-    required = {"bracket_start_age", "bracket_end_age", "monthly_mortality", "monthly_fertility"}
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            missing = sorted(required - set(reader.fieldnames or ()))
-            raise ParseError(f"vital rate table missing columns: {', '.join(missing)}")
-        for i, row in enumerate(reader):
-            try:
-                rows.append(
-                    VitalBracket(
-                        int(row["bracket_start_age"]),
-                        int(row["bracket_end_age"]),
-                        float(row["monthly_mortality"]),
-                        float(row["monthly_fertility"]),
-                    )
-                )
-            except (TypeError, ValueError):
-                raise ParseError(f"vital rate table row {i + 1}: non-numeric value") from None
-    return VitalRates(rows)
 
 
 # ---------------------------------------------------------------------------

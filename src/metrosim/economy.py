@@ -8,6 +8,7 @@ profit taxes are recorded in the month's ledger at the moment money moves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -223,30 +224,31 @@ def pay_wages(
     return payroll
 
 
+_PRICE_THEN_ID = attrgetter("price", "id")
+
+
 def consume(
     family: Family,
     firm_sample: Sequence[Firm],
+    savings_rate: float,
     rates: TaxRates,
-    params: MarketParams,
-    rng: np.random.Generator,
     ledger: TaxLedger,
 ) -> tuple[float, float]:
     """Spend this month's consumption budget at the sampled firms.
 
-    The family keeps a savings fraction drawn uniformly from the configured
-    bounds and shops with the rest, buying from the cheapest sampled firm
-    first until the budget or the sample's inventory runs out. Unspent budget
-    returns to savings. Returns (units bought, money spent).
+    The family keeps ``savings_rate`` of its savings (the caller draws it
+    uniformly from ``MarketParams.savings_rate_bounds``) and shops with the
+    rest, buying from the cheapest sampled firm first until the budget or the
+    sample's inventory runs out. Unspent budget returns to savings. Returns
+    (units bought, money spent).
     """
-    lo, hi = params.savings_rate_bounds
-    savings_rate = rng.uniform(lo, hi)
     budget = (1.0 - savings_rate) * family.savings
     if budget <= 0.0:
         return 0.0, 0.0
     rate = rates.consumption
     units_total = 0.0
     spent_total = 0.0
-    for firm in sorted(firm_sample, key=lambda f: (f.price, f.id)):
+    for firm in sorted(firm_sample, key=_PRICE_THEN_ID):
         if budget <= 1e-12:
             break
         if firm.inventory <= 0.0:

@@ -11,6 +11,7 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from .config import ScenarioConfig
 from .demographics import (
@@ -75,8 +76,6 @@ class RunResult:
     housing_sales: list[int] = field(default_factory=list)
     transactions: list[Transaction] = field(default_factory=list)
     final_snapshot: dict = field(default_factory=dict)
-    failed: bool = False
-    error: str | None = None
 
     def final_qli(self) -> dict[str, float]:
         return {m: series[-1] for m, series in self.qli.items()}
@@ -165,11 +164,16 @@ def step_month(state: SimulationState, runtime: _Runtime, result: RunResult) -> 
     if firm_ids and family_ids:
         k = min(market.consumption_firm_sample, len(firm_ids))
         sample_matrix = streams.consumption.integers(0, len(firm_ids), size=(len(family_ids), k))
-        for row, fam_id in enumerate(family_ids):
-            sample = [state.firms[firm_ids[int(j)]] for j in sample_matrix[row]]
+        # one draw per family, in family order: the same stream values as a
+        # scalar draw inside each consume call
+        savings_rates = streams.consumption.uniform(
+            *market.savings_rate_bounds, size=len(family_ids)
+        ).tolist()
+        firms = [state.firms[fid] for fid in firm_ids]
+        for fam_id, picks, savings_rate in zip(family_ids, sample_matrix.tolist(), savings_rates):
             units, spent = consume(
-                state.families[fam_id], sample, cfg.tax_rates, market, streams.consumption,
-                state.ledger,
+                state.families[fam_id], [firms[j] for j in picks], savings_rate,
+                cfg.tax_rates, state.ledger,
             )
             units_consumed += units
             spent_total += spent
@@ -373,13 +377,21 @@ class RunTask:
     seed: int
 
 
+class RunFailure(NamedTuple):
+    """A batch run stopped by an invariant violation; ``error`` names the month and invariant."""
+
+    seed: int
+    error: str
+
+
 @dataclass
 class ScenarioResult:
-    """All runs of one (region, case) cell plus their median aggregates."""
+    """One (region, case) cell: its completed runs, its failures and their median aggregates."""
 
     apc_id: str
     case_id: int
     runs: list[RunResult]
+    failures: list[RunFailure] = field(default_factory=list)
     flagged: bool = False
     median_final_qli: dict[str, float] = field(default_factory=dict)
     controls: dict[str, float] = field(default_factory=dict)
@@ -394,70 +406,63 @@ def _median(values: list[float]) -> float:
     return 0.5 * (ordered[mid - 1] + ordered[mid])
 
 
-def _execute_task(task: RunTask) -> RunResult:
+def _execute_task(task: RunTask) -> RunResult | RunFailure:
+    # a broken model invariant is batch data; any other exception is a bug
+    # and propagates out of the batch
     try:
         return run_scenario(task.config, task.seed, task.region)
-    except Exception as exc:  # failed runs are batch data, not batch crashes
-        failed = RunResult(
-            apc_id=task.region.id,
-            case_id=task.config.fiscal.case_id,
-            seed=task.seed,
-            horizon=task.config.engine.horizon_months,
-        )
-        failed.failed = True
-        failed.error = str(exc)
-        return failed
+    except InvariantViolation as exc:
+        return RunFailure(task.seed, str(exc))
 
 
-def summarize_runs(apc_id: str, case_id: int, runs: list[RunResult]) -> ScenarioResult:
+def summarize_runs(
+    apc_id: str, case_id: int, runs: list[RunResult], failures: list[RunFailure]
+) -> ScenarioResult:
     """Median-aggregate one scenario cell; flag it when most runs failed."""
-    scenario = ScenarioResult(apc_id=apc_id, case_id=case_id, runs=runs)
-    healthy = [r for r in runs if not r.failed]
-    if len(healthy) * 2 < len(runs) or not healthy:
+    scenario = ScenarioResult(apc_id=apc_id, case_id=case_id, runs=runs, failures=failures)
+    if len(runs) < len(failures) or not runs:
         scenario.flagged = True
         return scenario
-    munis = healthy[0].municipality_ids
+    munis = runs[0].municipality_ids
     scenario.median_final_qli = {
-        m: _median([r.qli[m][-1] for r in healthy]) for m in munis
+        m: _median([r.qli[m][-1] for r in runs]) for m in munis
     }
 
     def run_mean(series: list[float]) -> float:
         return sum(series) / len(series)
 
     scenario.controls = {
-        "avg_workers_per_firm": _median([run_mean(r.avg_workers_per_firm) for r in healthy]),
-        "avg_firm_profit": _median([run_mean(r.avg_firm_profit) for r in healthy]),
-        "gdp_index": _median([r.gdp_index[-1] for r in healthy]),
-        "inflation": _median([run_mean(r.inflation) for r in healthy]),
-        "unemployment": _median([run_mean(r.unemployment) for r in healthy]),
+        "avg_workers_per_firm": _median([run_mean(r.avg_workers_per_firm) for r in runs]),
+        "avg_firm_profit": _median([run_mean(r.avg_firm_profit) for r in runs]),
+        "gdp_index": _median([r.gdp_index[-1] for r in runs]),
+        "inflation": _median([run_mean(r.inflation) for r in runs]),
+        "unemployment": _median([run_mean(r.unemployment) for r in runs]),
         "municipality_count": float(len(munis)),
     }
     return scenario
 
 
-def run_batch(
-    tasks: list[tuple[str, int, RunTask]],
-    jobs: int = 1,
-) -> dict[tuple[str, int], ScenarioResult]:
-    """Execute tasks (grouped by (apc_id, case_id)) and median-aggregate.
+def run_batch(tasks: list[RunTask], jobs: int = 1) -> dict[tuple[str, int], ScenarioResult]:
+    """Execute tasks, grouped by (apc_id, case_id), and median-aggregate.
 
     Results are reduced in task order regardless of scheduling, so the
-    output is identical for any ``jobs`` value.
+    output is identical for any ``jobs`` value. A run that breaks a model
+    invariant becomes a ``RunFailure`` of its cell; any other exception
+    stops the batch.
     """
-    ordered = list(tasks)
     # never more workers than tasks: a fork-context pool starts all of them at once
-    workers = min(jobs, len(ordered))
+    workers = min(jobs, len(tasks))
     if workers <= 1:
-        raw = [_execute_task(task) for _, _, task in ordered]
+        raw = [_execute_task(task) for task in tasks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_execute_task, [task for _, _, task in ordered], chunksize=1))
-    grouped: dict[tuple[str, int], list[RunResult]] = {}
-    for (apc_id, case_id, _), result in zip(ordered, raw):
-        grouped.setdefault((apc_id, case_id), []).append(result)
-    return {
-        key: summarize_runs(key[0], key[1], runs) for key, runs in sorted(grouped.items())
-    }
+            raw = list(pool.map(_execute_task, tasks, chunksize=1))
+    grouped: dict[tuple[str, int], tuple[list[RunResult], list[RunFailure]]] = {}
+    for task, outcome in zip(tasks, raw):
+        key = (task.region.id, task.config.fiscal.case_id)
+        runs, failures = grouped.setdefault(key, ([], []))
+        (failures if isinstance(outcome, RunFailure) else runs).append(outcome)
+    return {key: summarize_runs(*key, *cell) for key, cell in sorted(grouped.items())}
 
 
 def batch_tasks(
@@ -465,7 +470,7 @@ def batch_tasks(
     regions: list[RegionSpec],
     cases: list[int],
     runs_per_scenario: int | None = None,
-) -> list[tuple[str, int, RunTask]]:
+) -> list[RunTask]:
     """Expand (regions x cases x runs) into matched-seed tasks.
 
     Run r of every (region, case) cell uses seed ``engine.seed + r``, so
@@ -478,7 +483,5 @@ def batch_tasks(
         for case_id in cases:
             case_cfg = replace(config, fiscal=replace(config.fiscal, case_id=case_id))
             for r in range(runs):
-                tasks.append(
-                    (region.id, case_id, RunTask(case_cfg, region, config.engine.seed + r))
-                )
+                tasks.append(RunTask(case_cfg, region, config.engine.seed + r))
     return tasks

@@ -29,6 +29,10 @@ class TaxKind(Enum):
     COMPANY = "company"
     PROPERTY = "property"
 
+    # identity hash: members are singletons, and ``Enum.__hash__`` is a
+    # Python-level call on the ledger's hottest path
+    __hash__ = object.__hash__
+
 
 TAX_KINDS = tuple(TaxKind)
 

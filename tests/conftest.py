@@ -16,6 +16,7 @@ from metrosim.config import (
 )
 from metrosim.demographics import Citizen
 from metrosim.economy import Family, Firm
+from metrosim.errors import InvariantViolation
 from metrosim.fiscal import Treasury
 from metrosim.housing import House
 from metrosim.state import SimulationState
@@ -125,6 +126,11 @@ def add_house(state, muni, size=1.0, quality=1.0, owner=None, resident=None, hou
 def region_of(cfg):
     """The region the CLI would run for ``cfg`` (generate or file mode)."""
     return cli.resolve_regions(cfg)[0]
+
+
+def break_invariant(state, runtime, result):
+    """Stand-in for ``engine.step_month`` that fails the money audit at once."""
+    raise InvariantViolation(state.month, "money-conservation", "forced")
 
 
 def rng(seed=0) -> np.random.Generator:

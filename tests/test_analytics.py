@@ -24,7 +24,7 @@ from metrosim.analytics import (
     region_qli,
     validation_report,
 )
-from metrosim.engine import RunResult, ScenarioResult
+from metrosim.engine import RunFailure, RunResult, ScenarioResult, summarize_runs
 from metrosim.errors import ValidationError
 
 
@@ -345,7 +345,7 @@ def test_format_fit_report_layout():
 # ---------------------------------------------------------------------------
 
 
-def macro_run(consumption=10.0, income=5.0, failed=False):
+def macro_run(consumption=10.0, income=5.0):
     run = RunResult(apc_id="r", case_id=1, seed=0, horizon=2)
     run.taxes_by_kind = {
         "consumption": [consumption, consumption],
@@ -357,7 +357,6 @@ def macro_run(consumption=10.0, income=5.0, failed=False):
     run.gdp_value = [100.0, 100.0]
     run.inflation = [0.0, 0.01]
     run.unemployment = [0.1, 0.2]
-    run.failed = failed
     return run
 
 
@@ -373,22 +372,11 @@ def test_validation_report_shares_and_ratios():
     assert report.runs_used == 1
 
 
-def test_validation_report_band_flags():
-    report = validation_report([macro_run()], share_bands={"consumption": (0.0, 0.5)})
-    assert report.share_flags["consumption"].startswith("outside band")
-    assert "outside band" in report.render()
-
-
-def test_validation_report_excludes_failed_runs():
-    clean = validation_report([macro_run()])
-    mixed = validation_report([macro_run(), macro_run(consumption=999.0, failed=True)])
-    assert mixed.runs_used == 1
-    assert mixed.shares_by_kind == clean.shares_by_kind
-
-
 def test_validation_report_all_failed_rejected():
+    # a cell whose every run failed holds no completed run to report on
+    scenario = summarize_runs("r", 1, [], [RunFailure(0, "month 3: invariant 'x' violated")])
     with pytest.raises(ValidationError):
-        validation_report([macro_run(failed=True)])
+        validation_report(scenario.runs)
 
 
 def test_validation_report_zero_collection_undefined():

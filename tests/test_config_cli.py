@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from metrosim import cli
+from metrosim import cli, engine
 from metrosim.config import (
     config_from_dict,
     config_to_dict,
@@ -15,6 +15,8 @@ from metrosim.config import (
 )
 from metrosim.errors import ConfigError
 from metrosim.worldgen import load_region
+
+from conftest import break_invariant
 
 
 SMALL_SCENARIO = {
@@ -131,6 +133,20 @@ def test_gen_region_writes_loadable_file(tmp_path, capsys):
     assert "wrote" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("flags", [
+    ["--seed", "-1"],
+    ["--skew", "nan"],
+    ["--skew", "inf"],
+])
+def test_gen_region_bad_flags_exit_one(tmp_path, capsys, flags):
+    out = tmp_path / "region.json"
+    code = cli.main(["gen-region", "--municipalities", "3", "--population", "5000",
+                     "--out", str(out), *flags])
+    assert code == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_exports_monthly_series(tmp_path, capsys):
     cfg_path = write_config(tmp_path, SMALL_SCENARIO)
     out_dir = tmp_path / "out"
@@ -220,12 +236,9 @@ def test_compare_jobs_byte_identical(tmp_path):
     assert trees[1] == trees[2]
 
 
-def test_compare_flags_broken_batch_with_exit_three(tmp_path, capsys):
-    bad_table = tmp_path / "mpf.csv"
-    bad_table.write_text("max_population\n10\n", encoding="utf-8")  # no coefficient column
-    doc = dict(SMALL_SCENARIO)
-    doc["fiscal"] = {"mpf_table_file": str(bad_table)}
-    cfg_path = write_config(tmp_path, doc)
+def test_compare_flags_broken_batch_with_exit_three(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(engine, "step_month", break_invariant)
+    cfg_path = write_config(tmp_path, SMALL_SCENARIO)
     out_dir = tmp_path / "cmp"
     code = cli.main(["compare", "--config", cfg_path, "--out", str(out_dir)])
     assert code == cli.EXIT_PARTIAL
@@ -234,6 +247,29 @@ def test_compare_flags_broken_batch_with_exit_three(tmp_path, capsys):
     assert manifest["complete"] is False
     assert len(manifest["flagged_scenarios"]) == 4
     assert manifest["failed_runs"]
+    assert len(manifest["failed_runs"]) == 4 * 2  # 4 cases x 2 runs
+    for entry in manifest["failed_runs"]:
+        assert "month 0: invariant 'money-conservation'" in entry
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("table", [
+    None,
+    b"max_population\n10\n",
+    b"\xff\xfe\x00max_population,coefficient\n",
+    b"max_population,coefficient\n100,1.0\n50,2.0\n",
+], ids=["missing", "no-coefficient-column", "not-utf8", "not-ascending"])
+def test_bad_mpf_table_exits_one_before_any_run(tmp_path, capsys, command, table):
+    table_path = tmp_path / "mpf.csv"
+    if table is not None:
+        table_path.write_bytes(table)
+    doc = dict(SMALL_SCENARIO, fiscal={"mpf_table_file": str(table_path)})
+    cfg_path = write_config(tmp_path, doc)
+    out_dir = tmp_path / "out"
+    code = cli.main([command, "--config", cfg_path, "--out", str(out_dir)])
+    assert code == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_regress_writes_dataset_and_report(tmp_path, capsys):

@@ -9,11 +9,10 @@ from metrosim.demographics import (
     VitalRates,
     apply_fertility,
     apply_mortality,
-    load_vital_rates,
     mature_qualifications,
     step_ages,
 )
-from metrosim.errors import ConfigError, ParseError, ValidationError
+from metrosim.errors import ConfigError, ValidationError
 
 from conftest import add_family, add_firm, add_house, rng
 
@@ -50,23 +49,6 @@ def test_bracket_must_start_at_zero_and_cover_max():
 def test_probability_out_of_range_rejected():
     with pytest.raises(ValidationError):
         VitalRates([VitalBracket(0, 101, 1.5, 0.0)])
-
-
-def test_load_vital_rates(tmp_path):
-    path = tmp_path / "rates.csv"
-    path.write_text(
-        "bracket_start_age,bracket_end_age,monthly_mortality,monthly_fertility\n"
-        "0,50,0.001,0.002\n50,101,0.01,0\n",
-        encoding="utf-8",
-    )
-    rates = load_vital_rates(path)
-    assert rates.mortality_at(30 * 12) == 0.001
-    assert rates.fertility_at(30 * 12) == 0.002
-
-    bad = tmp_path / "bad.csv"
-    bad.write_text("bracket_start_age,monthly_mortality\n0,0.1\n", encoding="utf-8")
-    with pytest.raises(ParseError, match="bracket_end_age"):
-        load_vital_rates(bad)
 
 
 # ---------------------------------------------------------------------------

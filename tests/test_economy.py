@@ -252,9 +252,8 @@ def test_pay_wages_empty_firm_is_noop():
 def test_consume_worked_example():
     family = Family(id=0, municipality_id="m00", savings=10.0)
     firm = make_firm(price=2.0, inventory=10.0, cash=0.0)
-    params = MarketParams(savings_rate_bounds=(0.0, 0.0))
     ledger = TaxLedger()
-    units, spent = consume(family, [firm], TaxRates(consumption=0.2), params, rng(), ledger)
+    units, spent = consume(family, [firm], 0.0, TaxRates(consumption=0.2), ledger)
     assert units == 5.0
     assert spent == 10.0
     assert firm.cash == 8.0  # net of the 20% consumption tax
@@ -266,9 +265,8 @@ def test_consume_cheapest_first():
     family = Family(id=0, municipality_id="m00", savings=4.0)
     pricey = make_firm(firm_id=0, price=4.0, inventory=10.0)
     cheap = make_firm(firm_id=1, price=1.0, inventory=2.0)
-    params = MarketParams(savings_rate_bounds=(0.0, 0.0))
-    units, spent = consume(family, [pricey, cheap], TaxRates(consumption=0.0), params,
-                           rng(), ledger=TaxLedger())
+    units, spent = consume(family, [pricey, cheap], 0.0, TaxRates(consumption=0.0),
+                           ledger=TaxLedger())
     # 2 units at 1.0 exhaust the cheap firm, the remaining 2.0 buys 0.5 units at 4.0
     assert units == 2.5
     assert spent == 4.0
@@ -279,8 +277,7 @@ def test_consume_cheapest_first():
 def test_consume_limited_by_inventory_keeps_rest_saved():
     family = Family(id=0, municipality_id="m00", savings=10.0)
     firm = make_firm(price=1.0, inventory=3.0)
-    params = MarketParams(savings_rate_bounds=(0.0, 0.0))
-    units, spent = consume(family, [firm], TaxRates(), params, rng(), TaxLedger())
+    units, spent = consume(family, [firm], 0.0, TaxRates(), TaxLedger())
     assert units == 3.0
     assert spent == 3.0
     assert family.savings == 7.0
@@ -289,8 +286,7 @@ def test_consume_limited_by_inventory_keeps_rest_saved():
 def test_consume_respects_savings_rate():
     family = Family(id=0, municipality_id="m00", savings=100.0)
     firm = make_firm(price=1.0, inventory=1000.0)
-    params = MarketParams(savings_rate_bounds=(0.5, 0.5))
-    units, spent = consume(family, [firm], TaxRates(consumption=0.0), params, rng(), TaxLedger())
+    units, spent = consume(family, [firm], 0.5, TaxRates(consumption=0.0), TaxLedger())
     assert spent == 50.0
     assert family.savings == 50.0
 
@@ -300,8 +296,7 @@ def test_consume_money_conserved():
     firms = [make_firm(firm_id=i, price=1.0 + i, inventory=5.0, cash=0.0) for i in range(3)]
     ledger = TaxLedger()
     before = family.savings
-    units, spent = consume(family, firms, TaxRates(consumption=0.18),
-                           MarketParams(savings_rate_bounds=(0.1, 0.1)), rng(), ledger)
+    units, spent = consume(family, firms, 0.1, TaxRates(consumption=0.18), ledger)
     after = family.savings + sum(f.cash for f in firms) + ledger.total()
     assert math.isclose(after, before, rel_tol=0, abs_tol=1e-12)
 
@@ -309,7 +304,7 @@ def test_consume_money_conserved():
 def test_broke_family_buys_nothing():
     family = Family(id=0, municipality_id="m00", savings=0.0)
     firm = make_firm(inventory=10.0)
-    assert consume(family, [firm], TaxRates(), MarketParams(), rng(), TaxLedger()) == (0.0, 0.0)
+    assert consume(family, [firm], 0.1, TaxRates(), TaxLedger()) == (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from metrosim import engine
 from metrosim.config import EngineConfig
 from metrosim.engine import (
+    RunFailure,
     RunResult,
     batch_tasks,
     run_batch,
@@ -15,7 +16,7 @@ from metrosim.engine import (
 from metrosim.fiscal import TAX_KINDS, TaxRates
 from metrosim.worldgen import generate_region
 
-from conftest import region_of, rng
+from conftest import break_invariant, region_of, rng
 
 
 def with_case(cfg, case_id):
@@ -31,7 +32,6 @@ def test_smoke_three_citizen_world(gen_config):
     cfg = gen_config(n_municipalities=1, total_population=3, skew=0.0,
                      population_fraction=1.0, horizon=12)
     result = run_scenario(cfg, seed=0, region=region_of(cfg))
-    assert not result.failed
     assert result.horizon == 12
     assert len(result.gdp_value) == 12
     snap = result.final_snapshot
@@ -129,7 +129,7 @@ def test_frozen_world_mode_shares_world_draw(gen_config):
 # ---------------------------------------------------------------------------
 
 
-def fake_run(final_qli, failed=False, seed=0):
+def fake_run(final_qli, seed=0):
     run = RunResult(apc_id="r", case_id=1, seed=seed, horizon=3,
                     municipality_ids=["m00"])
     run.qli["m00"] = [0.0, 0.0, final_qli]
@@ -138,13 +138,16 @@ def fake_run(final_qli, failed=False, seed=0):
     run.unemployment = [0.1, 0.1, 0.1]
     run.avg_workers_per_firm = [5.0, 5.0, 5.0]
     run.avg_firm_profit = [1.0, 1.0, 1.0]
-    run.failed = failed
     return run
+
+
+def fake_failure(seed):
+    return RunFailure(seed, "month 0: invariant 'money-conservation' violated")
 
 
 def test_median_of_three_runs():
     runs = [fake_run(q, seed=i) for i, q in enumerate((0.9, 0.4, 0.5))]
-    scenario = summarize_runs("r", 1, runs)
+    scenario = summarize_runs("r", 1, runs, [])
     assert not scenario.flagged
     assert scenario.median_final_qli == {"m00": 0.5}
     assert scenario.controls["municipality_count"] == 1.0
@@ -152,20 +155,19 @@ def test_median_of_three_runs():
 
 def test_even_run_count_averages_middle_pair():
     runs = [fake_run(q, seed=i) for i, q in enumerate((0.1, 0.2, 0.6, 0.8))]
-    scenario = summarize_runs("r", 1, runs)
+    scenario = summarize_runs("r", 1, runs, [])
     assert scenario.median_final_qli == {"m00": pytest.approx(0.4)}
 
 
 def test_minority_failures_tolerated():
-    runs = [fake_run(0.4), fake_run(0.6, seed=1), fake_run(0.0, failed=True, seed=2)]
-    scenario = summarize_runs("r", 1, runs)
+    runs = [fake_run(0.4), fake_run(0.6, seed=1)]
+    scenario = summarize_runs("r", 1, runs, [fake_failure(2)])
     assert not scenario.flagged
     assert scenario.median_final_qli == {"m00": pytest.approx(0.5)}  # over survivors
 
 
 def test_majority_failures_flag_scenario():
-    runs = [fake_run(0.4), fake_run(0.0, failed=True, seed=1), fake_run(0.0, failed=True, seed=2)]
-    scenario = summarize_runs("r", 1, runs)
+    scenario = summarize_runs("r", 1, [fake_run(0.4)], [fake_failure(1), fake_failure(2)])
     assert scenario.flagged
     assert scenario.median_final_qli == {}
 
@@ -181,10 +183,9 @@ def test_batch_tasks_matched_seeds(gen_config):
     tasks = batch_tasks(cfg, [region], cases=[1, 3], runs_per_scenario=2)
     assert len(tasks) == 4
     seeds = {}
-    for apc_id, case_id, task in tasks:
-        assert apc_id == region.id
-        assert task.config.fiscal.case_id == case_id
-        seeds.setdefault(case_id, []).append(task.seed)
+    for task in tasks:
+        assert task.region is region
+        seeds.setdefault(task.config.fiscal.case_id, []).append(task.seed)
     assert seeds[1] == seeds[3] == [cfg.engine.seed, cfg.engine.seed + 1]
 
 
@@ -222,15 +223,26 @@ def test_pool_never_larger_than_task_list(gen_config, monkeypatch):
     assert started == [2]
 
 
-def test_failed_cell_is_flagged_not_fatal(gen_config, tmp_path):
+def test_failed_cell_is_flagged_not_fatal(gen_config, monkeypatch):
+    monkeypatch.setattr(engine, "step_month", break_invariant)
     cfg = gen_config()
-    # a missing MPF table is only opened when a run starts, so every run fails
-    # inside the worker while the batch itself completes
-    cfg.fiscal = replace(cfg.fiscal, mpf_table_file=str(tmp_path / "missing.csv"))
     tasks = batch_tasks(cfg, [generate_region(1, 500, 0.0, rng(0))], cases=[1],
                         runs_per_scenario=2)
     results = run_batch(tasks, jobs=1)
-    scenario = results[(tasks[0][0], 1)]
+    scenario = results[(tasks[0].region.id, 1)]
     assert scenario.flagged
-    assert all(r.failed for r in scenario.runs)
-    assert all(r.error for r in scenario.runs)
+    assert scenario.runs == []
+    assert [f.seed for f in scenario.failures] == [cfg.engine.seed, cfg.engine.seed + 1]
+    assert all("invariant 'money-conservation'" in f.error for f in scenario.failures)
+
+
+def test_programming_error_stops_the_batch(gen_config, monkeypatch):
+    def bug(state, runtime, result):
+        raise TypeError("not model data")
+
+    monkeypatch.setattr(engine, "step_month", bug)
+    cfg = gen_config()
+    tasks = batch_tasks(cfg, [generate_region(1, 500, 0.0, rng(0))], cases=[1],
+                        runs_per_scenario=2)
+    with pytest.raises(TypeError, match="not model data"):
+        run_batch(tasks, jobs=1)
