@@ -386,7 +386,6 @@ def format_fit_report(fits: Mapping[str, FitResult]) -> str:
 class ValidationReport:
     tax_to_gdp: float
     shares_by_kind: dict[str, float | None]
-    share_flags: dict[str, str]
     inflation_mean: float
     unemployment_mean: float
     runs_used: int
@@ -409,7 +408,7 @@ def validation_report(runs: Sequence) -> ValidationReport:
     """Aggregate tax shares and macro outcomes over completed runs.
 
     Shares are fractions of total tax by kind. With zero collection, shares
-    are undefined and explicitly flagged rather than silently zero.
+    are None and render as undefined rather than silently zero.
     """
     if not runs:
         raise ValidationError("validation needs at least one completed run")
@@ -418,14 +417,7 @@ def validation_report(runs: Sequence) -> ValidationReport:
         for kind, series in run.taxes_by_kind.items():
             totals[kind] = totals.get(kind, 0.0) + sum(series)
     grand = sum(totals.values())
-    shares: dict[str, float | None] = {}
-    flags: dict[str, str] = {}
-    for kind in sorted(totals):
-        if grand <= 0:
-            shares[kind] = None
-            flags[kind] = "undefined"
-        else:
-            shares[kind] = totals[kind] / grand
+    shares = {kind: totals[kind] / grand if grand > 0 else None for kind in sorted(totals)}
     gdp_total = sum(sum(r.gdp_value) for r in runs)
     tax_to_gdp = grand / gdp_total if gdp_total > 0 else math.nan
 
@@ -436,7 +428,6 @@ def validation_report(runs: Sequence) -> ValidationReport:
     return ValidationReport(
         tax_to_gdp=tax_to_gdp,
         shares_by_kind=shares,
-        share_flags=flags,
         inflation_mean=mean_over_runs("inflation"),
         unemployment_mean=mean_over_runs("unemployment"),
         runs_used=len(runs),

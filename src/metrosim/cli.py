@@ -19,6 +19,7 @@ import numpy as np
 from . import analytics
 from .config import (
     ScenarioConfig,
+    WorldConfig,
     config_to_dict,
     default_config,
     parse_config,
@@ -62,8 +63,22 @@ def _config_epilog() -> str:
     return "\n".join(lines)
 
 
+def _read(path, load):
+    """Load one input file before any run; one that cannot be read or parsed
+    is a config error naming the file."""
+    try:
+        return load(path)
+    except OSError as exc:
+        raise ConfigError(f"{path}: {exc.strerror or exc}") from None
+    except (UnicodeDecodeError, ParseError, ValidationError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def _load_config(args) -> ScenarioConfig:
-    cfg = parse_config(args.config, strict=not args.lax) if args.config else default_config()
+    if args.config:
+        cfg = _read(args.config, lambda path: parse_config(path, strict=not args.lax))
+    else:
+        cfg = default_config()
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, engine=replace(cfg.engine, seed=args.seed))
     if getattr(args, "runs", None) is not None:
@@ -78,10 +93,7 @@ def _load_config(args) -> ScenarioConfig:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     if cfg.fiscal.mpf_table_file:
         # every run reloads the table; a bad one is an input error, found before any run
-        try:
-            load_mpf_table(cfg.fiscal.mpf_table_file)
-        except (OSError, UnicodeDecodeError, ParseError, ValidationError) as exc:
-            raise ConfigError(f"fiscal.mpf_table_file: {exc}") from None
+        _read(cfg.fiscal.mpf_table_file, load_mpf_table)
     return cfg
 
 
@@ -102,20 +114,9 @@ def resolve_regions(cfg: ScenarioConfig) -> list[RegionSpec]:
     if src.mode == "default-batch":
         return default_apc_batch()
     if src.mode == "file":
-        return [load_region(src.path)]
+        return [_read(src.path, load_region)]
     rng = np.random.default_rng(cfg.engine.seed)
-    return [
-        generate_region(
-            src.n_municipalities,
-            src.total_population,
-            src.skew,
-            rng,
-            mean_family_size=cfg.world.mean_family_size,
-            inhabitants_per_firm=cfg.world.inhabitants_per_firm,
-            firm_concentration=cfg.world.firm_concentration,
-            vacancy_margin=cfg.world.vacancy_margin,
-        )
-    ]
+    return [generate_region(src.n_municipalities, src.total_population, src.skew, rng, cfg.world)]
 
 
 def _run_export_rows(result: RunResult) -> tuple[list[str], list[list]]:
@@ -163,14 +164,8 @@ def cmd_gen_region(args) -> int:
     if not math.isfinite(args.skew):
         raise ConfigError(f"--skew must be finite, got {args.skew}")
     rng = np.random.default_rng(args.seed)
-    region = generate_region(
-        args.municipalities,
-        args.population,
-        args.skew,
-        rng,
-        region_id=args.id,
-        name=args.name or f"synthetic region {args.id}",
-    )
+    region = generate_region(args.municipalities, args.population, args.skew, rng, WorldConfig(),
+                             region_id=args.id, name=args.name or f"synthetic region {args.id}")
     save_region(region, args.out)
     print(f"wrote {args.out}: {len(region.municipalities)} municipalities, "
           f"population {region.total_population}")
@@ -196,168 +191,184 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _execute_batch(cfg: ScenarioConfig, cases: list[int], args):
+def _batch_command(args) -> int:
+    """The steps every batch command takes, in this order.
+
+    Every input is checked before the output directory exists or any run
+    starts. Once the batch has run, MANIFEST.json is always written, and the
+    exit code is 0 exactly when it says the batch is complete. A writer that
+    cannot produce its output raises ValidationError, which marks the batch
+    incomplete.
+    """
+    cfg = _load_config(args)
     regions = resolve_regions(cfg)
-    tasks = batch_tasks(cfg, regions, cases)
-    scenarios = run_batch(tasks, jobs=args.jobs)
-    return regions, scenarios
+    cases, write = args.prepare(args, cfg, regions)
+    out_dir = _output_dir(args)
+    scenarios = run_batch(batch_tasks(cfg, regions, cases), jobs=args.jobs)
 
-
-def _batch_manifest(cfg: ScenarioConfig, cases, scenarios, files) -> dict:
-    flagged = sorted(
-        f"{apc}/case{case}" for (apc, case), s in scenarios.items() if s.flagged
-    )
+    files: list[str] = []
+    try:
+        write(out_dir, scenarios, files)
+        written = True
+    except ValidationError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        written = False
+    flagged = sorted(f"{apc}/case{case}" for (apc, case), s in scenarios.items() if s.flagged)
     failed_runs = sorted(
         f"{apc}/case{case}/seed{f.seed}: {f.error}"
         for (apc, case), s in scenarios.items()
         for f in s.failures
     )
-    return {
+    complete = written and not flagged
+    _write_manifest(out_dir, {
         "cases": cases,
         "seed": cfg.engine.seed,
         "runs_per_scenario": cfg.engine.runs_per_scenario,
         "scenarios": len(scenarios),
         "flagged_scenarios": flagged,
         "failed_runs": failed_runs,
-        "complete": not flagged,
+        "complete": complete,
         "files": sorted(files),
-    }
+    })
+    if flagged:
+        print("batch incomplete: " + ", ".join(flagged), file=sys.stderr)
+    return EXIT_OK if complete else EXIT_PARTIAL
 
 
-def cmd_compare(args) -> int:
-    cfg = _load_config(args)
+# Each batch command takes (args, cfg, regions), checks the inputs that are its
+# own, and returns the cases to run and a writer(out_dir, scenarios, files) that
+# writes its outputs and appends their names to files.
+
+
+def cmd_compare(args, cfg: ScenarioConfig, regions: list[RegionSpec]):
     cases = args.cases
-    out_dir = _output_dir(args)
-    regions, scenarios = _execute_batch(cfg, cases, args)
 
-    files = []
-    qli_rows = []
-    tally = {c: 0 for c in cases}
-    for region in regions:
-        cell = {c: scenarios.get((region.id, c)) for c in cases}
-        if any(s is None or s.flagged for s in cell.values()):
-            continue
-        raw = {c: analytics.region_qli(cell[c]) for c in cases}
-        normalized = analytics.normalize_qli([raw[c] for c in cases])
-        winner = analytics.best_case(raw)
-        tally[winner] += 1
-        for c, norm in zip(cases, normalized):
-            qli_rows.append([region.id, c, raw[c], norm, winner == c])
-    _write_csv(out_dir / "qli_normalized.csv",
-               ["apc_id", "case_id", "qli_raw", "qli_normalized", "is_best"], qli_rows)
-    files.append("qli_normalized.csv")
+    def write(out_dir: Path, scenarios, files: list[str]) -> None:
+        qli_rows = []
+        tally = {c: 0 for c in cases}
+        for region in regions:
+            cell = {c: scenarios.get((region.id, c)) for c in cases}
+            if any(s is None or s.flagged for s in cell.values()):
+                continue
+            raw = {c: analytics.region_qli(cell[c]) for c in cases}
+            normalized = analytics.normalize_qli([raw[c] for c in cases])
+            winner = analytics.best_case(raw)
+            tally[winner] += 1
+            for c, norm in zip(cases, normalized):
+                qli_rows.append([region.id, c, raw[c], norm, winner == c])
+        _write_csv(out_dir / "qli_normalized.csv",
+                   ["apc_id", "case_id", "qli_raw", "qli_normalized", "is_best"], qli_rows)
+        files.append("qli_normalized.csv")
 
-    _write_csv(out_dir / "best_case_histogram.csv", ["case_id", "wins"],
-               [[c, tally[c]] for c in cases])
-    files.append("best_case_histogram.csv")
+        _write_csv(out_dir / "best_case_histogram.csv", ["case_id", "wins"],
+                   [[c, tally[c]] for c in cases])
+        files.append("best_case_histogram.csv")
 
-    long_rows = []
-    for (apc_id, case_id) in sorted(scenarios):
-        scenario = scenarios[(apc_id, case_id)]
-        for run in scenario.runs:
-            months = len(run.gdp_index)
-            stride_months = [m for m in range(months) if (m + 1) % 12 == 0 or m == months - 1]
-            for month in stride_months:
-                for muni in run.municipality_ids:
-                    long_rows.append(
-                        [apc_id, case_id, run.seed, month, muni, "qli", run.qli[muni][month]]
-                    )
-            last = months - 1
-            for metric in ("gdp_index", "inflation", "unemployment",
-                           "avg_workers_per_firm", "avg_firm_profit"):
-                long_rows.append(
-                    [apc_id, case_id, run.seed, last, "", metric, getattr(run, metric)[last]]
-                )
-    _write_csv(out_dir / "long.csv",
-               ["apc_id", "case_id", "run_seed", "month", "municipality", "metric", "value"],
-               long_rows)
-    files.append("long.csv")
-
-    if args.export_runs:
-        runs_dir = out_dir / "runs"
-        runs_dir.mkdir(exist_ok=True)
-        for scenario in scenarios.values():
+        long_rows = []
+        for (apc_id, case_id) in sorted(scenarios):
+            scenario = scenarios[(apc_id, case_id)]
             for run in scenario.runs:
-                files.append(str(_export_run(run, runs_dir).relative_to(out_dir)))
+                months = len(run.gdp_index)
+                stride_months = [m for m in range(months) if (m + 1) % 12 == 0 or m == months - 1]
+                for month in stride_months:
+                    for muni in run.municipality_ids:
+                        long_rows.append(
+                            [apc_id, case_id, run.seed, month, muni, "qli", run.qli[muni][month]]
+                        )
+                last = months - 1
+                for metric in ("gdp_index", "inflation", "unemployment",
+                               "avg_workers_per_firm", "avg_firm_profit"):
+                    long_rows.append(
+                        [apc_id, case_id, run.seed, last, "", metric, getattr(run, metric)[last]]
+                    )
+        _write_csv(out_dir / "long.csv",
+                   ["apc_id", "case_id", "run_seed", "month", "municipality", "metric", "value"],
+                   long_rows)
+        files.append("long.csv")
 
-    manifest = _batch_manifest(cfg, cases, scenarios, files)
-    _write_manifest(out_dir, manifest)
-    print(f"compared cases {cases} over {len(regions)} regions -> {out_dir}")
-    for c in cases:
-        print(f"  case {c}: best in {tally[c]} regions")
-    if not manifest["complete"]:
-        print("batch incomplete: " + ", ".join(manifest["flagged_scenarios"]), file=sys.stderr)
-        return EXIT_PARTIAL
-    return EXIT_OK
+        if args.export_runs:
+            runs_dir = out_dir / "runs"
+            runs_dir.mkdir(exist_ok=True)
+            for scenario in scenarios.values():
+                for run in scenario.runs:
+                    files.append(str(_export_run(run, runs_dir).relative_to(out_dir)))
 
+        print(f"compared cases {cases} over {len(regions)} regions -> {out_dir}")
+        for c in cases:
+            print(f"  case {c}: best in {tally[c]} regions")
 
-def cmd_regress(args) -> int:
-    cfg = _load_config(args)
-    out_dir = _output_dir(args)
-    regions, scenarios = _execute_batch(cfg, [1, 2, 3, 4], args)
-    covariates = analytics.load_covariates(args.covariates) if args.covariates else None
-    observations = analytics.build_dataset(scenarios, covariates)
-    if not observations:
-        print("no healthy scenarios to regress", file=sys.stderr)
-        return EXIT_PARTIAL
-
-    files = []
-    obs_rows = [
-        [o.apc_id, o.case_id, o.alternative0, o.mpf_distribution, o.qli_final, o.qli_raw]
-        + [o.controls[c] for c in analytics.CONTROL_NAMES]
-        + [o.controls["municipality_count"]]
-        for o in observations
-    ]
-    _write_csv(
-        out_dir / "dataset.csv",
-        ["apc_id", "case_id", "alternative0", "mpf_distribution", "qli_normalized", "qli_raw"]
-        + list(analytics.CONTROL_NAMES) + ["municipality_count"],
-        obs_rows,
-    )
-    files.append("dataset.csv")
-
-    fits = {}
-    coef_rows = []
-    for model in args.models:
-        fit = analytics.fit_model(observations, model)
-        fits[model] = fit
-        for i, name in enumerate(fit.names):
-            coef_rows.append([
-                model, name, float(fit.coefficients[i]), float(fit.standard_errors[i]),
-                float(fit.t_statistics[i]), float(fit.p_values[i]),
-            ])
-    _write_csv(out_dir / "coefficients.csv",
-               ["model", "term", "coefficient", "std_error", "t_stat", "p_value"], coef_rows)
-    files.append("coefficients.csv")
-
-    report = analytics.format_fit_report(fits)
-    with open(out_dir / "regression_report.txt", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"observations: {len(observations)} "
-                 f"({len({o.apc_id for o in observations})} regions x 4 cases)\n")
-        fh.write("note: simul2 omits municipality_count (constant within region, "
-                 "collinear with the region dummies)\n\n")
-        fh.write(report)
-    files.append("regression_report.txt")
-
-    manifest = _batch_manifest(cfg, [1, 2, 3, 4], scenarios, files)
-    _write_manifest(out_dir, manifest)
-    print(report)
-    print(f"wrote regression outputs -> {out_dir}")
-    return EXIT_OK if manifest["complete"] else EXIT_PARTIAL
+    return cases, write
 
 
-def cmd_validate(args) -> int:
-    cfg = _load_config(args)
-    out_dir = _output_dir(args)
-    regions, scenarios = _execute_batch(cfg, [cfg.fiscal.case_id], args)
-    runs = [r for s in scenarios.values() for r in s.runs]
-    report = analytics.validation_report(runs)
-    with open(out_dir / "validation_report.txt", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(report.render())
-    manifest = _batch_manifest(cfg, [cfg.fiscal.case_id], scenarios, ["validation_report.txt"])
-    _write_manifest(out_dir, manifest)
-    print(report.render())
-    return EXIT_OK if manifest["complete"] else EXIT_PARTIAL
+def cmd_regress(args, cfg: ScenarioConfig, regions: list[RegionSpec]):
+    models = args.models
+    if len(set(models)) != len(models) or not set(models) <= set(analytics.MODELS):
+        raise ConfigError(
+            f"--models must be distinct names from {','.join(analytics.MODELS)}, "
+            f"got {','.join(models)}"
+        )
+    covariates = None
+    if args.covariates:
+        covariates = _read(args.covariates, analytics.load_covariates)
+        missing = sorted({region.id for region in regions} - set(covariates))
+        if missing:
+            raise ConfigError(f"{args.covariates}: misses regions: {', '.join(missing)}")
+
+    def write(out_dir: Path, scenarios, files: list[str]) -> None:
+        observations = analytics.build_dataset(scenarios, covariates)
+        if not observations:
+            raise ValidationError("no healthy region to regress")
+        obs_rows = [
+            [o.apc_id, o.case_id, o.alternative0, o.mpf_distribution, o.qli_final, o.qli_raw]
+            + [o.controls[c] for c in analytics.CONTROL_NAMES]
+            + [o.controls["municipality_count"]]
+            for o in observations
+        ]
+        _write_csv(
+            out_dir / "dataset.csv",
+            ["apc_id", "case_id", "alternative0", "mpf_distribution", "qli_normalized", "qli_raw"]
+            + list(analytics.CONTROL_NAMES) + ["municipality_count"],
+            obs_rows,
+        )
+        files.append("dataset.csv")
+
+        fits = {}
+        coef_rows = []
+        for model in models:
+            fit = analytics.fit_model(observations, model)
+            fits[model] = fit
+            for i, name in enumerate(fit.names):
+                coef_rows.append([
+                    model, name, float(fit.coefficients[i]), float(fit.standard_errors[i]),
+                    float(fit.t_statistics[i]), float(fit.p_values[i]),
+                ])
+        _write_csv(out_dir / "coefficients.csv",
+                   ["model", "term", "coefficient", "std_error", "t_stat", "p_value"], coef_rows)
+        files.append("coefficients.csv")
+
+        report = analytics.format_fit_report(fits)
+        with open(out_dir / "regression_report.txt", "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(f"observations: {len(observations)} "
+                     f"({len({o.apc_id for o in observations})} regions x 4 cases)\n")
+            fh.write("note: simul2 omits municipality_count (constant within region, "
+                     "collinear with the region dummies)\n\n")
+            fh.write(report)
+        files.append("regression_report.txt")
+        print(report)
+        print(f"wrote regression outputs -> {out_dir}")
+
+    return list(analytics.CASES), write
+
+
+def cmd_validate(args, cfg: ScenarioConfig, regions: list[RegionSpec]):
+    def write(out_dir: Path, scenarios, files: list[str]) -> None:
+        report = analytics.validation_report([r for s in scenarios.values() for r in s.runs])
+        with open(out_dir / "validation_report.txt", "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(report.render())
+        files.append("validation_report.txt")
+        print(report.render())
+
+    return [cfg.fiscal.case_id], write
 
 
 def cmd_echo_config(args) -> int:
@@ -411,18 +422,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cases", type=lambda s: [int(c) for c in s.split(",")],
                    default=[1, 2, 3, 4], help="comma-separated subset of 1,2,3,4")
     p.add_argument("--export-runs", action="store_true", help="also write per-run CSVs")
-    p.set_defaults(func=cmd_compare)
+    p.set_defaults(func=_batch_command, prepare=cmd_compare)
 
     p = sub.add_parser("regress", help="fit the three regression layouts on a batch")
     _add_common(p, batch=True)
     p.add_argument("--covariates", help="optional per-region covariate CSV (apc_id key)")
     p.add_argument("--models", type=lambda s: s.split(","),
                    default=["simul1", "simul2", "simul3"])
-    p.set_defaults(func=cmd_regress)
+    p.set_defaults(func=_batch_command, prepare=cmd_regress)
 
     p = sub.add_parser("validate", help="tax share and macro validation report")
     _add_common(p, batch=True)
-    p.set_defaults(func=cmd_validate)
+    p.set_defaults(func=_batch_command, prepare=cmd_validate)
 
     p = sub.add_parser("echo-config", help="print the effective config (round-trip check)")
     _add_common(p, batch=False)

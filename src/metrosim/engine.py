@@ -274,7 +274,7 @@ def step_month(state: SimulationState, runtime: _Runtime, result: RunResult) -> 
             first.revenue_this_month += spent - paid
     state.escheat_pool = pool_cell[0]
     runtime.money_ops += state.ledger.event_count + len(transactions) + len(state.families)
-    state.ledger.clear(month + 1)
+    state.ledger.clear()
 
     # metric row
     employed = 0

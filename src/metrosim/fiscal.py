@@ -61,10 +61,9 @@ class TaxRates:
 class TaxLedger:
     """Per-month accumulator of tax amounts keyed by (kind, origin municipality)."""
 
-    __slots__ = ("month", "amounts", "event_count")
+    __slots__ = ("amounts", "event_count")
 
-    def __init__(self, month: int = 0):
-        self.month = month
+    def __init__(self):
         self.amounts: dict[tuple[TaxKind, str], float] = {}
         self.event_count = 0
 
@@ -89,8 +88,7 @@ class TaxLedger:
     def by_kind(self, kind: TaxKind) -> dict[str, float]:
         return {o: a for (k, o), a in self.amounts.items() if k is kind}
 
-    def clear(self, month: int) -> None:
-        self.month = month
+    def clear(self) -> None:
         self.amounts.clear()
         self.event_count = 0
 

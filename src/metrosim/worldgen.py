@@ -152,13 +152,10 @@ def generate_region(
     total_population: int,
     skew: float,
     rng: np.random.Generator,
+    world: WorldConfig,
     *,
     region_id: str = "region",
     name: str = "synthetic region",
-    mean_family_size: float = 3.0,
-    inhabitants_per_firm: float = 100.0,
-    firm_concentration: float = 1.3,
-    vacancy_margin: float = 0.1,
 ) -> RegionSpec:
     """Draw a synthetic region with a skew-controlled population split.
 
@@ -166,6 +163,8 @@ def generate_region(
     population in municipality 0 (populations are emitted in descending
     order, primate city first). Firm counts grow superlinearly with
     population, so economic activity concentrates more than people do.
+    Family size, firm density and concentration, and the vacancy margin come
+    from ``world``.
     """
     if n_municipalities < 1:
         raise ValidationError("n_municipalities must be >= 1")
@@ -182,15 +181,15 @@ def generate_region(
     populations = _apportion(weights, total_population, minimum=1)
     populations.sort(reverse=True)
 
-    total_firms = max(n_municipalities, round(total_population / inhabitants_per_firm))
-    firm_weights = [p**firm_concentration for p in populations]
+    total_firms = max(n_municipalities, round(total_population / world.inhabitants_per_firm))
+    firm_weights = [p**world.firm_concentration for p in populations]
     firm_counts = _apportion(firm_weights, total_firms, minimum=1)
 
     munis = []
     width = max(2, len(str(n_municipalities - 1)))
     for i, (pop, firms) in enumerate(zip(populations, firm_counts)):
-        households = math.ceil(pop / mean_family_size)
-        housing_stock = math.ceil(households * (1.0 + vacancy_margin))
+        households = math.ceil(pop / world.mean_family_size)
+        housing_stock = math.ceil(households * (1.0 + world.vacancy_margin))
         centroid = (float(rng.uniform(0.0, COORD_BOX)), float(rng.uniform(0.0, COORD_BOX)))
         munis.append(
             MunicipalitySpec(
@@ -432,14 +431,6 @@ def default_apc_batch(seed: int = 2000, size: int = DEFAULT_BATCH_SIZE) -> list[
         n_munis = int(rng.integers(2, 13))
         total_pop = int(round(float(np.exp(rng.uniform(np.log(20_000), np.log(150_000))))))
         skew = float(rng.uniform(0.8, 2.0))
-        regions.append(
-            generate_region(
-                n_munis,
-                total_pop,
-                skew,
-                rng,
-                region_id=f"apc{i:02d}",
-                name=f"synthetic APC {i:02d}",
-            )
-        )
+        regions.append(generate_region(n_munis, total_pop, skew, rng, WorldConfig(),
+                                       region_id=f"apc{i:02d}", name=f"synthetic APC {i:02d}"))
     return regions

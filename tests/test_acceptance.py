@@ -88,7 +88,7 @@ def test_criterion_01_policy_weight_matrix():
 
 @pytest.mark.slow
 def test_criterion_02_conservation_at_scale():
-    region = generate_region(6, 1_000_000, 1.2, np.random.default_rng(7))
+    region = generate_region(6, 1_000_000, 1.2, np.random.default_rng(7), WorldConfig())
     cfg = generated_scenario(6, 1_000_000, 1.2, fraction=0.02, horizon=240)
     start = perf_counter()
     # the engine audits money conservation every month and raises on drift,

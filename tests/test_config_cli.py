@@ -272,6 +272,85 @@ def test_bad_mpf_table_exits_one_before_any_run(tmp_path, capsys, command, table
     assert not out_dir.exists()
 
 
+# case -> (config file, extra regress flags); "{dir}" stands for the test's tmp_path
+LATE_INPUTS = {
+    "unknown-model": ("config.json", ["--models", "bogus"]),
+    "repeated-model": ("config.json", ["--models", "simul1,simul1"]),
+    "missing-covariates": ("config.json", ["--covariates", "{dir}/nosuch.csv"]),
+    "malformed-covariates": ("config.json", ["--covariates", "{dir}/no_key.csv"]),
+    "covariates-miss-region": ("config.json", ["--covariates", "{dir}/other_region.csv"]),
+    "missing-config": ("nosuch.json", []),
+    "missing-region-path": ("file_mode.json", []),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LATE_INPUTS))
+def test_late_inputs_exit_one_before_any_run(tmp_path, capsys, monkeypatch, case):
+    calls = []
+    monkeypatch.setattr(cli, "run_batch", lambda *a, **kw: calls.append(a) or {})
+    write_config(tmp_path, SMALL_SCENARIO)
+    write_config(tmp_path, dict(SMALL_SCENARIO, region={
+        "mode": "file", "path": str(tmp_path / "nosuch_region.json")}), "file_mode.json")
+    (tmp_path / "no_key.csv").write_text("region,x\nregion,1.0\n", encoding="utf-8")
+    (tmp_path / "other_region.csv").write_text("apc_id,x\nother,1.0\n", encoding="utf-8")
+    config, flags = LATE_INPUTS[case]
+    out_dir = tmp_path / "out"
+    code = cli.main(["regress", "--config", str(tmp_path / config), "--out", str(out_dir),
+                     *(flag.format(dir=tmp_path) for flag in flags)])
+    assert code == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert calls == []
+
+
+@pytest.mark.parametrize("target", ["config", "region"])
+@pytest.mark.parametrize("problem", ["missing", "directory", "not-utf8"])
+def test_run_unreadable_input_file_exits_one(tmp_path, capsys, target, problem):
+    bad = tmp_path / "bad.json"
+    if problem == "directory":
+        bad.mkdir()
+    elif problem == "not-utf8":
+        bad.write_bytes(b"\xff\xfe{}")
+    cfg_path = bad
+    if target == "region":
+        cfg_path = write_config(tmp_path, dict(SMALL_SCENARIO, region={
+            "mode": "file", "path": str(bad)}))
+    out_dir = tmp_path / "out"
+    code = cli.main(["run", "--config", str(cfg_path), "--out", str(out_dir)])
+    assert code == cli.EXIT_CONFIG
+    assert f"config error: {bad}: " in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("command", ["regress", "validate"])
+def test_broken_batch_exits_three_with_manifest(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setattr(engine, "step_month", break_invariant)
+    cfg_path = write_config(tmp_path, SMALL_SCENARIO)
+    out_dir = tmp_path / "out"
+    code = cli.main([command, "--config", cfg_path, "--out", str(out_dir)])
+    assert code == cli.EXIT_PARTIAL
+    assert "error: " in capsys.readouterr().err
+    manifest = json.loads((out_dir / "MANIFEST.json").read_text(encoding="utf-8"))
+    assert manifest["complete"] is False
+    assert manifest["files"] == []
+    assert manifest["failed_runs"]
+    for entry in manifest["failed_runs"]:
+        assert "invariant 'money-conservation'" in entry
+
+
+def test_regress_unfittable_model_exits_three_with_manifest(tmp_path, capsys):
+    # one region gives 4 observations, fewer than simul2 has parameters
+    cfg_path = write_config(tmp_path, SMALL_SCENARIO)
+    out_dir = tmp_path / "reg"
+    code = cli.main(["regress", "--config", cfg_path, "--out", str(out_dir)])
+    assert code == cli.EXIT_PARTIAL
+    assert "error: need more observations than parameters" in capsys.readouterr().err
+    manifest = json.loads((out_dir / "MANIFEST.json").read_text(encoding="utf-8"))
+    assert manifest["complete"] is False
+    assert manifest["flagged_scenarios"] == []
+    assert manifest["files"] == ["dataset.csv"]
+
+
 def test_regress_writes_dataset_and_report(tmp_path, capsys):
     cfg_path = write_config(tmp_path, SMALL_SCENARIO)
     out_dir = tmp_path / "reg"

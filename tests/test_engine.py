@@ -14,7 +14,7 @@ from metrosim.engine import (
     summarize_runs,
 )
 from metrosim.fiscal import TAX_KINDS, TaxRates
-from metrosim.worldgen import generate_region
+from metrosim.worldgen import WorldConfig, generate_region
 
 from conftest import break_invariant, region_of, rng
 
@@ -179,7 +179,7 @@ def test_majority_failures_flag_scenario():
 
 def test_batch_tasks_matched_seeds(gen_config):
     cfg = gen_config()
-    region = generate_region(2, 2_000, 0.5, rng(1))
+    region = generate_region(2, 2_000, 0.5, rng(1), WorldConfig())
     tasks = batch_tasks(cfg, [region], cases=[1, 3], runs_per_scenario=2)
     assert len(tasks) == 4
     seeds = {}
@@ -191,7 +191,7 @@ def test_batch_tasks_matched_seeds(gen_config):
 
 def test_parallel_batch_equals_serial(gen_config):
     cfg = gen_config(horizon=4, total_population=2_000, n_municipalities=2)
-    region = generate_region(2, 2_000, 0.5, rng(1))
+    region = generate_region(2, 2_000, 0.5, rng(1), WorldConfig())
     tasks = batch_tasks(cfg, [region], cases=[1, 2], runs_per_scenario=2)
     serial = run_batch(tasks, jobs=1)
     parallel = run_batch(tasks, jobs=2)
@@ -226,8 +226,8 @@ def test_pool_never_larger_than_task_list(gen_config, monkeypatch):
 def test_failed_cell_is_flagged_not_fatal(gen_config, monkeypatch):
     monkeypatch.setattr(engine, "step_month", break_invariant)
     cfg = gen_config()
-    tasks = batch_tasks(cfg, [generate_region(1, 500, 0.0, rng(0))], cases=[1],
-                        runs_per_scenario=2)
+    region = generate_region(1, 500, 0.0, rng(0), WorldConfig())
+    tasks = batch_tasks(cfg, [region], cases=[1], runs_per_scenario=2)
     results = run_batch(tasks, jobs=1)
     scenario = results[(tasks[0].region.id, 1)]
     assert scenario.flagged
@@ -242,7 +242,7 @@ def test_programming_error_stops_the_batch(gen_config, monkeypatch):
 
     monkeypatch.setattr(engine, "step_month", bug)
     cfg = gen_config()
-    tasks = batch_tasks(cfg, [generate_region(1, 500, 0.0, rng(0))], cases=[1],
-                        runs_per_scenario=2)
+    region = generate_region(1, 500, 0.0, rng(0), WorldConfig())
+    tasks = batch_tasks(cfg, [region], cases=[1], runs_per_scenario=2)
     with pytest.raises(TypeError, match="not model data"):
         run_batch(tasks, jobs=1)

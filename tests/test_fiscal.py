@@ -94,8 +94,7 @@ def test_ledger_rejects_negative_skips_zero():
 def test_ledger_clear_resets():
     ledger = TaxLedger()
     ledger.add(TaxKind.COMPANY, "a", 1.0)
-    ledger.clear(month=5)
-    assert ledger.month == 5
+    ledger.clear()
     assert ledger.total() == 0.0
     assert ledger.event_count == 0
 

@@ -28,18 +28,18 @@ def rng(seed=0):
 
 
 def test_single_municipality_takes_all():
-    region = generate_region(1, 1000, 2.0, rng())
+    region = generate_region(1, 1000, 2.0, rng(), WorldConfig())
     assert [m.population for m in region.municipalities] == [1000]
 
 
 def test_zero_skew_splits_equally():
-    region = generate_region(2, 1000, 0.0, rng())
+    region = generate_region(2, 1000, 0.0, rng(), WorldConfig())
     assert [m.population for m in region.municipalities] == [500, 500]
 
 
 def test_golden_split_seed42():
     # fixed-seed reference values, recorded from the first correct run
-    region = generate_region(4, 10_000, 1.5, rng(42))
+    region = generate_region(4, 10_000, 1.5, rng(42), WorldConfig())
     assert [m.population for m in region.municipalities] == [3430, 3331, 3097, 142]
     assert [m.firm_count for m in region.municipalities] == [34, 34, 31, 1]
     assert [m.housing_stock for m in region.municipalities] == [1259, 1223, 1137, 53]
@@ -48,7 +48,7 @@ def test_golden_split_seed42():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_populations_sum_and_descend(seed):
-    region = generate_region(5, 37_123, 1.3, rng(seed))
+    region = generate_region(5, 37_123, 1.3, rng(seed), WorldConfig())
     pops = [m.population for m in region.municipalities]
     assert sum(pops) == 37_123
     assert pops == sorted(pops, reverse=True)
@@ -56,7 +56,8 @@ def test_populations_sum_and_descend(seed):
 
 
 def test_housing_stock_covers_households_with_margin():
-    region = generate_region(3, 9_000, 0.0, rng(1), mean_family_size=3.0, vacancy_margin=0.1)
+    world = WorldConfig(mean_family_size=3.0, vacancy_margin=0.1)
+    region = generate_region(3, 9_000, 0.0, rng(1), world)
     for muni in region.municipalities:
         households = math.ceil(muni.population / 3.0)
         assert muni.housing_stock == math.ceil(households * 1.1)
@@ -64,7 +65,7 @@ def test_housing_stock_covers_households_with_margin():
 
 
 def test_firm_counts_concentrate_in_larger_municipalities():
-    region = generate_region(4, 80_000, 1.5, rng(3))
+    region = generate_region(4, 80_000, 1.5, rng(3), WorldConfig())
     counts = [m.firm_count for m in region.municipalities]
     assert sum(counts) == max(4, round(80_000 / 100.0))
     assert counts == sorted(counts, reverse=True)
@@ -73,16 +74,16 @@ def test_firm_counts_concentrate_in_larger_municipalities():
 
 def test_generate_region_rejects_bad_inputs():
     with pytest.raises(ValidationError):
-        generate_region(0, 1000, 1.0, rng())
+        generate_region(0, 1000, 1.0, rng(), WorldConfig())
     with pytest.raises(ValidationError):
-        generate_region(5, 4, 1.0, rng())  # fewer people than municipalities
+        generate_region(5, 4, 1.0, rng(), WorldConfig())  # fewer people than municipalities
     with pytest.raises(ValidationError):
-        generate_region(2, 1000, -0.5, rng())
+        generate_region(2, 1000, -0.5, rng(), WorldConfig())
 
 
 def test_same_seed_same_region():
-    a = generate_region(6, 50_000, 1.2, rng(9))
-    b = generate_region(6, 50_000, 1.2, rng(9))
+    a = generate_region(6, 50_000, 1.2, rng(9), WorldConfig())
+    b = generate_region(6, 50_000, 1.2, rng(9), WorldConfig())
     assert a == b
 
 
@@ -92,7 +93,8 @@ def test_same_seed_same_region():
 
 
 def test_region_roundtrip_and_byte_stability(tmp_path):
-    region = generate_region(3, 12_000, 1.1, rng(5), region_id="rt", name="roundtrip")
+    region = generate_region(3, 12_000, 1.1, rng(5), WorldConfig(),
+                             region_id="rt", name="roundtrip")
     path = tmp_path / "region.json"
     save_region(region, path)
     assert load_region(path) == region
@@ -136,7 +138,7 @@ def test_duplicate_municipality_id_rejected():
 
 
 def small_region(pop=1000, munis=1):
-    return generate_region(munis, pop, 0.0, rng(2), region_id="small")
+    return generate_region(munis, pop, 0.0, rng(2), WorldConfig(), region_id="small")
 
 
 def test_two_percent_sampling():
@@ -164,7 +166,7 @@ def test_families_partition_citizens():
 
 
 def test_every_municipality_keeps_a_vacancy():
-    region = generate_region(4, 40_000, 1.4, rng(7))
+    region = generate_region(4, 40_000, 1.4, rng(7), WorldConfig())
     state = instantiate_world(region, WorldConfig(population_fraction=0.02), rng())
     for muni in region.municipalities:
         houses = [h for h in state.houses.values() if h.municipality_id == muni.id]
