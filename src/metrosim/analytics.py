@@ -15,8 +15,6 @@ from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy import linalg as sla
-from scipy import stats as sstats
 
 from .engine import ScenarioResult
 from .errors import ValidationError
@@ -262,6 +260,11 @@ def ols_fit(X: np.ndarray, y: np.ndarray, names: Sequence[str] | None = None) ->
     name. The Gaussian log-likelihood uses the ML variance RSS/n, so
     AIC = 2k - 2 loglik and BIC = k ln(n) - 2 loglik hold by construction.
     """
+    # scipy is imported here, not at module level: only ``regress`` fits, and
+    # importing it costs every other command about a second of start-up
+    from scipy import linalg as sla
+    from scipy import stats as sstats
+
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:

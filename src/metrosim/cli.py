@@ -27,7 +27,7 @@ from .config import (
 )
 from .engine import RunResult, batch_tasks, run_batch, run_scenario
 from .errors import ConfigError, InvariantViolation, MetrosimError, ParseError, ValidationError
-from .fiscal import TAX_KINDS, load_mpf_table
+from .fiscal import TAX_KINDS, read_mpf_table
 from .worldgen import RegionSpec, default_apc_batch, generate_region, load_region, save_region
 
 OUTPUT_DIR_ENV = "METROSIM_OUTPUT_DIR"
@@ -92,8 +92,9 @@ def _load_config(args) -> ScenarioConfig:
     if getattr(args, "jobs", 1) < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     if cfg.fiscal.mpf_table_file:
-        # every run reloads the table; a bad one is an input error, found before any run
-        _read(cfg.fiscal.mpf_table_file, load_mpf_table)
+        # read once here, so a bad table is an input error found before any
+        # run; the runs of this process (and of forked workers) reuse the read
+        _read(cfg.fiscal.mpf_table_file, read_mpf_table)
     return cfg
 
 

@@ -8,7 +8,6 @@ profit taxes are recorded in the month's ledger at the moment money moves.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -211,20 +210,34 @@ def pay_wages(
             released.monthly_wage = 0.0
         firm.employees = keep
     rate = rates.personal_income
+    muni = firm.municipality_id
+    taxes = []
     for cid in firm.employees:
         citizen = citizens[cid]
         wage = citizen.monthly_wage
         tax = wage * rate
         families[citizen.family_id].savings += wage - tax
-        if tax:
-            ledger.add(TaxKind.PERSONAL_INCOME, firm.municipality_id, tax)
+        taxes.append((muni, tax))
+    ledger.add_all(TaxKind.PERSONAL_INCOME, taxes)
     firm.cash -= payroll
     firm.cumulative_profit -= payroll
     firm.payroll_this_month = payroll
     return payroll
 
 
-_PRICE_THEN_ID = attrgetter("price", "id")
+def rank_samples(firms: Sequence[Firm], picks: np.ndarray) -> list[list[Firm]]:
+    """Each row of ``picks`` (indices into ``firms``) as its firms in (price, id) order.
+
+    The firms are ranked by (price, id) once, then every row of ranks is
+    sorted in one call; a firm picked twice appears twice. Prices must stay
+    fixed until the samples are consumed, as they do between production and
+    ``set_price``.
+    """
+    order = np.lexsort(([f.id for f in firms], [f.price for f in firms]))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    ranked = [firms[i] for i in order.tolist()]
+    return [[ranked[r] for r in row] for row in np.sort(rank[picks], axis=1).tolist()]
 
 
 def consume(
@@ -238,9 +251,10 @@ def consume(
 
     The family keeps ``savings_rate`` of its savings (the caller draws it
     uniformly from ``MarketParams.savings_rate_bounds``) and shops with the
-    rest, buying from the cheapest sampled firm first until the budget or the
-    sample's inventory runs out. Unspent budget returns to savings. Returns
-    (units bought, money spent).
+    rest, buying from the sampled firms in the order given until the budget or
+    the sample's inventory runs out. The sample arrives ranked by (price, id),
+    cheapest first (``rank_samples``). Unspent budget returns to savings.
+    Returns (units bought, money spent).
     """
     budget = (1.0 - savings_rate) * family.savings
     if budget <= 0.0:
@@ -248,7 +262,7 @@ def consume(
     rate = rates.consumption
     units_total = 0.0
     spent_total = 0.0
-    for firm in sorted(firm_sample, key=_PRICE_THEN_ID):
+    for firm in firm_sample:
         if budget <= 1e-12:
             break
         if firm.inventory <= 0.0:

@@ -26,6 +26,7 @@ from .economy import (
     consume,
     pay_wages,
     produce,
+    rank_samples,
     run_labor_market,
     set_price,
     set_wage_and_vacancy,
@@ -38,10 +39,10 @@ from .fiscal import (
     MpfTable,
     distribute,
     invest,
-    load_mpf_table,
     policy_for_case,
+    read_mpf_table,
 )
-from .housing import Transaction, collect_property_tax, run_housing_market
+from .housing import Transaction, collect_property_tax, hedonic_prices, run_housing_market
 from .rng import RngStreams
 from .state import SimulationState
 from .worldgen import RegionSpec, instantiate_world
@@ -96,15 +97,11 @@ class _Runtime:
 
 
 def _build_runtime(config: ScenarioConfig) -> _Runtime:
-    policy = policy_for_case(config.fiscal.case_id)
-    if config.fiscal.mpf_table_file:
-        table = load_mpf_table(config.fiscal.mpf_table_file)
-    else:
-        table = MpfTable()
+    path = config.fiscal.mpf_table_file
     return _Runtime(
         config=config,
-        policy=policy,
-        mpf_table=table,
+        policy=policy_for_case(config.fiscal.case_id),
+        mpf_table=read_mpf_table(path) if path else MpfTable(),
         vital_rates=VitalRates(DEFAULT_VITAL_BRACKETS),
     )
 
@@ -169,11 +166,11 @@ def step_month(state: SimulationState, runtime: _Runtime, result: RunResult) -> 
         savings_rates = streams.consumption.uniform(
             *market.savings_rate_bounds, size=len(family_ids)
         ).tolist()
-        firms = [state.firms[fid] for fid in firm_ids]
-        for fam_id, picks, savings_rate in zip(family_ids, sample_matrix.tolist(), savings_rates):
+        # prices hold until set_price, so one ranking serves every family
+        samples = rank_samples([state.firms[fid] for fid in firm_ids], sample_matrix)
+        for fam_id, firm_sample, savings_rate in zip(family_ids, samples, savings_rates):
             units, spent = consume(
-                state.families[fam_id], [firms[j] for j in picks], savings_rate,
-                cfg.tax_rates, state.ledger,
+                state.families[fam_id], firm_sample, savings_rate, cfg.tax_rates, state.ledger,
             )
             units_consumed += units
             spent_total += spent
@@ -199,16 +196,18 @@ def step_month(state: SimulationState, runtime: _Runtime, result: RunResult) -> 
             citizen.monthly_wage = firm.wage_offer
             firm.employees.append(citizen_id)
 
-    # housing market: hedonic listing prices, midpoint settlement
+    # housing market: hedonic listing prices, midpoint settlement. The market
+    # and the property tax share one price table: QLI only moves in invest
+    house_prices = hedonic_prices(state, cfg.housing)
     transactions = run_housing_market(
-        state, cfg.housing, cfg.tax_rates, streams.housing, state.ledger
+        state, house_prices, cfg.housing, cfg.tax_rates, streams.housing, state.ledger
     )
     result.transactions.extend(transactions)
 
     # tax collection: wages (income tax), property, company on its cadence
     for fid in firm_ids:
         pay_wages(state.firms[fid], state.citizens, state.families, cfg.tax_rates, state.ledger)
-    collect_property_tax(state, cfg.housing, cfg.tax_rates, state.ledger)
+    collect_property_tax(state, house_prices, cfg.tax_rates, state.ledger)
     if (month + 1) % cfg.fiscal.profit_tax_cadence_months == 0:
         for fid in firm_ids:
             settle_profit_tax(state.firms[fid], cfg.tax_rates, state.ledger)

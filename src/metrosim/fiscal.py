@@ -8,6 +8,7 @@ allocations that treasuries invest into their Quality of Life Index.
 from __future__ import annotations
 
 import csv
+import functools
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
@@ -75,6 +76,29 @@ class TaxLedger:
         key = (kind, origin)
         self.amounts[key] = self.amounts.get(key, 0.0) + amount
         self.event_count += 1
+
+    def add_all(self, kind: TaxKind, entries: Iterable[tuple[str, float]]) -> None:
+        """``add`` every ``(origin, amount)`` entry in turn.
+
+        Each (kind, origin) sum is read once and written back once, after the
+        same sequential additions as ``add``, so it keeps every bit; a new
+        key lands where its first ``add`` would have put it.
+        """
+        sums: dict[str, float] = {}
+        count = 0
+        for origin, amount in entries:
+            if amount < 0:
+                raise ValidationError(f"negative tax amount {amount} for {kind.value} in {origin}")
+            if amount == 0.0:
+                continue
+            total = sums.get(origin)
+            if total is None:
+                total = self.amounts.get((kind, origin), 0.0)
+            sums[origin] = total + amount
+            count += 1
+        for origin, total in sums.items():
+            self.amounts[(kind, origin)] = total
+        self.event_count += count
 
     def total(self) -> float:
         return sum(self.amounts.values())
@@ -252,6 +276,15 @@ def load_mpf_table(path) -> MpfTable:
             except (TypeError, ValueError):
                 raise ParseError(f"coefficient table row {i + 1}: non-numeric value") from None
     return MpfTable(rows)
+
+
+@functools.cache
+def read_mpf_table(path: str) -> MpfTable:
+    """``load_mpf_table`` once per path and process; later runs share the table.
+
+    A file changed on disk after its first read is not seen again.
+    """
+    return load_mpf_table(path)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ tax is charged monthly on owned stock, with arrears carried as family debt.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Mapping, NamedTuple
 
 import numpy as np
 
@@ -69,8 +69,25 @@ def hedonic_price(house: House, municipality_qli: float, params: HousingParams) 
     )
 
 
+def hedonic_prices(state: "SimulationState", params: HousingParams) -> dict[int, float]:
+    """Every house's ``hedonic_price`` at its municipality's current QLI, by house id.
+
+    One array expression with the operands of ``hedonic_price`` in its order,
+    so every price has the same bits. The prices hold until QLI moves, which
+    only ``invest`` does. ``tolist`` keeps them Python floats.
+    """
+    houses = state.houses.values()
+    qli = {muni: treasury.qli for muni, treasury in state.treasuries.items()}
+    size = np.array([h.size for h in houses], dtype=float)
+    quality = np.array([h.quality for h in houses], dtype=float)
+    local_qli = np.array([qli[h.municipality_id] for h in houses], dtype=float)
+    prices = params.hedonic_base * size * quality * (1.0 + params.qli_elasticity * local_qli)
+    return dict(zip(state.houses, prices.tolist()))
+
+
 def run_housing_market(
     state: "SimulationState",
+    prices: Mapping[int, float],
     params: HousingParams,
     rates: TaxRates,
     rng: np.random.Generator,
@@ -78,8 +95,9 @@ def run_housing_market(
 ) -> list[Transaction]:
     """Match sampled buyer families to listed vacant houses for one month.
 
-    Buyers enter with probability ``market_entry_rate`` (savings permitting)
-    and can afford any listing whose midpoint settlement stays within
+    Vacant houses are listed at their ``prices`` (``hedonic_prices``). Buyers
+    enter with probability ``market_entry_rate`` (savings permitting) and can
+    afford any listing whose midpoint settlement stays within
     ``bid_fraction`` of savings. Each buyer takes the cheapest affordable
     listing; each house sells at most once; the last vacant house of a
     municipality is never sold, which preserves the vacancy invariant.
@@ -102,8 +120,7 @@ def run_housing_market(
     for house in state.houses.values():
         if house.resident_family_id is None:
             vacant_count[house.municipality_id] = vacant_count.get(house.municipality_id, 0) + 1
-            price = hedonic_price(house, state.treasuries[house.municipality_id].qli, params)
-            listings.append((price, house))
+            listings.append((prices[house.id], house))
     listings.sort(key=lambda ph: (ph[0], ph[1].id))
 
     transactions: list[Transaction] = []
@@ -158,11 +175,11 @@ def run_housing_market(
 
 def collect_property_tax(
     state: "SimulationState",
-    params: HousingParams,
+    prices: Mapping[int, float],
     rates: TaxRates,
     ledger: TaxLedger,
 ) -> float:
-    """Charge the monthly property tax on family-owned houses.
+    """Charge the monthly property tax on family-owned houses, valued at ``prices``.
 
     Municipal stock is not taxed (the municipality does not tax itself).
     What a family cannot pay accrues as per-municipality debt collected from
@@ -171,6 +188,7 @@ def collect_property_tax(
     """
     monthly_rate = rates.property_monthly
     collected_total = 0.0
+    payments: list[tuple[str, float]] = []
     for family in state.families.values():
         dues: list[tuple[str, float]] = []
         if family.tax_debt:
@@ -178,11 +196,9 @@ def collect_property_tax(
             family.tax_debt = {}
         if monthly_rate > 0.0:
             for house_id in family.owned_houses:
-                house = state.houses[house_id]
-                qli = state.treasuries[house.municipality_id].qli
-                amount = hedonic_price(house, qli, params) * monthly_rate
+                amount = prices[house_id] * monthly_rate
                 if amount > 0.0:
-                    dues.append((house.municipality_id, amount))
+                    dues.append((state.houses[house_id].municipality_id, amount))
         if not dues:
             continue
         for muni, amount in dues:
@@ -192,9 +208,10 @@ def collect_property_tax(
             paid = min(amount, family.savings)
             family.savings -= paid
             if paid:
-                ledger.add(TaxKind.PROPERTY, muni, paid)
+                payments.append((muni, paid))
                 collected_total += paid
             shortfall = amount - paid
             if shortfall > 0.0:
                 family.tax_debt[muni] = family.tax_debt.get(muni, 0.0) + shortfall
+    ledger.add_all(TaxKind.PROPERTY, payments)
     return collected_total

@@ -2,6 +2,10 @@
 import json
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -270,6 +274,47 @@ def test_bad_mpf_table_exits_one_before_any_run(tmp_path, capsys, command, table
     assert code == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_mpf_table_read_once_per_batch(tmp_path, monkeypatch):
+    table_path = tmp_path / "mpf.csv"
+    table_path.write_text("max_population,coefficient\n1000,1.0\n2000,1.5\n", encoding="utf-8")
+    reads = []
+    real_open = open
+
+    def spy_open(file, *args, **kwargs):
+        if str(file) == str(table_path):
+            reads.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", spy_open)
+    doc = dict(SMALL_SCENARIO, fiscal={"mpf_table_file": str(table_path)})
+    code = cli.main(["compare", "--cases", "1", "--runs", "2", "--jobs", "1", "--config",
+                     write_config(tmp_path, doc), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_OK
+    assert len(reads) == 1
+
+
+def test_run_never_imports_scipy(tmp_path):
+    # only regress fits a model; scipy costs every other command a second of start-up
+    script = """
+import sys
+import metrosim.cli
+assert "scipy" not in sys.modules, "import metrosim.cli loaded scipy"
+code = metrosim.cli.main(["run", "--config", sys.argv[1], "--out", sys.argv[2]])
+assert code == 0, code
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, write_config(tmp_path, SMALL_SCENARIO),
+         str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
 # case -> (config file, extra regress flags); "{dir}" stands for the test's tmp_path

@@ -1,6 +1,8 @@
 """Production, pricing, wages, the labor market, and household consumption."""
 import math
+from operator import attrgetter
 
+import numpy as np
 import pytest
 
 from metrosim.demographics import Citizen
@@ -11,6 +13,7 @@ from metrosim.economy import (
     consume,
     pay_wages,
     produce,
+    rank_samples,
     run_labor_market,
     set_price,
     set_wage_and_vacancy,
@@ -261,12 +264,33 @@ def test_consume_worked_example():
     assert family.savings == 0.0
 
 
+def test_rank_samples_orders_by_price_then_id():
+    # equal prices tie on id; repeated picks stay, side by side
+    prices = [2.0, 1.0, 2.0, 1.0, 0.5]
+    firms = [make_firm(firm_id=10 + i, price=p) for i, p in enumerate(prices)]
+    picks = np.array([[0, 2, 1, 1], [3, 0, 3, 2], [4, 4, 4, 4]])
+    samples = rank_samples(firms, picks)
+    assert [[f.id for f in row] for row in samples] == [
+        [11, 11, 10, 12], [13, 13, 10, 12], [14, 14, 14, 14],
+    ]
+
+
+def test_rank_samples_matches_sorting_each_sample():
+    gen = rng(3)
+    prices = gen.choice([0.5, 1.0, 1.05, 2.0], size=12).tolist()
+    firms = [make_firm(firm_id=i, price=p) for i, p in zip(gen.permutation(12).tolist(), prices)]
+    picks = gen.integers(0, len(firms), size=(50, 10))
+    by_price_then_id = attrgetter("price", "id")
+    expected = [sorted((firms[j] for j in row), key=by_price_then_id) for row in picks.tolist()]
+    assert rank_samples(firms, picks) == expected
+
+
 def test_consume_cheapest_first():
     family = Family(id=0, municipality_id="m00", savings=4.0)
     pricey = make_firm(firm_id=0, price=4.0, inventory=10.0)
     cheap = make_firm(firm_id=1, price=1.0, inventory=2.0)
-    units, spent = consume(family, [pricey, cheap], 0.0, TaxRates(consumption=0.0),
-                           ledger=TaxLedger())
+    [sample] = rank_samples([pricey, cheap], np.array([[0, 1]]))
+    units, spent = consume(family, sample, 0.0, TaxRates(consumption=0.0), ledger=TaxLedger())
     # 2 units at 1.0 exhaust the cheap firm, the remaining 2.0 buys 0.5 units at 4.0
     assert units == 2.5
     assert spent == 4.0

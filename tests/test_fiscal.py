@@ -91,6 +91,34 @@ def test_ledger_rejects_negative_skips_zero():
     assert ledger.total() == 0.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seeded=st.lists(st.tuples(st.sampled_from("abc"), st.floats(0.0, 1e6)), max_size=3),
+    entries=st.lists(
+        st.tuples(st.sampled_from("abcd"), st.one_of(st.just(0.0), st.floats(0.0, 1e6))),
+        max_size=30,
+    ),
+)
+def test_ledger_add_all_matches_add_in_turn(seeded, entries):
+    # the same sums to the bit, the same key order (sums over it are
+    # order-sensitive) and the same event count as one add per entry
+    one_by_one, batched = TaxLedger(), TaxLedger()
+    for ledger in (one_by_one, batched):
+        for origin, amount in seeded:
+            ledger.add(TaxKind.PROPERTY, origin, amount)
+        ledger.add(TaxKind.COMPANY, "a", 1.0)
+    for origin, amount in entries:
+        one_by_one.add(TaxKind.PROPERTY, origin, amount)
+    batched.add_all(TaxKind.PROPERTY, entries)
+    assert list(batched.amounts.items()) == list(one_by_one.amounts.items())
+    assert batched.event_count == one_by_one.event_count
+
+
+def test_ledger_add_all_rejects_negative():
+    with pytest.raises(ValidationError):
+        TaxLedger().add_all(TaxKind.PROPERTY, [("a", 1.0), ("a", -0.01)])
+
+
 def test_ledger_clear_resets():
     ledger = TaxLedger()
     ledger.add(TaxKind.COMPANY, "a", 1.0)

@@ -1,7 +1,9 @@
-"""Golden SHA-256 digests of every CLI output file on one small config.
+"""Golden SHA-256 digests of every CLI output file on small configs.
 
 A refactor of the CLI or the engine that keeps behaviour keeps these bytes.
-The config is criterion 10's (3 municipalities, 24 months, seed 5).
+The main config is criterion 10's (3 municipalities, 24 months, seed 5); one
+more `run` covers `apc33`, the largest default region (8 municipalities), at
+24 months and seed 0.
 """
 import hashlib
 import json
@@ -9,6 +11,7 @@ import json
 import pytest
 
 from metrosim import cli
+from metrosim.worldgen import default_apc_batch, save_region
 
 CONFIG = {
     "region": {"mode": "generate", "n_municipalities": 3,
@@ -82,6 +85,12 @@ GOLDEN = {
 }
 
 
+APC33_RUN = {
+    "apc33_case1_0.csv":
+        "adb4fb0d92a8b044aa13c9302a239055ab1ab7583723e49bde534e28dbc51f94",
+}
+
+
 def tree_digests(directory):
     return {
         p.relative_to(directory).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
@@ -100,3 +109,17 @@ def test_output_digests(tmp_path, command):
         f"{command} output bytes changed; if no code changed, a numpy upgrade "
         "(new random streams or float kernels) can also move these digests"
     )
+
+
+def test_apc33_run_digest(tmp_path):
+    region_path = tmp_path / "apc33.json"
+    save_region(next(r for r in default_apc_batch() if r.id == "apc33"), region_path)
+    cfg_path = tmp_path / "scenario.json"
+    cfg_path.write_text(json.dumps({
+        "region": {"mode": "file", "path": str(region_path)},
+        "engine": {"horizon_months": 24, "seed": 0},
+    }), encoding="utf-8")
+    out_dir = tmp_path / "out"
+    code = cli.main(["run", "--config", str(cfg_path), "--out", str(out_dir)])
+    assert code == cli.EXIT_OK
+    assert tree_digests(out_dir) == APC33_RUN, "apc33 run output bytes changed"

@@ -10,13 +10,25 @@ from metrosim.housing import (
     HousingParams,
     collect_property_tax,
     hedonic_price,
+    hedonic_prices,
     run_housing_market,
 )
+from metrosim.worldgen import WorldConfig, default_apc_batch, instantiate_world
 
 from conftest import add_family, add_house, rng
 
 
 ALWAYS_ENTER = HousingParams(market_entry_rate=1.0, bid_fraction=1.0)
+
+
+def market(state, params, rates, ledger):
+    """One month of the housing market at the month's hedonic price table."""
+    return run_housing_market(state, hedonic_prices(state, params), params, rates, rng(), ledger)
+
+
+def property_tax(state, params, rates, ledger):
+    """One month of property tax at the month's hedonic price table."""
+    return collect_property_tax(state, hedonic_prices(state, params), rates, ledger)
 
 
 # ---------------------------------------------------------------------------
@@ -39,6 +51,21 @@ def test_hedonic_ignores_qli_when_elasticity_zero():
     house = House(id=0, municipality_id="m", size=3.0, quality=1.0, location=(0, 0))
     params = HousingParams(hedonic_base=10.0, qli_elasticity=0.0)
     assert hedonic_price(house, 0.0, params) == hedonic_price(house, 9.0, params) == 30.0
+
+
+def test_price_table_equals_hedonic_price_per_house():
+    region = next(r for r in default_apc_batch() if r.id == "apc33")
+    state = instantiate_world(region, WorldConfig(), rng())
+    draws = rng(1).uniform(0.0, 3.0, size=len(state.treasuries))
+    for treasury, qli in zip(state.treasuries.values(), draws.tolist()):
+        treasury.qli = qli
+    params = HousingParams(hedonic_base=1.7, qli_elasticity=0.37)
+    table = hedonic_prices(state, params)
+    assert list(table) == list(state.houses)
+    for house in state.houses.values():
+        price = table[house.id]
+        assert type(price) is float
+        assert price == hedonic_price(house, state.treasuries[house.municipality_id].qli, params)
 
 
 def test_housing_params_validation():
@@ -72,7 +99,7 @@ def test_midpoint_settlement_and_transmission_tax(make_state):
     # hedonic 2.0 * 4 * 10 = 80 against a full-savings offer of 100 -> 90
     state, family, target, _ = two_vacancy_state(make_state)
     ledger = TaxLedger()
-    deals = run_housing_market(state, ALWAYS_ENTER, TaxRates(transmission=0.02), rng(), ledger)
+    deals = market(state, ALWAYS_ENTER, TaxRates(transmission=0.02), ledger)
     assert len(deals) == 1
     deal = deals[0]
     assert deal.hedonic == 80.0
@@ -92,7 +119,7 @@ def test_midpoint_settlement_and_transmission_tax(make_state):
 def test_municipal_seller_credits_treasury(make_state):
     state, family, target, _ = two_vacancy_state(make_state)
     ledger = TaxLedger()
-    run_housing_market(state, ALWAYS_ENTER, TaxRates(transmission=0.02), rng(), ledger)
+    market(state, ALWAYS_ENTER, TaxRates(transmission=0.02), ledger)
     # municipal stock sold: price net of tax lands in the treasury
     assert state.treasuries["m00"].balance == pytest.approx(90.0 - 1.8, rel=1e-12)
     assert family.savings == pytest.approx(10.0, rel=1e-12)
@@ -110,7 +137,7 @@ def test_family_seller_receives_net_price(make_state):
     seller.owned_houses.append(offered.id)
     add_house(state, "m00", size=50.0, quality=50.0)  # spare vacancy
     ledger = TaxLedger()
-    deals = run_housing_market(state, ALWAYS_ENTER, TaxRates(transmission=0.02), rng(), ledger)
+    deals = market(state, ALWAYS_ENTER, TaxRates(transmission=0.02), ledger)
     assert [d.buyer_family_id for d in deals] == [buyer.id]
     assert seller.savings == pytest.approx(88.2, rel=1e-12)  # 90 minus 1.8 tax
     assert offered.id not in seller.owned_houses
@@ -121,7 +148,7 @@ def test_money_conserved_through_sale(make_state):
     state, family, _, _ = two_vacancy_state(make_state)
     ledger = TaxLedger()
     before = family.savings
-    run_housing_market(state, ALWAYS_ENTER, TaxRates(transmission=0.02), rng(), ledger)
+    market(state, ALWAYS_ENTER, TaxRates(transmission=0.02), ledger)
     after = family.savings + state.treasuries["m00"].balance + ledger.total()
     assert math.isclose(after, before, rel_tol=0, abs_tol=1e-12)
 
@@ -133,26 +160,26 @@ def test_last_vacant_house_never_sold(make_state):
     family.house_id = home.id
     family.owned_houses.append(home.id)
     add_house(state, "m00", size=1.0, quality=1.0)  # the only vacancy
-    deals = run_housing_market(state, ALWAYS_ENTER, TaxRates(), rng(), TaxLedger())
+    deals = market(state, ALWAYS_ENTER, TaxRates(), TaxLedger())
     assert deals == []
 
 
 def test_zero_entry_rate_freezes_market(make_state):
     state, _, _, _ = two_vacancy_state(make_state)
     params = HousingParams(market_entry_rate=0.0)
-    assert run_housing_market(state, params, TaxRates(), rng(), TaxLedger()) == []
+    assert market(state, params, TaxRates(), TaxLedger()) == []
 
 
 def test_broke_families_stay_out(make_state):
     state, family, _, _ = two_vacancy_state(make_state, savings=0.0)
-    assert run_housing_market(state, ALWAYS_ENTER, TaxRates(), rng(), TaxLedger()) == []
+    assert market(state, ALWAYS_ENTER, TaxRates(), TaxLedger()) == []
     assert family.house_id == 0
 
 
 def test_unaffordable_listings_stay_unsold(make_state):
     # cheapest vacancy hedonic 80 > offer 40 -> the sorted scan stops cold
     state, family, target, _ = two_vacancy_state(make_state, savings=40.0)
-    deals = run_housing_market(state, ALWAYS_ENTER, TaxRates(), rng(), TaxLedger())
+    deals = market(state, ALWAYS_ENTER, TaxRates(), TaxLedger())
     assert deals == []
     assert family.savings == 40.0
     assert target.resident_family_id is None
@@ -168,7 +195,7 @@ def test_house_sells_at_most_once_per_month(make_state):
     target = add_house(state, "m00", size=4.0, quality=10.0)
     add_house(state, "m00", size=4.0, quality=10.0)
     add_house(state, "m00", size=50.0, quality=50.0)  # spare
-    deals = run_housing_market(state, ALWAYS_ENTER, TaxRates(), rng(), TaxLedger())
+    deals = market(state, ALWAYS_ENTER, TaxRates(), TaxLedger())
     sold = [d.house_id for d in deals]
     assert len(sold) == len(set(sold)) == 2
     assert target.id in sold
@@ -189,7 +216,7 @@ def test_property_tax_worked_example(make_state):
     params = HousingParams(hedonic_base=200.0, qli_elasticity=0.0)
     assert hedonic_price(house, 0.0, params) == 1200.0
     ledger = TaxLedger()
-    collected = collect_property_tax(state, params, TaxRates(property_annual=0.005), ledger)
+    collected = property_tax(state, params, TaxRates(property_annual=0.005), ledger)
     assert collected == pytest.approx(0.5, rel=1e-12)
     assert family.savings == pytest.approx(9.5, rel=1e-12)
     assert ledger.by_kind(TaxKind.PROPERTY)["m00"] == pytest.approx(0.5, rel=1e-12)
@@ -199,7 +226,7 @@ def test_property_tax_skips_municipal_stock(make_state):
     state = make_state()
     add_family(state, "m00", [5], savings=10.0)
     add_house(state, "m00", size=6.0, quality=1.0)  # unowned
-    collected = collect_property_tax(state, HousingParams(), TaxRates(), TaxLedger())
+    collected = property_tax(state, HousingParams(), TaxRates(), TaxLedger())
     assert collected == 0.0
 
 
@@ -209,7 +236,7 @@ def test_zero_rate_collects_nothing(make_state):
     house = add_house(state, "m00", owner=family.id, resident=family.id)
     family.owned_houses.append(house.id)
     ledger = TaxLedger()
-    assert collect_property_tax(state, HousingParams(), TaxRates(property_annual=0.0), ledger) == 0.0
+    assert property_tax(state, HousingParams(), TaxRates(property_annual=0.0), ledger) == 0.0
     assert ledger.event_count == 0
     assert family.savings == 10.0
 
@@ -221,7 +248,7 @@ def test_broke_owner_accrues_debt_without_event(make_state):
     family.owned_houses.append(house.id)
     params = HousingParams(hedonic_base=200.0, qli_elasticity=0.0)
     ledger = TaxLedger()
-    assert collect_property_tax(state, params, TaxRates(property_annual=0.005), ledger) == 0.0
+    assert property_tax(state, params, TaxRates(property_annual=0.005), ledger) == 0.0
     assert ledger.event_count == 0
     assert family.tax_debt == {"m00": pytest.approx(0.5, rel=1e-12)}
 
@@ -234,9 +261,9 @@ def test_arrears_collected_once_funds_arrive(make_state):
     params = HousingParams(hedonic_base=200.0, qli_elasticity=0.0)
     rates = TaxRates(property_annual=0.005)
     ledger = TaxLedger()
-    collect_property_tax(state, params, rates, ledger)  # month 1: all debt
+    property_tax(state, params, rates, ledger)  # month 1: all debt
     family.savings = 100.0
-    collected = collect_property_tax(state, params, rates, ledger)  # month 2: debt + current
+    collected = property_tax(state, params, rates, ledger)  # month 2: debt + current
     assert collected == pytest.approx(1.0, rel=1e-12)
     assert family.tax_debt == {}
     assert family.savings == pytest.approx(99.0, rel=1e-12)
@@ -249,7 +276,7 @@ def test_partial_payment_splits_into_debt(make_state):
     family.owned_houses.append(house.id)
     params = HousingParams(hedonic_base=200.0, qli_elasticity=0.0)
     ledger = TaxLedger()
-    collected = collect_property_tax(state, params, TaxRates(property_annual=0.005), ledger)
+    collected = property_tax(state, params, TaxRates(property_annual=0.005), ledger)
     assert collected == pytest.approx(0.3, rel=1e-12)
     assert family.savings == 0.0
     assert family.tax_debt["m00"] == pytest.approx(0.2, rel=1e-12)
