@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .economy import MarketParams
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .fiscal import TaxRates
 from .housing import HousingParams
 from .worldgen import WorldConfig
@@ -187,9 +187,7 @@ def config_from_dict(doc: dict, strict: bool = True) -> ScenarioConfig:
     cfg = ScenarioConfig(**sections)
     try:
         cfg.validate()
-    except ConfigError:
-        raise
-    except Exception as exc:  # module-level ValidationError: re-tag as config problem
+    except ValidationError as exc:  # a section's domain check: re-tag as config problem
         raise ConfigError(str(exc)) from exc
     return cfg
 

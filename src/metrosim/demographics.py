@@ -120,11 +120,10 @@ class VitalRates:
 # ---------------------------------------------------------------------------
 
 
-def step_ages(state: "SimulationState") -> "SimulationState":
+def step_ages(state: "SimulationState") -> None:
     """Increment every living citizen's age by one month."""
     for citizen in state.citizens.values():
         citizen.age_months += 1
-    return state
 
 
 def mature_qualifications(state: "SimulationState", rng: np.random.Generator) -> int:

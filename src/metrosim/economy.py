@@ -101,7 +101,7 @@ def produce(firm: Firm, qualifications: Iterable[int], params: MarketParams) -> 
     return units
 
 
-def set_price(firm: Firm, params: MarketParams) -> Firm:
+def set_price(firm: Firm, params: MarketParams) -> None:
     """Inventory-signal pricing: raise when sold out, cut on a glut, floor below."""
     if firm.inventory <= params.sold_out_level:
         firm.price *= 1.0 + params.price_step
@@ -109,7 +109,6 @@ def set_price(firm: Firm, params: MarketParams) -> Firm:
         firm.price *= 1.0 - params.price_step
     if firm.price < params.price_floor:
         firm.price = params.price_floor
-    return firm
 
 
 def set_wage_and_vacancy(firm: Firm, params: MarketParams) -> bool:

@@ -1,9 +1,8 @@
 """Monthly event loop, per-run metric series, and the parallel batch layer.
 
-One month executes the fixed order: production, population dynamics,
-consumption, firm decisions, labor market, housing market, tax collection,
-fiscal distribution, investment. Every month closes with a money audit; a
-violation aborts the run naming the month and the broken invariant.
+A month runs the phase functions of ``PHASES`` in order and closes with a
+money audit; a violation aborts the run naming the month and the broken
+invariant.
 """
 from __future__ import annotations
 
@@ -11,6 +10,7 @@ import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from statistics import median
 from typing import NamedTuple
 
 from .config import ScenarioConfig
@@ -23,6 +23,7 @@ from .demographics import (
     step_ages,
 )
 from .economy import (
+    Firm,
     consume,
     pay_wages,
     produce,
@@ -37,12 +38,14 @@ from .fiscal import (
     TAX_KINDS,
     DistributionPolicy,
     MpfTable,
+    TaxKind,
     distribute,
     invest,
+    pay_procurement,
     policy_for_case,
     read_mpf_table,
 )
-from .housing import Transaction, collect_property_tax, hedonic_prices, run_housing_market
+from .housing import collect_property_tax, hedonic_prices, run_housing_market
 from .rng import RngStreams
 from .state import SimulationState
 from .worldgen import RegionSpec, instantiate_world
@@ -75,7 +78,6 @@ class RunResult:
     units_consumed: list[float] = field(default_factory=list)
     taxes_by_kind: dict[str, list[float]] = field(default_factory=dict)
     housing_sales: list[int] = field(default_factory=list)
-    transactions: list[Transaction] = field(default_factory=list)
     final_snapshot: dict = field(default_factory=dict)
 
     def final_qli(self) -> dict[str, float]:
@@ -96,129 +98,115 @@ class _Runtime:
     depopulated: set[str] = field(default_factory=set)  # munis already reported empty
 
 
-def _build_runtime(config: ScenarioConfig) -> _Runtime:
-    path = config.fiscal.mpf_table_file
-    return _Runtime(
-        config=config,
-        policy=policy_for_case(config.fiscal.case_id),
-        mpf_table=read_mpf_table(path) if path else MpfTable(),
-        vital_rates=VitalRates(DEFAULT_VITAL_BRACKETS),
-    )
+@dataclass
+class _Month:
+    """What one month's phases hand on to the later phases."""
+
+    firms: list[Firm]  # every firm, in id order; firms are never added or removed
+    gdp_value: float = 0.0
+    units_consumed: float = 0.0
+    spent_total: float = 0.0
+    vacancy_firms: list[Firm] = field(default_factory=list)
+    house_prices: dict[int, float] = field(default_factory=dict)
+    sales: int = 0
+    populations: dict[str, int] = field(default_factory=dict)
+    collected: dict[TaxKind, float] = field(default_factory=dict)
 
 
-def _audit_tolerance(runtime: _Runtime) -> float:
-    return CURRENCY_UNIT * (1.0 + runtime.money_ops / 1e6)
-
-
-def _check_invariants(state: SimulationState, runtime: _Runtime, month: int) -> None:
-    drift = abs(state.money_in_circulation() - state.money_base)
-    if drift > _audit_tolerance(runtime):
-        raise InvariantViolation(month, "money-conservation", f"audit drift {drift!r}")
-    employed = sum(1 for c in state.citizens.values() if c.employer_id is not None)
-    on_payroll = sum(len(f.employees) for f in state.firms.values())
-    if employed != on_payroll:
-        raise InvariantViolation(
-            month, "employment-consistency", f"{employed} employed vs {on_payroll} on payrolls"
-        )
-    vacancies: dict[str, int] = {m: 0 for m in state.treasuries}
-    occupied_munis: set[str] = set()
-    for house in state.houses.values():
-        if house.resident_family_id is None:
-            vacancies[house.municipality_id] += 1
-    for family in state.families.values():
-        occupied_munis.add(family.municipality_id)
-    for muni in occupied_munis:
-        if vacancies.get(muni, 0) < 1:
-            raise InvariantViolation(month, "housing-vacancy", f"no vacant house in {muni}")
-
-
-def step_month(state: SimulationState, runtime: _Runtime, result: RunResult) -> None:
-    """Advance the world by one month, recording the metric row."""
-    cfg = runtime.config
-    market = cfg.market
-    month = state.month
-    streams = state.rng
-
-    # production: firms turn employee qualification into inventory
-    gdp_value = 0.0
-    for firm in state.firms.values():
+def production(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
+    """Firms turn employee qualification into inventory, valued at last month's price."""
+    for firm in month.firms:
         quals = [state.citizens[cid].qualification for cid in firm.employees]
-        units = produce(firm, quals, market)
-        gdp_value += units * firm.price
+        units = produce(firm, quals, runtime.config.market)
+        month.gdp_value += units * firm.price
         firm.revenue_this_month = 0.0
 
-    # population dynamics
+
+def demographics(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
+    """Ageing, maturation, deaths and births, all from the demographics stream."""
     step_ages(state)
-    mature_qualifications(state, streams.demographics)
-    apply_mortality(state, runtime.vital_rates, streams.demographics)
-    apply_fertility(state, runtime.vital_rates, streams.demographics)
+    mature_qualifications(state, state.rng.demographics)
+    apply_mortality(state, runtime.vital_rates, state.rng.demographics)
+    apply_fertility(state, runtime.vital_rates, state.rng.demographics)
 
-    # consumption from a uniform sample of firms per family
-    firm_ids = sorted(state.firms)
+
+def consumption(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
+    """Every family buys from a uniform sample of firms, cheapest first."""
+    market = runtime.config.market
     family_ids = sorted(state.families)
-    units_consumed = 0.0
-    spent_total = 0.0
-    if firm_ids and family_ids:
-        k = min(market.consumption_firm_sample, len(firm_ids))
-        sample_matrix = streams.consumption.integers(0, len(firm_ids), size=(len(family_ids), k))
-        # one draw per family, in family order: the same stream values as a
-        # scalar draw inside each consume call
-        savings_rates = streams.consumption.uniform(
-            *market.savings_rate_bounds, size=len(family_ids)
-        ).tolist()
-        # prices hold until set_price, so one ranking serves every family
-        samples = rank_samples([state.firms[fid] for fid in firm_ids], sample_matrix)
-        for fam_id, firm_sample, savings_rate in zip(family_ids, samples, savings_rates):
-            units, spent = consume(
-                state.families[fam_id], firm_sample, savings_rate, cfg.tax_rates, state.ledger,
-            )
-            units_consumed += units
-            spent_total += spent
-
-    # firm decisions: price from inventory signal, wage offer and vacancy
-    vacancy_firms = []
-    for fid in firm_ids:
-        firm = state.firms[fid]
-        set_price(firm, market)
-        if set_wage_and_vacancy(firm, market):
-            vacancy_firms.append(firm)
-
-    # labor market: highest wage offers pick first
-    if vacancy_firms:
-        candidates = [state.citizens[cid] for cid in state.unemployed_adults()]
-        matches = run_labor_market(
-            vacancy_firms, candidates, state.residences(), market, streams.labor
+    k = min(market.consumption_firm_sample, len(month.firms))
+    sample_matrix = state.rng.consumption.integers(0, len(month.firms), size=(len(family_ids), k))
+    # one draw per family, in family order: the same stream values as a
+    # scalar draw inside each consume call
+    savings_rates = state.rng.consumption.uniform(
+        *market.savings_rate_bounds, size=len(family_ids)
+    ).tolist()
+    # prices hold until set_price, so one ranking serves every family
+    samples = rank_samples(month.firms, sample_matrix)
+    for fam_id, firm_sample, savings_rate in zip(family_ids, samples, savings_rates):
+        units, spent = consume(
+            state.families[fam_id], firm_sample, savings_rate, runtime.config.tax_rates,
+            state.ledger,
         )
-        for firm_id, citizen_id in matches:
-            firm = state.firms[firm_id]
-            citizen = state.citizens[citizen_id]
-            citizen.employer_id = firm_id
-            citizen.monthly_wage = firm.wage_offer
-            firm.employees.append(citizen_id)
+        month.units_consumed += units
+        month.spent_total += spent
 
-    # housing market: hedonic listing prices, midpoint settlement. The market
-    # and the property tax share one price table: QLI only moves in invest
-    house_prices = hedonic_prices(state, cfg.housing)
-    transactions = run_housing_market(
-        state, house_prices, cfg.housing, cfg.tax_rates, streams.housing, state.ledger
+
+def firm_decisions(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
+    """Price from the inventory signal, then the wage offer and vacancy."""
+    for firm in month.firms:
+        set_price(firm, runtime.config.market)
+        if set_wage_and_vacancy(firm, runtime.config.market):
+            month.vacancy_firms.append(firm)
+
+
+def labor(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
+    """The unemployed adults fill the vacancies; highest wage offers pick first."""
+    if not month.vacancy_firms:
+        return
+    candidates = [state.citizens[cid] for cid in state.unemployed_adults()]
+    matches = run_labor_market(
+        month.vacancy_firms, candidates, state.residences(), runtime.config.market,
+        state.rng.labor,
     )
-    result.transactions.extend(transactions)
+    for firm_id, citizen_id in matches:
+        firm = state.firms[firm_id]
+        citizen = state.citizens[citizen_id]
+        citizen.employer_id = firm_id
+        citizen.monthly_wage = firm.wage_offer
+        firm.employees.append(citizen_id)
 
-    # tax collection: wages (income tax), property, company on its cadence
-    for fid in firm_ids:
-        pay_wages(state.firms[fid], state.citizens, state.families, cfg.tax_rates, state.ledger)
-    collect_property_tax(state, house_prices, cfg.tax_rates, state.ledger)
-    if (month + 1) % cfg.fiscal.profit_tax_cadence_months == 0:
-        for fid in firm_ids:
-            settle_profit_tax(state.firms[fid], cfg.tax_rates, state.ledger)
 
-    # fiscal distribution and investment
-    populations = state.populations()
-    collected_by_kind = state.ledger.total_by_kind()
-    share_base = runtime.frozen_populations or populations
+def housing(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
+    """Hedonic listing prices, midpoint settlement; the property tax reuses the price
+    table, since QLI only moves in ``invest``."""
+    cfg = runtime.config
+    month.house_prices = hedonic_prices(state, cfg.housing)
+    month.sales = len(run_housing_market(
+        state, month.house_prices, cfg.housing, cfg.tax_rates, state.rng.housing, state.ledger
+    ))
+
+
+def taxes(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
+    """Wages (income tax), property, and company profit on its cadence."""
+    cfg = runtime.config
+    for firm in month.firms:
+        pay_wages(firm, state.citizens, state.families, cfg.tax_rates, state.ledger)
+    collect_property_tax(state, month.house_prices, cfg.tax_rates, state.ledger)
+    if (state.month + 1) % cfg.fiscal.profit_tax_cadence_months == 0:
+        for firm in month.firms:
+            settle_profit_tax(firm, cfg.tax_rates, state.ledger)
+
+
+def distribution(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
+    """Route the month's taxes under the case, invest them, and pay local firms for the works."""
+    cfg = runtime.config
+    month.populations = state.populations()
+    month.collected = state.ledger.total_by_kind()
+    share_base = runtime.frozen_populations or month.populations
     if sum(share_base.values()) <= 0:
-        raise InvariantViolation(month, "region-population", "no citizens left in region")
-    muni_order = sorted(state.treasuries)
+        raise InvariantViolation(state.month, "region-population", "no citizens left in region")
+    muni_order = result.municipality_ids
     allocations = distribute(
         state.ledger, runtime.policy, share_base, runtime.mpf_table, muni_order
     )
@@ -227,55 +215,39 @@ def step_month(state: SimulationState, runtime: _Runtime, result: RunResult) -> 
         allocated = sum(allocations[kind].values())
         if abs(pool - allocated) > CURRENCY_UNIT:
             raise InvariantViolation(
-                month, "distribution-conservation",
+                state.month, "distribution-conservation",
                 f"{kind.value}: collected {pool!r} vs allocated {allocated!r}",
             )
-    pool_cell = [state.escheat_pool]
-    firms_by_muni: dict[str, list] = {m: [] for m in muni_order}
-    for fid in firm_ids:
-        firms_by_muni[state.firms[fid].municipality_id].append(state.firms[fid])
+    firms_by_muni: dict[str, list[Firm]] = {m: [] for m in muni_order}
+    for firm in month.firms:
+        firms_by_muni[firm.municipality_id].append(firm)
     for muni in muni_order:
         total_alloc = 0.0
         for kind in TAX_KINDS:
             amount = allocations[kind][muni]
             result.inflows[muni][kind.value].append(amount)
             total_alloc += amount
-        if populations[muni] <= 0 and muni not in runtime.depopulated:
+        population = month.populations[muni]
+        if population <= 0 and muni not in runtime.depopulated:
             runtime.depopulated.add(muni)
             log.warning(
                 "municipality %s depopulated at month %d; its allocations escheat from here on",
-                muni, month,
+                muni, state.month,
             )
-        spent = invest(
-            state.treasuries[muni],
-            total_alloc,
-            populations[muni],
-            cfg.fiscal.qli_unit_cost,
-            pool_cell,
+        spent, escheated = invest(
+            state.treasuries[muni], total_alloc, population, cfg.fiscal.qli_unit_cost
         )
-        # public procurement: the invested money pays the municipality's
-        # firms in equal parts, so taxes recirculate instead of vanishing
+        state.escheat_pool += escheated
+        # public procurement: the works are bought from the municipality's
+        # firms, or the region's where it has none, so taxes recirculate
         if spent > 0.0:
-            local_firms = firms_by_muni[muni] or [state.firms[fid] for fid in firm_ids]
-            if not local_firms:
-                pool_cell[0] += spent  # no firms anywhere to pay; park the money
-                continue
-            share = spent / len(local_firms)
-            paid = 0.0
-            for firm in local_firms[1:]:
-                firm.cash += share
-                firm.cumulative_profit += share
-                firm.revenue_this_month += share
-                paid += share
-            first = local_firms[0]
-            first.cash += spent - paid
-            first.cumulative_profit += spent - paid
-            first.revenue_this_month += spent - paid
-    state.escheat_pool = pool_cell[0]
-    runtime.money_ops += state.ledger.event_count + len(transactions) + len(state.families)
+            pay_procurement(spent, firms_by_muni[muni] or month.firms)
+    runtime.money_ops += state.ledger.event_count + month.sales + len(state.families)
     state.ledger.clear()
 
-    # metric row
+
+def metrics(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
+    """Append the month's row to every series of the result."""
     employed = 0
     adults = 0
     for citizen in state.citizens.values():
@@ -283,14 +255,14 @@ def step_month(state: SimulationState, runtime: _Runtime, result: RunResult) -> 
             adults += 1
             if citizen.employer_id is not None:
                 employed += 1
-    n_firms = len(state.firms)
     profit_total = 0.0
-    for firm in state.firms.values():
+    for firm in month.firms:
         profit_total += firm.revenue_this_month - firm.payroll_this_month
-    result.gdp_value.append(gdp_value)
+    result.gdp_value.append(month.gdp_value)
     base = result.gdp_value[0]
-    result.gdp_index.append(100.0 * gdp_value / base if base > 0 else 0.0)
-    unit_value = spent_total / units_consumed if units_consumed > 0 else math.nan
+    result.gdp_index.append(100.0 * month.gdp_value / base if base > 0 else 0.0)
+    units = month.units_consumed
+    unit_value = month.spent_total / units if units > 0 else math.nan
     prev = runtime.prev_unit_value
     if math.isfinite(unit_value) and math.isfinite(prev) and prev > 0:
         result.inflation.append((unit_value - prev) / prev)
@@ -300,19 +272,54 @@ def step_month(state: SimulationState, runtime: _Runtime, result: RunResult) -> 
         runtime.prev_unit_value = unit_value
     result.unemployment.append((adults - employed) / adults if adults else 0.0)
     result.avg_workers_per_firm.append(
-        sum(len(f.employees) for f in state.firms.values()) / n_firms if n_firms else 0.0
+        sum(len(f.employees) for f in month.firms) / len(month.firms)
     )
-    result.avg_firm_profit.append(profit_total / n_firms if n_firms else 0.0)
-    result.units_consumed.append(units_consumed)
+    result.avg_firm_profit.append(profit_total / len(month.firms))
+    result.units_consumed.append(units)
     for kind in TAX_KINDS:
-        result.taxes_by_kind[kind.value].append(collected_by_kind[kind])
-    result.housing_sales.append(len(transactions))
-    for muni in muni_order:
+        result.taxes_by_kind[kind.value].append(month.collected[kind])
+    result.housing_sales.append(month.sales)
+    for muni in result.municipality_ids:
         result.qli[muni].append(state.treasuries[muni].qli)
-        result.populations[muni].append(populations[muni])
+        result.populations[muni].append(month.populations[muni])
 
-    state.month = month + 1
-    _check_invariants(state, runtime, month)
+
+def audit(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
+    """Close the month: advance the clock, then check money, payrolls and vacancies."""
+    closed = state.month
+    state.month = closed + 1
+    drift = abs(state.money_in_circulation() - state.money_base)
+    if drift > CURRENCY_UNIT * (1.0 + runtime.money_ops / 1e6):
+        raise InvariantViolation(closed, "money-conservation", f"audit drift {drift!r}")
+    employed = sum(1 for c in state.citizens.values() if c.employer_id is not None)
+    on_payroll = sum(len(f.employees) for f in month.firms)
+    if employed != on_payroll:
+        raise InvariantViolation(
+            closed, "employment-consistency", f"{employed} employed vs {on_payroll} on payrolls"
+        )
+    vacancies: dict[str, int] = {m: 0 for m in state.treasuries}
+    for house in state.houses.values():
+        if house.resident_family_id is None:
+            vacancies[house.municipality_id] += 1
+    for muni in {family.municipality_id for family in state.families.values()}:
+        if vacancies.get(muni, 0) < 1:
+            raise InvariantViolation(closed, "housing-vacancy", f"no vacant house in {muni}")
+
+
+# One month, in order. Every phase takes (state, runtime, result, month) and
+# calls the model's functions through this module's globals, so a wrapper
+# patched onto ``metrosim.engine.<name>`` sees every call.
+PHASES = (
+    production, demographics, consumption, firm_decisions, labor, housing, taxes,
+    distribution, metrics, audit,
+)
+
+
+def step_month(state: SimulationState, runtime: _Runtime, result: RunResult) -> None:
+    """Advance the world by one month: every phase of ``PHASES``, in order."""
+    month = _Month(firms=[state.firms[fid] for fid in sorted(state.firms)])
+    for phase in PHASES:
+        phase(state, runtime, result, month)
 
 
 def run_scenario(config: ScenarioConfig, seed: int, region: RegionSpec) -> RunResult:
@@ -328,7 +335,13 @@ def run_scenario(config: ScenarioConfig, seed: int, region: RegionSpec) -> RunRe
     )
     state = instantiate_world(region, config.world, world_streams.worldgen)
     state.rng = streams
-    runtime = _build_runtime(config)
+    path = config.fiscal.mpf_table_file
+    runtime = _Runtime(
+        config=config,
+        policy=policy_for_case(config.fiscal.case_id),
+        mpf_table=read_mpf_table(path) if path else MpfTable(),
+        vital_rates=VitalRates(DEFAULT_VITAL_BRACKETS),
+    )
     if config.fiscal.freeze_mpf_shares:
         runtime.frozen_populations = state.populations()
 
@@ -396,15 +409,6 @@ class ScenarioResult:
     controls: dict[str, float] = field(default_factory=dict)
 
 
-def _median(values: list[float]) -> float:
-    ordered = sorted(values)
-    n = len(ordered)
-    mid = n // 2
-    if n % 2:
-        return ordered[mid]
-    return 0.5 * (ordered[mid - 1] + ordered[mid])
-
-
 def _execute_task(task: RunTask) -> RunResult | RunFailure:
     # a broken model invariant is batch data; any other exception is a bug
     # and propagates out of the batch
@@ -424,18 +428,18 @@ def summarize_runs(
         return scenario
     munis = runs[0].municipality_ids
     scenario.median_final_qli = {
-        m: _median([r.qli[m][-1] for r in runs]) for m in munis
+        m: median([r.qli[m][-1] for r in runs]) for m in munis
     }
 
     def run_mean(series: list[float]) -> float:
         return sum(series) / len(series)
 
     scenario.controls = {
-        "avg_workers_per_firm": _median([run_mean(r.avg_workers_per_firm) for r in runs]),
-        "avg_firm_profit": _median([run_mean(r.avg_firm_profit) for r in runs]),
-        "gdp_index": _median([r.gdp_index[-1] for r in runs]),
-        "inflation": _median([run_mean(r.inflation) for r in runs]),
-        "unemployment": _median([run_mean(r.unemployment) for r in runs]),
+        "avg_workers_per_firm": median([run_mean(r.avg_workers_per_firm) for r in runs]),
+        "avg_firm_profit": median([run_mean(r.avg_firm_profit) for r in runs]),
+        "gdp_index": median([r.gdp_index[-1] for r in runs]),
+        "inflation": median([run_mean(r.inflation) for r in runs]),
+        "unemployment": median([run_mean(r.unemployment) for r in runs]),
         "municipality_count": float(len(munis)),
     }
     return scenario

@@ -12,9 +12,12 @@ import functools
 import logging
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import ParseError, ValidationError
+
+if TYPE_CHECKING:
+    from .economy import Firm
 
 log = logging.getLogger(__name__)
 
@@ -407,20 +410,15 @@ class Treasury:
 
 
 def invest(
-    treasury: Treasury,
-    allocation: float,
-    population: int,
-    qli_unit_cost: float,
-    escheat_pool: list[float] | None = None,
-) -> float:
+    treasury: Treasury, allocation: float, population: int, qli_unit_cost: float
+) -> tuple[float, float]:
     """Credit the allocation and convert the whole balance into QLI.
 
     The index rises linearly in the invested amount and inversely in the
-    current population. Returns the amount spent this month — the caller
-    decides who is paid for the public works (the engine recycles it to the
-    municipality's firms, keeping the monetary circuit closed). A
-    municipality with no citizens cannot absorb investment; its balance
-    escheats to the region pool and is logged.
+    current population. Returns ``(spent, escheated)``: the amount spent
+    this month, which the caller pays to firms for the public works (see
+    ``pay_procurement``), and the balance that escheats to the region pool
+    because a municipality with no citizens cannot absorb investment.
     """
     if allocation < 0:
         raise ValidationError(f"negative allocation {allocation}")
@@ -428,19 +426,36 @@ def invest(
         raise ValidationError("qli_unit_cost must be positive")
     treasury.balance += allocation
     if treasury.balance == 0.0:
-        return 0.0
+        return 0.0, 0.0
     if population <= 0:
         log.debug(
             "municipality %s has no population; %.6f escheats to region pool",
             treasury.municipality_id,
             treasury.balance,
         )
-        if escheat_pool is not None:
-            escheat_pool[0] += treasury.balance
+        escheated = treasury.balance
         treasury.balance = 0.0
-        return 0.0
+        return 0.0, escheated
     invested = treasury.balance
     treasury.qli += invested / (population * qli_unit_cost)
     treasury.cumulative_invested += invested
     treasury.balance = 0.0
-    return invested
+    return invested, 0.0
+
+
+def pay_procurement(spent: float, firms: Sequence[Firm]) -> None:
+    """Pay ``spent`` for public works to ``firms`` as revenue, in equal parts.
+
+    The first firm takes the remainder, so the parts sum to ``spent`` exactly.
+    """
+    share = spent / len(firms)
+    paid = 0.0
+    for firm in firms[1:]:
+        firm.cash += share
+        firm.cumulative_profit += share
+        firm.revenue_this_month += share
+        paid += share
+    first = firms[0]
+    first.cash += spent - paid
+    first.cumulative_profit += spent - paid
+    first.revenue_this_month += spent - paid

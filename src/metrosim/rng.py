@@ -14,32 +14,9 @@ STREAM_NAMES = ("worldgen", "demographics", "labor", "consumption", "housing")
 
 
 class RngStreams:
-    """Per-subsystem ``numpy.random.Generator`` instances from one root seed."""
+    """One ``numpy.random.Generator`` attribute per name of ``STREAM_NAMES``, in that order."""
 
     def __init__(self, seed: int):
-        self.seed = int(seed)
-        root = np.random.SeedSequence(self.seed)
-        children = root.spawn(len(STREAM_NAMES))
-        self._streams = {
-            name: np.random.default_rng(ss) for name, ss in zip(STREAM_NAMES, children)
-        }
-
-    @property
-    def worldgen(self) -> np.random.Generator:
-        return self._streams["worldgen"]
-
-    @property
-    def demographics(self) -> np.random.Generator:
-        return self._streams["demographics"]
-
-    @property
-    def labor(self) -> np.random.Generator:
-        return self._streams["labor"]
-
-    @property
-    def consumption(self) -> np.random.Generator:
-        return self._streams["consumption"]
-
-    @property
-    def housing(self) -> np.random.Generator:
-        return self._streams["housing"]
+        children = np.random.SeedSequence(int(seed)).spawn(len(STREAM_NAMES))
+        generators = [np.random.default_rng(ss) for ss in children]
+        self.worldgen, self.demographics, self.labor, self.consumption, self.housing = generators

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .demographics import Citizen
+from .demographics import MAX_AGE_MONTHS, Citizen
 from .economy import Family, Firm
 from .errors import ParseError, ValidationError
 from .fiscal import Treasury
@@ -107,6 +107,11 @@ class WorldConfig:
                 raise ValidationError("qualification weights must sum to 1")
         if not 0.0 <= self.initial_employment_rate <= 1.0:
             raise ValidationError("initial_employment_rate must be in [0, 1]")
+        if not 1 <= self.max_initial_age_months < MAX_AGE_MONTHS:
+            raise ValidationError(
+                f"max_initial_age_months must be in 1..{MAX_AGE_MONTHS - 1}, "
+                f"got {self.max_initial_age_months}"
+            )
         if self.inhabitants_per_firm <= 0:
             raise ValidationError("inhabitants_per_firm must be positive")
         if self.firm_concentration <= 0:

@@ -18,7 +18,7 @@ from metrosim.config import (
     serialize_config,
 )
 from metrosim.errors import ConfigError
-from metrosim.worldgen import load_region
+from metrosim.worldgen import WorldConfig, load_region
 
 from conftest import break_invariant
 
@@ -99,6 +99,19 @@ def test_semantic_errors_become_config_errors():
         config_from_dict({"fiscal": {"case_id": 5}})
     with pytest.raises(ConfigError):
         config_from_dict({"tax_rates": {"consumption": 1.5}})
+    # 0 leaves no age to draw; 2000 outlives the vital rate table
+    for age in (0, 2000):
+        with pytest.raises(ConfigError, match="max_initial_age_months"):
+            config_from_dict({"world": {"max_initial_age_months": age}})
+
+
+def test_programming_error_in_validate_propagates(monkeypatch):
+    def broken(self):
+        raise TypeError("a bug, not bad input")
+
+    monkeypatch.setattr(WorldConfig, "validate", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        config_from_dict({})
 
 
 def test_serialize_parse_round_trip():
@@ -198,6 +211,15 @@ def test_bad_flags_exit_one_before_any_run(tmp_path, capsys, flags):
     assert code == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not (out_dir / "MANIFEST.json").exists()
+
+
+def test_out_of_range_initial_age_exits_one_before_any_run(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, dict(SMALL_SCENARIO, world={"max_initial_age_months": 0}))
+    out_dir = tmp_path / "cmp"
+    code = cli.main(["compare", "--config", cfg_path, "--out", str(out_dir)])
+    assert code == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_bad_config_exits_one(tmp_path, capsys):

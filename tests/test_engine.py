@@ -4,7 +4,8 @@ from dataclasses import replace
 import pytest
 
 from metrosim import engine
-from metrosim.config import EngineConfig
+from metrosim.config import EngineConfig, FiscalConfig, default_config
+from metrosim.demographics import VitalRates
 from metrosim.engine import (
     RunFailure,
     RunResult,
@@ -13,10 +14,10 @@ from metrosim.engine import (
     run_scenario,
     summarize_runs,
 )
-from metrosim.fiscal import TAX_KINDS, TaxRates
+from metrosim.fiscal import TAX_KINDS, MpfTable, TaxKind, TaxRates, policy_for_case
 from metrosim.worldgen import WorldConfig, generate_region
 
-from conftest import break_invariant, region_of, rng
+from conftest import add_family, add_firm, break_invariant, region_of, rng
 
 
 def with_case(cfg, case_id):
@@ -57,10 +58,7 @@ def test_same_seed_same_run(gen_config):
     region = region_of(cfg)
     a = run_scenario(cfg, seed=3, region=region)
     b = run_scenario(cfg, seed=3, region=region)
-    assert a.qli == b.qli
-    assert a.gdp_value == b.gdp_value
-    assert a.transactions == b.transactions
-    assert a.final_snapshot == b.final_snapshot
+    assert a == b
 
 
 def test_different_seeds_differ(gen_config):
@@ -122,6 +120,22 @@ def test_frozen_world_mode_shares_world_draw(gen_config):
     c = run_scenario(fresh, seed=11, region=region)
     d = run_scenario(fresh, seed=22, region=region)
     assert c.final_snapshot["money_base"] != d.final_snapshot["money_base"]
+
+
+def test_depopulated_municipality_escheats_into_the_pool(make_state, caplog):
+    state = make_state(("m00", "m01"))
+    add_family(state, "m00", [10])
+    firm = add_firm(state, "m00")
+    state.ledger.add(TaxKind.PROPERTY, "m01", 4.0)  # case 3 keeps it in empty m01
+    cfg = replace(default_config(), fiscal=FiscalConfig(case_id=3))
+    runtime = engine._Runtime(cfg, policy_for_case(3), MpfTable(), VitalRates())
+    result = RunResult("r", 3, 0, 1, municipality_ids=["m00", "m01"])
+    result.inflows = {m: {kind.value: [] for kind in TAX_KINDS} for m in ("m00", "m01")}
+    engine.distribution(state, runtime, result, engine._Month(firms=[firm]))
+    assert state.escheat_pool == 4.0
+    assert state.treasuries["m01"].balance == 0.0
+    assert firm.cash == 100.0  # nothing was invested, so nothing was procured
+    assert "municipality m01 depopulated at month 0" in caplog.text
 
 
 # ---------------------------------------------------------------------------

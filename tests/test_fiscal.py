@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metrosim.economy import Firm
 from metrosim.errors import ParseError, ValidationError
 from metrosim.fiscal import (
     TAX_KINDS,
@@ -18,6 +19,7 @@ from metrosim.fiscal import (
     invest,
     load_mpf_table,
     mpf_shares,
+    pay_procurement,
     policy_for_case,
 )
 
@@ -295,8 +297,9 @@ def test_distribute_conserves_to_ulp(case_id, amounts, pops):
 
 def test_invest_unit_case():
     treasury = Treasury(municipality_id="m")
-    spent = invest(treasury, 100.0, population=100, qli_unit_cost=1.0)
+    spent, escheated = invest(treasury, 100.0, population=100, qli_unit_cost=1.0)
     assert spent == 100.0
+    assert escheated == 0.0
     assert treasury.qli == 1.0
     assert treasury.balance == 0.0
     assert treasury.cumulative_invested == 100.0
@@ -304,7 +307,7 @@ def test_invest_unit_case():
 
 def test_invest_zero_allocation_no_change():
     treasury = Treasury(municipality_id="m", qli=0.7)
-    assert invest(treasury, 0.0, population=10, qli_unit_cost=1.0) == 0.0
+    assert invest(treasury, 0.0, population=10, qli_unit_cost=1.0) == (0.0, 0.0)
     assert treasury.qli == 0.7
 
 
@@ -318,13 +321,27 @@ def test_invest_population_halves_increment():
 
 def test_invest_zero_population_escheats():
     treasury = Treasury(municipality_id="ghost")
-    pool = [0.0]
-    spent = invest(treasury, 12.5, population=0, qli_unit_cost=1.0, escheat_pool=pool)
+    spent, escheated = invest(treasury, 12.5, population=0, qli_unit_cost=1.0)
     assert spent == 0.0
-    assert pool[0] == 12.5
+    assert escheated == 12.5
     assert treasury.balance == 0.0
     assert treasury.qli == 0.0
     assert treasury.cumulative_invested == 0.0
+
+
+@pytest.mark.parametrize("spent, n_firms", [(5.0, 1), (1.0, 3), (0.7, 7), (123.456, 10)])
+def test_pay_procurement_first_firm_takes_the_remainder(spent, n_firms):
+    firms = [Firm(id=i, municipality_id="m", location=(0.0, 0.0), cash=0.0)
+             for i in range(n_firms)]
+    pay_procurement(spent, firms)
+    paid = 0.0
+    for firm in firms[1:]:
+        assert firm.cash == spent / n_firms
+        paid += firm.cash
+    assert firms[0].cash == spent - paid
+    assert firms[0].cash + paid == spent
+    for firm in firms:
+        assert firm.revenue_this_month == firm.cumulative_profit == firm.cash
 
 
 def test_invest_argument_errors():
