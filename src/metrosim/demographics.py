@@ -132,13 +132,17 @@ def mature_qualifications(state: "SimulationState", rng: np.random.Generator) ->
     Simulation-born citizens carry a provisional qualification of 1 until they
     reach the configured entry age; the adult draw is centered on the family's
     mean qualification so the region-level distribution stays roughly
-    stationary across generations.
+    stationary across generations. Only simulation-born citizens can
+    mature; they are visited in ascending id order, the order of
+    ``state.citizens``, so the normal draws come in the same order as a walk
+    over every citizen.
     """
     entry = state.labor_entry_age_months
     q_max = state.qualification_levels
     matured = 0
-    for citizen in state.citizens.values():
-        if citizen.age_months == entry and citizen.id in state.simulation_born:
+    for born_id in sorted(state.simulation_born):
+        citizen = state.citizens[born_id]
+        if citizen.age_months == entry:
             family = state.families[citizen.family_id]
             others = [
                 state.citizens[cid].qualification

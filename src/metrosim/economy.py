@@ -2,8 +2,10 @@
 
 Firms produce a homogeneous good from employee qualification, adjust price
 and wage offers on inventory/cash signals, and compete for workers by wage.
-Families consume from sampled firms, cheapest first. Wage, consumption and
-profit taxes are recorded in the month's ledger at the moment money moves.
+Families consume from sampled firms, cheapest first. Wage and consumption
+taxes are handed back as ``(municipality, amount)`` entries that the caller
+writes to the month's ledger once per phase; the profit tax is recorded as
+it is settled.
 """
 from __future__ import annotations
 
@@ -181,70 +183,68 @@ def pay_wages(
     citizens: Mapping[int, "Citizen"],
     families: Mapping[int, Family],
     rates: TaxRates,
-    ledger: TaxLedger,
+    taxes: list[tuple[str, float]],
 ) -> float:
     """Pay the month-end payroll, splitting each wage into take-home and tax.
 
     If cash cannot cover the payroll the firm releases its least qualified
     employees until it can (fire-and-shrink), which keeps cash non-negative
-    at month end. Returns the gross payroll actually paid.
+    at month end. Each employee's income tax is appended to ``taxes`` as
+    ``(municipality, amount)``, in payroll order; the caller writes the
+    month's entries of every firm to the ledger in one ``add_all``. Returns
+    the gross payroll actually paid.
     """
     if not firm.employees:
         return 0.0
+    staff = [citizens[cid] for cid in firm.employees]
     payroll = 0.0
-    for cid in firm.employees:
-        payroll += citizens[cid].monthly_wage
+    for citizen in staff:
+        payroll += citizen.monthly_wage
     if firm.cash < payroll:
-        keep = sorted(
-            firm.employees,
-            key=lambda cid: (citizens[cid].qualification, -cid),
-            reverse=True,
-        )
+        staff.sort(key=lambda c: (c.qualification, -c.id), reverse=True)
         # walk from the least qualified end, releasing until affordable
-        while keep and firm.cash < payroll:
-            released_id = keep.pop()
-            released = citizens[released_id]
+        while staff and firm.cash < payroll:
+            released = staff.pop()
             payroll -= released.monthly_wage
             released.employer_id = None
             released.monthly_wage = 0.0
-        firm.employees = keep
+        firm.employees = [citizen.id for citizen in staff]
     rate = rates.personal_income
     muni = firm.municipality_id
-    taxes = []
-    for cid in firm.employees:
-        citizen = citizens[cid]
+    for citizen in staff:
         wage = citizen.monthly_wage
         tax = wage * rate
         families[citizen.family_id].savings += wage - tax
         taxes.append((muni, tax))
-    ledger.add_all(TaxKind.PERSONAL_INCOME, taxes)
     firm.cash -= payroll
     firm.cumulative_profit -= payroll
     firm.payroll_this_month = payroll
     return payroll
 
 
-def rank_samples(firms: Sequence[Firm], picks: np.ndarray) -> list[list[Firm]]:
-    """Each row of ``picks`` (indices into ``firms``) as its firms in (price, id) order.
+def rank_samples(firms: Sequence[Firm], picks: np.ndarray) -> tuple[list[Firm], list[list[int]]]:
+    """Rank ``firms`` by (price, id) once, and each row of ``picks`` by that rank.
 
-    The firms are ranked by (price, id) once, then every row of ranks is
-    sorted in one call; a firm picked twice appears twice. Prices must stay
-    fixed until the samples are consumed, as they do between production and
-    ``set_price``.
+    Returns the ranked firm list and, for every row of ``picks`` (indices
+    into ``firms``), its ranks in ascending order: ``map(ranked.__getitem__,
+    row)`` yields that sample's firms cheapest first, and a firm picked twice
+    appears twice. No per-sample firm list is built, so a consumer walks
+    only the firms it reaches. Prices must stay fixed until the samples are
+    consumed, as they do between production and ``set_price``.
     """
     order = np.lexsort(([f.id for f in firms], [f.price for f in firms]))
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     ranked = [firms[i] for i in order.tolist()]
-    return [[ranked[r] for r in row] for row in np.sort(rank[picks], axis=1).tolist()]
+    return ranked, np.sort(rank[picks], axis=1).tolist()
 
 
 def consume(
     family: Family,
-    firm_sample: Sequence[Firm],
+    firm_sample: Iterable[Firm],
     savings_rate: float,
     rates: TaxRates,
-    ledger: TaxLedger,
+    taxes: list[tuple[str, float]],
 ) -> tuple[float, float]:
     """Spend this month's consumption budget at the sampled firms.
 
@@ -252,18 +252,20 @@ def consume(
     uniformly from ``MarketParams.savings_rate_bounds``) and shops with the
     rest, buying from the sampled firms in the order given until the budget or
     the sample's inventory runs out. The sample arrives ranked by (price, id),
-    cheapest first (``rank_samples``). Unspent budget returns to savings.
-    Returns (units bought, money spent).
+    cheapest first (``rank_samples``), and may be a lazy iterable: it is read
+    no further than the firm where the budget runs out, and not at all
+    without a budget. Each purchase's nonzero consumption tax is appended to
+    ``taxes`` as ``(municipality, amount)``; the caller writes the month's
+    entries of every family to the ledger in one ``add_all``. Unspent budget
+    returns to savings. Returns (units bought, money spent).
     """
     budget = (1.0 - savings_rate) * family.savings
-    if budget <= 0.0:
+    if budget <= 1e-12:
         return 0.0, 0.0
     rate = rates.consumption
     units_total = 0.0
     spent_total = 0.0
     for firm in firm_sample:
-        if budget <= 1e-12:
-            break
         if firm.inventory <= 0.0:
             continue
         units = min(budget / firm.price, firm.inventory)
@@ -274,10 +276,12 @@ def consume(
         firm.revenue_this_month += spent - tax
         firm.cumulative_profit += spent - tax
         if tax:
-            ledger.add(TaxKind.CONSUMPTION, firm.municipality_id, tax)
+            taxes.append((firm.municipality_id, tax))
         budget -= spent
         units_total += units
         spent_total += spent
+        if budget <= 1e-12:
+            break
     family.savings -= spent_total
     return units_total, spent_total
 

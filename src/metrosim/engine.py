@@ -45,7 +45,13 @@ from .fiscal import (
     policy_for_case,
     read_mpf_table,
 )
-from .housing import collect_property_tax, hedonic_prices, run_housing_market
+from .housing import (
+    HedonicUnits,
+    collect_property_tax,
+    hedonic_prices,
+    hedonic_units,
+    run_housing_market,
+)
 from .rng import RngStreams
 from .state import SimulationState
 from .worldgen import RegionSpec, instantiate_world
@@ -86,12 +92,13 @@ class RunResult:
 
 @dataclass
 class _Runtime:
-    """Per-run constants derived once from the config."""
+    """Per-run constants derived once from the config and the initial world."""
 
     config: ScenarioConfig
     policy: DistributionPolicy
     mpf_table: MpfTable
     vital_rates: VitalRates
+    hedonic: HedonicUnits  # houses never change, so their price units hold all run
     frozen_populations: dict[str, int] | None = None
     money_ops: int = 0  # cumulative count of money-moving events, for audit tolerance
     prev_unit_value: float = math.nan  # last month's mean price paid, for inflation
@@ -141,15 +148,19 @@ def consumption(state: SimulationState, runtime: _Runtime, result: RunResult, mo
     savings_rates = state.rng.consumption.uniform(
         *market.savings_rate_bounds, size=len(family_ids)
     ).tolist()
-    # prices hold until set_price, so one ranking serves every family
-    samples = rank_samples(month.firms, sample_matrix)
-    for fam_id, firm_sample, savings_rate in zip(family_ids, samples, savings_rates):
+    # prices hold until set_price, so one ranking serves every family; each
+    # family walks its sample lazily, and the phase's taxes reach the ledger
+    # in one add_all (nothing else adds CONSUMPTION, so the sums keep their bits)
+    ranked, rank_rows = rank_samples(month.firms, sample_matrix)
+    taxes: list[tuple[str, float]] = []
+    for fam_id, row, savings_rate in zip(family_ids, rank_rows, savings_rates):
         units, spent = consume(
-            state.families[fam_id], firm_sample, savings_rate, runtime.config.tax_rates,
-            state.ledger,
+            state.families[fam_id], map(ranked.__getitem__, row), savings_rate,
+            runtime.config.tax_rates, taxes,
         )
         month.units_consumed += units
         month.spent_total += spent
+    state.ledger.add_all(TaxKind.CONSUMPTION, taxes)
 
 
 def firm_decisions(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
@@ -181,7 +192,7 @@ def housing(state: SimulationState, runtime: _Runtime, result: RunResult, month:
     """Hedonic listing prices, midpoint settlement; the property tax reuses the price
     table, since QLI only moves in ``invest``."""
     cfg = runtime.config
-    month.house_prices = hedonic_prices(state, cfg.housing)
+    month.house_prices = hedonic_prices(state, cfg.housing, runtime.hedonic)
     month.sales = len(run_housing_market(
         state, month.house_prices, cfg.housing, cfg.tax_rates, state.rng.housing, state.ledger
     ))
@@ -190,8 +201,10 @@ def housing(state: SimulationState, runtime: _Runtime, result: RunResult, month:
 def taxes(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
     """Wages (income tax), property, and company profit on its cadence."""
     cfg = runtime.config
+    wage_taxes: list[tuple[str, float]] = []
     for firm in month.firms:
-        pay_wages(firm, state.citizens, state.families, cfg.tax_rates, state.ledger)
+        pay_wages(firm, state.citizens, state.families, cfg.tax_rates, wage_taxes)
+    state.ledger.add_all(TaxKind.PERSONAL_INCOME, wage_taxes)
     collect_property_tax(state, month.house_prices, cfg.tax_rates, state.ledger)
     if (state.month + 1) % cfg.fiscal.profit_tax_cadence_months == 0:
         for firm in month.firms:
@@ -341,6 +354,7 @@ def run_scenario(config: ScenarioConfig, seed: int, region: RegionSpec) -> RunRe
         policy=policy_for_case(config.fiscal.case_id),
         mpf_table=read_mpf_table(path) if path else MpfTable(),
         vital_rates=VitalRates(DEFAULT_VITAL_BRACKETS),
+        hedonic=hedonic_units(state, config.housing),
     )
     if config.fiscal.freeze_mpf_shares:
         runtime.frozen_populations = state.populations()

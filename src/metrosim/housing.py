@@ -69,20 +69,48 @@ def hedonic_price(house: House, municipality_qli: float, params: HousingParams) 
     )
 
 
-def hedonic_prices(state: "SimulationState", params: HousingParams) -> dict[int, float]:
+class HedonicUnits(NamedTuple):
+    """The per-run part of every house's hedonic price.
+
+    Houses are never added, removed or altered, so ``base x size x quality``
+    is computed once per run; a month only gathers its QLI factor.
+    """
+
+    house_ids: list[int]  # in ``state.houses`` order
+    municipalities: list[str]  # the QLI gather order
+    municipality_index: np.ndarray  # per house, into ``municipalities``
+    unit: np.ndarray  # per house, base x size x quality
+
+
+def hedonic_units(state: "SimulationState", params: HousingParams) -> HedonicUnits:
+    """Each house's ``base x size x quality``, in ``hedonic_price``'s operand order."""
+    houses = state.houses.values()
+    municipalities = list(state.treasuries)
+    position = {muni: i for i, muni in enumerate(municipalities)}
+    size = np.array([h.size for h in houses], dtype=float)
+    quality = np.array([h.quality for h in houses], dtype=float)
+    return HedonicUnits(
+        house_ids=list(state.houses),
+        municipalities=municipalities,
+        municipality_index=np.array([position[h.municipality_id] for h in houses], dtype=np.intp),
+        unit=params.hedonic_base * size * quality,
+    )
+
+
+def hedonic_prices(
+    state: "SimulationState", params: HousingParams, units: HedonicUnits
+) -> dict[int, float]:
     """Every house's ``hedonic_price`` at its municipality's current QLI, by house id.
 
-    One array expression with the operands of ``hedonic_price`` in its order,
+    Each price is its unit in ``units`` (this world's ``hedonic_units``) times
+    ``1 + elasticity x QLI``, the operands of ``hedonic_price`` in its order,
     so every price has the same bits. The prices hold until QLI moves, which
     only ``invest`` does. ``tolist`` keeps them Python floats.
     """
-    houses = state.houses.values()
-    qli = {muni: treasury.qli for muni, treasury in state.treasuries.items()}
-    size = np.array([h.size for h in houses], dtype=float)
-    quality = np.array([h.quality for h in houses], dtype=float)
-    local_qli = np.array([qli[h.municipality_id] for h in houses], dtype=float)
-    prices = params.hedonic_base * size * quality * (1.0 + params.qli_elasticity * local_qli)
-    return dict(zip(state.houses, prices.tolist()))
+    qli = np.array([state.treasuries[m].qli for m in units.municipalities], dtype=float)
+    factor = 1.0 + params.qli_elasticity * qli
+    prices = units.unit * factor[units.municipality_index]
+    return dict(zip(units.house_ids, prices.tolist()))
 
 
 def run_housing_market(
@@ -184,34 +212,50 @@ def collect_property_tax(
     Municipal stock is not taxed (the municipality does not tax itself).
     What a family cannot pay accrues as per-municipality debt collected from
     savings in later months, so tax events always correspond to money that
-    actually moved. Returns the total collected this month.
+    actually moved. A family without savings adds its houses' dues to its
+    debt in place. Any other family pays its arrears (by municipality) and
+    then its houses' dues in turn, each as far as its savings go, and its
+    savings are written back once. Every payment reaches the ledger in one
+    ``add_all`` at the end. Returns the total collected this month.
     """
     monthly_rate = rates.property_monthly
+    houses = state.houses
     collected_total = 0.0
     payments: list[tuple[str, float]] = []
     for family in state.families.values():
-        dues: list[tuple[str, float]] = []
-        if family.tax_debt:
-            dues.extend(sorted(family.tax_debt.items()))
-            family.tax_debt = {}
-        if monthly_rate > 0.0:
-            for house_id in family.owned_houses:
+        owned = family.owned_houses
+        debt = family.tax_debt
+        savings = family.savings
+        if savings <= 0.0:
+            for house_id in owned:
                 amount = prices[house_id] * monthly_rate
                 if amount > 0.0:
-                    dues.append((state.houses[house_id].municipality_id, amount))
-        if not dues:
+                    muni = houses[house_id].municipality_id
+                    debt[muni] = debt.get(muni, 0.0) + amount
             continue
+        if debt:
+            dues = sorted(debt.items())
+            debt = family.tax_debt = {}
+        elif owned:
+            dues = []
+        else:
+            continue
+        for house_id in owned:
+            dues.append((houses[house_id].municipality_id, prices[house_id] * monthly_rate))
         for muni, amount in dues:
-            if family.savings <= 0.0:
-                family.tax_debt[muni] = family.tax_debt.get(muni, 0.0) + amount
-                continue
-            paid = min(amount, family.savings)
-            family.savings -= paid
-            if paid:
-                payments.append((muni, paid))
-                collected_total += paid
-            shortfall = amount - paid
-            if shortfall > 0.0:
-                family.tax_debt[muni] = family.tax_debt.get(muni, 0.0) + shortfall
+            if not amount > 0.0:
+                continue  # a zero rate or price owes nothing
+            if savings <= 0.0:
+                debt[muni] = debt.get(muni, 0.0) + amount
+            elif savings < amount:  # min(amount, savings) is savings: pay it all, owe the rest
+                payments.append((muni, savings))
+                collected_total += savings
+                debt[muni] = debt.get(muni, 0.0) + (amount - savings)
+                savings = 0.0
+            else:
+                savings -= amount
+                payments.append((muni, amount))
+                collected_total += amount
+        family.savings = savings
     ledger.add_all(TaxKind.PROPERTY, payments)
     return collected_total

@@ -222,6 +222,27 @@ def test_simulation_born_matures_at_entry_age(make_state):
     assert 1 <= state.citizens[baby_id].qualification <= state.qualification_levels
 
 
+def test_maturation_draws_in_ascending_id_order(make_state):
+    state = make_state()
+    entry = state.labor_entry_age_months
+    high = add_family(state, "m00", [20], fam_id=0)
+    low = add_family(state, "m00", [2], fam_id=1)
+    from metrosim.demographics import Citizen
+
+    for baby_id, family in ((8, high), (40, low)):  # state.citizens stays ascending
+        state.citizens[baby_id] = Citizen(
+            id=baby_id, age_months=entry, qualification=1, family_id=family.id
+        )
+        family.members.append(baby_id)
+    state.simulation_born.update([40, 8])  # the set iterates 40 first
+    assert list(state.simulation_born) != sorted(state.simulation_born)
+
+    assert mature_qualifications(state, rng(7)) == 2
+    draws = rng(7).normal([20.0, 2.0], 2.1)  # baby 8's draw first, then baby 40's
+    expected = [int(min(21, max(1, round(d)))) for d in draws.tolist()]
+    assert [state.citizens[8].qualification, state.citizens[40].qualification] == expected
+
+
 def test_worldgen_citizens_never_rematured(make_state):
     state = make_state()
     family = add_family(state, "m00", [7], ages=[state.labor_entry_age_months])

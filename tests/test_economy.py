@@ -202,7 +202,9 @@ def test_pay_wages_worked_example():
     firm.employees = [0]
     family = Family(id=0, municipality_id="m00", members=[0], savings=0.0)
     ledger = TaxLedger()
-    paid = pay_wages(firm, {0: worker}, {0: family}, TaxRates(personal_income=0.275), ledger)
+    taxes = []
+    paid = pay_wages(firm, {0: worker}, {0: family}, TaxRates(personal_income=0.275), taxes)
+    ledger.add_all(TaxKind.PERSONAL_INCOME, taxes)
     assert paid == 100.0
     assert family.savings == pytest.approx(72.5, rel=1e-12)
     assert ledger.by_kind(TaxKind.PERSONAL_INCOME)["m00"] == pytest.approx(27.5, rel=1e-12)
@@ -216,7 +218,9 @@ def test_zero_income_tax_rate_writes_no_event():
     firm.employees = [0]
     family = Family(id=0, municipality_id="m00", members=[0])
     ledger = TaxLedger()
-    pay_wages(firm, {0: worker}, {0: family}, TaxRates(personal_income=0.0), ledger)
+    taxes = []
+    pay_wages(firm, {0: worker}, {0: family}, TaxRates(personal_income=0.0), taxes)
+    ledger.add_all(TaxKind.PERSONAL_INCOME, taxes)
     assert family.savings == 5.0
     assert ledger.event_count == 0
 
@@ -232,8 +236,7 @@ def test_fire_and_shrink_releases_least_qualified():
         0: Family(id=0, municipality_id="m00", members=[0]),
         1: Family(id=1, municipality_id="m00", members=[1]),
     }
-    ledger = TaxLedger()
-    paid = pay_wages(firm, {0: senior, 1: junior}, families, TaxRates(), ledger)
+    paid = pay_wages(firm, {0: senior, 1: junior}, families, TaxRates(), [])
     assert paid == 80.0  # junior released; senior affordable
     assert firm.employees == [0]
     assert junior.employer_id is None and junior.monthly_wage == 0.0
@@ -244,7 +247,7 @@ def test_fire_and_shrink_releases_least_qualified():
 
 def test_pay_wages_empty_firm_is_noop():
     firm = make_firm()
-    assert pay_wages(firm, {}, {}, TaxRates(), TaxLedger()) == 0.0
+    assert pay_wages(firm, {}, {}, TaxRates(), []) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +259,9 @@ def test_consume_worked_example():
     family = Family(id=0, municipality_id="m00", savings=10.0)
     firm = make_firm(price=2.0, inventory=10.0, cash=0.0)
     ledger = TaxLedger()
-    units, spent = consume(family, [firm], 0.0, TaxRates(consumption=0.2), ledger)
+    taxes = []
+    units, spent = consume(family, [firm], 0.0, TaxRates(consumption=0.2), taxes)
+    ledger.add_all(TaxKind.CONSUMPTION, taxes)
     assert units == 5.0
     assert spent == 10.0
     assert firm.cash == 8.0  # net of the 20% consumption tax
@@ -269,8 +274,8 @@ def test_rank_samples_orders_by_price_then_id():
     prices = [2.0, 1.0, 2.0, 1.0, 0.5]
     firms = [make_firm(firm_id=10 + i, price=p) for i, p in enumerate(prices)]
     picks = np.array([[0, 2, 1, 1], [3, 0, 3, 2], [4, 4, 4, 4]])
-    samples = rank_samples(firms, picks)
-    assert [[f.id for f in row] for row in samples] == [
+    ranked, rows = rank_samples(firms, picks)
+    assert [[ranked[r].id for r in row] for row in rows] == [
         [11, 11, 10, 12], [13, 13, 10, 12], [14, 14, 14, 14],
     ]
 
@@ -282,15 +287,16 @@ def test_rank_samples_matches_sorting_each_sample():
     picks = gen.integers(0, len(firms), size=(50, 10))
     by_price_then_id = attrgetter("price", "id")
     expected = [sorted((firms[j] for j in row), key=by_price_then_id) for row in picks.tolist()]
-    assert rank_samples(firms, picks) == expected
+    ranked, rows = rank_samples(firms, picks)
+    assert [[ranked[r] for r in row] for row in rows] == expected
 
 
 def test_consume_cheapest_first():
     family = Family(id=0, municipality_id="m00", savings=4.0)
     pricey = make_firm(firm_id=0, price=4.0, inventory=10.0)
     cheap = make_firm(firm_id=1, price=1.0, inventory=2.0)
-    [sample] = rank_samples([pricey, cheap], np.array([[0, 1]]))
-    units, spent = consume(family, sample, 0.0, TaxRates(consumption=0.0), ledger=TaxLedger())
+    ranked, [row] = rank_samples([pricey, cheap], np.array([[0, 1]]))
+    units, spent = consume(family, map(ranked.__getitem__, row), 0.0, TaxRates(consumption=0.0), [])
     # 2 units at 1.0 exhaust the cheap firm, the remaining 2.0 buys 0.5 units at 4.0
     assert units == 2.5
     assert spent == 4.0
@@ -301,7 +307,7 @@ def test_consume_cheapest_first():
 def test_consume_limited_by_inventory_keeps_rest_saved():
     family = Family(id=0, municipality_id="m00", savings=10.0)
     firm = make_firm(price=1.0, inventory=3.0)
-    units, spent = consume(family, [firm], 0.0, TaxRates(), TaxLedger())
+    units, spent = consume(family, [firm], 0.0, TaxRates(), [])
     assert units == 3.0
     assert spent == 3.0
     assert family.savings == 7.0
@@ -310,7 +316,7 @@ def test_consume_limited_by_inventory_keeps_rest_saved():
 def test_consume_respects_savings_rate():
     family = Family(id=0, municipality_id="m00", savings=100.0)
     firm = make_firm(price=1.0, inventory=1000.0)
-    units, spent = consume(family, [firm], 0.5, TaxRates(consumption=0.0), TaxLedger())
+    units, spent = consume(family, [firm], 0.5, TaxRates(consumption=0.0), [])
     assert spent == 50.0
     assert family.savings == 50.0
 
@@ -320,7 +326,9 @@ def test_consume_money_conserved():
     firms = [make_firm(firm_id=i, price=1.0 + i, inventory=5.0, cash=0.0) for i in range(3)]
     ledger = TaxLedger()
     before = family.savings
-    units, spent = consume(family, firms, 0.1, TaxRates(consumption=0.18), ledger)
+    taxes = []
+    units, spent = consume(family, firms, 0.1, TaxRates(consumption=0.18), taxes)
+    ledger.add_all(TaxKind.CONSUMPTION, taxes)
     after = family.savings + sum(f.cash for f in firms) + ledger.total()
     assert math.isclose(after, before, rel_tol=0, abs_tol=1e-12)
 
@@ -328,7 +336,26 @@ def test_consume_money_conserved():
 def test_broke_family_buys_nothing():
     family = Family(id=0, municipality_id="m00", savings=0.0)
     firm = make_firm(inventory=10.0)
-    assert consume(family, [firm], 0.1, TaxRates(), TaxLedger()) == (0.0, 0.0)
+    assert consume(family, [firm], 0.1, TaxRates(), []) == (0.0, 0.0)
+
+
+def test_consume_reads_the_sample_only_as_far_as_it_buys():
+    firms = [make_firm(firm_id=i, price=1.0, inventory=5.0) for i in range(3)]
+    walked = []
+
+    def sample():
+        for firm in firms:
+            walked.append(firm.id)
+            yield firm
+
+    broke = Family(id=0, municipality_id="m00", savings=0.0)
+    assert consume(broke, sample(), 0.1, TaxRates(), []) == (0.0, 0.0)
+    assert walked == []
+    family = Family(id=1, municipality_id="m00", savings=4.0)
+    taxes = []
+    assert consume(family, sample(), 0.0, TaxRates(consumption=0.25), taxes) == (4.0, 4.0)
+    assert walked == [0]  # the budget ran out at the first firm
+    assert taxes == [("m00", 1.0)]
 
 
 # ---------------------------------------------------------------------------

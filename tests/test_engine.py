@@ -1,4 +1,5 @@
 """Whole-run behavior: determinism, conservation, aggregation, batching."""
+import copy
 from dataclasses import replace
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from metrosim import engine
 from metrosim.config import EngineConfig, FiscalConfig, default_config
 from metrosim.demographics import VitalRates
+from metrosim.economy import consume
 from metrosim.engine import (
     RunFailure,
     RunResult,
@@ -15,7 +17,9 @@ from metrosim.engine import (
     summarize_runs,
 )
 from metrosim.fiscal import TAX_KINDS, MpfTable, TaxKind, TaxRates, policy_for_case
-from metrosim.worldgen import WorldConfig, generate_region
+from metrosim.housing import hedonic_units
+from metrosim.rng import RngStreams
+from metrosim.worldgen import WorldConfig, default_apc_batch, generate_region, instantiate_world
 
 from conftest import add_family, add_firm, break_invariant, region_of, rng
 
@@ -122,13 +126,76 @@ def test_frozen_world_mode_shares_world_draw(gen_config):
     assert c.final_snapshot["money_base"] != d.final_snapshot["money_base"]
 
 
+def test_citizen_ids_stay_ascending_every_month(gen_config, monkeypatch):
+    # mature_qualifications draws in sorted(simulation_born) order and
+    # unemployed_adults sorts nothing away: both rely on this order
+    cfg = gen_config(horizon=60)
+    closed = []
+
+    def checked_step(state, runtime, result):
+        step_month(state, runtime, result)
+        assert list(state.citizens) == sorted(state.citizens)
+        closed.append(state.month)
+
+    step_month = engine.step_month
+    monkeypatch.setattr(engine, "step_month", checked_step)
+    run_scenario(cfg, 0, region_of(cfg))
+    assert closed == list(range(1, 61))
+
+
+class _AddEachPurchase(list):
+    """A tax list that writes each entry to the ledger the moment it is appended."""
+
+    def __init__(self, ledger):
+        super().__init__()
+        self.ledger = ledger
+
+    def append(self, entry):
+        self.ledger.add(TaxKind.CONSUMPTION, *entry)
+
+
+def test_batched_consumption_ledger_matches_per_purchase_adds(monkeypatch):
+    cfg = default_config()
+    region = next(r for r in default_apc_batch() if r.id == "apc33")
+    state = instantiate_world(region, cfg.world, RngStreams(0).worldgen)
+    state.rng = RngStreams(0)
+    runtime = engine._Runtime(
+        cfg, policy_for_case(1), MpfTable(), VitalRates(), hedonic_units(state, cfg.housing)
+    )
+    result = RunResult(apc_id=region.id, case_id=1, seed=0, horizon=1)
+    month = engine._Month(firms=[state.firms[fid] for fid in sorted(state.firms)])
+    engine.production(state, runtime, result, month)
+    per_purchase = copy.deepcopy((state, month))
+
+    engine.consumption(state, runtime, result, month)
+
+    ref_state, ref_month = per_purchase
+
+    def consume_adding_each(family, sample, savings_rate, rates, taxes):
+        return consume(family, list(sample), savings_rate, rates, _AddEachPurchase(ref_state.ledger))
+
+    monkeypatch.setattr(engine, "consume", consume_adding_each)
+    engine.consumption(ref_state, runtime, result, ref_month)
+    assert ref_state.ledger.event_count > 100
+    assert [(k, a.hex()) for k, a in state.ledger.amounts.items()] == [
+        (k, a.hex()) for k, a in ref_state.ledger.amounts.items()
+    ]
+    assert state.ledger.event_count == ref_state.ledger.event_count
+    assert month.spent_total.hex() == ref_month.spent_total.hex()
+    assert [f.savings for f in state.families.values()] == [
+        f.savings for f in ref_state.families.values()
+    ]
+
+
 def test_depopulated_municipality_escheats_into_the_pool(make_state, caplog):
     state = make_state(("m00", "m01"))
     add_family(state, "m00", [10])
     firm = add_firm(state, "m00")
     state.ledger.add(TaxKind.PROPERTY, "m01", 4.0)  # case 3 keeps it in empty m01
     cfg = replace(default_config(), fiscal=FiscalConfig(case_id=3))
-    runtime = engine._Runtime(cfg, policy_for_case(3), MpfTable(), VitalRates())
+    runtime = engine._Runtime(
+        cfg, policy_for_case(3), MpfTable(), VitalRates(), hedonic_units(state, cfg.housing)
+    )
     result = RunResult("r", 3, 0, 1, municipality_ids=["m00", "m01"])
     result.inflows = {m: {kind.value: [] for kind in TAX_KINDS} for m in ("m00", "m01")}
     engine.distribution(state, runtime, result, engine._Month(firms=[firm]))

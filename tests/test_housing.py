@@ -1,7 +1,10 @@
 """Hedonic pricing, midpoint settlement, moves, and the property tax."""
+import copy
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metrosim.errors import ValidationError
 from metrosim.fiscal import TaxKind, TaxLedger, TaxRates
@@ -11,8 +14,10 @@ from metrosim.housing import (
     collect_property_tax,
     hedonic_price,
     hedonic_prices,
+    hedonic_units,
     run_housing_market,
 )
+from metrosim.state import SimulationState
 from metrosim.worldgen import WorldConfig, default_apc_batch, instantiate_world
 
 from conftest import add_family, add_house, rng
@@ -23,12 +28,14 @@ ALWAYS_ENTER = HousingParams(market_entry_rate=1.0, bid_fraction=1.0)
 
 def market(state, params, rates, ledger):
     """One month of the housing market at the month's hedonic price table."""
-    return run_housing_market(state, hedonic_prices(state, params), params, rates, rng(), ledger)
+    prices = hedonic_prices(state, params, hedonic_units(state, params))
+    return run_housing_market(state, prices, params, rates, rng(), ledger)
 
 
 def property_tax(state, params, rates, ledger):
     """One month of property tax at the month's hedonic price table."""
-    return collect_property_tax(state, hedonic_prices(state, params), rates, ledger)
+    prices = hedonic_prices(state, params, hedonic_units(state, params))
+    return collect_property_tax(state, prices, rates, ledger)
 
 
 # ---------------------------------------------------------------------------
@@ -56,11 +63,13 @@ def test_hedonic_ignores_qli_when_elasticity_zero():
 def test_price_table_equals_hedonic_price_per_house():
     region = next(r for r in default_apc_batch() if r.id == "apc33")
     state = instantiate_world(region, WorldConfig(), rng())
+    params = HousingParams(hedonic_base=1.7, qli_elasticity=0.37)
+    units = hedonic_units(state, params)  # once per run, before QLI moves
     draws = rng(1).uniform(0.0, 3.0, size=len(state.treasuries))
     for treasury, qli in zip(state.treasuries.values(), draws.tolist()):
         treasury.qli = qli
-    params = HousingParams(hedonic_base=1.7, qli_elasticity=0.37)
-    table = hedonic_prices(state, params)
+    table = hedonic_prices(state, params, units)
+    assert table == hedonic_prices(state, params, hedonic_units(state, params))
     assert list(table) == list(state.houses)
     for house in state.houses.values():
         price = table[house.id]
@@ -280,3 +289,84 @@ def test_partial_payment_splits_into_debt(make_state):
     assert collected == pytest.approx(0.3, rel=1e-12)
     assert family.savings == 0.0
     assert family.tax_debt["m00"] == pytest.approx(0.2, rel=1e-12)
+
+
+def reference_property_tax(state, prices, rates, ledger):
+    """The plain per-family loop ``collect_property_tax`` must match bit for bit:
+    every family re-sorts its arrears and rebuilds its debt, every visit."""
+    monthly_rate = rates.property_monthly
+    collected_total = 0.0
+    payments = []
+    for family in state.families.values():
+        dues = []
+        if family.tax_debt:
+            dues.extend(sorted(family.tax_debt.items()))
+            family.tax_debt = {}
+        if monthly_rate > 0.0:
+            for house_id in family.owned_houses:
+                amount = prices[house_id] * monthly_rate
+                if amount > 0.0:
+                    dues.append((state.houses[house_id].municipality_id, amount))
+        if not dues:
+            continue
+        for muni, amount in dues:
+            if family.savings <= 0.0:
+                family.tax_debt[muni] = family.tax_debt.get(muni, 0.0) + amount
+                continue
+            paid = min(amount, family.savings)
+            family.savings -= paid
+            if paid:
+                payments.append((muni, paid))
+                collected_total += paid
+            shortfall = amount - paid
+            if shortfall > 0.0:
+                family.tax_debt[muni] = family.tax_debt.get(muni, 0.0) + shortfall
+    ledger.add_all(TaxKind.PROPERTY, payments)
+    return collected_total
+
+
+MUNIS = ("m00", "m01", "m02")
+
+
+@st.composite
+def property_tax_months(draw):
+    """A world of owners: broke families, arrears in several municipalities,
+    multi-house owners, savings that run out mid-dues, and zero rates or prices."""
+    state = SimulationState()
+    n_houses = draw(st.integers(0, 12))
+    prices = {}
+    for house_id in range(n_houses):
+        add_house(state, draw(st.sampled_from(MUNIS)), house_id=house_id)
+        prices[house_id] = draw(st.one_of(st.just(0.0), st.floats(0.01, 5e4)))
+    owner_of = draw(st.lists(st.integers(-1, 5), min_size=n_houses, max_size=n_houses))
+    for fam_id in range(6):
+        family = add_family(state, draw(st.sampled_from(MUNIS)), [5], fam_id=fam_id)
+        family.savings = draw(st.one_of(st.just(0.0), st.floats(-5.0, 0.0), st.floats(0.0, 40.0)))
+        family.owned_houses = [h for h, owner in enumerate(owner_of) if owner == fam_id]
+        family.tax_debt = draw(st.dictionaries(st.sampled_from(MUNIS), st.floats(0.01, 30.0)))
+    rates = TaxRates(property_annual=draw(st.sampled_from([0.0, 0.005, 0.3, 0.9])))
+    ledger = TaxLedger()
+    for muni in draw(st.lists(st.sampled_from(MUNIS), max_size=2, unique=True)):
+        ledger.add(TaxKind.PROPERTY, muni, draw(st.floats(0.01, 10.0)))
+    return state, prices, rates, ledger
+
+
+@settings(max_examples=300, deadline=None)
+@given(month=property_tax_months(), months=st.integers(1, 3))
+def test_property_tax_matches_the_per_family_loop(month, months):
+    state, prices, rates, ledger = month
+    ref_state, ref_ledger = copy.deepcopy((state, ledger))
+    for _ in range(months):
+        collected = collect_property_tax(state, prices, rates, ledger)
+        expected = reference_property_tax(ref_state, prices, rates, ref_ledger)
+        assert collected.hex() == expected.hex()
+        for family in state.families.values():
+            ref_family = ref_state.families[family.id]
+            assert family.savings.hex() == ref_family.savings.hex()
+            assert {m: d.hex() for m, d in family.tax_debt.items()} == {
+                m: d.hex() for m, d in ref_family.tax_debt.items()
+            }
+        assert [(k, a.hex()) for k, a in ledger.amounts.items()] == [
+            (k, a.hex()) for k, a in ref_ledger.amounts.items()
+        ]
+        assert ledger.event_count == ref_ledger.event_count
