@@ -2,10 +2,10 @@
 
 Firms produce a homogeneous good from employee qualification, adjust price
 and wage offers on inventory/cash signals, and compete for workers by wage.
-Families consume from sampled firms, cheapest first. Wage and consumption
-taxes are handed back as ``(municipality, amount)`` entries that the caller
-writes to the month's ledger once per phase; the profit tax is recorded as
-it is settled.
+Families consume from sampled firms, cheapest first. No function here
+writes the month's ledger: each tax is appended as a ``(municipality,
+amount)`` entry to a list the caller passes, and the engine writes each
+phase's entries with one ``TaxLedger.add_all``.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .fiscal import TaxKind, TaxLedger, TaxRates
+from .fiscal import TaxRates
 
 if TYPE_CHECKING:
     from .demographics import Citizen
@@ -184,18 +184,16 @@ def pay_wages(
     families: Mapping[int, Family],
     rates: TaxRates,
     taxes: list[tuple[str, float]],
-) -> float:
+) -> None:
     """Pay the month-end payroll, splitting each wage into take-home and tax.
 
     If cash cannot cover the payroll the firm releases its least qualified
     employees until it can (fire-and-shrink), which keeps cash non-negative
     at month end. Each employee's income tax is appended to ``taxes`` as
-    ``(municipality, amount)``, in payroll order; the caller writes the
-    month's entries of every firm to the ledger in one ``add_all``. Returns
-    the gross payroll actually paid.
+    ``(municipality, amount)``, in payroll order. The gross payroll paid
+    is left in ``firm.payroll_this_month``; a firm without employees pays
+    and records 0.0.
     """
-    if not firm.employees:
-        return 0.0
     staff = [citizens[cid] for cid in firm.employees]
     payroll = 0.0
     for citizen in staff:
@@ -219,7 +217,6 @@ def pay_wages(
     firm.cash -= payroll
     firm.cumulative_profit -= payroll
     firm.payroll_this_month = payroll
-    return payroll
 
 
 def rank_samples(firms: Sequence[Firm], picks: np.ndarray) -> tuple[list[Firm], list[list[int]]]:
@@ -255,8 +252,7 @@ def consume(
     cheapest first (``rank_samples``), and may be a lazy iterable: it is read
     no further than the firm where the budget runs out, and not at all
     without a budget. Each purchase's nonzero consumption tax is appended to
-    ``taxes`` as ``(municipality, amount)``; the caller writes the month's
-    entries of every family to the ledger in one ``add_all``. Unspent budget
+    ``taxes`` as ``(municipality, amount)``. Unspent budget
     returns to savings. Returns (units bought, money spent).
     """
     budget = (1.0 - savings_rate) * family.savings
@@ -286,14 +282,13 @@ def consume(
     return units_total, spent_total
 
 
-def settle_profit_tax(firm: Firm, rates: TaxRates, ledger: TaxLedger) -> float:
-    """Tax the period's accumulated profit if positive; reset the accumulator."""
+def settle_profit_tax(firm: Firm, rates: TaxRates, taxes: list[tuple[str, float]]) -> None:
+    """Tax the period's profit if positive, into ``taxes``; reset the accumulator."""
     profit = firm.cumulative_profit
     firm.cumulative_profit = 0.0
     if profit <= 0.0:
-        return 0.0
+        return
     tax = profit * rates.company
     if tax:
         firm.cash -= tax
-        ledger.add(TaxKind.COMPANY, firm.municipality_id, tax)
-    return tax
+        taxes.append((firm.municipality_id, tax))

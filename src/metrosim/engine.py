@@ -149,8 +149,7 @@ def consumption(state: SimulationState, runtime: _Runtime, result: RunResult, mo
         *market.savings_rate_bounds, size=len(family_ids)
     ).tolist()
     # prices hold until set_price, so one ranking serves every family; each
-    # family walks its sample lazily, and the phase's taxes reach the ledger
-    # in one add_all (nothing else adds CONSUMPTION, so the sums keep their bits)
+    # family walks its sample lazily
     ranked, rank_rows = rank_samples(month.firms, sample_matrix)
     taxes: list[tuple[str, float]] = []
     for fam_id, row, savings_rate in zip(family_ids, rank_rows, savings_rates):
@@ -193,9 +192,11 @@ def housing(state: SimulationState, runtime: _Runtime, result: RunResult, month:
     table, since QLI only moves in ``invest``."""
     cfg = runtime.config
     month.house_prices = hedonic_prices(state, cfg.housing, runtime.hedonic)
+    taxes: list[tuple[str, float]] = []
     month.sales = len(run_housing_market(
-        state, month.house_prices, cfg.housing, cfg.tax_rates, state.rng.housing, state.ledger
+        state, month.house_prices, cfg.housing, cfg.tax_rates, state.rng.housing, taxes
     ))
+    state.ledger.add_all(TaxKind.TRANSMISSION, taxes)
 
 
 def taxes(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
@@ -205,10 +206,14 @@ def taxes(state: SimulationState, runtime: _Runtime, result: RunResult, month: _
     for firm in month.firms:
         pay_wages(firm, state.citizens, state.families, cfg.tax_rates, wage_taxes)
     state.ledger.add_all(TaxKind.PERSONAL_INCOME, wage_taxes)
-    collect_property_tax(state, month.house_prices, cfg.tax_rates, state.ledger)
+    property_taxes: list[tuple[str, float]] = []
+    collect_property_tax(state, month.house_prices, cfg.tax_rates, property_taxes)
+    state.ledger.add_all(TaxKind.PROPERTY, property_taxes)
     if (state.month + 1) % cfg.fiscal.profit_tax_cadence_months == 0:
+        profit_taxes: list[tuple[str, float]] = []
         for firm in month.firms:
-            settle_profit_tax(firm, cfg.tax_rates, state.ledger)
+            settle_profit_tax(firm, cfg.tax_rates, profit_taxes)
+        state.ledger.add_all(TaxKind.COMPANY, profit_taxes)
 
 
 def distribution(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
@@ -224,7 +229,7 @@ def distribution(state: SimulationState, runtime: _Runtime, result: RunResult, m
         state.ledger, runtime.policy, share_base, runtime.mpf_table, muni_order
     )
     for kind in TAX_KINDS:
-        pool = sum(state.ledger.by_kind(kind).values())
+        pool = month.collected[kind]
         allocated = sum(allocations[kind].values())
         if abs(pool - allocated) > CURRENCY_UNIT:
             raise InvariantViolation(

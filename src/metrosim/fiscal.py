@@ -33,10 +33,6 @@ class TaxKind(Enum):
     COMPANY = "company"
     PROPERTY = "property"
 
-    # identity hash: members are singletons, and ``Enum.__hash__`` is a
-    # Python-level call on the ledger's hottest path
-    __hash__ = object.__hash__
-
 
 TAX_KINDS = tuple(TaxKind)
 
@@ -63,12 +59,19 @@ class TaxRates:
 
 
 class TaxLedger:
-    """Per-month accumulator of tax amounts keyed by (kind, origin municipality)."""
+    """Per-month accumulator of tax amounts, one dict per kind keyed by origin municipality.
+
+    Tax producers never write here: they hand back ``(municipality, amount)``
+    entries, and the engine writes each phase's entries of one kind with one
+    ``add_all``. Each kind's dict holds its origins in first-payment order.
+    ``add`` stays as the one-entry reference that ``add_all`` must match bit
+    for bit.
+    """
 
     __slots__ = ("amounts", "event_count")
 
     def __init__(self):
-        self.amounts: dict[tuple[TaxKind, str], float] = {}
+        self.amounts: dict[TaxKind, dict[str, float]] = {k: {} for k in TAX_KINDS}
         self.event_count = 0
 
     def add(self, kind: TaxKind, origin: str, amount: float) -> None:
@@ -76,47 +79,42 @@ class TaxLedger:
             raise ValidationError(f"negative tax amount {amount} for {kind.value} in {origin}")
         if amount == 0.0:
             return
-        key = (kind, origin)
-        self.amounts[key] = self.amounts.get(key, 0.0) + amount
+        pools = self.amounts[kind]
+        pools[origin] = pools.get(origin, 0.0) + amount
         self.event_count += 1
 
     def add_all(self, kind: TaxKind, entries: Iterable[tuple[str, float]]) -> None:
-        """``add`` every ``(origin, amount)`` entry in turn.
-
-        Each (kind, origin) sum is read once and written back once, after the
-        same sequential additions as ``add``, so it keeps every bit; a new
-        key lands where its first ``add`` would have put it.
-        """
-        sums: dict[str, float] = {}
+        """``add`` every ``(origin, amount)`` entry in turn, skipping zeros."""
+        pools = self.amounts[kind]
         count = 0
         for origin, amount in entries:
             if amount < 0:
                 raise ValidationError(f"negative tax amount {amount} for {kind.value} in {origin}")
             if amount == 0.0:
                 continue
-            total = sums.get(origin)
-            if total is None:
-                total = self.amounts.get((kind, origin), 0.0)
-            sums[origin] = total + amount
+            pools[origin] = pools.get(origin, 0.0) + amount
             count += 1
-        for origin, total in sums.items():
-            self.amounts[(kind, origin)] = total
         self.event_count += count
 
     def total(self) -> float:
-        return sum(self.amounts.values())
+        return sum(self.total_by_kind().values())
 
     def total_by_kind(self) -> dict[TaxKind, float]:
-        out = {k: 0.0 for k in TAX_KINDS}
-        for (kind, _origin), amt in self.amounts.items():
-            out[kind] += amt
+        # sequential sums: ``sum()`` is compensated from Python 3.12
+        out = {}
+        for kind, pools in self.amounts.items():
+            total = 0.0
+            for amount in pools.values():
+                total += amount
+            out[kind] = total
         return out
 
     def by_kind(self, kind: TaxKind) -> dict[str, float]:
-        return {o: a for (k, o), a in self.amounts.items() if k is kind}
+        return self.amounts[kind]
 
     def clear(self) -> None:
-        self.amounts.clear()
+        for pools in self.amounts.values():
+            pools.clear()
         self.event_count = 0
 
 

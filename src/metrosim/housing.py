@@ -4,6 +4,9 @@ Vacant houses are listed each month; a sampled set of families bids a
 fraction of savings; a match settles at the average of the hedonic price and
 the buyer's offer, moving the family and emitting transmission tax. Property
 tax is charged monthly on owned stock, with arrears carried as family debt.
+Neither tax is written to the month's ledger here: each payment is appended
+as a ``(municipality, amount)`` entry to a list the caller passes, and the
+engine writes each phase's entries with one ``TaxLedger.add_all``.
 """
 from __future__ import annotations
 
@@ -13,7 +16,7 @@ from typing import TYPE_CHECKING, Mapping, NamedTuple
 import numpy as np
 
 from .errors import ValidationError
-from .fiscal import TaxKind, TaxLedger, TaxRates
+from .fiscal import TaxRates
 
 if TYPE_CHECKING:
     from .state import SimulationState
@@ -119,7 +122,7 @@ def run_housing_market(
     params: HousingParams,
     rates: TaxRates,
     rng: np.random.Generator,
-    ledger: TaxLedger,
+    taxes: list[tuple[str, float]],
 ) -> list[Transaction]:
     """Match sampled buyer families to listed vacant houses for one month.
 
@@ -128,7 +131,9 @@ def run_housing_market(
     afford any listing whose midpoint settlement stays within
     ``bid_fraction`` of savings. Each buyer takes the cheapest affordable
     listing; each house sells at most once; the last vacant house of a
-    municipality is never sold, which preserves the vacancy invariant.
+    municipality is never sold, which preserves the vacancy invariant. Each
+    sale's nonzero transmission tax is appended to ``taxes`` as
+    ``(municipality, amount)``, in sale order.
     """
     families = state.families
     if not families:
@@ -181,7 +186,7 @@ def run_housing_market(
             seller.savings += price - tax
             seller.owned_houses.remove(chosen.id)
         if tax:
-            ledger.add(TaxKind.TRANSMISSION, chosen.municipality_id, tax)
+            taxes.append((chosen.municipality_id, tax))
 
         # move the family in; the old residence stays owned but empties
         old_house_id = family.house_id
@@ -205,8 +210,8 @@ def collect_property_tax(
     state: "SimulationState",
     prices: Mapping[int, float],
     rates: TaxRates,
-    ledger: TaxLedger,
-) -> float:
+    taxes: list[tuple[str, float]],
+) -> None:
     """Charge the monthly property tax on family-owned houses, valued at ``prices``.
 
     Municipal stock is not taxed (the municipality does not tax itself).
@@ -215,13 +220,11 @@ def collect_property_tax(
     actually moved. A family without savings adds its houses' dues to its
     debt in place. Any other family pays its arrears (by municipality) and
     then its houses' dues in turn, each as far as its savings go, and its
-    savings are written back once. Every payment reaches the ledger in one
-    ``add_all`` at the end. Returns the total collected this month.
+    savings are written back once. Each payment is appended to ``taxes`` as
+    ``(municipality, amount)``, in payment order.
     """
     monthly_rate = rates.property_monthly
     houses = state.houses
-    collected_total = 0.0
-    payments: list[tuple[str, float]] = []
     for family in state.families.values():
         owned = family.owned_houses
         debt = family.tax_debt
@@ -248,14 +251,10 @@ def collect_property_tax(
             if savings <= 0.0:
                 debt[muni] = debt.get(muni, 0.0) + amount
             elif savings < amount:  # min(amount, savings) is savings: pay it all, owe the rest
-                payments.append((muni, savings))
-                collected_total += savings
+                taxes.append((muni, savings))
                 debt[muni] = debt.get(muni, 0.0) + (amount - savings)
                 savings = 0.0
             else:
                 savings -= amount
-                payments.append((muni, amount))
-                collected_total += amount
+                taxes.append((muni, amount))
         family.savings = savings
-    ledger.add_all(TaxKind.PROPERTY, payments)
-    return collected_total

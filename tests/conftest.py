@@ -135,3 +135,16 @@ def break_invariant(state, runtime, result):
 
 def rng(seed=0) -> np.random.Generator:
     return np.random.default_rng(seed)
+
+
+def ledger_entries(ledger) -> list[tuple]:
+    """Every ``(kind, origin, amount.hex())`` of a ledger, in storage order.
+
+    Comparing these lists checks each sum to the bit and the order sums are
+    read in; comparing the nested dicts would ignore key order.
+    """
+    return [
+        (kind, origin, amount.hex())
+        for kind, pools in ledger.amounts.items()
+        for origin, amount in pools.items()
+    ]

@@ -201,13 +201,11 @@ def test_pay_wages_worked_example():
     worker.employer_id = firm.id
     firm.employees = [0]
     family = Family(id=0, municipality_id="m00", members=[0], savings=0.0)
-    ledger = TaxLedger()
     taxes = []
-    paid = pay_wages(firm, {0: worker}, {0: family}, TaxRates(personal_income=0.275), taxes)
-    ledger.add_all(TaxKind.PERSONAL_INCOME, taxes)
-    assert paid == 100.0
+    pay_wages(firm, {0: worker}, {0: family}, TaxRates(personal_income=0.275), taxes)
+    assert firm.payroll_this_month == 100.0
     assert family.savings == pytest.approx(72.5, rel=1e-12)
-    assert ledger.by_kind(TaxKind.PERSONAL_INCOME)["m00"] == pytest.approx(27.5, rel=1e-12)
+    assert taxes == [("m00", pytest.approx(27.5, rel=1e-12))]
     assert firm.cash == 50.0
     assert firm.cumulative_profit == -100.0
 
@@ -236,8 +234,8 @@ def test_fire_and_shrink_releases_least_qualified():
         0: Family(id=0, municipality_id="m00", members=[0]),
         1: Family(id=1, municipality_id="m00", members=[1]),
     }
-    paid = pay_wages(firm, {0: senior, 1: junior}, families, TaxRates(), [])
-    assert paid == 80.0  # junior released; senior affordable
+    pay_wages(firm, {0: senior, 1: junior}, families, TaxRates(), [])
+    assert firm.payroll_this_month == 80.0  # junior released; senior affordable
     assert firm.employees == [0]
     assert junior.employer_id is None and junior.monthly_wage == 0.0
     assert senior.employer_id == firm.id
@@ -246,8 +244,30 @@ def test_fire_and_shrink_releases_least_qualified():
 
 
 def test_pay_wages_empty_firm_is_noop():
-    firm = make_firm()
-    assert pay_wages(firm, {}, {}, TaxRates(), []) == 0.0
+    firm = make_firm(cash=10.0)
+    taxes = []
+    pay_wages(firm, {}, {}, TaxRates(), taxes)
+    assert firm.payroll_this_month == 0.0
+    assert firm.cash == 10.0
+    assert taxes == []
+
+
+def test_payroll_resets_when_the_last_employee_is_gone():
+    # a firm whose only worker died must not carry last month's payroll into
+    # its wage decision (and into the profit metric)
+    firm = make_firm(cash=150.0)
+    worker = make_citizen(0, wage=100.0)
+    worker.employer_id = firm.id
+    firm.employees = [0]
+    family = Family(id=0, municipality_id="m00", members=[0])
+    pay_wages(firm, {0: worker}, {0: family}, TaxRates(), [])
+    assert firm.payroll_this_month == 100.0
+    firm.employees.remove(0)
+    pay_wages(firm, {}, {0: family}, TaxRates(), [])
+    assert firm.payroll_this_month == 0.0
+    firm.wage_offer = 1.0
+    set_wage_and_vacancy(firm, MarketParams())
+    assert firm.wage_offer == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -365,18 +385,17 @@ def test_consume_reads_the_sample_only_as_far_as_it_buys():
 
 def test_profit_tax_worked_example():
     firm = make_firm(cash=1000.0, cumulative_profit=1000.0)
-    ledger = TaxLedger()
-    tax = settle_profit_tax(firm, TaxRates(company=0.15), ledger)
-    assert tax == 150.0
+    taxes = []
+    settle_profit_tax(firm, TaxRates(company=0.15), taxes)
     assert firm.cash == 850.0
     assert firm.cumulative_profit == 0.0
-    assert ledger.by_kind(TaxKind.COMPANY) == {"m00": 150.0}
+    assert taxes == [("m00", 150.0)]
 
 
 def test_losses_untaxed_but_reset():
     firm = make_firm(cash=100.0, cumulative_profit=-40.0)
-    ledger = TaxLedger()
-    assert settle_profit_tax(firm, TaxRates(), ledger) == 0.0
+    taxes = []
+    settle_profit_tax(firm, TaxRates(), taxes)
     assert firm.cumulative_profit == 0.0
     assert firm.cash == 100.0
-    assert ledger.event_count == 0
+    assert taxes == []

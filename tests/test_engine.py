@@ -21,7 +21,7 @@ from metrosim.housing import hedonic_units
 from metrosim.rng import RngStreams
 from metrosim.worldgen import WorldConfig, default_apc_batch, generate_region, instantiate_world
 
-from conftest import add_family, add_firm, break_invariant, region_of, rng
+from conftest import add_family, add_firm, break_invariant, ledger_entries, region_of, rng
 
 
 def with_case(cfg, case_id):
@@ -143,18 +143,20 @@ def test_citizen_ids_stay_ascending_every_month(gen_config, monkeypatch):
     assert closed == list(range(1, 61))
 
 
-class _AddEachPurchase(list):
+class _AddEachEntry(list):
     """A tax list that writes each entry to the ledger the moment it is appended."""
 
-    def __init__(self, ledger):
+    def __init__(self, ledger, kind):
         super().__init__()
         self.ledger = ledger
+        self.kind = kind
 
     def append(self, entry):
-        self.ledger.add(TaxKind.CONSUMPTION, *entry)
+        self.ledger.add(self.kind, *entry)
 
 
-def test_batched_consumption_ledger_matches_per_purchase_adds(monkeypatch):
+def apc33_month(months_done=0):
+    """An apc33 world at seed 0 after ``months_done`` whole months, with the next month open."""
     cfg = default_config()
     region = next(r for r in default_apc_batch() if r.id == "apc33")
     state = instantiate_world(region, cfg.world, RngStreams(0).worldgen)
@@ -162,8 +164,20 @@ def test_batched_consumption_ledger_matches_per_purchase_adds(monkeypatch):
     runtime = engine._Runtime(
         cfg, policy_for_case(1), MpfTable(), VitalRates(), hedonic_units(state, cfg.housing)
     )
-    result = RunResult(apc_id=region.id, case_id=1, seed=0, horizon=1)
+    result = RunResult(apc_id=region.id, case_id=1, seed=0, horizon=months_done + 1,
+                       municipality_ids=sorted(state.treasuries))
+    result.inflows = {m: {kind.value: [] for kind in TAX_KINDS} for m in result.municipality_ids}
+    result.taxes_by_kind = {kind.value: [] for kind in TAX_KINDS}
+    result.qli = {m: [] for m in result.municipality_ids}
+    result.populations = {m: [] for m in result.municipality_ids}
+    for _ in range(months_done):
+        engine.step_month(state, runtime, result)
     month = engine._Month(firms=[state.firms[fid] for fid in sorted(state.firms)])
+    return state, runtime, result, month
+
+
+def test_batched_consumption_ledger_matches_per_purchase_adds(monkeypatch):
+    state, runtime, result, month = apc33_month()
     engine.production(state, runtime, result, month)
     per_purchase = copy.deepcopy((state, month))
 
@@ -172,19 +186,56 @@ def test_batched_consumption_ledger_matches_per_purchase_adds(monkeypatch):
     ref_state, ref_month = per_purchase
 
     def consume_adding_each(family, sample, savings_rate, rates, taxes):
-        return consume(family, list(sample), savings_rate, rates, _AddEachPurchase(ref_state.ledger))
+        return consume(family, list(sample), savings_rate, rates,
+                       _AddEachEntry(ref_state.ledger, TaxKind.CONSUMPTION))
 
     monkeypatch.setattr(engine, "consume", consume_adding_each)
     engine.consumption(ref_state, runtime, result, ref_month)
     assert ref_state.ledger.event_count > 100
-    assert [(k, a.hex()) for k, a in state.ledger.amounts.items()] == [
-        (k, a.hex()) for k, a in ref_state.ledger.amounts.items()
-    ]
+    assert ledger_entries(state.ledger) == ledger_entries(ref_state.ledger)
     assert state.ledger.event_count == ref_state.ledger.event_count
     assert month.spent_total.hex() == ref_month.spent_total.hex()
     assert [f.savings for f in state.families.values()] == [
         f.savings for f in ref_state.families.values()
     ]
+
+
+def test_housing_and_tax_phases_match_per_entry_adds(monkeypatch):
+    # month 95 is a profit-tax month (cadence 3); at seed 0 it has 8 house
+    # sales and 23 profit-tax payers, so all four kinds get several entries
+    state, runtime, result, month = apc33_month(months_done=95)
+    assert (state.month + 1) % runtime.config.fiscal.profit_tax_cadence_months == 0
+    for phase in engine.PHASES[:engine.PHASES.index(engine.housing)]:
+        phase(state, runtime, result, month)
+    ref_state, ref_month = copy.deepcopy((state, month))
+
+    engine.housing(state, runtime, result, month)
+    engine.taxes(state, runtime, result, month)
+
+    def adding_each(fn, kind):
+        def wrapped(*args):
+            return fn(*args[:-1], _AddEachEntry(ref_state.ledger, kind))
+        return wrapped
+
+    for name, kind in (
+        ("run_housing_market", TaxKind.TRANSMISSION),
+        ("pay_wages", TaxKind.PERSONAL_INCOME),
+        ("collect_property_tax", TaxKind.PROPERTY),
+        ("settle_profit_tax", TaxKind.COMPANY),
+    ):
+        monkeypatch.setattr(engine, name, adding_each(getattr(engine, name), kind))
+    engine.housing(ref_state, runtime, result, ref_month)
+    engine.taxes(ref_state, runtime, result, ref_month)
+
+    kinds = (TaxKind.TRANSMISSION, TaxKind.PERSONAL_INCOME, TaxKind.PROPERTY, TaxKind.COMPANY)
+    for kind in kinds:
+        assert len(ref_state.ledger.by_kind(kind)) > 1, kind
+    assert ledger_entries(state.ledger) == ledger_entries(ref_state.ledger)
+    assert {k: a.hex() for k, a in state.ledger.total_by_kind().items()} == {
+        k: a.hex() for k, a in ref_state.ledger.total_by_kind().items()
+    }
+    assert state.ledger.event_count == ref_state.ledger.event_count
+    assert month.sales == ref_month.sales > 1
 
 
 def test_depopulated_municipality_escheats_into_the_pool(make_state, caplog):

@@ -23,6 +23,8 @@ from metrosim.fiscal import (
     policy_for_case,
 )
 
+from conftest import ledger_entries
+
 
 # ---------------------------------------------------------------------------
 # The four-case weight matrix
@@ -112,13 +114,70 @@ def test_ledger_add_all_matches_add_in_turn(seeded, entries):
     for origin, amount in entries:
         one_by_one.add(TaxKind.PROPERTY, origin, amount)
     batched.add_all(TaxKind.PROPERTY, entries)
-    assert list(batched.amounts.items()) == list(one_by_one.amounts.items())
+    assert ledger_entries(batched) == ledger_entries(one_by_one)
     assert batched.event_count == one_by_one.event_count
 
 
 def test_ledger_add_all_rejects_negative():
     with pytest.raises(ValidationError):
         TaxLedger().add_all(TaxKind.PROPERTY, [("a", 1.0), ("a", -0.01)])
+
+
+class FlatLedger:
+    """Reference ledger: one dict keyed by ``(kind, origin)``, one entry at a time."""
+
+    def __init__(self):
+        self.amounts = {}
+        self.event_count = 0
+
+    def add(self, kind, origin, amount):
+        if amount == 0.0:
+            return
+        self.amounts[(kind, origin)] = self.amounts.get((kind, origin), 0.0) + amount
+        self.event_count += 1
+
+    def by_kind(self, kind):
+        return [(o, a.hex()) for (k, o), a in self.amounts.items() if k is kind]
+
+    def total_by_kind(self):
+        out = {k: 0.0 for k in TAX_KINDS}
+        for (kind, _origin), amount in self.amounts.items():
+            out[kind] += amount
+        return {k: a.hex() for k, a in out.items()}
+
+
+ENTRY = st.tuples(st.sampled_from("abcd"), st.one_of(st.just(0.0), st.floats(0.0, 1e6)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    calls=st.lists(
+        st.tuples(st.sampled_from(TAX_KINDS), st.one_of(ENTRY, st.lists(ENTRY, max_size=8))),
+        max_size=20,
+    ),
+    negative=st.tuples(st.sampled_from(TAX_KINDS), st.booleans()),
+)
+def test_ledger_matches_a_flat_reference(calls, negative):
+    # interleaved add (one entry) and add_all (a list) calls across kinds
+    ledger, reference = TaxLedger(), FlatLedger()
+    for kind, entries in calls:
+        if isinstance(entries, tuple):
+            ledger.add(kind, *entries)
+            reference.add(kind, *entries)
+        else:
+            ledger.add_all(kind, entries)
+            for entry in entries:
+                reference.add(kind, *entry)
+        for k in TAX_KINDS:
+            assert [(o, a.hex()) for o, a in ledger.by_kind(k).items()] == reference.by_kind(k)
+        assert {k: a.hex() for k, a in ledger.total_by_kind().items()} == reference.total_by_kind()
+        assert ledger.event_count == reference.event_count
+    kind, batched = negative
+    with pytest.raises(ValidationError):
+        if batched:
+            ledger.add_all(kind, [("a", 1.0), ("b", -0.01)])
+        else:
+            ledger.add(kind, "a", -0.01)
 
 
 def test_ledger_clear_resets():

@@ -20,22 +20,24 @@ from metrosim.housing import (
 from metrosim.state import SimulationState
 from metrosim.worldgen import WorldConfig, default_apc_batch, instantiate_world
 
-from conftest import add_family, add_house, rng
+from conftest import add_family, add_house, ledger_entries, rng
 
 
 ALWAYS_ENTER = HousingParams(market_entry_rate=1.0, bid_fraction=1.0)
 
 
-def market(state, params, rates, ledger):
+def market(state, params, rates, taxes=None):
     """One month of the housing market at the month's hedonic price table."""
     prices = hedonic_prices(state, params, hedonic_units(state, params))
-    return run_housing_market(state, prices, params, rates, rng(), ledger)
+    return run_housing_market(state, prices, params, rates, rng(), [] if taxes is None else taxes)
 
 
-def property_tax(state, params, rates, ledger):
-    """One month of property tax at the month's hedonic price table."""
+def property_tax(state, params, rates):
+    """One month of property tax at the month's hedonic price table; returns its entries."""
     prices = hedonic_prices(state, params, hedonic_units(state, params))
-    return collect_property_tax(state, prices, rates, ledger)
+    taxes = []
+    collect_property_tax(state, prices, rates, taxes)
+    return taxes
 
 
 # ---------------------------------------------------------------------------
@@ -107,15 +109,15 @@ def two_vacancy_state(make_state, savings=100.0, size=4.0, quality=10.0):
 def test_midpoint_settlement_and_transmission_tax(make_state):
     # hedonic 2.0 * 4 * 10 = 80 against a full-savings offer of 100 -> 90
     state, family, target, _ = two_vacancy_state(make_state)
-    ledger = TaxLedger()
-    deals = market(state, ALWAYS_ENTER, TaxRates(transmission=0.02), ledger)
+    taxes = []
+    deals = market(state, ALWAYS_ENTER, TaxRates(transmission=0.02), taxes)
     assert len(deals) == 1
     deal = deals[0]
     assert deal.hedonic == 80.0
     assert deal.offer == 100.0
     assert deal.price == 90.0
     assert deal.price == (deal.hedonic + deal.offer) / 2.0
-    assert ledger.by_kind(TaxKind.TRANSMISSION)["m00"] == pytest.approx(1.8, rel=1e-12)
+    assert taxes == [("m00", pytest.approx(1.8, rel=1e-12))]
     # the buyer moved in and now owns both houses
     assert family.house_id == target.id
     assert target.owner_family_id == family.id
@@ -127,8 +129,7 @@ def test_midpoint_settlement_and_transmission_tax(make_state):
 
 def test_municipal_seller_credits_treasury(make_state):
     state, family, target, _ = two_vacancy_state(make_state)
-    ledger = TaxLedger()
-    market(state, ALWAYS_ENTER, TaxRates(transmission=0.02), ledger)
+    market(state, ALWAYS_ENTER, TaxRates(transmission=0.02))
     # municipal stock sold: price net of tax lands in the treasury
     assert state.treasuries["m00"].balance == pytest.approx(90.0 - 1.8, rel=1e-12)
     assert family.savings == pytest.approx(10.0, rel=1e-12)
@@ -145,8 +146,7 @@ def test_family_seller_receives_net_price(make_state):
     offered = add_house(state, "m00", size=4.0, quality=10.0, owner=seller.id)
     seller.owned_houses.append(offered.id)
     add_house(state, "m00", size=50.0, quality=50.0)  # spare vacancy
-    ledger = TaxLedger()
-    deals = market(state, ALWAYS_ENTER, TaxRates(transmission=0.02), ledger)
+    deals = market(state, ALWAYS_ENTER, TaxRates(transmission=0.02))
     assert [d.buyer_family_id for d in deals] == [buyer.id]
     assert seller.savings == pytest.approx(88.2, rel=1e-12)  # 90 minus 1.8 tax
     assert offered.id not in seller.owned_houses
@@ -155,10 +155,10 @@ def test_family_seller_receives_net_price(make_state):
 
 def test_money_conserved_through_sale(make_state):
     state, family, _, _ = two_vacancy_state(make_state)
-    ledger = TaxLedger()
+    taxes = []
     before = family.savings
-    market(state, ALWAYS_ENTER, TaxRates(transmission=0.02), ledger)
-    after = family.savings + state.treasuries["m00"].balance + ledger.total()
+    market(state, ALWAYS_ENTER, TaxRates(transmission=0.02), taxes)
+    after = family.savings + state.treasuries["m00"].balance + sum(a for _, a in taxes)
     assert math.isclose(after, before, rel_tol=0, abs_tol=1e-12)
 
 
@@ -169,26 +169,26 @@ def test_last_vacant_house_never_sold(make_state):
     family.house_id = home.id
     family.owned_houses.append(home.id)
     add_house(state, "m00", size=1.0, quality=1.0)  # the only vacancy
-    deals = market(state, ALWAYS_ENTER, TaxRates(), TaxLedger())
+    deals = market(state, ALWAYS_ENTER, TaxRates())
     assert deals == []
 
 
 def test_zero_entry_rate_freezes_market(make_state):
     state, _, _, _ = two_vacancy_state(make_state)
     params = HousingParams(market_entry_rate=0.0)
-    assert market(state, params, TaxRates(), TaxLedger()) == []
+    assert market(state, params, TaxRates()) == []
 
 
 def test_broke_families_stay_out(make_state):
     state, family, _, _ = two_vacancy_state(make_state, savings=0.0)
-    assert market(state, ALWAYS_ENTER, TaxRates(), TaxLedger()) == []
+    assert market(state, ALWAYS_ENTER, TaxRates()) == []
     assert family.house_id == 0
 
 
 def test_unaffordable_listings_stay_unsold(make_state):
     # cheapest vacancy hedonic 80 > offer 40 -> the sorted scan stops cold
     state, family, target, _ = two_vacancy_state(make_state, savings=40.0)
-    deals = market(state, ALWAYS_ENTER, TaxRates(), TaxLedger())
+    deals = market(state, ALWAYS_ENTER, TaxRates())
     assert deals == []
     assert family.savings == 40.0
     assert target.resident_family_id is None
@@ -204,7 +204,7 @@ def test_house_sells_at_most_once_per_month(make_state):
     target = add_house(state, "m00", size=4.0, quality=10.0)
     add_house(state, "m00", size=4.0, quality=10.0)
     add_house(state, "m00", size=50.0, quality=50.0)  # spare
-    deals = market(state, ALWAYS_ENTER, TaxRates(), TaxLedger())
+    deals = market(state, ALWAYS_ENTER, TaxRates())
     sold = [d.house_id for d in deals]
     assert len(sold) == len(set(sold)) == 2
     assert target.id in sold
@@ -224,19 +224,16 @@ def test_property_tax_worked_example(make_state):
     family.house_id = house.id
     params = HousingParams(hedonic_base=200.0, qli_elasticity=0.0)
     assert hedonic_price(house, 0.0, params) == 1200.0
-    ledger = TaxLedger()
-    collected = property_tax(state, params, TaxRates(property_annual=0.005), ledger)
-    assert collected == pytest.approx(0.5, rel=1e-12)
+    taxes = property_tax(state, params, TaxRates(property_annual=0.005))
+    assert taxes == [("m00", pytest.approx(0.5, rel=1e-12))]
     assert family.savings == pytest.approx(9.5, rel=1e-12)
-    assert ledger.by_kind(TaxKind.PROPERTY)["m00"] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_property_tax_skips_municipal_stock(make_state):
     state = make_state()
     add_family(state, "m00", [5], savings=10.0)
     add_house(state, "m00", size=6.0, quality=1.0)  # unowned
-    collected = property_tax(state, HousingParams(), TaxRates(), TaxLedger())
-    assert collected == 0.0
+    assert property_tax(state, HousingParams(), TaxRates()) == []
 
 
 def test_zero_rate_collects_nothing(make_state):
@@ -244,9 +241,7 @@ def test_zero_rate_collects_nothing(make_state):
     family = add_family(state, "m00", [5], savings=10.0)
     house = add_house(state, "m00", owner=family.id, resident=family.id)
     family.owned_houses.append(house.id)
-    ledger = TaxLedger()
-    assert property_tax(state, HousingParams(), TaxRates(property_annual=0.0), ledger) == 0.0
-    assert ledger.event_count == 0
+    assert property_tax(state, HousingParams(), TaxRates(property_annual=0.0)) == []
     assert family.savings == 10.0
 
 
@@ -256,9 +251,7 @@ def test_broke_owner_accrues_debt_without_event(make_state):
     house = add_house(state, "m00", size=6.0, quality=1.0, owner=family.id, resident=family.id)
     family.owned_houses.append(house.id)
     params = HousingParams(hedonic_base=200.0, qli_elasticity=0.0)
-    ledger = TaxLedger()
-    assert property_tax(state, params, TaxRates(property_annual=0.005), ledger) == 0.0
-    assert ledger.event_count == 0
+    assert property_tax(state, params, TaxRates(property_annual=0.005)) == []
     assert family.tax_debt == {"m00": pytest.approx(0.5, rel=1e-12)}
 
 
@@ -269,11 +262,10 @@ def test_arrears_collected_once_funds_arrive(make_state):
     family.owned_houses.append(house.id)
     params = HousingParams(hedonic_base=200.0, qli_elasticity=0.0)
     rates = TaxRates(property_annual=0.005)
-    ledger = TaxLedger()
-    property_tax(state, params, rates, ledger)  # month 1: all debt
+    property_tax(state, params, rates)  # month 1: all debt
     family.savings = 100.0
-    collected = property_tax(state, params, rates, ledger)  # month 2: debt + current
-    assert collected == pytest.approx(1.0, rel=1e-12)
+    taxes = property_tax(state, params, rates)  # month 2: debt, then current
+    assert taxes == [("m00", pytest.approx(0.5, rel=1e-12))] * 2
     assert family.tax_debt == {}
     assert family.savings == pytest.approx(99.0, rel=1e-12)
 
@@ -284,18 +276,16 @@ def test_partial_payment_splits_into_debt(make_state):
     house = add_house(state, "m00", size=6.0, quality=1.0, owner=family.id, resident=family.id)
     family.owned_houses.append(house.id)
     params = HousingParams(hedonic_base=200.0, qli_elasticity=0.0)
-    ledger = TaxLedger()
-    collected = property_tax(state, params, TaxRates(property_annual=0.005), ledger)
-    assert collected == pytest.approx(0.3, rel=1e-12)
+    taxes = property_tax(state, params, TaxRates(property_annual=0.005))
+    assert taxes == [("m00", pytest.approx(0.3, rel=1e-12))]
     assert family.savings == 0.0
     assert family.tax_debt["m00"] == pytest.approx(0.2, rel=1e-12)
 
 
-def reference_property_tax(state, prices, rates, ledger):
+def reference_property_tax(state, prices, rates):
     """The plain per-family loop ``collect_property_tax`` must match bit for bit:
     every family re-sorts its arrears and rebuilds its debt, every visit."""
     monthly_rate = rates.property_monthly
-    collected_total = 0.0
     payments = []
     for family in state.families.values():
         dues = []
@@ -317,12 +307,10 @@ def reference_property_tax(state, prices, rates, ledger):
             family.savings -= paid
             if paid:
                 payments.append((muni, paid))
-                collected_total += paid
             shortfall = amount - paid
             if shortfall > 0.0:
                 family.tax_debt[muni] = family.tax_debt.get(muni, 0.0) + shortfall
-    ledger.add_all(TaxKind.PROPERTY, payments)
-    return collected_total
+    return payments
 
 
 MUNIS = ("m00", "m01", "m02")
@@ -357,16 +345,17 @@ def test_property_tax_matches_the_per_family_loop(month, months):
     state, prices, rates, ledger = month
     ref_state, ref_ledger = copy.deepcopy((state, ledger))
     for _ in range(months):
-        collected = collect_property_tax(state, prices, rates, ledger)
-        expected = reference_property_tax(ref_state, prices, rates, ref_ledger)
-        assert collected.hex() == expected.hex()
+        taxes = []
+        collect_property_tax(state, prices, rates, taxes)
+        expected = reference_property_tax(ref_state, prices, rates)
+        assert [(m, a.hex()) for m, a in taxes] == [(m, a.hex()) for m, a in expected]
+        ledger.add_all(TaxKind.PROPERTY, taxes)
+        ref_ledger.add_all(TaxKind.PROPERTY, expected)
         for family in state.families.values():
             ref_family = ref_state.families[family.id]
             assert family.savings.hex() == ref_family.savings.hex()
             assert {m: d.hex() for m, d in family.tax_debt.items()} == {
                 m: d.hex() for m, d in ref_family.tax_debt.items()
             }
-        assert [(k, a.hex()) for k, a in ledger.amounts.items()] == [
-            (k, a.hex()) for k, a in ref_ledger.amounts.items()
-        ]
+        assert ledger_entries(ledger) == ledger_entries(ref_ledger)
         assert ledger.event_count == ref_ledger.event_count
