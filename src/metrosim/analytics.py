@@ -18,6 +18,7 @@ import numpy as np
 
 from .engine import ScenarioResult
 from .errors import ValidationError
+from .fiscal import sequential_sum
 
 log = logging.getLogger(__name__)
 
@@ -99,7 +100,7 @@ def region_qli(scenario: ScenarioResult) -> float:
     values = scenario.median_final_qli
     if not values:
         raise ValidationError(f"scenario {scenario.apc_id}/{scenario.case_id} has no QLI")
-    return sum(values.values()) / len(values)
+    return sequential_sum(values.values()) / len(values)
 
 
 def load_covariates(path) -> dict[str, dict[str, float]]:
@@ -418,15 +419,15 @@ def validation_report(runs: Sequence) -> ValidationReport:
     totals: dict[str, float] = {}
     for run in runs:
         for kind, series in run.taxes_by_kind.items():
-            totals[kind] = totals.get(kind, 0.0) + sum(series)
-    grand = sum(totals.values())
+            totals[kind] = totals.get(kind, 0.0) + sequential_sum(series)
+    grand = sequential_sum(totals.values())
     shares = {kind: totals[kind] / grand if grand > 0 else None for kind in sorted(totals)}
-    gdp_total = sum(sum(r.gdp_value) for r in runs)
+    gdp_total = sequential_sum(sequential_sum(r.gdp_value) for r in runs)
     tax_to_gdp = grand / gdp_total if gdp_total > 0 else math.nan
 
     def mean_over_runs(attr: str) -> float:
-        per_run = [sum(getattr(r, attr)) / len(getattr(r, attr)) for r in runs]
-        return sum(per_run) / len(per_run)
+        per_run = [sequential_sum(getattr(r, attr)) / len(getattr(r, attr)) for r in runs]
+        return sequential_sum(per_run) / len(per_run)
 
     return ValidationReport(
         tax_to_gdp=tax_to_gdp,

@@ -108,12 +108,6 @@ class VitalRates:
         if prev_end < MAX_AGE_YEARS:
             raise ConfigError(f"vital rate brackets end at {prev_end}, must cover {MAX_AGE_YEARS}")
 
-    def mortality_at(self, age_months: int) -> float:
-        return float(self.mortality_by_month[min(age_months, MAX_AGE_MONTHS - 1)])
-
-    def fertility_at(self, age_months: int) -> float:
-        return float(self.fertility_by_month[min(age_months, MAX_AGE_MONTHS - 1)])
-
 
 # ---------------------------------------------------------------------------
 # Monthly passes

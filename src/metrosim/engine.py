@@ -44,6 +44,7 @@ from .fiscal import (
     pay_procurement,
     policy_for_case,
     read_mpf_table,
+    sequential_sum,
 )
 from .housing import (
     HedonicUnits,
@@ -98,7 +99,7 @@ class _Runtime:
     policy: DistributionPolicy
     mpf_table: MpfTable
     vital_rates: VitalRates
-    hedonic: HedonicUnits  # houses never change, so their price units hold all run
+    hedonic: HedonicUnits  # houses are fixed (see SimulationState): units hold all run
     frozen_populations: dict[str, int] | None = None
     money_ops: int = 0  # cumulative count of money-moving events, for audit tolerance
     prev_unit_value: float = math.nan  # last month's mean price paid, for inflation
@@ -109,20 +110,20 @@ class _Runtime:
 class _Month:
     """What one month's phases hand on to the later phases."""
 
-    firms: list[Firm]  # every firm, in id order; firms are never added or removed
     gdp_value: float = 0.0
     units_consumed: float = 0.0
     spent_total: float = 0.0
     vacancy_firms: list[Firm] = field(default_factory=list)
-    house_prices: dict[int, float] = field(default_factory=dict)
+    house_prices: list[float] = field(default_factory=list)  # by house id
     sales: int = 0
     populations: dict[str, int] = field(default_factory=dict)
     collected: dict[TaxKind, float] = field(default_factory=dict)
+    employed: int = 0  # employed adults, counted by ``metrics``
 
 
 def production(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
     """Firms turn employee qualification into inventory, valued at last month's price."""
-    for firm in month.firms:
+    for firm in state.firms:
         quals = [state.citizens[cid].qualification for cid in firm.employees]
         units = produce(firm, quals, runtime.config.market)
         month.gdp_value += units * firm.price
@@ -141,8 +142,8 @@ def consumption(state: SimulationState, runtime: _Runtime, result: RunResult, mo
     """Every family buys from a uniform sample of firms, cheapest first."""
     market = runtime.config.market
     family_ids = sorted(state.families)
-    k = min(market.consumption_firm_sample, len(month.firms))
-    sample_matrix = state.rng.consumption.integers(0, len(month.firms), size=(len(family_ids), k))
+    k = min(market.consumption_firm_sample, len(state.firms))
+    sample_matrix = state.rng.consumption.integers(0, len(state.firms), size=(len(family_ids), k))
     # one draw per family, in family order: the same stream values as a
     # scalar draw inside each consume call
     savings_rates = state.rng.consumption.uniform(
@@ -150,7 +151,7 @@ def consumption(state: SimulationState, runtime: _Runtime, result: RunResult, mo
     ).tolist()
     # prices hold until set_price, so one ranking serves every family; each
     # family walks its sample lazily
-    ranked, rank_rows = rank_samples(month.firms, sample_matrix)
+    ranked, rank_rows = rank_samples(state.firms, sample_matrix)
     taxes: list[tuple[str, float]] = []
     for fam_id, row, savings_rate in zip(family_ids, rank_rows, savings_rates):
         units, spent = consume(
@@ -164,7 +165,7 @@ def consumption(state: SimulationState, runtime: _Runtime, result: RunResult, mo
 
 def firm_decisions(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
     """Price from the inventory signal, then the wage offer and vacancy."""
-    for firm in month.firms:
+    for firm in state.firms:
         set_price(firm, runtime.config.market)
         if set_wage_and_vacancy(firm, runtime.config.market):
             month.vacancy_firms.append(firm)
@@ -203,7 +204,7 @@ def taxes(state: SimulationState, runtime: _Runtime, result: RunResult, month: _
     """Wages (income tax), property, and company profit on its cadence."""
     cfg = runtime.config
     wage_taxes: list[tuple[str, float]] = []
-    for firm in month.firms:
+    for firm in state.firms:
         pay_wages(firm, state.citizens, state.families, cfg.tax_rates, wage_taxes)
     state.ledger.add_all(TaxKind.PERSONAL_INCOME, wage_taxes)
     property_taxes: list[tuple[str, float]] = []
@@ -211,7 +212,7 @@ def taxes(state: SimulationState, runtime: _Runtime, result: RunResult, month: _
     state.ledger.add_all(TaxKind.PROPERTY, property_taxes)
     if (state.month + 1) % cfg.fiscal.profit_tax_cadence_months == 0:
         profit_taxes: list[tuple[str, float]] = []
-        for firm in month.firms:
+        for firm in state.firms:
             settle_profit_tax(firm, cfg.tax_rates, profit_taxes)
         state.ledger.add_all(TaxKind.COMPANY, profit_taxes)
 
@@ -230,14 +231,14 @@ def distribution(state: SimulationState, runtime: _Runtime, result: RunResult, m
     )
     for kind in TAX_KINDS:
         pool = month.collected[kind]
-        allocated = sum(allocations[kind].values())
+        allocated = sequential_sum(allocations[kind].values())
         if abs(pool - allocated) > CURRENCY_UNIT:
             raise InvariantViolation(
                 state.month, "distribution-conservation",
                 f"{kind.value}: collected {pool!r} vs allocated {allocated!r}",
             )
     firms_by_muni: dict[str, list[Firm]] = {m: [] for m in muni_order}
-    for firm in month.firms:
+    for firm in state.firms:
         firms_by_muni[firm.municipality_id].append(firm)
     for muni in muni_order:
         total_alloc = 0.0
@@ -259,7 +260,7 @@ def distribution(state: SimulationState, runtime: _Runtime, result: RunResult, m
         # public procurement: the works are bought from the municipality's
         # firms, or the region's where it has none, so taxes recirculate
         if spent > 0.0:
-            pay_procurement(spent, firms_by_muni[muni] or month.firms)
+            pay_procurement(spent, firms_by_muni[muni] or state.firms)
     runtime.money_ops += state.ledger.event_count + month.sales + len(state.families)
     state.ledger.clear()
 
@@ -273,8 +274,9 @@ def metrics(state: SimulationState, runtime: _Runtime, result: RunResult, month:
             adults += 1
             if citizen.employer_id is not None:
                 employed += 1
+    month.employed = employed
     profit_total = 0.0
-    for firm in month.firms:
+    for firm in state.firms:
         profit_total += firm.revenue_this_month - firm.payroll_this_month
     result.gdp_value.append(month.gdp_value)
     base = result.gdp_value[0]
@@ -290,9 +292,9 @@ def metrics(state: SimulationState, runtime: _Runtime, result: RunResult, month:
         runtime.prev_unit_value = unit_value
     result.unemployment.append((adults - employed) / adults if adults else 0.0)
     result.avg_workers_per_firm.append(
-        sum(len(f.employees) for f in month.firms) / len(month.firms)
+        sum(len(f.employees) for f in state.firms) / len(state.firms)
     )
-    result.avg_firm_profit.append(profit_total / len(month.firms))
+    result.avg_firm_profit.append(profit_total / len(state.firms))
     result.units_consumed.append(units)
     for kind in TAX_KINDS:
         result.taxes_by_kind[kind.value].append(month.collected[kind])
@@ -309,14 +311,14 @@ def audit(state: SimulationState, runtime: _Runtime, result: RunResult, month: _
     drift = abs(state.money_in_circulation() - state.money_base)
     if drift > CURRENCY_UNIT * (1.0 + runtime.money_ops / 1e6):
         raise InvariantViolation(closed, "money-conservation", f"audit drift {drift!r}")
-    employed = sum(1 for c in state.citizens.values() if c.employer_id is not None)
-    on_payroll = sum(len(f.employees) for f in month.firms)
+    employed = month.employed  # adults only, so an employed minor fails too
+    on_payroll = sum(len(f.employees) for f in state.firms)
     if employed != on_payroll:
         raise InvariantViolation(
             closed, "employment-consistency", f"{employed} employed vs {on_payroll} on payrolls"
         )
     vacancies: dict[str, int] = {m: 0 for m in state.treasuries}
-    for house in state.houses.values():
+    for house in state.houses:
         if house.resident_family_id is None:
             vacancies[house.municipality_id] += 1
     for muni in {family.municipality_id for family in state.families.values()}:
@@ -335,7 +337,7 @@ PHASES = (
 
 def step_month(state: SimulationState, runtime: _Runtime, result: RunResult) -> None:
     """Advance the world by one month: every phase of ``PHASES``, in order."""
-    month = _Month(firms=[state.firms[fid] for fid in sorted(state.firms)])
+    month = _Month()
     for phase in PHASES:
         phase(state, runtime, result, month)
 
@@ -383,8 +385,8 @@ def run_scenario(config: ScenarioConfig, seed: int, region: RegionSpec) -> RunRe
 
     result.final_snapshot.update(
         {
-            "family_savings_total": sum(f.savings for f in state.families.values()),
-            "firm_cash_total": sum(f.cash for f in state.firms.values()),
+            "family_savings_total": sequential_sum(f.savings for f in state.families.values()),
+            "firm_cash_total": sequential_sum(f.cash for f in state.firms),
             "treasury_invested_total": state.total_invested(),
             "escheat_pool": state.escheat_pool,
             "citizen_count": len(state.citizens),
@@ -451,7 +453,7 @@ def summarize_runs(
     }
 
     def run_mean(series: list[float]) -> float:
-        return sum(series) / len(series)
+        return sequential_sum(series) / len(series)
 
     scenario.controls = {
         "avg_workers_per_firm": median([run_mean(r.avg_workers_per_firm) for r in runs]),

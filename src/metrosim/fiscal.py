@@ -24,6 +24,19 @@ log = logging.getLogger(__name__)
 WEIGHT_SUM_TOL = 1e-12
 
 
+def sequential_sum(values: Iterable[float]) -> float:
+    """Add ``values`` left to right, rounding after each step.
+
+    From Python 3.12 the builtin ``sum()`` compensates float rounding, so
+    every float sum that reaches an output goes through here to keep the
+    output bytes the same on every Python version.
+    """
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
 class TaxKind(Enum):
     """The five taxes collected from the simulated markets."""
 
@@ -97,17 +110,10 @@ class TaxLedger:
         self.event_count += count
 
     def total(self) -> float:
-        return sum(self.total_by_kind().values())
+        return sequential_sum(self.total_by_kind().values())
 
     def total_by_kind(self) -> dict[TaxKind, float]:
-        # sequential sums: ``sum()`` is compensated from Python 3.12
-        out = {}
-        for kind, pools in self.amounts.items():
-            total = 0.0
-            for amount in pools.values():
-                total += amount
-            out[kind] = total
-        return out
+        return {kind: sequential_sum(pools.values()) for kind, pools in self.amounts.items()}
 
     def by_kind(self, kind: TaxKind) -> dict[str, float]:
         return self.amounts[kind]
@@ -296,10 +302,7 @@ def read_mpf_table(path: str) -> MpfTable:
 def _close_to_one(shares: dict[str, float], order: Sequence[str]) -> dict[str, float]:
     # Absorb the floating-point residual into the largest share so the
     # shares sum to 1.0 exactly.
-    total = 0.0
-    for m in order:
-        total += shares[m]
-    residual = 1.0 - total
+    residual = 1.0 - sequential_sum(shares[m] for m in order)
     if residual != 0.0:
         largest = max(order, key=lambda m: (shares[m], m))
         shares[largest] += residual
@@ -331,7 +334,7 @@ def mpf_shares(
     if order is None:
         order = list(populations)
     coefs = {m: table.coefficient(populations[m]) for m in order}
-    total = sum(coefs[m] for m in order)
+    total = sequential_sum(coefs[m] for m in order)
     if total <= 0:
         raise ValidationError("coefficient total is zero")
     shares = {m: coefs[m] / total for m in order}
@@ -380,10 +383,7 @@ def distribute(
             # folding once lands within an ulp of the pool; the re-sum can
             # round again, so a second pass usually clears the remainder
             for _ in range(2):
-                allocated = 0.0
-                for m in order:
-                    allocated += alloc[m]
-                residual = pool_total - allocated
+                residual = pool_total - sequential_sum(alloc[m] for m in order)
                 if residual == 0.0:
                     break
                 largest = max(order, key=lambda m: (alloc[m], m))

@@ -11,7 +11,7 @@ engine writes each phase's entries with one ``TaxLedger.add_all``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,13 +73,12 @@ def hedonic_price(house: House, municipality_qli: float, params: HousingParams) 
 
 
 class HedonicUnits(NamedTuple):
-    """The per-run part of every house's hedonic price.
+    """The per-run part of every house's hedonic price, indexed by house id.
 
-    Houses are never added, removed or altered, so ``base x size x quality``
-    is computed once per run; a month only gathers its QLI factor.
+    Houses are fixed for a run (see ``SimulationState``) and never altered,
+    so ``base x size x quality`` is computed once; a month gathers only QLI.
     """
 
-    house_ids: list[int]  # in ``state.houses`` order
     municipalities: list[str]  # the QLI gather order
     municipality_index: np.ndarray  # per house, into ``municipalities``
     unit: np.ndarray  # per house, base x size x quality
@@ -87,13 +86,12 @@ class HedonicUnits(NamedTuple):
 
 def hedonic_units(state: "SimulationState", params: HousingParams) -> HedonicUnits:
     """Each house's ``base x size x quality``, in ``hedonic_price``'s operand order."""
-    houses = state.houses.values()
+    houses = state.houses
     municipalities = list(state.treasuries)
     position = {muni: i for i, muni in enumerate(municipalities)}
     size = np.array([h.size for h in houses], dtype=float)
     quality = np.array([h.quality for h in houses], dtype=float)
     return HedonicUnits(
-        house_ids=list(state.houses),
         municipalities=municipalities,
         municipality_index=np.array([position[h.municipality_id] for h in houses], dtype=np.intp),
         unit=params.hedonic_base * size * quality,
@@ -102,7 +100,7 @@ def hedonic_units(state: "SimulationState", params: HousingParams) -> HedonicUni
 
 def hedonic_prices(
     state: "SimulationState", params: HousingParams, units: HedonicUnits
-) -> dict[int, float]:
+) -> list[float]:
     """Every house's ``hedonic_price`` at its municipality's current QLI, by house id.
 
     Each price is its unit in ``units`` (this world's ``hedonic_units``) times
@@ -113,12 +111,12 @@ def hedonic_prices(
     qli = np.array([state.treasuries[m].qli for m in units.municipalities], dtype=float)
     factor = 1.0 + params.qli_elasticity * qli
     prices = units.unit * factor[units.municipality_index]
-    return dict(zip(units.house_ids, prices.tolist()))
+    return prices.tolist()
 
 
 def run_housing_market(
     state: "SimulationState",
-    prices: Mapping[int, float],
+    prices: Sequence[float],
     params: HousingParams,
     rates: TaxRates,
     rng: np.random.Generator,
@@ -150,7 +148,7 @@ def run_housing_market(
 
     listings: list[tuple[float, House]] = []
     vacant_count: dict[str, int] = {}
-    for house in state.houses.values():
+    for house in state.houses:
         if house.resident_family_id is None:
             vacant_count[house.municipality_id] = vacant_count.get(house.municipality_id, 0) + 1
             listings.append((prices[house.id], house))
@@ -208,7 +206,7 @@ def run_housing_market(
 
 def collect_property_tax(
     state: "SimulationState",
-    prices: Mapping[int, float],
+    prices: Sequence[float],
     rates: TaxRates,
     taxes: list[tuple[str, float]],
 ) -> None:

@@ -10,18 +10,25 @@ from dataclasses import dataclass, field
 
 from .demographics import Citizen
 from .economy import Family, Firm
-from .fiscal import TaxLedger, Treasury
+from .fiscal import TaxLedger, Treasury, sequential_sum
 from .housing import House
 from .rng import RngStreams
 
 
 @dataclass
 class SimulationState:
+    """One run's agents and audit bookkeeping.
+
+    Firms and houses are fixed for a run, so they are lists indexed by id:
+    ``firms[i].id == i`` and ``houses[i].id == i``. Citizens and families
+    are born and die, so they are dicts keyed by id.
+    """
+
     month: int = 0
     citizens: dict[int, Citizen] = field(default_factory=dict)
     families: dict[int, Family] = field(default_factory=dict)
-    firms: dict[int, Firm] = field(default_factory=dict)
-    houses: dict[int, House] = field(default_factory=dict)
+    firms: list[Firm] = field(default_factory=list)
+    houses: list[House] = field(default_factory=list)
     treasuries: dict[str, Treasury] = field(default_factory=dict)
     ledger: TaxLedger = field(default_factory=TaxLedger)
     rng: RngStreams | None = None
@@ -58,22 +65,22 @@ class SimulationState:
         total = self.escheat_pool + self.ledger.total()
         for family in self.families.values():
             total += family.savings
-        for firm in self.firms.values():
+        for firm in self.firms:
             total += firm.cash
         for treasury in self.treasuries.values():
             total += treasury.balance
         return total
 
     def total_invested(self) -> float:
-        return sum(t.cumulative_invested for t in self.treasuries.values())
+        return sequential_sum(t.cumulative_invested for t in self.treasuries.values())
 
     def residences(self) -> dict[int, tuple[float, float]]:
         """Citizen id -> home coordinates, for proximity-based hiring."""
         out: dict[int, tuple[float, float]] = {}
         for family in self.families.values():
-            house = self.houses.get(family.house_id) if family.house_id is not None else None
-            if house is None:
+            if family.house_id is None:
                 continue
+            house = self.houses[family.house_id]
             for cid in family.members:
                 out[cid] = house.location
         return out

@@ -18,7 +18,7 @@ import numpy as np
 from .demographics import MAX_AGE_MONTHS, Citizen
 from .economy import Family, Firm
 from .errors import ParseError, ValidationError
-from .fiscal import Treasury
+from .fiscal import Treasury, sequential_sum
 from .housing import House
 from .state import SimulationState
 
@@ -134,7 +134,7 @@ def _apportion(weights: Sequence[float], total: int, minimum: int = 1) -> list[i
     n = len(weights)
     if total < n * minimum:
         raise ValidationError(f"cannot give {n} entries at least {minimum} from {total}")
-    wsum = float(sum(weights))
+    wsum = sequential_sum(weights)
     quotas = [w / wsum * total for w in weights]
     out = [math.floor(q) for q in quotas]
     remainder = total - sum(out)
@@ -313,8 +313,6 @@ def instantiate_world(
     q_dist = cfg.initial_qualification_distribution
 
     next_family = 0
-    next_firm = 0
-    next_house = 0
     for muni in region.municipalities:
         # every municipality has inhabitants, so the sampled copy keeps at
         # least one household even where the fraction rounds to zero people
@@ -327,27 +325,25 @@ def instantiate_world(
         state.treasuries[muni.id] = Treasury(municipality_id=muni.id)
 
         cx, cy = muni.centroid
-        house_ids = []
+        first_house = len(state.houses)
         for _ in range(n_houses):
             size = float(rng.uniform(*cfg.house_size_bounds))
             quality = float(rng.uniform(*cfg.house_quality_bounds))
             loc = (cx + float(rng.normal(0.0, JITTER_SD)), cy + float(rng.normal(0.0, JITTER_SD)))
-            state.houses[next_house] = House(
-                id=next_house, municipality_id=muni.id, size=size, quality=quality, location=loc
-            )
-            house_ids.append(next_house)
-            next_house += 1
+            state.houses.append(House(
+                id=len(state.houses), municipality_id=muni.id, size=size, quality=quality,
+                location=loc,
+            ))
 
         for _ in range(n_firms):
             loc = (cx + float(rng.normal(0.0, JITTER_SD)), cy + float(rng.normal(0.0, JITTER_SD)))
-            state.firms[next_firm] = Firm(
-                id=next_firm,
+            state.firms.append(Firm(
+                id=len(state.firms),
                 municipality_id=muni.id,
                 location=loc,
                 cash=cfg.initial_firm_cash,
                 wage_offer=float(rng.uniform(*cfg.initial_wage_bounds)),
-            )
-            next_firm += 1
+            ))
 
         sizes = _partition(n_citizens, n_families)
         for k, fam_size in enumerate(sizes):
@@ -356,7 +352,7 @@ def instantiate_world(
                 municipality_id=muni.id,
                 savings=float(rng.uniform(*cfg.initial_savings_bounds)),
             )
-            home = state.houses[house_ids[k]]
+            home = state.houses[first_house + k]
             home.owner_family_id = family.id
             home.resident_family_id = family.id
             family.house_id = home.id
@@ -375,18 +371,18 @@ def instantiate_world(
             state.families[next_family] = family
             next_family += 1
 
-    if next_firm == 0:
+    if not state.firms:
         # every region needs at least one employer, however small the sample
         host = max(region.municipalities, key=lambda m: m.population)
         cx, cy = host.centroid
         loc = (cx + float(rng.normal(0.0, JITTER_SD)), cy + float(rng.normal(0.0, JITTER_SD)))
-        state.firms[0] = Firm(
+        state.firms.append(Firm(
             id=0,
             municipality_id=host.id,
             location=loc,
             cash=cfg.initial_firm_cash,
             wage_offer=float(rng.uniform(*cfg.initial_wage_bounds)),
-        )
+        ))
 
     # region-wide initial employment so the economy starts warm
     adults = [
@@ -395,20 +391,19 @@ def instantiate_world(
         if citizen.age_months >= cfg.labor_entry_age_months
     ]
     n_employed = round(cfg.initial_employment_rate * len(adults))
-    if n_employed and state.firms:
+    if n_employed:
         order = rng.permutation(len(adults))
-        firm_ids = sorted(state.firms)
         for slot in range(n_employed):
             cid = adults[int(order[slot])]
-            firm = state.firms[firm_ids[slot % len(firm_ids)]]
+            firm = state.firms[slot % len(state.firms)]
             citizen = state.citizens[cid]
             citizen.employer_id = firm.id
             citizen.monthly_wage = firm.wage_offer
             firm.employees.append(cid)
 
     # working capital so the first payrolls don't trigger mass layoffs
-    for firm in state.firms.values():
-        payroll = sum(state.citizens[cid].monthly_wage for cid in firm.employees)
+    for firm in state.firms:
+        payroll = sequential_sum(state.citizens[cid].monthly_wage for cid in firm.employees)
         firm.cash = max(firm.cash, cfg.initial_cash_months_of_payroll * payroll)
 
     state.seal_ids()

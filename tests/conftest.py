@@ -104,22 +104,24 @@ def add_family(state, muni, members_quals, savings=0.0, fam_id=None, ages=None):
 
 
 def add_firm(state, muni, cash=100.0, wage=1.0, price=1.0, firm_id=None, location=(0.0, 0.0)):
-    firm_id = firm_id if firm_id is not None else len(state.firms)
+    """Append a firm; firms are indexed by id, so a given id must be the next index."""
+    assert firm_id is None or firm_id == len(state.firms)
     firm = Firm(
-        id=firm_id, municipality_id=muni, location=location,
+        id=len(state.firms), municipality_id=muni, location=location,
         cash=cash, wage_offer=wage, price=price,
     )
-    state.firms[firm_id] = firm
+    state.firms.append(firm)
     return firm
 
 
 def add_house(state, muni, size=1.0, quality=1.0, owner=None, resident=None, house_id=None):
-    house_id = house_id if house_id is not None else len(state.houses)
+    """Append a house; houses are indexed by id, so a given id must be the next index."""
+    assert house_id is None or house_id == len(state.houses)
     house = House(
-        id=house_id, municipality_id=muni, size=size, quality=quality,
+        id=len(state.houses), municipality_id=muni, size=size, quality=quality,
         location=(0.0, 0.0), owner_family_id=owner, resident_family_id=resident,
     )
-    state.houses[house_id] = house
+    state.houses.append(house)
     return house
 
 

@@ -28,10 +28,10 @@ def flat_rates(mortality=0.0, fertility=0.0):
 
 def test_default_brackets_cover_and_terminate():
     rates = VitalRates(DEFAULT_VITAL_BRACKETS)
-    assert rates.mortality_at(0) == 5e-5
-    assert rates.mortality_at(100 * 12) == 1.0  # terminal bracket: nobody outlives it
-    assert rates.fertility_at(25 * 12) == 0.0045
-    assert rates.fertility_at(60 * 12) == 0.0
+    assert rates.mortality_by_month[0] == 5e-5
+    assert rates.mortality_by_month[100 * 12] == 1.0  # terminal bracket: nobody outlives it
+    assert rates.fertility_by_month[25 * 12] == 0.0045
+    assert rates.fertility_by_month[60 * 12] == 0.0
 
 
 def test_bracket_gap_rejected():

@@ -16,7 +16,8 @@ from metrosim.engine import (
     run_scenario,
     summarize_runs,
 )
-from metrosim.fiscal import TAX_KINDS, MpfTable, TaxKind, TaxRates, policy_for_case
+from metrosim.errors import InvariantViolation
+from metrosim.fiscal import TAX_KINDS, MpfTable, TaxKind, TaxRates, distribute, policy_for_case
 from metrosim.housing import hedonic_units
 from metrosim.rng import RngStreams
 from metrosim.worldgen import WorldConfig, default_apc_batch, generate_region, instantiate_world
@@ -126,6 +127,48 @@ def test_frozen_world_mode_shares_world_draw(gen_config):
     assert c.final_snapshot["money_base"] != d.final_snapshot["money_base"]
 
 
+def test_frozen_shares_split_by_month_zero_populations(gen_config, monkeypatch):
+    cfg = gen_config(horizon=24)
+    cfg.fiscal = replace(cfg.fiscal, freeze_mpf_shares=True)
+    region = region_of(cfg)
+    frozen = instantiate_world(region, cfg.world, RngStreams(0).worldgen).populations()
+    calls = []
+
+    def recording(ledger, policy, populations, table, order):
+        calls.append((copy.deepcopy(ledger), dict(populations)))
+        return distribute(ledger, policy, populations, table, order)
+
+    monkeypatch.setattr(engine, "distribute", recording)
+    result = run_scenario(cfg, seed=0, region=region)
+    munis = result.municipality_ids
+    policy = policy_for_case(cfg.fiscal.case_id)
+    moved = 0
+    for month, (ledger, share_base) in enumerate(calls):
+        assert share_base == frozen
+        current = {m: result.populations[m][month] for m in munis}
+        if current == frozen:
+            continue
+        moved += 1
+        expected = distribute(ledger, policy, frozen, MpfTable(), munis)
+        for kind in TAX_KINDS:
+            for m in munis:
+                assert result.inflows[m][kind.value][month] == expected[kind][m]
+        # the equal and MPF channels would split differently by the current populations
+        assert expected != distribute(ledger, policy, current, MpfTable(), munis)
+    assert moved > 0  # births and deaths moved the populations in some month
+
+
+def test_audit_rejects_an_employed_minor():
+    state, runtime, result, _ = apc33_month()
+    minor = next(c for c in state.citizens.values() if c.age_months < 12)
+    firm = max(state.firms, key=lambda f: f.cash)
+    minor.employer_id = firm.id
+    minor.monthly_wage = firm.wage_offer
+    firm.employees.append(minor.id)
+    with pytest.raises(InvariantViolation, match="employment-consistency"):
+        engine.step_month(state, runtime, result)
+
+
 def test_citizen_ids_stay_ascending_every_month(gen_config, monkeypatch):
     # mature_qualifications draws in sorted(simulation_born) order and
     # unemployed_adults sorts nothing away: both rely on this order
@@ -172,7 +215,7 @@ def apc33_month(months_done=0):
     result.populations = {m: [] for m in result.municipality_ids}
     for _ in range(months_done):
         engine.step_month(state, runtime, result)
-    month = engine._Month(firms=[state.firms[fid] for fid in sorted(state.firms)])
+    month = engine._Month()
     return state, runtime, result, month
 
 
@@ -249,7 +292,7 @@ def test_depopulated_municipality_escheats_into_the_pool(make_state, caplog):
     )
     result = RunResult("r", 3, 0, 1, municipality_ids=["m00", "m01"])
     result.inflows = {m: {kind.value: [] for kind in TAX_KINDS} for m in ("m00", "m01")}
-    engine.distribution(state, runtime, result, engine._Month(firms=[firm]))
+    engine.distribution(state, runtime, result, engine._Month())
     assert state.escheat_pool == 4.0
     assert state.treasuries["m01"].balance == 0.0
     assert firm.cash == 100.0  # nothing was invested, so nothing was procured

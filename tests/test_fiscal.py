@@ -21,6 +21,7 @@ from metrosim.fiscal import (
     mpf_shares,
     pay_procurement,
     policy_for_case,
+    sequential_sum,
 )
 
 from conftest import ledger_entries
@@ -180,6 +181,13 @@ def test_ledger_matches_a_flat_reference(calls, negative):
             ledger.add(kind, "a", -0.01)
 
 
+def test_sequential_sum_rounds_after_every_step():
+    # the builtin sum() compensates from Python 3.12 and returns 1.0 here
+    assert sequential_sum([0.1] * 10) == 0.9999999999999999
+    assert sequential_sum([]) == 0.0
+    assert sequential_sum(iter([1.5, 2.25])) == 3.75
+
+
 def test_ledger_clear_resets():
     ledger = TaxLedger()
     ledger.add(TaxKind.COMPANY, "a", 1.0)
@@ -200,7 +208,7 @@ def test_equal_shares_proportional():
 
 def test_equal_shares_thirds_sum_exactly_one():
     shares = equal_shares({"a": 1, "b": 1, "c": 1})
-    assert sum(shares.values()) == 1.0
+    assert sequential_sum(shares.values()) == 1.0
     for v in shares.values():
         assert v == pytest.approx(1 / 3, abs=1e-15)
 
@@ -231,7 +239,7 @@ def test_mpf_shares_two_muni_arithmetic():
     shares = mpf_shares({"small": 5_000, "big": 1_000_000}, MpfTable())
     assert shares["small"] == pytest.approx(0.6 / 4.6, abs=1e-15)
     assert shares["big"] == pytest.approx(4.0 / 4.6, abs=1e-15)
-    assert sum(shares.values()) == 1.0
+    assert sequential_sum(shares.values()) == 1.0
 
 
 def test_mpf_equal_populations_equal_shares():

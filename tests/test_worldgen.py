@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from metrosim.errors import ParseError, ValidationError
+from metrosim.fiscal import sequential_sum
 from metrosim.state import SimulationState
 from metrosim.worldgen import (
     MunicipalitySpec,
@@ -169,7 +170,7 @@ def test_every_municipality_keeps_a_vacancy():
     region = generate_region(4, 40_000, 1.4, rng(7), WorldConfig())
     state = instantiate_world(region, WorldConfig(population_fraction=0.02), rng())
     for muni in region.municipalities:
-        houses = [h for h in state.houses.values() if h.municipality_id == muni.id]
+        houses = [h for h in state.houses if h.municipality_id == muni.id]
         families = [f for f in state.families.values() if f.municipality_id == muni.id]
         assert len(houses) > len(families)
         assert any(h.resident_family_id is None for h in houses)
@@ -194,7 +195,7 @@ def test_tiny_municipalities_may_host_no_firms():
     region = RegionSpec(id="pair", name="pair", municipalities=munis)
     state = instantiate_world(region, WorldConfig(population_fraction=0.02), rng())
     by_muni = {"core": 0, "village": 0}
-    for firm in state.firms.values():
+    for firm in state.firms:
         by_muni[firm.municipality_id] += 1
     assert by_muni["village"] == 0
     assert by_muni["core"] == 4
@@ -207,7 +208,22 @@ def test_region_always_gets_at_least_one_firm():
     region = RegionSpec(id="micro", name="micro", municipalities=munis)
     state = instantiate_world(region, WorldConfig(population_fraction=0.05), rng())
     assert len(state.firms) == 1
-    assert next(iter(state.firms.values())).municipality_id == "only"
+    assert state.firms[0].municipality_id == "only"
+    assert_indexed_by_id(state)
+
+
+def assert_indexed_by_id(state):
+    assert [firm.id for firm in state.firms] == list(range(len(state.firms)))
+    assert [house.id for house in state.houses] == list(range(len(state.houses)))
+
+
+def test_firms_and_houses_are_indexed_by_id():
+    region = generate_region(5, 30_000, 1.2, rng(3), WorldConfig())
+    state = instantiate_world(region, WorldConfig(population_fraction=0.05), rng())
+    assert len(state.firms) > 1 and len(state.houses) > 1
+    assert_indexed_by_id(state)
+    for family in state.families.values():
+        assert state.houses[family.house_id].resident_family_id == family.id
 
 
 def test_instantiation_deterministic():
@@ -227,8 +243,8 @@ def test_instantiation_deterministic():
 def test_money_base_matches_circulation():
     state = instantiate_world(small_region(3000), WorldConfig(population_fraction=0.05), rng(4))
     assert state.money_base == state.money_in_circulation()
-    total = sum(f.savings for f in state.families.values()) + sum(
-        f.cash for f in state.firms.values()
+    total = sequential_sum(
+        [f.savings for f in state.families.values()] + [f.cash for f in state.firms]
     )
     assert state.money_base == total  # nothing else holds money at the start
 
@@ -249,6 +265,30 @@ def test_qualifications_within_levels():
     quals = [c.qualification for c in state.citizens.values()]
     assert min(quals) >= 1
     assert max(quals) <= 21
+
+
+def one_hot(levels, *weighted):
+    weights = [0.0] * levels
+    for level, weight in weighted:
+        weights[level - 1] = weight
+    return tuple(weights)
+
+
+def test_qualification_distribution_with_one_level():
+    cfg = WorldConfig(
+        population_fraction=0.05, initial_qualification_distribution=one_hot(21, (7, 1.0))
+    )
+    state = instantiate_world(small_region(5000), cfg, rng(8))
+    assert {c.qualification for c in state.citizens.values()} == {7}
+
+
+def test_qualification_distribution_with_two_levels():
+    cfg = WorldConfig(
+        population_fraction=0.05,
+        initial_qualification_distribution=one_hot(21, (2, 0.5), (20, 0.5)),
+    )
+    state = instantiate_world(small_region(5000), cfg, rng(8))
+    assert {c.qualification for c in state.citizens.values()} == {2, 20}
 
 
 # ---------------------------------------------------------------------------
