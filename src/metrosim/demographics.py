@@ -23,11 +23,11 @@ MAX_AGE_MONTHS = MAX_AGE_YEARS * MONTHS_PER_YEAR
 
 @dataclass(slots=True)
 class Citizen:
+    """A citizen's own fields; age and employer live in ``SimulationState`` columns."""
+
     id: int
-    age_months: int
     qualification: int
     family_id: int
-    employer_id: int | None = None
     monthly_wage: float = 0.0
 
 
@@ -116,8 +116,7 @@ class VitalRates:
 
 def step_ages(state: "SimulationState") -> None:
     """Increment every living citizen's age by one month."""
-    for citizen in state.citizens.values():
-        citizen.age_months += 1
+    np.add(state.age, 1, out=state.age, where=state.alive)
 
 
 def mature_qualifications(state: "SimulationState", rng: np.random.Generator) -> int:
@@ -133,22 +132,21 @@ def mature_qualifications(state: "SimulationState", rng: np.random.Generator) ->
     """
     entry = state.labor_entry_age_months
     q_max = state.qualification_levels
-    matured = 0
-    for born_id in sorted(state.simulation_born):
+    born = np.array(sorted(state.simulation_born), dtype=np.int64)
+    ready = born[state.age[born] == entry].tolist()
+    for born_id in ready:
         citizen = state.citizens[born_id]
-        if citizen.age_months == entry:
-            family = state.families[citizen.family_id]
-            others = [
-                state.citizens[cid].qualification
-                for cid in family.members
-                if cid != citizen.id
-            ]
-            center = sum(others) / len(others) if others else (1 + q_max) / 2.0
-            draw = rng.normal(center, max(q_max / 10.0, 1.0))
-            citizen.qualification = int(min(q_max, max(1, round(draw))))
-            state.simulation_born.discard(citizen.id)
-            matured += 1
-    return matured
+        family = state.families[citizen.family_id]
+        others = [
+            state.citizens[cid].qualification
+            for cid in family.members
+            if cid != born_id
+        ]
+        center = sum(others) / len(others) if others else (1 + q_max) / 2.0
+        draw = rng.normal(center, max(q_max / 10.0, 1.0))
+        citizen.qualification = int(min(q_max, max(1, round(draw))))
+        state.simulation_born.discard(born_id)
+    return len(ready)
 
 
 def apply_mortality(
@@ -160,28 +158,26 @@ def apply_mortality(
     deceased, and a family with no members left escheats savings and houses
     to its municipality's treasury and vacant pool.
     """
-    citizens = state.citizens
-    if not citizens:
+    ids = np.flatnonzero(state.alive)
+    if not len(ids):
         return 0
-    ids = np.fromiter(citizens.keys(), dtype=np.int64, count=len(citizens))
-    ages = np.fromiter((c.age_months for c in citizens.values()), dtype=np.int64, count=len(citizens))
+    ages = state.age[ids]
     if int(ages.max()) >= MAX_AGE_MONTHS:
         raise ConfigError("citizen older than the vital rate table covers")
-    probs = rates.mortality_by_month[ages]
-    dead_mask = rng.random(len(ids)) < probs
-    deaths = 0
-    for cid in ids[dead_mask]:
-        _remove_citizen(state, int(cid))
-        deaths += 1
-    return deaths
+    dead = ids[rng.random(len(ids)) < rates.mortality_by_month[ages]].tolist()
+    for cid in dead:
+        _remove_citizen(state, cid)
+    return len(dead)
 
 
 def _remove_citizen(state: "SimulationState", citizen_id: int) -> None:
     citizen = state.citizens.pop(citizen_id)
+    state.alive[citizen_id] = False
     state.simulation_born.discard(citizen_id)
-    if citizen.employer_id is not None:
-        firm = state.firms[citizen.employer_id]
-        firm.employees.remove(citizen_id)
+    employer = int(state.employer[citizen_id])
+    if employer >= 0:
+        state.firms[employer].employees.remove(citizen_id)
+        state.employer[citizen_id] = -1
     family = state.families[citizen.family_id]
     family.members.remove(citizen_id)
     if not family.members:
@@ -211,27 +207,12 @@ def apply_fertility(
     labor-entry age), in the parent's family and municipality. Returns the
     birth count.
     """
-    citizens = state.citizens
-    if not citizens:
+    ids = np.flatnonzero(state.alive)
+    if not len(ids):
         return 0
-    parents = list(citizens.values())
-    ages = np.fromiter((c.age_months for c in parents), dtype=np.int64, count=len(parents))
-    probs = rates.fertility_by_month[np.minimum(ages, MAX_AGE_MONTHS - 1)]
-    birth_mask = rng.random(len(parents)) < probs
-    births = 0
-    for idx in np.flatnonzero(birth_mask):
-        parent = parents[int(idx)]
-        if parent.id not in state.citizens:
-            continue  # parent died this month before the birth pass
-        family = state.families[parent.family_id]
-        baby = Citizen(
-            id=state.next_citizen_id(),
-            age_months=0,
-            qualification=1,
-            family_id=family.id,
-        )
-        state.citizens[baby.id] = baby
-        family.members.append(baby.id)
-        state.simulation_born.add(baby.id)
-        births += 1
-    return births
+    probs = rates.fertility_by_month[np.minimum(state.age[ids], MAX_AGE_MONTHS - 1)]
+    parents = ids[rng.random(len(ids)) < probs].tolist()
+    for parent_id in parents:
+        family = state.families[state.citizens[parent_id].family_id]
+        state.simulation_born.add(state.add_citizen(family, age_months=0, qualification=1))
+    return len(parents)

@@ -182,6 +182,7 @@ def pay_wages(
     firm: Firm,
     citizens: Mapping[int, "Citizen"],
     families: Mapping[int, Family],
+    employer: np.ndarray,
     rates: TaxRates,
     taxes: list[tuple[str, float]],
 ) -> None:
@@ -189,10 +190,11 @@ def pay_wages(
 
     If cash cannot cover the payroll the firm releases its least qualified
     employees until it can (fire-and-shrink), which keeps cash non-negative
-    at month end. Each employee's income tax is appended to ``taxes`` as
-    ``(municipality, amount)``, in payroll order. The gross payroll paid
-    is left in ``firm.payroll_this_month``; a firm without employees pays
-    and records 0.0.
+    at month end; a released citizen's entry of the ``employer`` column
+    (indexed by citizen id) becomes -1. Each employee's income tax is
+    appended to ``taxes`` as ``(municipality, amount)``, in payroll order.
+    The gross payroll paid is left in ``firm.payroll_this_month``; a firm
+    without employees pays and records 0.0.
     """
     staff = [citizens[cid] for cid in firm.employees]
     payroll = 0.0
@@ -204,7 +206,7 @@ def pay_wages(
         while staff and firm.cash < payroll:
             released = staff.pop()
             payroll -= released.monthly_wage
-            released.employer_id = None
+            employer[released.id] = -1
             released.monthly_wage = 0.0
         firm.employees = [citizen.id for citizen in staff]
     rate = rates.personal_income
@@ -223,8 +225,8 @@ def rank_samples(firms: Sequence[Firm], picks: np.ndarray) -> tuple[list[Firm], 
     """Rank ``firms`` by (price, id) once, and each row of ``picks`` by that rank.
 
     Returns the ranked firm list and, for every row of ``picks`` (indices
-    into ``firms``), its ranks in ascending order: ``map(ranked.__getitem__,
-    row)`` yields that sample's firms cheapest first, and a firm picked twice
+    into ``firms``), its ranks in ascending order: ``ranked[r]`` for ``r``
+    in a row is that sample's firms cheapest first, and a firm picked twice
     appears twice. No per-sample firm list is built, so a consumer walks
     only the firms it reaches. Prices must stay fixed until the samples are
     consumed, as they do between production and ``set_price``.
@@ -237,49 +239,69 @@ def rank_samples(firms: Sequence[Firm], picks: np.ndarray) -> tuple[list[Firm], 
 
 
 def consume(
-    family: Family,
-    firm_sample: Iterable[Firm],
-    savings_rate: float,
+    families: Sequence[Family],
+    ranked: Sequence[Firm],
+    rank_rows: Sequence[Sequence[int]],
+    savings_rates: Sequence[float],
     rates: TaxRates,
     taxes: list[tuple[str, float]],
 ) -> tuple[float, float]:
-    """Spend this month's consumption budget at the sampled firms.
+    """Spend the month's consumption budgets: every family, in the order given.
 
-    The family keeps ``savings_rate`` of its savings (the caller draws it
-    uniformly from ``MarketParams.savings_rate_bounds``) and shops with the
-    rest, buying from the sampled firms in the order given until the budget or
-    the sample's inventory runs out. The sample arrives ranked by (price, id),
-    cheapest first (``rank_samples``), and may be a lazy iterable: it is read
-    no further than the firm where the budget runs out, and not at all
-    without a budget. Each purchase's nonzero consumption tax is appended to
-    ``taxes`` as ``(municipality, amount)``. Unspent budget
-    returns to savings. Returns (units bought, money spent).
+    ``ranked`` and ``rank_rows`` come from ``rank_samples``: family ``i``
+    shops at ``ranked[r]`` for ``r`` in ``rank_rows[i]``, cheapest first. It
+    keeps ``savings_rates[i]`` of its savings (drawn uniformly from
+    ``MarketParams.savings_rate_bounds``) and buys with the rest until the
+    budget or the sample's inventory runs out; it reads its row no further
+    than the firm where the budget runs out, and not at all without a
+    budget. Unspent budget stays in savings. Each purchase's nonzero
+    consumption tax is appended to ``taxes`` as ``(municipality, amount)``.
+    The firms' stock and money are kept in local lists by rank and written
+    back once. Returns the month's (units bought, money spent), each summed
+    per family and then over families in order.
     """
-    budget = (1.0 - savings_rate) * family.savings
-    if budget <= 1e-12:
-        return 0.0, 0.0
+    inventory = [firm.inventory for firm in ranked]
+    price = [firm.price for firm in ranked]
+    cash = [firm.cash for firm in ranked]
+    revenue = [firm.revenue_this_month for firm in ranked]
+    profit = [firm.cumulative_profit for firm in ranked]
     rate = rates.consumption
-    units_total = 0.0
-    spent_total = 0.0
-    for firm in firm_sample:
-        if firm.inventory <= 0.0:
-            continue
-        units = min(budget / firm.price, firm.inventory)
-        spent = units * firm.price
-        firm.inventory -= units
-        tax = spent * rate
-        firm.cash += spent - tax
-        firm.revenue_this_month += spent - tax
-        firm.cumulative_profit += spent - tax
-        if tax:
-            taxes.append((firm.municipality_id, tax))
-        budget -= spent
-        units_total += units
-        spent_total += spent
+    units_month = 0.0
+    spent_month = 0.0
+    for family, row, savings_rate in zip(families, rank_rows, savings_rates):
+        budget = (1.0 - savings_rate) * family.savings
         if budget <= 1e-12:
-            break
-    family.savings -= spent_total
-    return units_total, spent_total
+            continue
+        units_total = 0.0
+        spent_total = 0.0
+        for r in row:
+            stock = inventory[r]
+            if stock <= 0.0:
+                continue
+            units = min(budget / price[r], stock)
+            spent = units * price[r]
+            inventory[r] = stock - units
+            tax = spent * rate
+            net = spent - tax
+            cash[r] += net
+            revenue[r] += net
+            profit[r] += net
+            if tax:
+                taxes.append((ranked[r].municipality_id, tax))
+            budget -= spent
+            units_total += units
+            spent_total += spent
+            if budget <= 1e-12:
+                break
+        family.savings -= spent_total
+        units_month += units_total
+        spent_month += spent_total
+    for firm, stock, money, income, accrued in zip(ranked, inventory, cash, revenue, profit):
+        firm.inventory = stock
+        firm.cash = money
+        firm.revenue_this_month = income
+        firm.cumulative_profit = accrued
+    return units_month, spent_month
 
 
 def settle_profit_tax(firm: Firm, rates: TaxRates, taxes: list[tuple[str, float]]) -> None:

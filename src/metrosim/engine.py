@@ -13,6 +13,8 @@ from dataclasses import dataclass, field, replace
 from statistics import median
 from typing import NamedTuple
 
+import numpy as np
+
 from .config import ScenarioConfig
 from .demographics import (
     DEFAULT_VITAL_BRACKETS,
@@ -145,21 +147,17 @@ def consumption(state: SimulationState, runtime: _Runtime, result: RunResult, mo
     k = min(market.consumption_firm_sample, len(state.firms))
     sample_matrix = state.rng.consumption.integers(0, len(state.firms), size=(len(family_ids), k))
     # one draw per family, in family order: the same stream values as a
-    # scalar draw inside each consume call
+    # scalar draw per family
     savings_rates = state.rng.consumption.uniform(
         *market.savings_rate_bounds, size=len(family_ids)
     ).tolist()
-    # prices hold until set_price, so one ranking serves every family; each
-    # family walks its sample lazily
+    # prices hold until set_price, so one ranking serves every family
     ranked, rank_rows = rank_samples(state.firms, sample_matrix)
     taxes: list[tuple[str, float]] = []
-    for fam_id, row, savings_rate in zip(family_ids, rank_rows, savings_rates):
-        units, spent = consume(
-            state.families[fam_id], map(ranked.__getitem__, row), savings_rate,
-            runtime.config.tax_rates, taxes,
-        )
-        month.units_consumed += units
-        month.spent_total += spent
+    month.units_consumed, month.spent_total = consume(
+        [state.families[fam_id] for fam_id in family_ids], ranked, rank_rows, savings_rates,
+        runtime.config.tax_rates, taxes,
+    )
     state.ledger.add_all(TaxKind.CONSUMPTION, taxes)
 
 
@@ -182,9 +180,8 @@ def labor(state: SimulationState, runtime: _Runtime, result: RunResult, month: _
     )
     for firm_id, citizen_id in matches:
         firm = state.firms[firm_id]
-        citizen = state.citizens[citizen_id]
-        citizen.employer_id = firm_id
-        citizen.monthly_wage = firm.wage_offer
+        state.employer[citizen_id] = firm_id
+        state.citizens[citizen_id].monthly_wage = firm.wage_offer
         firm.employees.append(citizen_id)
 
 
@@ -205,7 +202,8 @@ def taxes(state: SimulationState, runtime: _Runtime, result: RunResult, month: _
     cfg = runtime.config
     wage_taxes: list[tuple[str, float]] = []
     for firm in state.firms:
-        pay_wages(firm, state.citizens, state.families, cfg.tax_rates, wage_taxes)
+        pay_wages(firm, state.citizens, state.families, state.employer, cfg.tax_rates,
+                  wage_taxes)
     state.ledger.add_all(TaxKind.PERSONAL_INCOME, wage_taxes)
     property_taxes: list[tuple[str, float]] = []
     collect_property_tax(state, month.house_prices, cfg.tax_rates, property_taxes)
@@ -267,13 +265,9 @@ def distribution(state: SimulationState, runtime: _Runtime, result: RunResult, m
 
 def metrics(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
     """Append the month's row to every series of the result."""
-    employed = 0
-    adults = 0
-    for citizen in state.citizens.values():
-        if citizen.age_months >= state.labor_entry_age_months:
-            adults += 1
-            if citizen.employer_id is not None:
-                employed += 1
+    adult = state.alive & (state.age >= state.labor_entry_age_months)
+    adults = int(np.count_nonzero(adult))
+    employed = int(np.count_nonzero(adult & (state.employer >= 0)))
     month.employed = employed
     profit_total = 0.0
     for firm in state.firms:

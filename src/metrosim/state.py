@@ -6,7 +6,10 @@ escheat pool for money that can no longer be attributed to a municipality.
 """
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .demographics import Citizen
 from .economy import Family, Firm
@@ -22,6 +25,14 @@ class SimulationState:
     Firms and houses are fixed for a run, so they are lists indexed by id:
     ``firms[i].id == i`` and ``houses[i].id == i``. Citizens and families
     are born and die, so they are dicts keyed by id.
+
+    A citizen's age, employer (-1 for none) and liveness are columns
+    indexed by citizen id, their only store. A citizen has one way in,
+    ``add_citizen``, which issues the next id, and one way out,
+    ``demographics._remove_citizen``, which clears ``alive``. So
+    ``np.flatnonzero(alive)`` lists the same ids, in the same ascending
+    order, as ``citizens``: a gather over the columns draws the RNG in the
+    order a walk over the dict would.
     """
 
     month: int = 0
@@ -38,16 +49,25 @@ class SimulationState:
     money_base: float = 0.0
     escheat_pool: float = 0.0
     _next_citizen_id: int = 0
+    age: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))  # months
+    employer: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    alive: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
 
-    def next_citizen_id(self) -> int:
+    def add_citizen(self, family: Family, age_months: int, qualification: int) -> int:
+        """Issue the next citizen id to a new member of ``family``; returns the id."""
         cid = self._next_citizen_id
         self._next_citizen_id += 1
+        if cid >= len(self.alive):
+            grow = max(cid + 1, 2 * len(self.alive)) - len(self.alive)
+            self.age = np.concatenate([self.age, np.zeros(grow, dtype=np.int64)])
+            self.employer = np.concatenate([self.employer, np.full(grow, -1, dtype=np.int64)])
+            self.alive = np.concatenate([self.alive, np.zeros(grow, dtype=bool)])
+        self.age[cid] = age_months
+        self.employer[cid] = -1
+        self.alive[cid] = True
+        self.citizens[cid] = Citizen(id=cid, qualification=qualification, family_id=family.id)
+        family.members.append(cid)
         return cid
-
-    def seal_ids(self) -> None:
-        """Start the id sequence above anything world generation handed out."""
-        if self.citizens:
-            self._next_citizen_id = max(self.citizens) + 1
 
     def populations(self) -> dict[str, int]:
         """Citizen head-count per municipality (residence follows the family)."""
@@ -74,22 +94,38 @@ class SimulationState:
     def total_invested(self) -> float:
         return sequential_sum(t.cumulative_invested for t in self.treasuries.values())
 
-    def residences(self) -> dict[int, tuple[float, float]]:
-        """Citizen id -> home coordinates, for proximity-based hiring."""
-        out: dict[int, tuple[float, float]] = {}
-        for family in self.families.values():
-            if family.house_id is None:
-                continue
-            house = self.houses[family.house_id]
-            for cid in family.members:
-                out[cid] = house.location
-        return out
+    def residences(self) -> Mapping[int, tuple[float, float]]:
+        """Citizen id -> home coordinates, for proximity-based hiring.
+
+        Each lookup resolves citizen -> family -> house; a citizen whose
+        family has no house is not a key.
+        """
+        return _Residences(self)
 
     def unemployed_adults(self) -> list[int]:
         """Citizens old enough to work but without an employer, ordered by id."""
-        cutoff = self.labor_entry_age_months
-        return sorted(
-            cid
-            for cid, citizen in self.citizens.items()
-            if citizen.age_months >= cutoff and citizen.employer_id is None
-        )
+        adult = self.age >= self.labor_entry_age_months
+        return np.flatnonzero(self.alive & adult & (self.employer < 0)).tolist()
+
+
+class _Residences(Mapping):
+    """Read-only view of every housed citizen's home location."""
+
+    def __init__(self, state: SimulationState):
+        self._state = state
+
+    def __getitem__(self, citizen_id: int) -> tuple[float, float]:
+        state = self._state
+        house_id = state.families[state.citizens[citizen_id].family_id].house_id
+        if house_id is None:
+            raise KeyError(citizen_id)
+        return state.houses[house_id].location
+
+    def __iter__(self) -> Iterator[int]:
+        state = self._state
+        for cid, citizen in state.citizens.items():
+            if state.families[citizen.family_id].house_id is not None:
+                yield cid
+
+    def __len__(self) -> int:
+        return sum(1 for _ in self)

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .demographics import MAX_AGE_MONTHS, Citizen
+from .demographics import MAX_AGE_MONTHS
 from .economy import Family, Firm
 from .errors import ParseError, ValidationError
 from .fiscal import Treasury, sequential_sum
@@ -358,16 +358,12 @@ def instantiate_world(
             family.house_id = home.id
             family.owned_houses.append(home.id)
             for _ in range(fam_size):
-                cid = state.next_citizen_id()
                 age = int(rng.integers(0, cfg.max_initial_age_months))
                 if q_dist is None:
                     qual = int(rng.integers(1, q_levels + 1))
                 else:
                     qual = int(rng.choice(q_levels, p=q_dist)) + 1
-                state.citizens[cid] = Citizen(
-                    id=cid, age_months=age, qualification=qual, family_id=family.id
-                )
-                family.members.append(cid)
+                state.add_citizen(family, age, qual)
             state.families[next_family] = family
             next_family += 1
 
@@ -385,20 +381,15 @@ def instantiate_world(
         ))
 
     # region-wide initial employment so the economy starts warm
-    adults = [
-        cid
-        for cid, citizen in sorted(state.citizens.items())
-        if citizen.age_months >= cfg.labor_entry_age_months
-    ]
+    adults = np.flatnonzero(state.alive & (state.age >= cfg.labor_entry_age_months)).tolist()
     n_employed = round(cfg.initial_employment_rate * len(adults))
     if n_employed:
         order = rng.permutation(len(adults))
         for slot in range(n_employed):
             cid = adults[int(order[slot])]
             firm = state.firms[slot % len(state.firms)]
-            citizen = state.citizens[cid]
-            citizen.employer_id = firm.id
-            citizen.monthly_wage = firm.wage_offer
+            state.employer[cid] = firm.id
+            state.citizens[cid].monthly_wage = firm.wage_offer
             firm.employees.append(cid)
 
     # working capital so the first payrolls don't trigger mass layoffs
@@ -406,7 +397,6 @@ def instantiate_world(
         payroll = sequential_sum(state.citizens[cid].monthly_wage for cid in firm.employees)
         firm.cash = max(firm.cash, cfg.initial_cash_months_of_payroll * payroll)
 
-    state.seal_ids()
     state.money_base = state.money_in_circulation()
     return state
 

@@ -14,7 +14,6 @@ from metrosim.config import (
     RegionSource,
     ScenarioConfig,
 )
-from metrosim.demographics import Citizen
 from metrosim.economy import Family, Firm
 from metrosim.errors import InvariantViolation
 from metrosim.fiscal import Treasury
@@ -95,10 +94,7 @@ def add_family(state, muni, members_quals, savings=0.0, fam_id=None, ages=None):
     fam_id = fam_id if fam_id is not None else len(state.families)
     family = Family(id=fam_id, municipality_id=muni, savings=savings)
     for i, qual in enumerate(members_quals):
-        cid = state.next_citizen_id()
-        age = ages[i] if ages else 360
-        state.citizens[cid] = Citizen(id=cid, age_months=age, qualification=qual, family_id=fam_id)
-        family.members.append(cid)
+        state.add_citizen(family, ages[i] if ages else 360, qual)
     state.families[fam_id] = family
     return family
 

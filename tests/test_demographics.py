@@ -60,7 +60,7 @@ def test_step_ages_increments_everyone(make_state):
     state = make_state()
     add_family(state, "m00", [1, 2, 3], ages=[0, 100, 500])
     step_ages(state)
-    assert sorted(c.age_months for c in state.citizens.values()) == [1, 101, 501]
+    assert state.age[list(state.citizens)].tolist() == [1, 101, 501]
 
 
 def test_terminal_bracket_kills_with_certainty(make_state):
@@ -125,7 +125,7 @@ def test_death_cascade_employer_family_houses(make_state):
     family = add_family(state, "m00", [5], savings=42.0)
     firm = add_firm(state, "m00")
     cid = family.members[0]
-    state.citizens[cid].employer_id = firm.id
+    state.employer[cid] = firm.id
     state.citizens[cid].monthly_wage = 1.0
     firm.employees.append(cid)
     home = add_house(state, "m00", owner=family.id, resident=family.id)
@@ -136,6 +136,7 @@ def test_death_cascade_employer_family_houses(make_state):
     deaths = apply_mortality(state, flat_rates(mortality=1.0), rng())
     assert deaths == 1
     assert firm.employees == []
+    assert state.employer[cid] == -1 and not state.alive[cid]
     assert family.id not in state.families
     assert state.treasuries["m00"].balance == 42.0
     assert home.owner_family_id is None and home.resident_family_id is None
@@ -146,8 +147,8 @@ def test_survivors_keep_family_alive(make_state):
     family = add_family(state, "m00", [1, 1], savings=10.0)
     # age one member into the terminal bracket, keep the other young
     a, b = family.members
-    state.citizens[a].age_months = 100 * 12
-    state.citizens[b].age_months = 240
+    state.age[a] = 100 * 12
+    state.age[b] = 240
     apply_mortality(state, VitalRates(DEFAULT_VITAL_BRACKETS), rng())
     assert family.id in state.families
     assert state.families[family.id].members == [b]
@@ -173,7 +174,7 @@ def test_certain_fertility_single_parent(make_state):
     assert len(family.members) == 2
     baby_id = family.members[-1]
     baby = state.citizens[baby_id]
-    assert baby.age_months == 0
+    assert state.age[baby_id] == 0 and state.alive[baby_id]
     assert baby.qualification == 1  # provisional until labor-entry age
     assert baby_id in state.simulation_born
 
@@ -206,14 +207,7 @@ def test_population_accounting_exact(make_state):
 def test_simulation_born_matures_at_entry_age(make_state):
     state = make_state()
     family = add_family(state, "m00", [10, 12], ages=[400, 420])
-    baby_id = state.next_citizen_id()
-    from metrosim.demographics import Citizen
-
-    state.citizens[baby_id] = Citizen(
-        id=baby_id, age_months=state.labor_entry_age_months, qualification=1,
-        family_id=family.id,
-    )
-    family.members.append(baby_id)
+    baby_id = state.add_citizen(family, state.labor_entry_age_months, qualification=1)
     state.simulation_born.add(baby_id)
 
     matured = mature_qualifications(state, rng(21))
@@ -227,20 +221,16 @@ def test_maturation_draws_in_ascending_id_order(make_state):
     entry = state.labor_entry_age_months
     high = add_family(state, "m00", [20], fam_id=0)
     low = add_family(state, "m00", [2], fam_id=1)
-    from metrosim.demographics import Citizen
-
-    for baby_id, family in ((8, high), (40, low)):  # state.citizens stays ascending
-        state.citizens[baby_id] = Citizen(
-            id=baby_id, age_months=entry, qualification=1, family_id=family.id
-        )
-        family.members.append(baby_id)
-    state.simulation_born.update([40, 8])  # the set iterates 40 first
+    add_family(state, "m00", [5] * 5, fam_id=2)  # ids 2..6
+    assert state.add_citizen(high, entry, qualification=1) == 7
+    assert state.add_citizen(low, entry, qualification=1) == 8
+    state.simulation_born.update([8, 7])  # the set iterates 8 first
     assert list(state.simulation_born) != sorted(state.simulation_born)
 
     assert mature_qualifications(state, rng(7)) == 2
-    draws = rng(7).normal([20.0, 2.0], 2.1)  # baby 8's draw first, then baby 40's
+    draws = rng(7).normal([20.0, 2.0], 2.1)  # baby 7's draw first, then baby 8's
     expected = [int(min(21, max(1, round(d)))) for d in draws.tolist()]
-    assert [state.citizens[8].qualification, state.citizens[40].qualification] == expected
+    assert [state.citizens[7].qualification, state.citizens[8].qualification] == expected
 
 
 def test_worldgen_citizens_never_rematured(make_state):

@@ -1,4 +1,5 @@
 """Production, pricing, wages, the labor market, and household consumption."""
+import copy
 import math
 from operator import attrgetter
 
@@ -22,7 +23,7 @@ from metrosim.economy import (
 from metrosim.errors import ValidationError
 from metrosim.fiscal import TaxKind, TaxLedger, TaxRates
 
-from conftest import rng
+from conftest import add_family, add_house, rng
 
 
 def make_firm(firm_id=0, muni="m00", cash=100.0, **overrides):
@@ -33,8 +34,12 @@ def make_firm(firm_id=0, muni="m00", cash=100.0, **overrides):
 
 
 def make_citizen(cid, qual=5, wage=0.0, family_id=0):
-    return Citizen(id=cid, age_months=360, qualification=qual, family_id=family_id,
-                   monthly_wage=wage)
+    return Citizen(id=cid, qualification=qual, family_id=family_id, monthly_wage=wage)
+
+
+def employer_column(n, firm_id=None):
+    """An ``employer`` column for citizens ``0..n-1``, all at ``firm_id`` (or none)."""
+    return np.full(n, -1 if firm_id is None else firm_id, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +195,24 @@ def test_proximity_one_prefers_nearby_over_qualified():
     assert matches == [(0, 0)]
 
 
+def test_residences_resolve_each_housed_citizen(make_state):
+    state = make_state()
+    housed = add_family(state, "m00", [3, 4])
+    houseless = add_family(state, "m00", [5])
+    home = add_house(state, "m00", owner=housed.id, resident=housed.id)
+    home.location = (3.0, 4.0)
+    housed.house_id = home.id
+    residences = state.residences()
+    assert dict(residences) == {cid: (3.0, 4.0) for cid in housed.members}
+    assert len(residences) == 2
+    with pytest.raises(KeyError):
+        residences[houseless.members[0]]
+    candidate = make_citizen(houseless.members[0])
+    with pytest.raises(KeyError):
+        run_labor_market([make_firm()], [candidate], residences,
+                         MarketParams(proximity_hire_share=1.0), rng())
+
+
 # ---------------------------------------------------------------------------
 # Wages and the income tax
 # ---------------------------------------------------------------------------
@@ -198,11 +221,11 @@ def test_proximity_one_prefers_nearby_over_qualified():
 def test_pay_wages_worked_example():
     firm = make_firm(cash=150.0)
     worker = make_citizen(0, wage=100.0)
-    worker.employer_id = firm.id
+    employer = employer_column(1, firm.id)
     firm.employees = [0]
     family = Family(id=0, municipality_id="m00", members=[0], savings=0.0)
     taxes = []
-    pay_wages(firm, {0: worker}, {0: family}, TaxRates(personal_income=0.275), taxes)
+    pay_wages(firm, {0: worker}, {0: family}, employer, TaxRates(personal_income=0.275), taxes)
     assert firm.payroll_this_month == 100.0
     assert family.savings == pytest.approx(72.5, rel=1e-12)
     assert taxes == [("m00", pytest.approx(27.5, rel=1e-12))]
@@ -217,7 +240,8 @@ def test_zero_income_tax_rate_writes_no_event():
     family = Family(id=0, municipality_id="m00", members=[0])
     ledger = TaxLedger()
     taxes = []
-    pay_wages(firm, {0: worker}, {0: family}, TaxRates(personal_income=0.0), taxes)
+    pay_wages(firm, {0: worker}, {0: family}, employer_column(1, firm.id),
+              TaxRates(personal_income=0.0), taxes)
     ledger.add_all(TaxKind.PERSONAL_INCOME, taxes)
     assert family.savings == 5.0
     assert ledger.event_count == 0
@@ -227,18 +251,17 @@ def test_fire_and_shrink_releases_least_qualified():
     firm = make_firm(cash=100.0)
     senior = make_citizen(0, qual=5, wage=80.0)
     junior = make_citizen(1, qual=2, wage=70.0)
-    for worker in (senior, junior):
-        worker.employer_id = firm.id
+    employer = employer_column(2, firm.id)
     firm.employees = [0, 1]
     families = {
         0: Family(id=0, municipality_id="m00", members=[0]),
         1: Family(id=1, municipality_id="m00", members=[1]),
     }
-    pay_wages(firm, {0: senior, 1: junior}, families, TaxRates(), [])
+    pay_wages(firm, {0: senior, 1: junior}, families, employer, TaxRates(), [])
     assert firm.payroll_this_month == 80.0  # junior released; senior affordable
     assert firm.employees == [0]
-    assert junior.employer_id is None and junior.monthly_wage == 0.0
-    assert senior.employer_id == firm.id
+    assert employer[junior.id] == -1 and junior.monthly_wage == 0.0
+    assert employer[senior.id] == firm.id
     assert firm.cash == 20.0
     assert families[1].savings == 0.0
 
@@ -246,7 +269,7 @@ def test_fire_and_shrink_releases_least_qualified():
 def test_pay_wages_empty_firm_is_noop():
     firm = make_firm(cash=10.0)
     taxes = []
-    pay_wages(firm, {}, {}, TaxRates(), taxes)
+    pay_wages(firm, {}, {}, employer_column(0), TaxRates(), taxes)
     assert firm.payroll_this_month == 0.0
     assert firm.cash == 10.0
     assert taxes == []
@@ -257,13 +280,13 @@ def test_payroll_resets_when_the_last_employee_is_gone():
     # its wage decision (and into the profit metric)
     firm = make_firm(cash=150.0)
     worker = make_citizen(0, wage=100.0)
-    worker.employer_id = firm.id
+    employer = employer_column(1, firm.id)
     firm.employees = [0]
     family = Family(id=0, municipality_id="m00", members=[0])
-    pay_wages(firm, {0: worker}, {0: family}, TaxRates(), [])
+    pay_wages(firm, {0: worker}, {0: family}, employer, TaxRates(), [])
     assert firm.payroll_this_month == 100.0
     firm.employees.remove(0)
-    pay_wages(firm, {}, {0: family}, TaxRates(), [])
+    pay_wages(firm, {}, {0: family}, employer, TaxRates(), [])
     assert firm.payroll_this_month == 0.0
     firm.wage_offer = 1.0
     set_wage_and_vacancy(firm, MarketParams())
@@ -275,12 +298,17 @@ def test_payroll_resets_when_the_last_employee_is_gone():
 # ---------------------------------------------------------------------------
 
 
+def shop(family, firms, savings_rate, rates, taxes):
+    """One family buying from ``firms`` in the order given, through the month-wide ``consume``."""
+    return consume([family], firms, [range(len(firms))], [savings_rate], rates, taxes)
+
+
 def test_consume_worked_example():
     family = Family(id=0, municipality_id="m00", savings=10.0)
     firm = make_firm(price=2.0, inventory=10.0, cash=0.0)
     ledger = TaxLedger()
     taxes = []
-    units, spent = consume(family, [firm], 0.0, TaxRates(consumption=0.2), taxes)
+    units, spent = shop(family, [firm], 0.0, TaxRates(consumption=0.2), taxes)
     ledger.add_all(TaxKind.CONSUMPTION, taxes)
     assert units == 5.0
     assert spent == 10.0
@@ -315,8 +343,8 @@ def test_consume_cheapest_first():
     family = Family(id=0, municipality_id="m00", savings=4.0)
     pricey = make_firm(firm_id=0, price=4.0, inventory=10.0)
     cheap = make_firm(firm_id=1, price=1.0, inventory=2.0)
-    ranked, [row] = rank_samples([pricey, cheap], np.array([[0, 1]]))
-    units, spent = consume(family, map(ranked.__getitem__, row), 0.0, TaxRates(consumption=0.0), [])
+    ranked, rows = rank_samples([pricey, cheap], np.array([[0, 1]]))
+    units, spent = consume([family], ranked, rows, [0.0], TaxRates(consumption=0.0), [])
     # 2 units at 1.0 exhaust the cheap firm, the remaining 2.0 buys 0.5 units at 4.0
     assert units == 2.5
     assert spent == 4.0
@@ -327,7 +355,7 @@ def test_consume_cheapest_first():
 def test_consume_limited_by_inventory_keeps_rest_saved():
     family = Family(id=0, municipality_id="m00", savings=10.0)
     firm = make_firm(price=1.0, inventory=3.0)
-    units, spent = consume(family, [firm], 0.0, TaxRates(), [])
+    units, spent = shop(family, [firm], 0.0, TaxRates(), [])
     assert units == 3.0
     assert spent == 3.0
     assert family.savings == 7.0
@@ -336,7 +364,7 @@ def test_consume_limited_by_inventory_keeps_rest_saved():
 def test_consume_respects_savings_rate():
     family = Family(id=0, municipality_id="m00", savings=100.0)
     firm = make_firm(price=1.0, inventory=1000.0)
-    units, spent = consume(family, [firm], 0.5, TaxRates(consumption=0.0), [])
+    units, spent = shop(family, [firm], 0.5, TaxRates(consumption=0.0), [])
     assert spent == 50.0
     assert family.savings == 50.0
 
@@ -347,7 +375,7 @@ def test_consume_money_conserved():
     ledger = TaxLedger()
     before = family.savings
     taxes = []
-    units, spent = consume(family, firms, 0.1, TaxRates(consumption=0.18), taxes)
+    units, spent = shop(family, firms, 0.1, TaxRates(consumption=0.18), taxes)
     ledger.add_all(TaxKind.CONSUMPTION, taxes)
     after = family.savings + sum(f.cash for f in firms) + ledger.total()
     assert math.isclose(after, before, rel_tol=0, abs_tol=1e-12)
@@ -356,26 +384,131 @@ def test_consume_money_conserved():
 def test_broke_family_buys_nothing():
     family = Family(id=0, municipality_id="m00", savings=0.0)
     firm = make_firm(inventory=10.0)
-    assert consume(family, [firm], 0.1, TaxRates(), []) == (0.0, 0.0)
+    assert shop(family, [firm], 0.1, TaxRates(), []) == (0.0, 0.0)
 
 
 def test_consume_reads_the_sample_only_as_far_as_it_buys():
     firms = [make_firm(firm_id=i, price=1.0, inventory=5.0) for i in range(3)]
     walked = []
 
-    def sample():
-        for firm in firms:
-            walked.append(firm.id)
-            yield firm
+    def row(family_id):
+        for r in range(len(firms)):
+            walked.append((family_id, r))
+            yield r
 
     broke = Family(id=0, municipality_id="m00", savings=0.0)
-    assert consume(broke, sample(), 0.1, TaxRates(), []) == (0.0, 0.0)
-    assert walked == []
     family = Family(id=1, municipality_id="m00", savings=4.0)
     taxes = []
-    assert consume(family, sample(), 0.0, TaxRates(consumption=0.25), taxes) == (4.0, 4.0)
-    assert walked == [0]  # the budget ran out at the first firm
+    totals = consume([broke, family], firms, [row(0), row(1)], [0.1, 0.0],
+                     TaxRates(consumption=0.25), taxes)
+    assert totals == (4.0, 4.0)
+    assert walked == [(1, 0)]  # nothing without a budget; the budget ran out at the first firm
     assert taxes == [("m00", 1.0)]
+
+
+def consume_one_family(
+    family: Family, firm_sample, savings_rate: float, rates: TaxRates, taxes: list
+) -> tuple[float, float]:
+    """Reference: one family's purchases, written straight onto the firms."""
+    budget = (1.0 - savings_rate) * family.savings
+    if budget <= 1e-12:
+        return 0.0, 0.0
+    rate = rates.consumption
+    units_total = 0.0
+    spent_total = 0.0
+    for firm in firm_sample:
+        if firm.inventory <= 0.0:
+            continue
+        units = min(budget / firm.price, firm.inventory)
+        spent = units * firm.price
+        firm.inventory -= units
+        tax = spent * rate
+        firm.cash += spent - tax
+        firm.revenue_this_month += spent - tax
+        firm.cumulative_profit += spent - tax
+        if tax:
+            taxes.append((firm.municipality_id, tax))
+        budget -= spent
+        units_total += units
+        spent_total += spent
+        if budget <= 1e-12:
+            break
+    family.savings -= spent_total
+    return units_total, spent_total
+
+
+def random_market(seed):
+    """Firms and families for one month of shopping.
+
+    Prices tie, samples repeat firms, some firms start sold out, some
+    families are broke, and a third of the markets have no consumption tax.
+    """
+    gen = rng(seed)
+    n_firms = int(gen.integers(1, 7))
+    firms = [
+        make_firm(
+            firm_id=i, muni=f"m{i % 2:02d}",
+            cash=float(gen.uniform(0.0, 20.0)),
+            price=float(gen.choice([0.5, 1.0, 1.0 + gen.random()])),
+            inventory=0.0 if gen.random() < 0.3 else float(gen.uniform(0.0, 3.0)),
+            revenue_this_month=float(gen.uniform(0.0, 3.0)),
+            cumulative_profit=float(gen.uniform(-5.0, 5.0)),
+        )
+        for i in range(n_firms)
+    ]
+    n_families = int(gen.integers(1, 13))
+    families = [
+        Family(id=i, municipality_id="m00",
+               savings=0.0 if gen.random() < 0.25 else float(gen.uniform(0.0, 15.0)))
+        for i in range(n_families)
+    ]
+    picks = gen.integers(0, n_firms, size=(n_families, int(gen.integers(1, 6))))
+    savings_rates = gen.uniform(0.0, 0.3, size=n_families).tolist()
+    rates = TaxRates(consumption=float(gen.choice([0.0, 0.18, gen.random()])))
+    return firms, families, picks, savings_rates, rates
+
+
+def money_fields(firms, families):
+    return (
+        [(f.inventory.hex(), f.cash.hex(), f.revenue_this_month.hex(),
+          f.cumulative_profit.hex()) for f in firms],
+        [f.savings.hex() for f in families],
+    )
+
+
+MARKET_SEEDS = range(200)
+
+
+def test_random_markets_cover_the_edge_cases():
+    markets = [random_market(seed) for seed in MARKET_SEEDS]
+    assert any(len(set(row)) < len(row) for m in markets for row in m[2].tolist())
+    assert any(f.inventory == 0.0 for m in markets for f in m[0])
+    assert any(f.savings == 0.0 for m in markets for f in m[1])
+    assert any(m[4].consumption == 0.0 for m in markets)
+
+
+@pytest.mark.parametrize("seed", MARKET_SEEDS)
+def test_month_consume_matches_per_family_reference_bit_for_bit(seed):
+    firms, families, picks, savings_rates, rates = random_market(seed)
+    ref_firms, ref_families = copy.deepcopy((firms, families))
+
+    taxes = []
+    ranked, rows = rank_samples(firms, picks)
+    units, spent = consume(families, ranked, rows, savings_rates, rates, taxes)
+
+    ref_taxes = []
+    ref_ranked, ref_rows = rank_samples(ref_firms, picks)
+    ref_units = ref_spent = 0.0
+    for family, row, savings_rate in zip(ref_families, ref_rows, savings_rates):
+        u, s = consume_one_family(
+            family, [ref_ranked[r] for r in row], savings_rate, rates, ref_taxes
+        )
+        ref_units += u
+        ref_spent += s
+
+    assert money_fields(firms, families) == money_fields(ref_firms, ref_families)
+    assert [(m, t.hex()) for m, t in taxes] == [(m, t.hex()) for m, t in ref_taxes]
+    assert (units.hex(), spent.hex()) == (ref_units.hex(), ref_spent.hex())
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """Whole-run behavior: determinism, conservation, aggregation, batching."""
 import copy
 from dataclasses import replace
+from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from metrosim import engine
 from metrosim.config import EngineConfig, FiscalConfig, default_config
@@ -160,9 +164,9 @@ def test_frozen_shares_split_by_month_zero_populations(gen_config, monkeypatch):
 
 def test_audit_rejects_an_employed_minor():
     state, runtime, result, _ = apc33_month()
-    minor = next(c for c in state.citizens.values() if c.age_months < 12)
+    minor = next(c for c in state.citizens.values() if state.age[c.id] < 12)
     firm = max(state.firms, key=lambda f: f.cash)
-    minor.employer_id = firm.id
+    state.employer[minor.id] = firm.id
     minor.monthly_wage = firm.wage_offer
     firm.employees.append(minor.id)
     with pytest.raises(InvariantViolation, match="employment-consistency"):
@@ -184,6 +188,45 @@ def test_citizen_ids_stay_ascending_every_month(gen_config, monkeypatch):
     monkeypatch.setattr(engine, "step_month", checked_step)
     run_scenario(cfg, 0, region_of(cfg))
     assert closed == list(range(1, 61))
+
+
+def assert_columns_agree(state):
+    """The citizen columns and the agent records tell the same story."""
+    assert np.flatnonzero(state.alive).tolist() == list(state.citizens)
+    on_payroll = 0
+    for firm in state.firms:
+        for cid in firm.employees:
+            assert state.employer[cid] == firm.id
+        on_payroll += len(firm.employees)
+    assert np.count_nonzero(state.alive & (state.employer >= 0)) == on_payroll
+
+
+@settings(max_examples=15, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n_municipalities=st.integers(2, 4),
+    total_population=st.integers(2_000, 8_000),
+    skew=st.floats(0.0, 2.0),
+    horizon=st.integers(1, 24),
+    case_id=st.integers(1, 4),
+    seed=st.integers(0, 2**16),
+)
+def test_citizen_columns_hold_every_month(
+    gen_config, n_municipalities, total_population, skew, horizon, case_id, seed
+):
+    cfg = gen_config(n_municipalities=n_municipalities, total_population=total_population,
+                     skew=skew, horizon=horizon, case_id=case_id, seed=seed)
+    region = region_of(cfg)
+    step_month = engine.step_month
+
+    def checked_step(state, runtime, result):
+        step_month(state, runtime, result)  # raises if the audit fires
+        assert_columns_agree(state)
+
+    with mock.patch.object(engine, "step_month", checked_step):
+        result = run_scenario(cfg, seed, region)
+    assert len(result.gdp_value) == horizon
+    assert run_scenario(cfg, seed, region) == result
 
 
 class _AddEachEntry(list):
@@ -228,8 +271,8 @@ def test_batched_consumption_ledger_matches_per_purchase_adds(monkeypatch):
 
     ref_state, ref_month = per_purchase
 
-    def consume_adding_each(family, sample, savings_rate, rates, taxes):
-        return consume(family, list(sample), savings_rate, rates,
+    def consume_adding_each(families, ranked, rank_rows, savings_rates, rates, taxes):
+        return consume(families, ranked, rank_rows, savings_rates, rates,
                        _AddEachEntry(ref_state.ledger, TaxKind.CONSUMPTION))
 
     monkeypatch.setattr(engine, "consume", consume_adding_each)

@@ -231,8 +231,8 @@ def test_instantiation_deterministic():
     cfg = WorldConfig(population_fraction=0.05)
     a = instantiate_world(region, cfg, rng(13))
     b = instantiate_world(region, cfg, rng(13))
-    assert {c.id: (c.age_months, c.qualification) for c in a.citizens.values()} == {
-        c.id: (c.age_months, c.qualification) for c in b.citizens.values()
+    assert {c.id: (int(a.age[c.id]), c.qualification) for c in a.citizens.values()} == {
+        c.id: (int(b.age[c.id]), c.qualification) for c in b.citizens.values()
     }
     assert {f.id: f.savings for f in a.families.values()} == {
         f.id: f.savings for f in b.families.values()
@@ -251,12 +251,13 @@ def test_money_base_matches_circulation():
 
 def test_initial_employment_rate_applied():
     state = instantiate_world(small_region(5000), WorldConfig(population_fraction=0.05), rng(6))
-    adults = [c for c in state.citizens.values() if c.age_months >= state.labor_entry_age_months]
-    employed = [c for c in adults if c.employer_id is not None]
+    adults = [c for c in state.citizens.values()
+              if state.age[c.id] >= state.labor_entry_age_months]
+    employed = [c for c in adults if state.employer[c.id] >= 0]
     assert len(employed) == round(0.9 * len(adults))
     for citizen in employed:
         assert citizen.monthly_wage > 0
-        assert citizen.id in state.firms[citizen.employer_id].employees
+        assert citizen.id in state.firms[state.employer[citizen.id]].employees
 
 
 def test_qualifications_within_levels():
