@@ -23,12 +23,11 @@ MAX_AGE_MONTHS = MAX_AGE_YEARS * MONTHS_PER_YEAR
 
 @dataclass(slots=True)
 class Citizen:
-    """A citizen's own fields; age and employer live in ``SimulationState`` columns."""
+    """A citizen's own fields; age, qualification, employer and wage live in
+    ``SimulationState`` columns."""
 
     id: int
-    qualification: int
     family_id: int
-    monthly_wage: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -135,16 +134,14 @@ def mature_qualifications(state: "SimulationState", rng: np.random.Generator) ->
     born = np.array(sorted(state.simulation_born), dtype=np.int64)
     ready = born[state.age[born] == entry].tolist()
     for born_id in ready:
-        citizen = state.citizens[born_id]
-        family = state.families[citizen.family_id]
-        others = [
-            state.citizens[cid].qualification
-            for cid in family.members
-            if cid != born_id
-        ]
-        center = sum(others) / len(others) if others else (1 + q_max) / 2.0
+        family = state.families[state.citizens[born_id].family_id]
+        others = [cid for cid in family.members if cid != born_id]
+        if others:
+            center = sum(state.qualification[others].tolist()) / len(others)
+        else:
+            center = (1 + q_max) / 2.0
         draw = rng.normal(center, max(q_max / 10.0, 1.0))
-        citizen.qualification = int(min(q_max, max(1, round(draw))))
+        state.qualification[born_id] = int(min(q_max, max(1, round(draw))))
         state.simulation_born.discard(born_id)
     return len(ready)
 
@@ -180,6 +177,7 @@ def _remove_citizen(state: "SimulationState", citizen_id: int) -> None:
         state.employer[citizen_id] = -1
     family = state.families[citizen.family_id]
     family.members.remove(citizen_id)
+    state.headcount[family.municipality] -= 1
     if not family.members:
         _escheat_family(state, family.id)
 
@@ -187,7 +185,7 @@ def _remove_citizen(state: "SimulationState", citizen_id: int) -> None:
 def _escheat_family(state: "SimulationState", family_id: int) -> None:
     family = state.families.pop(family_id)
     if family.savings > 0:
-        state.treasuries[family.municipality_id].balance += family.savings
+        state.treasuries[family.municipality].balance += family.savings
         family.savings = 0.0
     family.tax_debt.clear()  # arrears die with the family; nothing was collected
     for house_id in family.owned_houses:

@@ -2,20 +2,22 @@
 
 Firms produce a homogeneous good from employee qualification, adjust price
 and wage offers on inventory/cash signals, and compete for workers by wage.
-Families consume from sampled firms, cheapest first. No function here
-writes the month's ledger: each tax is appended as a ``(municipality,
-amount)`` entry to a list the caller passes, and the engine writes each
-phase's entries with one ``TaxLedger.add_all``.
+Families consume from sampled firms, cheapest first. Production and the
+payroll each run as one pass over every firm per month. No function here
+writes the month's ledger: each tax's municipality index and amount are
+appended to the ``TaxEntries`` lists the caller passes (the payroll returns
+its income tax as arrays), and the engine writes each phase's entries with
+one ``TaxLedger.add_all``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .fiscal import TaxRates
+from .fiscal import TaxEntries, TaxRates
 
 if TYPE_CHECKING:
     from .demographics import Citizen
@@ -24,7 +26,7 @@ if TYPE_CHECKING:
 @dataclass(slots=True)
 class Firm:
     id: int
-    municipality_id: str
+    municipality: int  # index, see SimulationState
     location: tuple[float, float]
     cash: float
     inventory: float = 0.0
@@ -42,12 +44,12 @@ class Firm:
 @dataclass(slots=True)
 class Family:
     id: int
-    municipality_id: str
+    municipality: int  # index of residence, see SimulationState
     members: list[int] = field(default_factory=list)
     savings: float = 0.0
     house_id: int | None = None
     owned_houses: list[int] = field(default_factory=list)
-    tax_debt: dict[str, float] = field(default_factory=dict)  # municipality -> arrears
+    tax_debt: dict[int, float] = field(default_factory=dict)  # municipality index -> arrears
 
 
 @dataclass
@@ -88,18 +90,45 @@ class MarketParams:
 # ---------------------------------------------------------------------------
 
 
-def produce(firm: Firm, qualifications: Iterable[int], params: MarketParams) -> float:
-    """Add this month's output to inventory; returns units produced.
+def output_per_worker(params: MarketParams, levels: int) -> np.ndarray:
+    """``q**beta`` for every qualification ``q`` in ``0..levels``, indexed by ``q``.
 
-    Output is alpha * sum(q^beta) over current employees. No money moves.
+    Built with Python's ``**``, so each entry has the bits of the
+    per-employee power.
     """
     beta = params.qualification_exponent_beta
-    total = 0.0
-    for q in qualifications:
-        total += q**beta
-    units = params.productivity_alpha * total
-    firm.inventory += units
-    firm.last_production = units
+    return np.array([q**beta for q in range(levels + 1)], dtype=float)
+
+
+def _payroll_order(firms: Sequence[Firm]) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Every employee in firm order, then payroll order, as a list and as an index
+    array, and its firm's position in ``firms``."""
+    staff = [cid for firm in firms for cid in firm.employees]
+    owner = np.repeat(np.arange(len(firms)), [len(firm.employees) for firm in firms])
+    return staff, np.fromiter(staff, dtype=np.intp, count=len(staff)), owner
+
+
+def _per_firm_sums(owner: np.ndarray, values: np.ndarray, n_firms: int) -> np.ndarray:
+    """Each firm's ``values`` added in payroll order from 0.0, as ``np.bincount`` adds a
+    bin's entries; floats even when no firm has employees."""
+    return np.bincount(owner, weights=values, minlength=n_firms).astype(float, copy=False)
+
+
+def produce(
+    firms: Sequence[Firm], qualification: np.ndarray, output: np.ndarray, params: MarketParams
+) -> list[float]:
+    """Add this month's output to every firm's inventory; returns the units, by firm.
+
+    A firm's output is alpha * sum(q^beta) over its current employees, in
+    payroll order. ``qualification`` is the citizen column and ``output`` the
+    ``output_per_worker`` table. No money moves.
+    """
+    _, staff, owner = _payroll_order(firms)
+    totals = _per_firm_sums(owner, output[qualification[staff]], len(firms))
+    units = (params.productivity_alpha * totals).tolist()
+    for firm, made in zip(firms, units):
+        firm.inventory += made
+        firm.last_production = made
     return units
 
 
@@ -131,22 +160,25 @@ def set_wage_and_vacancy(firm: Firm, params: MarketParams) -> bool:
 
 def run_labor_market(
     vacancies: Sequence[Firm],
-    candidates: Sequence["Citizen"],
+    candidates: Sequence[int],
+    qualification: np.ndarray,
     residences: Mapping[int, tuple[float, float]],
     params: MarketParams,
     rng: np.random.Generator,
 ) -> list[tuple[int, int]]:
-    """Match vacancy-posting firms to unemployed candidates.
+    """Match vacancy-posting firms to unemployed candidates (citizen ids).
 
     Firms offering higher wages pick first. Each firm draws a sample of
-    candidates and hires the most qualified of them, except that with
-    probability ``proximity_hire_share`` it hires the sample's
-    nearest-residence candidate instead. One hire per vacancy; each
-    candidate is matched at most once. Returns (firm_id, citizen_id) pairs
-    and flags firms whose vacancy went unfilled.
+    candidates and hires the most qualified of them (``qualification`` is
+    the citizen column), except that with probability
+    ``proximity_hire_share`` it hires the sample's nearest-residence
+    candidate instead. One hire per vacancy; each candidate is matched at
+    most once. Returns (firm_id, citizen_id) pairs and flags firms whose
+    vacancy went unfilled.
     """
     order = sorted(vacancies, key=lambda f: (-f.wage_offer, f.id))
     pool = list(candidates)
+    quals = qualification[pool].tolist()
     matches: list[tuple[int, int]] = []
     for firm in order:
         if not pool:
@@ -154,71 +186,98 @@ def run_labor_market(
             continue
         k = min(params.labor_candidate_sample, len(pool))
         if k == len(pool):
-            sample_idx = np.arange(len(pool))
+            sample_idx = range(len(pool))
         else:
-            sample_idx = rng.choice(len(pool), size=k, replace=False)
+            sample_idx = rng.choice(len(pool), size=k, replace=False).tolist()
         by_proximity = params.proximity_hire_share > 0 and rng.random() < params.proximity_hire_share
         best_i = None
         best_key = None
         fx, fy = firm.location
         for i in sample_idx:
-            c = pool[int(i)]
+            cid = pool[i]
             if by_proximity:
-                rx, ry = residences[c.id]
+                rx, ry = residences[cid]
                 d = (rx - fx) ** 2 + (ry - fy) ** 2
-                key = (d, c.id)  # nearer wins, id breaks ties
+                key = (d, cid)  # nearer wins, id breaks ties
             else:
-                key = (-c.qualification, c.id)  # higher qualification wins
+                key = (-quals[i], cid)  # higher qualification wins
             if best_key is None or key < best_key:
                 best_key = key
-                best_i = int(i)
+                best_i = i
         hired = pool.pop(best_i)
-        matches.append((firm.id, hired.id))
+        quals.pop(best_i)
+        matches.append((firm.id, hired))
         firm.vacancy_unfilled = False
     return matches
 
 
+def _release_until_affordable(
+    firm: Firm, payroll: float, qualification: np.ndarray, wage: np.ndarray,
+    employer: np.ndarray,
+) -> float:
+    """Fire-and-shrink: release the least qualified employees until cash covers
+    the payroll; returns the payroll left, with its subtraction sequence.
+
+    The kept employees become the payroll, most qualified first.
+    """
+    ranked = sorted(
+        zip(qualification[firm.employees].tolist(), firm.employees),
+        key=lambda qc: (qc[0], -qc[1]), reverse=True,
+    )
+    staff = [cid for _, cid in ranked]
+    # walk from the least qualified end, releasing until affordable
+    while staff and firm.cash < payroll:
+        released = staff.pop()
+        payroll -= wage.item(released)
+        employer[released] = -1
+        wage[released] = 0.0
+    firm.employees = staff
+    return payroll
+
+
 def pay_wages(
-    firm: Firm,
+    firms: Sequence[Firm],
     citizens: Mapping[int, "Citizen"],
     families: Mapping[int, Family],
+    qualification: np.ndarray,
+    wage: np.ndarray,
     employer: np.ndarray,
     rates: TaxRates,
-    taxes: list[tuple[str, float]],
-) -> None:
-    """Pay the month-end payroll, splitting each wage into take-home and tax.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pay every firm's month-end payroll, splitting each wage into take-home and tax.
 
-    If cash cannot cover the payroll the firm releases its least qualified
-    employees until it can (fire-and-shrink), which keeps cash non-negative
-    at month end; a released citizen's entry of the ``employer`` column
-    (indexed by citizen id) becomes -1. Each employee's income tax is
-    appended to ``taxes`` as ``(municipality, amount)``, in payroll order.
-    The gross payroll paid is left in ``firm.payroll_this_month``; a firm
-    without employees pays and records 0.0.
+    ``qualification``, ``wage`` and ``employer`` are citizen columns. A
+    payroll is its employees' wages summed in payroll order from 0.0. If
+    cash cannot cover it, the firm releases its least qualified employees
+    until it can (fire-and-shrink), which keeps cash non-negative at month
+    end; a released citizen's ``employer`` becomes -1 and its ``wage`` 0.0.
+    Families are credited in firm order, then payroll order. The gross
+    payroll paid is left in ``firm.payroll_this_month``; a firm without
+    employees pays and records 0.0. Returns each employee's income tax, in
+    the same order, as parallel arrays of municipality index and amount:
+    the tax is computed as an array, and ``TaxLedger.add_all`` takes it so.
     """
-    staff = [citizens[cid] for cid in firm.employees]
-    payroll = 0.0
-    for citizen in staff:
-        payroll += citizen.monthly_wage
-    if firm.cash < payroll:
-        staff.sort(key=lambda c: (c.qualification, -c.id), reverse=True)
-        # walk from the least qualified end, releasing until affordable
-        while staff and firm.cash < payroll:
-            released = staff.pop()
-            payroll -= released.monthly_wage
-            employer[released.id] = -1
-            released.monthly_wage = 0.0
-        firm.employees = [citizen.id for citizen in staff]
-    rate = rates.personal_income
-    muni = firm.municipality_id
-    for citizen in staff:
-        wage = citizen.monthly_wage
-        tax = wage * rate
-        families[citizen.family_id].savings += wage - tax
-        taxes.append((muni, tax))
-    firm.cash -= payroll
-    firm.cumulative_profit -= payroll
-    firm.payroll_this_month = payroll
+    staff, index, owner = _payroll_order(firms)
+    gross = wage[index]
+    payrolls = _per_firm_sums(owner, gross, len(firms)).tolist()
+    shrunk = False
+    for i, firm in enumerate(firms):
+        if firm.cash < payrolls[i]:
+            payrolls[i] = _release_until_affordable(
+                firm, payrolls[i], qualification, wage, employer
+            )
+            shrunk = True
+    if shrunk:
+        staff, index, owner = _payroll_order(firms)
+        gross = wage[index]
+    tax = gross * rates.personal_income
+    for cid, pay in zip(staff, (gross - tax).tolist()):
+        families[citizens[cid].family_id].savings += pay
+    for firm, payroll in zip(firms, payrolls):
+        firm.cash -= payroll
+        firm.cumulative_profit -= payroll
+        firm.payroll_this_month = payroll
+    return np.array([firm.municipality for firm in firms], dtype=np.intp)[owner], tax
 
 
 def rank_samples(firms: Sequence[Firm], picks: np.ndarray) -> tuple[list[Firm], list[list[int]]]:
@@ -244,7 +303,7 @@ def consume(
     rank_rows: Sequence[Sequence[int]],
     savings_rates: Sequence[float],
     rates: TaxRates,
-    taxes: list[tuple[str, float]],
+    taxes: TaxEntries,
 ) -> tuple[float, float]:
     """Spend the month's consumption budgets: every family, in the order given.
 
@@ -255,7 +314,7 @@ def consume(
     budget or the sample's inventory runs out; it reads its row no further
     than the firm where the budget runs out, and not at all without a
     budget. Unspent budget stays in savings. Each purchase's nonzero
-    consumption tax is appended to ``taxes`` as ``(municipality, amount)``.
+    consumption tax is appended to ``taxes``.
     The firms' stock and money are kept in local lists by rank and written
     back once. Returns the month's (units bought, money spent), each summed
     per family and then over families in order.
@@ -265,6 +324,8 @@ def consume(
     cash = [firm.cash for firm in ranked]
     revenue = [firm.revenue_this_month for firm in ranked]
     profit = [firm.cumulative_profit for firm in ranked]
+    muni = [firm.municipality for firm in ranked]
+    tax_munis, tax_amounts = taxes
     rate = rates.consumption
     units_month = 0.0
     spent_month = 0.0
@@ -287,7 +348,8 @@ def consume(
             revenue[r] += net
             profit[r] += net
             if tax:
-                taxes.append((ranked[r].municipality_id, tax))
+                tax_munis.append(muni[r])
+                tax_amounts.append(tax)
             budget -= spent
             units_total += units
             spent_total += spent
@@ -304,7 +366,7 @@ def consume(
     return units_month, spent_month
 
 
-def settle_profit_tax(firm: Firm, rates: TaxRates, taxes: list[tuple[str, float]]) -> None:
+def settle_profit_tax(firm: Firm, rates: TaxRates, taxes: TaxEntries) -> None:
     """Tax the period's profit if positive, into ``taxes``; reset the accumulator."""
     profit = firm.cumulative_profit
     firm.cumulative_profit = 0.0
@@ -313,4 +375,5 @@ def settle_profit_tax(firm: Firm, rates: TaxRates, taxes: list[tuple[str, float]
     tax = profit * rates.company
     if tax:
         firm.cash -= tax
-        taxes.append((firm.municipality_id, tax))
+        taxes[0].append(firm.municipality)
+        taxes[1].append(tax)

@@ -27,6 +27,7 @@ from .demographics import (
 from .economy import (
     Firm,
     consume,
+    output_per_worker,
     pay_wages,
     produce,
     rank_samples,
@@ -40,6 +41,7 @@ from .fiscal import (
     TAX_KINDS,
     DistributionPolicy,
     MpfTable,
+    TaxEntries,
     TaxKind,
     distribute,
     invest,
@@ -101,11 +103,14 @@ class _Runtime:
     policy: DistributionPolicy
     mpf_table: MpfTable
     vital_rates: VitalRates
-    hedonic: HedonicUnits  # houses are fixed (see SimulationState): units hold all run
-    frozen_populations: dict[str, int] | None = None
+    # firms and houses are fixed (see SimulationState), so these hold all run
+    hedonic: HedonicUnits
+    firms_by_muni: list[list[int]]  # firm ids by municipality index, ascending
+    output_per_worker: np.ndarray  # q**beta by qualification q
+    frozen_populations: list[int] | None = None
     money_ops: int = 0  # cumulative count of money-moving events, for audit tolerance
     prev_unit_value: float = math.nan  # last month's mean price paid, for inflation
-    depopulated: set[str] = field(default_factory=set)  # munis already reported empty
+    depopulated: set[int] = field(default_factory=set)  # municipalities already reported empty
 
 
 @dataclass
@@ -118,17 +123,18 @@ class _Month:
     vacancy_firms: list[Firm] = field(default_factory=list)
     house_prices: list[float] = field(default_factory=list)  # by house id
     sales: int = 0
-    populations: dict[str, int] = field(default_factory=dict)
+    populations: list[int] = field(default_factory=list)  # by municipality index
     collected: dict[TaxKind, float] = field(default_factory=dict)
     employed: int = 0  # employed adults, counted by ``metrics``
 
 
 def production(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
     """Firms turn employee qualification into inventory, valued at last month's price."""
-    for firm in state.firms:
-        quals = [state.citizens[cid].qualification for cid in firm.employees]
-        units = produce(firm, quals, runtime.config.market)
-        month.gdp_value += units * firm.price
+    units = produce(
+        state.firms, state.qualification, runtime.output_per_worker, runtime.config.market
+    )
+    for firm, made in zip(state.firms, units):
+        month.gdp_value += made * firm.price
         firm.revenue_this_month = 0.0
 
 
@@ -153,12 +159,12 @@ def consumption(state: SimulationState, runtime: _Runtime, result: RunResult, mo
     ).tolist()
     # prices hold until set_price, so one ranking serves every family
     ranked, rank_rows = rank_samples(state.firms, sample_matrix)
-    taxes: list[tuple[str, float]] = []
+    taxes: TaxEntries = ([], [])
     month.units_consumed, month.spent_total = consume(
         [state.families[fam_id] for fam_id in family_ids], ranked, rank_rows, savings_rates,
         runtime.config.tax_rates, taxes,
     )
-    state.ledger.add_all(TaxKind.CONSUMPTION, taxes)
+    state.ledger.add_all(TaxKind.CONSUMPTION, *taxes)
 
 
 def firm_decisions(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
@@ -173,15 +179,14 @@ def labor(state: SimulationState, runtime: _Runtime, result: RunResult, month: _
     """The unemployed adults fill the vacancies; highest wage offers pick first."""
     if not month.vacancy_firms:
         return
-    candidates = [state.citizens[cid] for cid in state.unemployed_adults()]
     matches = run_labor_market(
-        month.vacancy_firms, candidates, state.residences(), runtime.config.market,
-        state.rng.labor,
+        month.vacancy_firms, state.unemployed_adults(), state.qualification, state.residences(),
+        runtime.config.market, state.rng.labor,
     )
     for firm_id, citizen_id in matches:
         firm = state.firms[firm_id]
         state.employer[citizen_id] = firm_id
-        state.citizens[citizen_id].monthly_wage = firm.wage_offer
+        state.wage[citizen_id] = firm.wage_offer
         firm.employees.append(citizen_id)
 
 
@@ -190,29 +195,27 @@ def housing(state: SimulationState, runtime: _Runtime, result: RunResult, month:
     table, since QLI only moves in ``invest``."""
     cfg = runtime.config
     month.house_prices = hedonic_prices(state, cfg.housing, runtime.hedonic)
-    taxes: list[tuple[str, float]] = []
+    taxes: TaxEntries = ([], [])
     month.sales = len(run_housing_market(
         state, month.house_prices, cfg.housing, cfg.tax_rates, state.rng.housing, taxes
     ))
-    state.ledger.add_all(TaxKind.TRANSMISSION, taxes)
+    state.ledger.add_all(TaxKind.TRANSMISSION, *taxes)
 
 
 def taxes(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
     """Wages (income tax), property, and company profit on its cadence."""
     cfg = runtime.config
-    wage_taxes: list[tuple[str, float]] = []
-    for firm in state.firms:
-        pay_wages(firm, state.citizens, state.families, state.employer, cfg.tax_rates,
-                  wage_taxes)
-    state.ledger.add_all(TaxKind.PERSONAL_INCOME, wage_taxes)
-    property_taxes: list[tuple[str, float]] = []
+    wage_taxes = pay_wages(state.firms, state.citizens, state.families, state.qualification,
+                           state.wage, state.employer, cfg.tax_rates)
+    state.ledger.add_all(TaxKind.PERSONAL_INCOME, *wage_taxes)
+    property_taxes: TaxEntries = ([], [])
     collect_property_tax(state, month.house_prices, cfg.tax_rates, property_taxes)
-    state.ledger.add_all(TaxKind.PROPERTY, property_taxes)
+    state.ledger.add_all(TaxKind.PROPERTY, *property_taxes)
     if (state.month + 1) % cfg.fiscal.profit_tax_cadence_months == 0:
-        profit_taxes: list[tuple[str, float]] = []
+        profit_taxes: TaxEntries = ([], [])
         for firm in state.firms:
             settle_profit_tax(firm, cfg.tax_rates, profit_taxes)
-        state.ledger.add_all(TaxKind.COMPANY, profit_taxes)
+        state.ledger.add_all(TaxKind.COMPANY, *profit_taxes)
 
 
 def distribution(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
@@ -221,44 +224,39 @@ def distribution(state: SimulationState, runtime: _Runtime, result: RunResult, m
     month.populations = state.populations()
     month.collected = state.ledger.total_by_kind()
     share_base = runtime.frozen_populations or month.populations
-    if sum(share_base.values()) <= 0:
+    if sum(share_base) <= 0:
         raise InvariantViolation(state.month, "region-population", "no citizens left in region")
-    muni_order = result.municipality_ids
-    allocations = distribute(
-        state.ledger, runtime.policy, share_base, runtime.mpf_table, muni_order
-    )
+    allocations = distribute(state.ledger, runtime.policy, share_base, runtime.mpf_table)
     for kind in TAX_KINDS:
         pool = month.collected[kind]
-        allocated = sequential_sum(allocations[kind].values())
+        allocated = sequential_sum(allocations[kind])
         if abs(pool - allocated) > CURRENCY_UNIT:
             raise InvariantViolation(
                 state.month, "distribution-conservation",
                 f"{kind.value}: collected {pool!r} vs allocated {allocated!r}",
             )
-    firms_by_muni: dict[str, list[Firm]] = {m: [] for m in muni_order}
-    for firm in state.firms:
-        firms_by_muni[firm.municipality_id].append(firm)
-    for muni in muni_order:
+    for m, muni in enumerate(result.municipality_ids):
         total_alloc = 0.0
         for kind in TAX_KINDS:
-            amount = allocations[kind][muni]
+            amount = allocations[kind][m]
             result.inflows[muni][kind.value].append(amount)
             total_alloc += amount
-        population = month.populations[muni]
-        if population <= 0 and muni not in runtime.depopulated:
-            runtime.depopulated.add(muni)
+        population = month.populations[m]
+        if population <= 0 and m not in runtime.depopulated:
+            runtime.depopulated.add(m)
             log.warning(
                 "municipality %s depopulated at month %d; its allocations escheat from here on",
                 muni, state.month,
             )
         spent, escheated = invest(
-            state.treasuries[muni], total_alloc, population, cfg.fiscal.qli_unit_cost
+            state.treasuries[m], total_alloc, population, cfg.fiscal.qli_unit_cost
         )
         state.escheat_pool += escheated
         # public procurement: the works are bought from the municipality's
         # firms, or the region's where it has none, so taxes recirculate
         if spent > 0.0:
-            pay_procurement(spent, firms_by_muni[muni] or state.firms)
+            local = [state.firms[i] for i in runtime.firms_by_muni[m]]
+            pay_procurement(spent, local or state.firms)
     runtime.money_ops += state.ledger.event_count + month.sales + len(state.families)
     state.ledger.clear()
 
@@ -293,9 +291,9 @@ def metrics(state: SimulationState, runtime: _Runtime, result: RunResult, month:
     for kind in TAX_KINDS:
         result.taxes_by_kind[kind.value].append(month.collected[kind])
     result.housing_sales.append(month.sales)
-    for muni in result.municipality_ids:
-        result.qli[muni].append(state.treasuries[muni].qli)
-        result.populations[muni].append(month.populations[muni])
+    for m, muni in enumerate(result.municipality_ids):
+        result.qli[muni].append(state.treasuries[m].qli)
+        result.populations[muni].append(month.populations[m])
 
 
 def audit(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
@@ -311,13 +309,16 @@ def audit(state: SimulationState, runtime: _Runtime, result: RunResult, month: _
         raise InvariantViolation(
             closed, "employment-consistency", f"{employed} employed vs {on_payroll} on payrolls"
         )
-    vacancies: dict[str, int] = {m: 0 for m in state.treasuries}
+    vacancies = [0] * len(state.treasuries)
     for house in state.houses:
         if house.resident_family_id is None:
-            vacancies[house.municipality_id] += 1
-    for muni in {family.municipality_id for family in state.families.values()}:
-        if vacancies.get(muni, 0) < 1:
-            raise InvariantViolation(closed, "housing-vacancy", f"no vacant house in {muni}")
+            vacancies[house.municipality] += 1
+    # a municipality has families exactly when it has citizens
+    for treasury, people, vacant in zip(state.treasuries, state.headcount, vacancies):
+        if people > 0 and vacant < 1:
+            raise InvariantViolation(
+                closed, "housing-vacancy", f"no vacant house in {treasury.municipality_id}"
+            )
 
 
 # One month, in order. Every phase takes (state, runtime, result, month) and
@@ -336,6 +337,24 @@ def step_month(state: SimulationState, runtime: _Runtime, result: RunResult) -> 
         phase(state, runtime, result, month)
 
 
+def start_runtime(config: ScenarioConfig, state: SimulationState) -> _Runtime:
+    """The per-run constants of ``config`` for a world at month 0."""
+    path = config.fiscal.mpf_table_file
+    firms_by_muni: list[list[int]] = [[] for _ in state.treasuries]
+    for firm in state.firms:
+        firms_by_muni[firm.municipality].append(firm.id)
+    return _Runtime(
+        config=config,
+        policy=policy_for_case(config.fiscal.case_id),
+        mpf_table=read_mpf_table(path) if path else MpfTable(),
+        vital_rates=VitalRates(DEFAULT_VITAL_BRACKETS),
+        hedonic=hedonic_units(state, config.housing),
+        firms_by_muni=firms_by_muni,
+        output_per_worker=output_per_worker(config.market, state.qualification_levels),
+        frozen_populations=state.populations() if config.fiscal.freeze_mpf_shares else None,
+    )
+
+
 def run_scenario(config: ScenarioConfig, seed: int, region: RegionSpec) -> RunResult:
     """Instantiate ``region`` as a world and run it to the horizon, recording every month.
 
@@ -349,23 +368,13 @@ def run_scenario(config: ScenarioConfig, seed: int, region: RegionSpec) -> RunRe
     )
     state = instantiate_world(region, config.world, world_streams.worldgen)
     state.rng = streams
-    path = config.fiscal.mpf_table_file
-    runtime = _Runtime(
-        config=config,
-        policy=policy_for_case(config.fiscal.case_id),
-        mpf_table=read_mpf_table(path) if path else MpfTable(),
-        vital_rates=VitalRates(DEFAULT_VITAL_BRACKETS),
-        hedonic=hedonic_units(state, config.housing),
-    )
-    if config.fiscal.freeze_mpf_shares:
-        runtime.frozen_populations = state.populations()
-
+    runtime = start_runtime(config, state)
     result = RunResult(
         apc_id=region.id,
         case_id=config.fiscal.case_id,
         seed=seed,
         horizon=config.engine.horizon_months,
-        municipality_ids=sorted(state.treasuries),
+        municipality_ids=state.municipality_ids,
     )
     for muni in result.municipality_ids:
         result.qli[muni] = []

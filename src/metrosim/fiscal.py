@@ -1,6 +1,6 @@
 """Tax collection ledger and the four alternative distribution policies.
 
-Money enters here as (kind, origin municipality, amount) records, is routed
+Money enters here as (kind, origin municipality index, amount) records, is routed
 through three channels (kept locally, split equally by population, split by
 the progressive population-bracket fund), and leaves as per-municipality
 allocations that treasuries invest into their Quality of Life Index.
@@ -13,6 +13,8 @@ import logging
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .errors import ParseError, ValidationError
 
@@ -49,6 +51,10 @@ class TaxKind(Enum):
 
 TAX_KINDS = tuple(TaxKind)
 
+# One phase's tax entries: parallel lists of origin municipality indices and
+# amounts, in payment order, for ``TaxLedger.add_all``, which takes arrays too.
+TaxEntries = tuple[list[int], list[float]]
+
 
 @dataclass
 class TaxRates:
@@ -72,55 +78,90 @@ class TaxRates:
 
 
 class TaxLedger:
-    """Per-month accumulator of tax amounts, one dict per kind keyed by origin municipality.
+    """Per-month accumulator of tax amounts: each kind's sum per origin municipality.
 
-    Tax producers never write here: they hand back ``(municipality, amount)``
-    entries, and the engine writes each phase's entries of one kind with one
-    ``add_all``. Each kind's dict holds its origins in first-payment order.
-    ``add`` stays as the one-entry reference that ``add_all`` must match bit
-    for bit.
+    Origins are municipality indices. Tax producers never write here: they
+    append each entry's index and amount to a pair of parallel lists (see
+    ``TaxEntries``), and the engine writes each phase's entries of one kind
+    with one ``add_all``. Sums are kept per kind in an array by index and
+    grow entry by entry in entry order, from 0.0, across every write of the
+    month, so each has the bits of a left-to-right sum. ``by_kind`` lists
+    the origins in first-payment order. ``add`` stays as the one-entry
+    reference that ``add_all`` must match bit for bit.
     """
 
-    __slots__ = ("amounts", "event_count")
+    __slots__ = ("_sums", "_origins", "event_count")
 
     def __init__(self):
-        self.amounts: dict[TaxKind, dict[str, float]] = {k: {} for k in TAX_KINDS}
+        self._sums: dict[TaxKind, np.ndarray] = {k: np.zeros(0) for k in TAX_KINDS}
+        # origins in first-payment order (dicts as ordered sets)
+        self._origins: dict[TaxKind, dict[int, None]] = {k: {} for k in TAX_KINDS}
         self.event_count = 0
 
-    def add(self, kind: TaxKind, origin: str, amount: float) -> None:
+    def _sums_to(self, kind: TaxKind, top: int) -> np.ndarray:
+        # the kind's sums, grown with zeros to cover index ``top``
+        sums = self._sums[kind]
+        if top >= len(sums):
+            sums = self._sums[kind] = np.concatenate([sums, np.zeros(top + 1 - len(sums))])
+        return sums
+
+    def add(self, kind: TaxKind, origin: int, amount: float) -> None:
         if amount < 0:
             raise ValidationError(f"negative tax amount {amount} for {kind.value} in {origin}")
         if amount == 0.0:
             return
-        pools = self.amounts[kind]
-        pools[origin] = pools.get(origin, 0.0) + amount
+        if origin < 0:
+            raise ValidationError(f"negative municipality index {origin} for {kind.value}")
+        self._sums_to(kind, origin)[origin] += amount
+        self._origins[kind].setdefault(origin)
         self.event_count += 1
 
-    def add_all(self, kind: TaxKind, entries: Iterable[tuple[str, float]]) -> None:
-        """``add`` every ``(origin, amount)`` entry in turn, skipping zeros."""
-        pools = self.amounts[kind]
-        count = 0
-        for origin, amount in entries:
-            if amount < 0:
-                raise ValidationError(f"negative tax amount {amount} for {kind.value} in {origin}")
-            if amount == 0.0:
-                continue
-            pools[origin] = pools.get(origin, 0.0) + amount
-            count += 1
-        self.event_count += count
+    def add_all(self, kind: TaxKind, munis: Sequence[int], amounts: Sequence[float]) -> None:
+        """``add`` every entry ``(munis[i], amounts[i])`` in turn, skipping zeros.
+
+        ``np.add.at`` adds each index's entries in entry order onto its sum,
+        the bits of ``add`` in turn.
+        """
+        amounts = np.asarray(amounts, dtype=float)
+        munis = np.asarray(munis, dtype=np.intp)
+        negative = np.flatnonzero(amounts < 0)
+        if negative.size:
+            i = negative[0]
+            raise ValidationError(
+                f"negative tax amount {amounts[i]} for {kind.value} in {munis[i]}"
+            )
+        paid = amounts != 0.0
+        if not paid.all():
+            munis, amounts = munis[paid], amounts[paid]
+        if not munis.size:
+            return
+        if munis.min() < 0:
+            raise ValidationError(f"negative municipality index for {kind.value}")
+        sums = self._sums_to(kind, int(munis.max()))
+        np.add.at(sums, munis, amounts)
+        # each origin's first entry, so new origins join in first-payment order
+        first = np.full(len(sums), len(munis))
+        np.minimum.at(first, munis, np.arange(len(munis)))
+        paid_to = np.flatnonzero(first < len(munis))
+        self._origins[kind].update(dict.fromkeys(paid_to[np.argsort(first[paid_to])].tolist()))
+        self.event_count += len(munis)
 
     def total(self) -> float:
         return sequential_sum(self.total_by_kind().values())
 
     def total_by_kind(self) -> dict[TaxKind, float]:
-        return {kind: sequential_sum(pools.values()) for kind, pools in self.amounts.items()}
+        """Each kind's month total, its origins' sums added in first-payment order."""
+        return {kind: sequential_sum(self.by_kind(kind).values()) for kind in TAX_KINDS}
 
-    def by_kind(self, kind: TaxKind) -> dict[str, float]:
-        return self.amounts[kind]
+    def by_kind(self, kind: TaxKind) -> dict[int, float]:
+        """Origin index -> the kind's sum this month, in first-payment order."""
+        sums = self._sums[kind].tolist()
+        return {origin: sums[origin] for origin in self._origins[kind]}
 
     def clear(self) -> None:
-        for pools in self.amounts.values():
-            pools.clear()
+        for kind in TAX_KINDS:
+            self._sums[kind].fill(0.0)
+            self._origins[kind].clear()
         self.event_count = 0
 
 
@@ -299,94 +340,83 @@ def read_mpf_table(path: str) -> MpfTable:
 # ---------------------------------------------------------------------------
 
 
-def _close_to_one(shares: dict[str, float], order: Sequence[str]) -> dict[str, float]:
+def _close_to_one(shares: list[float]) -> list[float]:
     # Absorb the floating-point residual into the largest share so the
     # shares sum to 1.0 exactly.
-    residual = 1.0 - sequential_sum(shares[m] for m in order)
+    residual = 1.0 - sequential_sum(shares)
     if residual != 0.0:
-        largest = max(order, key=lambda m: (shares[m], m))
+        largest = max(range(len(shares)), key=lambda m: (shares[m], m))
         shares[largest] += residual
     return shares
 
 
-def equal_shares(populations: Mapping[str, int], order: Sequence[str] | None = None) -> dict[str, float]:
-    """Population-proportional shares, corrected to sum to exactly 1."""
-    if order is None:
-        order = list(populations)
+def equal_shares(populations: Sequence[int]) -> list[float]:
+    """Population-proportional shares by municipality index, corrected to sum to exactly 1."""
     total = 0
-    for m in order:
-        pop = populations[m]
+    for m, pop in enumerate(populations):
         if pop < 0:
-            raise ValidationError(f"negative population for {m}")
+            raise ValidationError(f"negative population for municipality {m}")
         total += pop
     if total <= 0:
         raise ValidationError("total population is zero; equal shares undefined")
-    shares = {m: populations[m] / total for m in order}
-    return _close_to_one(shares, order)
+    return _close_to_one([pop / total for pop in populations])
 
 
-def mpf_shares(
-    populations: Mapping[str, int],
-    table: MpfTable,
-    order: Sequence[str] | None = None,
-) -> dict[str, float]:
-    """Coefficient-proportional shares; smaller municipalities get more per capita."""
-    if order is None:
-        order = list(populations)
-    coefs = {m: table.coefficient(populations[m]) for m in order}
-    total = sequential_sum(coefs[m] for m in order)
+def mpf_shares(populations: Sequence[int], table: MpfTable) -> list[float]:
+    """Coefficient-proportional shares by municipality index; smaller municipalities
+    get more per capita."""
+    coefs = [table.coefficient(pop) for pop in populations]
+    total = sequential_sum(coefs)
     if total <= 0:
         raise ValidationError("coefficient total is zero")
-    shares = {m: coefs[m] / total for m in order}
-    return _close_to_one(shares, order)
+    return _close_to_one([coef / total for coef in coefs])
 
 
 def distribute(
     ledger: TaxLedger,
     policy: DistributionPolicy,
-    populations: Mapping[str, int],
+    populations: Sequence[int],
     table: MpfTable,
-    order: Sequence[str] | None = None,
-) -> dict[TaxKind, dict[str, float]]:
+) -> dict[TaxKind, list[float]]:
     """Route every ledger amount through the policy's channels.
 
-    Returns per-kind, per-municipality allocations. For each kind the
+    ``populations`` and the returned allocations are indexed by
+    municipality; origins are routed in index order. For each kind the
     allocations sum to the collected amount to the last ulp: the
     floating-point residual of the split is folded into the largest
     allocation (the money analogue of a largest-remainder correction).
     """
-    if order is None:
-        order = list(populations)
-    eq = equal_shares(populations, order)
-    mp = mpf_shares(populations, table, order)
+    n = len(populations)
+    eq = equal_shares(populations)
+    mp = mpf_shares(populations, table)
 
-    out: dict[TaxKind, dict[str, float]] = {}
+    out: dict[TaxKind, list[float]] = {}
     for kind in TAX_KINDS:
         pools = ledger.by_kind(kind)
-        alloc = {m: 0.0 for m in order}
+        alloc = [0.0] * n
         if pools:
             w = policy.weights[kind]
             pool_total = 0.0
             for origin in sorted(pools):
+                if origin >= n:
+                    raise ValidationError(f"ledger origin {origin!r} not in region")
                 amount = pools[origin]
                 pool_total += amount
                 if w.local:
-                    if origin not in alloc:
-                        raise ValidationError(f"ledger origin {origin!r} not in region")
                     alloc[origin] += w.local * amount
                 if w.equal:
-                    for m in order:
+                    for m in range(n):
                         alloc[m] += w.equal * amount * eq[m]
                 if w.mpf:
-                    for m in order:
+                    for m in range(n):
                         alloc[m] += w.mpf * amount * mp[m]
             # folding once lands within an ulp of the pool; the re-sum can
             # round again, so a second pass usually clears the remainder
             for _ in range(2):
-                residual = pool_total - sequential_sum(alloc[m] for m in order)
+                residual = pool_total - sequential_sum(alloc)
                 if residual == 0.0:
                     break
-                largest = max(order, key=lambda m: (alloc[m], m))
+                largest = max(range(n), key=lambda m: (alloc[m], m))
                 alloc[largest] += residual
         out[kind] = alloc
     return out

@@ -4,9 +4,10 @@ Vacant houses are listed each month; a sampled set of families bids a
 fraction of savings; a match settles at the average of the hedonic price and
 the buyer's offer, moving the family and emitting transmission tax. Property
 tax is charged monthly on owned stock, with arrears carried as family debt.
-Neither tax is written to the month's ledger here: each payment is appended
-as a ``(municipality, amount)`` entry to a list the caller passes, and the
-engine writes each phase's entries with one ``TaxLedger.add_all``.
+Neither tax is written to the month's ledger here: each payment's
+municipality index and amount are appended to the ``TaxEntries`` lists the
+caller passes, and the engine writes each phase's entries with one
+``TaxLedger.add_all``.
 """
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .fiscal import TaxRates
+from .fiscal import TaxEntries, TaxRates
 
 if TYPE_CHECKING:
     from .state import SimulationState
@@ -25,13 +26,12 @@ if TYPE_CHECKING:
 @dataclass(slots=True)
 class House:
     id: int
-    municipality_id: str
+    municipality: int  # index, see SimulationState
     size: float
     quality: float
     location: tuple[float, float]
     owner_family_id: int | None = None  # None -> municipal stock
     resident_family_id: int | None = None
-    last_transaction_price: float = 0.0
 
 
 @dataclass
@@ -79,21 +79,17 @@ class HedonicUnits(NamedTuple):
     so ``base x size x quality`` is computed once; a month gathers only QLI.
     """
 
-    municipalities: list[str]  # the QLI gather order
-    municipality_index: np.ndarray  # per house, into ``municipalities``
+    municipality: np.ndarray  # per house, its municipality index
     unit: np.ndarray  # per house, base x size x quality
 
 
 def hedonic_units(state: "SimulationState", params: HousingParams) -> HedonicUnits:
     """Each house's ``base x size x quality``, in ``hedonic_price``'s operand order."""
     houses = state.houses
-    municipalities = list(state.treasuries)
-    position = {muni: i for i, muni in enumerate(municipalities)}
     size = np.array([h.size for h in houses], dtype=float)
     quality = np.array([h.quality for h in houses], dtype=float)
     return HedonicUnits(
-        municipalities=municipalities,
-        municipality_index=np.array([position[h.municipality_id] for h in houses], dtype=np.intp),
+        municipality=np.array([h.municipality for h in houses], dtype=np.intp),
         unit=params.hedonic_base * size * quality,
     )
 
@@ -108,9 +104,9 @@ def hedonic_prices(
     so every price has the same bits. The prices hold until QLI moves, which
     only ``invest`` does. ``tolist`` keeps them Python floats.
     """
-    qli = np.array([state.treasuries[m].qli for m in units.municipalities], dtype=float)
+    qli = np.array([treasury.qli for treasury in state.treasuries], dtype=float)
     factor = 1.0 + params.qli_elasticity * qli
-    prices = units.unit * factor[units.municipality_index]
+    prices = units.unit * factor[units.municipality]
     return prices.tolist()
 
 
@@ -120,7 +116,7 @@ def run_housing_market(
     params: HousingParams,
     rates: TaxRates,
     rng: np.random.Generator,
-    taxes: list[tuple[str, float]],
+    taxes: TaxEntries,
 ) -> list[Transaction]:
     """Match sampled buyer families to listed vacant houses for one month.
 
@@ -130,27 +126,24 @@ def run_housing_market(
     ``bid_fraction`` of savings. Each buyer takes the cheapest affordable
     listing; each house sells at most once; the last vacant house of a
     municipality is never sold, which preserves the vacancy invariant. Each
-    sale's nonzero transmission tax is appended to ``taxes`` as
-    ``(municipality, amount)``, in sale order.
+    sale's nonzero transmission tax is appended to ``taxes``, in sale order.
+    A buyer's family moves, and its members with it, to the house's
+    municipality.
     """
     families = state.families
     if not families:
         return []
     fam_list = list(families.values())
-    entry_draws = rng.random(len(fam_list))
-    buyers = [
-        f
-        for f, draw in zip(fam_list, entry_draws)
-        if draw < params.market_entry_rate and f.savings > 0.0
-    ]
+    entrants = np.flatnonzero(rng.random(len(fam_list)) < params.market_entry_rate).tolist()
+    buyers = [fam_list[i] for i in entrants if fam_list[i].savings > 0.0]
     if not buyers:
         return []
 
     listings: list[tuple[float, House]] = []
-    vacant_count: dict[str, int] = {}
+    vacant_count = [0] * len(state.treasuries)
     for house in state.houses:
         if house.resident_family_id is None:
-            vacant_count[house.municipality_id] = vacant_count.get(house.municipality_id, 0) + 1
+            vacant_count[house.municipality] += 1
             listings.append((prices[house.id], house))
     listings.sort(key=lambda ph: (ph[0], ph[1].id))
 
@@ -165,7 +158,7 @@ def run_housing_market(
                 break  # listings are sorted; nothing further is affordable
             if house.id in sold or house.owner_family_id == family.id:
                 continue
-            if vacant_count[house.municipality_id] <= 1:
+            if vacant_count[house.municipality] <= 1:
                 continue  # never sell a municipality's last vacant house
             chosen = house
             chosen_hedonic = hedonic
@@ -178,13 +171,14 @@ def run_housing_market(
         seller_id = chosen.owner_family_id
         family.savings -= price
         if seller_id is None:
-            state.treasuries[chosen.municipality_id].balance += price - tax
+            state.treasuries[chosen.municipality].balance += price - tax
         else:
             seller = families[seller_id]
             seller.savings += price - tax
             seller.owned_houses.remove(chosen.id)
         if tax:
-            taxes.append((chosen.municipality_id, tax))
+            taxes[0].append(chosen.municipality)
+            taxes[1].append(tax)
 
         # move the family in; the old residence stays owned but empties
         old_house_id = family.house_id
@@ -192,12 +186,13 @@ def run_housing_market(
             state.houses[old_house_id].resident_family_id = None
         chosen.owner_family_id = family.id
         chosen.resident_family_id = family.id
-        chosen.last_transaction_price = price
         family.owned_houses.append(chosen.id)
         family.house_id = chosen.id
-        family.municipality_id = chosen.municipality_id
+        state.headcount[family.municipality] -= len(family.members)
+        state.headcount[chosen.municipality] += len(family.members)
+        family.municipality = chosen.municipality
         sold.add(chosen.id)
-        vacant_count[chosen.municipality_id] -= 1
+        vacant_count[chosen.municipality] -= 1
         transactions.append(
             Transaction(state.month, chosen.id, family.id, chosen_hedonic, offer, price)
         )
@@ -208,7 +203,7 @@ def collect_property_tax(
     state: "SimulationState",
     prices: Sequence[float],
     rates: TaxRates,
-    taxes: list[tuple[str, float]],
+    taxes: TaxEntries,
 ) -> None:
     """Charge the monthly property tax on family-owned houses, valued at ``prices``.
 
@@ -218,11 +213,12 @@ def collect_property_tax(
     actually moved. A family without savings adds its houses' dues to its
     debt in place. Any other family pays its arrears (by municipality) and
     then its houses' dues in turn, each as far as its savings go, and its
-    savings are written back once. Each payment is appended to ``taxes`` as
-    ``(municipality, amount)``, in payment order.
+    savings are written back once. Each payment is appended to ``taxes``, in
+    payment order.
     """
     monthly_rate = rates.property_monthly
     houses = state.houses
+    tax_munis, tax_amounts = taxes
     for family in state.families.values():
         owned = family.owned_houses
         debt = family.tax_debt
@@ -231,7 +227,7 @@ def collect_property_tax(
             for house_id in owned:
                 amount = prices[house_id] * monthly_rate
                 if amount > 0.0:
-                    muni = houses[house_id].municipality_id
+                    muni = houses[house_id].municipality
                     debt[muni] = debt.get(muni, 0.0) + amount
             continue
         if debt:
@@ -242,17 +238,19 @@ def collect_property_tax(
         else:
             continue
         for house_id in owned:
-            dues.append((houses[house_id].municipality_id, prices[house_id] * monthly_rate))
+            dues.append((houses[house_id].municipality, prices[house_id] * monthly_rate))
         for muni, amount in dues:
             if not amount > 0.0:
                 continue  # a zero rate or price owes nothing
             if savings <= 0.0:
                 debt[muni] = debt.get(muni, 0.0) + amount
             elif savings < amount:  # min(amount, savings) is savings: pay it all, owe the rest
-                taxes.append((muni, savings))
+                tax_munis.append(muni)
+                tax_amounts.append(savings)
                 debt[muni] = debt.get(muni, 0.0) + (amount - savings)
                 savings = 0.0
             else:
                 savings -= amount
-                taxes.append((muni, amount))
+                tax_munis.append(muni)
+                tax_amounts.append(amount)
         family.savings = savings

@@ -13,6 +13,7 @@ import numpy as np
 
 from .demographics import Citizen
 from .economy import Family, Firm
+from .errors import ValidationError
 from .fiscal import TaxLedger, Treasury, sequential_sum
 from .housing import House
 from .rng import RngStreams
@@ -22,17 +23,25 @@ from .rng import RngStreams
 class SimulationState:
     """One run's agents and audit bookkeeping.
 
+    Each municipality is one integer index, in ascending order of its id:
+    ``treasuries[m]`` is municipality ``m``'s account and carries the id,
+    and firms, houses, families, tax debts and ledger entries name their
+    municipality by index. ``headcount[m]`` is the number of citizens whose
+    family lives in ``m``; ``add_citizen``, ``demographics._remove_citizen``
+    and a family's move in ``housing.run_housing_market`` keep it equal to
+    a walk over the families.
+
     Firms and houses are fixed for a run, so they are lists indexed by id:
     ``firms[i].id == i`` and ``houses[i].id == i``. Citizens and families
     are born and die, so they are dicts keyed by id.
 
-    A citizen's age, employer (-1 for none) and liveness are columns
-    indexed by citizen id, their only store. A citizen has one way in,
-    ``add_citizen``, which issues the next id, and one way out,
-    ``demographics._remove_citizen``, which clears ``alive``. So
-    ``np.flatnonzero(alive)`` lists the same ids, in the same ascending
-    order, as ``citizens``: a gather over the columns draws the RNG in the
-    order a walk over the dict would.
+    A citizen's age, qualification, employer (-1 for none), monthly wage
+    (0.0 without an employer) and liveness are columns indexed by citizen
+    id, their only store. A citizen has one way in, ``add_citizen``, which
+    issues the next id, and one way out, ``demographics._remove_citizen``,
+    which clears ``alive``. So ``np.flatnonzero(alive)`` lists the same ids,
+    in the same ascending order, as ``citizens``: a gather over the columns
+    draws the RNG in the order a walk over the dict would.
     """
 
     month: int = 0
@@ -40,7 +49,8 @@ class SimulationState:
     families: dict[int, Family] = field(default_factory=dict)
     firms: list[Firm] = field(default_factory=list)
     houses: list[House] = field(default_factory=list)
-    treasuries: dict[str, Treasury] = field(default_factory=dict)
+    treasuries: list[Treasury] = field(default_factory=list)  # by municipality index
+    headcount: list[int] = field(init=False)  # by municipality index
     ledger: TaxLedger = field(default_factory=TaxLedger)
     rng: RngStreams | None = None
     labor_entry_age_months: int = 192
@@ -50,8 +60,21 @@ class SimulationState:
     escheat_pool: float = 0.0
     _next_citizen_id: int = 0
     age: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))  # months
+    qualification: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     employer: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    wage: np.ndarray = field(default_factory=lambda: np.zeros(0))  # monthly
     alive: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
+
+    def __post_init__(self):
+        ids = [t.municipality_id for t in self.treasuries]
+        if ids != sorted(ids):
+            raise ValidationError("treasuries must be in ascending municipality id order")
+        self.headcount = [0] * len(self.treasuries)
+
+    @property
+    def municipality_ids(self) -> list[str]:
+        """Every municipality's id, by index (ascending)."""
+        return [t.municipality_id for t in self.treasuries]
 
     def add_citizen(self, family: Family, age_months: int, qualification: int) -> int:
         """Issue the next citizen id to a new member of ``family``; returns the id."""
@@ -60,21 +83,25 @@ class SimulationState:
         if cid >= len(self.alive):
             grow = max(cid + 1, 2 * len(self.alive)) - len(self.alive)
             self.age = np.concatenate([self.age, np.zeros(grow, dtype=np.int64)])
+            self.qualification = np.concatenate(
+                [self.qualification, np.zeros(grow, dtype=np.int64)]
+            )
             self.employer = np.concatenate([self.employer, np.full(grow, -1, dtype=np.int64)])
+            self.wage = np.concatenate([self.wage, np.zeros(grow)])
             self.alive = np.concatenate([self.alive, np.zeros(grow, dtype=bool)])
         self.age[cid] = age_months
+        self.qualification[cid] = qualification
         self.employer[cid] = -1
+        self.wage[cid] = 0.0
         self.alive[cid] = True
-        self.citizens[cid] = Citizen(id=cid, qualification=qualification, family_id=family.id)
+        self.citizens[cid] = Citizen(id=cid, family_id=family.id)
         family.members.append(cid)
+        self.headcount[family.municipality] += 1
         return cid
 
-    def populations(self) -> dict[str, int]:
-        """Citizen head-count per municipality (residence follows the family)."""
-        pops = {muni: 0 for muni in self.treasuries}
-        for family in self.families.values():
-            pops[family.municipality_id] += len(family.members)
-        return pops
+    def populations(self) -> list[int]:
+        """Citizen head-count by municipality index (residence follows the family)."""
+        return list(self.headcount)
 
     def money_in_circulation(self) -> float:
         """Everything the audit can see; equals ``money_base`` when nothing leaks.
@@ -87,12 +114,12 @@ class SimulationState:
             total += family.savings
         for firm in self.firms:
             total += firm.cash
-        for treasury in self.treasuries.values():
+        for treasury in self.treasuries:
             total += treasury.balance
         return total
 
     def total_invested(self) -> float:
-        return sequential_sum(t.cumulative_invested for t in self.treasuries.values())
+        return sequential_sum(t.cumulative_invested for t in self.treasuries)
 
     def residences(self) -> Mapping[int, tuple[float, float]]:
         """Citizen id -> home coordinates, for proximity-based hiring.

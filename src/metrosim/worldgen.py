@@ -301,11 +301,15 @@ def instantiate_world(
     at one), grouped into families of roughly ``mean_family_size``, each
     family owning and occupying a house in its municipality. Firms and the
     housing stock are scaled by the same fraction, with enough extra houses
-    kept that every municipality has at least one vacancy.
+    kept that every municipality has at least one vacancy. Municipalities
+    are drawn in region order and indexed in ascending id order.
     """
     region.validate()
     cfg.validate()
+    ids = sorted(muni.id for muni in region.municipalities)
+    index = {muni_id: i for i, muni_id in enumerate(ids)}
     state = SimulationState(
+        treasuries=[Treasury(municipality_id=muni_id) for muni_id in ids],
         labor_entry_age_months=cfg.labor_entry_age_months,
         qualification_levels=cfg.qualification_levels,
     )
@@ -322,7 +326,7 @@ def instantiate_world(
         # concentrates in the core, people commute and shop region-wide
         n_firms = round(muni.firm_count * cfg.population_fraction)
         n_houses = max(n_families + 1, round(muni.housing_stock * cfg.population_fraction))
-        state.treasuries[muni.id] = Treasury(municipality_id=muni.id)
+        m = index[muni.id]
 
         cx, cy = muni.centroid
         first_house = len(state.houses)
@@ -331,7 +335,7 @@ def instantiate_world(
             quality = float(rng.uniform(*cfg.house_quality_bounds))
             loc = (cx + float(rng.normal(0.0, JITTER_SD)), cy + float(rng.normal(0.0, JITTER_SD)))
             state.houses.append(House(
-                id=len(state.houses), municipality_id=muni.id, size=size, quality=quality,
+                id=len(state.houses), municipality=m, size=size, quality=quality,
                 location=loc,
             ))
 
@@ -339,7 +343,7 @@ def instantiate_world(
             loc = (cx + float(rng.normal(0.0, JITTER_SD)), cy + float(rng.normal(0.0, JITTER_SD)))
             state.firms.append(Firm(
                 id=len(state.firms),
-                municipality_id=muni.id,
+                municipality=m,
                 location=loc,
                 cash=cfg.initial_firm_cash,
                 wage_offer=float(rng.uniform(*cfg.initial_wage_bounds)),
@@ -349,7 +353,7 @@ def instantiate_world(
         for k, fam_size in enumerate(sizes):
             family = Family(
                 id=next_family,
-                municipality_id=muni.id,
+                municipality=m,
                 savings=float(rng.uniform(*cfg.initial_savings_bounds)),
             )
             home = state.houses[first_house + k]
@@ -374,7 +378,7 @@ def instantiate_world(
         loc = (cx + float(rng.normal(0.0, JITTER_SD)), cy + float(rng.normal(0.0, JITTER_SD)))
         state.firms.append(Firm(
             id=0,
-            municipality_id=host.id,
+            municipality=index[host.id],
             location=loc,
             cash=cfg.initial_firm_cash,
             wage_offer=float(rng.uniform(*cfg.initial_wage_bounds)),
@@ -389,12 +393,12 @@ def instantiate_world(
             cid = adults[int(order[slot])]
             firm = state.firms[slot % len(state.firms)]
             state.employer[cid] = firm.id
-            state.citizens[cid].monthly_wage = firm.wage_offer
+            state.wage[cid] = firm.wage_offer
             firm.employees.append(cid)
 
     # working capital so the first payrolls don't trigger mass layoffs
     for firm in state.firms:
-        payroll = sequential_sum(state.citizens[cid].monthly_wage for cid in firm.employees)
+        payroll = sequential_sum(state.wage[firm.employees].tolist())
         firm.cash = max(firm.cash, cfg.initial_cash_months_of_payroll * payroll)
 
     state.money_base = state.money_in_circulation()

@@ -16,7 +16,7 @@ from metrosim.config import (
 )
 from metrosim.economy import Family, Firm
 from metrosim.errors import InvariantViolation
-from metrosim.fiscal import Treasury
+from metrosim.fiscal import TAX_KINDS, Treasury
 from metrosim.housing import House
 from metrosim.state import SimulationState
 from metrosim.worldgen import MunicipalitySpec, RegionSpec, WorldConfig
@@ -24,13 +24,13 @@ from metrosim.worldgen import MunicipalitySpec, RegionSpec, WorldConfig
 
 @pytest.fixture
 def make_state():
-    """Factory for a minimal SimulationState with treasuries for given munis."""
+    """Factory for a minimal SimulationState with treasuries for the given municipality ids.
+
+    Municipality ``m`` of the builders below is the ``m``-th id in ascending order.
+    """
 
     def build(munis=("m00",)) -> SimulationState:
-        state = SimulationState()
-        for muni in munis:
-            state.treasuries[muni] = Treasury(municipality_id=muni)
-        return state
+        return SimulationState(treasuries=[Treasury(municipality_id=m) for m in sorted(munis)])
 
     return build
 
@@ -90,9 +90,9 @@ def gen_config():
 
 
 def add_family(state, muni, members_quals, savings=0.0, fam_id=None, ages=None):
-    """Attach a family of citizens (given qualifications) to a state."""
+    """Attach a family of citizens (given qualifications) to municipality index ``muni``."""
     fam_id = fam_id if fam_id is not None else len(state.families)
-    family = Family(id=fam_id, municipality_id=muni, savings=savings)
+    family = Family(id=fam_id, municipality=muni, savings=savings)
     for i, qual in enumerate(members_quals):
         state.add_citizen(family, ages[i] if ages else 360, qual)
     state.families[fam_id] = family
@@ -103,7 +103,7 @@ def add_firm(state, muni, cash=100.0, wage=1.0, price=1.0, firm_id=None, locatio
     """Append a firm; firms are indexed by id, so a given id must be the next index."""
     assert firm_id is None or firm_id == len(state.firms)
     firm = Firm(
-        id=len(state.firms), municipality_id=muni, location=location,
+        id=len(state.firms), municipality=muni, location=location,
         cash=cash, wage_offer=wage, price=price,
     )
     state.firms.append(firm)
@@ -114,7 +114,7 @@ def add_house(state, muni, size=1.0, quality=1.0, owner=None, resident=None, hou
     """Append a house; houses are indexed by id, so a given id must be the next index."""
     assert house_id is None or house_id == len(state.houses)
     house = House(
-        id=len(state.houses), municipality_id=muni, size=size, quality=quality,
+        id=len(state.houses), municipality=muni, size=size, quality=quality,
         location=(0.0, 0.0), owner_family_id=owner, resident_family_id=resident,
     )
     state.houses.append(house)
@@ -136,13 +136,13 @@ def rng(seed=0) -> np.random.Generator:
 
 
 def ledger_entries(ledger) -> list[tuple]:
-    """Every ``(kind, origin, amount.hex())`` of a ledger, in storage order.
+    """Every ``(kind, origin, amount.hex())`` of a ledger, origins in first-payment order.
 
     Comparing these lists checks each sum to the bit and the order sums are
     read in; comparing the nested dicts would ignore key order.
     """
     return [
         (kind, origin, amount.hex())
-        for kind, pools in ledger.amounts.items()
-        for origin, amount in pools.items()
+        for kind in TAX_KINDS
+        for origin, amount in ledger.by_kind(kind).items()
     ]

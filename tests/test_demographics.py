@@ -58,14 +58,14 @@ def test_probability_out_of_range_rejected():
 
 def test_step_ages_increments_everyone(make_state):
     state = make_state()
-    add_family(state, "m00", [1, 2, 3], ages=[0, 100, 500])
+    add_family(state, 0, [1, 2, 3], ages=[0, 100, 500])
     step_ages(state)
     assert state.age[list(state.citizens)].tolist() == [1, 101, 501]
 
 
 def test_terminal_bracket_kills_with_certainty(make_state):
     state = make_state()
-    add_family(state, "m00", [1], ages=[100 * 12])
+    add_family(state, 0, [1], ages=[100 * 12])
     deaths = apply_mortality(state, VitalRates(DEFAULT_VITAL_BRACKETS), rng())
     assert deaths == 1
     assert not state.citizens
@@ -73,7 +73,7 @@ def test_terminal_bracket_kills_with_certainty(make_state):
 
 def test_citizen_beyond_table_is_config_error(make_state):
     state = make_state()
-    add_family(state, "m00", [1], ages=[MAX_AGE_MONTHS])
+    add_family(state, 0, [1], ages=[MAX_AGE_MONTHS])
     with pytest.raises(ConfigError):
         apply_mortality(state, flat_rates(), rng())
 
@@ -85,24 +85,25 @@ def test_citizen_beyond_table_is_config_error(make_state):
 
 def test_zero_mortality_no_deaths(make_state):
     state = make_state()
-    add_family(state, "m00", [1] * 50)
+    add_family(state, 0, [1] * 50)
     assert apply_mortality(state, flat_rates(mortality=0.0), rng()) == 0
     assert len(state.citizens) == 50
 
 
 def test_certain_mortality_empties_population(make_state):
     state = make_state()
-    add_family(state, "m00", [1] * 50, savings=10.0)
+    add_family(state, 0, [1] * 50, savings=10.0)
     assert apply_mortality(state, flat_rates(mortality=1.0), rng()) == 50
     assert not state.citizens
     assert not state.families
-    assert state.treasuries["m00"].balance == 10.0  # family savings escheated
+    assert state.headcount == [0]
+    assert state.treasuries[0].balance == 10.0  # family savings escheated
 
 
 def test_death_count_within_binomial_bound(make_state):
     state = make_state()
     for i in range(100):
-        add_family(state, "m00", [1] * 100, fam_id=i)
+        add_family(state, 0, [1] * 100, fam_id=i)
     n = len(state.citizens)
     assert n == 10_000
     deaths = apply_mortality(state, flat_rates(mortality=0.5), rng(123))
@@ -114,7 +115,7 @@ def test_mortality_determinism(make_state):
     results = []
     for _ in range(2):
         state = make_state()
-        add_family(state, "m00", [1] * 500, ages=[400] * 500)
+        add_family(state, 0, [1] * 500, ages=[400] * 500)
         deaths = apply_mortality(state, flat_rates(mortality=0.3), rng(77))
         results.append((deaths, sorted(state.citizens)))
     assert results[0] == results[1]
@@ -122,29 +123,29 @@ def test_mortality_determinism(make_state):
 
 def test_death_cascade_employer_family_houses(make_state):
     state = make_state()
-    family = add_family(state, "m00", [5], savings=42.0)
-    firm = add_firm(state, "m00")
+    family = add_family(state, 0, [5], savings=42.0)
+    firm = add_firm(state, 0)
     cid = family.members[0]
     state.employer[cid] = firm.id
-    state.citizens[cid].monthly_wage = 1.0
+    state.wage[cid] = 1.0
     firm.employees.append(cid)
-    home = add_house(state, "m00", owner=family.id, resident=family.id)
+    home = add_house(state, 0, owner=family.id, resident=family.id)
     family.house_id = home.id
     family.owned_houses.append(home.id)
-    family.tax_debt["m00"] = 0.7
+    family.tax_debt[0] = 0.7
 
     deaths = apply_mortality(state, flat_rates(mortality=1.0), rng())
     assert deaths == 1
     assert firm.employees == []
     assert state.employer[cid] == -1 and not state.alive[cid]
     assert family.id not in state.families
-    assert state.treasuries["m00"].balance == 42.0
+    assert state.treasuries[0].balance == 42.0
     assert home.owner_family_id is None and home.resident_family_id is None
 
 
 def test_survivors_keep_family_alive(make_state):
     state = make_state()
-    family = add_family(state, "m00", [1, 1], savings=10.0)
+    family = add_family(state, 0, [1, 1], savings=10.0)
     # age one member into the terminal bracket, keep the other young
     a, b = family.members
     state.age[a] = 100 * 12
@@ -162,20 +163,20 @@ def test_survivors_keep_family_alive(make_state):
 
 def test_zero_fertility_no_births(make_state):
     state = make_state()
-    add_family(state, "m00", [1] * 30, ages=[300] * 30)
+    add_family(state, 0, [1] * 30, ages=[300] * 30)
     assert apply_fertility(state, flat_rates(fertility=0.0), rng()) == 0
 
 
 def test_certain_fertility_single_parent(make_state):
     state = make_state()
-    family = add_family(state, "m00", [4], ages=[300])
+    family = add_family(state, 0, [4], ages=[300])
     births = apply_fertility(state, flat_rates(fertility=1.0), rng())
     assert births == 1
     assert len(family.members) == 2
+    assert state.headcount == [2]
     baby_id = family.members[-1]
-    baby = state.citizens[baby_id]
     assert state.age[baby_id] == 0 and state.alive[baby_id]
-    assert baby.qualification == 1  # provisional until labor-entry age
+    assert state.qualification[baby_id] == 1  # provisional until labor-entry age
     assert baby_id in state.simulation_born
 
 
@@ -183,7 +184,7 @@ def test_fertility_determinism(make_state):
     counts = []
     for _ in range(2):
         state = make_state()
-        add_family(state, "m00", [1] * 400, ages=[300] * 400)
+        add_family(state, 0, [1] * 400, ages=[300] * 400)
         counts.append(apply_fertility(state, flat_rates(fertility=0.1), rng(5)))
     assert counts[0] == counts[1]
     assert counts[0] > 0
@@ -191,7 +192,7 @@ def test_fertility_determinism(make_state):
 
 def test_population_accounting_exact(make_state):
     state = make_state()
-    add_family(state, "m00", [1] * 1000, ages=[360] * 1000)
+    add_family(state, 0, [1] * 1000, ages=[360] * 1000)
     before = len(state.citizens)
     generator = rng(9)
     deaths = apply_mortality(state, flat_rates(mortality=0.05), generator)
@@ -206,22 +207,22 @@ def test_population_accounting_exact(make_state):
 
 def test_simulation_born_matures_at_entry_age(make_state):
     state = make_state()
-    family = add_family(state, "m00", [10, 12], ages=[400, 420])
+    family = add_family(state, 0, [10, 12], ages=[400, 420])
     baby_id = state.add_citizen(family, state.labor_entry_age_months, qualification=1)
     state.simulation_born.add(baby_id)
 
     matured = mature_qualifications(state, rng(21))
     assert matured == 1
     assert baby_id not in state.simulation_born
-    assert 1 <= state.citizens[baby_id].qualification <= state.qualification_levels
+    assert 1 <= state.qualification[baby_id] <= state.qualification_levels
 
 
 def test_maturation_draws_in_ascending_id_order(make_state):
     state = make_state()
     entry = state.labor_entry_age_months
-    high = add_family(state, "m00", [20], fam_id=0)
-    low = add_family(state, "m00", [2], fam_id=1)
-    add_family(state, "m00", [5] * 5, fam_id=2)  # ids 2..6
+    high = add_family(state, 0, [20], fam_id=0)
+    low = add_family(state, 0, [2], fam_id=1)
+    add_family(state, 0, [5] * 5, fam_id=2)  # ids 2..6
     assert state.add_citizen(high, entry, qualification=1) == 7
     assert state.add_citizen(low, entry, qualification=1) == 8
     state.simulation_born.update([8, 7])  # the set iterates 8 first
@@ -230,12 +231,12 @@ def test_maturation_draws_in_ascending_id_order(make_state):
     assert mature_qualifications(state, rng(7)) == 2
     draws = rng(7).normal([20.0, 2.0], 2.1)  # baby 7's draw first, then baby 8's
     expected = [int(min(21, max(1, round(d)))) for d in draws.tolist()]
-    assert [state.citizens[7].qualification, state.citizens[8].qualification] == expected
+    assert state.qualification[[7, 8]].tolist() == expected
 
 
 def test_worldgen_citizens_never_rematured(make_state):
     state = make_state()
-    family = add_family(state, "m00", [7], ages=[state.labor_entry_age_months])
+    family = add_family(state, 0, [7], ages=[state.labor_entry_age_months])
     # not in simulation_born -> qualification untouched
     assert mature_qualifications(state, rng()) == 0
-    assert state.citizens[family.members[0]].qualification == 7
+    assert state.qualification[family.members[0]] == 7

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 
 from metrosim import engine
 from metrosim.config import EngineConfig, FiscalConfig, default_config
-from metrosim.demographics import VitalRates
-from metrosim.economy import consume
+from metrosim.economy import consume, pay_wages
 from metrosim.engine import (
     RunFailure,
     RunResult,
@@ -22,7 +21,6 @@ from metrosim.engine import (
 )
 from metrosim.errors import InvariantViolation
 from metrosim.fiscal import TAX_KINDS, MpfTable, TaxKind, TaxRates, distribute, policy_for_case
-from metrosim.housing import hedonic_units
 from metrosim.rng import RngStreams
 from metrosim.worldgen import WorldConfig, default_apc_batch, generate_region, instantiate_world
 
@@ -138,9 +136,9 @@ def test_frozen_shares_split_by_month_zero_populations(gen_config, monkeypatch):
     frozen = instantiate_world(region, cfg.world, RngStreams(0).worldgen).populations()
     calls = []
 
-    def recording(ledger, policy, populations, table, order):
-        calls.append((copy.deepcopy(ledger), dict(populations)))
-        return distribute(ledger, policy, populations, table, order)
+    def recording(ledger, policy, populations, table):
+        calls.append((copy.deepcopy(ledger), list(populations)))
+        return distribute(ledger, policy, populations, table)
 
     monkeypatch.setattr(engine, "distribute", recording)
     result = run_scenario(cfg, seed=0, region=region)
@@ -149,16 +147,16 @@ def test_frozen_shares_split_by_month_zero_populations(gen_config, monkeypatch):
     moved = 0
     for month, (ledger, share_base) in enumerate(calls):
         assert share_base == frozen
-        current = {m: result.populations[m][month] for m in munis}
+        current = [result.populations[m][month] for m in munis]
         if current == frozen:
             continue
         moved += 1
-        expected = distribute(ledger, policy, frozen, MpfTable(), munis)
+        expected = distribute(ledger, policy, frozen, MpfTable())
         for kind in TAX_KINDS:
-            for m in munis:
-                assert result.inflows[m][kind.value][month] == expected[kind][m]
+            for i, m in enumerate(munis):
+                assert result.inflows[m][kind.value][month] == expected[kind][i]
         # the equal and MPF channels would split differently by the current populations
-        assert expected != distribute(ledger, policy, current, MpfTable(), munis)
+        assert expected != distribute(ledger, policy, current, MpfTable())
     assert moved > 0  # births and deaths moved the populations in some month
 
 
@@ -167,7 +165,7 @@ def test_audit_rejects_an_employed_minor():
     minor = next(c for c in state.citizens.values() if state.age[c.id] < 12)
     firm = max(state.firms, key=lambda f: f.cash)
     state.employer[minor.id] = firm.id
-    minor.monthly_wage = firm.wage_offer
+    state.wage[minor.id] = firm.wage_offer
     firm.employees.append(minor.id)
     with pytest.raises(InvariantViolation, match="employment-consistency"):
         engine.step_month(state, runtime, result)
@@ -191,7 +189,7 @@ def test_citizen_ids_stay_ascending_every_month(gen_config, monkeypatch):
 
 
 def assert_columns_agree(state):
-    """The citizen columns and the agent records tell the same story."""
+    """The citizen columns, the head-counts and the agent records tell the same story."""
     assert np.flatnonzero(state.alive).tolist() == list(state.citizens)
     on_payroll = 0
     for firm in state.firms:
@@ -199,6 +197,15 @@ def assert_columns_agree(state):
             assert state.employer[cid] == firm.id
         on_payroll += len(firm.employees)
     assert np.count_nonzero(state.alive & (state.employer >= 0)) == on_payroll
+    walked = [0] * len(state.treasuries)
+    for family in state.families.values():
+        walked[family.municipality] += len(family.members)
+    assert state.headcount == walked
+    assert state.populations() == walked
+    unemployed = state.alive & (state.employer < 0)
+    assert not np.any(state.wage[unemployed])  # wage 0.0 without an employer
+    quals = state.qualification[state.alive]
+    assert np.all((quals >= 1) & (quals <= state.qualification_levels))
 
 
 @settings(max_examples=15, deadline=None,
@@ -229,16 +236,29 @@ def test_citizen_columns_hold_every_month(
     assert run_scenario(cfg, seed, region) == result
 
 
-class _AddEachEntry(list):
-    """A tax list that writes each entry to the ledger the moment it is appended."""
+class _AddEachAmount(list):
+    """The amounts list of a tax-entries pair: each amount goes to the ledger the
+    moment it is appended, with the municipality index appended before it."""
 
-    def __init__(self, ledger, kind):
+    def __init__(self, ledger, kind, munis):
         super().__init__()
         self.ledger = ledger
         self.kind = kind
+        self.munis = munis
 
-    def append(self, entry):
-        self.ledger.add(self.kind, *entry)
+    def append(self, amount):
+        self.ledger.add(self.kind, self.munis[len(self)], amount)
+        super().append(amount)
+
+    def extend(self, amounts):
+        for amount in amounts:
+            self.append(amount)
+
+
+def add_each_entry(ledger, kind):
+    """A tax-entries pair that writes each entry to ``ledger`` one ``add`` at a time."""
+    munis = []
+    return munis, _AddEachAmount(ledger, kind, munis)
 
 
 def apc33_month(months_done=0):
@@ -247,11 +267,9 @@ def apc33_month(months_done=0):
     region = next(r for r in default_apc_batch() if r.id == "apc33")
     state = instantiate_world(region, cfg.world, RngStreams(0).worldgen)
     state.rng = RngStreams(0)
-    runtime = engine._Runtime(
-        cfg, policy_for_case(1), MpfTable(), VitalRates(), hedonic_units(state, cfg.housing)
-    )
+    runtime = engine.start_runtime(cfg, state)
     result = RunResult(apc_id=region.id, case_id=1, seed=0, horizon=months_done + 1,
-                       municipality_ids=sorted(state.treasuries))
+                       municipality_ids=state.municipality_ids)
     result.inflows = {m: {kind.value: [] for kind in TAX_KINDS} for m in result.municipality_ids}
     result.taxes_by_kind = {kind.value: [] for kind in TAX_KINDS}
     result.qli = {m: [] for m in result.municipality_ids}
@@ -273,7 +291,7 @@ def test_batched_consumption_ledger_matches_per_purchase_adds(monkeypatch):
 
     def consume_adding_each(families, ranked, rank_rows, savings_rates, rates, taxes):
         return consume(families, ranked, rank_rows, savings_rates, rates,
-                       _AddEachEntry(ref_state.ledger, TaxKind.CONSUMPTION))
+                       add_each_entry(ref_state.ledger, TaxKind.CONSUMPTION))
 
     monkeypatch.setattr(engine, "consume", consume_adding_each)
     engine.consumption(ref_state, runtime, result, ref_month)
@@ -300,16 +318,24 @@ def test_housing_and_tax_phases_match_per_entry_adds(monkeypatch):
 
     def adding_each(fn, kind):
         def wrapped(*args):
-            return fn(*args[:-1], _AddEachEntry(ref_state.ledger, kind))
+            return fn(*args[:-1], add_each_entry(ref_state.ledger, kind))
         return wrapped
+
+    def paying_adding_each(*args):
+        # the payroll returns its entries: add each, and hand the engine none
+        munis, amounts = pay_wages(*args)
+        entries = add_each_entry(ref_state.ledger, TaxKind.PERSONAL_INCOME)
+        entries[0].extend(munis.tolist())
+        entries[1].extend(amounts.tolist())
+        return [], []
 
     for name, kind in (
         ("run_housing_market", TaxKind.TRANSMISSION),
-        ("pay_wages", TaxKind.PERSONAL_INCOME),
         ("collect_property_tax", TaxKind.PROPERTY),
         ("settle_profit_tax", TaxKind.COMPANY),
     ):
         monkeypatch.setattr(engine, name, adding_each(getattr(engine, name), kind))
+    monkeypatch.setattr(engine, "pay_wages", paying_adding_each)
     engine.housing(ref_state, runtime, result, ref_month)
     engine.taxes(ref_state, runtime, result, ref_month)
 
@@ -326,18 +352,16 @@ def test_housing_and_tax_phases_match_per_entry_adds(monkeypatch):
 
 def test_depopulated_municipality_escheats_into_the_pool(make_state, caplog):
     state = make_state(("m00", "m01"))
-    add_family(state, "m00", [10])
-    firm = add_firm(state, "m00")
-    state.ledger.add(TaxKind.PROPERTY, "m01", 4.0)  # case 3 keeps it in empty m01
+    add_family(state, 0, [10])
+    firm = add_firm(state, 0)
+    state.ledger.add(TaxKind.PROPERTY, 1, 4.0)  # case 3 keeps it in empty m01
     cfg = replace(default_config(), fiscal=FiscalConfig(case_id=3))
-    runtime = engine._Runtime(
-        cfg, policy_for_case(3), MpfTable(), VitalRates(), hedonic_units(state, cfg.housing)
-    )
+    runtime = engine.start_runtime(cfg, state)
     result = RunResult("r", 3, 0, 1, municipality_ids=["m00", "m01"])
     result.inflows = {m: {kind.value: [] for kind in TAX_KINDS} for m in ("m00", "m01")}
     engine.distribution(state, runtime, result, engine._Month())
     assert state.escheat_pool == 4.0
-    assert state.treasuries["m01"].balance == 0.0
+    assert state.treasuries[1].balance == 0.0
     assert firm.cash == 100.0  # nothing was invested, so nothing was procured
     assert "municipality m01 depopulated at month 0" in caplog.text
 

@@ -3,14 +3,18 @@
 A refactor of the CLI or the engine that keeps behaviour keeps these bytes.
 The main config is criterion 10's (3 municipalities, 24 months, seed 5); one
 more `run` covers `apc33`, the largest default region (8 municipalities), at
-24 months and seed 0.
+24 months and seed 0. A slow test digests whole 240-month runs field by
+field, which also covers values that no output file prints.
 """
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
 from metrosim import cli
+from metrosim.config import EngineConfig, FiscalConfig, ScenarioConfig
+from metrosim.engine import run_scenario
 from metrosim.worldgen import default_apc_batch, save_region
 
 CONFIG = {
@@ -123,3 +127,26 @@ def test_apc33_run_digest(tmp_path):
     code = cli.main(["run", "--config", str(cfg_path), "--out", str(out_dir)])
     assert code == cli.EXIT_OK
     assert tree_digests(out_dir) == APC33_RUN, "apc33 run output bytes changed"
+
+
+# sha256 over ``repr`` of every RunResult field, run after run: regions
+# apc33, apc00, apc17, apc39 x cases 1-4 x 240 months, default config
+RUN_RESULT_DIGESTS = {
+    0: "297a535516804d1663eddd2ac99d8a822cb405ed31f2ec250de89157627564f1",
+    7: "3508091b31605195b6d6a229b192088a23a376997cab0707a8e84e783dba0ee0",
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("seed", sorted(RUN_RESULT_DIGESTS))
+def test_run_result_digest(seed):
+    regions = {region.id: region for region in default_apc_batch()}
+    digest = hashlib.sha256()
+    for region_id in ("apc33", "apc00", "apc17", "apc39"):
+        for case_id in (1, 2, 3, 4):
+            config = ScenarioConfig(fiscal=FiscalConfig(case_id=case_id),
+                                    engine=EngineConfig(horizon_months=240, seed=seed))
+            result = run_scenario(config, seed, regions[region_id])
+            for field in dataclasses.fields(result):
+                digest.update(repr(getattr(result, field.name)).encode())
+    assert digest.hexdigest() == RUN_RESULT_DIGESTS[seed], f"seed {seed}: run results changed"

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from metrosim.errors import ValidationError
-from metrosim.fiscal import TaxKind, TaxLedger, TaxRates
+from metrosim.fiscal import TaxKind, TaxLedger, TaxRates, Treasury
 from metrosim.housing import (
     House,
     HousingParams,
@@ -29,15 +29,17 @@ ALWAYS_ENTER = HousingParams(market_entry_rate=1.0, bid_fraction=1.0)
 def market(state, params, rates, taxes=None):
     """One month of the housing market at the month's hedonic price table."""
     prices = hedonic_prices(state, params, hedonic_units(state, params))
-    return run_housing_market(state, prices, params, rates, rng(), [] if taxes is None else taxes)
+    return run_housing_market(state, prices, params, rates, rng(),
+                              ([], []) if taxes is None else taxes)
 
 
 def property_tax(state, params, rates):
-    """One month of property tax at the month's hedonic price table; returns its entries."""
+    """One month of property tax at the month's hedonic price table; returns its
+    ``(municipality, amount)`` entries."""
     prices = hedonic_prices(state, params, hedonic_units(state, params))
-    taxes = []
+    taxes = ([], [])
     collect_property_tax(state, prices, rates, taxes)
-    return taxes
+    return list(zip(*taxes))
 
 
 # ---------------------------------------------------------------------------
@@ -46,18 +48,18 @@ def property_tax(state, params, rates):
 
 
 def test_hedonic_unit_house():
-    plain = House(id=0, municipality_id="m", size=1.0, quality=1.0, location=(0, 0))
+    plain = House(id=0, municipality=0, size=1.0, quality=1.0, location=(0, 0))
     assert hedonic_price(plain, 0.0, HousingParams(hedonic_base=100.0)) == 100.0
 
 
 def test_hedonic_scales_with_attributes_and_qli():
-    house = House(id=0, municipality_id="m", size=2.0, quality=1.5, location=(0, 0))
+    house = House(id=0, municipality=0, size=2.0, quality=1.5, location=(0, 0))
     params = HousingParams(hedonic_base=100.0, qli_elasticity=1.0)
     assert hedonic_price(house, 0.5, params) == 2.0 * 1.5 * 1.5 * 100.0  # == 450
 
 
 def test_hedonic_ignores_qli_when_elasticity_zero():
-    house = House(id=0, municipality_id="m", size=3.0, quality=1.0, location=(0, 0))
+    house = House(id=0, municipality=0, size=3.0, quality=1.0, location=(0, 0))
     params = HousingParams(hedonic_base=10.0, qli_elasticity=0.0)
     assert hedonic_price(house, 0.0, params) == hedonic_price(house, 9.0, params) == 30.0
 
@@ -68,7 +70,7 @@ def test_price_table_equals_hedonic_price_per_house():
     params = HousingParams(hedonic_base=1.7, qli_elasticity=0.37)
     units = hedonic_units(state, params)  # once per run, before QLI moves
     draws = rng(1).uniform(0.0, 3.0, size=len(state.treasuries))
-    for treasury, qli in zip(state.treasuries.values(), draws.tolist()):
+    for treasury, qli in zip(state.treasuries, draws.tolist()):
         treasury.qli = qli
     table = hedonic_prices(state, params, units)
     assert table == hedonic_prices(state, params, hedonic_units(state, params))
@@ -76,7 +78,7 @@ def test_price_table_equals_hedonic_price_per_house():
     for house in state.houses:
         price = table[house.id]
         assert type(price) is float
-        assert price == hedonic_price(house, state.treasuries[house.municipality_id].qli, params)
+        assert price == hedonic_price(house, state.treasuries[house.municipality].qli, params)
 
 
 def test_housing_params_validation():
@@ -97,19 +99,19 @@ def test_housing_params_validation():
 def two_vacancy_state(make_state, savings=100.0, size=4.0, quality=10.0):
     """One family, one cheap municipal vacancy plus a spare to keep the invariant."""
     state = make_state()
-    family = add_family(state, "m00", [5], savings=savings)
-    home = add_house(state, "m00", owner=family.id, resident=family.id)
+    family = add_family(state, 0, [5], savings=savings)
+    home = add_house(state, 0, owner=family.id, resident=family.id)
     family.house_id = home.id
     family.owned_houses.append(home.id)
-    target = add_house(state, "m00", size=size, quality=quality)
-    spare = add_house(state, "m00", size=50.0, quality=50.0)  # unaffordable buffer
+    target = add_house(state, 0, size=size, quality=quality)
+    spare = add_house(state, 0, size=50.0, quality=50.0)  # unaffordable buffer
     return state, family, target, spare
 
 
 def test_midpoint_settlement_and_transmission_tax(make_state):
     # hedonic 2.0 * 4 * 10 = 80 against a full-savings offer of 100 -> 90
     state, family, target, _ = two_vacancy_state(make_state)
-    taxes = []
+    taxes = ([], [])
     deals = market(state, ALWAYS_ENTER, TaxRates(transmission=0.02), taxes)
     assert len(deals) == 1
     deal = deals[0]
@@ -117,12 +119,11 @@ def test_midpoint_settlement_and_transmission_tax(make_state):
     assert deal.offer == 100.0
     assert deal.price == 90.0
     assert deal.price == (deal.hedonic + deal.offer) / 2.0
-    assert taxes == [("m00", pytest.approx(1.8, rel=1e-12))]
+    assert taxes == ([0], [pytest.approx(1.8, rel=1e-12)])
     # the buyer moved in and now owns both houses
     assert family.house_id == target.id
     assert target.owner_family_id == family.id
     assert target.resident_family_id == family.id
-    assert target.last_transaction_price == 90.0
     assert sorted(family.owned_houses) == [0, 1]
     assert state.houses[0].resident_family_id is None  # old residence emptied
 
@@ -131,44 +132,60 @@ def test_municipal_seller_credits_treasury(make_state):
     state, family, target, _ = two_vacancy_state(make_state)
     market(state, ALWAYS_ENTER, TaxRates(transmission=0.02))
     # municipal stock sold: price net of tax lands in the treasury
-    assert state.treasuries["m00"].balance == pytest.approx(90.0 - 1.8, rel=1e-12)
+    assert state.treasuries[0].balance == pytest.approx(90.0 - 1.8, rel=1e-12)
     assert family.savings == pytest.approx(10.0, rel=1e-12)
 
 
 def test_family_seller_receives_net_price(make_state):
     state = make_state()
-    seller = add_family(state, "m00", [5], savings=0.0, fam_id=0)
-    buyer = add_family(state, "m00", [5], savings=100.0, fam_id=1)
+    seller = add_family(state, 0, [5], savings=0.0, fam_id=0)
+    buyer = add_family(state, 0, [5], savings=100.0, fam_id=1)
     for fam in (seller, buyer):
-        home = add_house(state, "m00", owner=fam.id, resident=fam.id)
+        home = add_house(state, 0, owner=fam.id, resident=fam.id)
         fam.house_id = home.id
         fam.owned_houses.append(home.id)
-    offered = add_house(state, "m00", size=4.0, quality=10.0, owner=seller.id)
+    offered = add_house(state, 0, size=4.0, quality=10.0, owner=seller.id)
     seller.owned_houses.append(offered.id)
-    add_house(state, "m00", size=50.0, quality=50.0)  # spare vacancy
+    add_house(state, 0, size=50.0, quality=50.0)  # spare vacancy
     deals = market(state, ALWAYS_ENTER, TaxRates(transmission=0.02))
     assert [d.buyer_family_id for d in deals] == [buyer.id]
     assert seller.savings == pytest.approx(88.2, rel=1e-12)  # 90 minus 1.8 tax
     assert offered.id not in seller.owned_houses
-    assert state.treasuries["m00"].balance == 0.0
+    assert state.treasuries[0].balance == 0.0
 
 
 def test_money_conserved_through_sale(make_state):
     state, family, _, _ = two_vacancy_state(make_state)
-    taxes = []
+    taxes = ([], [])
     before = family.savings
     market(state, ALWAYS_ENTER, TaxRates(transmission=0.02), taxes)
-    after = family.savings + state.treasuries["m00"].balance + sum(a for _, a in taxes)
+    after = family.savings + state.treasuries[0].balance + sum(taxes[1])
     assert math.isclose(after, before, rel_tol=0, abs_tol=1e-12)
+
+
+def test_a_buyer_family_carries_its_head_count(make_state):
+    state = make_state(("m00", "m01"))
+    family = add_family(state, 0, [5, 6, 7], savings=100.0)
+    home = add_house(state, 0, owner=family.id, resident=family.id)
+    family.house_id = home.id
+    family.owned_houses.append(home.id)
+    add_house(state, 0, size=50.0, quality=50.0)  # m00 keeps a vacancy
+    target = add_house(state, 1, size=4.0, quality=10.0)
+    add_house(state, 1, size=50.0, quality=50.0)  # and so does m01
+    assert state.populations() == [3, 0]
+    deals = market(state, ALWAYS_ENTER, TaxRates())
+    assert [d.house_id for d in deals] == [target.id]
+    assert family.municipality == 1
+    assert state.headcount == state.populations() == [0, 3]
 
 
 def test_last_vacant_house_never_sold(make_state):
     state = make_state()
-    family = add_family(state, "m00", [5], savings=100.0)
-    home = add_house(state, "m00", owner=family.id, resident=family.id)
+    family = add_family(state, 0, [5], savings=100.0)
+    home = add_house(state, 0, owner=family.id, resident=family.id)
     family.house_id = home.id
     family.owned_houses.append(home.id)
-    add_house(state, "m00", size=1.0, quality=1.0)  # the only vacancy
+    add_house(state, 0, size=1.0, quality=1.0)  # the only vacancy
     deals = market(state, ALWAYS_ENTER, TaxRates())
     assert deals == []
 
@@ -197,13 +214,13 @@ def test_unaffordable_listings_stay_unsold(make_state):
 def test_house_sells_at_most_once_per_month(make_state):
     state = make_state()
     for fam_id in (0, 1):
-        fam = add_family(state, "m00", [5], savings=100.0, fam_id=fam_id)
-        home = add_house(state, "m00", owner=fam_id, resident=fam_id)
+        fam = add_family(state, 0, [5], savings=100.0, fam_id=fam_id)
+        home = add_house(state, 0, owner=fam_id, resident=fam_id)
         fam.house_id = home.id
         fam.owned_houses.append(home.id)
-    target = add_house(state, "m00", size=4.0, quality=10.0)
-    add_house(state, "m00", size=4.0, quality=10.0)
-    add_house(state, "m00", size=50.0, quality=50.0)  # spare
+    target = add_house(state, 0, size=4.0, quality=10.0)
+    add_house(state, 0, size=4.0, quality=10.0)
+    add_house(state, 0, size=50.0, quality=50.0)  # spare
     deals = market(state, ALWAYS_ENTER, TaxRates())
     sold = [d.house_id for d in deals]
     assert len(sold) == len(set(sold)) == 2
@@ -218,28 +235,28 @@ def test_house_sells_at_most_once_per_month(make_state):
 def test_property_tax_worked_example(make_state):
     # a 1200-value house at 0.5% a year owes exactly 0.5 a month
     state = make_state()
-    family = add_family(state, "m00", [5], savings=10.0)
-    house = add_house(state, "m00", size=6.0, quality=1.0, owner=family.id, resident=family.id)
+    family = add_family(state, 0, [5], savings=10.0)
+    house = add_house(state, 0, size=6.0, quality=1.0, owner=family.id, resident=family.id)
     family.owned_houses.append(house.id)
     family.house_id = house.id
     params = HousingParams(hedonic_base=200.0, qli_elasticity=0.0)
     assert hedonic_price(house, 0.0, params) == 1200.0
     taxes = property_tax(state, params, TaxRates(property_annual=0.005))
-    assert taxes == [("m00", pytest.approx(0.5, rel=1e-12))]
+    assert taxes == [(0, pytest.approx(0.5, rel=1e-12))]
     assert family.savings == pytest.approx(9.5, rel=1e-12)
 
 
 def test_property_tax_skips_municipal_stock(make_state):
     state = make_state()
-    add_family(state, "m00", [5], savings=10.0)
-    add_house(state, "m00", size=6.0, quality=1.0)  # unowned
+    add_family(state, 0, [5], savings=10.0)
+    add_house(state, 0, size=6.0, quality=1.0)  # unowned
     assert property_tax(state, HousingParams(), TaxRates()) == []
 
 
 def test_zero_rate_collects_nothing(make_state):
     state = make_state()
-    family = add_family(state, "m00", [5], savings=10.0)
-    house = add_house(state, "m00", owner=family.id, resident=family.id)
+    family = add_family(state, 0, [5], savings=10.0)
+    house = add_house(state, 0, owner=family.id, resident=family.id)
     family.owned_houses.append(house.id)
     assert property_tax(state, HousingParams(), TaxRates(property_annual=0.0)) == []
     assert family.savings == 10.0
@@ -247,39 +264,39 @@ def test_zero_rate_collects_nothing(make_state):
 
 def test_broke_owner_accrues_debt_without_event(make_state):
     state = make_state()
-    family = add_family(state, "m00", [5], savings=0.0)
-    house = add_house(state, "m00", size=6.0, quality=1.0, owner=family.id, resident=family.id)
+    family = add_family(state, 0, [5], savings=0.0)
+    house = add_house(state, 0, size=6.0, quality=1.0, owner=family.id, resident=family.id)
     family.owned_houses.append(house.id)
     params = HousingParams(hedonic_base=200.0, qli_elasticity=0.0)
     assert property_tax(state, params, TaxRates(property_annual=0.005)) == []
-    assert family.tax_debt == {"m00": pytest.approx(0.5, rel=1e-12)}
+    assert family.tax_debt == {0: pytest.approx(0.5, rel=1e-12)}
 
 
 def test_arrears_collected_once_funds_arrive(make_state):
     state = make_state()
-    family = add_family(state, "m00", [5], savings=0.0)
-    house = add_house(state, "m00", size=6.0, quality=1.0, owner=family.id, resident=family.id)
+    family = add_family(state, 0, [5], savings=0.0)
+    house = add_house(state, 0, size=6.0, quality=1.0, owner=family.id, resident=family.id)
     family.owned_houses.append(house.id)
     params = HousingParams(hedonic_base=200.0, qli_elasticity=0.0)
     rates = TaxRates(property_annual=0.005)
     property_tax(state, params, rates)  # month 1: all debt
     family.savings = 100.0
     taxes = property_tax(state, params, rates)  # month 2: debt, then current
-    assert taxes == [("m00", pytest.approx(0.5, rel=1e-12))] * 2
+    assert taxes == [(0, pytest.approx(0.5, rel=1e-12))] * 2
     assert family.tax_debt == {}
     assert family.savings == pytest.approx(99.0, rel=1e-12)
 
 
 def test_partial_payment_splits_into_debt(make_state):
     state = make_state()
-    family = add_family(state, "m00", [5], savings=0.3)
-    house = add_house(state, "m00", size=6.0, quality=1.0, owner=family.id, resident=family.id)
+    family = add_family(state, 0, [5], savings=0.3)
+    house = add_house(state, 0, size=6.0, quality=1.0, owner=family.id, resident=family.id)
     family.owned_houses.append(house.id)
     params = HousingParams(hedonic_base=200.0, qli_elasticity=0.0)
     taxes = property_tax(state, params, TaxRates(property_annual=0.005))
-    assert taxes == [("m00", pytest.approx(0.3, rel=1e-12))]
+    assert taxes == [(0, pytest.approx(0.3, rel=1e-12))]
     assert family.savings == 0.0
-    assert family.tax_debt["m00"] == pytest.approx(0.2, rel=1e-12)
+    assert family.tax_debt[0] == pytest.approx(0.2, rel=1e-12)
 
 
 def reference_property_tax(state, prices, rates):
@@ -296,7 +313,7 @@ def reference_property_tax(state, prices, rates):
             for house_id in family.owned_houses:
                 amount = prices[house_id] * monthly_rate
                 if amount > 0.0:
-                    dues.append((state.houses[house_id].municipality_id, amount))
+                    dues.append((state.houses[house_id].municipality, amount))
         if not dues:
             continue
         for muni, amount in dues:
@@ -313,14 +330,14 @@ def reference_property_tax(state, prices, rates):
     return payments
 
 
-MUNIS = ("m00", "m01", "m02")
+MUNIS = (0, 1, 2)  # indices of m00, m01, m02
 
 
 @st.composite
 def property_tax_months(draw):
     """A world of owners: broke families, arrears in several municipalities,
     multi-house owners, savings that run out mid-dues, and zero rates or prices."""
-    state = SimulationState()
+    state = SimulationState(treasuries=[Treasury(municipality_id=f"m{m:02d}") for m in MUNIS])
     n_houses = draw(st.integers(0, 12))
     prices = {}
     for house_id in range(n_houses):
@@ -345,12 +362,13 @@ def test_property_tax_matches_the_per_family_loop(month, months):
     state, prices, rates, ledger = month
     ref_state, ref_ledger = copy.deepcopy((state, ledger))
     for _ in range(months):
-        taxes = []
+        taxes = ([], [])
         collect_property_tax(state, prices, rates, taxes)
         expected = reference_property_tax(ref_state, prices, rates)
-        assert [(m, a.hex()) for m, a in taxes] == [(m, a.hex()) for m, a in expected]
-        ledger.add_all(TaxKind.PROPERTY, taxes)
-        ref_ledger.add_all(TaxKind.PROPERTY, expected)
+        assert [(m, a.hex()) for m, a in zip(*taxes)] == [(m, a.hex()) for m, a in expected]
+        ledger.add_all(TaxKind.PROPERTY, *taxes)
+        for muni, amount in expected:
+            ref_ledger.add(TaxKind.PROPERTY, muni, amount)
         for family in state.families.values():
             ref_family = ref_state.families[family.id]
             assert family.savings.hex() == ref_family.savings.hex()

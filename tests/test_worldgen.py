@@ -170,8 +170,9 @@ def test_every_municipality_keeps_a_vacancy():
     region = generate_region(4, 40_000, 1.4, rng(7), WorldConfig())
     state = instantiate_world(region, WorldConfig(population_fraction=0.02), rng())
     for muni in region.municipalities:
-        houses = [h for h in state.houses if h.municipality_id == muni.id]
-        families = [f for f in state.families.values() if f.municipality_id == muni.id]
+        m = state.municipality_ids.index(muni.id)
+        houses = [h for h in state.houses if h.municipality == m]
+        families = [f for f in state.families.values() if f.municipality == m]
         assert len(houses) > len(families)
         assert any(h.resident_family_id is None for h in houses)
 
@@ -196,7 +197,7 @@ def test_tiny_municipalities_may_host_no_firms():
     state = instantiate_world(region, WorldConfig(population_fraction=0.02), rng())
     by_muni = {"core": 0, "village": 0}
     for firm in state.firms:
-        by_muni[firm.municipality_id] += 1
+        by_muni[state.treasuries[firm.municipality].municipality_id] += 1
     assert by_muni["village"] == 0
     assert by_muni["core"] == 4
 
@@ -208,8 +209,24 @@ def test_region_always_gets_at_least_one_firm():
     region = RegionSpec(id="micro", name="micro", municipalities=munis)
     state = instantiate_world(region, WorldConfig(population_fraction=0.05), rng())
     assert len(state.firms) == 1
-    assert state.firms[0].municipality_id == "only"
+    assert state.treasuries[state.firms[0].municipality].municipality_id == "only"
     assert_indexed_by_id(state)
+
+
+def test_municipalities_drawn_in_region_order_and_indexed_by_sorted_id():
+    spec = dict(population=300, firm_count=40, housing_stock=120)
+    munis = (
+        MunicipalitySpec(id="zeta", centroid=(0, 0), **spec),
+        MunicipalitySpec(id="alpha", centroid=(50, 50), **spec),
+    )
+    region = RegionSpec(id="r", name="r", municipalities=munis)
+    state = instantiate_world(region, WorldConfig(population_fraction=0.05), rng())
+    assert state.municipality_ids == ["alpha", "zeta"]
+    # zeta, listed first, is drawn first: the first house and firm are its own
+    assert state.houses[0].municipality == state.firms[0].municipality == 1
+    assert state.families[0].municipality == 1
+    assert state.houses[-1].municipality == state.firms[-1].municipality == 0
+    assert state.headcount == [15, 15] == state.populations()
 
 
 def assert_indexed_by_id(state):
@@ -231,8 +248,8 @@ def test_instantiation_deterministic():
     cfg = WorldConfig(population_fraction=0.05)
     a = instantiate_world(region, cfg, rng(13))
     b = instantiate_world(region, cfg, rng(13))
-    assert {c.id: (int(a.age[c.id]), c.qualification) for c in a.citizens.values()} == {
-        c.id: (int(b.age[c.id]), c.qualification) for c in b.citizens.values()
+    assert {cid: (int(a.age[cid]), int(a.qualification[cid])) for cid in a.citizens} == {
+        cid: (int(b.age[cid]), int(b.qualification[cid])) for cid in b.citizens
     }
     assert {f.id: f.savings for f in a.families.values()} == {
         f.id: f.savings for f in b.families.values()
@@ -256,14 +273,14 @@ def test_initial_employment_rate_applied():
     employed = [c for c in adults if state.employer[c.id] >= 0]
     assert len(employed) == round(0.9 * len(adults))
     for citizen in employed:
-        assert citizen.monthly_wage > 0
+        assert state.wage[citizen.id] > 0
         assert citizen.id in state.firms[state.employer[citizen.id]].employees
 
 
 def test_qualifications_within_levels():
     cfg = WorldConfig(population_fraction=0.05, qualification_levels=21)
     state = instantiate_world(small_region(5000), cfg, rng(8))
-    quals = [c.qualification for c in state.citizens.values()]
+    quals = state.qualification[list(state.citizens)].tolist()
     assert min(quals) >= 1
     assert max(quals) <= 21
 
@@ -280,7 +297,7 @@ def test_qualification_distribution_with_one_level():
         population_fraction=0.05, initial_qualification_distribution=one_hot(21, (7, 1.0))
     )
     state = instantiate_world(small_region(5000), cfg, rng(8))
-    assert {c.qualification for c in state.citizens.values()} == {7}
+    assert set(state.qualification[list(state.citizens)].tolist()) == {7}
 
 
 def test_qualification_distribution_with_two_levels():
@@ -289,7 +306,7 @@ def test_qualification_distribution_with_two_levels():
         initial_qualification_distribution=one_hot(21, (2, 0.5), (20, 0.5)),
     )
     state = instantiate_world(small_region(5000), cfg, rng(8))
-    assert {c.qualification for c in state.citizens.values()} == {2, 20}
+    assert set(state.qualification[list(state.citizens)].tolist()) == {2, 20}
 
 
 # ---------------------------------------------------------------------------
