@@ -17,7 +17,7 @@ from .analytics import (
     validation_report,
 )
 from .config import ScenarioConfig, default_config, parse_config, serialize_config
-from .demographics import Citizen, VitalRates, apply_fertility, apply_mortality, step_ages
+from .demographics import VitalRates, apply_fertility, apply_mortality, step_ages
 from .economy import Family, Firm, MarketParams
 from .engine import RunResult, ScenarioResult, batch_tasks, run_batch, run_scenario
 from .errors import (
@@ -57,7 +57,7 @@ from .worldgen import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "Citizen", "Family", "Firm", "House", "HousingParams", "MarketParams",
+    "Family", "Firm", "House", "HousingParams", "MarketParams",
     "MunicipalitySpec", "RegionSpec", "SimulationState", "WorldConfig",
     "TaxKind", "TaxLedger", "TaxRates", "Treasury",
     "ChannelWeights", "DistributionPolicy", "MpfTable",

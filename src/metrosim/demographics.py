@@ -21,15 +21,6 @@ MAX_AGE_YEARS = 101
 MAX_AGE_MONTHS = MAX_AGE_YEARS * MONTHS_PER_YEAR
 
 
-@dataclass(slots=True)
-class Citizen:
-    """A citizen's own fields; age, qualification, employer and wage live in
-    ``SimulationState`` columns."""
-
-    id: int
-    family_id: int
-
-
 @dataclass(frozen=True)
 class VitalBracket:
     """Half-open age bracket [start, end) in years with monthly probabilities."""
@@ -124,17 +115,15 @@ def mature_qualifications(state: "SimulationState", rng: np.random.Generator) ->
     Simulation-born citizens carry a provisional qualification of 1 until they
     reach the configured entry age; the adult draw is centered on the family's
     mean qualification so the region-level distribution stays roughly
-    stationary across generations. Only simulation-born citizens can
-    mature; they are visited in ascending id order, the order of
-    ``state.citizens``, so the normal draws come in the same order as a walk
-    over every citizen.
+    stationary across generations. Only provisional citizens can mature;
+    they are visited in ascending id order, so the normal draws come in the
+    same order as a walk over every citizen.
     """
     entry = state.labor_entry_age_months
     q_max = state.qualification_levels
-    born = np.array(sorted(state.simulation_born), dtype=np.int64)
-    ready = born[state.age[born] == entry].tolist()
+    ready = np.flatnonzero(state.provisional & (state.age == entry)).tolist()
     for born_id in ready:
-        family = state.families[state.citizens[born_id].family_id]
+        family = state.families[state.family.item(born_id)]
         others = [cid for cid in family.members if cid != born_id]
         if others:
             center = sum(state.qualification[others].tolist()) / len(others)
@@ -142,7 +131,7 @@ def mature_qualifications(state: "SimulationState", rng: np.random.Generator) ->
             center = (1 + q_max) / 2.0
         draw = rng.normal(center, max(q_max / 10.0, 1.0))
         state.qualification[born_id] = int(min(q_max, max(1, round(draw))))
-        state.simulation_born.discard(born_id)
+        state.provisional[born_id] = False
     return len(ready)
 
 
@@ -168,14 +157,14 @@ def apply_mortality(
 
 
 def _remove_citizen(state: "SimulationState", citizen_id: int) -> None:
-    citizen = state.citizens.pop(citizen_id)
     state.alive[citizen_id] = False
-    state.simulation_born.discard(citizen_id)
+    state.provisional[citizen_id] = False
     employer = int(state.employer[citizen_id])
     if employer >= 0:
         state.firms[employer].employees.remove(citizen_id)
         state.employer[citizen_id] = -1
-    family = state.families[citizen.family_id]
+    family = state.families[state.family.item(citizen_id)]
+    state.family[citizen_id] = -1
     family.members.remove(citizen_id)
     state.headcount[family.municipality] -= 1
     if not family.members:
@@ -211,6 +200,8 @@ def apply_fertility(
     probs = rates.fertility_by_month[np.minimum(state.age[ids], MAX_AGE_MONTHS - 1)]
     parents = ids[rng.random(len(ids)) < probs].tolist()
     for parent_id in parents:
-        family = state.families[state.citizens[parent_id].family_id]
-        state.simulation_born.add(state.add_citizen(family, age_months=0, qualification=1))
+        family = state.families[state.family.item(parent_id)]
+        # add_citizen may grow the columns, so index provisional after it returns
+        born = state.add_citizen(family, age_months=0, qualification=1)
+        state.provisional[born] = True
     return len(parents)

@@ -12,15 +12,12 @@ one ``TaxLedger.add_all``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
 from .fiscal import TaxEntries, TaxRates
-
-if TYPE_CHECKING:
-    from .demographics import Citizen
 
 
 @dataclass(slots=True)
@@ -100,12 +97,12 @@ def output_per_worker(params: MarketParams, levels: int) -> np.ndarray:
     return np.array([q**beta for q in range(levels + 1)], dtype=float)
 
 
-def _payroll_order(firms: Sequence[Firm]) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Every employee in firm order, then payroll order, as a list and as an index
-    array, and its firm's position in ``firms``."""
+def _payroll_order(firms: Sequence[Firm]) -> tuple[np.ndarray, np.ndarray]:
+    """Every employee in firm order, then payroll order, as an index array, and
+    its firm's position in ``firms``."""
     staff = [cid for firm in firms for cid in firm.employees]
     owner = np.repeat(np.arange(len(firms)), [len(firm.employees) for firm in firms])
-    return staff, np.fromiter(staff, dtype=np.intp, count=len(staff)), owner
+    return np.fromiter(staff, dtype=np.intp, count=len(staff)), owner
 
 
 def _per_firm_sums(owner: np.ndarray, values: np.ndarray, n_firms: int) -> np.ndarray:
@@ -123,7 +120,7 @@ def produce(
     payroll order. ``qualification`` is the citizen column and ``output`` the
     ``output_per_worker`` table. No money moves.
     """
-    _, staff, owner = _payroll_order(firms)
+    staff, owner = _payroll_order(firms)
     totals = _per_firm_sums(owner, output[qualification[staff]], len(firms))
     units = (params.productivity_alpha * totals).tolist()
     for firm, made in zip(firms, units):
@@ -237,8 +234,8 @@ def _release_until_affordable(
 
 def pay_wages(
     firms: Sequence[Firm],
-    citizens: Mapping[int, "Citizen"],
     families: Mapping[int, Family],
+    family: np.ndarray,
     qualification: np.ndarray,
     wage: np.ndarray,
     employer: np.ndarray,
@@ -246,18 +243,18 @@ def pay_wages(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pay every firm's month-end payroll, splitting each wage into take-home and tax.
 
-    ``qualification``, ``wage`` and ``employer`` are citizen columns. A
-    payroll is its employees' wages summed in payroll order from 0.0. If
-    cash cannot cover it, the firm releases its least qualified employees
-    until it can (fire-and-shrink), which keeps cash non-negative at month
-    end; a released citizen's ``employer`` becomes -1 and its ``wage`` 0.0.
-    Families are credited in firm order, then payroll order. The gross
-    payroll paid is left in ``firm.payroll_this_month``; a firm without
-    employees pays and records 0.0. Returns each employee's income tax, in
+    ``family``, ``qualification``, ``wage`` and ``employer`` are citizen
+    columns. A payroll is its employees' wages summed in payroll order from
+    0.0. If cash cannot cover it, the firm releases its least qualified
+    employees until it can (fire-and-shrink), which keeps cash non-negative
+    at month end; a released citizen's ``employer`` becomes -1 and its
+    ``wage`` 0.0. Families are credited in firm order, then payroll order.
+    The gross payroll paid is left in ``firm.payroll_this_month``; a firm
+    without employees pays and records 0.0. Returns each employee's income tax, in
     the same order, as parallel arrays of municipality index and amount:
     the tax is computed as an array, and ``TaxLedger.add_all`` takes it so.
     """
-    staff, index, owner = _payroll_order(firms)
+    index, owner = _payroll_order(firms)
     gross = wage[index]
     payrolls = _per_firm_sums(owner, gross, len(firms)).tolist()
     shrunk = False
@@ -268,11 +265,11 @@ def pay_wages(
             )
             shrunk = True
     if shrunk:
-        staff, index, owner = _payroll_order(firms)
+        index, owner = _payroll_order(firms)
         gross = wage[index]
     tax = gross * rates.personal_income
-    for cid, pay in zip(staff, (gross - tax).tolist()):
-        families[citizens[cid].family_id].savings += pay
+    for fam_id, pay in zip(family[index].tolist(), (gross - tax).tolist()):
+        families[fam_id].savings += pay
     for firm, payroll in zip(firms, payrolls):
         firm.cash -= payroll
         firm.cumulative_profit -= payroll

@@ -205,7 +205,7 @@ def housing(state: SimulationState, runtime: _Runtime, result: RunResult, month:
 def taxes(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
     """Wages (income tax), property, and company profit on its cadence."""
     cfg = runtime.config
-    wage_taxes = pay_wages(state.firms, state.citizens, state.families, state.qualification,
+    wage_taxes = pay_wages(state.firms, state.families, state.family, state.qualification,
                            state.wage, state.employer, cfg.tax_rates)
     state.ledger.add_all(TaxKind.PERSONAL_INCOME, *wage_taxes)
     property_taxes: TaxEntries = ([], [])
@@ -392,7 +392,7 @@ def run_scenario(config: ScenarioConfig, seed: int, region: RegionSpec) -> RunRe
             "firm_cash_total": sequential_sum(f.cash for f in state.firms),
             "treasury_invested_total": state.total_invested(),
             "escheat_pool": state.escheat_pool,
-            "citizen_count": len(state.citizens),
+            "citizen_count": int(np.count_nonzero(state.alive)),
             "money_base": state.money_base,
         }
     )

@@ -6,12 +6,10 @@ escheat pool for money that can no longer be attributed to a municipality.
 """
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .demographics import Citizen
 from .economy import Family, Firm
 from .errors import ValidationError
 from .fiscal import TaxLedger, Treasury, sequential_sum
@@ -32,20 +30,20 @@ class SimulationState:
     a walk over the families.
 
     Firms and houses are fixed for a run, so they are lists indexed by id:
-    ``firms[i].id == i`` and ``houses[i].id == i``. Citizens and families
-    are born and die, so they are dicts keyed by id.
+    ``firms[i].id == i`` and ``houses[i].id == i``. Families are born and
+    die, so they are a dict keyed by id.
 
-    A citizen's age, qualification, employer (-1 for none), monthly wage
-    (0.0 without an employer) and liveness are columns indexed by citizen
-    id, their only store. A citizen has one way in, ``add_citizen``, which
+    A citizen is one row of the columns indexed by citizen id, its only
+    store: age, qualification, employer (-1 for none), monthly wage (0.0
+    without an employer), family (-1 once dead), liveness, and whether the
+    qualification is still provisional (born in the run, not yet at
+    labor-entry age). A citizen has one way in, ``add_citizen``, which
     issues the next id, and one way out, ``demographics._remove_citizen``,
-    which clears ``alive``. So ``np.flatnonzero(alive)`` lists the same ids,
-    in the same ascending order, as ``citizens``: a gather over the columns
-    draws the RNG in the order a walk over the dict would.
+    which clears ``alive``. Ids are never reused, so
+    ``np.flatnonzero(alive)`` lists the living in ascending id order.
     """
 
     month: int = 0
-    citizens: dict[int, Citizen] = field(default_factory=dict)
     families: dict[int, Family] = field(default_factory=dict)
     firms: list[Firm] = field(default_factory=list)
     houses: list[House] = field(default_factory=list)
@@ -55,7 +53,6 @@ class SimulationState:
     rng: RngStreams | None = None
     labor_entry_age_months: int = 192
     qualification_levels: int = 21
-    simulation_born: set[int] = field(default_factory=set)
     money_base: float = 0.0
     escheat_pool: float = 0.0
     _next_citizen_id: int = 0
@@ -63,7 +60,9 @@ class SimulationState:
     qualification: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     employer: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     wage: np.ndarray = field(default_factory=lambda: np.zeros(0))  # monthly
+    family: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     alive: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
+    provisional: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
 
     def __post_init__(self):
         ids = [t.municipality_id for t in self.treasuries]
@@ -88,13 +87,15 @@ class SimulationState:
             )
             self.employer = np.concatenate([self.employer, np.full(grow, -1, dtype=np.int64)])
             self.wage = np.concatenate([self.wage, np.zeros(grow)])
+            self.family = np.concatenate([self.family, np.full(grow, -1, dtype=np.int64)])
             self.alive = np.concatenate([self.alive, np.zeros(grow, dtype=bool)])
+            self.provisional = np.concatenate([self.provisional, np.zeros(grow, dtype=bool)])
         self.age[cid] = age_months
         self.qualification[cid] = qualification
         self.employer[cid] = -1
         self.wage[cid] = 0.0
+        self.family[cid] = family.id
         self.alive[cid] = True
-        self.citizens[cid] = Citizen(id=cid, family_id=family.id)
         family.members.append(cid)
         self.headcount[family.municipality] += 1
         return cid
@@ -121,11 +122,11 @@ class SimulationState:
     def total_invested(self) -> float:
         return sequential_sum(t.cumulative_invested for t in self.treasuries)
 
-    def residences(self) -> Mapping[int, tuple[float, float]]:
+    def residences(self) -> _Residences:
         """Citizen id -> home coordinates, for proximity-based hiring.
 
         Each lookup resolves citizen -> family -> house; a citizen whose
-        family has no house is not a key.
+        family has no house raises ``KeyError``.
         """
         return _Residences(self)
 
@@ -135,24 +136,15 @@ class SimulationState:
         return np.flatnonzero(self.alive & adult & (self.employer < 0)).tolist()
 
 
-class _Residences(Mapping):
-    """Read-only view of every housed citizen's home location."""
+class _Residences:
+    """Keyed lookup of a housed citizen's home location."""
 
     def __init__(self, state: SimulationState):
         self._state = state
 
     def __getitem__(self, citizen_id: int) -> tuple[float, float]:
         state = self._state
-        house_id = state.families[state.citizens[citizen_id].family_id].house_id
+        house_id = state.families[state.family.item(citizen_id)].house_id
         if house_id is None:
             raise KeyError(citizen_id)
         return state.houses[house_id].location
-
-    def __iter__(self) -> Iterator[int]:
-        state = self._state
-        for cid, citizen in state.citizens.items():
-            if state.families[citizen.family_id].house_id is not None:
-                yield cid
-
-    def __len__(self) -> int:
-        return sum(1 for _ in self)

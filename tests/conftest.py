@@ -99,6 +99,11 @@ def add_family(state, muni, members_quals, savings=0.0, fam_id=None, ages=None):
     return family
 
 
+def living(state) -> list[int]:
+    """The living citizens' ids, ascending."""
+    return np.flatnonzero(state.alive).tolist()
+
+
 def add_firm(state, muni, cash=100.0, wage=1.0, price=1.0, firm_id=None, location=(0.0, 0.0)):
     """Append a firm; firms are indexed by id, so a given id must be the next index."""
     assert firm_id is None or firm_id == len(state.firms)

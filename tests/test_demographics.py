@@ -14,7 +14,7 @@ from metrosim.demographics import (
 )
 from metrosim.errors import ConfigError, ValidationError
 
-from conftest import add_family, add_firm, add_house, rng
+from conftest import add_family, add_firm, add_house, living, rng
 
 
 def flat_rates(mortality=0.0, fertility=0.0):
@@ -60,7 +60,7 @@ def test_step_ages_increments_everyone(make_state):
     state = make_state()
     add_family(state, 0, [1, 2, 3], ages=[0, 100, 500])
     step_ages(state)
-    assert state.age[list(state.citizens)].tolist() == [1, 101, 501]
+    assert state.age[living(state)].tolist() == [1, 101, 501]
 
 
 def test_terminal_bracket_kills_with_certainty(make_state):
@@ -68,7 +68,7 @@ def test_terminal_bracket_kills_with_certainty(make_state):
     add_family(state, 0, [1], ages=[100 * 12])
     deaths = apply_mortality(state, VitalRates(DEFAULT_VITAL_BRACKETS), rng())
     assert deaths == 1
-    assert not state.citizens
+    assert not living(state)
 
 
 def test_citizen_beyond_table_is_config_error(make_state):
@@ -87,14 +87,14 @@ def test_zero_mortality_no_deaths(make_state):
     state = make_state()
     add_family(state, 0, [1] * 50)
     assert apply_mortality(state, flat_rates(mortality=0.0), rng()) == 0
-    assert len(state.citizens) == 50
+    assert len(living(state)) == 50
 
 
 def test_certain_mortality_empties_population(make_state):
     state = make_state()
     add_family(state, 0, [1] * 50, savings=10.0)
     assert apply_mortality(state, flat_rates(mortality=1.0), rng()) == 50
-    assert not state.citizens
+    assert not living(state)
     assert not state.families
     assert state.headcount == [0]
     assert state.treasuries[0].balance == 10.0  # family savings escheated
@@ -104,7 +104,7 @@ def test_death_count_within_binomial_bound(make_state):
     state = make_state()
     for i in range(100):
         add_family(state, 0, [1] * 100, fam_id=i)
-    n = len(state.citizens)
+    n = len(living(state))
     assert n == 10_000
     deaths = apply_mortality(state, flat_rates(mortality=0.5), rng(123))
     sigma = (n * 0.25) ** 0.5
@@ -117,7 +117,7 @@ def test_mortality_determinism(make_state):
         state = make_state()
         add_family(state, 0, [1] * 500, ages=[400] * 500)
         deaths = apply_mortality(state, flat_rates(mortality=0.3), rng(77))
-        results.append((deaths, sorted(state.citizens)))
+        results.append((deaths, living(state)))
     assert results[0] == results[1]
 
 
@@ -168,16 +168,25 @@ def test_zero_fertility_no_births(make_state):
 
 
 def test_certain_fertility_single_parent(make_state):
-    state = make_state()
-    family = add_family(state, 0, [4], ages=[300])
-    births = apply_fertility(state, flat_rates(fertility=1.0), rng())
-    assert births == 1
-    assert len(family.members) == 2
-    assert state.headcount == [2]
-    baby_id = family.members[-1]
-    assert state.age[baby_id] == 0 and state.alive[baby_id]
-    assert state.qualification[baby_id] == 1  # provisional until labor-entry age
-    assert baby_id in state.simulation_born
+    # only adults are fertile; two infants leave a spare column row for the
+    # newborn, none leave the columns exactly full, so the birth grows them
+    rates = VitalRates([VitalBracket(0, 20, 0.0, 0.0), VitalBracket(20, 101, 0.0, 1.0)])
+    for infants in (2, 0):
+        state = make_state()
+        if infants:
+            add_family(state, 0, [1] * infants, ages=[0] * infants)
+        family = add_family(state, 0, [4], ages=[300])
+        assert (len(state.alive) == len(living(state))) == (infants == 0)
+        births = apply_fertility(state, rates, rng())
+        assert births == 1
+        assert len(family.members) == 2
+        assert state.headcount == [infants + 2]
+        baby_id = family.members[-1]
+        assert living(state)[-1] == baby_id
+        assert state.age[baby_id] == 0 and state.alive[baby_id]
+        assert state.family[baby_id] == family.id
+        assert state.qualification[baby_id] == 1  # provisional until labor-entry age
+        assert state.provisional[baby_id]
 
 
 def test_fertility_determinism(make_state):
@@ -193,11 +202,11 @@ def test_fertility_determinism(make_state):
 def test_population_accounting_exact(make_state):
     state = make_state()
     add_family(state, 0, [1] * 1000, ages=[360] * 1000)
-    before = len(state.citizens)
+    before = len(living(state))
     generator = rng(9)
     deaths = apply_mortality(state, flat_rates(mortality=0.05), generator)
     births = apply_fertility(state, flat_rates(fertility=0.05), generator)
-    assert len(state.citizens) == before - deaths + births
+    assert len(living(state)) == before - deaths + births
 
 
 # ---------------------------------------------------------------------------
@@ -209,11 +218,11 @@ def test_simulation_born_matures_at_entry_age(make_state):
     state = make_state()
     family = add_family(state, 0, [10, 12], ages=[400, 420])
     baby_id = state.add_citizen(family, state.labor_entry_age_months, qualification=1)
-    state.simulation_born.add(baby_id)
+    state.provisional[baby_id] = True
 
     matured = mature_qualifications(state, rng(21))
     assert matured == 1
-    assert baby_id not in state.simulation_born
+    assert not state.provisional[baby_id]
     assert 1 <= state.qualification[baby_id] <= state.qualification_levels
 
 
@@ -225,8 +234,7 @@ def test_maturation_draws_in_ascending_id_order(make_state):
     add_family(state, 0, [5] * 5, fam_id=2)  # ids 2..6
     assert state.add_citizen(high, entry, qualification=1) == 7
     assert state.add_citizen(low, entry, qualification=1) == 8
-    state.simulation_born.update([8, 7])  # the set iterates 8 first
-    assert list(state.simulation_born) != sorted(state.simulation_born)
+    state.provisional[[8, 7]] = True
 
     assert mature_qualifications(state, rng(7)) == 2
     draws = rng(7).normal([20.0, 2.0], 2.1)  # baby 7's draw first, then baby 8's
@@ -237,6 +245,6 @@ def test_maturation_draws_in_ascending_id_order(make_state):
 def test_worldgen_citizens_never_rematured(make_state):
     state = make_state()
     family = add_family(state, 0, [7], ages=[state.labor_entry_age_months])
-    # not in simulation_born -> qualification untouched
+    # not provisional -> qualification untouched
     assert mature_qualifications(state, rng()) == 0
     assert state.qualification[family.members[0]] == 7

@@ -7,7 +7,6 @@ from operator import attrgetter
 import numpy as np
 import pytest
 
-from metrosim.demographics import Citizen
 from metrosim.economy import (
     Family,
     Firm,
@@ -57,9 +56,11 @@ def pay(firms, families, quals, wages, employer, rates):
     ``quals`` and ``wages`` give citizens ``0..n-1``; returns the ``wage``
     column and the income-tax entries as lists.
     """
-    citizens = {cid: Citizen(id=cid, family_id=f.id) for f in families.values() for cid in f.members}
+    family = np.full(len(quals), -1, dtype=np.int64)
+    for f in families.values():
+        family[f.members] = f.id
     wage = np.array(wages, dtype=float)
-    munis, amounts = pay_wages(firms, citizens, families, qualification_column(quals), wage,
+    munis, amounts = pay_wages(firms, families, family, qualification_column(quals), wage,
                                employer, rates)
     return wage, (munis.tolist(), amounts.tolist())
 
@@ -228,8 +229,7 @@ def test_residences_resolve_each_housed_citizen(make_state):
     home.location = (3.0, 4.0)
     housed.house_id = home.id
     residences = state.residences()
-    assert dict(residences) == {cid: (3.0, 4.0) for cid in housed.members}
-    assert len(residences) == 2
+    assert [residences[cid] for cid in housed.members] == [(3.0, 4.0)] * 2
     with pytest.raises(KeyError):
         residences[houseless.members[0]]
     with pytest.raises(KeyError):
@@ -433,8 +433,8 @@ def test_month_production_and_payroll_match_per_firm_references_bit_for_bit(seed
     ref_employer = employer.copy()
 
     units = produce(firms, qualification, output_per_worker(params, 21), params)
-    citizens = {cid: Citizen(id=cid, family_id=w.family_id) for cid, w in workers.items()}
-    taxes = pay_wages(firms, citizens, families, qualification, wage, employer, rates)
+    family = np.array([w.family_id for w in workers.values()], dtype=np.int64)
+    taxes = pay_wages(firms, families, family, qualification, wage, employer, rates)
 
     ref_units = [
         produce_one_firm(firm, [ref_workers[cid].qualification for cid in firm.employees], params)

@@ -24,7 +24,9 @@ from metrosim.fiscal import TAX_KINDS, MpfTable, TaxKind, TaxRates, distribute, 
 from metrosim.rng import RngStreams
 from metrosim.worldgen import WorldConfig, default_apc_batch, generate_region, instantiate_world
 
-from conftest import add_family, add_firm, break_invariant, ledger_entries, region_of, rng
+from conftest import (
+    add_family, add_firm, break_invariant, ledger_entries, living, region_of, rng,
+)
 
 
 def with_case(cfg, case_id):
@@ -162,35 +164,30 @@ def test_frozen_shares_split_by_month_zero_populations(gen_config, monkeypatch):
 
 def test_audit_rejects_an_employed_minor():
     state, runtime, result, _ = apc33_month()
-    minor = next(c for c in state.citizens.values() if state.age[c.id] < 12)
+    minor = next(cid for cid in living(state) if state.age[cid] < 12)
     firm = max(state.firms, key=lambda f: f.cash)
-    state.employer[minor.id] = firm.id
-    state.wage[minor.id] = firm.wage_offer
-    firm.employees.append(minor.id)
+    state.employer[minor] = firm.id
+    state.wage[minor] = firm.wage_offer
+    firm.employees.append(minor)
     with pytest.raises(InvariantViolation, match="employment-consistency"):
         engine.step_month(state, runtime, result)
 
 
-def test_citizen_ids_stay_ascending_every_month(gen_config, monkeypatch):
-    # mature_qualifications draws in sorted(simulation_born) order and
-    # unemployed_adults sorts nothing away: both rely on this order
-    cfg = gen_config(horizon=60)
-    closed = []
+def assert_columns_agree(state, living_before, births, deaths):
+    """The citizen columns, the head-counts and the agent records tell the same story.
 
-    def checked_step(state, runtime, result):
-        step_month(state, runtime, result)
-        assert list(state.citizens) == sorted(state.citizens)
-        closed.append(state.month)
-
-    step_month = engine.step_month
-    monkeypatch.setattr(engine, "step_month", checked_step)
-    run_scenario(cfg, 0, region_of(cfg))
-    assert closed == list(range(1, 61))
-
-
-def assert_columns_agree(state):
-    """The citizen columns, the head-counts and the agent records tell the same story."""
-    assert np.flatnonzero(state.alive).tolist() == list(state.citizens)
+    ``living_before`` is the living count when the month began, and ``births``
+    and ``deaths`` are the counts its fertility and mortality passes returned.
+    """
+    ids = living(state)
+    assert len(ids) - living_before == births - deaths
+    # family column and member lists agree both ways
+    members = {cid: family.id for family in state.families.values() for cid in family.members}
+    assert sum(len(family.members) for family in state.families.values()) == len(ids)
+    assert dict(zip(ids, state.family[ids].tolist())) == members
+    dead = ~state.alive
+    assert np.all(state.family[dead] == -1)
+    assert not np.any(state.provisional[dead])
     on_payroll = 0
     for firm in state.firms:
         for cid in firm.employees:
@@ -225,12 +222,26 @@ def test_citizen_columns_hold_every_month(
                      skew=skew, horizon=horizon, case_id=case_id, seed=seed)
     region = region_of(cfg)
     step_month = engine.step_month
+    vital = {}
+
+    def counted(apply, key):
+        def recording(*args):
+            count = apply(*args)
+            vital[key] += count
+            return count
+        return recording
 
     def checked_step(state, runtime, result):
+        living_before = np.count_nonzero(state.alive)
+        vital.update(births=0, deaths=0)
         step_month(state, runtime, result)  # raises if the audit fires
-        assert_columns_agree(state)
+        assert_columns_agree(state, living_before, vital["births"], vital["deaths"])
 
-    with mock.patch.object(engine, "step_month", checked_step):
+    with (
+        mock.patch.object(engine, "step_month", checked_step),
+        mock.patch.object(engine, "apply_mortality", counted(engine.apply_mortality, "deaths")),
+        mock.patch.object(engine, "apply_fertility", counted(engine.apply_fertility, "births")),
+    ):
         result = run_scenario(cfg, seed, region)
     assert len(result.gdp_value) == horizon
     assert run_scenario(cfg, seed, region) == result

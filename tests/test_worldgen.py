@@ -18,6 +18,8 @@ from metrosim.worldgen import (
     save_region,
 )
 
+from conftest import living
+
 
 def rng(seed=0):
     return np.random.default_rng(seed)
@@ -144,26 +146,26 @@ def small_region(pop=1000, munis=1):
 
 def test_two_percent_sampling():
     state = instantiate_world(small_region(1000), WorldConfig(population_fraction=0.02), rng())
-    assert len(state.citizens) == 20
+    assert len(living(state)) == 20
 
 
 def test_fraction_one_is_identity():
     region = small_region(300)
     state = instantiate_world(region, WorldConfig(population_fraction=1.0), rng())
-    assert len(state.citizens) == region.total_population
+    assert len(living(state)) == region.total_population
 
 
 def test_families_partition_citizens():
     state = instantiate_world(
         small_region(1500), WorldConfig(population_fraction=0.02, mean_family_size=3.0), rng()
     )
-    assert len(state.citizens) == 30
+    assert len(living(state)) == 30
     assert len(state.families) == 10
     seen = []
     for family in state.families.values():
         assert family.members  # every family has at least one member
         seen.extend(family.members)
-    assert sorted(seen) == sorted(state.citizens)
+    assert sorted(seen) == living(state)
 
 
 def test_every_municipality_keeps_a_vacancy():
@@ -181,7 +183,7 @@ def test_hamlet_samples_to_one_household():
     # 40 people at 0.2% rounds to zero citizens; the sampled copy keeps one
     # household so no municipality starts the run empty
     state = instantiate_world(small_region(40), WorldConfig(population_fraction=0.002), rng())
-    assert len(state.citizens) == 1
+    assert len(living(state)) == 1
     assert len(state.families) == 1
     assert len(state.houses) >= 2
 
@@ -248,8 +250,8 @@ def test_instantiation_deterministic():
     cfg = WorldConfig(population_fraction=0.05)
     a = instantiate_world(region, cfg, rng(13))
     b = instantiate_world(region, cfg, rng(13))
-    assert {cid: (int(a.age[cid]), int(a.qualification[cid])) for cid in a.citizens} == {
-        cid: (int(b.age[cid]), int(b.qualification[cid])) for cid in b.citizens
+    assert {cid: (int(a.age[cid]), int(a.qualification[cid])) for cid in living(a)} == {
+        cid: (int(b.age[cid]), int(b.qualification[cid])) for cid in living(b)
     }
     assert {f.id: f.savings for f in a.families.values()} == {
         f.id: f.savings for f in b.families.values()
@@ -268,19 +270,18 @@ def test_money_base_matches_circulation():
 
 def test_initial_employment_rate_applied():
     state = instantiate_world(small_region(5000), WorldConfig(population_fraction=0.05), rng(6))
-    adults = [c for c in state.citizens.values()
-              if state.age[c.id] >= state.labor_entry_age_months]
-    employed = [c for c in adults if state.employer[c.id] >= 0]
+    adults = [cid for cid in living(state) if state.age[cid] >= state.labor_entry_age_months]
+    employed = [cid for cid in adults if state.employer[cid] >= 0]
     assert len(employed) == round(0.9 * len(adults))
-    for citizen in employed:
-        assert state.wage[citizen.id] > 0
-        assert citizen.id in state.firms[state.employer[citizen.id]].employees
+    for cid in employed:
+        assert state.wage[cid] > 0
+        assert cid in state.firms[state.employer[cid]].employees
 
 
 def test_qualifications_within_levels():
     cfg = WorldConfig(population_fraction=0.05, qualification_levels=21)
     state = instantiate_world(small_region(5000), cfg, rng(8))
-    quals = state.qualification[list(state.citizens)].tolist()
+    quals = state.qualification[living(state)].tolist()
     assert min(quals) >= 1
     assert max(quals) <= 21
 
@@ -297,7 +298,7 @@ def test_qualification_distribution_with_one_level():
         population_fraction=0.05, initial_qualification_distribution=one_hot(21, (7, 1.0))
     )
     state = instantiate_world(small_region(5000), cfg, rng(8))
-    assert set(state.qualification[list(state.citizens)].tolist()) == {7}
+    assert set(state.qualification[living(state)].tolist()) == {7}
 
 
 def test_qualification_distribution_with_two_levels():
@@ -306,7 +307,7 @@ def test_qualification_distribution_with_two_levels():
         initial_qualification_distribution=one_hot(21, (2, 0.5), (20, 0.5)),
     )
     state = instantiate_world(small_region(5000), cfg, rng(8))
-    assert set(state.qualification[list(state.citizens)].tolist()) == {2, 20}
+    assert set(state.qualification[living(state)].tolist()) == {2, 20}
 
 
 # ---------------------------------------------------------------------------
