@@ -41,7 +41,7 @@ from .fiscal import (
     mpf_shares,
     policy_for_case,
 )
-from .housing import House, HousingParams, hedonic_price
+from .housing import House, HousingParams
 from .state import SimulationState
 from .worldgen import (
     MunicipalitySpec,
@@ -62,7 +62,7 @@ __all__ = [
     "TaxKind", "TaxLedger", "TaxRates", "Treasury",
     "ChannelWeights", "DistributionPolicy", "MpfTable",
     "policy_for_case", "equal_shares", "mpf_shares", "distribute", "invest",
-    "hedonic_price", "step_ages", "apply_mortality", "apply_fertility",
+    "step_ages", "apply_mortality", "apply_fertility",
     "VitalRates", "generate_region", "load_region", "save_region",
     "instantiate_world", "default_apc_batch",
     "ScenarioConfig", "parse_config", "serialize_config", "default_config",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import logging
 import math
+import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from statistics import median
@@ -355,19 +356,31 @@ def start_runtime(config: ScenarioConfig, state: SimulationState) -> _Runtime:
     )
 
 
-def run_scenario(config: ScenarioConfig, seed: int, region: RegionSpec) -> RunResult:
-    """Instantiate ``region`` as a world and run it to the horizon, recording every month.
+def _world_seed(config: ScenarioConfig, seed: int) -> int:
+    """The seed whose worldgen stream draws the initial world of a run at ``seed``.
 
-    With ``engine.reinstantiate_per_run`` off, the initial world is always
-    drawn from the base seed, so repeated runs share one world and differ
-    only in the monthly dynamics.
+    With ``engine.reinstantiate_per_run`` off, it is always the base seed, so
+    repeated runs share one world and differ only in the monthly dynamics.
     """
-    streams = RngStreams(seed)
-    world_streams = (
-        streams if config.engine.reinstantiate_per_run else RngStreams(config.engine.seed)
-    )
-    state = instantiate_world(region, config.world, world_streams.worldgen)
-    state.rng = streams
+    return seed if config.engine.reinstantiate_per_run else config.engine.seed
+
+
+def draw_world(config: ScenarioConfig, seed: int, region: RegionSpec) -> SimulationState:
+    """Instantiate ``region`` as the initial world of a run at ``seed``."""
+    streams = RngStreams(_world_seed(config, seed))
+    return instantiate_world(region, config.world, streams.worldgen)
+
+
+def run_scenario(
+    config: ScenarioConfig, seed: int, region: RegionSpec, world: SimulationState | None = None
+) -> RunResult:
+    """Run ``region`` from its initial world to the horizon, recording every month.
+
+    ``world`` is that initial world, as ``draw_world`` returns it, and is
+    consumed by the run; without it the world is drawn here.
+    """
+    state = world if world is not None else draw_world(config, seed, region)
+    state.rng = RngStreams(seed)
     runtime = start_runtime(config, state)
     result = RunResult(
         apc_id=region.id,
@@ -406,11 +419,12 @@ def run_scenario(config: ScenarioConfig, seed: int, region: RegionSpec) -> RunRe
 
 @dataclass(frozen=True)
 class RunTask:
-    """One picklable unit of batch work."""
+    """One picklable unit of batch work; ``world`` is its pickled initial world."""
 
     config: ScenarioConfig
     region: RegionSpec
     seed: int
+    world: bytes = field(repr=False)
 
 
 class RunFailure(NamedTuple):
@@ -437,7 +451,7 @@ def _execute_task(task: RunTask) -> RunResult | RunFailure:
     # a broken model invariant is batch data; any other exception is a bug
     # and propagates out of the batch
     try:
-        return run_scenario(task.config, task.seed, task.region)
+        return run_scenario(task.config, task.seed, task.region, pickle.loads(task.world))
     except InvariantViolation as exc:
         return RunFailure(task.seed, str(exc))
 
@@ -502,13 +516,20 @@ def batch_tasks(
 
     Run r of every (region, case) cell uses seed ``engine.seed + r``, so
     comparisons across cases see identical worlds and identical demographic
-    draws; only the fiscal routing differs.
+    draws; only the fiscal routing differs. Each distinct initial world of a
+    region is drawn and pickled once, here, and every task that starts from
+    it unpickles its own copy.
     """
     runs = runs_per_scenario or config.engine.runs_per_scenario
     tasks = []
     for region in regions:
+        worlds: dict[int, bytes] = {}  # by world seed
         for case_id in cases:
             case_cfg = replace(config, fiscal=replace(config.fiscal, case_id=case_id))
             for r in range(runs):
-                tasks.append(RunTask(case_cfg, region, config.engine.seed + r))
+                seed = config.engine.seed + r
+                key = _world_seed(config, seed)
+                if key not in worlds:
+                    worlds[key] = pickle.dumps(draw_world(config, seed, region))
+                tasks.append(RunTask(case_cfg, region, seed, worlds[key]))
     return tasks

@@ -62,16 +62,6 @@ class Transaction(NamedTuple):
     price: float
 
 
-def hedonic_price(house: House, municipality_qli: float, params: HousingParams) -> float:
-    """Attribute-based value: base x size x quality, scaled up with local QLI."""
-    return (
-        params.hedonic_base
-        * house.size
-        * house.quality
-        * (1.0 + params.qli_elasticity * municipality_qli)
-    )
-
-
 class HedonicUnits(NamedTuple):
     """The per-run part of every house's hedonic price, indexed by house id.
 
@@ -84,7 +74,7 @@ class HedonicUnits(NamedTuple):
 
 
 def hedonic_units(state: "SimulationState", params: HousingParams) -> HedonicUnits:
-    """Each house's ``base x size x quality``, in ``hedonic_price``'s operand order."""
+    """Each house's ``base x size x quality``, multiplied in that order."""
     houses = state.houses
     size = np.array([h.size for h in houses], dtype=float)
     quality = np.array([h.quality for h in houses], dtype=float)
@@ -97,12 +87,12 @@ def hedonic_units(state: "SimulationState", params: HousingParams) -> HedonicUni
 def hedonic_prices(
     state: "SimulationState", params: HousingParams, units: HedonicUnits
 ) -> list[float]:
-    """Every house's ``hedonic_price`` at its municipality's current QLI, by house id.
+    """Every house's hedonic price at its municipality's current QLI, by house id.
 
-    Each price is its unit in ``units`` (this world's ``hedonic_units``) times
-    ``1 + elasticity x QLI``, the operands of ``hedonic_price`` in its order,
-    so every price has the same bits. The prices hold until QLI moves, which
-    only ``invest`` does. ``tolist`` keeps them Python floats.
+    The attribute-based value is ``base x size x quality x (1 + elasticity x
+    QLI)``, multiplied left to right: its unit in ``units`` (this world's
+    ``hedonic_units``) times the QLI factor. The prices hold until QLI moves,
+    which only ``invest`` does. ``tolist`` keeps them Python floats.
     """
     qli = np.array([treasury.qli for treasury in state.treasuries], dtype=float)
     factor = 1.0 + params.qli_elasticity * qli

@@ -236,6 +236,34 @@ def test_ols_matches_normal_equations():
         np.testing.assert_allclose(fit.standard_errors, se_oracle, rtol=1e-8)
 
 
+@pytest.mark.parametrize("dof", [1, 2, 5, 37, 120, 159, 1000])
+def test_p_values_are_the_t_distributions_tail_bit_for_bit(dof):
+    # ols_fit takes the two-sided p-value from special.stdtr, which is what
+    # stats.t.sf computes; the bytes of coefficients.csv depend on the two agreeing
+    from scipy import special, stats
+
+    rng = np.random.default_rng(dof)
+    t = np.concatenate([
+        rng.standard_t(2, size=2_000) * 4.0,
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-300, -1e-300, 5e-324, 40.0, -80.0, 1e300],
+    ])
+    ours = 2.0 * special.stdtr(dof, -np.abs(t))
+    reference = 2.0 * stats.t.sf(np.abs(t), dof)
+    assert ours.tobytes() == reference.tobytes()
+
+
+def test_ols_p_values_match_the_t_distribution():
+    from scipy import stats
+
+    rng = np.random.default_rng(19)
+    for _ in range(10):
+        X, y = random_problem(rng)
+        fit = ols_fit(X, y)
+        dof = fit.n_observations - fit.n_parameters
+        reference = 2.0 * stats.t.sf(np.abs(fit.t_statistics), dof)
+        assert fit.p_values.tobytes() == reference.tobytes()
+
+
 def test_residuals_orthogonal_to_design():
     rng = np.random.default_rng(7)
     X, y = random_problem(rng, n=50, k=6)

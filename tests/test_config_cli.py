@@ -339,6 +339,29 @@ print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
     assert proc.stdout.strip().splitlines()[-1] == "[]"
 
 
+def test_regress_never_imports_scipy_stats(tmp_path):
+    # the OLS fit needs scipy's linalg and special modules only; stats would
+    # cost regress another ~0.7 s of start-up
+    script = """
+import sys
+import metrosim.cli
+code = metrosim.cli.main(["regress", "--config", sys.argv[1], "--out", sys.argv[2],
+                          "--models", "simul1"])
+assert code == 0, code
+assert "scipy.special" in sys.modules, "regress fitted nothing"
+assert "scipy.stats" not in sys.modules, "regress loaded scipy.stats"
+"""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, write_config(tmp_path, SMALL_SCENARIO),
+         str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 # case -> (config file, extra regress flags); "{dir}" stands for the test's tmp_path
 LATE_INPUTS = {
     "unknown-model": ("config.json", ["--models", "bogus"]),

@@ -442,6 +442,54 @@ def test_batch_tasks_matched_seeds(gen_config):
     assert seeds[1] == seeds[3] == [cfg.engine.seed, cfg.engine.seed + 1]
 
 
+@pytest.mark.parametrize("reinstantiate", [True, False])
+def test_batch_draws_each_world_once(gen_config, monkeypatch, reinstantiate):
+    # the four cases of a run share one world; with reinstantiate_per_run off
+    # so do all runs of a region
+    calls = []
+
+    def counting(region, world_config, stream):
+        calls.append(region.id)
+        return instantiate_world(region, world_config, stream)
+
+    monkeypatch.setattr(engine, "instantiate_world", counting)
+    cfg = gen_config(horizon=2, total_population=2_000, n_municipalities=2)
+    cfg.engine = replace(cfg.engine, reinstantiate_per_run=reinstantiate)
+    regions = [generate_region(2, 2_000, 0.5, rng(i), WorldConfig()) for i in (1, 2)]
+    regions[1] = replace(regions[1], id="other")
+    tasks = batch_tasks(cfg, regions, cases=[1, 2, 3, 4], runs_per_scenario=3)
+    run_batch(tasks, jobs=1)
+    runs_drawn = 3 if reinstantiate else 1
+    assert sorted(calls) == sorted([regions[0].id, "other"] * runs_drawn)
+
+
+@pytest.mark.parametrize("reinstantiate", [True, False])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_batch_runs_equal_fresh_runs(gen_config, reinstantiate, jobs):
+    # a task starts from its own copy of the shared world, so no case sees
+    # what an earlier case did to it
+    cfg = gen_config(horizon=4, total_population=2_000, n_municipalities=2)
+    cfg.engine = replace(cfg.engine, reinstantiate_per_run=reinstantiate)
+    region = generate_region(2, 2_000, 0.5, rng(1), WorldConfig())
+    tasks = batch_tasks(cfg, [region], cases=[1, 2, 3, 4], runs_per_scenario=2)
+    results = run_batch(tasks, jobs=jobs)
+    assert len(results) == 4
+    for (apc_id, case_id), scenario in results.items():
+        fresh = [run_scenario(t.config, t.seed, t.region) for t in tasks
+                 if t.config.fiscal.case_id == case_id]
+        assert len(fresh) == 2
+        assert scenario.runs == fresh
+
+
+def test_run_task_repr_leaves_out_the_world(gen_config):
+    cfg = gen_config(horizon=2, total_population=2_000, n_municipalities=2)
+    task = batch_tasks(cfg, [region_of(cfg)], cases=[1], runs_per_scenario=1)[0]
+    text = repr(task)
+    assert len(task.world) > 1_000
+    assert text.endswith(f"seed={task.seed})")
+    assert repr(task.world)[:40] not in text
+
+
 def test_parallel_batch_equals_serial(gen_config):
     cfg = gen_config(horizon=4, total_population=2_000, n_municipalities=2)
     region = generate_region(2, 2_000, 0.5, rng(1), WorldConfig())

@@ -12,7 +12,6 @@ from metrosim.housing import (
     House,
     HousingParams,
     collect_property_tax,
-    hedonic_price,
     hedonic_prices,
     hedonic_units,
     run_housing_market,
@@ -24,6 +23,17 @@ from conftest import add_family, add_house, ledger_entries, rng
 
 
 ALWAYS_ENTER = HousingParams(market_entry_rate=1.0, bid_fraction=1.0)
+
+
+def hedonic_price(house, municipality_qli, params):
+    """One house's attribute-based value, the scalar reference of ``hedonic_prices``:
+    base x size x quality, scaled up with local QLI."""
+    return (
+        params.hedonic_base
+        * house.size
+        * house.quality
+        * (1.0 + params.qli_elasticity * municipality_qli)
+    )
 
 
 def market(state, params, rates, taxes=None):
