@@ -18,20 +18,9 @@ import numpy as np
 
 from .engine import ScenarioResult
 from .errors import ValidationError
-from .fiscal import sequential_sum
+from .fiscal import CASES, POLICIES, sequential_sum
 
 log = logging.getLogger(__name__)
-
-CASES = (1, 2, 3, 4)
-
-# (alternative0, mpf_distribution) per case: alternative0 marks the status quo
-# of separate municipal fiscal identities; mpf marks the bracket-fund channel.
-CASE_FLAGS: dict[int, tuple[bool, bool]] = {
-    1: (True, True),
-    2: (False, True),
-    3: (True, False),
-    4: (False, False),
-}
 
 CONTROL_NAMES = (
     "avg_workers_per_firm",
@@ -119,6 +108,22 @@ def load_covariates(path) -> dict[str, dict[str, float]]:
     return out
 
 
+def region_table(scenarios: Mapping[tuple[str, int], ScenarioResult],
+                 cases: Sequence[int]) -> list[tuple[str, list[float], list[float]]]:
+    """``(apc_id, raw QLI by case, normalized QLI by case)`` for each region, in
+    region id order, values in the order of ``cases``. A region missing any of
+    ``cases``, or with one of them flagged, is dropped (logged)."""
+    rows = []
+    for apc_id in sorted({apc_id for apc_id, _ in scenarios}):
+        cell = [scenarios.get((apc_id, case_id)) for case_id in cases]
+        if any(s is None or s.flagged for s in cell):
+            log.warning("region %s dropped: incomplete or flagged cases", apc_id)
+            continue
+        raw = [region_qli(s) for s in cell]
+        rows.append((apc_id, raw, normalize_qli(raw)))
+    return rows
+
+
 def build_dataset(
     scenarios: Mapping[tuple[str, int], ScenarioResult],
     covariates: Mapping[str, Mapping[str, float]] | None = None,
@@ -128,29 +133,19 @@ def build_dataset(
     Regions missing any healthy case are dropped (logged); a covariate table
     that fails to cover every surviving region is an error listing the gaps.
     """
-    by_apc: dict[str, dict[int, ScenarioResult]] = {}
-    for (apc_id, case_id), scenario in scenarios.items():
-        by_apc.setdefault(apc_id, {})[case_id] = scenario
-
     observations: list[Observation] = []
-    for apc_id in sorted(by_apc):
-        cell = by_apc[apc_id]
-        if any(c not in cell or cell[c].flagged for c in CASES):
-            log.warning("region %s dropped: incomplete or flagged cases", apc_id)
-            continue
-        raw = [region_qli(cell[c]) for c in CASES]
-        normalized = normalize_qli(raw)
+    for apc_id, raw, normalized in region_table(scenarios, CASES):
         for case_id, raw_v, norm_v in zip(CASES, raw, normalized):
-            alt0, mpf = CASE_FLAGS[case_id]
+            policy = POLICIES[case_id]
             observations.append(
                 Observation(
                     apc_id=apc_id,
                     case_id=case_id,
-                    alternative0=alt0,
-                    mpf_distribution=mpf,
+                    alternative0=not policy.merged,
+                    mpf_distribution=policy.uses_mpf,
                     qli_final=norm_v,
                     qli_raw=raw_v,
-                    controls=dict(cell[case_id].controls),
+                    controls=dict(scenarios[(apc_id, case_id)].controls),
                 )
             )
 

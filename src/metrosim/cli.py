@@ -27,7 +27,7 @@ from .config import (
 )
 from .engine import RunResult, batch_tasks, run_batch, run_scenario
 from .errors import ConfigError, InvariantViolation, MetrosimError, ParseError, ValidationError
-from .fiscal import TAX_KINDS, read_mpf_table
+from .fiscal import CASES, TAX_KINDS, read_mpf_table
 from .worldgen import RegionSpec, default_apc_batch, generate_region, load_region, save_region
 
 OUTPUT_DIR_ENV = "METROSIM_OUTPUT_DIR"
@@ -87,8 +87,8 @@ def _load_config(args) -> ScenarioConfig:
         cfg = replace(cfg, fiscal=replace(cfg.fiscal, case_id=args.case))
     cfg.validate()  # the overrides above are checked like the keys they replace
     cases = getattr(args, "cases", None)
-    if cases is not None and (len(set(cases)) != len(cases) or not set(cases) <= {1, 2, 3, 4}):
-        raise ConfigError(f"--cases must be distinct values in 1..4, got {cases}")
+    if cases is not None and (len(set(cases)) != len(cases) or not set(cases) <= set(CASES)):
+        raise ConfigError(f"--cases must be distinct values of {CASES}, got {cases}")
     if getattr(args, "jobs", 1) < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     if cfg.fiscal.mpf_table_file:
@@ -247,16 +247,11 @@ def cmd_compare(args, cfg: ScenarioConfig, regions: list[RegionSpec]):
     def write(out_dir: Path, scenarios, files: list[str]) -> None:
         qli_rows = []
         tally = {c: 0 for c in cases}
-        for region in regions:
-            cell = {c: scenarios.get((region.id, c)) for c in cases}
-            if any(s is None or s.flagged for s in cell.values()):
-                continue
-            raw = {c: analytics.region_qli(cell[c]) for c in cases}
-            normalized = analytics.normalize_qli([raw[c] for c in cases])
-            winner = analytics.best_case(raw)
+        for apc_id, raw, normalized in analytics.region_table(scenarios, cases):
+            winner = analytics.best_case(dict(zip(cases, raw)))
             tally[winner] += 1
-            for c, norm in zip(cases, normalized):
-                qli_rows.append([region.id, c, raw[c], norm, winner == c])
+            for c, raw_v, norm in zip(cases, raw, normalized):
+                qli_rows.append([apc_id, c, raw_v, norm, winner == c])
         _write_csv(out_dir / "qli_normalized.csv",
                    ["apc_id", "case_id", "qli_raw", "qli_normalized", "is_best"], qli_rows)
         files.append("qli_normalized.csv")
@@ -350,7 +345,7 @@ def cmd_regress(args, cfg: ScenarioConfig, regions: list[RegionSpec]):
         report = analytics.format_fit_report(fits)
         with open(out_dir / "regression_report.txt", "w", encoding="utf-8", newline="\n") as fh:
             fh.write(f"observations: {len(observations)} "
-                     f"({len({o.apc_id for o in observations})} regions x 4 cases)\n")
+                     f"({len({o.apc_id for o in observations})} regions x {len(CASES)} cases)\n")
             fh.write("note: simul2 omits municipality_count (constant within region, "
                      "collinear with the region dummies)\n\n")
             fh.write(report)
@@ -358,7 +353,7 @@ def cmd_regress(args, cfg: ScenarioConfig, regions: list[RegionSpec]):
         print(report)
         print(f"wrote regression outputs -> {out_dir}")
 
-    return list(analytics.CASES), write
+    return list(CASES), write
 
 
 def cmd_validate(args, cfg: ScenarioConfig, regions: list[RegionSpec]):
@@ -394,8 +389,16 @@ def _add_common(p, batch: bool) -> None:
         p.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed flag is a config error: usage, then exit 1 (argparse exits 2)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_CONFIG, f"config error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="metrosim",
         description="Multi-municipality tax distribution simulator",
         epilog=_config_epilog(),
@@ -415,13 +418,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("run", help="run one scenario and export its series")
     _add_common(p, batch=False)
-    p.add_argument("--case", type=int, choices=[1, 2, 3, 4], help="override fiscal.case_id")
+    p.add_argument("--case", type=int, choices=CASES, help="override fiscal.case_id")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("compare", help="run the batch across cases and tally winners")
     _add_common(p, batch=True)
-    p.add_argument("--cases", type=lambda s: [int(c) for c in s.split(",")],
-                   default=[1, 2, 3, 4], help="comma-separated subset of 1,2,3,4")
+    p.add_argument("--cases", type=lambda s: [int(c) for c in s.split(",")], default=list(CASES),
+                   help=f"comma-separated subset of {','.join(map(str, CASES))}")
     p.add_argument("--export-runs", action="store_true", help="also write per-run CSVs")
     p.set_defaults(func=_batch_command, prepare=cmd_compare)
 

@@ -15,7 +15,7 @@ from typing import Any
 
 from .economy import MarketParams
 from .errors import ConfigError, ValidationError
-from .fiscal import TaxRates
+from .fiscal import CASES, TaxRates
 from .housing import HousingParams
 from .worldgen import WorldConfig
 
@@ -50,8 +50,8 @@ class FiscalConfig:
     profit_tax_cadence_months: int = 3
 
     def validate(self) -> None:
-        if self.case_id not in (1, 2, 3, 4):
-            raise ConfigError(f"fiscal.case_id must be in 1..4, got {self.case_id}")
+        if self.case_id not in CASES:
+            raise ConfigError(f"fiscal.case_id must be one of {CASES}, got {self.case_id}")
         if self.qli_unit_cost <= 0:
             raise ConfigError("fiscal.qli_unit_cost must be positive")
         if self.profit_tax_cadence_months < 1:

@@ -196,39 +196,47 @@ class DistributionPolicy:
         for kind, w in self.weights.items():
             w.validate(kind.value)
 
+    @property
+    def merged(self) -> bool:  # no tax keeps a local share: the paper's alternative0 = false
+        return not any(w.local for w in self.weights.values())
+
+    @property
+    def uses_mpf(self) -> bool:  # some tax feeds the bracket fund: mpf_distribution
+        return any(w.mpf for w in self.weights.values())
+
+
+# The tested cases by id, shared by every run, so read and never assigned to:
+# 1 is the status quo, 2 merges the municipalities' finances, 3 keeps every tax
+# at its origin and 4 splits every tax by population.
+POLICIES: dict[int, DistributionPolicy] = {
+    case_id: DistributionPolicy(case_id, weights)
+    for case_id, weights in {
+        1: {
+            TaxKind.CONSUMPTION: ChannelWeights(0.1875, 0.8125, 0.0),
+            TaxKind.PERSONAL_INCOME: ChannelWeights(0.0, 0.765, 0.235),
+            TaxKind.TRANSMISSION: ChannelWeights(1.0, 0.0, 0.0),
+            TaxKind.COMPANY: ChannelWeights(0.0, 0.765, 0.235),
+            TaxKind.PROPERTY: ChannelWeights(1.0, 0.0, 0.0),
+        },
+        2: {
+            TaxKind.CONSUMPTION: ChannelWeights(0.0, 1.0, 0.0),
+            TaxKind.PERSONAL_INCOME: ChannelWeights(0.0, 0.765, 0.235),
+            TaxKind.TRANSMISSION: ChannelWeights(0.0, 1.0, 0.0),
+            TaxKind.COMPANY: ChannelWeights(0.0, 0.765, 0.235),
+            TaxKind.PROPERTY: ChannelWeights(0.0, 1.0, 0.0),
+        },
+        3: {kind: ChannelWeights(1.0, 0.0, 0.0) for kind in TAX_KINDS},
+        4: {kind: ChannelWeights(0.0, 1.0, 0.0) for kind in TAX_KINDS},
+    }.items()
+}
+CASES = tuple(POLICIES)
+
 
 def policy_for_case(case_id: int) -> DistributionPolicy:
-    """Return the weight matrix of one of the four tested distribution cases.
-
-    Case 1 is the status quo (partial local retention plus population-equal
-    and bracket-fund channels), case 2 merges the municipalities for
-    distribution purposes, case 3 keeps everything at the origin, case 4
-    splits everything equally by population.
-    """
-    if case_id not in (1, 2, 3, 4):
-        raise ValidationError(f"case_id must be in 1..4, got {case_id!r}")
-    C = ChannelWeights
-    if case_id == 1:
-        table = {
-            TaxKind.CONSUMPTION: C(0.1875, 0.8125, 0.0),
-            TaxKind.PERSONAL_INCOME: C(0.0, 0.765, 0.235),
-            TaxKind.TRANSMISSION: C(1.0, 0.0, 0.0),
-            TaxKind.COMPANY: C(0.0, 0.765, 0.235),
-            TaxKind.PROPERTY: C(1.0, 0.0, 0.0),
-        }
-    elif case_id == 2:
-        table = {
-            TaxKind.CONSUMPTION: C(0.0, 1.0, 0.0),
-            TaxKind.PERSONAL_INCOME: C(0.0, 0.765, 0.235),
-            TaxKind.TRANSMISSION: C(0.0, 1.0, 0.0),
-            TaxKind.COMPANY: C(0.0, 0.765, 0.235),
-            TaxKind.PROPERTY: C(0.0, 1.0, 0.0),
-        }
-    elif case_id == 3:
-        table = {k: C(1.0, 0.0, 0.0) for k in TAX_KINDS}
-    else:
-        table = {k: C(0.0, 1.0, 0.0) for k in TAX_KINDS}
-    return DistributionPolicy(case_id=case_id, weights=table)
+    """The shared weight matrix of one of the tested cases in ``POLICIES``."""
+    if case_id not in POLICIES:
+        raise ValidationError(f"case_id must be one of {CASES}, got {case_id!r}")
+    return POLICIES[case_id]
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,8 @@ class SimulationState:
     a walk over the families.
 
     Firms and houses are fixed for a run, so they are lists indexed by id:
-    ``firms[i].id == i`` and ``houses[i].id == i``. Families are born and
-    die, so they are a dict keyed by id.
+    ``firms[i].id == i`` and ``houses[i].id == i``. Only worldgen creates
+    families, and one leaves when it escheats, so they are a dict keyed by id.
 
     A citizen is one row of the columns indexed by citizen id, its only
     store: age, qualification, employer (-1 for none), monthly wage (0.0

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from metrosim import analytics, cli, engine
-from metrosim.analytics import best_case, build_dataset, fit_model, region_qli
+from metrosim.analytics import best_case, build_dataset, fit_model, region_table
 from metrosim.config import (
     EngineConfig,
     RegionSource,
@@ -198,9 +198,10 @@ def test_criterion_07_policy_coefficient_signs(default_batch):
 def test_criterion_08_winner_histogram_shape(default_batch):
     regions, scenarios, _ = default_batch
     tally = {1: 0, 2: 0, 3: 0, 4: 0}
-    for region in regions:
-        raw = {c: region_qli(scenarios[(region.id, c)]) for c in (1, 2, 3, 4)}
-        tally[best_case(raw)] += 1
+    rows = region_table(scenarios, [1, 2, 3, 4])
+    assert [apc_id for apc_id, _, _ in rows] == [region.id for region in regions]
+    for _, raw, _ in rows:
+        tally[best_case(dict(zip((1, 2, 3, 4), raw)))] += 1
     assert sum(tally.values()) == 40
     others = [tally[c] for c in (1, 3, 4)]
     assert tally[2] > max(others), f"case 2 not modal: {tally}"

@@ -8,8 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from metrosim.analytics import (
-    CASE_FLAGS,
-    CASES,
     CONTROL_NAMES,
     FitResult,
     Observation,
@@ -22,10 +20,21 @@ from metrosim.analytics import (
     normalize_qli,
     ols_fit,
     region_qli,
+    region_table,
     validation_report,
 )
 from metrosim.engine import RunFailure, RunResult, ScenarioResult, summarize_runs
 from metrosim.errors import ValidationError
+from metrosim.fiscal import CASES, POLICIES
+
+# The paper's (alternative0, mpf_distribution) per case: alternative0 marks the
+# status quo of separate municipal finances, mpf_distribution the bracket fund.
+CASE_FLAGS = {
+    1: (True, True),
+    2: (False, True),
+    3: (True, False),
+    4: (False, False),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +121,39 @@ def test_region_qli_unweighted_mean():
 def test_region_qli_requires_values():
     with pytest.raises(ValidationError):
         region_qli(ScenarioResult(apc_id="a", case_id=1, runs=[]))
+
+
+def test_case_flags_are_read_off_the_weights():
+    assert {c: (not POLICIES[c].merged, POLICIES[c].uses_mpf) for c in CASES} == CASE_FLAGS
+
+
+def test_region_table_runs_in_region_id_order():
+    scenarios = three_region_cells()
+    shuffled = dict(reversed(list(scenarios.items())))
+    rows = region_table(shuffled, CASES)
+    assert [apc_id for apc_id, _, _ in rows] == ["a", "b", "c"]
+    assert rows == region_table(scenarios, CASES)
+    for apc_id, raw, normalized in rows:
+        assert raw == [region_qli(scenarios[(apc_id, c)]) for c in CASES]
+        assert normalized == normalize_qli(raw)
+
+
+def test_region_table_drops_and_logs_a_flagged_region(caplog):
+    with caplog.at_level(logging.WARNING, logger="metrosim.analytics"):
+        rows = region_table(three_region_cells(flag=("b", 3)), CASES)
+    assert [apc_id for apc_id, _, _ in rows] == ["a", "c"]
+    assert [r.message for r in caplog.records] == ["region b dropped: incomplete or flagged cases"]
+
+
+def test_region_table_keeps_the_order_of_a_case_subset(caplog):
+    scenarios = three_region_cells(flag=("b", 3))  # case 3 is not asked for
+    with caplog.at_level(logging.WARNING, logger="metrosim.analytics"):
+        rows = region_table(scenarios, [2, 1])
+    assert not caplog.records
+    assert [apc_id for apc_id, _, _ in rows] == ["a", "b", "c"]
+    for apc_id, raw, normalized in rows:
+        assert raw == [region_qli(scenarios[(apc_id, 2)]), region_qli(scenarios[(apc_id, 1)])]
+        assert normalized == [1.0, 0.0]  # case 2 lifts QLI more than case 1
 
 
 def test_build_dataset_full_grid():

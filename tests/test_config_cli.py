@@ -18,6 +18,7 @@ from metrosim.config import (
     serialize_config,
 )
 from metrosim.errors import ConfigError
+from metrosim.fiscal import CASES
 from metrosim.worldgen import WorldConfig, load_region
 
 from conftest import break_invariant
@@ -196,6 +197,14 @@ def test_run_reproduces_compare_run_zero(tmp_path):
     assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "cmp" / "runs" / name).read_bytes()
 
 
+def main_code(argv):
+    """``cli.main``'s exit code, also where argparse exits through SystemExit."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 @pytest.mark.parametrize("flags", [
     ["--runs", "0"],
     ["--runs", "-2"],
@@ -203,14 +212,44 @@ def test_run_reproduces_compare_run_zero(tmp_path):
     ["--cases", "1,5"],
     ["--cases", "1,1"],
     ["--jobs", "0"],
+    ["--cases", "1,x"],
+    ["--jobs", "two"],
 ])
 def test_bad_flags_exit_one_before_any_run(tmp_path, capsys, flags):
     cfg_path = write_config(tmp_path, SMALL_SCENARIO)
     out_dir = tmp_path / "cmp"
-    code = cli.main(["compare", "--config", cfg_path, "--out", str(out_dir), *flags])
-    assert code == cli.EXIT_CONFIG
+    assert main_code(["compare", "--config", cfg_path, "--out", str(out_dir), *flags]) == 1
     assert "config error" in capsys.readouterr().err
-    assert not (out_dir / "MANIFEST.json").exists()
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--case", "5", "--out", "{out}"],
+    ["gen-region", "--municipalities", "x", "--population", "100", "--out", "{out}"],
+    ["--out", "{out}"],  # no subcommand
+])
+def test_malformed_flags_exit_one(tmp_path, capsys, argv):
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        cli.main([arg.format(out=out) for arg in argv])
+    assert exc.value.code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("usage: metrosim") and "config error: " in err
+    assert not out.exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compare", "--help"])
+    assert exc.value.code == 0
+    assert "--cases" in capsys.readouterr().out
+
+
+def test_case_flags_offer_the_cases():
+    [commands] = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    [case] = [a for a in commands.choices["run"]._actions if a.dest == "case"]
+    assert tuple(case.choices) == CASES
+    assert commands.choices["compare"].parse_args([]).cases == list(CASES)
 
 
 def test_out_of_range_initial_age_exits_one_before_any_run(tmp_path, capsys):
@@ -262,13 +301,15 @@ def test_compare_jobs_byte_identical(tmp_path):
     assert trees[1] == trees[2]
 
 
-def test_compare_flags_broken_batch_with_exit_three(tmp_path, capsys, monkeypatch):
+def test_compare_flags_broken_batch_with_exit_three(tmp_path, capsys, caplog, monkeypatch):
     monkeypatch.setattr(engine, "step_month", break_invariant)
     cfg_path = write_config(tmp_path, SMALL_SCENARIO)
     out_dir = tmp_path / "cmp"
     code = cli.main(["compare", "--config", cfg_path, "--out", str(out_dir)])
     assert code == cli.EXIT_PARTIAL
     assert "batch incomplete" in capsys.readouterr().err
+    # the region drops out of the comparison with the warning regress gives
+    assert "region region dropped: incomplete or flagged cases" in caplog.messages
     manifest = json.loads((out_dir / "MANIFEST.json").read_text(encoding="utf-8"))
     assert manifest["complete"] is False
     assert len(manifest["flagged_scenarios"]) == 4

@@ -231,14 +231,45 @@ def test_citizen_columns_hold_every_month(
             return count
         return recording
 
+    labor_market = engine.run_labor_market
+
+    def hired(*args):
+        matches = labor_market(*args)
+        vital["hires"] += len(matches)
+        return matches
+
+    def watched(phase, key, left):
+        # counts the citizens, employed and living as ``phase`` began, that it
+        # moved out: ``left(alive, employer)`` over those rows after the phase
+        def run(state, *rest):
+            before = state.alive & (state.employer >= 0)
+            phase(state, *rest)
+            n = len(before)
+            vital[key] += np.count_nonzero(before & left(state.alive[:n], state.employer[:n]))
+        return run
+
+    watch = {
+        engine.demographics: ("employed_deaths", lambda alive, employer: ~alive),
+        engine.taxes: ("layoffs", lambda alive, employer: alive & (employer < 0)),
+    }
+    phases = tuple(watched(phase, *watch[phase]) if phase in watch else phase
+                   for phase in engine.PHASES)
+
     def checked_step(state, runtime, result):
         living_before = np.count_nonzero(state.alive)
-        vital.update(births=0, deaths=0)
+        on_payroll_before = sum(len(firm.employees) for firm in state.firms)
+        vital.update(births=0, deaths=0, hires=0, layoffs=0, employed_deaths=0)
         step_month(state, runtime, result)  # raises if the audit fires
         assert_columns_agree(state, living_before, vital["births"], vital["deaths"])
+        # the labor flows reconcile with the payrolls
+        on_payroll = sum(len(firm.employees) for firm in state.firms)
+        assert (vital["hires"] - vital["layoffs"] - vital["employed_deaths"]
+                == on_payroll - on_payroll_before)
 
     with (
         mock.patch.object(engine, "step_month", checked_step),
+        mock.patch.object(engine, "PHASES", phases),
+        mock.patch.object(engine, "run_labor_market", hired),
         mock.patch.object(engine, "apply_mortality", counted(engine.apply_mortality, "deaths")),
         mock.patch.object(engine, "apply_fertility", counted(engine.apply_fertility, "births")),
     ):

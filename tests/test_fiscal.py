@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from metrosim.economy import Firm
 from metrosim.errors import ParseError, ValidationError
 from metrosim.fiscal import (
+    CASES,
+    POLICIES,
     TAX_KINDS,
     DEFAULT_MPF_KNOTS,
     MpfTable,
@@ -62,6 +64,13 @@ def test_every_row_sums_to_one():
         for kind, w in policy_for_case(case_id).weights.items():
             total = w.local + w.equal + w.mpf
             assert abs(total - 1.0) <= 1e-12, (case_id, kind)
+
+
+def test_policy_for_case_reads_the_one_case_table():
+    assert CASES == (1, 2, 3, 4)
+    for case_id in CASES:
+        assert policy_for_case(case_id) is POLICIES[case_id]
+        assert POLICIES[case_id].case_id == case_id
 
 
 @pytest.mark.parametrize("bad", [0, 5, -1, "1"])

@@ -1,24 +1,31 @@
-"""The benchmark's tracer and set-up probe still name functions of the package."""
+"""The benchmark's tracer, set-up probe and command lines still name functions
+and flags of the package."""
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
+from metrosim import cli
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 SETUP_PROBE = PERFBENCH / "setup_probe.py"
+RUN = PERFBENCH / "run.py"
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # dataclasses look their module up while they are built
     spec.loader.exec_module(module)
     return module
 
 
-tracing = load_tracing()
+tracing = load("perfbench_tracing", TRACING)
+run = load("perfbench_run", RUN)
 
 
 @pytest.mark.parametrize(
@@ -53,3 +60,18 @@ def test_setup_probe_imports_resolve():
     for module, name in imports:
         owner = importlib.import_module(module)
         assert name is None or callable(getattr(owner, name, None)), f"{module}.{name}"
+
+
+@pytest.mark.parametrize("name", sorted(run.WORKLOADS))
+def test_workload_command_lines_parse(tmp_path, name):
+    # each workload's command line reaches the command it is meant to time
+    workload = run.WORKLOADS[name]
+    argv = run.command_argv(workload, tmp_path / "config.json", 0, tmp_path / "out", run.JOBS)
+    args = cli.build_parser().parse_args(argv)
+    expected = {"run": cli.cmd_run, "regress": cli.cmd_regress, "compare": cli.cmd_compare}
+    command = workload.args[0]
+    if workload.pooled:
+        assert (args.func, args.prepare, args.jobs) == (cli._batch_command, expected[command],
+                                                        run.JOBS)
+    else:
+        assert args.func is expected[command]
