@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .engine import ScenarioResult
-from .errors import ValidationError
+from .errors import ValidationError, finite
 from .fiscal import CASES, POLICIES, sequential_sum
 
 log = logging.getLogger(__name__)
@@ -101,8 +101,12 @@ def load_covariates(path) -> dict[str, dict[str, float]]:
             raise ValidationError("covariate file needs an 'apc_id' column")
         names = [c for c in reader.fieldnames if c != "apc_id"]
         for i, row in enumerate(reader):
+            if row["apc_id"] in out:
+                raise ValidationError(f"covariate row {i + 1} repeats apc_id {row['apc_id']!r}")
             try:
-                out[row["apc_id"]] = {c: float(row[c]) for c in names}
+                out[row["apc_id"]] = {
+                    c: finite(row[c], f"covariate row {i + 1} {c}", ValidationError) for c in names
+                }
             except (TypeError, ValueError):
                 raise ValidationError(f"covariate row {i + 1}: non-numeric value") from None
     return out

@@ -9,12 +9,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import logging
-import math
 from dataclasses import dataclass, field, fields
 from typing import Any
 
 from .economy import MarketParams
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, ValidationError, count, finite, number
 from .fiscal import CASES, TaxRates
 from .housing import HousingParams
 from .worldgen import WorldConfig
@@ -105,27 +104,12 @@ _SECTIONS: dict[str, type] = {
 }
 
 
-def _finite(value: int | float, path: str) -> float:
-    """float(value), rejecting NaN and +-Infinity: they slip past every range check."""
-    try:
-        number = float(value)
-    except OverflowError:  # an integer beyond the float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
-    return number
-
-
 def _coerce(value: Any, target, path: str):
     """Check/convert one JSON value against a dataclass field annotation."""
     if target in ("int", int):
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{path}: expected integer, got {value!r}")
-        return value
+        return count(value, path)
     if target in ("float", float):
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{path}: expected number, got {value!r}")
-        return _finite(value, path)
+        return number(value, path)
     if target in ("bool", bool):
         if not isinstance(value, bool):
             raise ConfigError(f"{path}: expected true/false, got {value!r}")
@@ -145,7 +129,7 @@ def _coerce(value: Any, target, path: str):
             or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in value)
         ):
             raise ConfigError(f"{path}: expected a pair of numbers, got {value!r}")
-        return (_finite(value[0], path), _finite(value[1], path))
+        return (finite(value[0], path), finite(value[1], path))
     if isinstance(target, str) and target.startswith("tuple[float, ...]"):
         if value is None:
             return None
@@ -153,7 +137,7 @@ def _coerce(value: Any, target, path: str):
             isinstance(v, bool) or not isinstance(v, (int, float)) for v in value
         ):
             raise ConfigError(f"{path}: expected a list of numbers or null, got {value!r}")
-        return tuple(_finite(v, path) for v in value)
+        return tuple(finite(v, path) for v in value)
     raise ConfigError(f"{path}: unsupported config field type {target!r}")
 
 

@@ -44,6 +44,7 @@ from .fiscal import (
     MpfTable,
     TaxEntries,
     TaxKind,
+    TaxLedger,
     distribute,
     invest,
     pay_procurement,
@@ -69,12 +70,11 @@ CURRENCY_UNIT = 0.01  # smallest money unit the conservation audit resolves
 
 @dataclass
 class RunResult:
-    """Everything one run records: per-month series plus a final snapshot."""
+    """Everything one run records: one entry per month in every series."""
 
     apc_id: str
     case_id: int
     seed: int
-    horizon: int
     municipality_ids: list[str] = field(default_factory=list)
     # per-municipality series
     qli: dict[str, list[float]] = field(default_factory=dict)
@@ -90,7 +90,6 @@ class RunResult:
     units_consumed: list[float] = field(default_factory=list)
     taxes_by_kind: dict[str, list[float]] = field(default_factory=dict)
     housing_sales: list[int] = field(default_factory=list)
-    final_snapshot: dict = field(default_factory=dict)
 
     def final_qli(self) -> dict[str, float]:
         return {m: series[-1] for m, series in self.qli.items()}
@@ -98,9 +97,11 @@ class RunResult:
 
 @dataclass
 class _Runtime:
-    """Per-run constants derived once from the config and the initial world."""
+    """The run beside its world: constants derived once from the config and the
+    initial world, the run's random streams, and counters kept across months."""
 
     config: ScenarioConfig
+    rng: RngStreams
     policy: DistributionPolicy
     mpf_table: MpfTable
     vital_rates: VitalRates
@@ -116,8 +117,9 @@ class _Runtime:
 
 @dataclass
 class _Month:
-    """What one month's phases hand on to the later phases."""
+    """What one month's phases hand on to the later phases, its taxes included."""
 
+    ledger: TaxLedger = field(default_factory=TaxLedger)
     gdp_value: float = 0.0
     units_consumed: float = 0.0
     spent_total: float = 0.0
@@ -142,9 +144,9 @@ def production(state: SimulationState, runtime: _Runtime, result: RunResult, mon
 def demographics(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
     """Ageing, maturation, deaths and births, all from the demographics stream."""
     step_ages(state)
-    mature_qualifications(state, state.rng.demographics)
-    apply_mortality(state, runtime.vital_rates, state.rng.demographics)
-    apply_fertility(state, runtime.vital_rates, state.rng.demographics)
+    mature_qualifications(state, runtime.rng.demographics)
+    apply_mortality(state, runtime.vital_rates, runtime.rng.demographics)
+    apply_fertility(state, runtime.vital_rates, runtime.rng.demographics)
 
 
 def consumption(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
@@ -152,10 +154,10 @@ def consumption(state: SimulationState, runtime: _Runtime, result: RunResult, mo
     market = runtime.config.market
     family_ids = sorted(state.families)
     k = min(market.consumption_firm_sample, len(state.firms))
-    sample_matrix = state.rng.consumption.integers(0, len(state.firms), size=(len(family_ids), k))
+    sample_matrix = runtime.rng.consumption.integers(0, len(state.firms), size=(len(family_ids), k))
     # one draw per family, in family order: the same stream values as a
     # scalar draw per family
-    savings_rates = state.rng.consumption.uniform(
+    savings_rates = runtime.rng.consumption.uniform(
         *market.savings_rate_bounds, size=len(family_ids)
     ).tolist()
     # prices hold until set_price, so one ranking serves every family
@@ -165,7 +167,7 @@ def consumption(state: SimulationState, runtime: _Runtime, result: RunResult, mo
         [state.families[fam_id] for fam_id in family_ids], ranked, rank_rows, savings_rates,
         runtime.config.tax_rates, taxes,
     )
-    state.ledger.add_all(TaxKind.CONSUMPTION, *taxes)
+    month.ledger.add_all(TaxKind.CONSUMPTION, *taxes)
 
 
 def firm_decisions(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
@@ -182,7 +184,7 @@ def labor(state: SimulationState, runtime: _Runtime, result: RunResult, month: _
         return
     matches = run_labor_market(
         month.vacancy_firms, state.unemployed_adults(), state.qualification, state.residences(),
-        runtime.config.market, state.rng.labor,
+        runtime.config.market, runtime.rng.labor,
     )
     for firm_id, citizen_id in matches:
         firm = state.firms[firm_id]
@@ -198,9 +200,9 @@ def housing(state: SimulationState, runtime: _Runtime, result: RunResult, month:
     month.house_prices = hedonic_prices(state, cfg.housing, runtime.hedonic)
     taxes: TaxEntries = ([], [])
     month.sales = len(run_housing_market(
-        state, month.house_prices, cfg.housing, cfg.tax_rates, state.rng.housing, taxes
+        state, month.house_prices, cfg.housing, cfg.tax_rates, runtime.rng.housing, taxes
     ))
-    state.ledger.add_all(TaxKind.TRANSMISSION, *taxes)
+    month.ledger.add_all(TaxKind.TRANSMISSION, *taxes)
 
 
 def taxes(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
@@ -208,26 +210,26 @@ def taxes(state: SimulationState, runtime: _Runtime, result: RunResult, month: _
     cfg = runtime.config
     wage_taxes = pay_wages(state.firms, state.families, state.family, state.qualification,
                            state.wage, state.employer, cfg.tax_rates)
-    state.ledger.add_all(TaxKind.PERSONAL_INCOME, *wage_taxes)
+    month.ledger.add_all(TaxKind.PERSONAL_INCOME, *wage_taxes)
     property_taxes: TaxEntries = ([], [])
     collect_property_tax(state, month.house_prices, cfg.tax_rates, property_taxes)
-    state.ledger.add_all(TaxKind.PROPERTY, *property_taxes)
+    month.ledger.add_all(TaxKind.PROPERTY, *property_taxes)
     if (state.month + 1) % cfg.fiscal.profit_tax_cadence_months == 0:
         profit_taxes: TaxEntries = ([], [])
         for firm in state.firms:
             settle_profit_tax(firm, cfg.tax_rates, profit_taxes)
-        state.ledger.add_all(TaxKind.COMPANY, *profit_taxes)
+        month.ledger.add_all(TaxKind.COMPANY, *profit_taxes)
 
 
 def distribution(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
     """Route the month's taxes under the case, invest them, and pay local firms for the works."""
     cfg = runtime.config
     month.populations = state.populations()
-    month.collected = state.ledger.total_by_kind()
+    month.collected = month.ledger.total_by_kind()
     share_base = runtime.frozen_populations or month.populations
     if sum(share_base) <= 0:
         raise InvariantViolation(state.month, "region-population", "no citizens left in region")
-    allocations = distribute(state.ledger, runtime.policy, share_base, runtime.mpf_table)
+    allocations = distribute(month.ledger, runtime.policy, share_base, runtime.mpf_table)
     for kind in TAX_KINDS:
         pool = month.collected[kind]
         allocated = sequential_sum(allocations[kind])
@@ -258,8 +260,7 @@ def distribution(state: SimulationState, runtime: _Runtime, result: RunResult, m
         if spent > 0.0:
             local = [state.firms[i] for i in runtime.firms_by_muni[m]]
             pay_procurement(spent, local or state.firms)
-    runtime.money_ops += state.ledger.event_count + month.sales + len(state.families)
-    state.ledger.clear()
+    runtime.money_ops += month.ledger.event_count + month.sales + len(state.families)
 
 
 def metrics(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
@@ -338,14 +339,15 @@ def step_month(state: SimulationState, runtime: _Runtime, result: RunResult) -> 
         phase(state, runtime, result, month)
 
 
-def start_runtime(config: ScenarioConfig, state: SimulationState) -> _Runtime:
-    """The per-run constants of ``config`` for a world at month 0."""
+def start_runtime(config: ScenarioConfig, state: SimulationState, seed: int) -> _Runtime:
+    """The run state of ``config`` at ``seed`` for a world at month 0."""
     path = config.fiscal.mpf_table_file
     firms_by_muni: list[list[int]] = [[] for _ in state.treasuries]
     for firm in state.firms:
         firms_by_muni[firm.municipality].append(firm.id)
     return _Runtime(
         config=config,
+        rng=RngStreams(seed),
         policy=policy_for_case(config.fiscal.case_id),
         mpf_table=read_mpf_table(path) if path else MpfTable(),
         vital_rates=VitalRates(DEFAULT_VITAL_BRACKETS),
@@ -380,13 +382,11 @@ def run_scenario(
     consumed by the run; without it the world is drawn here.
     """
     state = world if world is not None else draw_world(config, seed, region)
-    state.rng = RngStreams(seed)
-    runtime = start_runtime(config, state)
+    runtime = start_runtime(config, state, seed)
     result = RunResult(
         apc_id=region.id,
         case_id=config.fiscal.case_id,
         seed=seed,
-        horizon=config.engine.horizon_months,
         municipality_ids=state.municipality_ids,
     )
     for muni in result.municipality_ids:
@@ -398,17 +398,6 @@ def run_scenario(
 
     for _ in range(config.engine.horizon_months):
         step_month(state, runtime, result)
-
-    result.final_snapshot.update(
-        {
-            "family_savings_total": sequential_sum(f.savings for f in state.families.values()),
-            "firm_cash_total": sequential_sum(f.cash for f in state.firms),
-            "treasury_invested_total": state.total_invested(),
-            "escheat_pool": state.escheat_pool,
-            "citizen_count": int(np.count_nonzero(state.alive)),
-            "money_base": state.money_base,
-        }
-    )
     return result
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the number rules of every
+input file: what a config, region, table or covariate file may hold."""
+import math
 
 
 class MetrosimError(Exception):
@@ -31,3 +33,29 @@ class InvariantViolation(MetrosimError):
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
+
+
+def finite(value, path: str, error: type[MetrosimError] = ConfigError) -> float:
+    """float(value), rejecting NaN and +-Infinity: they slip past every range check.
+    ``value`` is a number or a CSV cell's text (raising ValueError if no number)."""
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise error(f"{path}: expected a finite number, got {value!r}")
+    return number
+
+
+def number(value, path: str, error: type[MetrosimError] = ConfigError) -> float:
+    """A JSON number as a float: an int or a float, never a bool, and finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise error(f"{path}: expected number, got {value!r}")
+    return finite(value, path, error)
+
+
+def count(value, path: str, error: type[MetrosimError] = ConfigError) -> int:
+    """A JSON integer, never a bool (nor a float with no fraction)."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise error(f"{path}: expected integer, got {value!r}")
+    return value

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, finite
 
 if TYPE_CHECKING:
     from .economy import Firm
@@ -78,16 +78,17 @@ class TaxRates:
 
 
 class TaxLedger:
-    """Per-month accumulator of tax amounts: each kind's sum per origin municipality.
+    """One month's tax amounts: each kind's sum per origin municipality.
 
-    Origins are municipality indices. Tax producers never write here: they
-    append each entry's index and amount to a pair of parallel lists (see
-    ``TaxEntries``), and the engine writes each phase's entries of one kind
-    with one ``add_all``. Sums are kept per kind in an array by index and
-    grow entry by entry in entry order, from 0.0, across every write of the
-    month, so each has the bits of a left-to-right sum. ``by_kind`` lists
-    the origins in first-payment order. ``add`` stays as the one-entry
-    reference that ``add_all`` must match bit for bit.
+    Each month gets a fresh ledger, ``engine._Month.ledger``, which lives as
+    long as the month. Origins are municipality indices. Tax producers never
+    write here: they append each entry's index and amount to a pair of
+    parallel lists (see ``TaxEntries``), and the engine writes each phase's
+    entries of one kind with one ``add_all``. Sums are kept per kind in an
+    array by index and grow entry by entry in entry order, from 0.0, across
+    every write of the month, so each has the bits of a left-to-right sum.
+    ``by_kind`` lists the origins in first-payment order. ``add`` stays as
+    the one-entry reference that ``add_all`` must match bit for bit.
     """
 
     __slots__ = ("_sums", "_origins", "event_count")
@@ -146,9 +147,6 @@ class TaxLedger:
         self._origins[kind].update(dict.fromkeys(paid_to[np.argsort(first[paid_to])].tolist()))
         self.event_count += len(munis)
 
-    def total(self) -> float:
-        return sequential_sum(self.total_by_kind().values())
-
     def total_by_kind(self) -> dict[TaxKind, float]:
         """Each kind's month total, its origins' sums added in first-payment order."""
         return {kind: sequential_sum(self.by_kind(kind).values()) for kind in TAX_KINDS}
@@ -157,12 +155,6 @@ class TaxLedger:
         """Origin index -> the kind's sum this month, in first-payment order."""
         sums = self._sums[kind].tolist()
         return {origin: sums[origin] for origin in self._origins[kind]}
-
-    def clear(self) -> None:
-        for kind in TAX_KINDS:
-            self._sums[kind].fill(0.0)
-            self._origins[kind].clear()
-        self.event_count = 0
 
 
 @dataclass(frozen=True)
@@ -289,6 +281,8 @@ class MpfTable:
     def _validate(self) -> None:
         prev_p, prev_c = None, None
         for p, c in self.knots:
+            for value in (p, c):
+                finite(value, f"table row ({p}, {c})", ValidationError)
             if p <= 0 or c <= 0:
                 raise ValidationError(f"table row ({p}, {c}) must be positive")
             if prev_p is not None:
@@ -442,7 +436,6 @@ class Treasury:
     municipality_id: str
     balance: float = 0.0
     qli: float = 0.0
-    cumulative_invested: float = 0.0
 
 
 def invest(
@@ -474,7 +467,6 @@ def invest(
         return 0.0, escheated
     invested = treasury.balance
     treasury.qli += invested / (population * qli_unit_cost)
-    treasury.cumulative_invested += invested
     treasury.balance = 0.0
     return invested, 0.0
 

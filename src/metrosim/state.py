@@ -1,8 +1,8 @@
 """Mutable world state for one simulation run.
 
 Holds every agent population plus the bookkeeping needed for the
-conservation audit: the initial money stock, cumulative investment, and the
-escheat pool for money that can no longer be attributed to a municipality.
+conservation audit: the initial money stock and the escheat pool for money
+that can no longer be attributed to a municipality.
 """
 from __future__ import annotations
 
@@ -12,14 +12,14 @@ import numpy as np
 
 from .economy import Family, Firm
 from .errors import ValidationError
-from .fiscal import TaxLedger, Treasury, sequential_sum
+from .fiscal import Treasury
 from .housing import House
-from .rng import RngStreams
 
 
 @dataclass
 class SimulationState:
-    """One run's agents and audit bookkeeping.
+    """One run's agents and audit bookkeeping; the run's random streams are
+    ``engine._Runtime.rng``, and a month's taxes ``engine._Month.ledger``.
 
     Each municipality is one integer index, in ascending order of its id:
     ``treasuries[m]`` is municipality ``m``'s account and carries the id,
@@ -49,8 +49,6 @@ class SimulationState:
     houses: list[House] = field(default_factory=list)
     treasuries: list[Treasury] = field(default_factory=list)  # by municipality index
     headcount: list[int] = field(init=False)  # by municipality index
-    ledger: TaxLedger = field(default_factory=TaxLedger)
-    rng: RngStreams | None = None
     labor_entry_age_months: int = 192
     qualification_levels: int = 21
     money_base: float = 0.0
@@ -110,7 +108,7 @@ class SimulationState:
         Investment is public procurement paid back to local firms, so invested
         money never leaves circulation; only the escheat pool holds money idle.
         """
-        total = self.escheat_pool + self.ledger.total()
+        total = self.escheat_pool
         for family in self.families.values():
             total += family.savings
         for firm in self.firms:
@@ -118,9 +116,6 @@ class SimulationState:
         for treasury in self.treasuries:
             total += treasury.balance
         return total
-
-    def total_invested(self) -> float:
-        return sequential_sum(t.cumulative_invested for t in self.treasuries)
 
     def residences(self) -> _Residences:
         """Citizen id -> home coordinates, for proximity-based hiring.

@@ -17,7 +17,7 @@ import numpy as np
 
 from .demographics import MAX_AGE_MONTHS
 from .economy import Family, Firm
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, count, number
 from .fiscal import Treasury, sequential_sum
 from .housing import House
 from .state import SimulationState
@@ -262,18 +262,17 @@ def load_region(path) -> RegionSpec:
         centroid = raw["centroid"]
         if not (isinstance(centroid, list) and len(centroid) == 2):
             raise ParseError(f"municipality #{i}: centroid must be [x, y]")
-        try:
-            munis.append(
-                MunicipalitySpec(
-                    id=str(raw["id"]),
-                    population=int(raw["population"]),
-                    firm_count=int(raw["firm_count"]),
-                    housing_stock=int(raw["housing_stock"]),
-                    centroid=(float(centroid[0]), float(centroid[1])),
-                )
+        where = f"municipality #{i}"
+        munis.append(
+            MunicipalitySpec(
+                id=str(raw["id"]),
+                population=count(raw["population"], f"{where} population", ParseError),
+                firm_count=count(raw["firm_count"], f"{where} firm_count", ParseError),
+                housing_stock=count(raw["housing_stock"], f"{where} housing_stock", ParseError),
+                centroid=(number(centroid[0], f"{where} centroid", ParseError),
+                          number(centroid[1], f"{where} centroid", ParseError)),
             )
-        except (TypeError, ValueError):
-            raise ParseError(f"municipality #{i}: non-numeric field value") from None
+        )
     region = RegionSpec(id=str(doc["id"]), name=str(doc["name"]), municipalities=tuple(munis))
     region.validate()
     return region

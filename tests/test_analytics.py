@@ -195,10 +195,13 @@ def test_load_covariates_round_trip(tmp_path):
         "a": {"area": 10.0, "density": 1.5},
         "b": {"area": 20.0, "density": 2.5},
     }
-    bad = tmp_path / "bad.csv"
-    bad.write_text("region,area\na,10\n", encoding="utf-8")
-    with pytest.raises(ValidationError, match="apc_id"):
-        load_covariates(bad)
+    for text, error in (("region,area\na,10\n", "needs an 'apc_id' column"),
+                        ("apc_id,area\na,10\na,99\n", "row 2 repeats apc_id 'a'"),
+                        ("apc_id,area\na,nan\n", "row 1 area: expected a finite number")):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text, encoding="utf-8")
+        with pytest.raises(ValidationError, match=error):
+            load_covariates(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +419,7 @@ def test_format_fit_report_layout():
 
 
 def macro_run(consumption=10.0, income=5.0):
-    run = RunResult(apc_id="r", case_id=1, seed=0, horizon=2)
+    run = RunResult(apc_id="r", case_id=1, seed=0)
     run.taxes_by_kind = {
         "consumption": [consumption, consumption],
         "personal_income": [income, income],

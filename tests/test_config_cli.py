@@ -325,7 +325,9 @@ def test_compare_flags_broken_batch_with_exit_three(tmp_path, capsys, caplog, mo
     b"max_population\n10\n",
     b"\xff\xfe\x00max_population,coefficient\n",
     b"max_population,coefficient\n100,1.0\n50,2.0\n",
-], ids=["missing", "no-coefficient-column", "not-utf8", "not-ascending"])
+    b"max_population,coefficient\nnan,0.6\n",
+    b"max_population,coefficient\n100,1.0\ninf,2.0\n",
+], ids=["missing", "no-coefficient-column", "not-utf8", "not-ascending", "nan-row", "inf-row"])
 def test_bad_mpf_table_exits_one_before_any_run(tmp_path, capsys, command, table):
     table_path = tmp_path / "mpf.csv"
     if table is not None:
@@ -337,6 +339,36 @@ def test_bad_mpf_table_exits_one_before_any_run(tmp_path, capsys, command, table
     assert code == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+GOOD_MUNICIPALITY = {"id": "m00", "population": 3000, "firm_count": 20,
+                     "housing_stock": 1500, "centroid": [10.0, 20.0]}
+
+
+# each holds one number that the config's rules reject -> what the error names
+@pytest.mark.parametrize("field, error", [
+    ({"centroid": [math.nan, 20.0]}, "centroid: expected a finite number"),
+    ({"centroid": [10.0, math.inf]}, "centroid: expected a finite number"),
+    ({"population": 3000.9}, "population: expected integer"),
+    ({"population": True}, "population: expected integer"),
+    ({"firm_count": "20"}, "firm_count: expected integer"),
+], ids=["nan-centroid", "infinity-centroid", "fractional-population", "bool-population",
+        "string-firm-count"])
+def test_region_file_bad_number_exits_one_before_any_run(tmp_path, capsys, monkeypatch,
+                                                          field, error):
+    calls = []
+    monkeypatch.setattr(cli, "run_scenario", lambda *a, **kw: calls.append(a))
+    region_path = tmp_path / "region.json"
+    region_path.write_text(json.dumps({"id": "r", "name": "r", "municipalities": [
+        dict(GOOD_MUNICIPALITY, **field), dict(GOOD_MUNICIPALITY, id="m01")]}), encoding="utf-8")
+    cfg_path = write_config(tmp_path, dict(SMALL_SCENARIO, region={
+        "mode": "file", "path": str(region_path)}))
+    out_dir = tmp_path / "out"
+    code = cli.main(["run", "--config", cfg_path, "--out", str(out_dir)])
+    assert code == cli.EXIT_CONFIG
+    assert f"config error: {region_path}: municipality #0 {error}" in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert calls == []
 
 
 def test_mpf_table_read_once_per_batch(tmp_path, monkeypatch):
@@ -410,6 +442,8 @@ LATE_INPUTS = {
     "missing-covariates": ("config.json", ["--covariates", "{dir}/nosuch.csv"]),
     "malformed-covariates": ("config.json", ["--covariates", "{dir}/no_key.csv"]),
     "covariates-miss-region": ("config.json", ["--covariates", "{dir}/other_region.csv"]),
+    "nan-covariate": ("config.json", ["--covariates", "{dir}/nan.csv"]),
+    "repeated-covariate-id": ("config.json", ["--covariates", "{dir}/repeated.csv"]),
     "missing-config": ("nosuch.json", []),
     "missing-region-path": ("file_mode.json", []),
 }
@@ -424,6 +458,9 @@ def test_late_inputs_exit_one_before_any_run(tmp_path, capsys, monkeypatch, case
         "mode": "file", "path": str(tmp_path / "nosuch_region.json")}), "file_mode.json")
     (tmp_path / "no_key.csv").write_text("region,x\nregion,1.0\n", encoding="utf-8")
     (tmp_path / "other_region.csv").write_text("apc_id,x\nother,1.0\n", encoding="utf-8")
+    (tmp_path / "nan.csv").write_text("apc_id,x\nregion,nan\n", encoding="utf-8")
+    (tmp_path / "repeated.csv").write_text("apc_id,x\nregion,1.0\nregion,99\n",
+                                           encoding="utf-8")
     config, flags = LATE_INPUTS[case]
     out_dir = tmp_path / "out"
     code = cli.main(["regress", "--config", str(tmp_path / config), "--out", str(out_dir),

@@ -540,7 +540,7 @@ def test_consume_money_conserved():
     taxes = ([], [])
     units, spent = shop(family, firms, 0.1, TaxRates(consumption=0.18), taxes)
     ledger.add_all(TaxKind.CONSUMPTION, *taxes)
-    after = family.savings + sum(f.cash for f in firms) + ledger.total()
+    after = family.savings + sum(f.cash for f in firms) + sum(ledger.total_by_kind().values())
     assert math.isclose(after, before, rel_tol=0, abs_tol=1e-12)
 
 

@@ -38,15 +38,29 @@ def with_case(cfg, case_id):
 # ---------------------------------------------------------------------------
 
 
+def start_run(cfg, region, seed):
+    """A world at month 0 with its run state and an empty result, as ``run_scenario``
+    builds them."""
+    state = engine.draw_world(cfg, seed, region)
+    runtime = engine.start_runtime(cfg, state, seed)
+    result = RunResult(apc_id=region.id, case_id=cfg.fiscal.case_id, seed=seed,
+                       municipality_ids=state.municipality_ids)
+    result.inflows = {m: {kind.value: [] for kind in TAX_KINDS} for m in result.municipality_ids}
+    result.taxes_by_kind = {kind.value: [] for kind in TAX_KINDS}
+    result.qli = {m: [] for m in result.municipality_ids}
+    result.populations = {m: [] for m in result.municipality_ids}
+    return state, runtime, result
+
+
 def test_smoke_three_citizen_world(gen_config):
     cfg = gen_config(n_municipalities=1, total_population=3, skew=0.0,
                      population_fraction=1.0, horizon=12)
-    result = run_scenario(cfg, seed=0, region=region_of(cfg))
-    assert result.horizon == 12
+    state, runtime, result = start_run(cfg, region_of(cfg), seed=0)
+    for _ in range(12):
+        engine.step_month(state, runtime, result)
+        assert state.money_in_circulation() == pytest.approx(state.money_base, abs=0.05)
     assert len(result.gdp_value) == 12
-    snap = result.final_snapshot
-    held = snap["family_savings_total"] + snap["firm_cash_total"] + snap["escheat_pool"]
-    assert held == pytest.approx(snap["money_base"], abs=0.05)
+    assert result == run_scenario(cfg, seed=0, region=region_of(cfg))
 
 
 def test_series_lengths_match_horizon(gen_config):
@@ -100,7 +114,8 @@ def test_zero_tax_rates_freeze_public_sector(gen_config):
         assert result.qli[muni] == [0.0] * 12
     for kind in TAX_KINDS:
         assert result.taxes_by_kind[kind.value] == [0.0] * 12
-    assert result.final_snapshot["treasury_invested_total"] == 0.0
+        for muni in result.municipality_ids:
+            assert result.inflows[muni][kind.value] == [0.0] * 12
 
 
 def test_single_municipality_cases_identical(gen_config):
@@ -119,16 +134,15 @@ def test_frozen_world_mode_shares_world_draw(gen_config):
     frozen = gen_config(horizon=4)
     frozen.engine = EngineConfig(horizon_months=4, seed=0, reinstantiate_per_run=False)
     region = region_of(frozen)
-    a = run_scenario(frozen, seed=11, region=region)
-    b = run_scenario(frozen, seed=22, region=region)
-    # money_base is fixed at instantiation, so equal bases mean one shared
-    # world; the monthly dynamics still use the per-run seed
-    assert a.final_snapshot["money_base"] == b.final_snapshot["money_base"]
+    # money_base is fixed at instantiation, so equal bases mean one shared world
+    a = engine.draw_world(frozen, 11, region)
+    b = engine.draw_world(frozen, 22, region)
+    assert a.money_base == b.money_base
 
     fresh = gen_config(horizon=4)
-    c = run_scenario(fresh, seed=11, region=region)
-    d = run_scenario(fresh, seed=22, region=region)
-    assert c.final_snapshot["money_base"] != d.final_snapshot["money_base"]
+    c = engine.draw_world(fresh, 11, region)
+    d = engine.draw_world(fresh, 22, region)
+    assert c.money_base != d.money_base
 
 
 def test_frozen_shares_split_by_month_zero_populations(gen_config, monkeypatch):
@@ -305,17 +319,8 @@ def add_each_entry(ledger, kind):
 
 def apc33_month(months_done=0):
     """An apc33 world at seed 0 after ``months_done`` whole months, with the next month open."""
-    cfg = default_config()
     region = next(r for r in default_apc_batch() if r.id == "apc33")
-    state = instantiate_world(region, cfg.world, RngStreams(0).worldgen)
-    state.rng = RngStreams(0)
-    runtime = engine.start_runtime(cfg, state)
-    result = RunResult(apc_id=region.id, case_id=1, seed=0, horizon=months_done + 1,
-                       municipality_ids=state.municipality_ids)
-    result.inflows = {m: {kind.value: [] for kind in TAX_KINDS} for m in result.municipality_ids}
-    result.taxes_by_kind = {kind.value: [] for kind in TAX_KINDS}
-    result.qli = {m: [] for m in result.municipality_ids}
-    result.populations = {m: [] for m in result.municipality_ids}
+    state, runtime, result = start_run(default_config(), region, seed=0)
     for _ in range(months_done):
         engine.step_month(state, runtime, result)
     month = engine._Month()
@@ -325,21 +330,22 @@ def apc33_month(months_done=0):
 def test_batched_consumption_ledger_matches_per_purchase_adds(monkeypatch):
     state, runtime, result, month = apc33_month()
     engine.production(state, runtime, result, month)
-    per_purchase = copy.deepcopy((state, month))
+    # the phase draws from the run's streams, so the replay copies them too
+    per_purchase = copy.deepcopy((state, runtime, month))
 
     engine.consumption(state, runtime, result, month)
 
-    ref_state, ref_month = per_purchase
+    ref_state, ref_runtime, ref_month = per_purchase
 
     def consume_adding_each(families, ranked, rank_rows, savings_rates, rates, taxes):
         return consume(families, ranked, rank_rows, savings_rates, rates,
-                       add_each_entry(ref_state.ledger, TaxKind.CONSUMPTION))
+                       add_each_entry(ref_month.ledger, TaxKind.CONSUMPTION))
 
     monkeypatch.setattr(engine, "consume", consume_adding_each)
-    engine.consumption(ref_state, runtime, result, ref_month)
-    assert ref_state.ledger.event_count > 100
-    assert ledger_entries(state.ledger) == ledger_entries(ref_state.ledger)
-    assert state.ledger.event_count == ref_state.ledger.event_count
+    engine.consumption(ref_state, ref_runtime, result, ref_month)
+    assert ref_month.ledger.event_count > 100
+    assert ledger_entries(month.ledger) == ledger_entries(ref_month.ledger)
+    assert month.ledger.event_count == ref_month.ledger.event_count
     assert month.spent_total.hex() == ref_month.spent_total.hex()
     assert [f.savings for f in state.families.values()] == [
         f.savings for f in ref_state.families.values()
@@ -353,20 +359,20 @@ def test_housing_and_tax_phases_match_per_entry_adds(monkeypatch):
     assert (state.month + 1) % runtime.config.fiscal.profit_tax_cadence_months == 0
     for phase in engine.PHASES[:engine.PHASES.index(engine.housing)]:
         phase(state, runtime, result, month)
-    ref_state, ref_month = copy.deepcopy((state, month))
+    ref_state, ref_runtime, ref_month = copy.deepcopy((state, runtime, month))
 
     engine.housing(state, runtime, result, month)
     engine.taxes(state, runtime, result, month)
 
     def adding_each(fn, kind):
         def wrapped(*args):
-            return fn(*args[:-1], add_each_entry(ref_state.ledger, kind))
+            return fn(*args[:-1], add_each_entry(ref_month.ledger, kind))
         return wrapped
 
     def paying_adding_each(*args):
         # the payroll returns its entries: add each, and hand the engine none
         munis, amounts = pay_wages(*args)
-        entries = add_each_entry(ref_state.ledger, TaxKind.PERSONAL_INCOME)
+        entries = add_each_entry(ref_month.ledger, TaxKind.PERSONAL_INCOME)
         entries[0].extend(munis.tolist())
         entries[1].extend(amounts.tolist())
         return [], []
@@ -378,17 +384,17 @@ def test_housing_and_tax_phases_match_per_entry_adds(monkeypatch):
     ):
         monkeypatch.setattr(engine, name, adding_each(getattr(engine, name), kind))
     monkeypatch.setattr(engine, "pay_wages", paying_adding_each)
-    engine.housing(ref_state, runtime, result, ref_month)
-    engine.taxes(ref_state, runtime, result, ref_month)
+    engine.housing(ref_state, ref_runtime, result, ref_month)
+    engine.taxes(ref_state, ref_runtime, result, ref_month)
 
     kinds = (TaxKind.TRANSMISSION, TaxKind.PERSONAL_INCOME, TaxKind.PROPERTY, TaxKind.COMPANY)
     for kind in kinds:
-        assert len(ref_state.ledger.by_kind(kind)) > 1, kind
-    assert ledger_entries(state.ledger) == ledger_entries(ref_state.ledger)
-    assert {k: a.hex() for k, a in state.ledger.total_by_kind().items()} == {
-        k: a.hex() for k, a in ref_state.ledger.total_by_kind().items()
+        assert len(ref_month.ledger.by_kind(kind)) > 1, kind
+    assert ledger_entries(month.ledger) == ledger_entries(ref_month.ledger)
+    assert {k: a.hex() for k, a in month.ledger.total_by_kind().items()} == {
+        k: a.hex() for k, a in ref_month.ledger.total_by_kind().items()
     }
-    assert state.ledger.event_count == ref_state.ledger.event_count
+    assert month.ledger.event_count == ref_month.ledger.event_count
     assert month.sales == ref_month.sales > 1
 
 
@@ -396,12 +402,13 @@ def test_depopulated_municipality_escheats_into_the_pool(make_state, caplog):
     state = make_state(("m00", "m01"))
     add_family(state, 0, [10])
     firm = add_firm(state, 0)
-    state.ledger.add(TaxKind.PROPERTY, 1, 4.0)  # case 3 keeps it in empty m01
+    month = engine._Month()
+    month.ledger.add(TaxKind.PROPERTY, 1, 4.0)  # case 3 keeps it in empty m01
     cfg = replace(default_config(), fiscal=FiscalConfig(case_id=3))
-    runtime = engine.start_runtime(cfg, state)
-    result = RunResult("r", 3, 0, 1, municipality_ids=["m00", "m01"])
+    runtime = engine.start_runtime(cfg, state, seed=0)
+    result = RunResult("r", 3, 0, municipality_ids=["m00", "m01"])
     result.inflows = {m: {kind.value: [] for kind in TAX_KINDS} for m in ("m00", "m01")}
-    engine.distribution(state, runtime, result, engine._Month())
+    engine.distribution(state, runtime, result, month)
     assert state.escheat_pool == 4.0
     assert state.treasuries[1].balance == 0.0
     assert firm.cash == 100.0  # nothing was invested, so nothing was procured
@@ -414,8 +421,7 @@ def test_depopulated_municipality_escheats_into_the_pool(make_state, caplog):
 
 
 def fake_run(final_qli, seed=0):
-    run = RunResult(apc_id="r", case_id=1, seed=seed, horizon=3,
-                    municipality_ids=["m00"])
+    run = RunResult(apc_id="r", case_id=1, seed=seed, municipality_ids=["m00"])
     run.qli["m00"] = [0.0, 0.0, final_qli]
     run.gdp_index = [100.0, 101.0, 102.0]
     run.inflation = [0.0, 0.01, 0.01]

@@ -130,10 +130,13 @@ def test_apc33_run_digest(tmp_path):
 
 
 # sha256 over ``repr`` of every RunResult field, run after run: regions
-# apc33, apc00, apc17, apc39 x cases 1-4 x 240 months, default config
+# apc33, apc00, apc17, apc39 x cases 1-4 x 240 months, default config.
+# Recorded without the fields ``horizon`` and ``final_snapshot``, which the
+# record no longer has; the runs are the same as with them (297a5355... at
+# seed 0 and 3508091b... at seed 7 over every field then).
 RUN_RESULT_DIGESTS = {
-    0: "297a535516804d1663eddd2ac99d8a822cb405ed31f2ec250de89157627564f1",
-    7: "3508091b31605195b6d6a229b192088a23a376997cab0707a8e84e783dba0ee0",
+    0: "7cda998a9d3e198879d6b3dc498a60d0c99d36e79a2fa27b0f32e6d4cf68bb4c",
+    7: "71735bb1d2994154dd8d266bb6e2f12038ebf88f7e992a817fd47628f1e260b0",
 }
 
 
