@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import math
 import os
 import sys
@@ -36,6 +37,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INVARIANT = 2
 EXIT_PARTIAL = 3
+
+LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
 def _fmt(value) -> str:
@@ -404,6 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
         epilog=_config_epilog(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
+    parser.add_argument("--log-level", choices=LOG_LEVELS, default="warning",
+                        help="least severe log message printed on stderr (default: warning)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-region", help="draw a synthetic region file")
@@ -446,9 +451,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _StderrHandler(logging.Handler):
+    """Writes each record to the ``sys.stderr`` of the moment it is logged."""
+
+    def emit(self, record: logging.LogRecord) -> None:
+        try:
+            sys.stderr.write(self.format(record) + "\n")
+        except Exception:
+            self.handleError(record)
+
+
+_LOG_HANDLER = _StderrHandler()
+
+
+def _configure_logging(level: str) -> None:
+    """Print the package's log messages at ``level`` and above on stderr."""
+    logger = logging.getLogger("metrosim")
+    logger.setLevel(level.upper())
+    if _LOG_HANDLER not in logger.handlers:
+        logger.addHandler(_LOG_HANDLER)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _configure_logging(args.log_level)
     try:
         return args.func(args)
     except (ConfigError, ParseError) as exc:

@@ -172,17 +172,20 @@ def _remove_citizen(state: "SimulationState", citizen_id: int) -> None:
 
 
 def _escheat_family(state: "SimulationState", family_id: int) -> None:
-    family = state.families.pop(family_id)
-    if family.savings > 0:
-        state.treasuries[family.municipality].balance += family.savings
-        family.savings = 0.0
-    family.tax_debt.clear()  # arrears die with the family; nothing was collected
+    family = state.families[family_id]
+    state.live[family_id] = False
+    savings = state.savings.item(family_id)
+    if savings > 0:
+        state.treasuries[family.municipality].balance += savings
+    state.savings[family_id] = 0.0
+    state.arrears[family_id] = 0.0  # arrears die with the family; nothing was collected
     for house_id in family.owned_houses:
-        house = state.houses[house_id]
-        house.owner_family_id = None
-        if house.resident_family_id == family_id:
-            house.resident_family_id = None
+        state.houses[house_id].owner_family_id = None
+        if state.resident[house_id] == family_id:
+            state.resident[house_id] = -1
     family.owned_houses.clear()
+    state.owned[family_id] = 0
+    state.home[family_id] = -1
 
 
 def apply_fertility(

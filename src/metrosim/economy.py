@@ -40,13 +40,12 @@ class Firm:
 
 @dataclass(slots=True)
 class Family:
+    """A family's lists; its numbers are the family columns of ``SimulationState``."""
+
     id: int
     municipality: int  # index of residence, see SimulationState
     members: list[int] = field(default_factory=list)
-    savings: float = 0.0
-    house_id: int | None = None
-    owned_houses: list[int] = field(default_factory=list)
-    tax_debt: dict[int, float] = field(default_factory=dict)  # municipality index -> arrears
+    owned_houses: list[int] = field(default_factory=list)  # in purchase order
 
 
 @dataclass
@@ -234,7 +233,7 @@ def _release_until_affordable(
 
 def pay_wages(
     firms: Sequence[Firm],
-    families: Mapping[int, Family],
+    savings: np.ndarray,
     family: np.ndarray,
     qualification: np.ndarray,
     wage: np.ndarray,
@@ -243,12 +242,14 @@ def pay_wages(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pay every firm's month-end payroll, splitting each wage into take-home and tax.
 
-    ``family``, ``qualification``, ``wage`` and ``employer`` are citizen
-    columns. A payroll is its employees' wages summed in payroll order from
-    0.0. If cash cannot cover it, the firm releases its least qualified
-    employees until it can (fire-and-shrink), which keeps cash non-negative
-    at month end; a released citizen's ``employer`` becomes -1 and its
-    ``wage`` 0.0. Families are credited in firm order, then payroll order.
+    ``savings`` is the family column; ``family``, ``qualification``, ``wage``
+    and ``employer`` are citizen columns. A payroll is its employees' wages
+    summed in payroll order from 0.0. If cash cannot cover it, the firm
+    releases its least qualified employees until it can (fire-and-shrink),
+    which keeps cash non-negative at month end; a released citizen's
+    ``employer`` becomes -1 and its ``wage`` 0.0. Families are credited in
+    firm order, then payroll order, one take-home pay at a time
+    (``np.add.at``), as a loop over employees adds.
     The gross payroll paid is left in ``firm.payroll_this_month``; a firm
     without employees pays and records 0.0. Returns each employee's income tax, in
     the same order, as parallel arrays of municipality index and amount:
@@ -268,8 +269,7 @@ def pay_wages(
         index, owner = _payroll_order(firms)
         gross = wage[index]
     tax = gross * rates.personal_income
-    for fam_id, pay in zip(family[index].tolist(), (gross - tax).tolist()):
-        families[fam_id].savings += pay
+    np.add.at(savings, family[index], gross - tax)
     for firm, payroll in zip(firms, payrolls):
         firm.cash -= payroll
         firm.cumulative_profit -= payroll
@@ -294,24 +294,38 @@ def rank_samples(firms: Sequence[Firm], picks: np.ndarray) -> tuple[list[Firm], 
     return ranked, np.sort(rank[picks], axis=1).tolist()
 
 
+def shopping_budgets(
+    savings: np.ndarray, families: np.ndarray, savings_rates: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The families among ``families`` that shop this month, and their budgets.
+
+    A family keeps ``savings_rates[i]`` of its savings and may spend the rest,
+    ``(1.0 - rate) * savings``; one whose budget is at most 1e-12 buys nothing.
+    """
+    budgets = (1.0 - savings_rates) * savings[families]
+    shopping = budgets > 1e-12
+    return np.flatnonzero(shopping), budgets[shopping]
+
+
 def consume(
-    families: Sequence[Family],
+    savings: np.ndarray,
+    shoppers: np.ndarray,
+    budgets: Sequence[float],
     ranked: Sequence[Firm],
     rank_rows: Sequence[Sequence[int]],
-    savings_rates: Sequence[float],
     rates: TaxRates,
     taxes: TaxEntries,
 ) -> tuple[float, float]:
-    """Spend the month's consumption budgets: every family, in the order given.
+    """Spend the month's consumption budgets: every shopper, in the order given.
 
-    ``ranked`` and ``rank_rows`` come from ``rank_samples``: family ``i``
-    shops at ``ranked[r]`` for ``r`` in ``rank_rows[i]``, cheapest first. It
-    keeps ``savings_rates[i]`` of its savings (drawn uniformly from
-    ``MarketParams.savings_rate_bounds``) and buys with the rest until the
-    budget or the sample's inventory runs out; it reads its row no further
-    than the firm where the budget runs out, and not at all without a
-    budget. Unspent budget stays in savings. Each purchase's nonzero
-    consumption tax is appended to ``taxes``.
+    ``shoppers`` are family ids and ``budgets`` their budgets, as
+    ``shopping_budgets`` gives them. ``ranked`` and ``rank_rows`` come from
+    ``rank_samples``: shopper ``i`` shops at ``ranked[r]`` for ``r`` in
+    ``rank_rows[i]``, cheapest first, and buys until the budget or the
+    sample's inventory runs out; it reads its row no further than the firm
+    where the budget runs out. Unspent budget stays in ``savings`` (the
+    family column), from which each shopper's spending is subtracted once.
+    Each purchase's nonzero consumption tax is appended to ``taxes``.
     The firms' stock and money are kept in local lists by rank and written
     back once. Returns the month's (units bought, money spent), each summed
     per family and then over families in order.
@@ -326,10 +340,8 @@ def consume(
     rate = rates.consumption
     units_month = 0.0
     spent_month = 0.0
-    for family, row, savings_rate in zip(families, rank_rows, savings_rates):
-        budget = (1.0 - savings_rate) * family.savings
-        if budget <= 1e-12:
-            continue
+    spent_by = []
+    for budget, row in zip(budgets, rank_rows):
         units_total = 0.0
         spent_total = 0.0
         for r in row:
@@ -352,9 +364,10 @@ def consume(
             spent_total += spent
             if budget <= 1e-12:
                 break
-        family.savings -= spent_total
+        spent_by.append(spent_total)
         units_month += units_total
         spent_month += spent_total
+    savings[shoppers] -= spent_by
     for firm, stock, money, income, accrued in zip(ranked, inventory, cash, revenue, profit):
         firm.inventory = stock
         firm.cash = money

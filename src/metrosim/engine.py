@@ -36,6 +36,7 @@ from .economy import (
     set_price,
     set_wage_and_vacancy,
     settle_profit_tax,
+    shopping_budgets,
 )
 from .errors import InvariantViolation
 from .fiscal import (
@@ -58,6 +59,7 @@ from .housing import (
     hedonic_prices,
     hedonic_units,
     run_housing_market,
+    vacancies,
 )
 from .rng import RngStreams
 from .state import SimulationState
@@ -124,7 +126,7 @@ class _Month:
     units_consumed: float = 0.0
     spent_total: float = 0.0
     vacancy_firms: list[Firm] = field(default_factory=list)
-    house_prices: list[float] = field(default_factory=list)  # by house id
+    house_prices: np.ndarray = field(default_factory=lambda: np.zeros(0))  # by house id
     sales: int = 0
     populations: list[int] = field(default_factory=list)  # by municipality index
     collected: dict[TaxKind, float] = field(default_factory=dict)
@@ -150,21 +152,22 @@ def demographics(state: SimulationState, runtime: _Runtime, result: RunResult, m
 
 
 def consumption(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
-    """Every family buys from a uniform sample of firms, cheapest first."""
+    """Every live family buys from a uniform sample of firms, cheapest first."""
     market = runtime.config.market
-    family_ids = sorted(state.families)
+    family_ids = np.flatnonzero(state.live)
     k = min(market.consumption_firm_sample, len(state.firms))
     sample_matrix = runtime.rng.consumption.integers(0, len(state.firms), size=(len(family_ids), k))
     # one draw per family, in family order: the same stream values as a
     # scalar draw per family
     savings_rates = runtime.rng.consumption.uniform(
         *market.savings_rate_bounds, size=len(family_ids)
-    ).tolist()
-    # prices hold until set_price, so one ranking serves every family
-    ranked, rank_rows = rank_samples(state.firms, sample_matrix)
+    )
+    shopping, budgets = shopping_budgets(state.savings, family_ids, savings_rates)
+    # prices hold until set_price, so one ranking serves every shopper
+    ranked, rank_rows = rank_samples(state.firms, sample_matrix[shopping])
     taxes: TaxEntries = ([], [])
     month.units_consumed, month.spent_total = consume(
-        [state.families[fam_id] for fam_id in family_ids], ranked, rank_rows, savings_rates,
+        state.savings, family_ids[shopping], budgets.tolist(), ranked, rank_rows,
         runtime.config.tax_rates, taxes,
     )
     month.ledger.add_all(TaxKind.CONSUMPTION, *taxes)
@@ -200,7 +203,8 @@ def housing(state: SimulationState, runtime: _Runtime, result: RunResult, month:
     month.house_prices = hedonic_prices(state, cfg.housing, runtime.hedonic)
     taxes: TaxEntries = ([], [])
     month.sales = len(run_housing_market(
-        state, month.house_prices, cfg.housing, cfg.tax_rates, runtime.rng.housing, taxes
+        state, month.house_prices, runtime.hedonic.municipality, cfg.housing, cfg.tax_rates,
+        runtime.rng.housing, taxes,
     ))
     month.ledger.add_all(TaxKind.TRANSMISSION, *taxes)
 
@@ -208,11 +212,12 @@ def housing(state: SimulationState, runtime: _Runtime, result: RunResult, month:
 def taxes(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
     """Wages (income tax), property, and company profit on its cadence."""
     cfg = runtime.config
-    wage_taxes = pay_wages(state.firms, state.families, state.family, state.qualification,
+    wage_taxes = pay_wages(state.firms, state.savings, state.family, state.qualification,
                            state.wage, state.employer, cfg.tax_rates)
     month.ledger.add_all(TaxKind.PERSONAL_INCOME, *wage_taxes)
-    property_taxes: TaxEntries = ([], [])
-    collect_property_tax(state, month.house_prices, cfg.tax_rates, property_taxes)
+    property_taxes = collect_property_tax(
+        state, month.house_prices, runtime.hedonic.municipality, cfg.tax_rates
+    )
     month.ledger.add_all(TaxKind.PROPERTY, *property_taxes)
     if (state.month + 1) % cfg.fiscal.profit_tax_cadence_months == 0:
         profit_taxes: TaxEntries = ([], [])
@@ -248,8 +253,9 @@ def distribution(state: SimulationState, runtime: _Runtime, result: RunResult, m
         if population <= 0 and m not in runtime.depopulated:
             runtime.depopulated.add(m)
             log.warning(
-                "municipality %s depopulated at month %d; its allocations escheat from here on",
-                muni, state.month,
+                "municipality %s depopulated at month %d; its allocations escheat from here on"
+                " (region %s, case %d, seed %d)",
+                muni, state.month, result.apc_id, result.case_id, result.seed,
             )
         spent, escheated = invest(
             state.treasuries[m], total_alloc, population, cfg.fiscal.qli_unit_cost
@@ -260,7 +266,9 @@ def distribution(state: SimulationState, runtime: _Runtime, result: RunResult, m
         if spent > 0.0:
             local = [state.firms[i] for i in runtime.firms_by_muni[m]]
             pay_procurement(spent, local or state.firms)
-    runtime.money_ops += month.ledger.event_count + month.sales + len(state.families)
+    runtime.money_ops += (
+        month.ledger.event_count + month.sales + int(np.count_nonzero(state.live))
+    )
 
 
 def metrics(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
@@ -311,12 +319,9 @@ def audit(state: SimulationState, runtime: _Runtime, result: RunResult, month: _
         raise InvariantViolation(
             closed, "employment-consistency", f"{employed} employed vs {on_payroll} on payrolls"
         )
-    vacancies = [0] * len(state.treasuries)
-    for house in state.houses:
-        if house.resident_family_id is None:
-            vacancies[house.municipality] += 1
+    vacant_by_muni = vacancies(state, runtime.hedonic.municipality).tolist()
     # a municipality has families exactly when it has citizens
-    for treasury, people, vacant in zip(state.treasuries, state.headcount, vacancies):
+    for treasury, people, vacant in zip(state.treasuries, state.headcount, vacant_by_muni):
         if people > 0 and vacant < 1:
             raise InvariantViolation(
                 closed, "housing-vacancy", f"no vacant house in {treasury.municipality_id}"

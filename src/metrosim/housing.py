@@ -3,16 +3,17 @@
 Vacant houses are listed each month; a sampled set of families bids a
 fraction of savings; a match settles at the average of the hedonic price and
 the buyer's offer, moving the family and emitting transmission tax. Property
-tax is charged monthly on owned stock, with arrears carried as family debt.
-Neither tax is written to the month's ledger here: each payment's
-municipality index and amount are appended to the ``TaxEntries`` lists the
-caller passes, and the engine writes each phase's entries with one
+tax is charged monthly on owned stock, with arrears carried as family debt
+(``SimulationState.arrears``). Neither tax is written to the month's ledger
+here: the market appends each sale's municipality index and tax to the
+``TaxEntries`` lists the caller passes, the property tax returns its
+payments as arrays, and the engine writes each phase's entries with one
 ``TaxLedger.add_all``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -31,7 +32,6 @@ class House:
     quality: float
     location: tuple[float, float]
     owner_family_id: int | None = None  # None -> municipal stock
-    resident_family_id: int | None = None
 
 
 @dataclass
@@ -86,23 +86,28 @@ def hedonic_units(state: "SimulationState", params: HousingParams) -> HedonicUni
 
 def hedonic_prices(
     state: "SimulationState", params: HousingParams, units: HedonicUnits
-) -> list[float]:
+) -> np.ndarray:
     """Every house's hedonic price at its municipality's current QLI, by house id.
 
     The attribute-based value is ``base x size x quality x (1 + elasticity x
     QLI)``, multiplied left to right: its unit in ``units`` (this world's
     ``hedonic_units``) times the QLI factor. The prices hold until QLI moves,
-    which only ``invest`` does. ``tolist`` keeps them Python floats.
+    which only ``invest`` does.
     """
     qli = np.array([treasury.qli for treasury in state.treasuries], dtype=float)
     factor = 1.0 + params.qli_elasticity * qli
-    prices = units.unit * factor[units.municipality]
-    return prices.tolist()
+    return units.unit * factor[units.municipality]
+
+
+def vacancies(state: "SimulationState", municipality: np.ndarray) -> np.ndarray:
+    """Vacant houses by municipality index; ``municipality`` is each house's."""
+    return np.bincount(municipality[state.resident < 0], minlength=len(state.treasuries))
 
 
 def run_housing_market(
     state: "SimulationState",
-    prices: Sequence[float],
+    prices: np.ndarray,
+    municipality: np.ndarray,
     params: HousingParams,
     rates: TaxRates,
     rng: np.random.Generator,
@@ -110,47 +115,46 @@ def run_housing_market(
 ) -> list[Transaction]:
     """Match sampled buyer families to listed vacant houses for one month.
 
-    Vacant houses are listed at their ``prices`` (``hedonic_prices``). Buyers
-    enter with probability ``market_entry_rate`` (savings permitting) and can
-    afford any listing whose midpoint settlement stays within
-    ``bid_fraction`` of savings. Each buyer takes the cheapest affordable
-    listing; each house sells at most once; the last vacant house of a
-    municipality is never sold, which preserves the vacancy invariant. Each
-    sale's nonzero transmission tax is appended to ``taxes``, in sale order.
-    A buyer's family moves, and its members with it, to the house's
-    municipality.
+    Vacant houses are listed at their ``prices`` (``hedonic_prices``);
+    ``municipality`` is each house's municipality index. Every live family
+    enters, in id order, with probability ``market_entry_rate`` (savings
+    permitting) and can afford any listing whose midpoint settlement stays
+    within ``bid_fraction`` of savings. Each buyer takes the cheapest
+    affordable listing, ties going to the lower house id; each house sells
+    at most once; the last vacant house of a municipality is never sold,
+    which preserves the vacancy invariant. Each sale's nonzero transmission
+    tax is appended to ``taxes``, in sale order. A buyer's family moves, and
+    its members with it, to the house's municipality.
     """
-    families = state.families
-    if not families:
+    live = np.flatnonzero(state.live)
+    if not len(live):
         return []
-    fam_list = list(families.values())
-    entrants = np.flatnonzero(rng.random(len(fam_list)) < params.market_entry_rate).tolist()
-    buyers = [fam_list[i] for i in entrants if fam_list[i].savings > 0.0]
+    entrants = live[rng.random(len(live)) < params.market_entry_rate]
+    buyers = entrants[state.savings[entrants] > 0.0].tolist()
     if not buyers:
         return []
 
-    listings: list[tuple[float, House]] = []
-    vacant_count = [0] * len(state.treasuries)
-    for house in state.houses:
-        if house.resident_family_id is None:
-            vacant_count[house.municipality] += 1
-            listings.append((prices[house.id], house))
-    listings.sort(key=lambda ph: (ph[0], ph[1].id))
+    vacant = np.flatnonzero(state.resident < 0)
+    listed = vacant[np.argsort(prices[vacant], kind="stable")]
+    listings = list(zip(prices[listed].tolist(), listed.tolist(), municipality[listed].tolist()))
+    vacant_count = vacancies(state, municipality).tolist()
 
+    savings = state.savings
+    houses = state.houses
     transactions: list[Transaction] = []
     sold: set[int] = set()
-    for family in buyers:
-        offer = params.bid_fraction * family.savings
+    for buyer in buyers:
+        offer = params.bid_fraction * savings.item(buyer)
         chosen = None
         chosen_hedonic = 0.0
-        for hedonic, house in listings:
+        for hedonic, house_id, muni in listings:
             if hedonic > offer:
                 break  # listings are sorted; nothing further is affordable
-            if house.id in sold or house.owner_family_id == family.id:
+            if house_id in sold or houses[house_id].owner_family_id == buyer:
                 continue
-            if vacant_count[house.municipality] <= 1:
+            if vacant_count[muni] <= 1:
                 continue  # never sell a municipality's last vacant house
-            chosen = house
+            chosen = houses[house_id]
             chosen_hedonic = hedonic
             break
         if chosen is None:
@@ -159,88 +163,99 @@ def run_housing_market(
         price = (chosen_hedonic + offer) / 2.0
         tax = price * rates.transmission
         seller_id = chosen.owner_family_id
-        family.savings -= price
+        savings[buyer] -= price
         if seller_id is None:
             state.treasuries[chosen.municipality].balance += price - tax
         else:
-            seller = families[seller_id]
-            seller.savings += price - tax
-            seller.owned_houses.remove(chosen.id)
+            savings[seller_id] += price - tax
+            state.families[seller_id].owned_houses.remove(chosen.id)
+            state.owned[seller_id] -= 1
         if tax:
             taxes[0].append(chosen.municipality)
             taxes[1].append(tax)
-
-        # move the family in; the old residence stays owned but empties
-        old_house_id = family.house_id
-        if old_house_id is not None:
-            state.houses[old_house_id].resident_family_id = None
-        chosen.owner_family_id = family.id
-        chosen.resident_family_id = family.id
-        family.owned_houses.append(chosen.id)
-        family.house_id = chosen.id
-        state.headcount[family.municipality] -= len(family.members)
-        state.headcount[chosen.municipality] += len(family.members)
-        family.municipality = chosen.municipality
+        state.move_in(state.families[buyer], chosen)
         sold.add(chosen.id)
         vacant_count[chosen.municipality] -= 1
         transactions.append(
-            Transaction(state.month, chosen.id, family.id, chosen_hedonic, offer, price)
+            Transaction(state.month, chosen.id, buyer, chosen_hedonic, offer, price)
         )
     return transactions
 
 
 def collect_property_tax(
     state: "SimulationState",
-    prices: Sequence[float],
+    prices: np.ndarray,
+    municipality: np.ndarray,
     rates: TaxRates,
-    taxes: TaxEntries,
-) -> None:
+) -> tuple[np.ndarray, np.ndarray]:
     """Charge the monthly property tax on family-owned houses, valued at ``prices``.
 
-    Municipal stock is not taxed (the municipality does not tax itself).
-    What a family cannot pay accrues as per-municipality debt collected from
-    savings in later months, so tax events always correspond to money that
-    actually moved. A family without savings adds its houses' dues to its
-    debt in place. Any other family pays its arrears (by municipality) and
-    then its houses' dues in turn, each as far as its savings go, and its
-    savings are written back once. Each payment is appended to ``taxes``, in
-    payment order.
+    ``municipality`` is each house's municipality index. Municipal stock is
+    not taxed (the municipality does not tax itself). What a family cannot
+    pay accrues as arrears (``state.arrears``) collected from savings in
+    later months, so tax events always correspond to money that actually
+    moved. A family without savings adds its houses' dues to its arrears.
+    Any other family pays its arrears, by ascending municipality, and then
+    its houses' dues in purchase order, each as far as its savings go.
+    Returns every payment, families in id order, as parallel arrays of
+    municipality index and amount.
+
+    One pass serves the families that own exactly one house (their home)
+    and are broke or clear of arrears; the rest, who own several houses or
+    owe arrears they can pay, are walked one by one. The two sets of
+    payments are merged by family id.
     """
-    monthly_rate = rates.property_monthly
+    rate = rates.property_monthly
+    savings, arrears, owned = state.savings, state.arrears, state.owned
+    payer_in_debt = arrears.any(axis=1) & (savings > 0.0)
+    single = np.flatnonzero((owned == 1) & ~payer_in_debt)
+    walked = np.flatnonzero((owned > 1) | payer_in_debt).tolist()
+
+    # one house: ``min(dues, savings)`` is paid, and the rest owed
+    homes = state.home[single]
+    munis = municipality[homes]
+    dues = prices[homes] * rate
+    held = savings[single]
+    solvent = held > 0.0
+    paid = np.minimum(dues, held)
+    savings[single] = np.where(solvent, held - paid, held)
+    arrears[single, munis] += np.where(solvent, dues - paid, dues)
+    payment = solvent & (dues > 0.0)
+    fams, tax_munis, amounts = single[payment], munis[payment], paid[payment]
+    if not walked:
+        return tax_munis, amounts
+
+    entries: list[tuple[int, int, float]] = []  # (family, municipality, amount)
+    rows = arrears[walked].tolist()
+    held_by = savings[walked].tolist()
     houses = state.houses
-    tax_munis, tax_amounts = taxes
-    for family in state.families.values():
-        owned = family.owned_houses
-        debt = family.tax_debt
-        savings = family.savings
-        if savings <= 0.0:
-            for house_id in owned:
-                amount = prices[house_id] * monthly_rate
-                if amount > 0.0:
-                    muni = houses[house_id].municipality
-                    debt[muni] = debt.get(muni, 0.0) + amount
-            continue
-        if debt:
-            dues = sorted(debt.items())
-            debt = family.tax_debt = {}
-        elif owned:
-            dues = []
-        else:
-            continue
-        for house_id in owned:
-            dues.append((houses[house_id].municipality, prices[house_id] * monthly_rate))
-        for muni, amount in dues:
+    for i, fam_id in enumerate(walked):
+        # a broke family's arrears pass through unchanged: 0.0 + debt is debt
+        dues = [(m, owed) for m, owed in enumerate(rows[i]) if owed > 0.0]
+        debt = rows[i] = [0.0] * len(rows[i])
+        for house_id in state.families[fam_id].owned_houses:
+            dues.append((houses[house_id].municipality, prices.item(house_id) * rate))
+        funds = held_by[i]
+        for m, amount in dues:
             if not amount > 0.0:
                 continue  # a zero rate or price owes nothing
-            if savings <= 0.0:
-                debt[muni] = debt.get(muni, 0.0) + amount
-            elif savings < amount:  # min(amount, savings) is savings: pay it all, owe the rest
-                tax_munis.append(muni)
-                tax_amounts.append(savings)
-                debt[muni] = debt.get(muni, 0.0) + (amount - savings)
-                savings = 0.0
+            if funds <= 0.0:
+                debt[m] += amount
+            elif funds < amount:  # min(amount, funds) is funds: pay it all, owe the rest
+                entries.append((fam_id, m, funds))
+                debt[m] += amount - funds
+                funds = 0.0
             else:
-                savings -= amount
-                tax_munis.append(muni)
-                tax_amounts.append(amount)
-        family.savings = savings
+                funds -= amount
+                entries.append((fam_id, m, amount))
+        held_by[i] = funds
+    arrears[walked] = rows
+    savings[walked] = held_by
+    if not entries:
+        return tax_munis, amounts
+    walked_fams, walked_munis, walked_amounts = zip(*entries)
+    order = np.argsort(np.concatenate([fams, walked_fams]), kind="stable")
+    return (
+        np.concatenate([tax_munis, walked_munis]).astype(np.intp)[order],
+        np.concatenate([amounts, walked_amounts])[order],
+    )

@@ -23,15 +23,15 @@ class SimulationState:
 
     Each municipality is one integer index, in ascending order of its id:
     ``treasuries[m]`` is municipality ``m``'s account and carries the id,
-    and firms, houses, families, tax debts and ledger entries name their
+    and firms, houses, families, arrears and ledger entries name their
     municipality by index. ``headcount[m]`` is the number of citizens whose
     family lives in ``m``; ``add_citizen``, ``demographics._remove_citizen``
-    and a family's move in ``housing.run_housing_market`` keep it equal to
-    a walk over the families.
+    and ``move_in`` keep it equal to a walk over the live families.
 
     Firms and houses are fixed for a run, so they are lists indexed by id:
-    ``firms[i].id == i`` and ``houses[i].id == i``. Only worldgen creates
-    families, and one leaves when it escheats, so they are a dict keyed by id.
+    ``firms[i].id == i`` and ``houses[i].id == i``; ``add_houses`` appends
+    houses. A house's occupancy is the ``resident`` column (family id, -1
+    when vacant), its only store.
 
     A citizen is one row of the columns indexed by citizen id, its only
     store: age, qualification, employer (-1 for none), monthly wage (0.0
@@ -41,10 +41,21 @@ class SimulationState:
     issues the next id, and one way out, ``demographics._remove_citizen``,
     which clears ``alive``. Ids are never reused, so
     ``np.flatnonzero(alive)`` lists the living in ascending id order.
+
+    A family is likewise one row of the columns indexed by family id, their
+    only store: ``savings``, ``home`` (a house id, -1 for none), ``owned``
+    (how many houses it owns), ``live`` and ``arrears`` (family x
+    municipality index; 0.0 is no debt, and a debt is always > 0). Its
+    ``Family`` record, ``families[id]``, keeps its members, municipality and
+    owned houses in purchase order. A family has one way in, ``add_family``,
+    and one way out, ``demographics._escheat_family``, which clears ``live``,
+    zeroes its row and keeps its record. A live family lives in one of the
+    houses it owns, so one that owns exactly one house lives in it. Rows
+    past the last family are padding, which is never live and owns nothing.
     """
 
     month: int = 0
-    families: dict[int, Family] = field(default_factory=dict)
+    families: list[Family] = field(default_factory=list)  # by family id
     firms: list[Firm] = field(default_factory=list)
     houses: list[House] = field(default_factory=list)
     treasuries: list[Treasury] = field(default_factory=list)  # by municipality index
@@ -61,12 +72,19 @@ class SimulationState:
     family: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     alive: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
     provisional: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
+    savings: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    home: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    owned: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    live: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
+    arrears: np.ndarray = field(init=False)  # family x municipality index
+    resident: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     def __post_init__(self):
         ids = [t.municipality_id for t in self.treasuries]
         if ids != sorted(ids):
             raise ValidationError("treasuries must be in ascending municipality id order")
         self.headcount = [0] * len(self.treasuries)
+        self.arrears = np.zeros((len(self.live), len(self.treasuries)))
 
     @property
     def municipality_ids(self) -> list[str]:
@@ -98,6 +116,48 @@ class SimulationState:
         self.headcount[family.municipality] += 1
         return cid
 
+    def add_family(self, municipality: int, savings: float = 0.0) -> Family:
+        """Issue the next family id to a new family in ``municipality``, without
+        members or a house; returns its record."""
+        fid = len(self.families)
+        if fid >= len(self.live):
+            grow = max(fid + 1, 2 * len(self.live)) - len(self.live)
+            self.savings = np.concatenate([self.savings, np.zeros(grow)])
+            self.home = np.concatenate([self.home, np.full(grow, -1, dtype=np.int64)])
+            self.owned = np.concatenate([self.owned, np.zeros(grow, dtype=np.int64)])
+            self.live = np.concatenate([self.live, np.zeros(grow, dtype=bool)])
+            self.arrears = np.concatenate([self.arrears, np.zeros((grow, len(self.treasuries)))])
+        self.savings[fid] = savings
+        self.live[fid] = True
+        family = Family(id=fid, municipality=municipality)
+        self.families.append(family)
+        return family
+
+    def add_houses(self, houses: list[House]) -> None:
+        """Append vacant ``houses``, whose ids must continue ``houses``' indices."""
+        first = len(self.houses)
+        if [house.id for house in houses] != list(range(first, first + len(houses))):
+            raise ValidationError("house ids must continue the house list's indices")
+        self.houses.extend(houses)
+        self.resident = np.concatenate([self.resident, np.full(len(houses), -1, dtype=np.int64)])
+
+    def move_in(self, family: Family, house: House) -> None:
+        """``family`` takes vacant ``house`` as its own home; the caller settles any
+        seller's side. The family keeps its old home, which empties, and its
+        members' head-count moves with it."""
+        fid = family.id
+        old = self.home.item(fid)
+        if old >= 0:
+            self.resident[old] = -1
+        house.owner_family_id = fid
+        self.resident[house.id] = fid
+        family.owned_houses.append(house.id)
+        self.owned[fid] += 1
+        self.home[fid] = house.id
+        self.headcount[family.municipality] -= len(family.members)
+        self.headcount[house.municipality] += len(family.members)
+        family.municipality = house.municipality
+
     def populations(self) -> list[int]:
         """Citizen head-count by municipality index (residence follows the family)."""
         return list(self.headcount)
@@ -109,8 +169,8 @@ class SimulationState:
         money never leaves circulation; only the escheat pool holds money idle.
         """
         total = self.escheat_pool
-        for family in self.families.values():
-            total += family.savings
+        for saved in self.savings[self.live].tolist():
+            total += saved
         for firm in self.firms:
             total += firm.cash
         for treasury in self.treasuries:
@@ -120,8 +180,8 @@ class SimulationState:
     def residences(self) -> _Residences:
         """Citizen id -> home coordinates, for proximity-based hiring.
 
-        Each lookup resolves citizen -> family -> house; a citizen whose
-        family has no house raises ``KeyError``.
+        Each lookup resolves citizen -> family -> home; a citizen whose
+        family has no home raises ``KeyError``.
         """
         return _Residences(self)
 
@@ -139,7 +199,7 @@ class _Residences:
 
     def __getitem__(self, citizen_id: int) -> tuple[float, float]:
         state = self._state
-        house_id = state.families[state.family.item(citizen_id)].house_id
-        if house_id is None:
+        house_id = state.home.item(state.family.item(citizen_id))
+        if house_id < 0:
             raise KeyError(citizen_id)
         return state.houses[house_id].location

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .demographics import MAX_AGE_MONTHS
-from .economy import Family, Firm
+from .economy import Firm
 from .errors import ParseError, ValidationError, count, number
 from .fiscal import Treasury, sequential_sum
 from .housing import House
@@ -315,7 +315,6 @@ def instantiate_world(
     q_levels = cfg.qualification_levels
     q_dist = cfg.initial_qualification_distribution
 
-    next_family = 0
     for muni in region.municipalities:
         # every municipality has inhabitants, so the sampled copy keeps at
         # least one household even where the fraction rounds to zero people
@@ -329,14 +328,15 @@ def instantiate_world(
 
         cx, cy = muni.centroid
         first_house = len(state.houses)
-        for _ in range(n_houses):
+        built = []
+        for k in range(n_houses):
             size = float(rng.uniform(*cfg.house_size_bounds))
             quality = float(rng.uniform(*cfg.house_quality_bounds))
             loc = (cx + float(rng.normal(0.0, JITTER_SD)), cy + float(rng.normal(0.0, JITTER_SD)))
-            state.houses.append(House(
-                id=len(state.houses), municipality=m, size=size, quality=quality,
-                location=loc,
+            built.append(House(
+                id=first_house + k, municipality=m, size=size, quality=quality, location=loc,
             ))
+        state.add_houses(built)
 
         for _ in range(n_firms):
             loc = (cx + float(rng.normal(0.0, JITTER_SD)), cy + float(rng.normal(0.0, JITTER_SD)))
@@ -350,16 +350,8 @@ def instantiate_world(
 
         sizes = _partition(n_citizens, n_families)
         for k, fam_size in enumerate(sizes):
-            family = Family(
-                id=next_family,
-                municipality=m,
-                savings=float(rng.uniform(*cfg.initial_savings_bounds)),
-            )
-            home = state.houses[first_house + k]
-            home.owner_family_id = family.id
-            home.resident_family_id = family.id
-            family.house_id = home.id
-            family.owned_houses.append(home.id)
+            family = state.add_family(m, savings=float(rng.uniform(*cfg.initial_savings_bounds)))
+            state.move_in(family, built[k])
             for _ in range(fam_size):
                 age = int(rng.integers(0, cfg.max_initial_age_months))
                 if q_dist is None:
@@ -367,8 +359,6 @@ def instantiate_world(
                 else:
                     qual = int(rng.choice(q_levels, p=q_dist)) + 1
                 state.add_citizen(family, age, qual)
-            state.families[next_family] = family
-            next_family += 1
 
     if not state.firms:
         # every region needs at least one employer, however small the sample

@@ -14,7 +14,7 @@ from metrosim.config import (
     RegionSource,
     ScenarioConfig,
 )
-from metrosim.economy import Family, Firm
+from metrosim.economy import Firm
 from metrosim.errors import InvariantViolation
 from metrosim.fiscal import TAX_KINDS, Treasury
 from metrosim.housing import House
@@ -90,12 +90,14 @@ def gen_config():
 
 
 def add_family(state, muni, members_quals, savings=0.0, fam_id=None, ages=None):
-    """Attach a family of citizens (given qualifications) to municipality index ``muni``."""
-    fam_id = fam_id if fam_id is not None else len(state.families)
-    family = Family(id=fam_id, municipality=muni, savings=savings)
+    """Attach a family of citizens (given qualifications) to municipality index ``muni``.
+
+    Families are indexed by id, so a given id must be the next one.
+    """
+    family = state.add_family(muni, savings)
+    assert fam_id is None or fam_id == family.id
     for i, qual in enumerate(members_quals):
         state.add_citizen(family, ages[i] if ages else 360, qual)
-    state.families[fam_id] = family
     return family
 
 
@@ -115,14 +117,21 @@ def add_firm(state, muni, cash=100.0, wage=1.0, price=1.0, firm_id=None, locatio
     return firm
 
 
-def add_house(state, muni, size=1.0, quality=1.0, owner=None, resident=None, house_id=None):
-    """Append a house; houses are indexed by id, so a given id must be the next index."""
+def add_house(state, muni, size=1.0, quality=1.0, owner=None, home=False, house_id=None):
+    """Append a house, owned by family id ``owner`` (municipal stock for None),
+    and the owner's home with ``home``; houses are indexed by id, so a given
+    id must be the next index."""
     assert house_id is None or house_id == len(state.houses)
     house = House(
-        id=len(state.houses), municipality=muni, size=size, quality=quality,
-        location=(0.0, 0.0), owner_family_id=owner, resident_family_id=resident,
+        id=len(state.houses), municipality=muni, size=size, quality=quality, location=(0.0, 0.0),
     )
-    state.houses.append(house)
+    state.add_houses([house])
+    if home:
+        state.move_in(state.families[owner], house)
+    elif owner is not None:
+        house.owner_family_id = owner
+        state.families[owner].owned_houses.append(house.id)
+        state.owned[owner] += 1
     return house
 
 

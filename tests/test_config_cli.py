@@ -75,6 +75,27 @@ def test_lax_mode_warns_instead(caplog):
     assert sum("ignoring unknown" in r.message for r in caplog.records) == 2
 
 
+@pytest.mark.parametrize("flags, printed", [
+    ([], True), (["--log-level", "warning"], True), (["--log-level", "error"], False),
+])
+def test_log_level_switch_filters_stderr(tmp_path, capsys, flags, printed):
+    package_log = logging.getLogger("metrosim")
+    level = package_log.level
+    path = write_config(tmp_path, {"market": {"bogus": 1}})
+    try:
+        assert cli.main([*flags, "echo-config", "--lax", "--config", str(path)]) == 0
+    finally:
+        package_log.setLevel(level)  # the switch must not outlive its command here
+    assert ("ignoring unknown config key 'market.bogus'" in capsys.readouterr().err) == printed
+
+
+def test_bad_log_level_exits_one(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--log-level", "loud", "echo-config"])
+    assert exc.value.code == 1
+    assert "config error" in capsys.readouterr().err
+
+
 def test_type_mismatches_name_the_path():
     with pytest.raises(ConfigError, match="engine.seed"):
         config_from_dict({"engine": {"seed": "zero"}})

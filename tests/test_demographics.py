@@ -95,7 +95,7 @@ def test_certain_mortality_empties_population(make_state):
     add_family(state, 0, [1] * 50, savings=10.0)
     assert apply_mortality(state, flat_rates(mortality=1.0), rng()) == 50
     assert not living(state)
-    assert not state.families
+    assert not state.live.any()
     assert state.headcount == [0]
     assert state.treasuries[0].balance == 10.0  # family savings escheated
 
@@ -129,18 +129,20 @@ def test_death_cascade_employer_family_houses(make_state):
     state.employer[cid] = firm.id
     state.wage[cid] = 1.0
     firm.employees.append(cid)
-    home = add_house(state, 0, owner=family.id, resident=family.id)
-    family.house_id = home.id
-    family.owned_houses.append(home.id)
-    family.tax_debt[0] = 0.7
+    home = add_house(state, 0, owner=family.id, home=True)
+    state.arrears[family.id, 0] = 0.7
 
     deaths = apply_mortality(state, flat_rates(mortality=1.0), rng())
     assert deaths == 1
     assert firm.employees == []
     assert state.employer[cid] == -1 and not state.alive[cid]
-    assert family.id not in state.families
+    assert not state.live[family.id]
     assert state.treasuries[0].balance == 42.0
-    assert home.owner_family_id is None and home.resident_family_id is None
+    assert home.owner_family_id is None and state.resident[home.id] == -1
+    # the escheated row owns nothing and owes nothing
+    assert family.owned_houses == [] and state.owned[family.id] == 0
+    assert state.home[family.id] == -1
+    assert state.savings[family.id] == 0.0 and not state.arrears[family.id].any()
 
 
 def test_survivors_keep_family_alive(make_state):
@@ -151,9 +153,9 @@ def test_survivors_keep_family_alive(make_state):
     state.age[a] = 100 * 12
     state.age[b] = 240
     apply_mortality(state, VitalRates(DEFAULT_VITAL_BRACKETS), rng())
-    assert family.id in state.families
+    assert state.live[family.id]
     assert state.families[family.id].members == [b]
-    assert state.families[family.id].savings == 10.0  # no escheat while members remain
+    assert state.savings[family.id] == 10.0  # no escheat while members remain
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ from operator import attrgetter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from metrosim.economy import (
-    Family,
     Firm,
     MarketParams,
     consume,
@@ -20,6 +21,7 @@ from metrosim.economy import (
     set_price,
     set_wage_and_vacancy,
     settle_profit_tax,
+    shopping_budgets,
 )
 from metrosim.errors import ValidationError
 from metrosim.fiscal import TaxKind, TaxLedger, TaxRates
@@ -50,17 +52,16 @@ def produce_one(firm, quals, params):
     return units
 
 
-def pay(firms, families, quals, wages, employer, rates):
-    """``pay_wages`` for ``firms``, with every family member of ``families`` a citizen.
+def pay(firms, savings, quals, wages, employer, rates):
+    """``pay_wages`` for ``firms``, citizen ``i`` being the one member of family ``i``.
 
-    ``quals`` and ``wages`` give citizens ``0..n-1``; returns the ``wage``
-    column and the income-tax entries as lists.
+    ``quals`` and ``wages`` give citizens ``0..n-1``, and ``savings`` is the
+    family column; returns the ``wage`` column and the income-tax entries as
+    lists.
     """
-    family = np.full(len(quals), -1, dtype=np.int64)
-    for f in families.values():
-        family[f.members] = f.id
+    family = np.arange(len(quals), dtype=np.int64)
     wage = np.array(wages, dtype=float)
-    munis, amounts = pay_wages(firms, families, family, qualification_column(quals), wage,
+    munis, amounts = pay_wages(firms, savings, family, qualification_column(quals), wage,
                                employer, rates)
     return wage, (munis.tolist(), amounts.tolist())
 
@@ -225,9 +226,8 @@ def test_residences_resolve_each_housed_citizen(make_state):
     state = make_state()
     housed = add_family(state, 0, [3, 4])
     houseless = add_family(state, 0, [5])
-    home = add_house(state, 0, owner=housed.id, resident=housed.id)
+    home = add_house(state, 0, owner=housed.id, home=True)
     home.location = (3.0, 4.0)
-    housed.house_id = home.id
     residences = state.residences()
     assert [residences[cid] for cid in housed.members] == [(3.0, 4.0)] * 2
     with pytest.raises(KeyError):
@@ -245,11 +245,11 @@ def test_residences_resolve_each_housed_citizen(make_state):
 def test_pay_wages_worked_example():
     firm = make_firm(cash=150.0)
     firm.employees = [0]
-    family = Family(id=0, municipality=0, members=[0], savings=0.0)
-    _, taxes = pay([firm], {0: family}, [5], [100.0], employer_column(1, firm.id),
+    savings = np.zeros(1)
+    _, taxes = pay([firm], savings, [5], [100.0], employer_column(1, firm.id),
                    TaxRates(personal_income=0.275))
     assert firm.payroll_this_month == 100.0
-    assert family.savings == pytest.approx(72.5, rel=1e-12)
+    assert savings[0] == pytest.approx(72.5, rel=1e-12)
     assert taxes == ([0], [pytest.approx(27.5, rel=1e-12)])
     assert firm.cash == 50.0
     assert firm.cumulative_profit == -100.0
@@ -258,12 +258,12 @@ def test_pay_wages_worked_example():
 def test_zero_income_tax_rate_writes_no_event():
     firm = make_firm(cash=10.0)
     firm.employees = [0]
-    family = Family(id=0, municipality=0, members=[0])
+    savings = np.zeros(1)
     ledger = TaxLedger()
-    _, taxes = pay([firm], {0: family}, [5], [5.0], employer_column(1, firm.id),
+    _, taxes = pay([firm], savings, [5], [5.0], employer_column(1, firm.id),
                    TaxRates(personal_income=0.0))
     ledger.add_all(TaxKind.PERSONAL_INCOME, *taxes)
-    assert family.savings == 5.0
+    assert savings[0] == 5.0
     assert ledger.event_count == 0
 
 
@@ -272,22 +272,19 @@ def test_fire_and_shrink_releases_least_qualified():
     senior, junior = 0, 1
     employer = employer_column(2, firm.id)
     firm.employees = [senior, junior]
-    families = {
-        0: Family(id=0, municipality=0, members=[0]),
-        1: Family(id=1, municipality=0, members=[1]),
-    }
-    wage, _ = pay([firm], families, [5, 2], [80.0, 70.0], employer, TaxRates())
+    savings = np.zeros(2)
+    wage, _ = pay([firm], savings, [5, 2], [80.0, 70.0], employer, TaxRates())
     assert firm.payroll_this_month == 80.0  # junior released; senior affordable
     assert firm.employees == [senior]
     assert employer[junior] == -1 and wage[junior] == 0.0
     assert employer[senior] == firm.id and wage[senior] == 80.0
     assert firm.cash == 20.0
-    assert families[1].savings == 0.0
+    assert savings[junior] == 0.0
 
 
 def test_pay_wages_empty_firm_is_noop():
     firm = make_firm(cash=10.0)
-    _, taxes = pay([firm], {}, [], [], employer_column(0), TaxRates())
+    _, taxes = pay([firm], np.zeros(0), [], [], employer_column(0), TaxRates())
     assert firm.payroll_this_month == 0.0
     assert firm.cash == 10.0
     assert taxes == ([], [])
@@ -299,11 +296,11 @@ def test_payroll_resets_when_the_last_employee_is_gone():
     firm = make_firm(cash=150.0)
     employer = employer_column(1, firm.id)
     firm.employees = [0]
-    family = Family(id=0, municipality=0, members=[0])
-    pay([firm], {0: family}, [5], [100.0], employer, TaxRates())
+    savings = np.zeros(1)
+    pay([firm], savings, [5], [100.0], employer, TaxRates())
     assert firm.payroll_this_month == 100.0
     firm.employees.remove(0)
-    pay([firm], {0: family}, [5], [100.0], employer, TaxRates())
+    pay([firm], savings, [5], [100.0], employer, TaxRates())
     assert firm.payroll_this_month == 0.0
     firm.wage_offer = 1.0
     set_wage_and_vacancy(firm, MarketParams())
@@ -332,8 +329,9 @@ def produce_one_firm(firm, qualifications, params) -> float:
     return units
 
 
-def pay_wages_one_firm(firm, workers, families, employer, rates, taxes) -> None:
-    """Reference: one firm's payroll, released and paid employee by employee."""
+def pay_wages_one_firm(firm, workers, savings, employer, rates, taxes) -> None:
+    """Reference: one firm's payroll, released and paid employee by employee, each
+    take-home pay credited to ``savings`` (a list by family id) in turn."""
     staff = [workers[cid] for cid in firm.employees]
     payroll = 0.0
     for citizen in staff:
@@ -350,7 +348,7 @@ def pay_wages_one_firm(firm, workers, families, employer, rates, taxes) -> None:
     for citizen in staff:
         wage = citizen.monthly_wage
         tax = wage * rate
-        families[citizen.family_id].savings += wage - tax
+        savings[citizen.family_id] += wage - tax
         taxes.append((firm.municipality, tax))
     firm.cash -= payroll
     firm.cumulative_profit -= payroll
@@ -385,18 +383,13 @@ def random_payroll_world(seed):
         payroll = sum(wages[cid] for cid in firm.employees)
         firm.cash = float(gen.uniform(0.0, 1.5)) * payroll
         firm.cumulative_profit = float(gen.uniform(-2.0, 2.0))
-    families = {
-        i: Family(id=i, municipality=0, savings=float(gen.uniform(0.0, 5.0)))
-        for i in range(n_families)
-    }
-    for cid, fam in enumerate(family_of):
-        families[fam].members.append(cid)
+    savings = gen.uniform(0.0, 5.0, size=n_families)
     params = MarketParams(productivity_alpha=float(gen.uniform(0.5, 2.0)),
                           qualification_exponent_beta=float(gen.choice([0.5, 1.0, gen.random()])))
     rates = TaxRates(personal_income=float(gen.choice([0.0, 0.275, gen.random() * 0.9])))
     workers = {cid: Worker(cid, quals[cid], family_of[cid], wages[cid] if employer[cid] >= 0 else 0.0)
                for cid in range(n_citizens)}
-    return firms, families, workers, employer, params, rates
+    return firms, savings, workers, employer, params, rates
 
 
 def firm_fields(firms):
@@ -417,15 +410,17 @@ def test_random_payroll_worlds_cover_the_edge_cases():
                for world in worlds for f in world[0])
     assert any(world[5].personal_income == 0.0 for world in worlds)
     assert any(
-        len({world[3][cid] for cid in fam.members if world[3][cid] >= 0}) >= 2
-        for world in worlds for fam in world[1].values()
+        len({employer[cid] for cid, w in workers.items() if w.family_id == fam and employer[cid] >= 0})
+        >= 2
+        for _, savings, workers, employer, _, _ in worlds for fam in range(len(savings))
     )
 
 
 @pytest.mark.parametrize("seed", PAYROLL_SEEDS)
 def test_month_production_and_payroll_match_per_firm_references_bit_for_bit(seed):
-    firms, families, workers, employer_ids, params, rates = random_payroll_world(seed)
-    ref_firms, ref_families, ref_workers = copy.deepcopy((firms, families, workers))
+    firms, savings, workers, employer_ids, params, rates = random_payroll_world(seed)
+    ref_firms, ref_workers = copy.deepcopy((firms, workers))
+    ref_savings = savings.tolist()
     n = len(workers)
     qualification = qualification_column([w.qualification for w in workers.values()])
     wage = np.array([w.monthly_wage for w in workers.values()], dtype=float)
@@ -434,7 +429,7 @@ def test_month_production_and_payroll_match_per_firm_references_bit_for_bit(seed
 
     units = produce(firms, qualification, output_per_worker(params, 21), params)
     family = np.array([w.family_id for w in workers.values()], dtype=np.int64)
-    taxes = pay_wages(firms, families, family, qualification, wage, employer, rates)
+    taxes = pay_wages(firms, savings, family, qualification, wage, employer, rates)
 
     ref_units = [
         produce_one_firm(firm, [ref_workers[cid].qualification for cid in firm.employees], params)
@@ -442,13 +437,11 @@ def test_month_production_and_payroll_match_per_firm_references_bit_for_bit(seed
     ]
     ref_taxes = []
     for firm in ref_firms:
-        pay_wages_one_firm(firm, ref_workers, ref_families, ref_employer, rates, ref_taxes)
+        pay_wages_one_firm(firm, ref_workers, ref_savings, ref_employer, rates, ref_taxes)
 
     assert [u.hex() for u in units] == [u.hex() for u in ref_units]
     assert firm_fields(firms) == firm_fields(ref_firms)
-    assert [f.savings.hex() for f in families.values()] == [
-        f.savings.hex() for f in ref_families.values()
-    ]
+    assert [s.hex() for s in savings.tolist()] == [s.hex() for s in ref_savings]
     assert employer.tolist() == ref_employer.tolist()
     assert [w.hex() for w in wage.tolist()] == [ref_workers[cid].monthly_wage.hex() for cid in range(n)]
     assert [(m, t.hex()) for m, t in zip(*(a.tolist() for a in taxes))] == [
@@ -456,28 +449,63 @@ def test_month_production_and_payroll_match_per_firm_references_bit_for_bit(seed
     ]
 
 
+def reference_credit_wages(savings: list, family_ids: list, take_home: list) -> None:
+    """The per-employee wage credit that ``pay_wages``' one ``np.add.at`` replaced."""
+    for fam_id, pay in zip(family_ids, take_home):
+        savings[fam_id] += pay
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    savings=st.lists(st.floats(0.0, 50.0), min_size=1, max_size=6),
+    staff=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 5), st.floats(0.01, 3.0)),
+                   max_size=24),
+    rate=st.sampled_from([0.0, 0.275, 0.9]),
+)
+def test_wage_credits_match_the_per_employee_loop(savings, staff, rate):
+    # (firm, family, wage) per employee: families earn at several firms, and
+    # a family row past the payroll's families gets nothing
+    firms = [make_firm(firm_id=i, muni=i, cash=100.0) for i in range(3)]
+    for cid, (firm_id, _, _) in enumerate(staff):
+        firms[firm_id].employees.append(cid)
+    family = np.array([fam % len(savings) for _, fam, _ in staff], dtype=np.int64)
+    wage = np.array([w for _, _, w in staff])
+    column = np.array(savings + [7.0])
+    pay_wages(firms, column, family, qualification_column([5] * len(staff)), wage,
+              employer_column(len(staff), 0), TaxRates(personal_income=rate))
+    expected = savings + [7.0]
+    order = [cid for firm in firms for cid in firm.employees]
+    reference_credit_wages(
+        expected, family[order].tolist(), [w - w * rate for w in wage[order].tolist()]
+    )
+    assert [s.hex() for s in column.tolist()] == [s.hex() for s in expected]
+
+
 # ---------------------------------------------------------------------------
 # Consumption and its tax
 # ---------------------------------------------------------------------------
 
 
-def shop(family, firms, savings_rate, rates, taxes):
-    """One family buying from ``firms`` in the order given, through the month-wide ``consume``."""
-    return consume([family], firms, [range(len(firms))], [savings_rate], rates, taxes)
+def shop(savings, firms, savings_rate, rates, taxes):
+    """Family 0 of the ``savings`` column buying from ``firms`` in the order given,
+    through the month-wide passes."""
+    shopping, budgets = shopping_budgets(savings, np.array([0]), np.array([savings_rate]))
+    rows = [range(len(firms))] * len(shopping)
+    return consume(savings, shopping, budgets.tolist(), firms, rows, rates, taxes)
 
 
 def test_consume_worked_example():
-    family = Family(id=0, municipality=0, savings=10.0)
+    savings = np.array([10.0])
     firm = make_firm(price=2.0, inventory=10.0, cash=0.0)
     ledger = TaxLedger()
     taxes = ([], [])
-    units, spent = shop(family, [firm], 0.0, TaxRates(consumption=0.2), taxes)
+    units, spent = shop(savings, [firm], 0.0, TaxRates(consumption=0.2), taxes)
     ledger.add_all(TaxKind.CONSUMPTION, *taxes)
     assert units == 5.0
     assert spent == 10.0
     assert firm.cash == 8.0  # net of the 20% consumption tax
     assert ledger.by_kind(TaxKind.CONSUMPTION) == {0: 2.0}
-    assert family.savings == 0.0
+    assert savings[0] == 0.0
 
 
 def test_rank_samples_orders_by_price_then_id():
@@ -503,11 +531,12 @@ def test_rank_samples_matches_sorting_each_sample():
 
 
 def test_consume_cheapest_first():
-    family = Family(id=0, municipality=0, savings=4.0)
+    savings = np.array([4.0])
     pricey = make_firm(firm_id=0, price=4.0, inventory=10.0)
     cheap = make_firm(firm_id=1, price=1.0, inventory=2.0)
     ranked, rows = rank_samples([pricey, cheap], np.array([[0, 1]]))
-    units, spent = consume([family], ranked, rows, [0.0], TaxRates(consumption=0.0), ([], []))
+    units, spent = consume(savings, np.array([0]), [4.0], ranked, rows,
+                           TaxRates(consumption=0.0), ([], []))
     # 2 units at 1.0 exhaust the cheap firm, the remaining 2.0 buys 0.5 units at 4.0
     assert units == 2.5
     assert spent == 4.0
@@ -516,38 +545,39 @@ def test_consume_cheapest_first():
 
 
 def test_consume_limited_by_inventory_keeps_rest_saved():
-    family = Family(id=0, municipality=0, savings=10.0)
+    savings = np.array([10.0])
     firm = make_firm(price=1.0, inventory=3.0)
-    units, spent = shop(family, [firm], 0.0, TaxRates(), ([], []))
+    units, spent = shop(savings, [firm], 0.0, TaxRates(), ([], []))
     assert units == 3.0
     assert spent == 3.0
-    assert family.savings == 7.0
+    assert savings[0] == 7.0
 
 
 def test_consume_respects_savings_rate():
-    family = Family(id=0, municipality=0, savings=100.0)
+    savings = np.array([100.0])
     firm = make_firm(price=1.0, inventory=1000.0)
-    units, spent = shop(family, [firm], 0.5, TaxRates(consumption=0.0), ([], []))
+    units, spent = shop(savings, [firm], 0.5, TaxRates(consumption=0.0), ([], []))
     assert spent == 50.0
-    assert family.savings == 50.0
+    assert savings[0] == 50.0
 
 
 def test_consume_money_conserved():
-    family = Family(id=0, municipality=0, savings=37.0)
+    savings = np.array([37.0])
     firms = [make_firm(firm_id=i, price=1.0 + i, inventory=5.0, cash=0.0) for i in range(3)]
     ledger = TaxLedger()
-    before = family.savings
+    before = savings[0]
     taxes = ([], [])
-    units, spent = shop(family, firms, 0.1, TaxRates(consumption=0.18), taxes)
+    units, spent = shop(savings, firms, 0.1, TaxRates(consumption=0.18), taxes)
     ledger.add_all(TaxKind.CONSUMPTION, *taxes)
-    after = family.savings + sum(f.cash for f in firms) + sum(ledger.total_by_kind().values())
+    after = savings[0] + sum(f.cash for f in firms) + sum(ledger.total_by_kind().values())
     assert math.isclose(after, before, rel_tol=0, abs_tol=1e-12)
 
 
 def test_broke_family_buys_nothing():
-    family = Family(id=0, municipality=0, savings=0.0)
+    savings = np.array([0.0])
     firm = make_firm(inventory=10.0)
-    assert shop(family, [firm], 0.1, TaxRates(), ([], [])) == (0.0, 0.0)
+    assert shop(savings, [firm], 0.1, TaxRates(), ([], [])) == (0.0, 0.0)
+    assert firm.inventory == 10.0
 
 
 def test_consume_reads_the_sample_only_as_far_as_it_buys():
@@ -559,21 +589,25 @@ def test_consume_reads_the_sample_only_as_far_as_it_buys():
             walked.append((family_id, r))
             yield r
 
-    broke = Family(id=0, municipality=0, savings=0.0)
-    family = Family(id=1, municipality=0, savings=4.0)
+    savings = np.array([0.0, 4.0])  # family 0 is broke
+    shopping, budgets = shopping_budgets(savings, np.arange(2), np.array([0.1, 0.0]))
+    assert shopping.tolist() == [1]  # no budget, no shopping
     taxes = ([], [])
-    totals = consume([broke, family], firms, [row(0), row(1)], [0.1, 0.0],
+    totals = consume(savings, shopping, budgets.tolist(), firms, [row(1)],
                      TaxRates(consumption=0.25), taxes)
     assert totals == (4.0, 4.0)
-    assert walked == [(1, 0)]  # nothing without a budget; the budget ran out at the first firm
+    assert walked == [(1, 0)]  # the budget ran out at the first firm
     assert taxes == ([0], [1.0])
+    assert savings.tolist() == [0.0, 0.0]
 
 
 def consume_one_family(
-    family: Family, firm_sample, savings_rate: float, rates: TaxRates, taxes: list
+    savings: list, family_id: int, firm_sample, savings_rate: float, rates: TaxRates,
+    taxes: list,
 ) -> tuple[float, float]:
-    """Reference: one family's purchases, written straight onto the firms."""
-    budget = (1.0 - savings_rate) * family.savings
+    """Reference: one family's purchases, written straight onto the firms and onto
+    ``savings`` (a list by family id)."""
+    budget = (1.0 - savings_rate) * savings[family_id]
     if budget <= 1e-12:
         return 0.0, 0.0
     rate = rates.consumption
@@ -596,12 +630,12 @@ def consume_one_family(
         spent_total += spent
         if budget <= 1e-12:
             break
-    family.savings -= spent_total
+    savings[family_id] -= spent_total
     return units_total, spent_total
 
 
 def random_market(seed):
-    """Firms and families for one month of shopping.
+    """Firms and families' savings for one month of shopping.
 
     Prices tie, samples repeat firms, some firms start sold out, some
     families are broke, and a third of the markets have no consumption tax.
@@ -620,22 +654,20 @@ def random_market(seed):
         for i in range(n_firms)
     ]
     n_families = int(gen.integers(1, 13))
-    families = [
-        Family(id=i, municipality=0,
-               savings=0.0 if gen.random() < 0.25 else float(gen.uniform(0.0, 15.0)))
-        for i in range(n_families)
-    ]
+    savings = np.array([
+        0.0 if gen.random() < 0.25 else float(gen.uniform(0.0, 15.0)) for _ in range(n_families)
+    ])
     picks = gen.integers(0, n_firms, size=(n_families, int(gen.integers(1, 6))))
-    savings_rates = gen.uniform(0.0, 0.3, size=n_families).tolist()
+    savings_rates = gen.uniform(0.0, 0.3, size=n_families)
     rates = TaxRates(consumption=float(gen.choice([0.0, 0.18, gen.random()])))
-    return firms, families, picks, savings_rates, rates
+    return firms, savings, picks, savings_rates, rates
 
 
-def money_fields(firms, families):
+def money_fields(firms, savings):
     return (
         [(f.inventory.hex(), f.cash.hex(), f.revenue_this_month.hex(),
           f.cumulative_profit.hex()) for f in firms],
-        [f.savings.hex() for f in families],
+        [s.hex() for s in savings],
     )
 
 
@@ -646,30 +678,34 @@ def test_random_markets_cover_the_edge_cases():
     markets = [random_market(seed) for seed in MARKET_SEEDS]
     assert any(len(set(row)) < len(row) for m in markets for row in m[2].tolist())
     assert any(f.inventory == 0.0 for m in markets for f in m[0])
-    assert any(f.savings == 0.0 for m in markets for f in m[1])
+    assert any(s == 0.0 for m in markets for s in m[1].tolist())
     assert any(m[4].consumption == 0.0 for m in markets)
 
 
 @pytest.mark.parametrize("seed", MARKET_SEEDS)
 def test_month_consume_matches_per_family_reference_bit_for_bit(seed):
-    firms, families, picks, savings_rates, rates = random_market(seed)
-    ref_firms, ref_families = copy.deepcopy((firms, families))
+    firms, savings, picks, savings_rates, rates = random_market(seed)
+    ref_firms = copy.deepcopy(firms)
+    ref_savings = savings.tolist()
 
     taxes = ([], [])
-    ranked, rows = rank_samples(firms, picks)
-    units, spent = consume(families, ranked, rows, savings_rates, rates, taxes)
+    families = np.arange(len(savings))
+    shopping, budgets = shopping_budgets(savings, families, savings_rates)
+    ranked, rows = rank_samples(firms, picks[shopping])
+    units, spent = consume(savings, families[shopping], budgets.tolist(), ranked, rows, rates,
+                           taxes)
 
     ref_taxes = []
     ref_ranked, ref_rows = rank_samples(ref_firms, picks)
     ref_units = ref_spent = 0.0
-    for family, row, savings_rate in zip(ref_families, ref_rows, savings_rates):
+    for family_id, (row, savings_rate) in enumerate(zip(ref_rows, savings_rates.tolist())):
         u, s = consume_one_family(
-            family, [ref_ranked[r] for r in row], savings_rate, rates, ref_taxes
+            ref_savings, family_id, [ref_ranked[r] for r in row], savings_rate, rates, ref_taxes
         )
         ref_units += u
         ref_spent += s
 
-    assert money_fields(firms, families) == money_fields(ref_firms, ref_families)
+    assert money_fields(firms, savings.tolist()) == money_fields(ref_firms, ref_savings)
     assert [(m, t.hex()) for m, t in zip(*taxes)] == [(m, t.hex()) for m, t in ref_taxes]
     assert (units.hex(), spent.hex()) == (ref_units.hex(), ref_spent.hex())
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from metrosim import engine
 from metrosim.config import EngineConfig, FiscalConfig, default_config
-from metrosim.economy import consume, pay_wages
+from metrosim.economy import consume
 from metrosim.engine import (
     RunFailure,
     RunResult,
@@ -196,8 +196,9 @@ def assert_columns_agree(state, living_before, births, deaths):
     ids = living(state)
     assert len(ids) - living_before == births - deaths
     # family column and member lists agree both ways
-    members = {cid: family.id for family in state.families.values() for cid in family.members}
-    assert sum(len(family.members) for family in state.families.values()) == len(ids)
+    families = [state.families[f] for f in np.flatnonzero(state.live).tolist()]
+    members = {cid: family.id for family in families for cid in family.members}
+    assert sum(len(family.members) for family in state.families) == len(ids)
     assert dict(zip(ids, state.family[ids].tolist())) == members
     dead = ~state.alive
     assert np.all(state.family[dead] == -1)
@@ -209,7 +210,7 @@ def assert_columns_agree(state, living_before, births, deaths):
         on_payroll += len(firm.employees)
     assert np.count_nonzero(state.alive & (state.employer >= 0)) == on_payroll
     walked = [0] * len(state.treasuries)
-    for family in state.families.values():
+    for family in families:
         walked[family.municipality] += len(family.members)
     assert state.headcount == walked
     assert state.populations() == walked
@@ -217,6 +218,25 @@ def assert_columns_agree(state, living_before, births, deaths):
     assert not np.any(state.wage[unemployed])  # wage 0.0 without an employer
     quals = state.qualification[state.alive]
     assert np.all((quals >= 1) & (quals <= state.qualification_levels))
+    # a live family lives in a house it owns, and only there; the property
+    # tax's one-house pass relies on it
+    for family in families:
+        f = family.id
+        assert family.members
+        assert state.home[f] in family.owned_houses
+        assert state.owned[f] == len(family.owned_houses) == len(set(family.owned_houses))
+        assert state.resident[state.home[f]] == f
+        for house_id in family.owned_houses:
+            assert state.houses[house_id].owner_family_id == f
+    occupied = np.flatnonzero(state.resident >= 0)
+    assert sorted(state.home[state.live].tolist()) == occupied.tolist()
+    # an escheated row (and the padding after the last family) holds nothing
+    gone = ~state.live
+    assert not state.savings[gone].any() and not state.arrears[gone].any()
+    assert np.all(state.home[gone] == -1) and not state.owned[gone].any()
+    assert all(not state.families[f].owned_houses and not state.families[f].members
+               for f in np.flatnonzero(gone[:len(state.families)]).tolist())
+    assert np.all(state.arrears >= 0.0)
 
 
 @settings(max_examples=15, deadline=None,
@@ -337,8 +357,8 @@ def test_batched_consumption_ledger_matches_per_purchase_adds(monkeypatch):
 
     ref_state, ref_runtime, ref_month = per_purchase
 
-    def consume_adding_each(families, ranked, rank_rows, savings_rates, rates, taxes):
-        return consume(families, ranked, rank_rows, savings_rates, rates,
+    def consume_adding_each(savings, shoppers, budgets, ranked, rank_rows, rates, taxes):
+        return consume(savings, shoppers, budgets, ranked, rank_rows, rates,
                        add_each_entry(ref_month.ledger, TaxKind.CONSUMPTION))
 
     monkeypatch.setattr(engine, "consume", consume_adding_each)
@@ -347,8 +367,8 @@ def test_batched_consumption_ledger_matches_per_purchase_adds(monkeypatch):
     assert ledger_entries(month.ledger) == ledger_entries(ref_month.ledger)
     assert month.ledger.event_count == ref_month.ledger.event_count
     assert month.spent_total.hex() == ref_month.spent_total.hex()
-    assert [f.savings for f in state.families.values()] == [
-        f.savings for f in ref_state.families.values()
+    assert [s.hex() for s in state.savings.tolist()] == [
+        s.hex() for s in ref_state.savings.tolist()
     ]
 
 
@@ -369,21 +389,27 @@ def test_housing_and_tax_phases_match_per_entry_adds(monkeypatch):
             return fn(*args[:-1], add_each_entry(ref_month.ledger, kind))
         return wrapped
 
-    def paying_adding_each(*args):
-        # the payroll returns its entries: add each, and hand the engine none
-        munis, amounts = pay_wages(*args)
-        entries = add_each_entry(ref_month.ledger, TaxKind.PERSONAL_INCOME)
-        entries[0].extend(munis.tolist())
-        entries[1].extend(amounts.tolist())
-        return [], []
+    def returning_adding_each(fn, kind):
+        # the payroll and the property tax return their entries: add each,
+        # and hand the engine none
+        def wrapped(*args):
+            munis, amounts = fn(*args)
+            entries = add_each_entry(ref_month.ledger, kind)
+            entries[0].extend(munis.tolist())
+            entries[1].extend(amounts.tolist())
+            return [], []
+        return wrapped
 
     for name, kind in (
         ("run_housing_market", TaxKind.TRANSMISSION),
-        ("collect_property_tax", TaxKind.PROPERTY),
         ("settle_profit_tax", TaxKind.COMPANY),
     ):
         monkeypatch.setattr(engine, name, adding_each(getattr(engine, name), kind))
-    monkeypatch.setattr(engine, "pay_wages", paying_adding_each)
+    for name, kind in (
+        ("pay_wages", TaxKind.PERSONAL_INCOME),
+        ("collect_property_tax", TaxKind.PROPERTY),
+    ):
+        monkeypatch.setattr(engine, name, returning_adding_each(getattr(engine, name), kind))
     engine.housing(ref_state, ref_runtime, result, ref_month)
     engine.taxes(ref_state, ref_runtime, result, ref_month)
 
@@ -413,6 +439,7 @@ def test_depopulated_municipality_escheats_into_the_pool(make_state, caplog):
     assert state.treasuries[1].balance == 0.0
     assert firm.cash == 100.0  # nothing was invested, so nothing was procured
     assert "municipality m01 depopulated at month 0" in caplog.text
+    assert "(region r, case 3, seed 0)" in caplog.text  # names the run
 
 
 # ---------------------------------------------------------------------------

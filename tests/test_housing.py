@@ -1,20 +1,25 @@
 """Hedonic pricing, midpoint settlement, moves, and the property tax."""
 import copy
 import math
+from dataclasses import dataclass
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metrosim.demographics import _remove_citizen
 from metrosim.errors import ValidationError
 from metrosim.fiscal import TaxKind, TaxLedger, TaxRates, Treasury
 from metrosim.housing import (
     House,
     HousingParams,
+    Transaction,
     collect_property_tax,
     hedonic_prices,
     hedonic_units,
     run_housing_market,
+    vacancies,
 )
 from metrosim.state import SimulationState
 from metrosim.worldgen import WorldConfig, default_apc_batch, instantiate_world
@@ -38,18 +43,24 @@ def hedonic_price(house, municipality_qli, params):
 
 def market(state, params, rates, taxes=None):
     """One month of the housing market at the month's hedonic price table."""
-    prices = hedonic_prices(state, params, hedonic_units(state, params))
-    return run_housing_market(state, prices, params, rates, rng(),
+    units = hedonic_units(state, params)
+    prices = hedonic_prices(state, params, units)
+    return run_housing_market(state, prices, units.municipality, params, rates, rng(),
                               ([], []) if taxes is None else taxes)
 
 
 def property_tax(state, params, rates):
     """One month of property tax at the month's hedonic price table; returns its
     ``(municipality, amount)`` entries."""
-    prices = hedonic_prices(state, params, hedonic_units(state, params))
-    taxes = ([], [])
-    collect_property_tax(state, prices, rates, taxes)
-    return list(zip(*taxes))
+    units = hedonic_units(state, params)
+    prices = hedonic_prices(state, params, units)
+    munis, amounts = collect_property_tax(state, prices, units.municipality, rates)
+    return list(zip(munis.tolist(), amounts.tolist()))
+
+
+def debts(state, family_id) -> dict[int, float]:
+    """A family's arrears as municipality index -> debt, the debts only."""
+    return {m: d for m, d in enumerate(state.arrears[family_id].tolist()) if d > 0.0}
 
 
 # ---------------------------------------------------------------------------
@@ -83,11 +94,10 @@ def test_price_table_equals_hedonic_price_per_house():
     for treasury, qli in zip(state.treasuries, draws.tolist()):
         treasury.qli = qli
     table = hedonic_prices(state, params, units)
-    assert table == hedonic_prices(state, params, hedonic_units(state, params))
-    assert len(table) == len(state.houses)
+    assert table.tolist() == hedonic_prices(state, params, hedonic_units(state, params)).tolist()
+    assert table.shape == (len(state.houses),)
     for house in state.houses:
-        price = table[house.id]
-        assert type(price) is float
+        price = table.item(house.id)
         assert price == hedonic_price(house, state.treasuries[house.municipality].qli, params)
 
 
@@ -110,9 +120,7 @@ def two_vacancy_state(make_state, savings=100.0, size=4.0, quality=10.0):
     """One family, one cheap municipal vacancy plus a spare to keep the invariant."""
     state = make_state()
     family = add_family(state, 0, [5], savings=savings)
-    home = add_house(state, 0, owner=family.id, resident=family.id)
-    family.house_id = home.id
-    family.owned_houses.append(home.id)
+    add_house(state, 0, owner=family.id, home=True)
     target = add_house(state, 0, size=size, quality=quality)
     spare = add_house(state, 0, size=50.0, quality=50.0)  # unaffordable buffer
     return state, family, target, spare
@@ -131,11 +139,11 @@ def test_midpoint_settlement_and_transmission_tax(make_state):
     assert deal.price == (deal.hedonic + deal.offer) / 2.0
     assert taxes == ([0], [pytest.approx(1.8, rel=1e-12)])
     # the buyer moved in and now owns both houses
-    assert family.house_id == target.id
+    assert state.home[family.id] == target.id
     assert target.owner_family_id == family.id
-    assert target.resident_family_id == family.id
+    assert state.resident[target.id] == family.id
     assert sorted(family.owned_houses) == [0, 1]
-    assert state.houses[0].resident_family_id is None  # old residence emptied
+    assert state.resident[0] == -1  # old residence emptied
 
 
 def test_municipal_seller_credits_treasury(make_state):
@@ -143,7 +151,7 @@ def test_municipal_seller_credits_treasury(make_state):
     market(state, ALWAYS_ENTER, TaxRates(transmission=0.02))
     # municipal stock sold: price net of tax lands in the treasury
     assert state.treasuries[0].balance == pytest.approx(90.0 - 1.8, rel=1e-12)
-    assert family.savings == pytest.approx(10.0, rel=1e-12)
+    assert state.savings[family.id] == pytest.approx(10.0, rel=1e-12)
 
 
 def test_family_seller_receives_net_price(make_state):
@@ -151,15 +159,12 @@ def test_family_seller_receives_net_price(make_state):
     seller = add_family(state, 0, [5], savings=0.0, fam_id=0)
     buyer = add_family(state, 0, [5], savings=100.0, fam_id=1)
     for fam in (seller, buyer):
-        home = add_house(state, 0, owner=fam.id, resident=fam.id)
-        fam.house_id = home.id
-        fam.owned_houses.append(home.id)
+        add_house(state, 0, owner=fam.id, home=True)
     offered = add_house(state, 0, size=4.0, quality=10.0, owner=seller.id)
-    seller.owned_houses.append(offered.id)
     add_house(state, 0, size=50.0, quality=50.0)  # spare vacancy
     deals = market(state, ALWAYS_ENTER, TaxRates(transmission=0.02))
     assert [d.buyer_family_id for d in deals] == [buyer.id]
-    assert seller.savings == pytest.approx(88.2, rel=1e-12)  # 90 minus 1.8 tax
+    assert state.savings[seller.id] == pytest.approx(88.2, rel=1e-12)  # 90 minus 1.8 tax
     assert offered.id not in seller.owned_houses
     assert state.treasuries[0].balance == 0.0
 
@@ -167,18 +172,16 @@ def test_family_seller_receives_net_price(make_state):
 def test_money_conserved_through_sale(make_state):
     state, family, _, _ = two_vacancy_state(make_state)
     taxes = ([], [])
-    before = family.savings
+    before = state.savings[family.id]
     market(state, ALWAYS_ENTER, TaxRates(transmission=0.02), taxes)
-    after = family.savings + state.treasuries[0].balance + sum(taxes[1])
+    after = state.savings[family.id] + state.treasuries[0].balance + sum(taxes[1])
     assert math.isclose(after, before, rel_tol=0, abs_tol=1e-12)
 
 
 def test_a_buyer_family_carries_its_head_count(make_state):
     state = make_state(("m00", "m01"))
     family = add_family(state, 0, [5, 6, 7], savings=100.0)
-    home = add_house(state, 0, owner=family.id, resident=family.id)
-    family.house_id = home.id
-    family.owned_houses.append(home.id)
+    add_house(state, 0, owner=family.id, home=True)
     add_house(state, 0, size=50.0, quality=50.0)  # m00 keeps a vacancy
     target = add_house(state, 1, size=4.0, quality=10.0)
     add_house(state, 1, size=50.0, quality=50.0)  # and so does m01
@@ -192,9 +195,7 @@ def test_a_buyer_family_carries_its_head_count(make_state):
 def test_last_vacant_house_never_sold(make_state):
     state = make_state()
     family = add_family(state, 0, [5], savings=100.0)
-    home = add_house(state, 0, owner=family.id, resident=family.id)
-    family.house_id = home.id
-    family.owned_houses.append(home.id)
+    add_house(state, 0, owner=family.id, home=True)
     add_house(state, 0, size=1.0, quality=1.0)  # the only vacancy
     deals = market(state, ALWAYS_ENTER, TaxRates())
     assert deals == []
@@ -209,7 +210,7 @@ def test_zero_entry_rate_freezes_market(make_state):
 def test_broke_families_stay_out(make_state):
     state, family, _, _ = two_vacancy_state(make_state, savings=0.0)
     assert market(state, ALWAYS_ENTER, TaxRates()) == []
-    assert family.house_id == 0
+    assert state.home[family.id] == 0
 
 
 def test_unaffordable_listings_stay_unsold(make_state):
@@ -217,17 +218,15 @@ def test_unaffordable_listings_stay_unsold(make_state):
     state, family, target, _ = two_vacancy_state(make_state, savings=40.0)
     deals = market(state, ALWAYS_ENTER, TaxRates())
     assert deals == []
-    assert family.savings == 40.0
-    assert target.resident_family_id is None
+    assert state.savings[family.id] == 40.0
+    assert state.resident[target.id] == -1
 
 
 def test_house_sells_at_most_once_per_month(make_state):
     state = make_state()
     for fam_id in (0, 1):
-        fam = add_family(state, 0, [5], savings=100.0, fam_id=fam_id)
-        home = add_house(state, 0, owner=fam_id, resident=fam_id)
-        fam.house_id = home.id
-        fam.owned_houses.append(home.id)
+        add_family(state, 0, [5], savings=100.0, fam_id=fam_id)
+        add_house(state, 0, owner=fam_id, home=True)
     target = add_house(state, 0, size=4.0, quality=10.0)
     add_house(state, 0, size=4.0, quality=10.0)
     add_house(state, 0, size=50.0, quality=50.0)  # spare
@@ -246,14 +245,12 @@ def test_property_tax_worked_example(make_state):
     # a 1200-value house at 0.5% a year owes exactly 0.5 a month
     state = make_state()
     family = add_family(state, 0, [5], savings=10.0)
-    house = add_house(state, 0, size=6.0, quality=1.0, owner=family.id, resident=family.id)
-    family.owned_houses.append(house.id)
-    family.house_id = house.id
+    house = add_house(state, 0, size=6.0, quality=1.0, owner=family.id, home=True)
     params = HousingParams(hedonic_base=200.0, qli_elasticity=0.0)
     assert hedonic_price(house, 0.0, params) == 1200.0
     taxes = property_tax(state, params, TaxRates(property_annual=0.005))
     assert taxes == [(0, pytest.approx(0.5, rel=1e-12))]
-    assert family.savings == pytest.approx(9.5, rel=1e-12)
+    assert state.savings[family.id] == pytest.approx(9.5, rel=1e-12)
 
 
 def test_property_tax_skips_municipal_stock(make_state):
@@ -266,47 +263,161 @@ def test_property_tax_skips_municipal_stock(make_state):
 def test_zero_rate_collects_nothing(make_state):
     state = make_state()
     family = add_family(state, 0, [5], savings=10.0)
-    house = add_house(state, 0, owner=family.id, resident=family.id)
-    family.owned_houses.append(house.id)
+    add_house(state, 0, owner=family.id, home=True)
     assert property_tax(state, HousingParams(), TaxRates(property_annual=0.0)) == []
-    assert family.savings == 10.0
+    assert state.savings[family.id] == 10.0
 
 
 def test_broke_owner_accrues_debt_without_event(make_state):
     state = make_state()
     family = add_family(state, 0, [5], savings=0.0)
-    house = add_house(state, 0, size=6.0, quality=1.0, owner=family.id, resident=family.id)
-    family.owned_houses.append(house.id)
+    add_house(state, 0, size=6.0, quality=1.0, owner=family.id, home=True)
     params = HousingParams(hedonic_base=200.0, qli_elasticity=0.0)
     assert property_tax(state, params, TaxRates(property_annual=0.005)) == []
-    assert family.tax_debt == {0: pytest.approx(0.5, rel=1e-12)}
+    assert debts(state, family.id) == {0: pytest.approx(0.5, rel=1e-12)}
 
 
 def test_arrears_collected_once_funds_arrive(make_state):
     state = make_state()
     family = add_family(state, 0, [5], savings=0.0)
-    house = add_house(state, 0, size=6.0, quality=1.0, owner=family.id, resident=family.id)
-    family.owned_houses.append(house.id)
+    add_house(state, 0, size=6.0, quality=1.0, owner=family.id, home=True)
     params = HousingParams(hedonic_base=200.0, qli_elasticity=0.0)
     rates = TaxRates(property_annual=0.005)
     property_tax(state, params, rates)  # month 1: all debt
-    family.savings = 100.0
+    state.savings[family.id] = 100.0
     taxes = property_tax(state, params, rates)  # month 2: debt, then current
     assert taxes == [(0, pytest.approx(0.5, rel=1e-12))] * 2
-    assert family.tax_debt == {}
-    assert family.savings == pytest.approx(99.0, rel=1e-12)
+    assert debts(state, family.id) == {}
+    assert state.savings[family.id] == pytest.approx(99.0, rel=1e-12)
 
 
 def test_partial_payment_splits_into_debt(make_state):
     state = make_state()
     family = add_family(state, 0, [5], savings=0.3)
-    house = add_house(state, 0, size=6.0, quality=1.0, owner=family.id, resident=family.id)
-    family.owned_houses.append(house.id)
+    add_house(state, 0, size=6.0, quality=1.0, owner=family.id, home=True)
     params = HousingParams(hedonic_base=200.0, qli_elasticity=0.0)
     taxes = property_tax(state, params, TaxRates(property_annual=0.005))
     assert taxes == [(0, pytest.approx(0.3, rel=1e-12))]
-    assert family.savings == 0.0
-    assert family.tax_debt[0] == pytest.approx(0.2, rel=1e-12)
+    assert state.savings[family.id] == 0.0
+    assert debts(state, family.id) == {0: pytest.approx(0.2, rel=1e-12)}
+
+
+# ---------------------------------------------------------------------------
+# The month-wide passes against the per-family and per-house loops they replace
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class FamilyRecord:
+    """A live family as the scalar references see it: every number on the record."""
+
+    id: int
+    municipality: int
+    members: int  # head-count
+    savings: float
+    house_id: int | None
+    owned_houses: list[int]
+    tax_debt: dict[int, float]  # municipality index -> arrears, debts only
+
+
+@dataclass
+class HouseRecord:
+    id: int
+    municipality: int
+    owner_family_id: int | None
+    resident_family_id: int | None
+
+
+@dataclass
+class ScalarWorld:
+    """The agents of a ``SimulationState`` as records: families keyed by id in
+    id order, live ones only, and houses by id."""
+
+    month: int
+    families: dict[int, FamilyRecord]
+    houses: list[HouseRecord]
+    treasuries: list[Treasury]
+    headcount: list[int]
+
+
+def scalar_world(state) -> ScalarWorld:
+    live = np.flatnonzero(state.live).tolist()
+    return ScalarWorld(
+        month=state.month,
+        families={
+            f: FamilyRecord(
+                id=f,
+                municipality=state.families[f].municipality,
+                members=len(state.families[f].members),
+                savings=state.savings.item(f),
+                house_id=state.home.item(f) if state.home[f] >= 0 else None,
+                owned_houses=list(state.families[f].owned_houses),
+                tax_debt=debts(state, f),
+            )
+            for f in live
+        },
+        houses=[
+            HouseRecord(h.id, h.municipality, h.owner_family_id,
+                        None if state.resident[h.id] < 0 else state.resident.item(h.id))
+            for h in state.houses
+        ],
+        treasuries=copy.deepcopy(state.treasuries),
+        headcount=list(state.headcount),
+    )
+
+
+def world_bits(world: ScalarWorld) -> tuple:
+    """Everything the passes write, floats as hex."""
+    return (
+        [(f.id, f.municipality, f.members, f.savings.hex(), f.house_id, f.owned_houses,
+          {m: d.hex() for m, d in f.tax_debt.items()}) for f in world.families.values()],
+        [(h.owner_family_id, h.resident_family_id) for h in world.houses],
+        [t.balance.hex() for t in world.treasuries],
+        world.headcount,
+    )
+
+
+def reference_collect_property_tax(world: ScalarWorld, prices, rates, taxes) -> None:
+    """The per-family property tax that ``collect_property_tax`` replaced, each
+    payment appended to ``taxes``."""
+    monthly_rate = rates.property_monthly
+    houses = world.houses
+    tax_munis, tax_amounts = taxes
+    for family in world.families.values():
+        owned = family.owned_houses
+        debt = family.tax_debt
+        savings = family.savings
+        if savings <= 0.0:
+            for house_id in owned:
+                amount = prices[house_id] * monthly_rate
+                if amount > 0.0:
+                    muni = houses[house_id].municipality
+                    debt[muni] = debt.get(muni, 0.0) + amount
+            continue
+        if debt:
+            dues = sorted(debt.items())
+            debt = family.tax_debt = {}
+        elif owned:
+            dues = []
+        else:
+            continue
+        for house_id in owned:
+            dues.append((houses[house_id].municipality, prices[house_id] * monthly_rate))
+        for muni, amount in dues:
+            if not amount > 0.0:
+                continue  # a zero rate or price owes nothing
+            if savings <= 0.0:
+                debt[muni] = debt.get(muni, 0.0) + amount
+            elif savings < amount:  # min(amount, savings) is savings: pay it all, owe the rest
+                tax_munis.append(muni)
+                tax_amounts.append(savings)
+                debt[muni] = debt.get(muni, 0.0) + (amount - savings)
+                savings = 0.0
+            else:
+                savings -= amount
+                tax_munis.append(muni)
+                tax_amounts.append(amount)
+        family.savings = savings
 
 
 def reference_property_tax(state, prices, rates):
@@ -340,50 +451,209 @@ def reference_property_tax(state, prices, rates):
     return payments
 
 
+def reference_vacancies(world: ScalarWorld) -> list[int]:
+    """The house-by-house vacancy count that ``vacancies`` replaced."""
+    vacant = [0] * len(world.treasuries)
+    for house in world.houses:
+        if house.resident_family_id is None:
+            vacant[house.municipality] += 1
+    return vacant
+
+
+def reference_housing_market(world: ScalarWorld, prices, params, rates, rng, taxes):
+    """The per-family and per-house market that ``run_housing_market`` replaced:
+    the listings and vacancy counts come from a walk over every house."""
+    families = world.families
+    if not families:
+        return []
+    fam_list = list(families.values())
+    entrants = np.flatnonzero(rng.random(len(fam_list)) < params.market_entry_rate).tolist()
+    buyers = [fam_list[i] for i in entrants if fam_list[i].savings > 0.0]
+    if not buyers:
+        return []
+
+    listings = []
+    vacant_count = [0] * len(world.treasuries)
+    for house in world.houses:
+        if house.resident_family_id is None:
+            vacant_count[house.municipality] += 1
+            listings.append((prices[house.id], house))
+    listings.sort(key=lambda ph: (ph[0], ph[1].id))
+
+    transactions = []
+    sold = set()
+    for family in buyers:
+        offer = params.bid_fraction * family.savings
+        chosen = None
+        chosen_hedonic = 0.0
+        for hedonic, house in listings:
+            if hedonic > offer:
+                break
+            if house.id in sold or house.owner_family_id == family.id:
+                continue
+            if vacant_count[house.municipality] <= 1:
+                continue
+            chosen = house
+            chosen_hedonic = hedonic
+            break
+        if chosen is None:
+            continue
+        price = (chosen_hedonic + offer) / 2.0
+        tax = price * rates.transmission
+        seller_id = chosen.owner_family_id
+        family.savings -= price
+        if seller_id is None:
+            world.treasuries[chosen.municipality].balance += price - tax
+        else:
+            seller = families[seller_id]
+            seller.savings += price - tax
+            seller.owned_houses.remove(chosen.id)
+        if tax:
+            taxes[0].append(chosen.municipality)
+            taxes[1].append(tax)
+        if family.house_id is not None:
+            world.houses[family.house_id].resident_family_id = None
+        chosen.owner_family_id = family.id
+        chosen.resident_family_id = family.id
+        family.owned_houses.append(chosen.id)
+        family.house_id = chosen.id
+        world.headcount[family.municipality] -= family.members
+        world.headcount[chosen.municipality] += family.members
+        family.municipality = chosen.municipality
+        sold.add(chosen.id)
+        vacant_count[chosen.municipality] -= 1
+        transactions.append(
+            Transaction(world.month, chosen.id, family.id, chosen_hedonic, offer, price)
+        )
+    return transactions
+
+
 MUNIS = (0, 1, 2)  # indices of m00, m01, m02
+# the kinds of owner the property tax tells apart, each present in every drawn world
+ROLES = ("broke, arrears elsewhere", "two houses", "solvent, arrears in two", "short payer",
+         "escheated", "any", "any")
+
+savings_draws = st.one_of(st.just(0.0), st.floats(-5.0, 0.0), st.floats(0.0, 40.0))
+price_draws = st.one_of(st.just(0.0), st.floats(0.01, 60.0), st.floats(60.0, 5e4))
 
 
 @st.composite
-def property_tax_months(draw):
-    """A world of owners: broke families, arrears in several municipalities,
-    multi-house owners, savings that run out mid-dues, and zero rates or prices."""
+def owner_worlds(draw):
+    """A world of families in every role of ``ROLES``, in a drawn id order, with
+    the prices of its houses by id and a property tax rate.
+
+    A family owns its houses in a drawn purchase order and lives in one of
+    them, as the model keeps it; municipal houses stand vacant among them.
+    """
     state = SimulationState(treasuries=[Treasury(municipality_id=f"m{m:02d}") for m in MUNIS])
-    n_houses = draw(st.integers(0, 12))
-    prices = {}
-    for house_id in range(n_houses):
-        add_house(state, draw(st.sampled_from(MUNIS)), house_id=house_id)
-        prices[house_id] = draw(st.one_of(st.just(0.0), st.floats(0.01, 5e4)))
-    owner_of = draw(st.lists(st.integers(-1, 5), min_size=n_houses, max_size=n_houses))
-    for fam_id in range(6):
-        family = add_family(state, draw(st.sampled_from(MUNIS)), [5], fam_id=fam_id)
-        family.savings = draw(st.one_of(st.just(0.0), st.floats(-5.0, 0.0), st.floats(0.0, 40.0)))
-        family.owned_houses = [h for h, owner in enumerate(owner_of) if owner == fam_id]
-        family.tax_debt = draw(st.dictionaries(st.sampled_from(MUNIS), st.floats(0.01, 30.0)))
-    rates = TaxRates(property_annual=draw(st.sampled_from([0.0, 0.005, 0.3, 0.9])))
-    ledger = TaxLedger()
-    for muni in draw(st.lists(st.sampled_from(MUNIS), max_size=2, unique=True)):
-        ledger.add(TaxKind.PROPERTY, muni, draw(st.floats(0.01, 10.0)))
-    return state, prices, rates, ledger
+    annual = draw(st.sampled_from([0.0, 0.005, 0.3, 0.9]))
+    rates = TaxRates(property_annual=annual)
+    prices = []
+
+    def build_house(owner=None, home=False, price=None):
+        if draw(st.booleans()):  # municipal stock between the owned houses
+            add_house(state, draw(st.sampled_from(MUNIS)))
+            prices.append(draw(price_draws))
+        house = add_house(state, draw(st.sampled_from(MUNIS)), owner=owner, home=home)
+        prices.append(draw(price_draws) if price is None else price)
+        return house
+
+    for role in draw(st.permutations(ROLES)):
+        family = add_family(state, draw(st.sampled_from(MUNIS)), [5])
+        fid = family.id
+        n_houses = {"two houses": 2, "solvent, arrears in two": draw(st.integers(0, 1)),
+                    "any": draw(st.integers(0, 3))}.get(role, 1)
+        home = draw(st.integers(0, max(n_houses - 1, 0)))
+        price = draw(st.floats(0.01, 5e4)) if role == "short payer" else None
+        for k in range(n_houses):
+            build_house(owner=fid, home=k == home, price=price)
+        family.owned_houses[:] = draw(st.permutations(family.owned_houses))
+        if role == "broke, arrears elsewhere":
+            state.savings[fid] = draw(st.one_of(st.just(0.0), st.floats(-5.0, 0.0)))
+            home_muni = state.houses[state.home[fid]].municipality
+            elsewhere = draw(st.sampled_from([m for m in MUNIS if m != home_muni]))
+            state.arrears[fid, elsewhere] = draw(st.floats(0.01, 30.0))
+        elif role == "solvent, arrears in two":
+            state.savings[fid] = draw(st.floats(0.01, 40.0))
+            for m in draw(st.lists(st.sampled_from(MUNIS), min_size=2, max_size=2, unique=True)):
+                state.arrears[fid, m] = draw(st.floats(0.01, 30.0))
+        elif role == "short payer":  # savings cover part of the month's dues
+            state.savings[fid] = draw(st.floats(0.01, 0.99)) * price * rates.property_monthly
+        else:
+            state.savings[fid] = draw(savings_draws)
+            for m, debt in draw(st.dictionaries(st.sampled_from(MUNIS), st.floats(0.01, 30.0))).items():
+                state.arrears[fid, m] = debt
+        if role == "escheated":
+            _remove_citizen(state, family.members[0])
+    build_house()
+    return state, np.array(prices), rates
+
+
+def house_munis(state) -> np.ndarray:
+    return np.array([h.municipality for h in state.houses], dtype=np.intp)
+
+
+def assert_escheated_rows_empty(state):
+    gone = ~state.live[:len(state.families)]
+    assert not state.savings[:len(gone)][gone].any()
+    assert not state.arrears[:len(gone)][gone].any()
+    assert (state.home[:len(gone)][gone] == -1).all()
 
 
 @settings(max_examples=300, deadline=None)
-@given(month=property_tax_months(), months=st.integers(1, 3))
-def test_property_tax_matches_the_per_family_loop(month, months):
-    state, prices, rates, ledger = month
-    ref_state, ref_ledger = copy.deepcopy((state, ledger))
+@given(world=owner_worlds(), months=st.integers(1, 3))
+def test_property_tax_matches_the_per_family_loop(world, months):
+    state, prices, rates = world
+    ref = scalar_world(state)
+    plain = scalar_world(state)
+    ledger = TaxLedger()
+    ref_ledger = TaxLedger()
+    ledger.add(TaxKind.PROPERTY, 2, 1.5)  # an origin paid earlier in the month
+    ref_ledger.add(TaxKind.PROPERTY, 2, 1.5)
     for _ in range(months):
-        taxes = ([], [])
-        collect_property_tax(state, prices, rates, taxes)
-        expected = reference_property_tax(ref_state, prices, rates)
-        assert [(m, a.hex()) for m, a in zip(*taxes)] == [(m, a.hex()) for m, a in expected]
-        ledger.add_all(TaxKind.PROPERTY, *taxes)
-        for muni, amount in expected:
+        munis, amounts = collect_property_tax(state, prices, house_munis(state), rates)
+        expected = ([], [])
+        reference_collect_property_tax(ref, prices.tolist(), rates, expected)
+        assert list(zip(munis.tolist(), [a.hex() for a in amounts.tolist()])) == list(
+            zip(expected[0], [a.hex() for a in expected[1]])
+        )
+        assert world_bits(scalar_world(state)) == world_bits(ref)
+        assert [(m, a.hex()) for m, a in reference_property_tax(plain, prices.tolist(), rates)] == [
+            (m, a.hex()) for m, a in zip(*expected)
+        ]
+        assert world_bits(plain) == world_bits(ref)
+        assert_escheated_rows_empty(state)
+        ledger.add_all(TaxKind.PROPERTY, munis, amounts)
+        for muni, amount in zip(*expected):
             ref_ledger.add(TaxKind.PROPERTY, muni, amount)
-        for family in state.families.values():
-            ref_family = ref_state.families[family.id]
-            assert family.savings.hex() == ref_family.savings.hex()
-            assert {m: d.hex() for m, d in family.tax_debt.items()} == {
-                m: d.hex() for m, d in ref_family.tax_debt.items()
-            }
         assert ledger_entries(ledger) == ledger_entries(ref_ledger)
         assert ledger.event_count == ref_ledger.event_count
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    world=owner_worlds(),
+    entry=st.sampled_from([0.3, 1.0]),
+    bid=st.floats(0.05, 1.0),
+    transmission=st.sampled_from([0.0, 0.02, 0.5]),
+    seed=st.integers(0, 2**16),
+)
+def test_housing_market_matches_the_per_house_loop(world, entry, bid, transmission, seed):
+    state, prices, _ = world
+    params = HousingParams(market_entry_rate=entry, bid_fraction=bid)
+    rates = TaxRates(transmission=transmission)
+    ref = scalar_world(state)
+    assert vacancies(state, house_munis(state)).tolist() == reference_vacancies(ref)
+    taxes = ([], [])
+    deals = run_housing_market(state, prices, house_munis(state), params, rates, rng(seed),
+                               taxes)
+    ref_taxes = ([], [])
+    ref_deals = reference_housing_market(ref, prices.tolist(), params, rates, rng(seed),
+                                         ref_taxes)
+    assert [tuple(map(str, d)) for d in deals] == [tuple(map(str, d)) for d in ref_deals]
+    assert (taxes[0], [t.hex() for t in taxes[1]]) == (
+        ref_taxes[0], [t.hex() for t in ref_taxes[1]]
+    )
+    assert world_bits(scalar_world(state)) == world_bits(ref)
+    assert vacancies(state, house_munis(state)).tolist() == reference_vacancies(ref)
+    assert_escheated_rows_empty(state)

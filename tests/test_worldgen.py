@@ -160,9 +160,9 @@ def test_families_partition_citizens():
         small_region(1500), WorldConfig(population_fraction=0.02, mean_family_size=3.0), rng()
     )
     assert len(living(state)) == 30
-    assert len(state.families) == 10
+    assert len(state.families) == 10 == np.count_nonzero(state.live)
     seen = []
-    for family in state.families.values():
+    for family in state.families:
         assert family.members  # every family has at least one member
         seen.extend(family.members)
     assert sorted(seen) == living(state)
@@ -174,9 +174,9 @@ def test_every_municipality_keeps_a_vacancy():
     for muni in region.municipalities:
         m = state.municipality_ids.index(muni.id)
         houses = [h for h in state.houses if h.municipality == m]
-        families = [f for f in state.families.values() if f.municipality == m]
+        families = [f for f in state.families if f.municipality == m]
         assert len(houses) > len(families)
-        assert any(h.resident_family_id is None for h in houses)
+        assert any(state.resident[h.id] == -1 for h in houses)
 
 
 def test_hamlet_samples_to_one_household():
@@ -241,8 +241,10 @@ def test_firms_and_houses_are_indexed_by_id():
     state = instantiate_world(region, WorldConfig(population_fraction=0.05), rng())
     assert len(state.firms) > 1 and len(state.houses) > 1
     assert_indexed_by_id(state)
-    for family in state.families.values():
-        assert state.houses[family.house_id].resident_family_id == family.id
+    for family in state.families:
+        assert family.owned_houses == [state.home[family.id]]
+        assert state.resident[state.home[family.id]] == family.id
+    assert np.count_nonzero(state.resident >= 0) == len(state.families)
 
 
 def test_instantiation_deterministic():
@@ -253,9 +255,7 @@ def test_instantiation_deterministic():
     assert {cid: (int(a.age[cid]), int(a.qualification[cid])) for cid in living(a)} == {
         cid: (int(b.age[cid]), int(b.qualification[cid])) for cid in living(b)
     }
-    assert {f.id: f.savings for f in a.families.values()} == {
-        f.id: f.savings for f in b.families.values()
-    }
+    assert a.savings.tolist() == b.savings.tolist()
     assert a.money_base == b.money_base
 
 
@@ -263,7 +263,7 @@ def test_money_base_matches_circulation():
     state = instantiate_world(small_region(3000), WorldConfig(population_fraction=0.05), rng(4))
     assert state.money_base == state.money_in_circulation()
     total = sequential_sum(
-        [f.savings for f in state.families.values()] + [f.cash for f in state.firms]
+        state.savings[state.live].tolist() + [f.cash for f in state.firms]
     )
     assert state.money_base == total  # nothing else holds money at the start
 
