@@ -41,7 +41,7 @@ from .fiscal import (
     mpf_shares,
     policy_for_case,
 )
-from .housing import House, HousingParams
+from .housing import HousingParams
 from .state import SimulationState
 from .worldgen import (
     MunicipalitySpec,
@@ -57,7 +57,7 @@ from .worldgen import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "Family", "Firm", "House", "HousingParams", "MarketParams",
+    "Family", "Firm", "HousingParams", "MarketParams",
     "MunicipalitySpec", "RegionSpec", "SimulationState", "WorldConfig",
     "TaxKind", "TaxLedger", "TaxRates", "Treasury",
     "ChannelWeights", "DistributionPolicy", "MpfTable",

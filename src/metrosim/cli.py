@@ -66,11 +66,11 @@ def _config_epilog() -> str:
     return "\n".join(lines)
 
 
-def _read(path, load):
-    """Load one input file before any run; one that cannot be read or parsed
-    is a config error naming the file."""
+def _use_path(path, use):
+    """Read one input file, or make one output path, before any run; a path
+    that cannot be read, written or parsed is a config error naming it."""
     try:
-        return load(path)
+        return use(path)
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}") from None
     except (UnicodeDecodeError, ParseError, ValidationError) as exc:
@@ -79,7 +79,7 @@ def _read(path, load):
 
 def _load_config(args) -> ScenarioConfig:
     if args.config:
-        cfg = _read(args.config, lambda path: parse_config(path, strict=not args.lax))
+        cfg = _use_path(args.config, lambda path: parse_config(path, strict=not args.lax))
     else:
         cfg = default_config()
     if getattr(args, "seed", None) is not None:
@@ -97,14 +97,14 @@ def _load_config(args) -> ScenarioConfig:
     if cfg.fiscal.mpf_table_file:
         # read once here, so a bad table is an input error found before any
         # run; the runs of this process (and of forked workers) reuse the read
-        _read(cfg.fiscal.mpf_table_file, read_mpf_table)
+        _use_path(cfg.fiscal.mpf_table_file, read_mpf_table)
     return cfg
 
 
 def _output_dir(args) -> Path:
     out = args.out or os.environ.get(OUTPUT_DIR_ENV) or "metrosim-out"
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    _use_path(path, lambda path: path.mkdir(parents=True, exist_ok=True))
     return path
 
 
@@ -118,7 +118,7 @@ def resolve_regions(cfg: ScenarioConfig) -> list[RegionSpec]:
     if src.mode == "default-batch":
         return default_apc_batch()
     if src.mode == "file":
-        return [_read(src.path, load_region)]
+        return [_use_path(src.path, load_region)]
     rng = np.random.default_rng(cfg.engine.seed)
     return [generate_region(src.n_municipalities, src.total_population, src.skew, rng, cfg.world)]
 
@@ -170,7 +170,7 @@ def cmd_gen_region(args) -> int:
     rng = np.random.default_rng(args.seed)
     region = generate_region(args.municipalities, args.population, args.skew, rng, WorldConfig(),
                              region_id=args.id, name=args.name or f"synthetic region {args.id}")
-    save_region(region, args.out)
+    _use_path(args.out, lambda path: save_region(region, path))
     print(f"wrote {args.out}: {len(region.municipalities)} municipalities, "
           f"population {region.total_population}")
     return EXIT_OK
@@ -308,7 +308,7 @@ def cmd_regress(args, cfg: ScenarioConfig, regions: list[RegionSpec]):
         )
     covariates = None
     if args.covariates:
-        covariates = _read(args.covariates, analytics.load_covariates)
+        covariates = _use_path(args.covariates, analytics.load_covariates)
         missing = sorted({region.id for region in regions} - set(covariates))
         if missing:
             raise ConfigError(f"{args.covariates}: misses regions: {', '.join(missing)}")

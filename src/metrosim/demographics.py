@@ -179,12 +179,11 @@ def _escheat_family(state: "SimulationState", family_id: int) -> None:
         state.treasuries[family.municipality].balance += savings
     state.savings[family_id] = 0.0
     state.arrears[family_id] = 0.0  # arrears die with the family; nothing was collected
-    for house_id in family.owned_houses:
-        state.houses[house_id].owner_family_id = None
-        if state.resident[house_id] == family_id:
-            state.resident[house_id] = -1
+    state.owner[family.owned_houses] = -1
     family.owned_houses.clear()
-    state.owned[family_id] = 0
+    home = state.home.item(family_id)
+    if home >= 0:
+        state.resident[home] = -1
     state.home[family_id] = -1
 
 

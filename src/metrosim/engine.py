@@ -53,14 +53,7 @@ from .fiscal import (
     read_mpf_table,
     sequential_sum,
 )
-from .housing import (
-    HedonicUnits,
-    collect_property_tax,
-    hedonic_prices,
-    hedonic_units,
-    run_housing_market,
-    vacancies,
-)
+from .housing import collect_property_tax, hedonic_prices, run_housing_market, vacancies
 from .rng import RngStreams
 from .state import SimulationState
 from .worldgen import RegionSpec, instantiate_world
@@ -107,8 +100,7 @@ class _Runtime:
     policy: DistributionPolicy
     mpf_table: MpfTable
     vital_rates: VitalRates
-    # firms and houses are fixed (see SimulationState), so these hold all run
-    hedonic: HedonicUnits
+    # firms are fixed (see SimulationState), so this holds all run
     firms_by_muni: list[list[int]]  # firm ids by municipality index, ascending
     output_per_worker: np.ndarray  # q**beta by qualification q
     frozen_populations: list[int] | None = None
@@ -200,11 +192,10 @@ def housing(state: SimulationState, runtime: _Runtime, result: RunResult, month:
     """Hedonic listing prices, midpoint settlement; the property tax reuses the price
     table, since QLI only moves in ``invest``."""
     cfg = runtime.config
-    month.house_prices = hedonic_prices(state, cfg.housing, runtime.hedonic)
+    month.house_prices = hedonic_prices(state, cfg.housing)
     taxes: TaxEntries = ([], [])
     month.sales = len(run_housing_market(
-        state, month.house_prices, runtime.hedonic.municipality, cfg.housing, cfg.tax_rates,
-        runtime.rng.housing, taxes,
+        state, month.house_prices, cfg.housing, cfg.tax_rates, runtime.rng.housing, taxes,
     ))
     month.ledger.add_all(TaxKind.TRANSMISSION, *taxes)
 
@@ -215,9 +206,7 @@ def taxes(state: SimulationState, runtime: _Runtime, result: RunResult, month: _
     wage_taxes = pay_wages(state.firms, state.savings, state.family, state.qualification,
                            state.wage, state.employer, cfg.tax_rates)
     month.ledger.add_all(TaxKind.PERSONAL_INCOME, *wage_taxes)
-    property_taxes = collect_property_tax(
-        state, month.house_prices, runtime.hedonic.municipality, cfg.tax_rates
-    )
+    property_taxes = collect_property_tax(state, month.house_prices, cfg.tax_rates)
     month.ledger.add_all(TaxKind.PROPERTY, *property_taxes)
     if (state.month + 1) % cfg.fiscal.profit_tax_cadence_months == 0:
         profit_taxes: TaxEntries = ([], [])
@@ -319,7 +308,7 @@ def audit(state: SimulationState, runtime: _Runtime, result: RunResult, month: _
         raise InvariantViolation(
             closed, "employment-consistency", f"{employed} employed vs {on_payroll} on payrolls"
         )
-    vacant_by_muni = vacancies(state, runtime.hedonic.municipality).tolist()
+    vacant_by_muni = vacancies(state).tolist()
     # a municipality has families exactly when it has citizens
     for treasury, people, vacant in zip(state.treasuries, state.headcount, vacant_by_muni):
         if people > 0 and vacant < 1:
@@ -356,7 +345,6 @@ def start_runtime(config: ScenarioConfig, state: SimulationState, seed: int) -> 
         policy=policy_for_case(config.fiscal.case_id),
         mpf_table=read_mpf_table(path) if path else MpfTable(),
         vital_rates=VitalRates(DEFAULT_VITAL_BRACKETS),
-        hedonic=hedonic_units(state, config.housing),
         firms_by_muni=firms_by_muni,
         output_per_worker=output_per_worker(config.market, state.qualification_levels),
         frozen_populations=state.populations() if config.fiscal.freeze_mpf_shares else None,

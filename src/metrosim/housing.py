@@ -1,14 +1,16 @@
 """Monthly real-estate market with hedonic pricing and midpoint settlement.
 
-Vacant houses are listed each month; a sampled set of families bids a
-fraction of savings; a match settles at the average of the hedonic price and
-the buyer's offer, moving the family and emitting transmission tax. Property
-tax is charged monthly on owned stock, with arrears carried as family debt
-(``SimulationState.arrears``). Neither tax is written to the month's ledger
-here: the market appends each sale's municipality index and tax to the
-``TaxEntries`` lists the caller passes, the property tax returns its
-payments as arrays, and the engine writes each phase's entries with one
-``TaxLedger.add_all``.
+A house is a row of ``SimulationState``'s house columns: its municipality,
+size, quality, location, owner (-1 for municipal stock) and resident (-1
+when vacant). Vacant houses are listed each month; a sampled set of
+families bids a fraction of savings; a match settles at the average of the
+hedonic price and the buyer's offer, moving the family and emitting
+transmission tax. Property tax is charged monthly on owned stock, with
+arrears carried as family debt (``SimulationState.arrears``). Neither tax
+is written to the month's ledger here: the market appends each sale's
+municipality index and tax to the ``TaxEntries`` lists the caller passes,
+the property tax returns its payments as arrays, and the engine writes each
+phase's entries with one ``TaxLedger.add_all``.
 """
 from __future__ import annotations
 
@@ -22,16 +24,6 @@ from .fiscal import TaxEntries, TaxRates
 
 if TYPE_CHECKING:
     from .state import SimulationState
-
-
-@dataclass(slots=True)
-class House:
-    id: int
-    municipality: int  # index, see SimulationState
-    size: float
-    quality: float
-    location: tuple[float, float]
-    owner_family_id: int | None = None  # None -> municipal stock
 
 
 @dataclass
@@ -62,52 +54,31 @@ class Transaction(NamedTuple):
     price: float
 
 
-class HedonicUnits(NamedTuple):
-    """The per-run part of every house's hedonic price, indexed by house id.
-
-    Houses are fixed for a run (see ``SimulationState``) and never altered,
-    so ``base x size x quality`` is computed once; a month gathers only QLI.
-    """
-
-    municipality: np.ndarray  # per house, its municipality index
-    unit: np.ndarray  # per house, base x size x quality
-
-
-def hedonic_units(state: "SimulationState", params: HousingParams) -> HedonicUnits:
-    """Each house's ``base x size x quality``, multiplied in that order."""
-    houses = state.houses
-    size = np.array([h.size for h in houses], dtype=float)
-    quality = np.array([h.quality for h in houses], dtype=float)
-    return HedonicUnits(
-        municipality=np.array([h.municipality for h in houses], dtype=np.intp),
-        unit=params.hedonic_base * size * quality,
-    )
-
-
-def hedonic_prices(
-    state: "SimulationState", params: HousingParams, units: HedonicUnits
-) -> np.ndarray:
+def hedonic_prices(state: "SimulationState", params: HousingParams) -> np.ndarray:
     """Every house's hedonic price at its municipality's current QLI, by house id.
 
     The attribute-based value is ``base x size x quality x (1 + elasticity x
-    QLI)``, multiplied left to right: its unit in ``units`` (this world's
-    ``hedonic_units``) times the QLI factor. The prices hold until QLI moves,
-    which only ``invest`` does.
+    QLI)``, multiplied left to right. The prices hold until QLI moves, which
+    only ``invest`` does.
     """
     qli = np.array([treasury.qli for treasury in state.treasuries], dtype=float)
     factor = 1.0 + params.qli_elasticity * qli
-    return units.unit * factor[units.municipality]
+    return (
+        params.hedonic_base * state.house_size * state.house_quality
+        * factor[state.house_municipality]
+    )
 
 
-def vacancies(state: "SimulationState", municipality: np.ndarray) -> np.ndarray:
-    """Vacant houses by municipality index; ``municipality`` is each house's."""
-    return np.bincount(municipality[state.resident < 0], minlength=len(state.treasuries))
+def vacancies(state: "SimulationState") -> np.ndarray:
+    """Vacant houses by municipality index."""
+    return np.bincount(
+        state.house_municipality[state.resident < 0], minlength=len(state.treasuries)
+    )
 
 
 def run_housing_market(
     state: "SimulationState",
     prices: np.ndarray,
-    municipality: np.ndarray,
     params: HousingParams,
     rates: TaxRates,
     rng: np.random.Generator,
@@ -115,11 +86,10 @@ def run_housing_market(
 ) -> list[Transaction]:
     """Match sampled buyer families to listed vacant houses for one month.
 
-    Vacant houses are listed at their ``prices`` (``hedonic_prices``);
-    ``municipality`` is each house's municipality index. Every live family
-    enters, in id order, with probability ``market_entry_rate`` (savings
-    permitting) and can afford any listing whose midpoint settlement stays
-    within ``bid_fraction`` of savings. Each buyer takes the cheapest
+    Vacant houses are listed at their ``prices`` (``hedonic_prices``). Every
+    live family enters, in id order, with probability ``market_entry_rate``
+    (savings permitting) and can afford any listing whose midpoint
+    settlement stays within ``bid_fraction`` of savings. Each buyer takes the cheapest
     affordable listing, ties going to the lower house id; each house sells
     at most once; the last vacant house of a municipality is never sold,
     which preserves the vacancy invariant. Each sale's nonzero transmission
@@ -136,62 +106,56 @@ def run_housing_market(
 
     vacant = np.flatnonzero(state.resident < 0)
     listed = vacant[np.argsort(prices[vacant], kind="stable")]
-    listings = list(zip(prices[listed].tolist(), listed.tolist(), municipality[listed].tolist()))
-    vacant_count = vacancies(state, municipality).tolist()
+    listings = list(zip(
+        prices[listed].tolist(), listed.tolist(), state.house_municipality[listed].tolist()
+    ))
+    vacant_count = vacancies(state).tolist()
 
-    savings = state.savings
-    houses = state.houses
+    savings, owner = state.savings, state.owner
     transactions: list[Transaction] = []
     sold: set[int] = set()
     for buyer in buyers:
         offer = params.bid_fraction * savings.item(buyer)
-        chosen = None
-        chosen_hedonic = 0.0
+        chosen = -1
         for hedonic, house_id, muni in listings:
             if hedonic > offer:
                 break  # listings are sorted; nothing further is affordable
-            if house_id in sold or houses[house_id].owner_family_id == buyer:
+            if house_id in sold or owner.item(house_id) == buyer:
                 continue
             if vacant_count[muni] <= 1:
                 continue  # never sell a municipality's last vacant house
-            chosen = houses[house_id]
-            chosen_hedonic = hedonic
+            chosen = house_id
             break
-        if chosen is None:
+        if chosen < 0:
             continue
 
-        price = (chosen_hedonic + offer) / 2.0
+        price = (hedonic + offer) / 2.0
         tax = price * rates.transmission
-        seller_id = chosen.owner_family_id
+        seller = owner.item(chosen)
         savings[buyer] -= price
-        if seller_id is None:
-            state.treasuries[chosen.municipality].balance += price - tax
+        if seller < 0:
+            state.treasuries[muni].balance += price - tax
         else:
-            savings[seller_id] += price - tax
-            state.families[seller_id].owned_houses.remove(chosen.id)
-            state.owned[seller_id] -= 1
+            savings[seller] += price - tax
+            state.families[seller].owned_houses.remove(chosen)
         if tax:
-            taxes[0].append(chosen.municipality)
+            taxes[0].append(muni)
             taxes[1].append(tax)
         state.move_in(state.families[buyer], chosen)
-        sold.add(chosen.id)
-        vacant_count[chosen.municipality] -= 1
-        transactions.append(
-            Transaction(state.month, chosen.id, buyer, chosen_hedonic, offer, price)
-        )
+        sold.add(chosen)
+        vacant_count[muni] -= 1
+        transactions.append(Transaction(state.month, chosen, buyer, hedonic, offer, price))
     return transactions
 
 
 def collect_property_tax(
     state: "SimulationState",
     prices: np.ndarray,
-    municipality: np.ndarray,
     rates: TaxRates,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Charge the monthly property tax on family-owned houses, valued at ``prices``.
 
-    ``municipality`` is each house's municipality index. Municipal stock is
-    not taxed (the municipality does not tax itself). What a family cannot
+    Municipal stock is not taxed (the municipality does not tax itself). What a family cannot
     pay accrues as arrears (``state.arrears``) collected from savings in
     later months, so tax events always correspond to money that actually
     moved. A family without savings adds its houses' dues to its arrears.
@@ -206,7 +170,9 @@ def collect_property_tax(
     payments are merged by family id.
     """
     rate = rates.property_monthly
-    savings, arrears, owned = state.savings, state.arrears, state.owned
+    savings, arrears, municipality = state.savings, state.arrears, state.house_municipality
+    owner = state.owner
+    owned = np.bincount(owner[owner >= 0], minlength=len(state.live))
     payer_in_debt = arrears.any(axis=1) & (savings > 0.0)
     single = np.flatnonzero((owned == 1) & ~payer_in_debt)
     walked = np.flatnonzero((owned > 1) | payer_in_debt).tolist()
@@ -228,13 +194,12 @@ def collect_property_tax(
     entries: list[tuple[int, int, float]] = []  # (family, municipality, amount)
     rows = arrears[walked].tolist()
     held_by = savings[walked].tolist()
-    houses = state.houses
     for i, fam_id in enumerate(walked):
         # a broke family's arrears pass through unchanged: 0.0 + debt is debt
         dues = [(m, owed) for m, owed in enumerate(rows[i]) if owed > 0.0]
         debt = rows[i] = [0.0] * len(rows[i])
         for house_id in state.families[fam_id].owned_houses:
-            dues.append((houses[house_id].municipality, prices.item(house_id) * rate))
+            dues.append((municipality.item(house_id), prices.item(house_id) * rate))
         funds = held_by[i]
         for m, amount in dues:
             if not amount > 0.0:

@@ -13,7 +13,6 @@ import numpy as np
 from .economy import Family, Firm
 from .errors import ValidationError
 from .fiscal import Treasury
-from .housing import House
 
 
 @dataclass
@@ -28,10 +27,16 @@ class SimulationState:
     family lives in ``m``; ``add_citizen``, ``demographics._remove_citizen``
     and ``move_in`` keep it equal to a walk over the live families.
 
-    Firms and houses are fixed for a run, so they are lists indexed by id:
-    ``firms[i].id == i`` and ``houses[i].id == i``; ``add_houses`` appends
-    houses. A house's occupancy is the ``resident`` column (family id, -1
-    when vacant), its only store.
+    Firms are fixed for a run, so they are a list indexed by id:
+    ``firms[i].id == i``.
+
+    A house is one row of the columns indexed by house id, their only
+    store: ``house_municipality``, ``house_size``, ``house_quality``, its
+    location ``house_x`` and ``house_y``, ``owner`` (family id, -1 for
+    municipal stock) and ``resident`` (family id, -1 when vacant). Houses
+    are fixed for a run and enter through ``add_houses``, vacant and
+    municipal; ownership and occupancy change only through ``move_in``, a
+    seller giving up its house, and escheat.
 
     A citizen is one row of the columns indexed by citizen id, its only
     store: age, qualification, employer (-1 for none), monthly wage (0.0
@@ -43,21 +48,24 @@ class SimulationState:
     ``np.flatnonzero(alive)`` lists the living in ascending id order.
 
     A family is likewise one row of the columns indexed by family id, their
-    only store: ``savings``, ``home`` (a house id, -1 for none), ``owned``
-    (how many houses it owns), ``live`` and ``arrears`` (family x
-    municipality index; 0.0 is no debt, and a debt is always > 0). Its
-    ``Family`` record, ``families[id]``, keeps its members, municipality and
-    owned houses in purchase order. A family has one way in, ``add_family``,
-    and one way out, ``demographics._escheat_family``, which clears ``live``,
-    zeroes its row and keeps its record. A live family lives in one of the
-    houses it owns, so one that owns exactly one house lives in it. Rows
-    past the last family are padding, which is never live and owns nothing.
+    only store: ``savings``, ``home`` (a house id, -1 for none), ``live``
+    and ``arrears`` (family x municipality index; 0.0 is no debt, and a
+    debt is always > 0). Its ``Family`` record, ``families[id]``, keeps its
+    members, municipality and owned houses in purchase order, which orders
+    its property tax dues; a house is in family ``f``'s list exactly when
+    its ``owner`` is ``f``. A family has one way in, ``add_family``, and one
+    way out, ``demographics._escheat_family``, which clears ``live``, zeroes
+    its row and keeps its record. A live family lives in one of the houses
+    it owns, so one that owns exactly one house lives in it.
+
+    Citizen and family columns grow by doubling; rows past the last citizen
+    or family are padding, which is never alive or live and owns nothing.
+    ``trim`` cuts it off.
     """
 
     month: int = 0
     families: list[Family] = field(default_factory=list)  # by family id
     firms: list[Firm] = field(default_factory=list)
-    houses: list[House] = field(default_factory=list)
     treasuries: list[Treasury] = field(default_factory=list)  # by municipality index
     headcount: list[int] = field(init=False)  # by municipality index
     labor_entry_age_months: int = 192
@@ -74,9 +82,14 @@ class SimulationState:
     provisional: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
     savings: np.ndarray = field(default_factory=lambda: np.zeros(0))
     home: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    owned: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     live: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
     arrears: np.ndarray = field(init=False)  # family x municipality index
+    house_municipality: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    house_size: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    house_quality: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    house_x: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    house_y: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    owner: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     resident: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     def __post_init__(self):
@@ -124,7 +137,6 @@ class SimulationState:
             grow = max(fid + 1, 2 * len(self.live)) - len(self.live)
             self.savings = np.concatenate([self.savings, np.zeros(grow)])
             self.home = np.concatenate([self.home, np.full(grow, -1, dtype=np.int64)])
-            self.owned = np.concatenate([self.owned, np.zeros(grow, dtype=np.int64)])
             self.live = np.concatenate([self.live, np.zeros(grow, dtype=bool)])
             self.arrears = np.concatenate([self.arrears, np.zeros((grow, len(self.treasuries)))])
         self.savings[fid] = savings
@@ -133,30 +145,48 @@ class SimulationState:
         self.families.append(family)
         return family
 
-    def add_houses(self, houses: list[House]) -> None:
-        """Append vacant ``houses``, whose ids must continue ``houses``' indices."""
-        first = len(self.houses)
-        if [house.id for house in houses] != list(range(first, first + len(houses))):
-            raise ValidationError("house ids must continue the house list's indices")
-        self.houses.extend(houses)
-        self.resident = np.concatenate([self.resident, np.full(len(houses), -1, dtype=np.int64)])
+    def add_houses(self, municipality, size, quality, x, y) -> range:
+        """Append vacant municipal houses, one per entry of the equal-length
+        column values; returns their ids."""
+        first = len(self.resident)
+        self.house_municipality = np.concatenate(
+            [self.house_municipality, np.asarray(municipality, dtype=np.int64)]
+        )
+        self.house_size = np.concatenate([self.house_size, size])
+        self.house_quality = np.concatenate([self.house_quality, quality])
+        self.house_x = np.concatenate([self.house_x, x])
+        self.house_y = np.concatenate([self.house_y, y])
+        grow = len(self.house_municipality) - first
+        self.owner = np.concatenate([self.owner, np.full(grow, -1, dtype=np.int64)])
+        self.resident = np.concatenate([self.resident, np.full(grow, -1, dtype=np.int64)])
+        return range(first, first + grow)
 
-    def move_in(self, family: Family, house: House) -> None:
-        """``family`` takes vacant ``house`` as its own home; the caller settles any
-        seller's side. The family keeps its old home, which empties, and its
-        members' head-count moves with it."""
+    def move_in(self, family: Family, house_id: int) -> None:
+        """``family`` buys vacant house ``house_id`` and makes it its home; the
+        caller settles any seller's side. The family keeps its old home, which
+        empties, and its members' head-count moves with it."""
         fid = family.id
         old = self.home.item(fid)
         if old >= 0:
             self.resident[old] = -1
-        house.owner_family_id = fid
-        self.resident[house.id] = fid
-        family.owned_houses.append(house.id)
-        self.owned[fid] += 1
-        self.home[fid] = house.id
+        self.owner[house_id] = fid
+        self.resident[house_id] = fid
+        family.owned_houses.append(house_id)
+        self.home[fid] = house_id
+        municipality = self.house_municipality.item(house_id)
         self.headcount[family.municipality] -= len(family.members)
-        self.headcount[house.municipality] += len(family.members)
-        family.municipality = house.municipality
+        self.headcount[municipality] += len(family.members)
+        family.municipality = municipality
+
+    def trim(self) -> None:
+        """Cut the citizen and family columns to their used rows."""
+        n = self._next_citizen_id
+        for name in ("age", "qualification", "employer", "wage", "family", "alive",
+                     "provisional"):
+            setattr(self, name, getattr(self, name)[:n].copy())
+        n = len(self.families)
+        for name in ("savings", "home", "live", "arrears"):
+            setattr(self, name, getattr(self, name)[:n].copy())
 
     def populations(self) -> list[int]:
         """Citizen head-count by municipality index (residence follows the family)."""
@@ -202,4 +232,4 @@ class _Residences:
         house_id = state.home.item(state.family.item(citizen_id))
         if house_id < 0:
             raise KeyError(citizen_id)
-        return state.houses[house_id].location
+        return state.house_x.item(house_id), state.house_y.item(house_id)

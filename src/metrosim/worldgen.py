@@ -19,7 +19,6 @@ from .demographics import MAX_AGE_MONTHS
 from .economy import Firm
 from .errors import ParseError, ValidationError, count, number
 from .fiscal import Treasury, sequential_sum
-from .housing import House
 from .state import SimulationState
 
 COORD_BOX = 100.0  # side of the square the region lives in
@@ -327,16 +326,13 @@ def instantiate_world(
         m = index[muni.id]
 
         cx, cy = muni.centroid
-        first_house = len(state.houses)
-        built = []
-        for k in range(n_houses):
-            size = float(rng.uniform(*cfg.house_size_bounds))
-            quality = float(rng.uniform(*cfg.house_quality_bounds))
-            loc = (cx + float(rng.normal(0.0, JITTER_SD)), cy + float(rng.normal(0.0, JITTER_SD)))
-            built.append(House(
-                id=first_house + k, municipality=m, size=size, quality=quality, location=loc,
-            ))
-        state.add_houses(built)
+        size, quality, x, y = [], [], [], []
+        for _ in range(n_houses):  # each house's four draws, in this order
+            size.append(float(rng.uniform(*cfg.house_size_bounds)))
+            quality.append(float(rng.uniform(*cfg.house_quality_bounds)))
+            x.append(cx + float(rng.normal(0.0, JITTER_SD)))
+            y.append(cy + float(rng.normal(0.0, JITTER_SD)))
+        built = state.add_houses([m] * n_houses, size, quality, x, y)
 
         for _ in range(n_firms):
             loc = (cx + float(rng.normal(0.0, JITTER_SD)), cy + float(rng.normal(0.0, JITTER_SD)))
@@ -391,6 +387,7 @@ def instantiate_world(
         firm.cash = max(firm.cash, cfg.initial_cash_months_of_payroll * payroll)
 
     state.money_base = state.money_in_circulation()
+    state.trim()  # a shipped world carries no padding rows
     return state
 
 

@@ -17,7 +17,6 @@ from metrosim.config import (
 from metrosim.economy import Firm
 from metrosim.errors import InvariantViolation
 from metrosim.fiscal import TAX_KINDS, Treasury
-from metrosim.housing import House
 from metrosim.state import SimulationState
 from metrosim.worldgen import MunicipalitySpec, RegionSpec, WorldConfig
 
@@ -117,22 +116,19 @@ def add_firm(state, muni, cash=100.0, wage=1.0, price=1.0, firm_id=None, locatio
     return firm
 
 
-def add_house(state, muni, size=1.0, quality=1.0, owner=None, home=False, house_id=None):
+def add_house(state, muni, size=1.0, quality=1.0, owner=None, home=False, house_id=None,
+              location=(0.0, 0.0)):
     """Append a house, owned by family id ``owner`` (municipal stock for None),
-    and the owner's home with ``home``; houses are indexed by id, so a given
-    id must be the next index."""
-    assert house_id is None or house_id == len(state.houses)
-    house = House(
-        id=len(state.houses), municipality=muni, size=size, quality=quality, location=(0.0, 0.0),
-    )
-    state.add_houses([house])
+    and the owner's home with ``home``; returns its id. Houses are indexed by
+    id, so a given id must be the next index."""
+    [hid] = state.add_houses([muni], [size], [quality], [location[0]], [location[1]])
+    assert house_id is None or house_id == hid
     if home:
-        state.move_in(state.families[owner], house)
+        state.move_in(state.families[owner], hid)
     elif owner is not None:
-        house.owner_family_id = owner
-        state.families[owner].owned_houses.append(house.id)
-        state.owned[owner] += 1
-    return house
+        state.owner[hid] = owner
+        state.families[owner].owned_houses.append(hid)
+    return hid
 
 
 def region_of(cfg):

@@ -176,11 +176,12 @@ def test_gen_region_writes_loadable_file(tmp_path, capsys):
     ["--seed", "-1"],
     ["--skew", "nan"],
     ["--skew", "inf"],
+    ["--out", "{tmp}/missing/region.json"],  # an unwritable output path
 ])
 def test_gen_region_bad_flags_exit_one(tmp_path, capsys, flags):
     out = tmp_path / "region.json"
     code = cli.main(["gen-region", "--municipalities", "3", "--population", "5000",
-                     "--out", str(out), *flags])
+                     "--out", str(out), *[f.format(tmp=tmp_path) for f in flags]])
     assert code == cli.EXIT_CONFIG
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
@@ -235,13 +236,28 @@ def main_code(argv):
     ["--jobs", "0"],
     ["--cases", "1,x"],
     ["--jobs", "two"],
+    ["--out", "{file}"],  # an output path that is a file
 ])
 def test_bad_flags_exit_one_before_any_run(tmp_path, capsys, flags):
     cfg_path = write_config(tmp_path, SMALL_SCENARIO)
     out_dir = tmp_path / "cmp"
+    file = tmp_path / "file"
+    file.write_text("")
+    flags = [f.format(file=file) for f in flags]
     assert main_code(["compare", "--config", cfg_path, "--out", str(out_dir), *flags]) == 1
     assert "config error" in capsys.readouterr().err
     assert not out_dir.exists()
+    assert file.read_text() == ""
+
+
+def test_run_out_path_that_is_a_file_exits_one(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, SMALL_SCENARIO)
+    out = tmp_path / "file"
+    out.write_text("")
+    assert cli.main(["run", "--config", cfg_path, "--out", str(out)]) == cli.EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"config error: {out}: ")
+    assert "run complete" not in captured.out
 
 
 @pytest.mark.parametrize("argv", [

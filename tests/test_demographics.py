@@ -138,9 +138,9 @@ def test_death_cascade_employer_family_houses(make_state):
     assert state.employer[cid] == -1 and not state.alive[cid]
     assert not state.live[family.id]
     assert state.treasuries[0].balance == 42.0
-    assert home.owner_family_id is None and state.resident[home.id] == -1
+    assert state.owner[home] == -1 and state.resident[home] == -1
     # the escheated row owns nothing and owes nothing
-    assert family.owned_houses == [] and state.owned[family.id] == 0
+    assert family.owned_houses == []
     assert state.home[family.id] == -1
     assert state.savings[family.id] == 0.0 and not state.arrears[family.id].any()
 

@@ -226,8 +226,7 @@ def test_residences_resolve_each_housed_citizen(make_state):
     state = make_state()
     housed = add_family(state, 0, [3, 4])
     houseless = add_family(state, 0, [5])
-    home = add_house(state, 0, owner=housed.id, home=True)
-    home.location = (3.0, 4.0)
+    add_house(state, 0, owner=housed.id, home=True, location=(3.0, 4.0))
     residences = state.residences()
     assert [residences[cid] for cid in housed.members] == [(3.0, 4.0)] * 2
     with pytest.raises(KeyError):

@@ -224,16 +224,17 @@ def assert_columns_agree(state, living_before, births, deaths):
         f = family.id
         assert family.members
         assert state.home[f] in family.owned_houses
-        assert state.owned[f] == len(family.owned_houses) == len(set(family.owned_houses))
         assert state.resident[state.home[f]] == f
-        for house_id in family.owned_houses:
-            assert state.houses[house_id].owner_family_id == f
     occupied = np.flatnonzero(state.resident >= 0)
     assert sorted(state.home[state.live].tolist()) == occupied.tolist()
+    # a house has owner f >= 0 exactly when it is in family f's list, once;
+    # municipal stock (owner -1) is in no list
+    listed = sorted((h, family.id) for family in state.families for h in family.owned_houses)
+    assert listed == [(h, f) for h, f in enumerate(state.owner.tolist()) if f >= 0]
     # an escheated row (and the padding after the last family) holds nothing
     gone = ~state.live
     assert not state.savings[gone].any() and not state.arrears[gone].any()
-    assert np.all(state.home[gone] == -1) and not state.owned[gone].any()
+    assert np.all(state.home[gone] == -1)
     assert all(not state.families[f].owned_houses and not state.families[f].members
                for f in np.flatnonzero(gone[:len(state.families)]).tolist())
     assert np.all(state.arrears >= 0.0)

@@ -12,12 +12,10 @@ from metrosim.demographics import _remove_citizen
 from metrosim.errors import ValidationError
 from metrosim.fiscal import TaxKind, TaxLedger, TaxRates, Treasury
 from metrosim.housing import (
-    House,
     HousingParams,
     Transaction,
     collect_property_tax,
     hedonic_prices,
-    hedonic_units,
     run_housing_market,
     vacancies,
 )
@@ -30,31 +28,27 @@ from conftest import add_family, add_house, ledger_entries, rng
 ALWAYS_ENTER = HousingParams(market_entry_rate=1.0, bid_fraction=1.0)
 
 
-def hedonic_price(house, municipality_qli, params):
+def hedonic_price(size, quality, municipality_qli, params):
     """One house's attribute-based value, the scalar reference of ``hedonic_prices``:
     base x size x quality, scaled up with local QLI."""
     return (
         params.hedonic_base
-        * house.size
-        * house.quality
+        * size
+        * quality
         * (1.0 + params.qli_elasticity * municipality_qli)
     )
 
 
 def market(state, params, rates, taxes=None):
     """One month of the housing market at the month's hedonic price table."""
-    units = hedonic_units(state, params)
-    prices = hedonic_prices(state, params, units)
-    return run_housing_market(state, prices, units.municipality, params, rates, rng(),
+    return run_housing_market(state, hedonic_prices(state, params), params, rates, rng(),
                               ([], []) if taxes is None else taxes)
 
 
 def property_tax(state, params, rates):
     """One month of property tax at the month's hedonic price table; returns its
     ``(municipality, amount)`` entries."""
-    units = hedonic_units(state, params)
-    prices = hedonic_prices(state, params, units)
-    munis, amounts = collect_property_tax(state, prices, units.municipality, rates)
+    munis, amounts = collect_property_tax(state, hedonic_prices(state, params), rates)
     return list(zip(munis.tolist(), amounts.tolist()))
 
 
@@ -69,36 +63,33 @@ def debts(state, family_id) -> dict[int, float]:
 
 
 def test_hedonic_unit_house():
-    plain = House(id=0, municipality=0, size=1.0, quality=1.0, location=(0, 0))
-    assert hedonic_price(plain, 0.0, HousingParams(hedonic_base=100.0)) == 100.0
+    assert hedonic_price(1.0, 1.0, 0.0, HousingParams(hedonic_base=100.0)) == 100.0
 
 
 def test_hedonic_scales_with_attributes_and_qli():
-    house = House(id=0, municipality=0, size=2.0, quality=1.5, location=(0, 0))
     params = HousingParams(hedonic_base=100.0, qli_elasticity=1.0)
-    assert hedonic_price(house, 0.5, params) == 2.0 * 1.5 * 1.5 * 100.0  # == 450
+    assert hedonic_price(2.0, 1.5, 0.5, params) == 2.0 * 1.5 * 1.5 * 100.0  # == 450
 
 
 def test_hedonic_ignores_qli_when_elasticity_zero():
-    house = House(id=0, municipality=0, size=3.0, quality=1.0, location=(0, 0))
     params = HousingParams(hedonic_base=10.0, qli_elasticity=0.0)
-    assert hedonic_price(house, 0.0, params) == hedonic_price(house, 9.0, params) == 30.0
+    assert hedonic_price(3.0, 1.0, 0.0, params) == hedonic_price(3.0, 1.0, 9.0, params) == 30.0
 
 
 def test_price_table_equals_hedonic_price_per_house():
     region = next(r for r in default_apc_batch() if r.id == "apc33")
     state = instantiate_world(region, WorldConfig(), rng())
     params = HousingParams(hedonic_base=1.7, qli_elasticity=0.37)
-    units = hedonic_units(state, params)  # once per run, before QLI moves
     draws = rng(1).uniform(0.0, 3.0, size=len(state.treasuries))
     for treasury, qli in zip(state.treasuries, draws.tolist()):
         treasury.qli = qli
-    table = hedonic_prices(state, params, units)
-    assert table.tolist() == hedonic_prices(state, params, hedonic_units(state, params)).tolist()
-    assert table.shape == (len(state.houses),)
-    for house in state.houses:
-        price = table.item(house.id)
-        assert price == hedonic_price(house, state.treasuries[house.municipality].qli, params)
+    table = hedonic_prices(state, params)
+    assert table.shape == (len(state.resident),)
+    for house_id, (m, size, quality) in enumerate(zip(
+        state.house_municipality.tolist(), state.house_size.tolist(), state.house_quality.tolist()
+    )):
+        price = table.item(house_id)
+        assert price == hedonic_price(size, quality, state.treasuries[m].qli, params)
 
 
 def test_housing_params_validation():
@@ -139,9 +130,9 @@ def test_midpoint_settlement_and_transmission_tax(make_state):
     assert deal.price == (deal.hedonic + deal.offer) / 2.0
     assert taxes == ([0], [pytest.approx(1.8, rel=1e-12)])
     # the buyer moved in and now owns both houses
-    assert state.home[family.id] == target.id
-    assert target.owner_family_id == family.id
-    assert state.resident[target.id] == family.id
+    assert state.home[family.id] == target
+    assert state.owner[target] == family.id
+    assert state.resident[target] == family.id
     assert sorted(family.owned_houses) == [0, 1]
     assert state.resident[0] == -1  # old residence emptied
 
@@ -165,7 +156,8 @@ def test_family_seller_receives_net_price(make_state):
     deals = market(state, ALWAYS_ENTER, TaxRates(transmission=0.02))
     assert [d.buyer_family_id for d in deals] == [buyer.id]
     assert state.savings[seller.id] == pytest.approx(88.2, rel=1e-12)  # 90 minus 1.8 tax
-    assert offered.id not in seller.owned_houses
+    assert offered not in seller.owned_houses
+    assert state.owner[offered] == buyer.id
     assert state.treasuries[0].balance == 0.0
 
 
@@ -187,7 +179,7 @@ def test_a_buyer_family_carries_its_head_count(make_state):
     add_house(state, 1, size=50.0, quality=50.0)  # and so does m01
     assert state.populations() == [3, 0]
     deals = market(state, ALWAYS_ENTER, TaxRates())
-    assert [d.house_id for d in deals] == [target.id]
+    assert [d.house_id for d in deals] == [target]
     assert family.municipality == 1
     assert state.headcount == state.populations() == [0, 3]
 
@@ -219,7 +211,7 @@ def test_unaffordable_listings_stay_unsold(make_state):
     deals = market(state, ALWAYS_ENTER, TaxRates())
     assert deals == []
     assert state.savings[family.id] == 40.0
-    assert state.resident[target.id] == -1
+    assert state.resident[target] == -1
 
 
 def test_house_sells_at_most_once_per_month(make_state):
@@ -233,7 +225,7 @@ def test_house_sells_at_most_once_per_month(make_state):
     deals = market(state, ALWAYS_ENTER, TaxRates())
     sold = [d.house_id for d in deals]
     assert len(sold) == len(set(sold)) == 2
-    assert target.id in sold
+    assert target in sold
 
 
 # ---------------------------------------------------------------------------
@@ -245,9 +237,9 @@ def test_property_tax_worked_example(make_state):
     # a 1200-value house at 0.5% a year owes exactly 0.5 a month
     state = make_state()
     family = add_family(state, 0, [5], savings=10.0)
-    house = add_house(state, 0, size=6.0, quality=1.0, owner=family.id, home=True)
+    add_house(state, 0, size=6.0, quality=1.0, owner=family.id, home=True)
     params = HousingParams(hedonic_base=200.0, qli_elasticity=0.0)
-    assert hedonic_price(house, 0.0, params) == 1200.0
+    assert hedonic_price(6.0, 1.0, 0.0, params) == 1200.0
     taxes = property_tax(state, params, TaxRates(property_annual=0.005))
     assert taxes == [(0, pytest.approx(0.5, rel=1e-12))]
     assert state.savings[family.id] == pytest.approx(9.5, rel=1e-12)
@@ -357,9 +349,10 @@ def scalar_world(state) -> ScalarWorld:
             for f in live
         },
         houses=[
-            HouseRecord(h.id, h.municipality, h.owner_family_id,
-                        None if state.resident[h.id] < 0 else state.resident.item(h.id))
-            for h in state.houses
+            HouseRecord(h, m, None if owner < 0 else owner, None if resident < 0 else resident)
+            for h, (m, owner, resident) in enumerate(zip(
+                state.house_municipality.tolist(), state.owner.tolist(), state.resident.tolist()
+            ))
         ],
         treasuries=copy.deepcopy(state.treasuries),
         headcount=list(state.headcount),
@@ -570,7 +563,7 @@ def owner_worlds(draw):
         family.owned_houses[:] = draw(st.permutations(family.owned_houses))
         if role == "broke, arrears elsewhere":
             state.savings[fid] = draw(st.one_of(st.just(0.0), st.floats(-5.0, 0.0)))
-            home_muni = state.houses[state.home[fid]].municipality
+            home_muni = state.house_municipality[state.home[fid]]
             elsewhere = draw(st.sampled_from([m for m in MUNIS if m != home_muni]))
             state.arrears[fid, elsewhere] = draw(st.floats(0.01, 30.0))
         elif role == "solvent, arrears in two":
@@ -587,10 +580,6 @@ def owner_worlds(draw):
             _remove_citizen(state, family.members[0])
     build_house()
     return state, np.array(prices), rates
-
-
-def house_munis(state) -> np.ndarray:
-    return np.array([h.municipality for h in state.houses], dtype=np.intp)
 
 
 def assert_escheated_rows_empty(state):
@@ -611,7 +600,7 @@ def test_property_tax_matches_the_per_family_loop(world, months):
     ledger.add(TaxKind.PROPERTY, 2, 1.5)  # an origin paid earlier in the month
     ref_ledger.add(TaxKind.PROPERTY, 2, 1.5)
     for _ in range(months):
-        munis, amounts = collect_property_tax(state, prices, house_munis(state), rates)
+        munis, amounts = collect_property_tax(state, prices, rates)
         expected = ([], [])
         reference_collect_property_tax(ref, prices.tolist(), rates, expected)
         assert list(zip(munis.tolist(), [a.hex() for a in amounts.tolist()])) == list(
@@ -643,10 +632,9 @@ def test_housing_market_matches_the_per_house_loop(world, entry, bid, transmissi
     params = HousingParams(market_entry_rate=entry, bid_fraction=bid)
     rates = TaxRates(transmission=transmission)
     ref = scalar_world(state)
-    assert vacancies(state, house_munis(state)).tolist() == reference_vacancies(ref)
+    assert vacancies(state).tolist() == reference_vacancies(ref)
     taxes = ([], [])
-    deals = run_housing_market(state, prices, house_munis(state), params, rates, rng(seed),
-                               taxes)
+    deals = run_housing_market(state, prices, params, rates, rng(seed), taxes)
     ref_taxes = ([], [])
     ref_deals = reference_housing_market(ref, prices.tolist(), params, rates, rng(seed),
                                          ref_taxes)
@@ -655,5 +643,5 @@ def test_housing_market_matches_the_per_house_loop(world, entry, bid, transmissi
         ref_taxes[0], [t.hex() for t in ref_taxes[1]]
     )
     assert world_bits(scalar_world(state)) == world_bits(ref)
-    assert vacancies(state, house_munis(state)).tolist() == reference_vacancies(ref)
+    assert vacancies(state).tolist() == reference_vacancies(ref)
     assert_escheated_rows_empty(state)

@@ -173,10 +173,10 @@ def test_every_municipality_keeps_a_vacancy():
     state = instantiate_world(region, WorldConfig(population_fraction=0.02), rng())
     for muni in region.municipalities:
         m = state.municipality_ids.index(muni.id)
-        houses = [h for h in state.houses if h.municipality == m]
+        houses = np.flatnonzero(state.house_municipality == m)
         families = [f for f in state.families if f.municipality == m]
         assert len(houses) > len(families)
-        assert any(state.resident[h.id] == -1 for h in houses)
+        assert np.any(state.resident[houses] == -1)
 
 
 def test_hamlet_samples_to_one_household():
@@ -185,7 +185,7 @@ def test_hamlet_samples_to_one_household():
     state = instantiate_world(small_region(40), WorldConfig(population_fraction=0.002), rng())
     assert len(living(state)) == 1
     assert len(state.families) == 1
-    assert len(state.houses) >= 2
+    assert len(state.resident) >= 2
 
 
 def test_tiny_municipalities_may_host_no_firms():
@@ -225,21 +225,24 @@ def test_municipalities_drawn_in_region_order_and_indexed_by_sorted_id():
     state = instantiate_world(region, WorldConfig(population_fraction=0.05), rng())
     assert state.municipality_ids == ["alpha", "zeta"]
     # zeta, listed first, is drawn first: the first house and firm are its own
-    assert state.houses[0].municipality == state.firms[0].municipality == 1
+    assert state.house_municipality[0] == state.firms[0].municipality == 1
     assert state.families[0].municipality == 1
-    assert state.houses[-1].municipality == state.firms[-1].municipality == 0
+    assert state.house_municipality[-1] == state.firms[-1].municipality == 0
     assert state.headcount == [15, 15] == state.populations()
 
 
 def assert_indexed_by_id(state):
     assert [firm.id for firm in state.firms] == list(range(len(state.firms)))
-    assert [house.id for house in state.houses] == list(range(len(state.houses)))
+    # a house's id is its row, so every house column has a row per house
+    columns = (state.house_municipality, state.house_size, state.house_quality,
+               state.house_x, state.house_y, state.owner, state.resident)
+    assert len({len(column) for column in columns}) == 1
 
 
 def test_firms_and_houses_are_indexed_by_id():
     region = generate_region(5, 30_000, 1.2, rng(3), WorldConfig())
     state = instantiate_world(region, WorldConfig(population_fraction=0.05), rng())
-    assert len(state.firms) > 1 and len(state.houses) > 1
+    assert len(state.firms) > 1 and len(state.resident) > 1
     assert_indexed_by_id(state)
     for family in state.families:
         assert family.owned_houses == [state.home[family.id]]
@@ -266,6 +269,17 @@ def test_money_base_matches_circulation():
         state.savings[state.live].tolist() + [f.cash for f in state.firms]
     )
     assert state.money_base == total  # nothing else holds money at the start
+
+
+def test_fresh_world_has_no_padding_rows():
+    # a shipped world pickles every row it holds, so none may be unused
+    state = instantiate_world(small_region(3000), WorldConfig(population_fraction=0.05), rng(4))
+    assert len(state.alive) == len(state.age) == state._next_citizen_id == len(living(state))
+    assert len(state.live) == len(state.arrears) == len(state.families)
+    family = state.families[0]
+    born = state.add_citizen(family, age_months=0, qualification=1)  # the first birth grows
+    assert state.alive[born] and state.family[born] == family.id
+    assert len(state.alive) > born
 
 
 def test_initial_employment_rate_applied():
