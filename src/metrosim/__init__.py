@@ -18,7 +18,7 @@ from .analytics import (
 )
 from .config import ScenarioConfig, default_config, parse_config, serialize_config
 from .demographics import VitalRates, apply_fertility, apply_mortality, step_ages
-from .economy import Family, Firm, MarketParams
+from .economy import Firm, MarketParams
 from .engine import RunResult, ScenarioResult, batch_tasks, run_batch, run_scenario
 from .errors import (
     ConfigError,
@@ -57,7 +57,7 @@ from .worldgen import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "Family", "Firm", "HousingParams", "MarketParams",
+    "Firm", "HousingParams", "MarketParams",
     "MunicipalitySpec", "RegionSpec", "SimulationState", "WorldConfig",
     "TaxKind", "TaxLedger", "TaxRates", "Treasury",
     "ChannelWeights", "DistributionPolicy", "MpfTable",

@@ -17,7 +17,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .engine import ScenarioResult
-from .errors import ValidationError, finite
+from .errors import ValidationError, columns, finite
 from .fiscal import CASES, POLICIES, sequential_sum
 
 log = logging.getLogger(__name__)
@@ -97,9 +97,10 @@ def load_covariates(path) -> dict[str, dict[str, float]]:
     out: dict[str, dict[str, float]] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "apc_id" not in reader.fieldnames:
+        header = columns(reader.fieldnames, "covariate file", ValidationError)
+        if "apc_id" not in header:
             raise ValidationError("covariate file needs an 'apc_id' column")
-        names = [c for c in reader.fieldnames if c != "apc_id"]
+        names = [c for c in header if c != "apc_id"]
         for i, row in enumerate(reader):
             if row["apc_id"] in out:
                 raise ValidationError(f"covariate row {i + 1} repeats apc_id {row['apc_id']!r}")

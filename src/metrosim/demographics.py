@@ -123,9 +123,9 @@ def mature_qualifications(state: "SimulationState", rng: np.random.Generator) ->
     q_max = state.qualification_levels
     ready = np.flatnonzero(state.provisional & (state.age == entry)).tolist()
     for born_id in ready:
-        family = state.families[state.family.item(born_id)]
-        others = [cid for cid in family.members if cid != born_id]
-        if others:
+        members = np.flatnonzero(state.family == state.family.item(born_id))
+        others = members[members != born_id]
+        if len(others):
             center = sum(state.qualification[others].tolist()) / len(others)
         else:
             center = (1 + q_max) / 2.0
@@ -163,27 +163,24 @@ def _remove_citizen(state: "SimulationState", citizen_id: int) -> None:
     if employer >= 0:
         state.firms[employer].employees.remove(citizen_id)
         state.employer[citizen_id] = -1
-    family = state.families[state.family.item(citizen_id)]
+    family = state.family.item(citizen_id)
     state.family[citizen_id] = -1
-    family.members.remove(citizen_id)
-    state.headcount[family.municipality] -= 1
-    if not family.members:
-        _escheat_family(state, family.id)
+    if not (state.family == family).any():
+        _escheat_family(state, family)
 
 
 def _escheat_family(state: "SimulationState", family_id: int) -> None:
-    family = state.families[family_id]
     state.live[family_id] = False
+    home = state.home.item(family_id)
     savings = state.savings.item(family_id)
     if savings > 0:
-        state.treasuries[family.municipality].balance += savings
+        state.treasuries[state.house_municipality.item(home)].balance += savings
     state.savings[family_id] = 0.0
     state.arrears[family_id] = 0.0  # arrears die with the family; nothing was collected
-    state.owner[family.owned_houses] = -1
-    family.owned_houses.clear()
-    home = state.home.item(family_id)
-    if home >= 0:
-        state.resident[home] = -1
+    owned = state.owned_houses[family_id]
+    state.owner[owned] = -1
+    owned.clear()
+    state.resident[home] = -1
     state.home[family_id] = -1
 
 
@@ -202,8 +199,7 @@ def apply_fertility(
     probs = rates.fertility_by_month[np.minimum(state.age[ids], MAX_AGE_MONTHS - 1)]
     parents = ids[rng.random(len(ids)) < probs].tolist()
     for parent_id in parents:
-        family = state.families[state.family.item(parent_id)]
         # add_citizen may grow the columns, so index provisional after it returns
-        born = state.add_citizen(family, age_months=0, qualification=1)
+        born = state.add_citizen(state.family.item(parent_id), age_months=0, qualification=1)
         state.provisional[born] = True
     return len(parents)

@@ -38,16 +38,6 @@ class Firm:
     vacancy_unfilled: bool = False
 
 
-@dataclass(slots=True)
-class Family:
-    """A family's lists; its numbers are the family columns of ``SimulationState``."""
-
-    id: int
-    municipality: int  # index of residence, see SimulationState
-    members: list[int] = field(default_factory=list)
-    owned_houses: list[int] = field(default_factory=list)  # in purchase order
-
-
 @dataclass
 class MarketParams:
     """Knobs of the goods and labor markets. Defaults are documented, not sacred."""

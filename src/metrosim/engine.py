@@ -310,7 +310,7 @@ def audit(state: SimulationState, runtime: _Runtime, result: RunResult, month: _
         )
     vacant_by_muni = vacancies(state).tolist()
     # a municipality has families exactly when it has citizens
-    for treasury, people, vacant in zip(state.treasuries, state.headcount, vacant_by_muni):
+    for treasury, people, vacant in zip(state.treasuries, month.populations, vacant_by_muni):
         if people > 0 and vacant < 1:
             raise InvariantViolation(
                 closed, "housing-vacancy", f"no vacant house in {treasury.municipality_id}"

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the number rules of every
-input file: what a config, region, table or covariate file may hold."""
+"""Exception types shared across the package, and the rules of every input
+file: what numbers a config, region, table or covariate file may hold, and
+that a CSV header names each column once."""
 import math
 
 
@@ -59,3 +60,14 @@ def count(value, path: str, error: type[MetrosimError] = ConfigError) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise error(f"{path}: expected integer, got {value!r}")
     return value
+
+
+def columns(header, what: str, error: type[MetrosimError]) -> list[str]:
+    """A CSV file's column names, rejecting a repeated one: ``csv.DictReader``
+    would keep only the last cell of the name. ``header`` is None for an
+    empty file."""
+    names = list(header or ())
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise error(f"{what} repeats column {name!r}")
+    return names

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ParseError, ValidationError, finite
+from .errors import ParseError, ValidationError, columns, finite
 
 if TYPE_CHECKING:
     from .economy import Firm
@@ -318,7 +318,8 @@ def load_mpf_table(path) -> MpfTable:
     rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames is None or not {"max_population", "coefficient"} <= set(reader.fieldnames):
+        header = columns(reader.fieldnames, "coefficient table", ParseError)
+        if not {"max_population", "coefficient"} <= set(header):
             raise ParseError("coefficient table needs columns 'max_population' and 'coefficient'")
         for i, row in enumerate(reader):
             try:

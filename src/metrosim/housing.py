@@ -94,7 +94,7 @@ def run_housing_market(
     at most once; the last vacant house of a municipality is never sold,
     which preserves the vacancy invariant. Each sale's nonzero transmission
     tax is appended to ``taxes``, in sale order. A buyer's family moves, and
-    its members with it, to the house's municipality.
+    its members with it, into the house.
     """
     live = np.flatnonzero(state.live)
     if not len(live):
@@ -137,11 +137,11 @@ def run_housing_market(
             state.treasuries[muni].balance += price - tax
         else:
             savings[seller] += price - tax
-            state.families[seller].owned_houses.remove(chosen)
+            state.owned_houses[seller].remove(chosen)
         if tax:
             taxes[0].append(muni)
             taxes[1].append(tax)
-        state.move_in(state.families[buyer], chosen)
+        state.move_in(buyer, chosen)
         sold.add(chosen)
         vacant_count[muni] -= 1
         transactions.append(Transaction(state.month, chosen, buyer, hedonic, offer, price))
@@ -198,7 +198,7 @@ def collect_property_tax(
         # a broke family's arrears pass through unchanged: 0.0 + debt is debt
         dues = [(m, owed) for m, owed in enumerate(rows[i]) if owed > 0.0]
         debt = rows[i] = [0.0] * len(rows[i])
-        for house_id in state.families[fam_id].owned_houses:
+        for house_id in state.owned_houses[fam_id]:
             dues.append((municipality.item(house_id), prices.item(house_id) * rate))
         funds = held_by[i]
         for m, amount in dues:

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .economy import Family, Firm
+from .economy import Firm
 from .errors import ValidationError
 from .fiscal import Treasury
 
@@ -22,10 +22,9 @@ class SimulationState:
 
     Each municipality is one integer index, in ascending order of its id:
     ``treasuries[m]`` is municipality ``m``'s account and carries the id,
-    and firms, houses, families, arrears and ledger entries name their
-    municipality by index. ``headcount[m]`` is the number of citizens whose
-    family lives in ``m``; ``add_citizen``, ``demographics._remove_citizen``
-    and ``move_in`` keep it equal to a walk over the live families.
+    and firms, houses, arrears and ledger entries name their municipality
+    by index. A citizen lives in its family's home, so ``populations()``
+    counts the living by their home's municipality.
 
     Firms are fixed for a run, so they are a list indexed by id:
     ``firms[i].id == i``.
@@ -48,15 +47,17 @@ class SimulationState:
     ``np.flatnonzero(alive)`` lists the living in ascending id order.
 
     A family is likewise one row of the columns indexed by family id, their
-    only store: ``savings``, ``home`` (a house id, -1 for none), ``live``
-    and ``arrears`` (family x municipality index; 0.0 is no debt, and a
-    debt is always > 0). Its ``Family`` record, ``families[id]``, keeps its
-    members, municipality and owned houses in purchase order, which orders
-    its property tax dues; a house is in family ``f``'s list exactly when
-    its ``owner`` is ``f``. A family has one way in, ``add_family``, and one
-    way out, ``demographics._escheat_family``, which clears ``live``, zeroes
-    its row and keeps its record. A live family lives in one of the houses
-    it owns, so one that owns exactly one house lives in it.
+    only store: ``savings``, ``home`` (a house id, -1 once escheated),
+    ``live`` and ``arrears`` (family x municipality index; 0.0 is no debt,
+    and a debt is always > 0). Its members are the living citizens whose
+    ``family`` names it, and its municipality is its home's.
+    ``owned_houses[f]`` lists the houses family ``f`` owns in purchase
+    order, which orders its property tax dues; a house is in that list
+    exactly when its ``owner`` is ``f``. A family has one way in,
+    ``add_family``, which moves it into its first home, and one way out,
+    ``demographics._escheat_family``, run once no living citizen names it,
+    which clears ``live`` and zeroes its row. A live family lives in one of
+    the houses it owns, so one that owns exactly one house lives in it.
 
     Citizen and family columns grow by doubling; rows past the last citizen
     or family are padding, which is never alive or live and owns nothing.
@@ -64,10 +65,9 @@ class SimulationState:
     """
 
     month: int = 0
-    families: list[Family] = field(default_factory=list)  # by family id
     firms: list[Firm] = field(default_factory=list)
     treasuries: list[Treasury] = field(default_factory=list)  # by municipality index
-    headcount: list[int] = field(init=False)  # by municipality index
+    owned_houses: list[list[int]] = field(default_factory=list)  # by family id
     labor_entry_age_months: int = 192
     qualification_levels: int = 21
     money_base: float = 0.0
@@ -96,7 +96,6 @@ class SimulationState:
         ids = [t.municipality_id for t in self.treasuries]
         if ids != sorted(ids):
             raise ValidationError("treasuries must be in ascending municipality id order")
-        self.headcount = [0] * len(self.treasuries)
         self.arrears = np.zeros((len(self.live), len(self.treasuries)))
 
     @property
@@ -104,8 +103,8 @@ class SimulationState:
         """Every municipality's id, by index (ascending)."""
         return [t.municipality_id for t in self.treasuries]
 
-    def add_citizen(self, family: Family, age_months: int, qualification: int) -> int:
-        """Issue the next citizen id to a new member of ``family``; returns the id."""
+    def add_citizen(self, family: int, age_months: int, qualification: int) -> int:
+        """Issue the next citizen id to a new member of family ``family``; returns the id."""
         cid = self._next_citizen_id
         self._next_citizen_id += 1
         if cid >= len(self.alive):
@@ -123,16 +122,14 @@ class SimulationState:
         self.qualification[cid] = qualification
         self.employer[cid] = -1
         self.wage[cid] = 0.0
-        self.family[cid] = family.id
+        self.family[cid] = family
         self.alive[cid] = True
-        family.members.append(cid)
-        self.headcount[family.municipality] += 1
         return cid
 
-    def add_family(self, municipality: int, savings: float = 0.0) -> Family:
-        """Issue the next family id to a new family in ``municipality``, without
-        members or a house; returns its record."""
-        fid = len(self.families)
+    def add_family(self, home: int, savings: float = 0.0) -> int:
+        """Issue the next family id to a new family without members, which buys
+        vacant house ``home`` and lives in it; returns the id."""
+        fid = len(self.owned_houses)
         if fid >= len(self.live):
             grow = max(fid + 1, 2 * len(self.live)) - len(self.live)
             self.savings = np.concatenate([self.savings, np.zeros(grow)])
@@ -141,9 +138,9 @@ class SimulationState:
             self.arrears = np.concatenate([self.arrears, np.zeros((grow, len(self.treasuries)))])
         self.savings[fid] = savings
         self.live[fid] = True
-        family = Family(id=fid, municipality=municipality)
-        self.families.append(family)
-        return family
+        self.owned_houses.append([])
+        self.move_in(fid, home)
+        return fid
 
     def add_houses(self, municipality, size, quality, x, y) -> range:
         """Append vacant municipal houses, one per entry of the equal-length
@@ -161,22 +158,17 @@ class SimulationState:
         self.resident = np.concatenate([self.resident, np.full(grow, -1, dtype=np.int64)])
         return range(first, first + grow)
 
-    def move_in(self, family: Family, house_id: int) -> None:
-        """``family`` buys vacant house ``house_id`` and makes it its home; the
-        caller settles any seller's side. The family keeps its old home, which
-        empties, and its members' head-count moves with it."""
-        fid = family.id
-        old = self.home.item(fid)
+    def move_in(self, family: int, house_id: int) -> None:
+        """Family ``family`` buys vacant house ``house_id`` and makes it its home;
+        the caller settles any seller's side. The family keeps its old home,
+        which empties."""
+        old = self.home.item(family)
         if old >= 0:
             self.resident[old] = -1
-        self.owner[house_id] = fid
-        self.resident[house_id] = fid
-        family.owned_houses.append(house_id)
-        self.home[fid] = house_id
-        municipality = self.house_municipality.item(house_id)
-        self.headcount[family.municipality] -= len(family.members)
-        self.headcount[municipality] += len(family.members)
-        family.municipality = municipality
+        self.owner[house_id] = family
+        self.resident[house_id] = family
+        self.owned_houses[family].append(house_id)
+        self.home[family] = house_id
 
     def trim(self) -> None:
         """Cut the citizen and family columns to their used rows."""
@@ -184,13 +176,16 @@ class SimulationState:
         for name in ("age", "qualification", "employer", "wage", "family", "alive",
                      "provisional"):
             setattr(self, name, getattr(self, name)[:n].copy())
-        n = len(self.families)
+        n = len(self.owned_houses)
         for name in ("savings", "home", "live", "arrears"):
             setattr(self, name, getattr(self, name)[:n].copy())
 
     def populations(self) -> list[int]:
-        """Citizen head-count by municipality index (residence follows the family)."""
-        return list(self.headcount)
+        """Living citizens by municipality index of their family's home."""
+        homes = self.home[self.family[self.alive]]
+        return np.bincount(
+            self.house_municipality[homes], minlength=len(self.treasuries)
+        ).tolist()
 
     def money_in_circulation(self) -> float:
         """Everything the audit can see; equals ``money_base`` when nothing leaks.
@@ -210,8 +205,8 @@ class SimulationState:
     def residences(self) -> _Residences:
         """Citizen id -> home coordinates, for proximity-based hiring.
 
-        Each lookup resolves citizen -> family -> home; a citizen whose
-        family has no home raises ``KeyError``.
+        Each lookup resolves citizen -> family -> home; a dead citizen, who
+        has no family, raises ``KeyError``.
         """
         return _Residences(self)
 
@@ -229,7 +224,8 @@ class _Residences:
 
     def __getitem__(self, citizen_id: int) -> tuple[float, float]:
         state = self._state
-        house_id = state.home.item(state.family.item(citizen_id))
-        if house_id < 0:
+        family = state.family.item(citizen_id)
+        if family < 0:
             raise KeyError(citizen_id)
+        house_id = state.home.item(family)
         return state.house_x.item(house_id), state.house_y.item(house_id)

@@ -314,6 +314,18 @@ def instantiate_world(
     q_levels = cfg.qualification_levels
     q_dist = cfg.initial_qualification_distribution
 
+    def add_firm(m: int, centroid: tuple[float, float]) -> None:
+        # the firm's three draws, in this order: x, y, then its wage offer
+        cx, cy = centroid
+        loc = (cx + float(rng.normal(0.0, JITTER_SD)), cy + float(rng.normal(0.0, JITTER_SD)))
+        state.firms.append(Firm(
+            id=len(state.firms),
+            municipality=m,
+            location=loc,
+            cash=cfg.initial_firm_cash,
+            wage_offer=float(rng.uniform(*cfg.initial_wage_bounds)),
+        ))
+
     for muni in region.municipalities:
         # every municipality has inhabitants, so the sampled copy keeps at
         # least one household even where the fraction rounds to zero people
@@ -335,19 +347,11 @@ def instantiate_world(
         built = state.add_houses([m] * n_houses, size, quality, x, y)
 
         for _ in range(n_firms):
-            loc = (cx + float(rng.normal(0.0, JITTER_SD)), cy + float(rng.normal(0.0, JITTER_SD)))
-            state.firms.append(Firm(
-                id=len(state.firms),
-                municipality=m,
-                location=loc,
-                cash=cfg.initial_firm_cash,
-                wage_offer=float(rng.uniform(*cfg.initial_wage_bounds)),
-            ))
+            add_firm(m, muni.centroid)
 
         sizes = _partition(n_citizens, n_families)
         for k, fam_size in enumerate(sizes):
-            family = state.add_family(m, savings=float(rng.uniform(*cfg.initial_savings_bounds)))
-            state.move_in(family, built[k])
+            family = state.add_family(built[k], float(rng.uniform(*cfg.initial_savings_bounds)))
             for _ in range(fam_size):
                 age = int(rng.integers(0, cfg.max_initial_age_months))
                 if q_dist is None:
@@ -359,15 +363,7 @@ def instantiate_world(
     if not state.firms:
         # every region needs at least one employer, however small the sample
         host = max(region.municipalities, key=lambda m: m.population)
-        cx, cy = host.centroid
-        loc = (cx + float(rng.normal(0.0, JITTER_SD)), cy + float(rng.normal(0.0, JITTER_SD)))
-        state.firms.append(Firm(
-            id=0,
-            municipality=index[host.id],
-            location=loc,
-            cash=cfg.initial_firm_cash,
-            wage_offer=float(rng.uniform(*cfg.initial_wage_bounds)),
-        ))
+        add_firm(index[host.id], host.centroid)
 
     # region-wide initial employment so the economy starts warm
     adults = np.flatnonzero(state.alive & (state.age >= cfg.labor_entry_age_months)).tolist()

@@ -88,16 +88,24 @@ def gen_config():
     return build
 
 
-def add_family(state, muni, members_quals, savings=0.0, fam_id=None, ages=None):
-    """Attach a family of citizens (given qualifications) to municipality index ``muni``.
+def add_family(state, muni, members_quals, savings=0.0, fam_id=None, ages=None, size=1.0,
+               quality=1.0, location=(0.0, 0.0)):
+    """Attach a family of citizens (given qualifications) that lives in a new house
+    of municipality index ``muni``, built with ``add_house``; returns the family id.
 
     Families are indexed by id, so a given id must be the next one.
     """
-    family = state.add_family(muni, savings)
-    assert fam_id is None or fam_id == family.id
+    home = add_house(state, muni, size, quality, location=location)
+    family = state.add_family(home, savings)
+    assert fam_id is None or fam_id == family
     for i, qual in enumerate(members_quals):
         state.add_citizen(family, ages[i] if ages else 360, qual)
     return family
+
+
+def members(state, family) -> list[int]:
+    """The living members of family ``family``, ascending."""
+    return np.flatnonzero(state.family == family).tolist()
 
 
 def living(state) -> list[int]:
@@ -116,18 +124,16 @@ def add_firm(state, muni, cash=100.0, wage=1.0, price=1.0, firm_id=None, locatio
     return firm
 
 
-def add_house(state, muni, size=1.0, quality=1.0, owner=None, home=False, house_id=None,
+def add_house(state, muni, size=1.0, quality=1.0, owner=None, house_id=None,
               location=(0.0, 0.0)):
-    """Append a house, owned by family id ``owner`` (municipal stock for None),
-    and the owner's home with ``home``; returns its id. Houses are indexed by
-    id, so a given id must be the next index."""
+    """Append a house, owned by family id ``owner`` as its latest purchase
+    (municipal stock for None); returns its id. Houses are indexed by id, so a
+    given id must be the next index."""
     [hid] = state.add_houses([muni], [size], [quality], [location[0]], [location[1]])
     assert house_id is None or house_id == hid
-    if home:
-        state.move_in(state.families[owner], hid)
-    elif owner is not None:
+    if owner is not None:
         state.owner[hid] = owner
-        state.families[owner].owned_houses.append(hid)
+        state.owned_houses[owner].append(hid)
     return hid
 
 

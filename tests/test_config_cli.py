@@ -364,7 +364,9 @@ def test_compare_flags_broken_batch_with_exit_three(tmp_path, capsys, caplog, mo
     b"max_population,coefficient\n100,1.0\n50,2.0\n",
     b"max_population,coefficient\nnan,0.6\n",
     b"max_population,coefficient\n100,1.0\ninf,2.0\n",
-], ids=["missing", "no-coefficient-column", "not-utf8", "not-ascending", "nan-row", "inf-row"])
+    b"max_population,coefficient,coefficient\n100,nan,1.0\n",
+], ids=["missing", "no-coefficient-column", "not-utf8", "not-ascending", "nan-row", "inf-row",
+        "repeated-column"])
 def test_bad_mpf_table_exits_one_before_any_run(tmp_path, capsys, command, table):
     table_path = tmp_path / "mpf.csv"
     if table is not None:
@@ -481,6 +483,7 @@ LATE_INPUTS = {
     "covariates-miss-region": ("config.json", ["--covariates", "{dir}/other_region.csv"]),
     "nan-covariate": ("config.json", ["--covariates", "{dir}/nan.csv"]),
     "repeated-covariate-id": ("config.json", ["--covariates", "{dir}/repeated.csv"]),
+    "repeated-covariate-column": ("config.json", ["--covariates", "{dir}/repeated_column.csv"]),
     "missing-config": ("nosuch.json", []),
     "missing-region-path": ("file_mode.json", []),
 }
@@ -498,6 +501,8 @@ def test_late_inputs_exit_one_before_any_run(tmp_path, capsys, monkeypatch, case
     (tmp_path / "nan.csv").write_text("apc_id,x\nregion,nan\n", encoding="utf-8")
     (tmp_path / "repeated.csv").write_text("apc_id,x\nregion,1.0\nregion,99\n",
                                            encoding="utf-8")
+    (tmp_path / "repeated_column.csv").write_text("apc_id,x,x\nregion,1,2\n",
+                                                  encoding="utf-8")
     config, flags = LATE_INPUTS[case]
     out_dir = tmp_path / "out"
     code = cli.main(["regress", "--config", str(tmp_path / config), "--out", str(out_dir),

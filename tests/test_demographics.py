@@ -14,7 +14,7 @@ from metrosim.demographics import (
 )
 from metrosim.errors import ConfigError, ValidationError
 
-from conftest import add_family, add_firm, add_house, living, rng
+from conftest import add_family, add_firm, add_house, living, members, rng
 
 
 def flat_rates(mortality=0.0, fertility=0.0):
@@ -96,7 +96,7 @@ def test_certain_mortality_empties_population(make_state):
     assert apply_mortality(state, flat_rates(mortality=1.0), rng()) == 50
     assert not living(state)
     assert not state.live.any()
-    assert state.headcount == [0]
+    assert state.populations() == [0]
     assert state.treasuries[0].balance == 10.0  # family savings escheated
 
 
@@ -125,37 +125,39 @@ def test_death_cascade_employer_family_houses(make_state):
     state = make_state()
     family = add_family(state, 0, [5], savings=42.0)
     firm = add_firm(state, 0)
-    cid = family.members[0]
+    [cid] = members(state, family)
     state.employer[cid] = firm.id
     state.wage[cid] = 1.0
     firm.employees.append(cid)
-    home = add_house(state, 0, owner=family.id, home=True)
-    state.arrears[family.id, 0] = 0.7
+    home = state.home.item(family)
+    second = add_house(state, 0, owner=family)
+    state.arrears[family, 0] = 0.7
 
     deaths = apply_mortality(state, flat_rates(mortality=1.0), rng())
     assert deaths == 1
     assert firm.employees == []
     assert state.employer[cid] == -1 and not state.alive[cid]
-    assert not state.live[family.id]
+    assert not state.live[family]
     assert state.treasuries[0].balance == 42.0
-    assert state.owner[home] == -1 and state.resident[home] == -1
+    assert state.owner[home] == state.owner[second] == -1
+    assert state.resident[home] == state.resident[second] == -1
     # the escheated row owns nothing and owes nothing
-    assert family.owned_houses == []
-    assert state.home[family.id] == -1
-    assert state.savings[family.id] == 0.0 and not state.arrears[family.id].any()
+    assert state.owned_houses[family] == []
+    assert state.home[family] == -1
+    assert state.savings[family] == 0.0 and not state.arrears[family].any()
 
 
 def test_survivors_keep_family_alive(make_state):
     state = make_state()
     family = add_family(state, 0, [1, 1], savings=10.0)
     # age one member into the terminal bracket, keep the other young
-    a, b = family.members
+    a, b = members(state, family)
     state.age[a] = 100 * 12
     state.age[b] = 240
     apply_mortality(state, VitalRates(DEFAULT_VITAL_BRACKETS), rng())
-    assert state.live[family.id]
-    assert state.families[family.id].members == [b]
-    assert state.savings[family.id] == 10.0  # no escheat while members remain
+    assert state.live[family]
+    assert members(state, family) == [b]
+    assert state.savings[family] == 10.0  # no escheat while members remain
 
 
 # ---------------------------------------------------------------------------
@@ -181,12 +183,12 @@ def test_certain_fertility_single_parent(make_state):
         assert (len(state.alive) == len(living(state))) == (infants == 0)
         births = apply_fertility(state, rates, rng())
         assert births == 1
-        assert len(family.members) == 2
-        assert state.headcount == [infants + 2]
-        baby_id = family.members[-1]
+        assert len(members(state, family)) == 2
+        assert state.populations() == [infants + 2]
+        baby_id = members(state, family)[-1]
         assert living(state)[-1] == baby_id
         assert state.age[baby_id] == 0 and state.alive[baby_id]
-        assert state.family[baby_id] == family.id
+        assert state.family[baby_id] == family
         assert state.qualification[baby_id] == 1  # provisional until labor-entry age
         assert state.provisional[baby_id]
 
@@ -249,4 +251,4 @@ def test_worldgen_citizens_never_rematured(make_state):
     family = add_family(state, 0, [7], ages=[state.labor_entry_age_months])
     # not provisional -> qualification untouched
     assert mature_qualifications(state, rng()) == 0
-    assert state.qualification[family.members[0]] == 7
+    assert state.qualification[members(state, family)[0]] == 7

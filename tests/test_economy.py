@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from metrosim.demographics import _remove_citizen
 from metrosim.economy import (
     Firm,
     MarketParams,
@@ -26,7 +27,7 @@ from metrosim.economy import (
 from metrosim.errors import ValidationError
 from metrosim.fiscal import TaxKind, TaxLedger, TaxRates
 
-from conftest import add_family, add_house, rng
+from conftest import add_family, members, rng
 
 
 def make_firm(firm_id=0, muni=0, cash=100.0, **overrides):
@@ -224,15 +225,16 @@ def test_proximity_one_prefers_nearby_over_qualified():
 
 def test_residences_resolve_each_housed_citizen(make_state):
     state = make_state()
-    housed = add_family(state, 0, [3, 4])
-    houseless = add_family(state, 0, [5])
-    add_house(state, 0, owner=housed.id, home=True, location=(3.0, 4.0))
+    housed = add_family(state, 0, [3, 4], location=(3.0, 4.0))
+    widowed = add_family(state, 0, [5, 6])
+    [dead, _] = members(state, widowed)
+    _remove_citizen(state, dead)
     residences = state.residences()
-    assert [residences[cid] for cid in housed.members] == [(3.0, 4.0)] * 2
+    assert [residences[cid] for cid in members(state, housed)] == [(3.0, 4.0)] * 2
     with pytest.raises(KeyError):
-        residences[houseless.members[0]]
+        residences[dead]
     with pytest.raises(KeyError):
-        run_labor_market([make_firm()], [houseless.members[0]], state.qualification, residences,
+        run_labor_market([make_firm()], [dead], state.qualification, residences,
                          MarketParams(proximity_hire_share=1.0), rng())
 
 

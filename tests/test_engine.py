@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from metrosim import engine
 from metrosim.config import EngineConfig, FiscalConfig, default_config
+from metrosim.demographics import VitalBracket, VitalRates
 from metrosim.economy import consume
 from metrosim.engine import (
     RunFailure,
@@ -21,6 +22,7 @@ from metrosim.engine import (
 )
 from metrosim.errors import InvariantViolation
 from metrosim.fiscal import TAX_KINDS, MpfTable, TaxKind, TaxRates, distribute, policy_for_case
+from metrosim.housing import HousingParams
 from metrosim.rng import RngStreams
 from metrosim.worldgen import WorldConfig, default_apc_batch, generate_region, instantiate_world
 
@@ -188,18 +190,18 @@ def test_audit_rejects_an_employed_minor():
 
 
 def assert_columns_agree(state, living_before, births, deaths):
-    """The citizen columns, the head-counts and the agent records tell the same story.
+    """The citizen, family and house columns and the payrolls tell the same story.
 
     ``living_before`` is the living count when the month began, and ``births``
     and ``deaths`` are the counts its fertility and mortality passes returned.
     """
     ids = living(state)
     assert len(ids) - living_before == births - deaths
-    # family column and member lists agree both ways
-    families = [state.families[f] for f in np.flatnonzero(state.live).tolist()]
-    members = {cid: family.id for family in families for cid in family.members}
-    assert sum(len(family.members) for family in state.families) == len(ids)
-    assert dict(zip(ids, state.family[ids].tolist())) == members
+    # every living citizen's family is live, and every live family has a
+    # living member
+    families = np.flatnonzero(state.live).tolist()
+    assert all(state.live[state.family[ids]])
+    assert sorted(set(state.family[ids].tolist())) == families
     dead = ~state.alive
     assert np.all(state.family[dead] == -1)
     assert not np.any(state.provisional[dead])
@@ -210,9 +212,8 @@ def assert_columns_agree(state, living_before, births, deaths):
         on_payroll += len(firm.employees)
     assert np.count_nonzero(state.alive & (state.employer >= 0)) == on_payroll
     walked = [0] * len(state.treasuries)
-    for family in families:
-        walked[family.municipality] += len(family.members)
-    assert state.headcount == walked
+    for cid in ids:
+        walked[state.house_municipality[state.home[state.family[cid]]]] += 1
     assert state.populations() == walked
     unemployed = state.alive & (state.employer < 0)
     assert not np.any(state.wage[unemployed])  # wage 0.0 without an employer
@@ -220,23 +221,21 @@ def assert_columns_agree(state, living_before, births, deaths):
     assert np.all((quals >= 1) & (quals <= state.qualification_levels))
     # a live family lives in a house it owns, and only there; the property
     # tax's one-house pass relies on it
-    for family in families:
-        f = family.id
-        assert family.members
-        assert state.home[f] in family.owned_houses
+    for f in families:
+        assert state.home[f] in state.owned_houses[f]
+        assert state.owner[state.home[f]] == f
         assert state.resident[state.home[f]] == f
     occupied = np.flatnonzero(state.resident >= 0)
     assert sorted(state.home[state.live].tolist()) == occupied.tolist()
     # a house has owner f >= 0 exactly when it is in family f's list, once;
     # municipal stock (owner -1) is in no list
-    listed = sorted((h, family.id) for family in state.families for h in family.owned_houses)
+    listed = sorted((h, f) for f, owned in enumerate(state.owned_houses) for h in owned)
     assert listed == [(h, f) for h, f in enumerate(state.owner.tolist()) if f >= 0]
     # an escheated row (and the padding after the last family) holds nothing
     gone = ~state.live
     assert not state.savings[gone].any() and not state.arrears[gone].any()
     assert np.all(state.home[gone] == -1)
-    assert all(not state.families[f].owned_houses and not state.families[f].members
-               for f in np.flatnonzero(gone[:len(state.families)]).tolist())
+    assert not any(owned for f, owned in enumerate(state.owned_houses) if gone[f])
     assert np.all(state.arrears >= 0.0)
 
 
@@ -311,6 +310,30 @@ def test_citizen_columns_hold_every_month(
         result = run_scenario(cfg, seed, region)
     assert len(result.gdp_value) == horizon
     assert run_scenario(cfg, seed, region) == result
+
+
+def test_family_columns_hold_across_escheats(gen_config, monkeypatch):
+    # everyone dies at 5% a month, and houses are cheap enough that half the
+    # families bid each month, so families that bought a second house die out
+    cfg = gen_config(housing=HousingParams(market_entry_rate=0.5, hedonic_base=0.1))
+    state, runtime, result = start_run(cfg, region_of(cfg), seed=0)
+    runtime.vital_rates = VitalRates([VitalBracket(0, 101, 0.05, 0.0)])
+    deaths = []
+    mortality = engine.apply_mortality
+
+    def counted(*args):
+        deaths.append(mortality(*args))
+        return deaths[-1]
+
+    monkeypatch.setattr(engine, "apply_mortality", counted)
+    escheated_owners = 0
+    for _ in range(24):
+        owned = np.bincount(state.owner[state.owner >= 0], minlength=len(state.live))
+        living_before = np.count_nonzero(state.alive)
+        engine.step_month(state, runtime, result)
+        assert_columns_agree(state, living_before, 0, deaths[-1])
+        escheated_owners += np.count_nonzero((owned >= 2) & ~state.live[:len(owned)])
+    assert escheated_owners > 0
 
 
 class _AddEachAmount(list):

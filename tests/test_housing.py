@@ -22,7 +22,7 @@ from metrosim.housing import (
 from metrosim.state import SimulationState
 from metrosim.worldgen import WorldConfig, default_apc_batch, instantiate_world
 
-from conftest import add_family, add_house, ledger_entries, rng
+from conftest import add_family, add_house, ledger_entries, members, rng
 
 
 ALWAYS_ENTER = HousingParams(market_entry_rate=1.0, bid_fraction=1.0)
@@ -111,7 +111,6 @@ def two_vacancy_state(make_state, savings=100.0, size=4.0, quality=10.0):
     """One family, one cheap municipal vacancy plus a spare to keep the invariant."""
     state = make_state()
     family = add_family(state, 0, [5], savings=savings)
-    add_house(state, 0, owner=family.id, home=True)
     target = add_house(state, 0, size=size, quality=quality)
     spare = add_house(state, 0, size=50.0, quality=50.0)  # unaffordable buffer
     return state, family, target, spare
@@ -130,10 +129,10 @@ def test_midpoint_settlement_and_transmission_tax(make_state):
     assert deal.price == (deal.hedonic + deal.offer) / 2.0
     assert taxes == ([0], [pytest.approx(1.8, rel=1e-12)])
     # the buyer moved in and now owns both houses
-    assert state.home[family.id] == target
-    assert state.owner[target] == family.id
-    assert state.resident[target] == family.id
-    assert sorted(family.owned_houses) == [0, 1]
+    assert state.home[family] == target
+    assert state.owner[target] == family
+    assert state.resident[target] == family
+    assert sorted(state.owned_houses[family]) == [0, 1]
     assert state.resident[0] == -1  # old residence emptied
 
 
@@ -142,52 +141,48 @@ def test_municipal_seller_credits_treasury(make_state):
     market(state, ALWAYS_ENTER, TaxRates(transmission=0.02))
     # municipal stock sold: price net of tax lands in the treasury
     assert state.treasuries[0].balance == pytest.approx(90.0 - 1.8, rel=1e-12)
-    assert state.savings[family.id] == pytest.approx(10.0, rel=1e-12)
+    assert state.savings[family] == pytest.approx(10.0, rel=1e-12)
 
 
 def test_family_seller_receives_net_price(make_state):
     state = make_state()
     seller = add_family(state, 0, [5], savings=0.0, fam_id=0)
     buyer = add_family(state, 0, [5], savings=100.0, fam_id=1)
-    for fam in (seller, buyer):
-        add_house(state, 0, owner=fam.id, home=True)
-    offered = add_house(state, 0, size=4.0, quality=10.0, owner=seller.id)
+    offered = add_house(state, 0, size=4.0, quality=10.0, owner=seller)
     add_house(state, 0, size=50.0, quality=50.0)  # spare vacancy
     deals = market(state, ALWAYS_ENTER, TaxRates(transmission=0.02))
-    assert [d.buyer_family_id for d in deals] == [buyer.id]
-    assert state.savings[seller.id] == pytest.approx(88.2, rel=1e-12)  # 90 minus 1.8 tax
-    assert offered not in seller.owned_houses
-    assert state.owner[offered] == buyer.id
+    assert [d.buyer_family_id for d in deals] == [buyer]
+    assert state.savings[seller] == pytest.approx(88.2, rel=1e-12)  # 90 minus 1.8 tax
+    assert offered not in state.owned_houses[seller]
+    assert state.owner[offered] == buyer
     assert state.treasuries[0].balance == 0.0
 
 
 def test_money_conserved_through_sale(make_state):
     state, family, _, _ = two_vacancy_state(make_state)
     taxes = ([], [])
-    before = state.savings[family.id]
+    before = state.savings[family]
     market(state, ALWAYS_ENTER, TaxRates(transmission=0.02), taxes)
-    after = state.savings[family.id] + state.treasuries[0].balance + sum(taxes[1])
+    after = state.savings[family] + state.treasuries[0].balance + sum(taxes[1])
     assert math.isclose(after, before, rel_tol=0, abs_tol=1e-12)
 
 
 def test_a_buyer_family_carries_its_head_count(make_state):
     state = make_state(("m00", "m01"))
     family = add_family(state, 0, [5, 6, 7], savings=100.0)
-    add_house(state, 0, owner=family.id, home=True)
     add_house(state, 0, size=50.0, quality=50.0)  # m00 keeps a vacancy
     target = add_house(state, 1, size=4.0, quality=10.0)
     add_house(state, 1, size=50.0, quality=50.0)  # and so does m01
     assert state.populations() == [3, 0]
     deals = market(state, ALWAYS_ENTER, TaxRates())
     assert [d.house_id for d in deals] == [target]
-    assert family.municipality == 1
-    assert state.headcount == state.populations() == [0, 3]
+    assert state.house_municipality[state.home[family]] == 1
+    assert state.populations() == [0, 3]
 
 
 def test_last_vacant_house_never_sold(make_state):
     state = make_state()
     family = add_family(state, 0, [5], savings=100.0)
-    add_house(state, 0, owner=family.id, home=True)
     add_house(state, 0, size=1.0, quality=1.0)  # the only vacancy
     deals = market(state, ALWAYS_ENTER, TaxRates())
     assert deals == []
@@ -202,7 +197,7 @@ def test_zero_entry_rate_freezes_market(make_state):
 def test_broke_families_stay_out(make_state):
     state, family, _, _ = two_vacancy_state(make_state, savings=0.0)
     assert market(state, ALWAYS_ENTER, TaxRates()) == []
-    assert state.home[family.id] == 0
+    assert state.home[family] == 0
 
 
 def test_unaffordable_listings_stay_unsold(make_state):
@@ -210,7 +205,7 @@ def test_unaffordable_listings_stay_unsold(make_state):
     state, family, target, _ = two_vacancy_state(make_state, savings=40.0)
     deals = market(state, ALWAYS_ENTER, TaxRates())
     assert deals == []
-    assert state.savings[family.id] == 40.0
+    assert state.savings[family] == 40.0
     assert state.resident[target] == -1
 
 
@@ -218,7 +213,6 @@ def test_house_sells_at_most_once_per_month(make_state):
     state = make_state()
     for fam_id in (0, 1):
         add_family(state, 0, [5], savings=100.0, fam_id=fam_id)
-        add_house(state, 0, owner=fam_id, home=True)
     target = add_house(state, 0, size=4.0, quality=10.0)
     add_house(state, 0, size=4.0, quality=10.0)
     add_house(state, 0, size=50.0, quality=50.0)  # spare
@@ -236,62 +230,59 @@ def test_house_sells_at_most_once_per_month(make_state):
 def test_property_tax_worked_example(make_state):
     # a 1200-value house at 0.5% a year owes exactly 0.5 a month
     state = make_state()
-    family = add_family(state, 0, [5], savings=10.0)
-    add_house(state, 0, size=6.0, quality=1.0, owner=family.id, home=True)
+    family = add_family(state, 0, [5], savings=10.0, size=6.0)
     params = HousingParams(hedonic_base=200.0, qli_elasticity=0.0)
     assert hedonic_price(6.0, 1.0, 0.0, params) == 1200.0
     taxes = property_tax(state, params, TaxRates(property_annual=0.005))
     assert taxes == [(0, pytest.approx(0.5, rel=1e-12))]
-    assert state.savings[family.id] == pytest.approx(9.5, rel=1e-12)
+    assert state.savings[family] == pytest.approx(9.5, rel=1e-12)
 
 
 def test_property_tax_skips_municipal_stock(make_state):
     state = make_state()
-    add_family(state, 0, [5], savings=10.0)
-    add_house(state, 0, size=6.0, quality=1.0)  # unowned
-    assert property_tax(state, HousingParams(), TaxRates()) == []
+    add_family(state, 0, [5], savings=10.0, size=6.0)
+    add_house(state, 0, size=6.0, quality=1.0)  # unowned, worth as much as the home
+    params = HousingParams(hedonic_base=200.0, qli_elasticity=0.0)
+    taxes = property_tax(state, params, TaxRates(property_annual=0.005))
+    assert taxes == [(0, pytest.approx(0.5, rel=1e-12))]  # the home's dues only
 
 
 def test_zero_rate_collects_nothing(make_state):
     state = make_state()
     family = add_family(state, 0, [5], savings=10.0)
-    add_house(state, 0, owner=family.id, home=True)
     assert property_tax(state, HousingParams(), TaxRates(property_annual=0.0)) == []
-    assert state.savings[family.id] == 10.0
+    assert state.savings[family] == 10.0
 
 
 def test_broke_owner_accrues_debt_without_event(make_state):
     state = make_state()
-    family = add_family(state, 0, [5], savings=0.0)
-    add_house(state, 0, size=6.0, quality=1.0, owner=family.id, home=True)
+    family = add_family(state, 0, [5], savings=0.0, size=6.0)
     params = HousingParams(hedonic_base=200.0, qli_elasticity=0.0)
     assert property_tax(state, params, TaxRates(property_annual=0.005)) == []
-    assert debts(state, family.id) == {0: pytest.approx(0.5, rel=1e-12)}
+    assert debts(state, family) == {0: pytest.approx(0.5, rel=1e-12)}
 
 
 def test_arrears_collected_once_funds_arrive(make_state):
     state = make_state()
-    family = add_family(state, 0, [5], savings=0.0)
-    add_house(state, 0, size=6.0, quality=1.0, owner=family.id, home=True)
+    family = add_family(state, 0, [5], savings=0.0, size=6.0)
     params = HousingParams(hedonic_base=200.0, qli_elasticity=0.0)
     rates = TaxRates(property_annual=0.005)
     property_tax(state, params, rates)  # month 1: all debt
-    state.savings[family.id] = 100.0
+    state.savings[family] = 100.0
     taxes = property_tax(state, params, rates)  # month 2: debt, then current
     assert taxes == [(0, pytest.approx(0.5, rel=1e-12))] * 2
-    assert debts(state, family.id) == {}
-    assert state.savings[family.id] == pytest.approx(99.0, rel=1e-12)
+    assert debts(state, family) == {}
+    assert state.savings[family] == pytest.approx(99.0, rel=1e-12)
 
 
 def test_partial_payment_splits_into_debt(make_state):
     state = make_state()
-    family = add_family(state, 0, [5], savings=0.3)
-    add_house(state, 0, size=6.0, quality=1.0, owner=family.id, home=True)
+    family = add_family(state, 0, [5], savings=0.3, size=6.0)
     params = HousingParams(hedonic_base=200.0, qli_elasticity=0.0)
     taxes = property_tax(state, params, TaxRates(property_annual=0.005))
     assert taxes == [(0, pytest.approx(0.3, rel=1e-12))]
-    assert state.savings[family.id] == 0.0
-    assert debts(state, family.id) == {0: pytest.approx(0.2, rel=1e-12)}
+    assert state.savings[family] == 0.0
+    assert debts(state, family) == {0: pytest.approx(0.2, rel=1e-12)}
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +298,7 @@ class FamilyRecord:
     municipality: int
     members: int  # head-count
     savings: float
-    house_id: int | None
+    house_id: int
     owned_houses: list[int]
     tax_debt: dict[int, float]  # municipality index -> arrears, debts only
 
@@ -329,7 +320,7 @@ class ScalarWorld:
     families: dict[int, FamilyRecord]
     houses: list[HouseRecord]
     treasuries: list[Treasury]
-    headcount: list[int]
+    populations: list[int]  # citizens by municipality index, kept as families move
 
 
 def scalar_world(state) -> ScalarWorld:
@@ -339,11 +330,11 @@ def scalar_world(state) -> ScalarWorld:
         families={
             f: FamilyRecord(
                 id=f,
-                municipality=state.families[f].municipality,
-                members=len(state.families[f].members),
+                municipality=state.house_municipality.item(state.home.item(f)),
+                members=len(members(state, f)),
                 savings=state.savings.item(f),
-                house_id=state.home.item(f) if state.home[f] >= 0 else None,
-                owned_houses=list(state.families[f].owned_houses),
+                house_id=state.home.item(f),
+                owned_houses=list(state.owned_houses[f]),
                 tax_debt=debts(state, f),
             )
             for f in live
@@ -355,7 +346,7 @@ def scalar_world(state) -> ScalarWorld:
             ))
         ],
         treasuries=copy.deepcopy(state.treasuries),
-        headcount=list(state.headcount),
+        populations=state.populations(),
     )
 
 
@@ -366,7 +357,7 @@ def world_bits(world: ScalarWorld) -> tuple:
           {m: d.hex() for m, d in f.tax_debt.items()}) for f in world.families.values()],
         [(h.owner_family_id, h.resident_family_id) for h in world.houses],
         [t.balance.hex() for t in world.treasuries],
-        world.headcount,
+        world.populations,
     )
 
 
@@ -510,8 +501,8 @@ def reference_housing_market(world: ScalarWorld, prices, params, rates, rng, tax
         chosen.resident_family_id = family.id
         family.owned_houses.append(chosen.id)
         family.house_id = chosen.id
-        world.headcount[family.municipality] -= family.members
-        world.headcount[chosen.municipality] += family.members
+        world.populations[family.municipality] -= family.members
+        world.populations[chosen.municipality] += family.members
         family.municipality = chosen.municipality
         sold.add(chosen.id)
         vacant_count[chosen.municipality] -= 1
@@ -535,32 +526,31 @@ def owner_worlds(draw):
     """A world of families in every role of ``ROLES``, in a drawn id order, with
     the prices of its houses by id and a property tax rate.
 
-    A family owns its houses in a drawn purchase order and lives in one of
-    them, as the model keeps it; municipal houses stand vacant among them.
+    A family owns its houses in a drawn purchase order and lives in the first
+    one built, as the model keeps it; municipal houses stand vacant among them.
     """
     state = SimulationState(treasuries=[Treasury(municipality_id=f"m{m:02d}") for m in MUNIS])
     annual = draw(st.sampled_from([0.0, 0.005, 0.3, 0.9]))
     rates = TaxRates(property_annual=annual)
     prices = []
 
-    def build_house(owner=None, home=False, price=None):
+    def build_house(owner=None, price=None):
         if draw(st.booleans()):  # municipal stock between the owned houses
             add_house(state, draw(st.sampled_from(MUNIS)))
             prices.append(draw(price_draws))
-        house = add_house(state, draw(st.sampled_from(MUNIS)), owner=owner, home=home)
+        house = add_house(state, draw(st.sampled_from(MUNIS)), owner=owner)
         prices.append(draw(price_draws) if price is None else price)
         return house
 
     for role in draw(st.permutations(ROLES)):
-        family = add_family(state, draw(st.sampled_from(MUNIS)), [5])
-        fid = family.id
-        n_houses = {"two houses": 2, "solvent, arrears in two": draw(st.integers(0, 1)),
-                    "any": draw(st.integers(0, 3))}.get(role, 1)
-        home = draw(st.integers(0, max(n_houses - 1, 0)))
+        n_houses = {"two houses": 2, "solvent, arrears in two": draw(st.integers(1, 2)),
+                    "any": draw(st.integers(1, 3))}.get(role, 1)
         price = draw(st.floats(0.01, 5e4)) if role == "short payer" else None
-        for k in range(n_houses):
-            build_house(owner=fid, home=k == home, price=price)
-        family.owned_houses[:] = draw(st.permutations(family.owned_houses))
+        fid = state.add_family(build_house(price=price))
+        member = state.add_citizen(fid, 360, 5)
+        for _ in range(n_houses - 1):
+            build_house(owner=fid, price=price)
+        state.owned_houses[fid][:] = draw(st.permutations(state.owned_houses[fid]))
         if role == "broke, arrears elsewhere":
             state.savings[fid] = draw(st.one_of(st.just(0.0), st.floats(-5.0, 0.0)))
             home_muni = state.house_municipality[state.home[fid]]
@@ -577,13 +567,13 @@ def owner_worlds(draw):
             for m, debt in draw(st.dictionaries(st.sampled_from(MUNIS), st.floats(0.01, 30.0))).items():
                 state.arrears[fid, m] = debt
         if role == "escheated":
-            _remove_citizen(state, family.members[0])
+            _remove_citizen(state, member)
     build_house()
     return state, np.array(prices), rates
 
 
 def assert_escheated_rows_empty(state):
-    gone = ~state.live[:len(state.families)]
+    gone = ~state.live[:len(state.owned_houses)]
     assert not state.savings[:len(gone)][gone].any()
     assert not state.arrears[:len(gone)][gone].any()
     assert (state.home[:len(gone)][gone] == -1).all()

@@ -160,12 +160,9 @@ def test_families_partition_citizens():
         small_region(1500), WorldConfig(population_fraction=0.02, mean_family_size=3.0), rng()
     )
     assert len(living(state)) == 30
-    assert len(state.families) == 10 == np.count_nonzero(state.live)
-    seen = []
-    for family in state.families:
-        assert family.members  # every family has at least one member
-        seen.extend(family.members)
-    assert sorted(seen) == living(state)
+    assert len(state.owned_houses) == 10 == np.count_nonzero(state.live)
+    # every family has at least one member, and every living citizen a family
+    assert sorted(set(state.family[living(state)].tolist())) == list(range(10))
 
 
 def test_every_municipality_keeps_a_vacancy():
@@ -174,8 +171,8 @@ def test_every_municipality_keeps_a_vacancy():
     for muni in region.municipalities:
         m = state.municipality_ids.index(muni.id)
         houses = np.flatnonzero(state.house_municipality == m)
-        families = [f for f in state.families if f.municipality == m]
-        assert len(houses) > len(families)
+        families = np.count_nonzero(state.house_municipality[state.home] == m)
+        assert len(houses) > families
         assert np.any(state.resident[houses] == -1)
 
 
@@ -184,7 +181,7 @@ def test_hamlet_samples_to_one_household():
     # household so no municipality starts the run empty
     state = instantiate_world(small_region(40), WorldConfig(population_fraction=0.002), rng())
     assert len(living(state)) == 1
-    assert len(state.families) == 1
+    assert len(state.owned_houses) == 1
     assert len(state.resident) >= 2
 
 
@@ -226,9 +223,9 @@ def test_municipalities_drawn_in_region_order_and_indexed_by_sorted_id():
     assert state.municipality_ids == ["alpha", "zeta"]
     # zeta, listed first, is drawn first: the first house and firm are its own
     assert state.house_municipality[0] == state.firms[0].municipality == 1
-    assert state.families[0].municipality == 1
+    assert state.house_municipality[state.home[0]] == 1
     assert state.house_municipality[-1] == state.firms[-1].municipality == 0
-    assert state.headcount == [15, 15] == state.populations()
+    assert state.populations() == [15, 15]
 
 
 def assert_indexed_by_id(state):
@@ -244,10 +241,10 @@ def test_firms_and_houses_are_indexed_by_id():
     state = instantiate_world(region, WorldConfig(population_fraction=0.05), rng())
     assert len(state.firms) > 1 and len(state.resident) > 1
     assert_indexed_by_id(state)
-    for family in state.families:
-        assert family.owned_houses == [state.home[family.id]]
-        assert state.resident[state.home[family.id]] == family.id
-    assert np.count_nonzero(state.resident >= 0) == len(state.families)
+    for family, owned in enumerate(state.owned_houses):
+        assert owned == [state.home[family]]
+        assert state.resident[state.home[family]] == family
+    assert np.count_nonzero(state.resident >= 0) == len(state.owned_houses)
 
 
 def test_instantiation_deterministic():
@@ -275,10 +272,9 @@ def test_fresh_world_has_no_padding_rows():
     # a shipped world pickles every row it holds, so none may be unused
     state = instantiate_world(small_region(3000), WorldConfig(population_fraction=0.05), rng(4))
     assert len(state.alive) == len(state.age) == state._next_citizen_id == len(living(state))
-    assert len(state.live) == len(state.arrears) == len(state.families)
-    family = state.families[0]
-    born = state.add_citizen(family, age_months=0, qualification=1)  # the first birth grows
-    assert state.alive[born] and state.family[born] == family.id
+    assert len(state.live) == len(state.arrears) == len(state.owned_houses)
+    born = state.add_citizen(0, age_months=0, qualification=1)  # the first birth grows
+    assert state.alive[born] and state.family[born] == 0
     assert len(state.alive) > born
 
 
