@@ -11,6 +11,7 @@ import math
 import pickle
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from statistics import median
 from typing import NamedTuple
 
@@ -401,12 +402,15 @@ def run_scenario(
 
 @dataclass(frozen=True)
 class RunTask:
-    """One picklable unit of batch work; ``world`` is its pickled initial world."""
+    """One picklable unit of batch work: a case's config, a region and a run seed.
+
+    It carries no world; the process that runs it draws the initial world
+    (see ``_initial_world``).
+    """
 
     config: ScenarioConfig
     region: RegionSpec
     seed: int
-    world: bytes = field(repr=False)
 
 
 class RunFailure(NamedTuple):
@@ -429,11 +433,34 @@ class ScenarioResult:
     controls: dict[str, float] = field(default_factory=dict)
 
 
+def _world_key(task: RunTask) -> tuple:
+    # everything draw_world reads: equal keys draw equal worlds
+    return task.region, _world_seed(task.config, task.seed), task.config.world
+
+
+# (world key, pickled world) of the initial world this process drew last
+_last_world: tuple[tuple, bytes] | None = None
+
+
+def _initial_world(task: RunTask) -> SimulationState:
+    """A fresh copy of the task's initial world, drawn only when the key changes.
+
+    Tasks come world-major, so each process draws each world once, and every
+    run unpickles its own copy: no run sees what another did to its world.
+    """
+    global _last_world
+    key = _world_key(task)
+    if _last_world is None or _last_world[0] != key:
+        _last_world = (key, pickle.dumps(draw_world(task.config, task.seed, task.region)))
+    return pickle.loads(_last_world[1])
+
+
 def _execute_task(task: RunTask) -> RunResult | RunFailure:
+    world = _initial_world(task)  # a world that cannot be drawn stops the batch
     # a broken model invariant is batch data; any other exception is a bug
     # and propagates out of the batch
     try:
-        return run_scenario(task.config, task.seed, task.region, pickle.loads(task.world))
+        return run_scenario(task.config, task.seed, task.region, world)
     except InvariantViolation as exc:
         return RunFailure(task.seed, str(exc))
 
@@ -468,18 +495,31 @@ def summarize_runs(
 def run_batch(tasks: list[RunTask], jobs: int = 1) -> dict[tuple[str, int], ScenarioResult]:
     """Execute tasks, grouped by (apc_id, case_id), and median-aggregate.
 
-    Results are reduced in task order regardless of scheduling, so the
-    output is identical for any ``jobs`` value. A run that breaks a model
-    invariant becomes a ``RunFailure`` of its cell; any other exception
-    stops the batch.
+    A pool gets the tasks largest region first, so no large world starts
+    last. ``batch_tasks`` orders them world-major with the same number of runs
+    per world, so with at least two worlds per worker one chunk is one world's
+    runs, drawn once; with fewer, tasks go one at a time to keep the workers
+    busy.
+    Results are reduced in task order regardless of scheduling, so the output
+    is identical for any ``jobs`` value. A run that breaks a model invariant
+    becomes a ``RunFailure`` of its cell; any other exception stops the batch.
     """
+    global _last_world
+    _last_world = None  # one batch only: its key holds the mutable config.world
     # never more workers than tasks: a fork-context pool starts all of them at once
     workers = min(jobs, len(tasks))
     if workers <= 1:
         raw = [_execute_task(task) for task in tasks]
     else:
+        # largest region first; the sort is stable, so a world's runs stay adjacent
+        order = sorted(range(len(tasks)), key=lambda i: -tasks[i].region.total_population)
+        worlds = sum(1 for _ in groupby(tasks, _world_key))
+        chunksize = len(tasks) // worlds if worlds >= 2 * workers else 1
+        raw = [None] * len(tasks)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            raw = list(pool.map(_execute_task, tasks, chunksize=1))
+            outcomes = pool.map(_execute_task, [tasks[i] for i in order], chunksize=chunksize)
+            for i, outcome in zip(order, outcomes):
+                raw[i] = outcome
     grouped: dict[tuple[str, int], tuple[list[RunResult], list[RunFailure]]] = {}
     for task, outcome in zip(tasks, raw):
         key = (task.region.id, task.config.fiscal.case_id)
@@ -494,24 +534,20 @@ def batch_tasks(
     cases: list[int],
     runs_per_scenario: int | None = None,
 ) -> list[RunTask]:
-    """Expand (regions x cases x runs) into matched-seed tasks.
+    """Expand (regions x cases x runs) into matched-seed tasks, world-major.
 
     Run r of every (region, case) cell uses seed ``engine.seed + r``, so
     comparisons across cases see identical worlds and identical demographic
-    draws; only the fiscal routing differs. Each distinct initial world of a
-    region is drawn and pickled once, here, and every task that starts from
-    it unpickles its own copy.
+    draws; only the fiscal routing differs. Tasks come region by region, then
+    run seed by run seed, then case by case, so the tasks that share an
+    initial world are adjacent. Nothing is drawn here: the process that runs
+    a task draws its world.
     """
     runs = runs_per_scenario or config.engine.runs_per_scenario
-    tasks = []
-    for region in regions:
-        worlds: dict[int, bytes] = {}  # by world seed
-        for case_id in cases:
-            case_cfg = replace(config, fiscal=replace(config.fiscal, case_id=case_id))
-            for r in range(runs):
-                seed = config.engine.seed + r
-                key = _world_seed(config, seed)
-                if key not in worlds:
-                    worlds[key] = pickle.dumps(draw_world(config, seed, region))
-                tasks.append(RunTask(case_cfg, region, seed, worlds[key]))
-    return tasks
+    case_cfgs = [replace(config, fiscal=replace(config.fiscal, case_id=c)) for c in cases]
+    return [
+        RunTask(case_cfg, region, config.engine.seed + r)
+        for region in regions
+        for r in range(runs)
+        for case_cfg in case_cfgs
+    ]

@@ -383,7 +383,7 @@ def instantiate_world(
         firm.cash = max(firm.cash, cfg.initial_cash_months_of_payroll * payroll)
 
     state.money_base = state.money_in_circulation()
-    state.trim()  # a shipped world carries no padding rows
+    state.trim()  # a pickled world carries no padding rows
     return state
 
 

@@ -1,5 +1,6 @@
 """Whole-run behavior: determinism, conservation, aggregation, batching."""
 import copy
+import pickle
 from dataclasses import replace
 from unittest import mock
 
@@ -20,7 +21,7 @@ from metrosim.engine import (
     run_scenario,
     summarize_runs,
 )
-from metrosim.errors import InvariantViolation
+from metrosim.errors import InvariantViolation, ValidationError
 from metrosim.fiscal import TAX_KINDS, MpfTable, TaxKind, TaxRates, distribute, policy_for_case
 from metrosim.housing import HousingParams
 from metrosim.rng import RngStreams
@@ -569,13 +570,12 @@ def test_batch_runs_equal_fresh_runs(gen_config, reinstantiate, jobs):
         assert scenario.runs == fresh
 
 
-def test_run_task_repr_leaves_out_the_world(gen_config):
+def test_run_task_carries_no_world(gen_config):
+    # the worker draws the world; a task ships only config, region and seed
     cfg = gen_config(horizon=2, total_population=2_000, n_municipalities=2)
     task = batch_tasks(cfg, [region_of(cfg)], cases=[1], runs_per_scenario=1)[0]
-    text = repr(task)
-    assert len(task.world) > 1_000
-    assert text.endswith(f"seed={task.seed})")
-    assert repr(task.world)[:40] not in text
+    assert b"SimulationState" not in pickle.dumps(task)
+    assert repr(task).endswith(f"seed={task.seed})")
 
 
 def test_parallel_batch_equals_serial(gen_config):
@@ -589,27 +589,102 @@ def test_parallel_batch_equals_serial(gen_config):
         assert serial[key] == parallel[key]
 
 
-def test_pool_never_larger_than_task_list(gen_config, monkeypatch):
+class RecordingPool:
+    """Stand-in for ``ProcessPoolExecutor`` that records its size and what
+    ``map`` is handed, and runs the work in this process."""
+
     started = []
+    handed = []
 
-    class SerialPool:
-        def __init__(self, max_workers):
-            started.append(max_workers)
+    def __init__(self, max_workers):
+        RecordingPool.started.append(max_workers)
 
-        def __enter__(self):
-            return self
+    def __enter__(self):
+        return self
 
-        def __exit__(self, *exc):
-            return False
+    def __exit__(self, *exc):
+        return False
 
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
+    def map(self, fn, items, chunksize=1):
+        items = list(items)
+        RecordingPool.handed.append((items, chunksize))
+        return map(fn, items)
 
-    monkeypatch.setattr(engine, "ProcessPoolExecutor", SerialPool)
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    RecordingPool.started, RecordingPool.handed = [], []
+    monkeypatch.setattr(engine, "ProcessPoolExecutor", RecordingPool)
+    return RecordingPool
+
+
+def test_pool_never_larger_than_task_list(gen_config, recording_pool):
     cfg = gen_config(horizon=2, total_population=2_000, n_municipalities=2)
     tasks = batch_tasks(cfg, [region_of(cfg)], cases=[1], runs_per_scenario=2)
     run_batch(tasks, jobs=8)
-    assert started == [2]
+    assert recording_pool.started == [2]
+
+
+def dispatched(pool, tasks, jobs):
+    """(chunks as lists of tasks, chunksize) that ``run_batch`` hands its pool."""
+    pooled = run_batch(tasks, jobs=jobs)
+    assert pooled == run_batch(tasks, jobs=1)  # outcomes back in task order
+    [(items, chunksize)] = pool.handed
+    assert sorted(map(id, items)) == sorted(map(id, tasks))
+    return [items[i:i + chunksize] for i in range(0, len(items), chunksize)], chunksize
+
+
+def test_pool_gets_one_world_per_chunk_largest_first(gen_config, recording_pool):
+    cfg = gen_config(horizon=1, total_population=2_000, n_municipalities=2)
+    # four regions, smallest first in task order
+    regions = [replace(generate_region(2, 1_000 * (k + 1), 0.5, rng(k), WorldConfig()), id=f"r{k}")
+               for k in range(4)]
+    tasks = batch_tasks(cfg, regions, cases=[1, 2], runs_per_scenario=2)
+    chunks, chunksize = dispatched(recording_pool, tasks, jobs=2)
+    assert chunksize == 2  # 8 worlds for 2 workers: one chunk per world
+    worlds = [{(t.region.id, t.seed) for t in chunk} for chunk in chunks]
+    assert all(len(world) == 1 for world in worlds)
+    assert [sorted(t.config.fiscal.case_id for t in chunk) for chunk in chunks] == [[1, 2]] * 8
+    sizes = [chunk[0].region.total_population for chunk in chunks]
+    assert sizes == sorted(sizes, reverse=True)
+    assert chunks[0][0].region.id == "r3"
+
+
+def test_pool_gets_single_tasks_when_worlds_are_few(gen_config, recording_pool):
+    cfg = gen_config(horizon=1, total_population=2_000, n_municipalities=2)
+    tasks = batch_tasks(cfg, [region_of(cfg)], cases=[1, 2, 3, 4], runs_per_scenario=3)
+    chunks, chunksize = dispatched(recording_pool, tasks, jobs=2)
+    assert chunksize == 1  # 3 worlds for 2 workers
+    assert [chunk[0] for chunk in chunks] == tasks  # one region: task order kept
+
+
+def test_each_batch_draws_its_own_worlds(gen_config):
+    # a world config changed in place between batches must not hit the
+    # world the last batch left in this process
+    cfg = gen_config(horizon=1, total_population=2_000, n_municipalities=2)
+    region = region_of(cfg)
+    run_batch(batch_tasks(cfg, [region], cases=[1], runs_per_scenario=1))
+    cfg.world.population_fraction = 0.1
+    [task] = batch_tasks(cfg, [region], cases=[1], runs_per_scenario=1)
+    [scenario] = run_batch([task]).values()
+    assert scenario.runs == [run_scenario(task.config, task.seed, region)]
+
+
+def test_empty_batch_is_empty():
+    assert run_batch([], jobs=2) == {}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_undrawable_world_stops_the_batch(gen_config, monkeypatch, jobs):
+    # the world is drawn in the process that runs the task; its error is not run data
+    def invalid(region, world_config, stream):
+        raise ValidationError("cannot draw this world")
+
+    monkeypatch.setattr(engine, "instantiate_world", invalid)
+    cfg = gen_config(horizon=1, total_population=2_000, n_municipalities=2)
+    tasks = batch_tasks(cfg, [region_of(cfg)], cases=[1, 2], runs_per_scenario=2)
+    with pytest.raises(ValidationError, match="cannot draw this world"):
+        run_batch(tasks, jobs=jobs)
 
 
 def test_failed_cell_is_flagged_not_fatal(gen_config, monkeypatch):

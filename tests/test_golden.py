@@ -102,12 +102,19 @@ def tree_digests(directory):
     }
 
 
-@pytest.mark.parametrize("command", sorted(COMMANDS))
-def test_output_digests(tmp_path, command):
+# every command at --jobs 1, and the batch commands again through a 2-worker
+# pool (3 worlds for 2 workers: one run per task), against the same digests
+COMMAND_JOBS = [pytest.param(c, 1, id=c) for c in sorted(COMMANDS)] + [
+    pytest.param(c, 2, id=f"{c}-jobs2") for c in ("compare", "regress", "validate")]
+
+
+@pytest.mark.parametrize("command,jobs", COMMAND_JOBS)
+def test_output_digests(tmp_path, command, jobs):
     cfg_path = tmp_path / "scenario.json"
     cfg_path.write_text(json.dumps(CONFIG), encoding="utf-8")
     out_dir = tmp_path / "out"
-    code = cli.main([*COMMANDS[command], "--config", str(cfg_path), "--out", str(out_dir)])
+    argv = [*COMMANDS[command], "--config", str(cfg_path), "--out", str(out_dir)]
+    code = cli.main(argv if jobs == 1 else [*argv, "--jobs", str(jobs)])
     assert code == cli.EXIT_OK
     assert tree_digests(out_dir) == GOLDEN[command], (
         f"{command} output bytes changed; if no code changed, a numpy upgrade "
