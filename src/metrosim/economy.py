@@ -5,13 +5,14 @@ and wage offers on inventory/cash signals, and compete for workers by wage.
 Families consume from sampled firms, cheapest first. Production and the
 payroll each run as one pass over every firm per month. No function here
 writes the month's ledger: each tax's municipality index and amount are
-appended to the ``TaxEntries`` lists the caller passes (the payroll returns
-its income tax as arrays), and the engine writes each phase's entries with
-one ``TaxLedger.add_all``.
+appended to the ``TaxEntries`` lists the caller passes (the payroll and
+consumption return their taxes as arrays), and the engine writes each
+phase's entries with one ``TaxLedger.add_all``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -69,6 +70,12 @@ class MarketParams:
             raise ValidationError("savings_rate_bounds must satisfy 0 <= low <= high < 1")
         if self.price_floor <= 0:
             raise ValidationError("price_floor must be positive")
+        for name in ("price_step", "wage_step"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValidationError(f"{name} must be in [0, 1)")
+        for name in ("inventory_glut_months", "sold_out_level"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be non-negative")
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +96,10 @@ def output_per_worker(params: MarketParams, levels: int) -> np.ndarray:
 def _payroll_order(firms: Sequence[Firm]) -> tuple[np.ndarray, np.ndarray]:
     """Every employee in firm order, then payroll order, as an index array, and
     its firm's position in ``firms``."""
-    staff = [cid for firm in firms for cid in firm.employees]
-    owner = np.repeat(np.arange(len(firms)), [len(firm.employees) for firm in firms])
-    return np.fromiter(staff, dtype=np.intp, count=len(staff)), owner
+    staffs = [firm.employees for firm in firms]
+    sizes = np.fromiter(map(len, staffs), dtype=np.intp, count=len(staffs))
+    staff = np.fromiter(chain.from_iterable(staffs), dtype=np.intp, count=int(sizes.sum()))
+    return staff, np.repeat(np.arange(len(firms)), sizes)
 
 
 def _per_firm_sums(owner: np.ndarray, values: np.ndarray, n_firms: int) -> np.ndarray:
@@ -267,21 +275,20 @@ def pay_wages(
     return np.array([firm.municipality for firm in firms], dtype=np.intp)[owner], tax
 
 
-def rank_samples(firms: Sequence[Firm], picks: np.ndarray) -> tuple[list[Firm], list[list[int]]]:
+def rank_samples(firms: Sequence[Firm], picks: np.ndarray) -> tuple[list[Firm], np.ndarray]:
     """Rank ``firms`` by (price, id) once, and each row of ``picks`` by that rank.
 
     Returns the ranked firm list and, for every row of ``picks`` (indices
-    into ``firms``), its ranks in ascending order: ``ranked[r]`` for ``r``
-    in a row is that sample's firms cheapest first, and a firm picked twice
-    appears twice. No per-sample firm list is built, so a consumer walks
-    only the firms it reaches. Prices must stay fixed until the samples are
-    consumed, as they do between production and ``set_price``.
+    into ``firms``), its ranks in ascending order, as one integer matrix:
+    ``ranked[r]`` for ``r`` in a row is that sample's firms cheapest first,
+    and a firm picked twice appears twice. Prices must stay fixed until the
+    samples are consumed, as they do between production and ``set_price``.
     """
     order = np.lexsort(([f.id for f in firms], [f.price for f in firms]))
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     ranked = [firms[i] for i in order.tolist()]
-    return ranked, np.sort(rank[picks], axis=1).tolist()
+    return ranked, np.sort(rank[picks], axis=1)
 
 
 def shopping_budgets(
@@ -300,45 +307,107 @@ def shopping_budgets(
 def consume(
     savings: np.ndarray,
     shoppers: np.ndarray,
-    budgets: Sequence[float],
+    budgets: np.ndarray,
     ranked: Sequence[Firm],
-    rank_rows: Sequence[Sequence[int]],
+    rank_rows: np.ndarray,
     rates: TaxRates,
-    taxes: TaxEntries,
-) -> tuple[float, float]:
+) -> tuple[float, float, np.ndarray, np.ndarray]:
     """Spend the month's consumption budgets: every shopper, in the order given.
 
     ``shoppers`` are family ids and ``budgets`` their budgets, as
     ``shopping_budgets`` gives them. ``ranked`` and ``rank_rows`` come from
     ``rank_samples``: shopper ``i`` shops at ``ranked[r]`` for ``r`` in
-    ``rank_rows[i]``, cheapest first, and buys until the budget or the
-    sample's inventory runs out; it reads its row no further than the firm
-    where the budget runs out. Unspent budget stays in ``savings`` (the
+    ``rank_rows[i]``, cheapest first, skipping firms without stock, and
+    buys ``min(budget / price, stock)`` at each until its budget is at most
+    1e-12 or its sample runs out. Unspent budget stays in ``savings`` (the
     family column), from which each shopper's spending is subtracted once.
-    Each purchase's nonzero consumption tax is appended to ``taxes``.
-    The firms' stock and money are kept in local lists by rank and written
-    back once. Returns the month's (units bought, money spent), each summed
-    per family and then over families in order.
+
+    The month runs as one pass and then a walk, with the bits of a walk over
+    every shopper. The pass takes the shoppers in order up to the month's
+    first stock-out: each buys its whole budget at its first firm in stock,
+    ``u = budget / price`` units for ``u * price``, elementwise. A firm's
+    stock before each of its buyers is one ``np.subtract.accumulate`` along
+    the firm's row of arrivals (its stock, then each buyer's units), the
+    subtractions of the walk in the walk's order. The pass ends at the first
+    shopper whose ``u`` reaches its firm's stock, or whose budget keeps more
+    than 1e-12; the shoppers before it commit at once, their net takings
+    added per firm by ``np.add.at`` in shopper order. The scalar walk takes
+    that shopper and every later one.
+
+    Returns the month's units bought and money spent, each summed per family
+    and then over families from 0.0, left to right (``np.add.accumulate``
+    over the pass), and each purchase's nonzero consumption tax, in purchase
+    order, as arrays of municipality index and amount for ``add_all``.
     """
-    inventory = [firm.inventory for firm in ranked]
-    price = [firm.price for firm in ranked]
-    cash = [firm.cash for firm in ranked]
-    revenue = [firm.revenue_this_month for firm in ranked]
-    profit = [firm.cumulative_profit for firm in ranked]
-    muni = [firm.municipality for firm in ranked]
-    tax_munis, tax_amounts = taxes
+    n_firms = len(ranked)
+    stock = np.array([firm.inventory for firm in ranked], dtype=float)
+    price = np.array([firm.price for firm in ranked], dtype=float)
+    muni = np.array([firm.municipality for firm in ranked], dtype=np.intp)
     rate = rates.consumption
-    units_month = 0.0
-    spent_month = 0.0
+
+    # the pass: every shopper's whole budget at its first firm in stock; a
+    # shopper without one buys nothing
+    in_stock = (stock > 0.0)[rank_rows]
+    shopper = np.arange(len(budgets))
+    first = in_stock.argmax(axis=1)
+    buys = in_stock[shopper, first]
+    shop = rank_rows[shopper, first]
+    u = np.where(buys, budgets / price[shop], 0.0)
+    paid = u * price[shop]
+    buyer = np.flatnonzero(buys)
+    at = shop[buyer]
+    # each buyer's place among its firm's buyers, and its firm's stock before
+    # it: along a firm's row, its stock less each buyer's units in turn
+    arrivals = np.bincount(at, minlength=n_firms)
+    by_firm = np.argsort(at, kind="stable")
+    place = np.empty_like(by_firm)
+    place[by_firm] = np.arange(len(at)) - np.repeat(np.cumsum(arrivals) - arrivals, arrivals)
+    left = np.zeros((n_firms, arrivals.max(initial=0) + 1))
+    left[:, 0] = stock
+    left[at, place + 1] = u[buyer]
+    np.subtract.accumulate(left, axis=1, out=left)
+    stops = (u[buyer] >= left[at, place]) | (budgets[buyer] - paid[buyer] > 1e-12)
+    n_pass = int(stops.argmax()) if stops.any() else len(buyer)
+    end = int(buyer[n_pass]) if n_pass < len(buyer) else len(budgets)
+
+    # commit the shoppers before ``end``: each firm's stock after its buyers
+    # among them, their net takings in shopper order, their spending
+    at = at[:n_pass]
+    stock = left[np.arange(n_firms), np.bincount(at, minlength=n_firms)]
+    takings = paid[buyer[:n_pass]]
+    tax = takings * rate
+    net = takings - tax
+    cash = np.array([firm.cash for firm in ranked], dtype=float)
+    revenue = np.array([firm.revenue_this_month for firm in ranked], dtype=float)
+    profit = np.array([firm.cumulative_profit for firm in ranked], dtype=float)
+    for column in (cash, revenue, profit):
+        np.add.at(column, at, net)
+    taxed = tax != 0.0
+    pass_munis, pass_amounts = muni[at[taxed]], tax[taxed]
+    savings[shoppers[:end]] -= paid[:end]
+    units_month = np.add.accumulate(u[:end])[-1].item() if end else 0.0
+    spent_month = np.add.accumulate(paid[:end])[-1].item() if end else 0.0
+
+    # the walk: every shopper from ``end`` on, firm by firm
+    inventory = stock.tolist()
+    price = price.tolist()
+    cash = cash.tolist()
+    revenue = revenue.tolist()
+    profit = profit.tolist()
+    muni = muni.tolist()
+    tax_munis: list[int] = []
+    tax_amounts: list[float] = []
     spent_by = []
-    for budget, row in zip(budgets, rank_rows):
+    for budget, row in zip(budgets[end:].tolist(), rank_rows[end:].tolist()):
         units_total = 0.0
         spent_total = 0.0
         for r in row:
             stock = inventory[r]
             if stock <= 0.0:
                 continue
-            units = min(budget / price[r], stock)
+            units = budget / price[r]
+            if units > stock:
+                units = stock
             spent = units * price[r]
             inventory[r] = stock - units
             tax = spent * rate
@@ -357,13 +426,17 @@ def consume(
         spent_by.append(spent_total)
         units_month += units_total
         spent_month += spent_total
-    savings[shoppers] -= spent_by
+    savings[shoppers[end:]] -= spent_by
     for firm, stock, money, income, accrued in zip(ranked, inventory, cash, revenue, profit):
         firm.inventory = stock
         firm.cash = money
         firm.revenue_this_month = income
         firm.cumulative_profit = accrued
-    return units_month, spent_month
+    return (
+        units_month, spent_month,
+        np.concatenate((pass_munis, np.array(tax_munis, dtype=np.intp))),
+        np.concatenate((pass_amounts, tax_amounts)),
+    )
 
 
 def settle_profit_tax(firm: Firm, rates: TaxRates, taxes: TaxEntries) -> None:

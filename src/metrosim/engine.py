@@ -158,10 +158,8 @@ def consumption(state: SimulationState, runtime: _Runtime, result: RunResult, mo
     shopping, budgets = shopping_budgets(state.savings, family_ids, savings_rates)
     # prices hold until set_price, so one ranking serves every shopper
     ranked, rank_rows = rank_samples(state.firms, sample_matrix[shopping])
-    taxes: TaxEntries = ([], [])
-    month.units_consumed, month.spent_total = consume(
-        state.savings, family_ids[shopping], budgets.tolist(), ranked, rank_rows,
-        runtime.config.tax_rates, taxes,
+    month.units_consumed, month.spent_total, *taxes = consume(
+        state.savings, family_ids[shopping], budgets, ranked, rank_rows, runtime.config.tax_rates,
     )
     month.ledger.add_all(TaxKind.CONSUMPTION, *taxes)
 

@@ -298,6 +298,27 @@ def test_out_of_range_initial_age_exits_one_before_any_run(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("key, value", [
+    ("wage_step", 2.5), ("price_step", 1.0), ("price_step", -0.05),
+    ("inventory_glut_months", -1.0), ("sold_out_level", -1e-9),
+])
+def test_market_step_out_of_range_exits_one_before_any_run(tmp_path, capsys, monkeypatch,
+                                                           command, key, value):
+    # a wage_step of 2.5 once ran until a wage went negative, then failed mid-run
+    calls = []
+    monkeypatch.setattr(cli, "run_scenario", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(cli, "run_batch", lambda *a, **kw: calls.append(a) or {})
+    cfg_path = write_config(tmp_path, dict(SMALL_SCENARIO, market={key: value}))
+    out_dir = tmp_path / "out"
+    code = cli.main([command, "--config", cfg_path, "--out", str(out_dir)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not out_dir.exists()
+    assert calls == []
+
+
 def test_bad_config_exits_one(tmp_path, capsys):
     cfg_path = write_config(tmp_path, {"market": {"bogus": 1}})
     code = cli.main(["run", "--config", cfg_path, "--out", str(tmp_path / "out")])

@@ -2,7 +2,7 @@
 import copy
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import add, attrgetter, sub
 
 import numpy as np
 import pytest
@@ -114,7 +114,14 @@ def test_market_params_validation():
         MarketParams(savings_rate_bounds=(0.5, 0.2)).validate()
     with pytest.raises(ValidationError):
         MarketParams(proximity_hire_share=1.5).validate()
+    for field, value in (("price_step", -0.01), ("price_step", 1.0), ("wage_step", 2.5),
+                         ("wage_step", -0.5), ("inventory_glut_months", -1.0),
+                         ("sold_out_level", -1e-9)):
+        with pytest.raises(ValidationError, match=field):
+            MarketParams(**{field: value}).validate()
     MarketParams().validate()  # defaults are coherent
+    MarketParams(price_step=0.0, wage_step=0.0, inventory_glut_months=0.0,
+                 sold_out_level=0.0).validate()
 
 
 # ---------------------------------------------------------------------------
@@ -487,20 +494,19 @@ def test_wage_credits_match_the_per_employee_loop(savings, staff, rate):
 # ---------------------------------------------------------------------------
 
 
-def shop(savings, firms, savings_rate, rates, taxes):
+def shop(savings, firms, savings_rate, rates):
     """Family 0 of the ``savings`` column buying from ``firms`` in the order given,
-    through the month-wide passes."""
+    through the month-wide passes; returns ``consume``'s result."""
     shopping, budgets = shopping_budgets(savings, np.array([0]), np.array([savings_rate]))
-    rows = [range(len(firms))] * len(shopping)
-    return consume(savings, shopping, budgets.tolist(), firms, rows, rates, taxes)
+    rows = np.tile(np.arange(len(firms)), (len(shopping), 1))
+    return consume(savings, shopping, budgets, firms, rows, rates)
 
 
 def test_consume_worked_example():
     savings = np.array([10.0])
     firm = make_firm(price=2.0, inventory=10.0, cash=0.0)
     ledger = TaxLedger()
-    taxes = ([], [])
-    units, spent = shop(savings, [firm], 0.0, TaxRates(consumption=0.2), taxes)
+    units, spent, *taxes = shop(savings, [firm], 0.0, TaxRates(consumption=0.2))
     ledger.add_all(TaxKind.CONSUMPTION, *taxes)
     assert units == 5.0
     assert spent == 10.0
@@ -536,8 +542,8 @@ def test_consume_cheapest_first():
     pricey = make_firm(firm_id=0, price=4.0, inventory=10.0)
     cheap = make_firm(firm_id=1, price=1.0, inventory=2.0)
     ranked, rows = rank_samples([pricey, cheap], np.array([[0, 1]]))
-    units, spent = consume(savings, np.array([0]), [4.0], ranked, rows,
-                           TaxRates(consumption=0.0), ([], []))
+    units, spent, *_ = consume(savings, np.array([0]), np.array([4.0]), ranked, rows,
+                               TaxRates(consumption=0.0))
     # 2 units at 1.0 exhaust the cheap firm, the remaining 2.0 buys 0.5 units at 4.0
     assert units == 2.5
     assert spent == 4.0
@@ -548,7 +554,7 @@ def test_consume_cheapest_first():
 def test_consume_limited_by_inventory_keeps_rest_saved():
     savings = np.array([10.0])
     firm = make_firm(price=1.0, inventory=3.0)
-    units, spent = shop(savings, [firm], 0.0, TaxRates(), ([], []))
+    units, spent, *_ = shop(savings, [firm], 0.0, TaxRates())
     assert units == 3.0
     assert spent == 3.0
     assert savings[0] == 7.0
@@ -557,7 +563,7 @@ def test_consume_limited_by_inventory_keeps_rest_saved():
 def test_consume_respects_savings_rate():
     savings = np.array([100.0])
     firm = make_firm(price=1.0, inventory=1000.0)
-    units, spent = shop(savings, [firm], 0.5, TaxRates(consumption=0.0), ([], []))
+    units, spent, *_ = shop(savings, [firm], 0.5, TaxRates(consumption=0.0))
     assert spent == 50.0
     assert savings[0] == 50.0
 
@@ -567,8 +573,7 @@ def test_consume_money_conserved():
     firms = [make_firm(firm_id=i, price=1.0 + i, inventory=5.0, cash=0.0) for i in range(3)]
     ledger = TaxLedger()
     before = savings[0]
-    taxes = ([], [])
-    units, spent = shop(savings, firms, 0.1, TaxRates(consumption=0.18), taxes)
+    units, spent, *taxes = shop(savings, firms, 0.1, TaxRates(consumption=0.18))
     ledger.add_all(TaxKind.CONSUMPTION, *taxes)
     after = savings[0] + sum(f.cash for f in firms) + sum(ledger.total_by_kind().values())
     assert math.isclose(after, before, rel_tol=0, abs_tol=1e-12)
@@ -577,29 +582,40 @@ def test_consume_money_conserved():
 def test_broke_family_buys_nothing():
     savings = np.array([0.0])
     firm = make_firm(inventory=10.0)
-    assert shop(savings, [firm], 0.1, TaxRates(), ([], [])) == (0.0, 0.0)
+    units, spent, munis, amounts = shop(savings, [firm], 0.1, TaxRates())
+    assert (units, spent, munis.tolist(), amounts.tolist()) == (0.0, 0.0, [], [])
     assert firm.inventory == 10.0
 
 
+class ListedRows(np.ndarray):
+    """A rank matrix that records the length of every block of rows turned into lists."""
+
+    def __array_finalize__(self, obj):
+        self.listed = getattr(obj, "listed", None)
+
+    def tolist(self):
+        self.listed.append(len(self))
+        return super().tolist()
+
+
 def test_consume_reads_the_sample_only_as_far_as_it_buys():
-    firms = [make_firm(firm_id=i, price=1.0, inventory=5.0) for i in range(3)]
-    walked = []
-
-    def row(family_id):
-        for r in range(len(firms)):
-            walked.append((family_id, r))
-            yield r
-
-    savings = np.array([0.0, 4.0])  # family 0 is broke
-    shopping, budgets = shopping_budgets(savings, np.arange(2), np.array([0.1, 0.0]))
-    assert shopping.tolist() == [1]  # no budget, no shopping
-    taxes = ([], [])
-    totals = consume(savings, shopping, budgets.tolist(), firms, [row(1)],
-                     TaxRates(consumption=0.25), taxes)
-    assert totals == (4.0, 4.0)
-    assert walked == [(1, 0)]  # the budget ran out at the first firm
-    assert taxes == ([0], [1.0])
-    assert savings.tolist() == [0.0, 0.0]
+    # three firms with 5.0 units at 1.0; each shopper's row is all three, cheapest first
+    firms = [make_firm(firm_id=i, price=1.0, inventory=5.0, cash=0.0) for i in range(3)]
+    savings = np.array([0.0, 2.0, 2.0, 2.0, 2.0])  # family 0 is broke
+    shopping, budgets = shopping_budgets(savings, np.arange(5), np.zeros(5))
+    assert shopping.tolist() == [1, 2, 3, 4]  # no budget, no shopping
+    rows = np.tile(np.arange(3), (4, 1)).view(ListedRows)
+    rows.listed = []
+    units, spent, munis, amounts = consume(savings, shopping, budgets, firms, rows,
+                                           TaxRates(consumption=0.25))
+    assert (units, spent) == (8.0, 8.0)
+    # the third shopper's 2.0 units reach firm 0's last 1.0: the pass ends there,
+    # and only the rows from it on become lists, for the walk
+    assert rows.listed == [2]
+    assert [f.inventory for f in firms] == [0.0, 2.0, 5.0]
+    assert [f.cash for f in firms] == [3.75, 2.25, 0.0]  # firm 2 is never reached
+    assert (munis.tolist(), amounts.tolist()) == ([0, 0, 0, 0, 0], [0.5, 0.5, 0.25, 0.25, 0.5])
+    assert savings.tolist() == [0.0] * 5
 
 
 def consume_one_family(
@@ -664,15 +680,61 @@ def random_market(seed):
     return firms, savings, picks, savings_rates, rates
 
 
-def money_fields(firms, savings):
-    return (
-        [(f.inventory.hex(), f.cash.hex(), f.revenue_this_month.hex(),
-          f.cumulative_profit.hex()) for f in firms],
-        [s.hex() for s in savings],
-    )
+def rich_market(seed):
+    """A market of budgets from 1e4 to 1e7 and stocks from 1e3 to 1e9 units.
+
+    At such budgets ``budget - (budget / price) * price`` is often a
+    rounding error above 1e-12, which sends the shopper on to its next firm
+    with its first firm still in stock; some stocks run out as well.
+    """
+    gen = rng(seed)
+    n_firms = int(gen.integers(1, 7))
+    firms = [
+        make_firm(
+            firm_id=i, muni=i % 3,
+            cash=float(gen.uniform(0.0, 1e6)),
+            price=float(gen.choice([1.0, 1.0 + gen.random(), 0.5 + 4.0 * gen.random()])),
+            inventory=0.0 if gen.random() < 0.2 else float(10.0 ** gen.uniform(3.0, 9.0)),
+            revenue_this_month=float(gen.uniform(0.0, 1e4)),
+            cumulative_profit=float(gen.uniform(-1e5, 1e5)),
+        )
+        for i in range(n_firms)
+    ]
+    n_families = int(gen.integers(1, 25))
+    savings = 10.0 ** gen.uniform(4.0, 7.0, size=n_families)
+    picks = gen.integers(0, n_firms, size=(n_families, int(gen.integers(1, 6))))
+    savings_rates = gen.uniform(0.0, 0.3, size=n_families)
+    rates = TaxRates(consumption=float(gen.choice([0.0, 0.18, gen.random()])))
+    return firms, savings, picks, savings_rates, rates
+
+
+def pass_end(market):
+    """Where ``consume``'s pass must hand over to the walk: ``(why, place, shoppers)``.
+
+    ``why`` is ``"stock-out"`` when a shopper's first purchase reaches its
+    firm's stock, ``"budget"`` when it leaves more than 1e-12 of the budget,
+    and None when every shopper spends its whole budget at its first firm in
+    stock; ``place`` is that shopper's place among the month's shoppers.
+    """
+    firms, savings, picks, savings_rates, _ = copy.deepcopy(market)
+    shopping, budgets = shopping_budgets(savings, np.arange(len(savings)), savings_rates)
+    ranked, rows = rank_samples(firms, picks[shopping])
+    for place, (budget, row) in enumerate(zip(budgets.tolist(), rows.tolist())):
+        in_stock = [ranked[r] for r in row if ranked[r].inventory > 0.0]
+        if not in_stock:
+            continue
+        firm = in_stock[0]
+        units = budget / firm.price
+        if units >= firm.inventory:
+            return "stock-out", place, len(budgets)
+        if budget - units * firm.price > 1e-12:
+            return "budget", place, len(budgets)
+        firm.inventory -= units
+    return None, len(budgets), len(budgets)
 
 
 MARKET_SEEDS = range(200)
+RICH_MARKET_SEEDS = range(100)
 
 
 def test_random_markets_cover_the_edge_cases():
@@ -683,18 +745,28 @@ def test_random_markets_cover_the_edge_cases():
     assert any(m[4].consumption == 0.0 for m in markets)
 
 
-@pytest.mark.parametrize("seed", MARKET_SEEDS)
-def test_month_consume_matches_per_family_reference_bit_for_bit(seed):
-    firms, savings, picks, savings_rates, rates = random_market(seed)
+def test_markets_end_the_pass_everywhere_it_can_end():
+    ends = [pass_end(random_market(seed)) for seed in MARKET_SEEDS]
+    ends += [pass_end(rich_market(seed)) for seed in RICH_MARKET_SEEDS]
+    stock_outs = [(place, n) for why, place, n in ends if why == "stock-out"]
+    assert any(place == 0 and n > 1 for place, n in stock_outs)  # at the first shopper
+    assert any(0 < place < n - 1 for place, n in stock_outs)  # in the middle
+    assert any(place == n - 1 > 0 for place, n in stock_outs)  # at the last shopper
+    assert any(why is None and n > 1 for why, _, n in ends)  # no stock-out all month
+    # a budget left over at a firm still in stock, at the rich markets' budgets
+    assert any(why == "budget" and place > 0 for why, place, _ in ends)
+
+
+def assert_consume_matches_per_family_reference(market):
+    firms, savings, picks, savings_rates, rates = market
     ref_firms = copy.deepcopy(firms)
     ref_savings = savings.tolist()
 
-    taxes = ([], [])
     families = np.arange(len(savings))
     shopping, budgets = shopping_budgets(savings, families, savings_rates)
     ranked, rows = rank_samples(firms, picks[shopping])
-    units, spent = consume(savings, families[shopping], budgets.tolist(), ranked, rows, rates,
-                           taxes)
+    units, spent, munis, amounts = consume(savings, families[shopping], budgets, ranked, rows,
+                                           rates)
 
     ref_taxes = []
     ref_ranked, ref_rows = rank_samples(ref_firms, picks)
@@ -707,8 +779,80 @@ def test_month_consume_matches_per_family_reference_bit_for_bit(seed):
         ref_spent += s
 
     assert money_fields(firms, savings.tolist()) == money_fields(ref_firms, ref_savings)
-    assert [(m, t.hex()) for m, t in zip(*taxes)] == [(m, t.hex()) for m, t in ref_taxes]
+    assert [(m, t.hex()) for m, t in zip(munis.tolist(), amounts.tolist())] == [
+        (m, t.hex()) for m, t in ref_taxes
+    ]
     assert (units.hex(), spent.hex()) == (ref_units.hex(), ref_spent.hex())
+
+
+def money_fields(firms, savings):
+    return (
+        [(f.inventory.hex(), f.cash.hex(), f.revenue_this_month.hex(),
+          f.cumulative_profit.hex()) for f in firms],
+        [s.hex() for s in savings],
+    )
+
+
+@pytest.mark.parametrize("seed", MARKET_SEEDS)
+def test_month_consume_matches_per_family_reference_bit_for_bit(seed):
+    assert_consume_matches_per_family_reference(random_market(seed))
+
+
+@pytest.mark.parametrize("seed", RICH_MARKET_SEEDS)
+def test_rich_month_consume_matches_per_family_reference_bit_for_bit(seed):
+    assert_consume_matches_per_family_reference(rich_market(seed))
+
+
+def left_fold(op, values):
+    """Every partial result of folding ``values`` with ``op`` from the left."""
+    out = [values[0]]
+    for value in values[1:]:
+        out.append(op(out[-1], value))
+    return out
+
+
+def hexes(values):
+    return [v.hex() for v in values]
+
+
+def fold_values(drawn, seed, extra):
+    """``drawn`` then ``extra`` lognormal values of random sign, from 1e-5 to 1e6 or so."""
+    gen = rng(seed)
+    tail = gen.lognormal(0.0, 3.0, size=extra) * gen.choice([-1.0, 1.0], size=extra)
+    return drawn + tail.tolist()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    drawn=st.lists(st.floats(-1e9, 1e9), min_size=1, max_size=12),
+    seed=st.integers(0, 2**16),
+    extra=st.integers(0, 1500),
+    width=st.integers(1, 60),
+    slots=st.integers(1, 5),
+)
+def test_numpy_folds_in_consume_are_python_left_folds(drawn, seed, extra, width, slots):
+    # consume relies on these three folding left to right, as its scalar walk
+    # does; a numpy that changes one of them fails here, not only in a digest
+    values = fold_values(drawn, seed, extra)
+    # np.add.accumulate: the month totals over the pass
+    assert hexes(np.add.accumulate(np.array(values)).tolist()) == hexes(
+        left_fold(add, values))
+    # np.subtract.accumulate along each row of a matrix padded with 0.0: a
+    # firm's stock before each of its buyers
+    matrix = np.array(values + [0.0] * (-len(values) % width)).reshape(-1, width)
+    assert [hexes(row) for row in np.subtract.accumulate(matrix, axis=1).tolist()] == [
+        hexes(left_fold(sub, row)) for row in matrix.tolist()
+    ]
+    # np.add.at with repeated indices: net takings in shopper order, per firm
+    gen = rng(seed + 1)
+    index = gen.integers(0, slots, size=len(values))
+    starts = gen.uniform(-1e3, 1e3, size=slots)
+    sums = starts.copy()
+    np.add.at(sums, index, np.array(values))
+    expected = starts.tolist()
+    for i, value in zip(index.tolist(), values):
+        expected[i] += value
+    assert hexes(sums.tolist()) == hexes(expected)
 
 
 # ---------------------------------------------------------------------------

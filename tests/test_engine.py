@@ -382,9 +382,13 @@ def test_batched_consumption_ledger_matches_per_purchase_adds(monkeypatch):
 
     ref_state, ref_runtime, ref_month = per_purchase
 
-    def consume_adding_each(savings, shoppers, budgets, ranked, rank_rows, rates, taxes):
-        return consume(savings, shoppers, budgets, ranked, rank_rows, rates,
-                       add_each_entry(ref_month.ledger, TaxKind.CONSUMPTION))
+    def consume_adding_each(*args):
+        # add each returned entry in turn, and hand the engine none
+        units, spent, munis, amounts = consume(*args)
+        entries = add_each_entry(ref_month.ledger, TaxKind.CONSUMPTION)
+        entries[0].extend(munis.tolist())
+        entries[1].extend(amounts.tolist())
+        return units, spent, [], []
 
     monkeypatch.setattr(engine, "consume", consume_adding_each)
     engine.consumption(ref_state, ref_runtime, result, ref_month)
