@@ -197,9 +197,8 @@ def apply_fertility(
     if not len(ids):
         return 0
     probs = rates.fertility_by_month[np.minimum(state.age[ids], MAX_AGE_MONTHS - 1)]
-    parents = ids[rng.random(len(ids)) < probs].tolist()
-    for parent_id in parents:
-        # add_citizen may grow the columns, so index provisional after it returns
-        born = state.add_citizen(state.family.item(parent_id), age_months=0, qualification=1)
-        state.provisional[born] = True
-    return len(parents)
+    parents = ids[rng.random(len(ids)) < probs]
+    # add_citizens may grow the columns, so index provisional after it returns
+    born = state.add_citizens(state.family[parents], 0, 1)
+    state.provisional[born.start:born.stop] = True
+    return len(born)

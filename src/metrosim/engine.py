@@ -101,9 +101,13 @@ class _Runtime:
     policy: DistributionPolicy
     mpf_table: MpfTable
     vital_rates: VitalRates
-    # firms are fixed (see SimulationState), so this holds all run
-    firms_by_muni: list[list[int]]  # firm ids by municipality index, ascending
+    # by municipality index, the firms paid for its public works: its own in
+    # id order, or the region's where it has none; firms are fixed (see
+    # SimulationState), so this holds all run
+    contractors: list[list[Firm]]
     output_per_worker: np.ndarray  # q**beta by qualification q
+    # the result's inflow series by municipality index, kinds in TAX_KINDS order
+    inflows: list[list[list[float]]]
     frozen_populations: list[int] | None = None
     money_ops: int = 0  # cumulative count of money-moving events, for audit tolerance
     prev_unit_value: float = math.nan  # last month's mean price paid, for inflation
@@ -114,7 +118,7 @@ class _Runtime:
 class _Month:
     """What one month's phases hand on to the later phases, its taxes included."""
 
-    ledger: TaxLedger = field(default_factory=TaxLedger)
+    ledger: TaxLedger
     gdp_value: float = 0.0
     units_consumed: float = 0.0
     spent_total: float = 0.0
@@ -223,19 +227,20 @@ def distribution(state: SimulationState, runtime: _Runtime, result: RunResult, m
     if sum(share_base) <= 0:
         raise InvariantViolation(state.month, "region-population", "no citizens left in region")
     allocations = distribute(month.ledger, runtime.policy, share_base, runtime.mpf_table)
-    for kind in TAX_KINDS:
-        pool = month.collected[kind]
-        allocated = sequential_sum(allocations[kind])
+    # both dicts are keyed in TAX_KINDS order
+    rows = list(allocations.values())
+    for kind, pool, row in zip(TAX_KINDS, month.collected.values(), rows):
+        allocated = sequential_sum(row)
         if abs(pool - allocated) > CURRENCY_UNIT:
             raise InvariantViolation(
                 state.month, "distribution-conservation",
                 f"{kind.value}: collected {pool!r} vs allocated {allocated!r}",
             )
-    for m, muni in enumerate(result.municipality_ids):
+    by_muni = zip(result.municipality_ids, zip(*rows), runtime.inflows)
+    for m, (muni, amounts, inflows) in enumerate(by_muni):
         total_alloc = 0.0
-        for kind in TAX_KINDS:
-            amount = allocations[kind][m]
-            result.inflows[muni][kind.value].append(amount)
+        for series, amount in zip(inflows, amounts):
+            series.append(amount)
             total_alloc += amount
         population = month.populations[m]
         if population <= 0 and m not in runtime.depopulated:
@@ -252,8 +257,7 @@ def distribution(state: SimulationState, runtime: _Runtime, result: RunResult, m
         # public procurement: the works are bought from the municipality's
         # firms, or the region's where it has none, so taxes recirculate
         if spent > 0.0:
-            local = [state.firms[i] for i in runtime.firms_by_muni[m]]
-            pay_procurement(spent, local or state.firms)
+            pay_procurement(spent, runtime.contractors[m])
     runtime.money_ops += (
         month.ledger.event_count + month.sales + int(np.count_nonzero(state.live))
     )
@@ -327,27 +331,44 @@ PHASES = (
 
 def step_month(state: SimulationState, runtime: _Runtime, result: RunResult) -> None:
     """Advance the world by one month: every phase of ``PHASES``, in order."""
-    month = _Month()
+    month = _Month(TaxLedger(len(state.treasuries)))
     for phase in PHASES:
         phase(state, runtime, result, month)
 
 
-def start_runtime(config: ScenarioConfig, state: SimulationState, seed: int) -> _Runtime:
-    """The run state of ``config`` at ``seed`` for a world at month 0."""
+def start_run(
+    config: ScenarioConfig, state: SimulationState, seed: int, apc_id: str
+) -> tuple[_Runtime, RunResult]:
+    """The run state of ``config`` at ``seed`` for a world at month 0, and the
+    run's result, every series empty."""
+    result = RunResult(
+        apc_id=apc_id,
+        case_id=config.fiscal.case_id,
+        seed=seed,
+        municipality_ids=state.municipality_ids,
+    )
+    for muni in result.municipality_ids:
+        result.qli[muni] = []
+        result.populations[muni] = []
+        result.inflows[muni] = {kind.value: [] for kind in TAX_KINDS}
+    for kind in TAX_KINDS:
+        result.taxes_by_kind[kind.value] = []
     path = config.fiscal.mpf_table_file
-    firms_by_muni: list[list[int]] = [[] for _ in state.treasuries]
+    local: list[list[Firm]] = [[] for _ in state.treasuries]
     for firm in state.firms:
-        firms_by_muni[firm.municipality].append(firm.id)
-    return _Runtime(
+        local[firm.municipality].append(firm)
+    runtime = _Runtime(
         config=config,
         rng=RngStreams(seed),
         policy=policy_for_case(config.fiscal.case_id),
         mpf_table=read_mpf_table(path) if path else MpfTable(),
         vital_rates=VitalRates(DEFAULT_VITAL_BRACKETS),
-        firms_by_muni=firms_by_muni,
+        contractors=[firms or state.firms for firms in local],
         output_per_worker=output_per_worker(config.market, state.qualification_levels),
+        inflows=[list(result.inflows[muni].values()) for muni in result.municipality_ids],
         frozen_populations=state.populations() if config.fiscal.freeze_mpf_shares else None,
     )
+    return runtime, result
 
 
 def _world_seed(config: ScenarioConfig, seed: int) -> int:
@@ -374,20 +395,7 @@ def run_scenario(
     consumed by the run; without it the world is drawn here.
     """
     state = world if world is not None else draw_world(config, seed, region)
-    runtime = start_runtime(config, state, seed)
-    result = RunResult(
-        apc_id=region.id,
-        case_id=config.fiscal.case_id,
-        seed=seed,
-        municipality_ids=state.municipality_ids,
-    )
-    for muni in result.municipality_ids:
-        result.qli[muni] = []
-        result.populations[muni] = []
-        result.inflows[muni] = {kind.value: [] for kind in TAX_KINDS}
-    for kind in TAX_KINDS:
-        result.taxes_by_kind[kind.value] = []
-
+    runtime, result = start_run(config, state, seed, region.id)
     for _ in range(config.engine.horizon_months):
         step_month(state, runtime, result)
     return result

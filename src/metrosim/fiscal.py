@@ -50,6 +50,7 @@ class TaxKind(Enum):
 
 
 TAX_KINDS = tuple(TaxKind)
+_ROW = {kind: i for i, kind in enumerate(TAX_KINDS)}  # a kind's row in a ledger
 
 # One phase's tax entries: parallel lists of origin municipality indices and
 # amounts, in payment order, for ``TaxLedger.add_all``, which takes arrays too.
@@ -80,41 +81,45 @@ class TaxRates:
 class TaxLedger:
     """One month's tax amounts: each kind's sum per origin municipality.
 
-    Each month gets a fresh ledger, ``engine._Month.ledger``, which lives as
-    long as the month. Origins are municipality indices. Tax producers never
-    write here: they append each entry's index and amount to a pair of
-    parallel lists (see ``TaxEntries``), and the engine writes each phase's
-    entries of one kind with one ``add_all``. Sums are kept per kind in an
-    array by index and grow entry by entry in entry order, from 0.0, across
-    every write of the month, so each has the bits of a left-to-right sum.
-    ``by_kind`` lists the origins in first-payment order. ``add`` stays as
-    the one-entry reference that ``add_all`` must match bit for bit.
+    Each month gets a fresh ledger, ``engine._Month.ledger``, sized to the
+    region's ``n_munis`` municipalities, which lives as long as the month.
+    Origins are municipality indices in ``0 .. n_munis - 1``; any other is
+    rejected before a sum moves. Tax producers never write here: they append
+    each entry's index and amount to a pair of parallel lists (see
+    ``TaxEntries``), and the engine writes each phase's entries of one kind
+    with one ``add_all``. The sums are one kind x municipality array, one
+    row per kind in ``TAX_KINDS`` order, and grow entry by entry in entry
+    order, from 0.0, across every write of the month, so each has the bits
+    of a left-to-right sum. ``by_kind`` lists the origins in first-payment
+    order. ``add`` stays as the one-entry reference that ``add_all`` must
+    match bit for bit.
     """
 
     __slots__ = ("_sums", "_origins", "event_count")
 
-    def __init__(self):
-        self._sums: dict[TaxKind, np.ndarray] = {k: np.zeros(0) for k in TAX_KINDS}
-        # origins in first-payment order (dicts as ordered sets)
-        self._origins: dict[TaxKind, dict[int, None]] = {k: {} for k in TAX_KINDS}
+    def __init__(self, n_munis: int):
+        self._sums = np.zeros((len(TAX_KINDS), n_munis))
+        # each kind's origins in first-payment order (dicts as ordered sets)
+        self._origins: list[dict[int, None]] = [{} for _ in TAX_KINDS]
         self.event_count = 0
 
-    def _sums_to(self, kind: TaxKind, top: int) -> np.ndarray:
-        # the kind's sums, grown with zeros to cover index ``top``
-        sums = self._sums[kind]
-        if top >= len(sums):
-            sums = self._sums[kind] = np.concatenate([sums, np.zeros(top + 1 - len(sums))])
-        return sums
+    def _check_origin(self, kind: TaxKind, low: int, high: int) -> None:
+        n = self._sums.shape[1]
+        if low < 0 or high >= n:
+            bad = low if low < 0 else high
+            raise ValidationError(
+                f"municipality index {bad} for {kind.value} outside 0..{n - 1}"
+            )
 
     def add(self, kind: TaxKind, origin: int, amount: float) -> None:
         if amount < 0:
             raise ValidationError(f"negative tax amount {amount} for {kind.value} in {origin}")
         if amount == 0.0:
             return
-        if origin < 0:
-            raise ValidationError(f"negative municipality index {origin} for {kind.value}")
-        self._sums_to(kind, origin)[origin] += amount
-        self._origins[kind].setdefault(origin)
+        self._check_origin(kind, origin, origin)
+        row = _ROW[kind]
+        self._sums[row, origin] += amount
+        self._origins[row].setdefault(origin)
         self.event_count += 1
 
     def add_all(self, kind: TaxKind, munis: Sequence[int], amounts: Sequence[float]) -> None:
@@ -124,37 +129,51 @@ class TaxLedger:
         the bits of ``add`` in turn.
         """
         amounts = np.asarray(amounts, dtype=float)
-        munis = np.asarray(munis, dtype=np.intp)
-        negative = np.flatnonzero(amounts < 0)
-        if negative.size:
-            i = negative[0]
-            raise ValidationError(
-                f"negative tax amount {amounts[i]} for {kind.value} in {munis[i]}"
-            )
-        paid = amounts != 0.0
-        if not paid.all():
-            munis, amounts = munis[paid], amounts[paid]
-        if not munis.size:
+        if not amounts.size:
             return
-        if munis.min() < 0:
-            raise ValidationError(f"negative municipality index for {kind.value}")
-        sums = self._sums_to(kind, int(munis.max()))
-        np.add.at(sums, munis, amounts)
-        # each origin's first entry, so new origins join in first-payment order
-        first = np.full(len(sums), len(munis))
-        np.minimum.at(first, munis, np.arange(len(munis)))
-        paid_to = np.flatnonzero(first < len(munis))
-        self._origins[kind].update(dict.fromkeys(paid_to[np.argsort(first[paid_to])].tolist()))
+        munis = np.asarray(munis, dtype=np.intp)
+        if not amounts.min() > 0.0:  # a zero, a negative or a NaN
+            negative = np.flatnonzero(amounts < 0)
+            if negative.size:
+                i = negative[0]
+                raise ValidationError(
+                    f"negative tax amount {amounts[i]} for {kind.value} in {munis[i]}"
+                )
+            paid = amounts != 0.0
+            munis, amounts = munis[paid], amounts[paid]
+            if not munis.size:
+                return
+        self._check_origin(kind, munis.min(), munis.max())
+        row = _ROW[kind]
+        np.add.at(self._sums[row], munis, amounts)
+        # an entry with the origin of the entry before it pays no origin's
+        # first, so only the heads of runs go to dict.fromkeys, which keeps
+        # first payments in order; update appends only the new origins
+        head = np.empty(len(munis), dtype=bool)
+        head[0] = True
+        np.not_equal(munis[1:], munis[:-1], out=head[1:])
+        self._origins[row].update(dict.fromkeys(munis[head].tolist()))
         self.event_count += len(munis)
 
     def total_by_kind(self) -> dict[TaxKind, float]:
-        """Each kind's month total, its origins' sums added in first-payment order."""
-        return {kind: sequential_sum(self.by_kind(kind).values()) for kind in TAX_KINDS}
+        """Each kind's month total, its origins' sums added in first-payment
+        order; keyed in ``TAX_KINDS`` order."""
+        return {
+            kind: sequential_sum(map(sums.__getitem__, origins))
+            for kind, (sums, origins) in zip(TAX_KINDS, self.rows())
+        }
 
     def by_kind(self, kind: TaxKind) -> dict[int, float]:
         """Origin index -> the kind's sum this month, in first-payment order."""
-        sums = self._sums[kind].tolist()
-        return {origin: sums[origin] for origin in self._origins[kind]}
+        row = _ROW[kind]
+        sums = self._sums[row].tolist()
+        return {origin: sums[origin] for origin in self._origins[row]}
+
+    def rows(self) -> Iterable[tuple[list[float], dict[int, None]]]:
+        """Each kind's ``(sums, origins)``, in ``TAX_KINDS`` order: its sum by
+        municipality index (0.0 where nothing was paid) and its origins in
+        first-payment order."""
+        return zip(self._sums.tolist(), self._origins)
 
 
 @dataclass(frozen=True)
@@ -180,6 +199,9 @@ class DistributionPolicy:
 
     case_id: int
     weights: Mapping[TaxKind, ChannelWeights]
+    # the weights in TAX_KINDS order, resolved once: a TaxKind key hashes
+    # through a Python-level Enum.__hash__
+    channels: tuple[ChannelWeights, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         missing = [k for k in TAX_KINDS if k not in self.weights]
@@ -187,6 +209,7 @@ class DistributionPolicy:
             raise ValidationError(f"policy missing weights for {[k.value for k in missing]}")
         for kind, w in self.weights.items():
             w.validate(kind.value)
+        object.__setattr__(self, "channels", tuple(self.weights[kind] for kind in TAX_KINDS))
 
     @property
     def merged(self) -> bool:  # no tax keeps a local share: the paper's alternative0 = false
@@ -388,31 +411,32 @@ def distribute(
     allocations sum to the collected amount to the last ulp: the
     floating-point residual of the split is folded into the largest
     allocation (the money analogue of a largest-remainder correction).
+    The allocations are keyed in ``TAX_KINDS`` order.
     """
     n = len(populations)
     eq = equal_shares(populations)
     mp = mpf_shares(populations, table)
 
     out: dict[TaxKind, list[float]] = {}
-    for kind in TAX_KINDS:
-        pools = ledger.by_kind(kind)
+    for kind, w, (sums, origins) in zip(TAX_KINDS, policy.channels, ledger.rows()):
         alloc = [0.0] * n
-        if pools:
-            w = policy.weights[kind]
+        if origins:
+            local, equal, mpf = w.local, w.equal, w.mpf
             pool_total = 0.0
-            for origin in sorted(pools):
+            for origin in sorted(origins):
                 if origin >= n:
                     raise ValidationError(f"ledger origin {origin!r} not in region")
-                amount = pools[origin]
+                amount = sums[origin]
                 pool_total += amount
-                if w.local:
-                    alloc[origin] += w.local * amount
-                if w.equal:
-                    for m in range(n):
-                        alloc[m] += w.equal * amount * eq[m]
-                if w.mpf:
-                    for m in range(n):
-                        alloc[m] += w.mpf * amount * mp[m]
+                if local:
+                    alloc[origin] += local * amount
+                # (w * amount) * share: the bits of w * amount * share
+                if equal:
+                    part = equal * amount
+                    alloc = [x + part * share for x, share in zip(alloc, eq)]
+                if mpf:
+                    part = mpf * amount
+                    alloc = [x + part * share for x, share in zip(alloc, mp)]
             # folding once lands within an ulp of the pool; the re-sum can
             # round again, so a second pass usually clears the remainder
             for _ in range(2):

@@ -34,17 +34,18 @@ class SimulationState:
     location ``house_x`` and ``house_y``, ``owner`` (family id, -1 for
     municipal stock) and ``resident`` (family id, -1 when vacant). Houses
     are fixed for a run and enter through ``add_houses``, vacant and
-    municipal; ownership and occupancy change only through ``move_in``, a
-    seller giving up its house, and escheat.
+    municipal; ownership and occupancy change only through ``add_families``,
+    ``move_in``, a seller giving up its house, and escheat.
 
     A citizen is one row of the columns indexed by citizen id, its only
     store: age, qualification, employer (-1 for none), monthly wage (0.0
     without an employer), family (-1 once dead), liveness, and whether the
     qualification is still provisional (born in the run, not yet at
-    labor-entry age). A citizen has one way in, ``add_citizen``, which
-    issues the next id, and one way out, ``demographics._remove_citizen``,
-    which clears ``alive``. Ids are never reused, so
-    ``np.flatnonzero(alive)`` lists the living in ascending id order.
+    labor-entry age). Citizens have one way in, ``add_citizens``, which
+    issues the next ids to a batch of rows written at once, and one way out,
+    ``demographics._remove_citizen``, which clears ``alive``. Ids are never
+    reused, so ``np.flatnonzero(alive)`` lists the living in ascending id
+    order.
 
     A family is likewise one row of the columns indexed by family id, their
     only store: ``savings``, ``home`` (a house id, -1 once escheated),
@@ -53,15 +54,18 @@ class SimulationState:
     ``family`` names it, and its municipality is its home's.
     ``owned_houses[f]`` lists the houses family ``f`` owns in purchase
     order, which orders its property tax dues; a house is in that list
-    exactly when its ``owner`` is ``f``. A family has one way in,
-    ``add_family``, which moves it into its first home, and one way out,
+    exactly when its ``owner`` is ``f``. Families have one way in,
+    ``add_families``, which writes a batch of rows at once and moves each
+    family into its first home, and one way out,
     ``demographics._escheat_family``, run once no living citizen names it,
     which clears ``live`` and zeroes its row. A live family lives in one of
     the houses it owns, so one that owns exactly one house lives in it.
 
-    Citizen and family columns grow by doubling; rows past the last citizen
-    or family are padding, which is never alive or live and owns nothing.
-    ``trim`` cuts it off.
+    Citizen and family columns grow by doubling, or to the batch being
+    added where that is more; rows past the last citizen or family are
+    padding, which is never alive or live and owns nothing. ``trim`` cuts it
+    off. Unpickling re-views every array with its dtype's canonical
+    instance (see ``__setstate__``).
     """
 
     month: int = 0
@@ -103,12 +107,26 @@ class SimulationState:
         """Every municipality's id, by index (ascending)."""
         return [t.municipality_id for t in self.treasuries]
 
-    def add_citizen(self, family: int, age_months: int, qualification: int) -> int:
-        """Issue the next citizen id to a new member of family ``family``; returns the id."""
-        cid = self._next_citizen_id
-        self._next_citizen_id += 1
-        if cid >= len(self.alive):
-            grow = max(cid + 1, 2 * len(self.alive)) - len(self.alive)
+    def __setstate__(self, fields: dict) -> None:
+        # numpy unpickles an array with a dtype instance that is not its
+        # dtype's canonical one, and np.add.at takes a path about ten times
+        # slower on it; the canonical view holds the same bytes
+        for name, value in fields.items():
+            if isinstance(value, np.ndarray):
+                fields[name] = value.view(np.dtype(value.dtype.str))
+        self.__dict__.update(fields)
+
+    def add_citizens(self, families, ages, qualifications) -> range:
+        """Issue the next citizen ids to new members of families ``families``,
+        one citizen per entry, in entry order; returns their ids.
+
+        ``ages`` (months) and ``qualifications`` hold one value per entry, or
+        one value for all.
+        """
+        first = self._next_citizen_id
+        stop = first + len(families)
+        if stop > len(self.alive):
+            grow = max(stop, 2 * len(self.alive)) - len(self.alive)
             self.age = np.concatenate([self.age, np.zeros(grow, dtype=np.int64)])
             self.qualification = np.concatenate(
                 [self.qualification, np.zeros(grow, dtype=np.int64)]
@@ -118,29 +136,36 @@ class SimulationState:
             self.family = np.concatenate([self.family, np.full(grow, -1, dtype=np.int64)])
             self.alive = np.concatenate([self.alive, np.zeros(grow, dtype=bool)])
             self.provisional = np.concatenate([self.provisional, np.zeros(grow, dtype=bool)])
-        self.age[cid] = age_months
-        self.qualification[cid] = qualification
-        self.employer[cid] = -1
-        self.wage[cid] = 0.0
-        self.family[cid] = family
-        self.alive[cid] = True
-        return cid
+        self.age[first:stop] = ages
+        self.qualification[first:stop] = qualifications
+        self.employer[first:stop] = -1
+        self.wage[first:stop] = 0.0
+        self.family[first:stop] = families
+        self.alive[first:stop] = True
+        self._next_citizen_id = stop
+        return range(first, stop)
 
-    def add_family(self, home: int, savings: float = 0.0) -> int:
-        """Issue the next family id to a new family without members, which buys
-        vacant house ``home`` and lives in it; returns the id."""
-        fid = len(self.owned_houses)
-        if fid >= len(self.live):
-            grow = max(fid + 1, 2 * len(self.live)) - len(self.live)
+    def add_families(self, homes, savings) -> range:
+        """Issue the next family ids to new families without members, one per
+        entry: family ``i`` of the entries buys vacant house ``homes[i]`` and
+        lives in it, with ``savings[i]``. Returns their ids."""
+        first = len(self.owned_houses)
+        homes = np.asarray(homes, dtype=np.int64)
+        stop = first + len(homes)
+        if stop > len(self.live):
+            grow = max(stop, 2 * len(self.live)) - len(self.live)
             self.savings = np.concatenate([self.savings, np.zeros(grow)])
             self.home = np.concatenate([self.home, np.full(grow, -1, dtype=np.int64)])
             self.live = np.concatenate([self.live, np.zeros(grow, dtype=bool)])
             self.arrears = np.concatenate([self.arrears, np.zeros((grow, len(self.treasuries)))])
-        self.savings[fid] = savings
-        self.live[fid] = True
-        self.owned_houses.append([])
-        self.move_in(fid, home)
-        return fid
+        ids = range(first, stop)
+        self.savings[first:stop] = savings
+        self.live[first:stop] = True
+        self.home[first:stop] = homes
+        self.owner[homes] = ids
+        self.resident[homes] = ids
+        self.owned_houses.extend([house] for house in homes.tolist())
+        return ids
 
     def add_houses(self, municipality, size, quality, x, y) -> range:
         """Append vacant municipal houses, one per entry of the equal-length

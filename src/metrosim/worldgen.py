@@ -17,7 +17,7 @@ import numpy as np
 
 from .demographics import MAX_AGE_MONTHS
 from .economy import Firm
-from .errors import ParseError, ValidationError, count, number
+from .errors import ParseError, ValidationError, count, finite, number
 from .fiscal import Treasury, sequential_sum
 from .state import SimulationState
 
@@ -106,6 +106,15 @@ class WorldConfig:
                 raise ValidationError("qualification weights must sum to 1")
         if not 0.0 <= self.initial_employment_rate <= 1.0:
             raise ValidationError("initial_employment_rate must be in [0, 1]")
+        if not 0 <= self.labor_entry_age_months < MAX_AGE_MONTHS:
+            raise ValidationError(
+                f"labor_entry_age_months must be in 0..{MAX_AGE_MONTHS - 1}, "
+                f"got {self.labor_entry_age_months}"
+            )
+        if self.initial_firm_cash < 0:
+            raise ValidationError("initial_firm_cash must be non-negative")
+        if self.initial_cash_months_of_payroll < 0:
+            raise ValidationError("initial_cash_months_of_payroll must be non-negative")
         if not 1 <= self.max_initial_age_months < MAX_AGE_MONTHS:
             raise ValidationError(
                 f"max_initial_age_months must be in 1..{MAX_AGE_MONTHS - 1}, "
@@ -119,7 +128,7 @@ class WorldConfig:
             raise ValidationError("vacancy_margin must be non-negative")
         for name in ("initial_savings_bounds", "initial_wage_bounds",
                      "house_size_bounds", "house_quality_bounds"):
-            lo, hi = getattr(self, name)
+            lo, hi = (finite(v, name, ValidationError) for v in getattr(self, name))
             if not 0 <= lo <= hi:
                 raise ValidationError(f"{name} must satisfy 0 <= low <= high")
 
@@ -313,17 +322,27 @@ def instantiate_world(
     )
     q_levels = cfg.qualification_levels
     q_dist = cfg.initial_qualification_distribution
+    max_age = cfg.max_initial_age_months
+    # numpy draws rng.uniform(lo, hi) as lo + (hi - lo) * rng.random() and
+    # rng.normal(0.0, sd) as 0.0 + sd * rng.standard_normal(), so these
+    # cheaper forms take the same stream values to the same bits (its 0.0 +
+    # only turns a -0.0 into 0.0, and a centroid is added next)
+    random, standard_normal, integers = rng.random, rng.standard_normal, rng.integers
+    wage_lo, wage_hi = cfg.initial_wage_bounds
+    size_lo, size_hi = cfg.house_size_bounds
+    quality_lo, quality_hi = cfg.house_quality_bounds
+    savings_lo, savings_hi = cfg.initial_savings_bounds
 
     def add_firm(m: int, centroid: tuple[float, float]) -> None:
         # the firm's three draws, in this order: x, y, then its wage offer
         cx, cy = centroid
-        loc = (cx + float(rng.normal(0.0, JITTER_SD)), cy + float(rng.normal(0.0, JITTER_SD)))
+        loc = (cx + JITTER_SD * standard_normal(), cy + JITTER_SD * standard_normal())
         state.firms.append(Firm(
             id=len(state.firms),
             municipality=m,
             location=loc,
             cash=cfg.initial_firm_cash,
-            wage_offer=float(rng.uniform(*cfg.initial_wage_bounds)),
+            wage_offer=wage_lo + (wage_hi - wage_lo) * random(),
         ))
 
     for muni in region.municipalities:
@@ -340,25 +359,29 @@ def instantiate_world(
         cx, cy = muni.centroid
         size, quality, x, y = [], [], [], []
         for _ in range(n_houses):  # each house's four draws, in this order
-            size.append(float(rng.uniform(*cfg.house_size_bounds)))
-            quality.append(float(rng.uniform(*cfg.house_quality_bounds)))
-            x.append(cx + float(rng.normal(0.0, JITTER_SD)))
-            y.append(cy + float(rng.normal(0.0, JITTER_SD)))
+            size.append(size_lo + (size_hi - size_lo) * random())
+            quality.append(quality_lo + (quality_hi - quality_lo) * random())
+            x.append(cx + JITTER_SD * standard_normal())
+            y.append(cy + JITTER_SD * standard_normal())
         built = state.add_houses([m] * n_houses, size, quality, x, y)
 
         for _ in range(n_firms):
             add_firm(m, muni.centroid)
 
+        # each family's savings, then each member's age and qualification;
+        # the rows are written once the municipality's draws are done
         sizes = _partition(n_citizens, n_families)
-        for k, fam_size in enumerate(sizes):
-            family = state.add_family(built[k], float(rng.uniform(*cfg.initial_savings_bounds)))
+        savings, ages, quals = [], [], []
+        for fam_size in sizes:
+            savings.append(savings_lo + (savings_hi - savings_lo) * random())
             for _ in range(fam_size):
-                age = int(rng.integers(0, cfg.max_initial_age_months))
+                ages.append(int(integers(0, max_age)))
                 if q_dist is None:
-                    qual = int(rng.integers(1, q_levels + 1))
+                    quals.append(int(integers(1, q_levels + 1)))
                 else:
-                    qual = int(rng.choice(q_levels, p=q_dist)) + 1
-                state.add_citizen(family, age, qual)
+                    quals.append(int(rng.choice(q_levels, p=q_dist)) + 1)
+        families = state.add_families(built[:n_families], savings)
+        state.add_citizens(np.repeat(families, sizes), ages, quals)
 
     if not state.firms:
         # every region needs at least one employer, however small the sample

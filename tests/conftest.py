@@ -96,10 +96,9 @@ def add_family(state, muni, members_quals, savings=0.0, fam_id=None, ages=None, 
     Families are indexed by id, so a given id must be the next one.
     """
     home = add_house(state, muni, size, quality, location=location)
-    family = state.add_family(home, savings)
+    [family] = state.add_families([home], [savings])
     assert fam_id is None or fam_id == family
-    for i, qual in enumerate(members_quals):
-        state.add_citizen(family, ages[i] if ages else 360, qual)
+    state.add_citizens([family] * len(members_quals), ages or 360, members_quals)
     return family
 
 

@@ -17,7 +17,8 @@ from metrosim.config import (
     parse_config,
     serialize_config,
 )
-from metrosim.errors import ConfigError
+from metrosim.demographics import MAX_AGE_MONTHS
+from metrosim.errors import ConfigError, ValidationError
 from metrosim.fiscal import CASES
 from metrosim.worldgen import WorldConfig, load_region
 
@@ -317,6 +318,43 @@ def test_market_step_out_of_range_exits_one_before_any_run(tmp_path, capsys, mon
     assert "config error" in err and key in err
     assert not out_dir.exists()
     assert calls == []
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+@pytest.mark.parametrize("key, value", [
+    ("initial_firm_cash", -5), ("initial_cash_months_of_payroll", -0.5),
+    ("labor_entry_age_months", 5000), ("labor_entry_age_months", MAX_AGE_MONTHS),
+    ("labor_entry_age_months", -1),
+    ("initial_savings_bounds", [6.0, 2.0]), ("house_size_bounds", [-1.0, 2.0]),
+    ("initial_wage_bounds", [0.8, math.inf]), ("house_quality_bounds", [math.nan, 2.0]),
+])
+def test_bad_world_value_exits_one_before_any_run(tmp_path, capsys, monkeypatch,
+                                                  command, key, value):
+    # each of these once ran to the end: a firm starting in debt, a region
+    # with no adults, newborns on the labor market
+    calls = []
+    monkeypatch.setattr(cli, "run_scenario", lambda *a, **kw: calls.append(a))
+    monkeypatch.setattr(cli, "run_batch", lambda *a, **kw: calls.append(a) or {})
+    world = {**SMALL_SCENARIO["world"], key: value}
+    cfg_path = write_config(tmp_path, dict(SMALL_SCENARIO, world=world))
+    out_dir = tmp_path / "out"
+    code = cli.main([command, "--config", cfg_path, "--out", str(out_dir)])
+    assert code == cli.EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not out_dir.exists()
+    assert calls == []
+
+
+@pytest.mark.parametrize("bounds", [(0.0, math.inf), (math.nan, 1.0), (-math.inf, 1.0),
+                                    (2.0, 1.0), (-0.5, 1.0)])
+def test_world_draw_bounds_rejected_before_any_draw(bounds):
+    # instantiate_world draws lo + (hi - lo) * u, which raises for none of
+    # these, so its validation is all that stops them
+    cfg = WorldConfig(initial_wage_bounds=bounds)
+    with pytest.raises(ValidationError, match="initial_wage_bounds"):
+        cfg.validate()
+    WorldConfig(initial_wage_bounds=(1.0, 1.0)).validate()
 
 
 def test_bad_config_exits_one(tmp_path, capsys):

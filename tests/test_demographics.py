@@ -221,7 +221,7 @@ def test_population_accounting_exact(make_state):
 def test_simulation_born_matures_at_entry_age(make_state):
     state = make_state()
     family = add_family(state, 0, [10, 12], ages=[400, 420])
-    baby_id = state.add_citizen(family, state.labor_entry_age_months, qualification=1)
+    [baby_id] = state.add_citizens([family], state.labor_entry_age_months, 1)
     state.provisional[baby_id] = True
 
     matured = mature_qualifications(state, rng(21))
@@ -236,8 +236,7 @@ def test_maturation_draws_in_ascending_id_order(make_state):
     high = add_family(state, 0, [20], fam_id=0)
     low = add_family(state, 0, [2], fam_id=1)
     add_family(state, 0, [5] * 5, fam_id=2)  # ids 2..6
-    assert state.add_citizen(high, entry, qualification=1) == 7
-    assert state.add_citizen(low, entry, qualification=1) == 8
+    assert state.add_citizens([high, low], entry, 1) == range(7, 9)
     state.provisional[[8, 7]] = True
 
     assert mature_qualifications(state, rng(7)) == 2

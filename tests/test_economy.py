@@ -267,7 +267,7 @@ def test_zero_income_tax_rate_writes_no_event():
     firm = make_firm(cash=10.0)
     firm.employees = [0]
     savings = np.zeros(1)
-    ledger = TaxLedger()
+    ledger = TaxLedger(1)
     _, taxes = pay([firm], savings, [5], [5.0], employer_column(1, firm.id),
                    TaxRates(personal_income=0.0))
     ledger.add_all(TaxKind.PERSONAL_INCOME, *taxes)
@@ -505,7 +505,7 @@ def shop(savings, firms, savings_rate, rates):
 def test_consume_worked_example():
     savings = np.array([10.0])
     firm = make_firm(price=2.0, inventory=10.0, cash=0.0)
-    ledger = TaxLedger()
+    ledger = TaxLedger(1)
     units, spent, *taxes = shop(savings, [firm], 0.0, TaxRates(consumption=0.2))
     ledger.add_all(TaxKind.CONSUMPTION, *taxes)
     assert units == 5.0
@@ -571,7 +571,7 @@ def test_consume_respects_savings_rate():
 def test_consume_money_conserved():
     savings = np.array([37.0])
     firms = [make_firm(firm_id=i, price=1.0 + i, inventory=5.0, cash=0.0) for i in range(3)]
-    ledger = TaxLedger()
+    ledger = TaxLedger(1)
     before = savings[0]
     units, spent, *taxes = shop(savings, firms, 0.1, TaxRates(consumption=0.18))
     ledger.add_all(TaxKind.CONSUMPTION, *taxes)

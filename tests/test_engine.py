@@ -22,7 +22,9 @@ from metrosim.engine import (
     summarize_runs,
 )
 from metrosim.errors import InvariantViolation, ValidationError
-from metrosim.fiscal import TAX_KINDS, MpfTable, TaxKind, TaxRates, distribute, policy_for_case
+from metrosim.fiscal import (
+    TAX_KINDS, MpfTable, TaxKind, TaxLedger, TaxRates, distribute, policy_for_case,
+)
 from metrosim.housing import HousingParams
 from metrosim.rng import RngStreams
 from metrosim.worldgen import WorldConfig, default_apc_batch, generate_region, instantiate_world
@@ -45,13 +47,7 @@ def start_run(cfg, region, seed):
     """A world at month 0 with its run state and an empty result, as ``run_scenario``
     builds them."""
     state = engine.draw_world(cfg, seed, region)
-    runtime = engine.start_runtime(cfg, state, seed)
-    result = RunResult(apc_id=region.id, case_id=cfg.fiscal.case_id, seed=seed,
-                       municipality_ids=state.municipality_ids)
-    result.inflows = {m: {kind.value: [] for kind in TAX_KINDS} for m in result.municipality_ids}
-    result.taxes_by_kind = {kind.value: [] for kind in TAX_KINDS}
-    result.qli = {m: [] for m in result.municipality_ids}
-    result.populations = {m: [] for m in result.municipality_ids}
+    runtime, result = engine.start_run(cfg, state, seed, region.id)
     return state, runtime, result
 
 
@@ -368,7 +364,7 @@ def apc33_month(months_done=0):
     state, runtime, result = start_run(default_config(), region, seed=0)
     for _ in range(months_done):
         engine.step_month(state, runtime, result)
-    month = engine._Month()
+    month = engine._Month(TaxLedger(len(state.treasuries)))
     return state, runtime, result, month
 
 
@@ -457,12 +453,10 @@ def test_depopulated_municipality_escheats_into_the_pool(make_state, caplog):
     state = make_state(("m00", "m01"))
     add_family(state, 0, [10])
     firm = add_firm(state, 0)
-    month = engine._Month()
+    month = engine._Month(TaxLedger(2))
     month.ledger.add(TaxKind.PROPERTY, 1, 4.0)  # case 3 keeps it in empty m01
     cfg = replace(default_config(), fiscal=FiscalConfig(case_id=3))
-    runtime = engine.start_runtime(cfg, state, seed=0)
-    result = RunResult("r", 3, 0, municipality_ids=["m00", "m01"])
-    result.inflows = {m: {kind.value: [] for kind in TAX_KINDS} for m in ("m00", "m01")}
+    runtime, result = engine.start_run(cfg, state, 0, "r")
     engine.distribution(state, runtime, result, month)
     assert state.escheat_pool == 4.0
     assert state.treasuries[1].balance == 0.0
@@ -572,6 +566,18 @@ def test_batch_runs_equal_fresh_runs(gen_config, reinstantiate, jobs):
                  if t.config.fiscal.case_id == case_id]
         assert len(fresh) == 2
         assert scenario.runs == fresh
+
+
+def test_an_unpickled_world_holds_canonical_arrays(gen_config):
+    # numpy unpickles each array with a non-canonical dtype instance, on
+    # which np.add.at is about ten times slower; every batch run starts from
+    # an unpickled world
+    cfg = gen_config(horizon=1)
+    world = pickle.loads(pickle.dumps(engine.draw_world(cfg, 0, region_of(cfg))))
+    arrays = [value for value in vars(world).values() if isinstance(value, np.ndarray)]
+    assert len(arrays) == 18
+    for array in arrays:
+        assert array.dtype is np.dtype(array.dtype.str)
 
 
 def test_run_task_carries_no_world(gen_config):

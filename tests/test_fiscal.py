@@ -90,7 +90,7 @@ def split(entries):
 
 
 def test_ledger_accumulates_by_kind_and_origin():
-    ledger = TaxLedger()
+    ledger = TaxLedger(2)
     ledger.add(TaxKind.CONSUMPTION, 0, 3.0)
     ledger.add(TaxKind.CONSUMPTION, 0, 2.0)
     ledger.add(TaxKind.CONSUMPTION, 1, 1.0)
@@ -102,7 +102,7 @@ def test_ledger_accumulates_by_kind_and_origin():
 
 
 def test_ledger_rejects_negative_skips_zero():
-    ledger = TaxLedger()
+    ledger = TaxLedger(1)
     with pytest.raises(ValidationError):
         ledger.add(TaxKind.COMPANY, 0, -0.01)
     ledger.add(TaxKind.COMPANY, 0, 0.0)
@@ -121,7 +121,7 @@ def test_ledger_rejects_negative_skips_zero():
 def test_ledger_add_all_matches_add_in_turn(seeded, entries):
     # the same sums to the bit, the same key order (sums over it are
     # order-sensitive) and the same event count as one add per entry
-    one_by_one, batched = TaxLedger(), TaxLedger()
+    one_by_one, batched = TaxLedger(4), TaxLedger(4)
     for ledger in (one_by_one, batched):
         for origin, amount in seeded:
             ledger.add(TaxKind.PROPERTY, origin, amount)
@@ -133,11 +133,24 @@ def test_ledger_add_all_matches_add_in_turn(seeded, entries):
     assert batched.event_count == one_by_one.event_count
 
 
+@pytest.mark.parametrize("origin", [2, 3, -1])
+def test_sized_ledger_rejects_an_origin_outside_the_region(origin):
+    ledger = TaxLedger(2)
+    ledger.add(TaxKind.CONSUMPTION, 0, 1.0)
+    with pytest.raises(ValidationError, match="outside 0..1"):
+        ledger.add(TaxKind.CONSUMPTION, origin, 1.0)
+    with pytest.raises(ValidationError, match="outside 0..1"):
+        ledger.add_all(TaxKind.CONSUMPTION, [1, origin, 0], [1.0, 2.0, 3.0])
+    # neither call moved a sum
+    assert ledger_entries(ledger) == [(TaxKind.CONSUMPTION, 0, (1.0).hex())]
+    assert ledger.event_count == 1
+
+
 def test_ledger_add_all_rejects_negative():
     with pytest.raises(ValidationError):
-        TaxLedger().add_all(TaxKind.PROPERTY, [0, 0], [1.0, -0.01])
+        TaxLedger(1).add_all(TaxKind.PROPERTY, [0, 0], [1.0, -0.01])
     with pytest.raises(ValidationError):
-        TaxLedger().add_all(TaxKind.PROPERTY, [0, -1], [1.0, 2.0])
+        TaxLedger(1).add_all(TaxKind.PROPERTY, [0, -1], [1.0, 2.0])
 
 
 class FlatLedger:
@@ -173,10 +186,12 @@ ENTRY = st.tuples(st.integers(0, 3), st.one_of(st.just(0.0), st.floats(0.0, 1e6)
         max_size=20,
     ),
     negative=st.tuples(st.sampled_from(TAX_KINDS), st.booleans()),
+    n_munis=st.integers(4, 7),
 )
-def test_ledger_matches_a_flat_reference(calls, negative):
-    # interleaved add (one entry) and add_all (a list) calls across kinds
-    ledger, reference = TaxLedger(), FlatLedger()
+def test_ledger_matches_a_flat_reference(calls, negative, n_munis):
+    # interleaved add (one entry) and add_all (a list) calls across kinds,
+    # on a ledger sized to the region, whose origins need not all pay
+    ledger, reference = TaxLedger(n_munis), FlatLedger()
     for kind, entries in calls:
         if isinstance(entries, tuple):
             ledger.add(kind, *entries)
@@ -306,7 +321,7 @@ def test_load_mpf_table(tmp_path):
 
 
 def test_distribute_case1_consumption_worked_example():
-    ledger = TaxLedger()
+    ledger = TaxLedger(2)
     ledger.add(TaxKind.CONSUMPTION, 0, 100.0)
     alloc = distribute(ledger, policy_for_case(1), [75, 25], MpfTable())
     # 18.75 stays local, 81.25 splits by population
@@ -314,7 +329,7 @@ def test_distribute_case1_consumption_worked_example():
 
 
 def test_distribute_case3_is_identity_routing():
-    ledger = TaxLedger()
+    ledger = TaxLedger(2)
     ledger.add(TaxKind.PROPERTY, 1, 2.5)
     ledger.add(TaxKind.PROPERTY, 0, 7.5)
     ledger.add(TaxKind.COMPANY, 1, 1.0)
@@ -326,7 +341,7 @@ def test_distribute_case3_is_identity_routing():
 def test_distribute_single_municipality_case_equivalence():
     allocations = []
     for case_id in (1, 2, 3, 4):
-        ledger = TaxLedger()
+        ledger = TaxLedger(1)
         for kind in TAX_KINDS:
             ledger.add(kind, 0, 11.3)
         allocations.append(distribute(ledger, policy_for_case(case_id), [500], MpfTable()))
@@ -336,7 +351,7 @@ def test_distribute_single_municipality_case_equivalence():
 
 
 def test_distribute_unknown_origin_rejected():
-    ledger = TaxLedger()
+    ledger = TaxLedger(2)
     ledger.add(TaxKind.PROPERTY, 1, 1.0)
     with pytest.raises(ValidationError):
         distribute(ledger, policy_for_case(3), [10], MpfTable())
@@ -349,7 +364,7 @@ def test_distribute_unknown_origin_rejected():
     pops=st.lists(st.integers(1, 500_000), min_size=1, max_size=6),
 )
 def test_distribute_conserves_to_ulp(case_id, amounts, pops):
-    ledger = TaxLedger()
+    ledger = TaxLedger(len(pops))
     for i, amount in enumerate(amounts):
         ledger.add(TAX_KINDS[i % len(TAX_KINDS)], i % len(pops), amount)
     alloc = distribute(ledger, policy_for_case(case_id), pops, MpfTable())

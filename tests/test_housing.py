@@ -546,8 +546,8 @@ def owner_worlds(draw):
         n_houses = {"two houses": 2, "solvent, arrears in two": draw(st.integers(1, 2)),
                     "any": draw(st.integers(1, 3))}.get(role, 1)
         price = draw(st.floats(0.01, 5e4)) if role == "short payer" else None
-        fid = state.add_family(build_house(price=price))
-        member = state.add_citizen(fid, 360, 5)
+        [fid] = state.add_families([build_house(price=price)], [0.0])
+        [member] = state.add_citizens([fid], [360], [5])
         for _ in range(n_houses - 1):
             build_house(owner=fid, price=price)
         state.owned_houses[fid][:] = draw(st.permutations(state.owned_houses[fid]))
@@ -585,8 +585,8 @@ def test_property_tax_matches_the_per_family_loop(world, months):
     state, prices, rates = world
     ref = scalar_world(state)
     plain = scalar_world(state)
-    ledger = TaxLedger()
-    ref_ledger = TaxLedger()
+    ledger = TaxLedger(len(state.treasuries))
+    ref_ledger = TaxLedger(len(state.treasuries))
     ledger.add(TaxKind.PROPERTY, 2, 1.5)  # an origin paid earlier in the month
     ref_ledger.add(TaxKind.PROPERTY, 2, 1.5)
     for _ in range(months):

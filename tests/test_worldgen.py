@@ -3,11 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from metrosim.economy import Firm
 from metrosim.errors import ParseError, ValidationError
-from metrosim.fiscal import sequential_sum
+from metrosim.fiscal import Treasury, sequential_sum
 from metrosim.state import SimulationState
 from metrosim.worldgen import (
+    JITTER_SD,
     MunicipalitySpec,
     RegionSpec,
     WorldConfig,
@@ -273,7 +277,7 @@ def test_fresh_world_has_no_padding_rows():
     state = instantiate_world(small_region(3000), WorldConfig(population_fraction=0.05), rng(4))
     assert len(state.alive) == len(state.age) == state._next_citizen_id == len(living(state))
     assert len(state.live) == len(state.arrears) == len(state.owned_houses)
-    born = state.add_citizen(0, age_months=0, qualification=1)  # the first birth grows
+    [born] = state.add_citizens([0], 0, 1)  # the first birth grows the columns
     assert state.alive[born] and state.family[born] == 0
     assert len(state.alive) > born
 
@@ -318,6 +322,171 @@ def test_qualification_distribution_with_two_levels():
     )
     state = instantiate_world(small_region(5000), cfg, rng(8))
     assert set(state.qualification[living(state)].tolist()) == {2, 20}
+
+
+# ---------------------------------------------------------------------------
+# The bulk draw against the per-draw reference
+# ---------------------------------------------------------------------------
+
+
+def reference_instantiate_world(region, cfg, rng):
+    """``instantiate_world`` as one draw and one row at a time: numpy's
+    ``uniform`` and ``normal``, each family and each citizen written alone."""
+    region.validate()
+    cfg.validate()
+    ids = sorted(muni.id for muni in region.municipalities)
+    index = {muni_id: i for i, muni_id in enumerate(ids)}
+    state = SimulationState(
+        treasuries=[Treasury(municipality_id=muni_id) for muni_id in ids],
+        labor_entry_age_months=cfg.labor_entry_age_months,
+        qualification_levels=cfg.qualification_levels,
+    )
+    q_levels = cfg.qualification_levels
+    q_dist = cfg.initial_qualification_distribution
+
+    def add_firm(m, centroid):
+        cx, cy = centroid
+        loc = (cx + float(rng.normal(0.0, JITTER_SD)), cy + float(rng.normal(0.0, JITTER_SD)))
+        state.firms.append(Firm(
+            id=len(state.firms),
+            municipality=m,
+            location=loc,
+            cash=cfg.initial_firm_cash,
+            wage_offer=float(rng.uniform(*cfg.initial_wage_bounds)),
+        ))
+
+    for muni in region.municipalities:
+        n_citizens = max(1, round(muni.population * cfg.population_fraction))
+        n_families = max(1, round(n_citizens / cfg.mean_family_size))
+        n_firms = round(muni.firm_count * cfg.population_fraction)
+        n_houses = max(n_families + 1, round(muni.housing_stock * cfg.population_fraction))
+        m = index[muni.id]
+        cx, cy = muni.centroid
+        size, quality, x, y = [], [], [], []
+        for _ in range(n_houses):
+            size.append(float(rng.uniform(*cfg.house_size_bounds)))
+            quality.append(float(rng.uniform(*cfg.house_quality_bounds)))
+            x.append(cx + float(rng.normal(0.0, JITTER_SD)))
+            y.append(cy + float(rng.normal(0.0, JITTER_SD)))
+        built = state.add_houses([m] * n_houses, size, quality, x, y)
+        for _ in range(n_firms):
+            add_firm(m, muni.centroid)
+        base, extra = divmod(n_citizens, n_families)
+        sizes = [base + 1] * extra + [base] * (n_families - extra)
+        for k, fam_size in enumerate(sizes):
+            savings = float(rng.uniform(*cfg.initial_savings_bounds))
+            [family] = state.add_families([built[k]], [savings])
+            for _ in range(fam_size):
+                age = int(rng.integers(0, cfg.max_initial_age_months))
+                if q_dist is None:
+                    qual = int(rng.integers(1, q_levels + 1))
+                else:
+                    qual = int(rng.choice(q_levels, p=q_dist)) + 1
+                state.add_citizens([family], [age], [qual])
+
+    if not state.firms:
+        host = max(region.municipalities, key=lambda m: m.population)
+        add_firm(index[host.id], host.centroid)
+
+    adults = np.flatnonzero(state.alive & (state.age >= cfg.labor_entry_age_months)).tolist()
+    n_employed = round(cfg.initial_employment_rate * len(adults))
+    if n_employed:
+        order = rng.permutation(len(adults))
+        for slot in range(n_employed):
+            cid = adults[int(order[slot])]
+            firm = state.firms[slot % len(state.firms)]
+            state.employer[cid] = firm.id
+            state.wage[cid] = firm.wage_offer
+            firm.employees.append(cid)
+
+    for firm in state.firms:
+        payroll = sequential_sum(state.wage[firm.employees].tolist())
+        firm.cash = max(firm.cash, cfg.initial_cash_months_of_payroll * payroll)
+
+    state.money_base = state.money_in_circulation()
+    state.trim()
+    return state
+
+
+WORLD_COLUMNS = (
+    "age", "qualification", "employer", "wage", "family", "alive", "provisional",
+    "savings", "home", "live", "arrears", "house_municipality", "house_size",
+    "house_quality", "house_x", "house_y", "owner", "resident",
+)
+
+
+def world_bits(state):
+    """Every column's dtype and bytes, the houses each family owns, each
+    firm's location, wage offer, cash and staff, and the money base."""
+    return (
+        [(name, getattr(state, name).dtype.str, getattr(state, name).shape,
+          getattr(state, name).tobytes()) for name in WORLD_COLUMNS],
+        state.owned_houses,
+        state._next_citizen_id,
+        [(f.id, f.municipality, f.location[0].hex(), f.location[1].hex(),
+          f.wage_offer.hex(), float(f.cash).hex(), f.employees) for f in state.firms],
+        state.money_base.hex(),
+    )
+
+
+def draw_bounds():
+    # some pairs with lo == hi, where every draw is lo
+    return st.tuples(st.floats(0.0, 5.0), st.one_of(st.just(0.0), st.floats(0.0, 5.0))).map(
+        lambda pair: (pair[0], pair[0] + pair[1])
+    )
+
+
+qualification_weights = st.lists(st.floats(0.0, 1.0), min_size=21, max_size=21).filter(
+    lambda w: sum(w) > 0.1
+).map(lambda w: tuple(v / sum(w) for v in w)).filter(lambda w: abs(sum(w) - 1.0) <= 1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n_munis=st.integers(1, 6),
+    population=st.integers(20, 20_000),
+    skew=st.floats(0.0, 2.0),
+    fraction=st.floats(0.005, 0.2),
+    qualification=st.one_of(st.none(), qualification_weights),
+    bounds=st.tuples(draw_bounds(), draw_bounds(), draw_bounds(), draw_bounds()),
+    seed=st.integers(0, 2**32 - 1),
+)
+# a fraction at which every firm count rounds to zero: the host-firm fallback
+@example(n_munis=3, population=900, skew=1.0, fraction=0.005, qualification=None,
+         bounds=((2.0, 6.0), (0.8, 0.8), (0.5, 2.0), (1.0, 1.0)), seed=3)
+def test_world_draw_matches_the_per_draw_reference_bit_for_bit(
+    n_munis, population, skew, fraction, qualification, bounds, seed
+):
+    region = generate_region(n_munis, population, skew, rng(seed), WorldConfig())
+    savings, wage, size, quality = bounds
+    cfg = WorldConfig(
+        population_fraction=fraction, initial_qualification_distribution=qualification,
+        initial_savings_bounds=savings, initial_wage_bounds=wage,
+        house_size_bounds=size, house_quality_bounds=quality,
+    )
+    bulk_rng, reference_rng = rng(seed), rng(seed)
+    bulk = instantiate_world(region, cfg, bulk_rng)
+    reference = reference_instantiate_world(region, cfg, reference_rng)
+    assert world_bits(bulk) == world_bits(reference)
+    # both drew the same count of values from the stream
+    assert bulk_rng.random() == reference_rng.random()
+    if sum(round(m.firm_count * fraction) for m in region.municipalities) == 0:
+        assert len(bulk.firms) == 1  # the host firm
+
+
+def test_the_draw_forms_are_numpys_uniform_and_normal():
+    # instantiate_world keeps the stream of rng.uniform and rng.normal
+    # through these identities; a numpy release that broke one fails here
+    version = f"numpy {np.__version__}"
+    for seed in range(4):
+        a, b = rng(seed), rng(seed)
+        for lo, hi in ((0.0, 1.0), (0.5, 2.0), (0.8, 1.2), (2.0, 6.0), (3.0, 3.0), (0.0, 0.0),
+                       (1e-300, 1e300)):
+            draws = [float(a.uniform(lo, hi)) for _ in range(500)]
+            assert draws == [lo + (hi - lo) * b.random() for _ in range(500)], version
+        draws = [float(a.normal(0.0, JITTER_SD)).hex() for _ in range(2000)]
+        assert draws == [(JITTER_SD * b.standard_normal()).hex() for _ in range(2000)], version
+        assert a.random() == b.random(), version
 
 
 # ---------------------------------------------------------------------------
