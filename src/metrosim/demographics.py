@@ -161,7 +161,7 @@ def _remove_citizen(state: "SimulationState", citizen_id: int) -> None:
     state.provisional[citizen_id] = False
     employer = int(state.employer[citizen_id])
     if employer >= 0:
-        state.firms[employer].employees.remove(citizen_id)
+        state.employees[employer].remove(citizen_id)
         state.employer[citizen_id] = -1
     family = state.family.item(citizen_id)
     state.family[citizen_id] = -1

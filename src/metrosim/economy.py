@@ -2,41 +2,27 @@
 
 Firms produce a homogeneous good from employee qualification, adjust price
 and wage offers on inventory/cash signals, and compete for workers by wage.
-Families consume from sampled firms, cheapest first. Production and the
-payroll each run as one pass over every firm per month. No function here
-writes the month's ledger: each tax's municipality index and amount are
-appended to the ``TaxEntries`` lists the caller passes (the payroll and
-consumption return their taxes as arrays), and the engine writes each
-phase's entries with one ``TaxLedger.add_all``.
+Families consume from sampled firms, cheapest first. A firm is a row of the
+``SimulationState`` firm columns, and production, pricing, wage offers, the
+payroll and the profit tax each run as one pass over every firm per month.
+No function here writes the month's ledger: the payroll, consumption and
+the profit tax return their taxes as arrays of municipality index and
+amount, in firm or purchase order, and the engine writes each phase's
+taxes with one ``TaxLedger.add_all``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .fiscal import TaxEntries, TaxRates
+from .fiscal import TaxRates
 
-
-@dataclass(slots=True)
-class Firm:
-    id: int
-    municipality: int  # index, see SimulationState
-    location: tuple[float, float]
-    cash: float
-    inventory: float = 0.0
-    price: float = 1.0
-    wage_offer: float = 1.0
-    employees: list[int] = field(default_factory=list)
-    cumulative_profit: float = 0.0  # since the last profit-tax settlement
-    # trailing-month signals used by the decision rules
-    last_production: float = 0.0
-    revenue_this_month: float = 0.0
-    payroll_this_month: float = 0.0
-    vacancy_unfilled: bool = False
+if TYPE_CHECKING:
+    from .state import SimulationState
 
 
 @dataclass
@@ -93,13 +79,12 @@ def output_per_worker(params: MarketParams, levels: int) -> np.ndarray:
     return np.array([q**beta for q in range(levels + 1)], dtype=float)
 
 
-def _payroll_order(firms: Sequence[Firm]) -> tuple[np.ndarray, np.ndarray]:
+def _payroll_order(employees: Sequence[list[int]]) -> tuple[np.ndarray, np.ndarray]:
     """Every employee in firm order, then payroll order, as an index array, and
-    its firm's position in ``firms``."""
-    staffs = [firm.employees for firm in firms]
-    sizes = np.fromiter(map(len, staffs), dtype=np.intp, count=len(staffs))
-    staff = np.fromiter(chain.from_iterable(staffs), dtype=np.intp, count=int(sizes.sum()))
-    return staff, np.repeat(np.arange(len(firms)), sizes)
+    its firm's id."""
+    sizes = np.fromiter(map(len, employees), dtype=np.intp, count=len(employees))
+    staff = np.fromiter(chain.from_iterable(employees), dtype=np.intp, count=int(sizes.sum()))
+    return staff, np.repeat(np.arange(len(employees)), sizes)
 
 
 def _per_firm_sums(owner: np.ndarray, values: np.ndarray, n_firms: int) -> np.ndarray:
@@ -108,76 +93,75 @@ def _per_firm_sums(owner: np.ndarray, values: np.ndarray, n_firms: int) -> np.nd
     return np.bincount(owner, weights=values, minlength=n_firms).astype(float, copy=False)
 
 
-def produce(
-    firms: Sequence[Firm], qualification: np.ndarray, output: np.ndarray, params: MarketParams
-) -> list[float]:
-    """Add this month's output to every firm's inventory; returns the units, by firm.
+def produce(state: SimulationState, output: np.ndarray, params: MarketParams) -> np.ndarray:
+    """Add this month's output to every firm's inventory; returns the units, by firm id.
 
     A firm's output is alpha * sum(q^beta) over its current employees, in
-    payroll order. ``qualification`` is the citizen column and ``output`` the
-    ``output_per_worker`` table. No money moves.
+    payroll order. ``output`` is the ``output_per_worker`` table. No money
+    moves.
     """
-    staff, owner = _payroll_order(firms)
-    totals = _per_firm_sums(owner, output[qualification[staff]], len(firms))
-    units = (params.productivity_alpha * totals).tolist()
-    for firm, made in zip(firms, units):
-        firm.inventory += made
-        firm.last_production = made
+    staff, owner = _payroll_order(state.employees)
+    totals = _per_firm_sums(owner, output[state.qualification[staff]], len(state.employees))
+    units = params.productivity_alpha * totals
+    state.inventory += units
+    state.last_production[:] = units
     return units
 
 
-def set_price(firm: Firm, params: MarketParams) -> None:
-    """Inventory-signal pricing: raise when sold out, cut on a glut, floor below."""
-    if firm.inventory <= params.sold_out_level:
-        firm.price *= 1.0 + params.price_step
-    elif firm.last_production > 0 and firm.inventory > params.inventory_glut_months * firm.last_production:
-        firm.price *= 1.0 - params.price_step
-    if firm.price < params.price_floor:
-        firm.price = params.price_floor
+def set_price(state: SimulationState, params: MarketParams) -> None:
+    """Inventory-signal pricing of every firm: raise when sold out, cut on a glut,
+    floor below."""
+    inventory, made, price = state.inventory, state.last_production, state.price
+    sold_out = inventory <= params.sold_out_level
+    glut = ~sold_out & (made > 0) & (inventory > params.inventory_glut_months * made)
+    price[sold_out] *= 1.0 + params.price_step
+    price[glut] *= 1.0 - params.price_step
+    price[price < params.price_floor] = params.price_floor
 
 
-def set_wage_and_vacancy(firm: Firm, params: MarketParams) -> bool:
-    """Adjust the wage offer and decide whether to post a vacancy.
+def set_wage_and_vacancy(state: SimulationState, params: MarketParams) -> np.ndarray:
+    """Adjust every firm's wage offer and decide which firms post a vacancy.
 
-    The offer rises after a vacancy went unfilled, falls when cash cannot
-    cover the payroll due. A vacancy is posted when the month ends with
-    empty inventory (excess demand). Returns the vacancy decision.
+    An offer rises after a vacancy went unfilled and falls when cash cannot
+    cover the payroll due. The unfilled signal is consumed, set again only
+    by a new failed round. A vacancy is posted when the month ends with
+    empty inventory (excess demand). Returns the posting firms' ids,
+    ascending.
     """
-    payroll_due = firm.payroll_this_month
-    if firm.vacancy_unfilled:
-        firm.wage_offer *= 1.0 + params.wage_step
-        firm.vacancy_unfilled = False  # signal consumed; set again only by a new failed round
-    elif payroll_due > 0 and firm.cash < payroll_due:
-        firm.wage_offer *= 1.0 - params.wage_step
-    return firm.inventory <= params.sold_out_level
+    unfilled, due = state.vacancy_unfilled, state.payroll_this_month
+    short = ~unfilled & (due > 0) & (state.cash < due)
+    state.wage_offer[unfilled] *= 1.0 + params.wage_step
+    state.wage_offer[short] *= 1.0 - params.wage_step
+    unfilled[:] = False
+    return np.flatnonzero(state.inventory <= params.sold_out_level)
 
 
 def run_labor_market(
-    vacancies: Sequence[Firm],
+    vacancies: Sequence[int],
     candidates: Sequence[int],
-    qualification: np.ndarray,
+    state: SimulationState,
     residences: Mapping[int, tuple[float, float]],
     params: MarketParams,
     rng: np.random.Generator,
 ) -> list[tuple[int, int]]:
-    """Match vacancy-posting firms to unemployed candidates (citizen ids).
+    """Match vacancy-posting firms (firm ids) to unemployed candidates (citizen ids).
 
     Firms offering higher wages pick first. Each firm draws a sample of
-    candidates and hires the most qualified of them (``qualification`` is
-    the citizen column), except that with probability
-    ``proximity_hire_share`` it hires the sample's nearest-residence
-    candidate instead. One hire per vacancy; each candidate is matched at
-    most once. Returns (firm_id, citizen_id) pairs and flags firms whose
-    vacancy went unfilled.
+    candidates and hires the most qualified of them, except that with
+    probability ``proximity_hire_share`` it hires the sample's
+    nearest-residence candidate instead. One hire per vacancy; each
+    candidate is matched at most once, so the firms that find the pool empty
+    are the last in order. Returns (firm_id, citizen_id) pairs and flags
+    ``vacancy_unfilled`` of the firms whose vacancy went unfilled.
     """
-    order = sorted(vacancies, key=lambda f: (-f.wage_offer, f.id))
+    offer, firm_x, firm_y = state.wage_offer, state.firm_x, state.firm_y
+    order = sorted(map(int, vacancies), key=lambda f: (-offer.item(f), f))
     pool = list(candidates)
-    quals = qualification[pool].tolist()
+    quals = state.qualification[pool].tolist()
     matches: list[tuple[int, int]] = []
     for firm in order:
         if not pool:
-            firm.vacancy_unfilled = True
-            continue
+            break
         k = min(params.labor_candidate_sample, len(pool))
         if k == len(pool):
             sample_idx = range(len(pool))
@@ -186,7 +170,7 @@ def run_labor_market(
         by_proximity = params.proximity_hire_share > 0 and rng.random() < params.proximity_hire_share
         best_i = None
         best_key = None
-        fx, fy = firm.location
+        fx, fy = firm_x.item(firm), firm_y.item(firm)
         for i in sample_idx:
             cid = pool[i]
             if by_proximity:
@@ -200,94 +184,83 @@ def run_labor_market(
                 best_i = i
         hired = pool.pop(best_i)
         quals.pop(best_i)
-        matches.append((firm.id, hired))
-        firm.vacancy_unfilled = False
+        matches.append((firm, hired))
+    state.vacancy_unfilled[order[:len(matches)]] = False
+    state.vacancy_unfilled[order[len(matches):]] = True
     return matches
 
 
-def _release_until_affordable(
-    firm: Firm, payroll: float, qualification: np.ndarray, wage: np.ndarray,
-    employer: np.ndarray,
-) -> float:
-    """Fire-and-shrink: release the least qualified employees until cash covers
-    the payroll; returns the payroll left, with its subtraction sequence.
+def _release_until_affordable(state: SimulationState, firm: int, payroll: float) -> float:
+    """Fire-and-shrink: release firm ``firm``'s least qualified employees until its
+    cash covers the payroll; returns the payroll left, with its subtraction
+    sequence.
 
     The kept employees become the payroll, most qualified first.
     """
+    staff = state.employees[firm]
     ranked = sorted(
-        zip(qualification[firm.employees].tolist(), firm.employees),
+        zip(state.qualification[staff].tolist(), staff),
         key=lambda qc: (qc[0], -qc[1]), reverse=True,
     )
     staff = [cid for _, cid in ranked]
+    cash = state.cash.item(firm)
     # walk from the least qualified end, releasing until affordable
-    while staff and firm.cash < payroll:
+    while staff and cash < payroll:
         released = staff.pop()
-        payroll -= wage.item(released)
-        employer[released] = -1
-        wage[released] = 0.0
-    firm.employees = staff
+        payroll -= state.wage.item(released)
+        state.employer[released] = -1
+        state.wage[released] = 0.0
+    state.employees[firm] = staff
     return payroll
 
 
-def pay_wages(
-    firms: Sequence[Firm],
-    savings: np.ndarray,
-    family: np.ndarray,
-    qualification: np.ndarray,
-    wage: np.ndarray,
-    employer: np.ndarray,
-    rates: TaxRates,
-) -> tuple[np.ndarray, np.ndarray]:
+def pay_wages(state: SimulationState, rates: TaxRates) -> tuple[np.ndarray, np.ndarray]:
     """Pay every firm's month-end payroll, splitting each wage into take-home and tax.
 
-    ``savings`` is the family column; ``family``, ``qualification``, ``wage``
-    and ``employer`` are citizen columns. A payroll is its employees' wages
-    summed in payroll order from 0.0. If cash cannot cover it, the firm
-    releases its least qualified employees until it can (fire-and-shrink),
-    which keeps cash non-negative at month end; a released citizen's
-    ``employer`` becomes -1 and its ``wage`` 0.0. Families are credited in
-    firm order, then payroll order, one take-home pay at a time
-    (``np.add.at``), as a loop over employees adds.
-    The gross payroll paid is left in ``firm.payroll_this_month``; a firm
-    without employees pays and records 0.0. Returns each employee's income tax, in
-    the same order, as parallel arrays of municipality index and amount:
-    the tax is computed as an array, and ``TaxLedger.add_all`` takes it so.
+    A payroll is its employees' wages summed in payroll order from 0.0. If
+    cash cannot cover it, the firm releases its least qualified employees
+    until it can (fire-and-shrink), which keeps cash non-negative at month
+    end up to the rounding residual of a payroll whose staff are all
+    released; a released citizen's ``employer`` becomes -1 and its ``wage``
+    0.0. Families' ``savings`` are credited in firm order, then payroll
+    order, one take-home pay at a time (``np.add.at``), as a loop over
+    employees adds. The gross payroll paid is left in
+    ``payroll_this_month``; a firm without employees pays and records 0.0.
+    Returns each employee's income tax, in the same order, as parallel
+    arrays of municipality index and amount: the tax is computed as an
+    array, and ``TaxLedger.add_all`` takes it so.
     """
-    index, owner = _payroll_order(firms)
+    employees, wage = state.employees, state.wage
+    index, owner = _payroll_order(employees)
     gross = wage[index]
-    payrolls = _per_firm_sums(owner, gross, len(firms)).tolist()
-    shrunk = False
-    for i, firm in enumerate(firms):
-        if firm.cash < payrolls[i]:
-            payrolls[i] = _release_until_affordable(
-                firm, payrolls[i], qualification, wage, employer
-            )
-            shrunk = True
-    if shrunk:
-        index, owner = _payroll_order(firms)
+    payrolls = _per_firm_sums(owner, gross, len(employees))
+    short = np.flatnonzero(state.cash < payrolls).tolist()
+    for f in short:
+        payrolls[f] = _release_until_affordable(state, f, payrolls.item(f))
+    if short:
+        index, owner = _payroll_order(employees)
         gross = wage[index]
     tax = gross * rates.personal_income
-    np.add.at(savings, family[index], gross - tax)
-    for firm, payroll in zip(firms, payrolls):
-        firm.cash -= payroll
-        firm.cumulative_profit -= payroll
-        firm.payroll_this_month = payroll
-    return np.array([firm.municipality for firm in firms], dtype=np.intp)[owner], tax
+    np.add.at(state.savings, state.family[index], gross - tax)
+    state.cash -= payrolls
+    state.cumulative_profit -= payrolls
+    state.payroll_this_month[:] = payrolls
+    return state.firm_municipality[owner], tax
 
 
-def rank_samples(firms: Sequence[Firm], picks: np.ndarray) -> tuple[list[Firm], np.ndarray]:
-    """Rank ``firms`` by (price, id) once, and each row of ``picks`` by that rank.
+def rank_samples(price: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank the firms by (price, id) once, and each row of ``picks`` by that rank.
 
-    Returns the ranked firm list and, for every row of ``picks`` (indices
-    into ``firms``), its ranks in ascending order, as one integer matrix:
-    ``ranked[r]`` for ``r`` in a row is that sample's firms cheapest first,
-    and a firm picked twice appears twice. Prices must stay fixed until the
-    samples are consumed, as they do between production and ``set_price``.
+    ``price`` is the firm column. Returns the firm ids in rank order and,
+    for every row of ``picks`` (firm ids), its ranks in ascending order, as
+    one integer matrix: firm ``ranked[r]`` for ``r`` in a row is that
+    sample's firms cheapest first, and a firm picked twice appears twice.
+    Prices must stay fixed until the samples are consumed, as they do
+    between production and ``set_price``.
     """
-    order = np.lexsort(([f.id for f in firms], [f.price for f in firms]))
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    ranked = [firms[i] for i in order.tolist()]
+    ranked = np.argsort(price, kind="stable")  # ties stay in id order
+    rank = np.empty_like(ranked)
+    rank[ranked] = np.arange(len(ranked))
     return ranked, np.sort(rank[picks], axis=1)
 
 
@@ -305,10 +278,10 @@ def shopping_budgets(
 
 
 def consume(
-    savings: np.ndarray,
+    state: SimulationState,
     shoppers: np.ndarray,
     budgets: np.ndarray,
-    ranked: Sequence[Firm],
+    ranked: np.ndarray,
     rank_rows: np.ndarray,
     rates: TaxRates,
 ) -> tuple[float, float, np.ndarray, np.ndarray]:
@@ -316,11 +289,12 @@ def consume(
 
     ``shoppers`` are family ids and ``budgets`` their budgets, as
     ``shopping_budgets`` gives them. ``ranked`` and ``rank_rows`` come from
-    ``rank_samples``: shopper ``i`` shops at ``ranked[r]`` for ``r`` in
+    ``rank_samples``: shopper ``i`` shops at firm ``ranked[r]`` for ``r`` in
     ``rank_rows[i]``, cheapest first, skipping firms without stock, and
     buys ``min(budget / price, stock)`` at each until its budget is at most
-    1e-12 or its sample runs out. Unspent budget stays in ``savings`` (the
-    family column), from which each shopper's spending is subtracted once.
+    1e-12 or its sample runs out. Unspent budget stays in ``savings``, from
+    which each shopper's spending is subtracted once. The firm columns the
+    month reads and writes are gathered in rank order and scattered back.
 
     The month runs as one pass and then a walk, with the bits of a walk over
     every shopper. The pass takes the shoppers in order up to the month's
@@ -339,12 +313,12 @@ def consume(
     over the pass), and each purchase's nonzero consumption tax, in purchase
     order, as arrays of municipality index and amount for ``add_all``.
     """
+    savings = state.savings
     n_firms = len(ranked)
-    stock = np.array([firm.inventory for firm in ranked], dtype=float)
-    price = np.array([firm.price for firm in ranked], dtype=float)
-    muni = np.array([firm.municipality for firm in ranked], dtype=np.intp)
+    stock = state.inventory[ranked]
+    price = state.price[ranked]
+    muni = state.firm_municipality[ranked]
     rate = rates.consumption
-
     # the pass: every shopper's whole budget at its first firm in stock; a
     # shopper without one buys nothing
     in_stock = (stock > 0.0)[rank_rows]
@@ -377,9 +351,9 @@ def consume(
     takings = paid[buyer[:n_pass]]
     tax = takings * rate
     net = takings - tax
-    cash = np.array([firm.cash for firm in ranked], dtype=float)
-    revenue = np.array([firm.revenue_this_month for firm in ranked], dtype=float)
-    profit = np.array([firm.cumulative_profit for firm in ranked], dtype=float)
+    cash = state.cash[ranked]
+    revenue = state.revenue_this_month[ranked]
+    profit = state.cumulative_profit[ranked]
     for column in (cash, revenue, profit):
         np.add.at(column, at, net)
     taxed = tax != 0.0
@@ -427,11 +401,10 @@ def consume(
         units_month += units_total
         spent_month += spent_total
     savings[shoppers[end:]] -= spent_by
-    for firm, stock, money, income, accrued in zip(ranked, inventory, cash, revenue, profit):
-        firm.inventory = stock
-        firm.cash = money
-        firm.revenue_this_month = income
-        firm.cumulative_profit = accrued
+    state.inventory[ranked] = inventory
+    state.cash[ranked] = cash
+    state.revenue_this_month[ranked] = revenue
+    state.cumulative_profit[ranked] = profit
     return (
         units_month, spent_month,
         np.concatenate((pass_munis, np.array(tax_munis, dtype=np.intp))),
@@ -439,14 +412,16 @@ def consume(
     )
 
 
-def settle_profit_tax(firm: Firm, rates: TaxRates, taxes: TaxEntries) -> None:
-    """Tax the period's profit if positive, into ``taxes``; reset the accumulator."""
-    profit = firm.cumulative_profit
-    firm.cumulative_profit = 0.0
-    if profit <= 0.0:
-        return
+def settle_profit_tax(state: SimulationState, rates: TaxRates) -> tuple[np.ndarray, np.ndarray]:
+    """Tax every firm's period profit where positive, and reset the accumulators.
+
+    Returns the nonzero taxes in firm order, as arrays of municipality index
+    and amount.
+    """
+    profit = state.cumulative_profit
     tax = profit * rates.company
-    if tax:
-        firm.cash -= tax
-        taxes[0].append(firm.municipality)
-        taxes[1].append(tax)
+    taxed = (profit > 0.0) & (tax != 0.0)
+    tax = tax[taxed]
+    state.cash[taxed] -= tax
+    profit[:] = 0.0
+    return state.firm_municipality[taxed], tax

@@ -27,7 +27,6 @@ from .demographics import (
     step_ages,
 )
 from .economy import (
-    Firm,
     consume,
     output_per_worker,
     pay_wages,
@@ -101,10 +100,10 @@ class _Runtime:
     policy: DistributionPolicy
     mpf_table: MpfTable
     vital_rates: VitalRates
-    # by municipality index, the firms paid for its public works: its own in
-    # id order, or the region's where it has none; firms are fixed (see
-    # SimulationState), so this holds all run
-    contractors: list[list[Firm]]
+    # by municipality index, the ids of the firms paid for its public works:
+    # its own in id order, or the region's where it has none; firms are fixed
+    # (see SimulationState), so this holds all run
+    contractors: list[list[int]]
     output_per_worker: np.ndarray  # q**beta by qualification q
     # the result's inflow series by municipality index, kinds in TAX_KINDS order
     inflows: list[list[list[float]]]
@@ -122,7 +121,7 @@ class _Month:
     gdp_value: float = 0.0
     units_consumed: float = 0.0
     spent_total: float = 0.0
-    vacancy_firms: list[Firm] = field(default_factory=list)
+    vacancies: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.intp))  # firm ids
     house_prices: np.ndarray = field(default_factory=lambda: np.zeros(0))  # by house id
     sales: int = 0
     populations: list[int] = field(default_factory=list)  # by municipality index
@@ -132,12 +131,9 @@ class _Month:
 
 def production(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
     """Firms turn employee qualification into inventory, valued at last month's price."""
-    units = produce(
-        state.firms, state.qualification, runtime.output_per_worker, runtime.config.market
-    )
-    for firm, made in zip(state.firms, units):
-        month.gdp_value += made * firm.price
-        firm.revenue_this_month = 0.0
+    units = produce(state, runtime.output_per_worker, runtime.config.market)
+    month.gdp_value = sequential_sum((units * state.price).tolist())
+    state.revenue_this_month[:] = 0.0
 
 
 def demographics(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
@@ -152,8 +148,9 @@ def consumption(state: SimulationState, runtime: _Runtime, result: RunResult, mo
     """Every live family buys from a uniform sample of firms, cheapest first."""
     market = runtime.config.market
     family_ids = np.flatnonzero(state.live)
-    k = min(market.consumption_firm_sample, len(state.firms))
-    sample_matrix = runtime.rng.consumption.integers(0, len(state.firms), size=(len(family_ids), k))
+    n_firms = len(state.employees)
+    k = min(market.consumption_firm_sample, n_firms)
+    sample_matrix = runtime.rng.consumption.integers(0, n_firms, size=(len(family_ids), k))
     # one draw per family, in family order: the same stream values as a
     # scalar draw per family
     savings_rates = runtime.rng.consumption.uniform(
@@ -161,34 +158,31 @@ def consumption(state: SimulationState, runtime: _Runtime, result: RunResult, mo
     )
     shopping, budgets = shopping_budgets(state.savings, family_ids, savings_rates)
     # prices hold until set_price, so one ranking serves every shopper
-    ranked, rank_rows = rank_samples(state.firms, sample_matrix[shopping])
+    ranked, rank_rows = rank_samples(state.price, sample_matrix[shopping])
     month.units_consumed, month.spent_total, *taxes = consume(
-        state.savings, family_ids[shopping], budgets, ranked, rank_rows, runtime.config.tax_rates,
+        state, family_ids[shopping], budgets, ranked, rank_rows, runtime.config.tax_rates,
     )
     month.ledger.add_all(TaxKind.CONSUMPTION, *taxes)
 
 
 def firm_decisions(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
     """Price from the inventory signal, then the wage offer and vacancy."""
-    for firm in state.firms:
-        set_price(firm, runtime.config.market)
-        if set_wage_and_vacancy(firm, runtime.config.market):
-            month.vacancy_firms.append(firm)
+    set_price(state, runtime.config.market)
+    month.vacancies = set_wage_and_vacancy(state, runtime.config.market)
 
 
 def labor(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
     """The unemployed adults fill the vacancies; highest wage offers pick first."""
-    if not month.vacancy_firms:
+    if not len(month.vacancies):
         return
     matches = run_labor_market(
-        month.vacancy_firms, state.unemployed_adults(), state.qualification, state.residences(),
+        month.vacancies, state.unemployed_adults(), state, state.residences(),
         runtime.config.market, runtime.rng.labor,
     )
-    for firm_id, citizen_id in matches:
-        firm = state.firms[firm_id]
-        state.employer[citizen_id] = firm_id
-        state.wage[citizen_id] = firm.wage_offer
-        firm.employees.append(citizen_id)
+    for firm, citizen_id in matches:
+        state.employer[citizen_id] = firm
+        state.wage[citizen_id] = state.wage_offer[firm]
+        state.employees[firm].append(citizen_id)
 
 
 def housing(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
@@ -206,16 +200,11 @@ def housing(state: SimulationState, runtime: _Runtime, result: RunResult, month:
 def taxes(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
     """Wages (income tax), property, and company profit on its cadence."""
     cfg = runtime.config
-    wage_taxes = pay_wages(state.firms, state.savings, state.family, state.qualification,
-                           state.wage, state.employer, cfg.tax_rates)
-    month.ledger.add_all(TaxKind.PERSONAL_INCOME, *wage_taxes)
+    month.ledger.add_all(TaxKind.PERSONAL_INCOME, *pay_wages(state, cfg.tax_rates))
     property_taxes = collect_property_tax(state, month.house_prices, cfg.tax_rates)
     month.ledger.add_all(TaxKind.PROPERTY, *property_taxes)
     if (state.month + 1) % cfg.fiscal.profit_tax_cadence_months == 0:
-        profit_taxes: TaxEntries = ([], [])
-        for firm in state.firms:
-            settle_profit_tax(firm, cfg.tax_rates, profit_taxes)
-        month.ledger.add_all(TaxKind.COMPANY, *profit_taxes)
+        month.ledger.add_all(TaxKind.COMPANY, *settle_profit_tax(state, cfg.tax_rates))
 
 
 def distribution(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
@@ -237,6 +226,7 @@ def distribution(state: SimulationState, runtime: _Runtime, result: RunResult, m
                 f"{kind.value}: collected {pool!r} vs allocated {allocated!r}",
             )
     by_muni = zip(result.municipality_ids, zip(*rows), runtime.inflows)
+    procured = []
     for m, (muni, amounts, inflows) in enumerate(by_muni):
         total_alloc = 0.0
         for series, amount in zip(inflows, amounts):
@@ -254,10 +244,10 @@ def distribution(state: SimulationState, runtime: _Runtime, result: RunResult, m
             state.treasuries[m], total_alloc, population, cfg.fiscal.qli_unit_cost
         )
         state.escheat_pool += escheated
-        # public procurement: the works are bought from the municipality's
-        # firms, or the region's where it has none, so taxes recirculate
-        if spent > 0.0:
-            pay_procurement(spent, runtime.contractors[m])
+        procured.append(spent)
+    # public procurement: the works are bought from the municipality's firms,
+    # or the region's where it has none, so taxes recirculate
+    pay_procurement(state, procured, runtime.contractors)
     runtime.money_ops += (
         month.ledger.event_count + month.sales + int(np.count_nonzero(state.live))
     )
@@ -269,9 +259,7 @@ def metrics(state: SimulationState, runtime: _Runtime, result: RunResult, month:
     adults = int(np.count_nonzero(adult))
     employed = int(np.count_nonzero(adult & (state.employer >= 0)))
     month.employed = employed
-    profit_total = 0.0
-    for firm in state.firms:
-        profit_total += firm.revenue_this_month - firm.payroll_this_month
+    profit_total = sequential_sum((state.revenue_this_month - state.payroll_this_month).tolist())
     result.gdp_value.append(month.gdp_value)
     base = result.gdp_value[0]
     result.gdp_index.append(100.0 * month.gdp_value / base if base > 0 else 0.0)
@@ -285,10 +273,9 @@ def metrics(state: SimulationState, runtime: _Runtime, result: RunResult, month:
     if math.isfinite(unit_value):
         runtime.prev_unit_value = unit_value
     result.unemployment.append((adults - employed) / adults if adults else 0.0)
-    result.avg_workers_per_firm.append(
-        sum(len(f.employees) for f in state.firms) / len(state.firms)
-    )
-    result.avg_firm_profit.append(profit_total / len(state.firms))
+    n_firms = len(state.employees)
+    result.avg_workers_per_firm.append(sum(map(len, state.employees)) / n_firms)
+    result.avg_firm_profit.append(profit_total / n_firms)
     result.units_consumed.append(units)
     for kind in TAX_KINDS:
         result.taxes_by_kind[kind.value].append(month.collected[kind])
@@ -306,7 +293,7 @@ def audit(state: SimulationState, runtime: _Runtime, result: RunResult, month: _
     if drift > CURRENCY_UNIT * (1.0 + runtime.money_ops / 1e6):
         raise InvariantViolation(closed, "money-conservation", f"audit drift {drift!r}")
     employed = month.employed  # adults only, so an employed minor fails too
-    on_payroll = sum(len(f.employees) for f in state.firms)
+    on_payroll = sum(map(len, state.employees))
     if employed != on_payroll:
         raise InvariantViolation(
             closed, "employment-consistency", f"{employed} employed vs {on_payroll} on payrolls"
@@ -354,16 +341,15 @@ def start_run(
     for kind in TAX_KINDS:
         result.taxes_by_kind[kind.value] = []
     path = config.fiscal.mpf_table_file
-    local: list[list[Firm]] = [[] for _ in state.treasuries]
-    for firm in state.firms:
-        local[firm.municipality].append(firm)
+    municipality = state.firm_municipality
+    local = [np.flatnonzero(municipality == m).tolist() for m in range(len(state.treasuries))]
     runtime = _Runtime(
         config=config,
         rng=RngStreams(seed),
         policy=policy_for_case(config.fiscal.case_id),
         mpf_table=read_mpf_table(path) if path else MpfTable(),
         vital_rates=VitalRates(DEFAULT_VITAL_BRACKETS),
-        contractors=[firms or state.firms for firms in local],
+        contractors=[firms or list(range(len(state.employees))) for firms in local],
         output_per_worker=output_per_worker(config.market, state.qualification_levels),
         inflows=[list(result.inflows[muni].values()) for muni in result.municipality_ids],
         frozen_populations=state.populations() if config.fiscal.freeze_mpf_shares else None,

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ParseError, ValidationError, columns, finite
 
 if TYPE_CHECKING:
-    from .economy import Firm
+    from .state import SimulationState
 
 log = logging.getLogger(__name__)
 
@@ -84,13 +84,13 @@ class TaxLedger:
     Each month gets a fresh ledger, ``engine._Month.ledger``, sized to the
     region's ``n_munis`` municipalities, which lives as long as the month.
     Origins are municipality indices in ``0 .. n_munis - 1``; any other is
-    rejected before a sum moves. Tax producers never write here: they append
-    each entry's index and amount to a pair of parallel lists (see
-    ``TaxEntries``), and the engine writes each phase's entries of one kind
-    with one ``add_all``. The sums are one kind x municipality array, one
-    row per kind in ``TAX_KINDS`` order, and grow entry by entry in entry
-    order, from 0.0, across every write of the month, so each has the bits
-    of a left-to-right sum. ``by_kind`` lists the origins in first-payment
+    rejected before a sum moves. Tax producers never write here: they return
+    each entry's index and amount as parallel arrays, or append them to a
+    pair of parallel lists (``TaxEntries``), and the engine writes each
+    phase's entries of one kind with one ``add_all``. The sums are one kind
+    x municipality array, one row per kind in ``TAX_KINDS`` order, and grow
+    entry by entry in entry order, from 0.0, across every write of the
+    month, so each has the bits of a left-to-right sum. ``by_kind`` lists the origins in first-payment
     order. ``add`` stays as the one-entry reference that ``add_all`` must
     match bit for bit.
     """
@@ -496,19 +496,29 @@ def invest(
     return invested, 0.0
 
 
-def pay_procurement(spent: float, firms: Sequence[Firm]) -> None:
-    """Pay ``spent`` for public works to ``firms`` as revenue, in equal parts.
+def pay_procurement(
+    state: SimulationState, spent: Sequence[float], contractors: Sequence[list[int]]
+) -> None:
+    """Pay each municipality's ``spent[m]`` for public works to the distinct firm
+    ids ``contractors[m]`` as revenue, in equal parts.
 
-    The first firm takes the remainder, so the parts sum to ``spent`` exactly.
+    The first firm takes the remainder, so the parts sum to ``spent[m]``
+    exactly: ``paid`` adds the other parts left to right from 0.0. The
+    municipalities pay in order, firm by firm, onto lists of the three firm
+    columns, which are written back once.
     """
-    share = spent / len(firms)
-    paid = 0.0
-    for firm in firms[1:]:
-        firm.cash += share
-        firm.cumulative_profit += share
-        firm.revenue_this_month += share
-        paid += share
-    first = firms[0]
-    first.cash += spent - paid
-    first.cumulative_profit += spent - paid
-    first.revenue_this_month += spent - paid
+    columns = (state.cash, state.cumulative_profit, state.revenue_this_month)
+    cash, profit, revenue = values = [column.tolist() for column in columns]
+    for amount, firms in zip(spent, contractors):
+        if amount > 0.0:
+            share = amount / len(firms)
+            paid = 0.0
+            for firm in firms[1:]:
+                cash[firm] += share
+                profit[firm] += share
+                revenue[firm] += share
+                paid += share
+            for column in values:
+                column[firms[0]] += amount - paid
+    for column, paid_in in zip(columns, values):
+        column[:] = paid_in

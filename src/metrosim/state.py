@@ -10,7 +10,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .economy import Firm
 from .errors import ValidationError
 from .fiscal import Treasury
 
@@ -26,8 +25,14 @@ class SimulationState:
     by index. A citizen lives in its family's home, so ``populations()``
     counts the living by their home's municipality.
 
-    Firms are fixed for a run, so they are a list indexed by id:
-    ``firms[i].id == i``.
+    A firm is one row of the columns indexed by firm id, their only store:
+    ``firm_municipality``, its location ``firm_x`` and ``firm_y``, ``cash``,
+    ``inventory``, ``price``, ``wage_offer``, ``cumulative_profit`` (since the
+    last profit-tax settlement), the trailing-month signals
+    ``last_production``, ``revenue_this_month`` and ``payroll_this_month``,
+    and ``vacancy_unfilled``. ``employees[i]`` lists firm ``i``'s staff in
+    payroll order, which orders every payroll and output sum. Firms are
+    fixed for a run and enter through ``add_firms``.
 
     A house is one row of the columns indexed by house id, their only
     store: ``house_municipality``, ``house_size``, ``house_quality``, its
@@ -69,9 +74,9 @@ class SimulationState:
     """
 
     month: int = 0
-    firms: list[Firm] = field(default_factory=list)
     treasuries: list[Treasury] = field(default_factory=list)  # by municipality index
     owned_houses: list[list[int]] = field(default_factory=list)  # by family id
+    employees: list[list[int]] = field(default_factory=list)  # by firm id
     labor_entry_age_months: int = 192
     qualification_levels: int = 21
     money_base: float = 0.0
@@ -95,6 +100,18 @@ class SimulationState:
     house_y: np.ndarray = field(default_factory=lambda: np.zeros(0))
     owner: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     resident: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    firm_municipality: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    firm_x: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    firm_y: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    cash: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    inventory: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    price: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    wage_offer: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    cumulative_profit: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    last_production: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    revenue_this_month: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    payroll_this_month: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    vacancy_unfilled: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
 
     def __post_init__(self):
         ids = [t.municipality_id for t in self.treasuries]
@@ -183,6 +200,21 @@ class SimulationState:
         self.resident = np.concatenate([self.resident, np.full(grow, -1, dtype=np.int64)])
         return range(first, first + grow)
 
+    def add_firms(self, municipality, x, y, wage_offer, cash) -> range:
+        """Append firms without staff or stock, priced at 1.0, one per entry of
+        the equal-length column values; returns their ids."""
+        first, n = len(self.employees), len(municipality)
+        rows = dict(firm_municipality=np.asarray(municipality, dtype=np.int64), firm_x=x, firm_y=y,
+                    cash=cash, wage_offer=wage_offer, price=np.ones(n),
+                    vacancy_unfilled=np.zeros(n, dtype=bool))
+        for name in ("inventory", "cumulative_profit", "last_production", "revenue_this_month",
+                     "payroll_this_month"):
+            rows[name] = np.zeros(n)
+        for name, values in rows.items():
+            setattr(self, name, np.concatenate([getattr(self, name), values]))
+        self.employees.extend([] for _ in range(n))
+        return range(first, first + n)
+
     def move_in(self, family: int, house_id: int) -> None:
         """Family ``family`` buys vacant house ``house_id`` and makes it its home;
         the caller settles any seller's side. The family keeps its old home,
@@ -221,8 +253,8 @@ class SimulationState:
         total = self.escheat_pool
         for saved in self.savings[self.live].tolist():
             total += saved
-        for firm in self.firms:
-            total += firm.cash
+        for cash in self.cash.tolist():
+            total += cash
         for treasury in self.treasuries:
             total += treasury.balance
         return total

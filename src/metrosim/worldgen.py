@@ -16,7 +16,6 @@ from typing import Sequence
 import numpy as np
 
 from .demographics import MAX_AGE_MONTHS
-from .economy import Firm
 from .errors import ParseError, ValidationError, count, finite, number
 from .fiscal import Treasury, sequential_sum
 from .state import SimulationState
@@ -333,17 +332,15 @@ def instantiate_world(
     quality_lo, quality_hi = cfg.house_quality_bounds
     savings_lo, savings_hi = cfg.initial_savings_bounds
 
-    def add_firm(m: int, centroid: tuple[float, float]) -> None:
-        # the firm's three draws, in this order: x, y, then its wage offer
+    def add_firms(m: int, n: int, centroid: tuple[float, float]) -> None:
+        # each firm's three draws, in this order: x, y, then its wage offer
         cx, cy = centroid
-        loc = (cx + JITTER_SD * standard_normal(), cy + JITTER_SD * standard_normal())
-        state.firms.append(Firm(
-            id=len(state.firms),
-            municipality=m,
-            location=loc,
-            cash=cfg.initial_firm_cash,
-            wage_offer=wage_lo + (wage_hi - wage_lo) * random(),
-        ))
+        x, y, wage = [], [], []
+        for _ in range(n):
+            x.append(cx + JITTER_SD * standard_normal())
+            y.append(cy + JITTER_SD * standard_normal())
+            wage.append(wage_lo + (wage_hi - wage_lo) * random())
+        state.add_firms([m] * n, x, y, wage, [cfg.initial_firm_cash] * n)
 
     for muni in region.municipalities:
         # every municipality has inhabitants, so the sampled copy keeps at
@@ -365,8 +362,7 @@ def instantiate_world(
             y.append(cy + JITTER_SD * standard_normal())
         built = state.add_houses([m] * n_houses, size, quality, x, y)
 
-        for _ in range(n_firms):
-            add_firm(m, muni.centroid)
+        add_firms(m, n_firms, muni.centroid)
 
         # each family's savings, then each member's age and qualification;
         # the rows are written once the municipality's draws are done
@@ -383,10 +379,10 @@ def instantiate_world(
         families = state.add_families(built[:n_families], savings)
         state.add_citizens(np.repeat(families, sizes), ages, quals)
 
-    if not state.firms:
+    if not state.employees:
         # every region needs at least one employer, however small the sample
         host = max(region.municipalities, key=lambda m: m.population)
-        add_firm(index[host.id], host.centroid)
+        add_firms(index[host.id], 1, host.centroid)
 
     # region-wide initial employment so the economy starts warm
     adults = np.flatnonzero(state.alive & (state.age >= cfg.labor_entry_age_months)).tolist()
@@ -395,15 +391,15 @@ def instantiate_world(
         order = rng.permutation(len(adults))
         for slot in range(n_employed):
             cid = adults[int(order[slot])]
-            firm = state.firms[slot % len(state.firms)]
-            state.employer[cid] = firm.id
-            state.wage[cid] = firm.wage_offer
-            firm.employees.append(cid)
+            firm = slot % len(state.employees)
+            state.employer[cid] = firm
+            state.wage[cid] = state.wage_offer[firm]
+            state.employees[firm].append(cid)
 
     # working capital so the first payrolls don't trigger mass layoffs
-    for firm in state.firms:
-        payroll = sequential_sum(state.wage[firm.employees].tolist())
-        firm.cash = max(firm.cash, cfg.initial_cash_months_of_payroll * payroll)
+    for firm, staff in enumerate(state.employees):
+        payroll = sequential_sum(state.wage[staff].tolist())
+        state.cash[firm] = max(state.cash.item(firm), cfg.initial_cash_months_of_payroll * payroll)
 
     state.money_base = state.money_in_circulation()
     state.trim()  # a pickled world carries no padding rows

@@ -4,6 +4,8 @@ Most tests construct tiny worlds by hand; these helpers cover the two
 recurring shapes: a bare state with treasuries, and a scenario config whose
 region is generated (not the shipped batch) so engine tests stay fast.
 """
+from dataclasses import astuple, dataclass, fields
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from metrosim.config import (
     RegionSource,
     ScenarioConfig,
 )
-from metrosim.economy import Firm
 from metrosim.errors import InvariantViolation
 from metrosim.fiscal import TAX_KINDS, Treasury
 from metrosim.state import SimulationState
@@ -113,14 +114,49 @@ def living(state) -> list[int]:
 
 
 def add_firm(state, muni, cash=100.0, wage=1.0, price=1.0, firm_id=None, location=(0.0, 0.0)):
-    """Append a firm; firms are indexed by id, so a given id must be the next index."""
-    assert firm_id is None or firm_id == len(state.firms)
-    firm = Firm(
-        id=len(state.firms), municipality=muni, location=location,
-        cash=cash, wage_offer=wage, price=price,
-    )
-    state.firms.append(firm)
+    """Append a firm; returns its id. Firms are indexed by id, so a given id
+    must be the next index."""
+    [firm] = state.add_firms([muni], [location[0]], [location[1]], [wage], [cash])
+    assert firm_id is None or firm_id == firm
+    state.price[firm] = price
     return firm
+
+
+@dataclass
+class FirmRecord:
+    """A firm as one record, for the per-firm scalar references: the fields
+    are the state's firm columns of the same names, then the staff."""
+
+    firm_municipality: int
+    firm_x: float
+    firm_y: float
+    cash: float
+    inventory: float
+    price: float
+    wage_offer: float
+    cumulative_profit: float
+    last_production: float
+    revenue_this_month: float
+    payroll_this_month: float
+    vacancy_unfilled: bool
+    employees: list[int]
+
+
+FIRM_COLUMNS = tuple(f.name for f in fields(FirmRecord))[:-1]
+
+
+def firm_records(state) -> list[FirmRecord]:
+    """Every firm of ``state`` as a record, by id; the staff lists are copies."""
+    columns = [getattr(state, name).tolist() for name in FIRM_COLUMNS]
+    return [FirmRecord(*row, list(staff)) for *row, staff in zip(*columns, state.employees)]
+
+
+def firm_bits(records) -> list[tuple]:
+    """Each record's fields, floats as hex, for bit-for-bit comparisons."""
+    return [
+        tuple(v.hex() if isinstance(v, float) else v for v in astuple(record))
+        for record in records
+    ]
 
 
 def add_house(state, muni, size=1.0, quality=1.0, owner=None, house_id=None,

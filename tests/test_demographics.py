@@ -126,16 +126,16 @@ def test_death_cascade_employer_family_houses(make_state):
     family = add_family(state, 0, [5], savings=42.0)
     firm = add_firm(state, 0)
     [cid] = members(state, family)
-    state.employer[cid] = firm.id
+    state.employer[cid] = firm
     state.wage[cid] = 1.0
-    firm.employees.append(cid)
+    state.employees[firm].append(cid)
     home = state.home.item(family)
     second = add_house(state, 0, owner=family)
     state.arrears[family, 0] = 0.7
 
     deaths = apply_mortality(state, flat_rates(mortality=1.0), rng())
     assert deaths == 1
-    assert firm.employees == []
+    assert state.employees[firm] == []
     assert state.employer[cid] == -1 and not state.alive[cid]
     assert not state.live[family]
     assert state.treasuries[0].balance == 42.0

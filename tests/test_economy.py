@@ -1,17 +1,15 @@
 """Production, pricing, wages, the labor market, and household consumption."""
-import copy
 import math
 from dataclasses import dataclass
-from operator import add, attrgetter, sub
+from operator import add, sub
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metrosim.demographics import _remove_citizen
 from metrosim.economy import (
-    Firm,
     MarketParams,
     consume,
     output_per_worker,
@@ -26,45 +24,50 @@ from metrosim.economy import (
 )
 from metrosim.errors import ValidationError
 from metrosim.fiscal import TaxKind, TaxLedger, TaxRates
+from metrosim.state import SimulationState
 
-from conftest import add_family, members, rng
-
-
-def make_firm(firm_id=0, muni=0, cash=100.0, **overrides):
-    firm = Firm(id=firm_id, municipality=muni, location=(0.0, 0.0), cash=cash)
-    for name, value in overrides.items():
-        setattr(firm, name, value)
-    return firm
+from conftest import add_family, add_firm, firm_bits, firm_records, members, rng
 
 
-def employer_column(n, firm_id=None):
-    """An ``employer`` column for citizens ``0..n-1``, all at ``firm_id`` (or none)."""
-    return np.full(n, -1 if firm_id is None else firm_id, dtype=np.int64)
+def make_firms(n=1, **columns):
+    """A state with ``n`` firms and no citizens: municipality 0, cash 100.0,
+    wage offer 1.0, and the ``add_firms`` defaults otherwise. Each keyword
+    sets a firm column, to one value for every firm or one value per firm."""
+    state = SimulationState()
+    state.add_firms([0] * n, [0.0] * n, [0.0] * n, [1.0] * n, [100.0] * n)
+    for name, value in columns.items():
+        getattr(state, name)[:] = value
+    return state
 
 
-def qualification_column(quals):
-    return np.array(quals, dtype=np.int64)
+def set_citizens(state, quals, wages=None, employer=None, savings=None):
+    """Citizens ``0..n-1`` of qualifications ``quals``: citizen ``i`` is the one
+    member of family ``i`` (of ``savings``, 0.0 by default), earns ``wages[i]``
+    (0.0 by default) and works for firm ``employer[i]`` (-1, none, by default).
+    The firms' staff lists are left to the caller."""
+    n = len(quals)
+    state.qualification = np.array(quals, dtype=np.int64)
+    state.wage = np.array([0.0] * n if wages is None else wages, dtype=float)
+    state.employer = np.array([-1] * n if employer is None else employer, dtype=np.int64)
+    state.family = np.arange(n, dtype=np.int64)
+    state.alive = np.ones(n, dtype=bool)
+    state.savings = np.zeros(n) if savings is None else np.array(savings, dtype=float)
 
 
-def produce_one(firm, quals, params):
-    """``firm`` alone, employing citizens ``0..len(quals)-1`` of these qualifications."""
-    firm.employees = list(range(len(quals)))
-    (units,) = produce([firm], qualification_column(quals), output_per_worker(params, 21), params)
-    return units
+def produce_one(quals, params, **columns):
+    """One firm employing citizens ``0..len(quals)-1`` of these qualifications;
+    returns the state and the firm's units."""
+    state = make_firms(**columns)
+    set_citizens(state, quals)
+    state.employees[0] = list(range(len(quals)))
+    (units,) = produce(state, output_per_worker(params, 21), params).tolist()
+    return state, units
 
 
-def pay(firms, savings, quals, wages, employer, rates):
-    """``pay_wages`` for ``firms``, citizen ``i`` being the one member of family ``i``.
-
-    ``quals`` and ``wages`` give citizens ``0..n-1``, and ``savings`` is the
-    family column; returns the ``wage`` column and the income-tax entries as
-    lists.
-    """
-    family = np.arange(len(quals), dtype=np.int64)
-    wage = np.array(wages, dtype=float)
-    munis, amounts = pay_wages(firms, savings, family, qualification_column(quals), wage,
-                               employer, rates)
-    return wage, (munis.tolist(), amounts.tolist())
+def pay(state, rates):
+    """``pay_wages`` on ``state``; returns the income-tax entries as lists."""
+    munis, amounts = pay_wages(state, rates)
+    return munis.tolist(), amounts.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -73,30 +76,28 @@ def pay(firms, savings, quals, wages, employer, rates):
 
 
 def test_produce_worked_example():
-    firm = make_firm()
     params = MarketParams(productivity_alpha=2.0, qualification_exponent_beta=0.5)
-    units = produce_one(firm, [1, 4, 9], params)
+    state, units = produce_one([1, 4, 9], params)
     assert units == 2.0 * (1.0 + 2.0 + 3.0)  # 2 * (1 + sqrt(4) + sqrt(9))
-    assert firm.inventory == 12.0
-    assert firm.last_production == 12.0
+    assert state.inventory[0] == 12.0
+    assert state.last_production[0] == 12.0
 
 
 def test_produce_without_employees():
-    firm = make_firm()
-    assert produce_one(firm, [], MarketParams()) == 0.0
-    assert firm.inventory == 0.0
+    state, units = produce_one([], MarketParams())
+    assert units == 0.0
+    assert state.inventory[0] == 0.0
 
 
 def test_produce_linear_in_alpha():
     params = MarketParams(productivity_alpha=1.0, qualification_exponent_beta=1.0)
-    firm = make_firm()
-    assert produce_one(firm, [1], params) == 1.0
+    assert produce_one([1], params)[1] == 1.0
 
 
 def test_produce_accumulates_inventory():
-    firm = make_firm(inventory=3.0)
-    produce_one(firm, [1], MarketParams(productivity_alpha=1.0, qualification_exponent_beta=1.0))
-    assert firm.inventory == 4.0
+    params = MarketParams(productivity_alpha=1.0, qualification_exponent_beta=1.0)
+    state, _ = produce_one([1], params, inventory=3.0)
+    assert state.inventory[0] == 4.0
 
 
 def test_output_per_worker_is_the_python_power():
@@ -130,54 +131,157 @@ def test_market_params_validation():
 
 
 def test_price_rises_when_sold_out():
-    firm = make_firm(price=1.0, inventory=0.0)
-    set_price(firm, MarketParams())
-    assert firm.price == 1.05
+    state = make_firms(price=1.0, inventory=0.0)
+    set_price(state, MarketParams())
+    assert state.price[0] == 1.05
 
 
 def test_price_holds_in_band():
-    firm = make_firm(price=1.0, inventory=1.0, last_production=1.0)
-    set_price(firm, MarketParams())
-    assert firm.price == 1.0
+    state = make_firms(price=1.0, inventory=1.0, last_production=1.0)
+    set_price(state, MarketParams())
+    assert state.price[0] == 1.0
 
 
 def test_price_cut_on_glut():
-    firm = make_firm(price=1.0, inventory=5.0, last_production=1.0)
-    set_price(firm, MarketParams(inventory_glut_months=2.0))
-    assert firm.price == 0.95
+    state = make_firms(price=1.0, inventory=5.0, last_production=1.0)
+    set_price(state, MarketParams(inventory_glut_months=2.0))
+    assert state.price[0] == 0.95
 
 
 def test_price_floor_clamps():
-    firm = make_firm(price=0.0105, inventory=5.0, last_production=1.0)
+    state = make_firms(price=0.0105, inventory=5.0, last_production=1.0)
     for _ in range(10):
-        set_price(firm, MarketParams())
-    assert firm.price == MarketParams().price_floor
+        set_price(state, MarketParams())
+    assert state.price[0] == MarketParams().price_floor
 
 
 def test_wage_raised_after_unfilled_vacancy():
-    firm = make_firm(wage_offer=1.0, vacancy_unfilled=True)
-    set_wage_and_vacancy(firm, MarketParams())
-    assert firm.wage_offer == 1.05
-    assert not firm.vacancy_unfilled  # signal consumed once
+    state = make_firms(wage_offer=1.0, vacancy_unfilled=True)
+    set_wage_and_vacancy(state, MarketParams())
+    assert state.wage_offer[0] == 1.05
+    assert not state.vacancy_unfilled[0]  # signal consumed once
 
 
 def test_wage_cut_when_cash_short():
-    firm = make_firm(cash=50.0, wage_offer=1.0, payroll_this_month=80.0)
-    set_wage_and_vacancy(firm, MarketParams())
-    assert firm.wage_offer == 0.95
+    state = make_firms(cash=50.0, wage_offer=1.0, payroll_this_month=80.0)
+    set_wage_and_vacancy(state, MarketParams())
+    assert state.wage_offer[0] == 0.95
 
 
 def test_wage_steady_otherwise():
-    firm = make_firm(cash=100.0, wage_offer=1.0, payroll_this_month=80.0)
-    set_wage_and_vacancy(firm, MarketParams())
-    assert firm.wage_offer == 1.0
+    state = make_firms(cash=100.0, wage_offer=1.0, payroll_this_month=80.0)
+    set_wage_and_vacancy(state, MarketParams())
+    assert state.wage_offer[0] == 1.0
 
 
 def test_vacancy_posted_iff_inventory_cleared():
-    cleared = make_firm(inventory=0.0)
-    assert set_wage_and_vacancy(cleared, MarketParams()) is True
-    stocked = make_firm(inventory=2.0)
-    assert set_wage_and_vacancy(stocked, MarketParams()) is False
+    state = make_firms(3, inventory=[0.0, 2.0, 0.0])
+    assert set_wage_and_vacancy(state, MarketParams()).tolist() == [0, 2]
+
+
+def set_price_one_firm(firm, params):
+    """Reference: one firm's price rule, on its record."""
+    if firm.inventory <= params.sold_out_level:
+        firm.price *= 1.0 + params.price_step
+    elif firm.last_production > 0 and firm.inventory > params.inventory_glut_months * firm.last_production:
+        firm.price *= 1.0 - params.price_step
+    if firm.price < params.price_floor:
+        firm.price = params.price_floor
+
+
+def set_wage_and_vacancy_one_firm(firm, params) -> bool:
+    """Reference: one firm's wage rule and vacancy decision, on its record."""
+    payroll_due = firm.payroll_this_month
+    if firm.vacancy_unfilled:
+        firm.wage_offer *= 1.0 + params.wage_step
+        firm.vacancy_unfilled = False
+    elif payroll_due > 0 and firm.cash < payroll_due:
+        firm.wage_offer *= 1.0 - params.wage_step
+    return firm.inventory <= params.sold_out_level
+
+
+def settle_profit_tax_one_firm(firm, rates, taxes):
+    """Reference: one firm's profit tax, on its record, appended to ``taxes``."""
+    profit = firm.cumulative_profit
+    firm.cumulative_profit = 0.0
+    if profit <= 0.0:
+        return
+    tax = profit * rates.company
+    if tax:
+        firm.cash -= tax
+        taxes.append((firm.firm_municipality, tax))
+
+
+FIRM_RULE_COLUMNS = ("inventory", "last_production", "price", "wage_offer", "cash",
+                     "payroll_this_month", "vacancy_unfilled", "cumulative_profit")
+
+
+def edge_firms(params):
+    """One firm row (``FIRM_RULE_COLUMNS``) per edge of the firm rules under ``params``."""
+    level, floor = params.sold_out_level, params.price_floor
+    return [
+        # stock exactly at the sold-out level, a profit
+        (level, 1.0, 1.0, 1.0, 1.0, 0.5, False, 1.0),
+        # a glut at the price floor, cash short of the payroll, zero profit
+        (10.0, 1.0, floor, 1.0, 1.0, 2.0, False, 0.0),
+        # a glut without production, an unfilled vacancy to consume, zero
+        # payroll and no cash, a loss
+        (10.0, 0.0, 1.0, 1.0, 0.0, 0.0, True, -1.0),
+        # below the floor already, sold out
+        (0.0, 0.0, floor / 2, 1.0, 1.0, 1.0, True, 5.0),
+        # zero payroll with cash below zero, as a fire-and-shrink residual leaves it
+        (1.0, 1.0, 1.0, 1.0, -2.78e-17, 0.0, False, 0.0),
+    ]
+
+
+firm_rule_rows = st.lists(st.tuples(
+    st.one_of(st.sampled_from([0.0, 1e-9]), st.floats(0.0, 10.0)),  # inventory
+    st.one_of(st.just(0.0), st.floats(0.0, 5.0)),  # last production
+    st.floats(0.001, 3.0),  # price, sometimes below the floor
+    st.floats(0.01, 3.0),  # wage offer
+    st.floats(0.0, 10.0),  # cash
+    st.one_of(st.just(0.0), st.floats(0.0, 10.0)),  # payroll
+    st.booleans(),  # vacancy unfilled
+    st.one_of(st.just(0.0), st.floats(-10.0, 10.0)),  # profit
+), max_size=12)
+
+market_rules = st.builds(
+    MarketParams,
+    price_step=st.sampled_from([0.0, 0.05, 0.5]),
+    wage_step=st.sampled_from([0.0, 0.05, 0.5]),
+    price_floor=st.sampled_from([0.01, 0.5]),
+    inventory_glut_months=st.sampled_from([0.0, 2.0]),
+    sold_out_level=st.sampled_from([0.0, 1e-9]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=firm_rule_rows, params=market_rules, company=st.sampled_from([0.0, 0.15, 0.9]))
+@example(rows=[], params=MarketParams(), company=0.0)
+def test_firm_passes_match_the_per_firm_rules_bit_for_bit(rows, params, company):
+    rows = rows + edge_firms(params)
+    columns = dict(zip(FIRM_RULE_COLUMNS, map(list, zip(*rows))))
+    state = make_firms(len(rows), firm_municipality=[i % 3 for i in range(len(rows))], **columns)
+    records = firm_records(state)
+    rates = TaxRates(company=company)
+
+    set_price(state, params)
+    vacancies = set_wage_and_vacancy(state, params)
+    munis, amounts = settle_profit_tax(state, rates)
+
+    ref_vacancies, ref_taxes = [], []
+    for f, firm in enumerate(records):
+        set_price_one_firm(firm, params)
+        if set_wage_and_vacancy_one_firm(firm, params):
+            ref_vacancies.append(f)
+    for firm in records:
+        settle_profit_tax_one_firm(firm, rates, ref_taxes)
+
+    assert firm_bits(firm_records(state)) == firm_bits(records)
+    assert vacancies.tolist() == ref_vacancies
+    assert [(m, t.hex()) for m, t in zip(munis.tolist(), amounts.tolist())] == [
+        (m, t.hex()) for m, t in ref_taxes
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -186,45 +290,48 @@ def test_vacancy_posted_iff_inventory_cleared():
 
 
 def test_higher_wage_firm_picks_first():
-    low = make_firm(firm_id=0, wage_offer=10.0)
-    high = make_firm(firm_id=1, wage_offer=20.0)
+    state = make_firms(2, wage_offer=[10.0, 20.0])
+    set_citizens(state, [5])
     matches = run_labor_market(
-        [low, high], [0], qualification_column([5]), {0: (0.0, 0.0)},
-        MarketParams(proximity_hire_share=0.0), rng(),
+        np.array([0, 1]), [0], state, {0: (0.0, 0.0)}, MarketParams(proximity_hire_share=0.0),
+        rng(),
     )
     assert matches == [(1, 0)]
-    assert low.vacancy_unfilled and not high.vacancy_unfilled
+    assert state.vacancy_unfilled.tolist() == [True, False]
 
 
 def test_each_candidate_hired_at_most_once():
-    firms = [make_firm(firm_id=i, wage_offer=1.0 + i) for i in range(5)]
+    state = make_firms(5, wage_offer=[1.0 + i for i in range(5)])
     workers = [0, 1, 2]
+    set_citizens(state, [5, 5, 5])
     residences = {cid: (0.0, 0.0) for cid in workers}
-    matches = run_labor_market(firms, workers, qualification_column([5, 5, 5]), residences,
+    matches = run_labor_market(np.arange(5), workers, state, residences,
                                MarketParams(proximity_hire_share=0.0), rng())
     assert len(matches) == 3
     hired = [cid for _, cid in matches]
     assert len(set(hired)) == 3
-    unfilled = [f for f in firms if f.vacancy_unfilled]
-    assert len(unfilled) == 2  # two lowest-wage firms found an empty pool
+    # the two lowest-wage firms found an empty pool
+    assert state.vacancy_unfilled.tolist() == [True, True, False, False, False]
 
 
 def test_qualification_wins_without_proximity():
-    firm = make_firm()
+    state = make_firms()
     weak, strong = 0, 1
+    set_citizens(state, [1, 9])
     matches = run_labor_market(
-        [firm], [weak, strong], qualification_column([1, 9]), {0: (0.0, 0.0), 1: (0.0, 0.0)},
+        [0], [weak, strong], state, {0: (0.0, 0.0), 1: (0.0, 0.0)},
         MarketParams(proximity_hire_share=0.0), rng(),
     )
     assert matches == [(0, 1)]
 
 
 def test_proximity_one_prefers_nearby_over_qualified():
-    firm = make_firm()
+    state = make_firms()
     near_weak, far_strong = 0, 1
+    set_citizens(state, [1, 9])
     residences = {0: (1.0, 0.0), 1: (5.0, 0.0)}
     matches = run_labor_market(
-        [firm], [near_weak, far_strong], qualification_column([1, 9]), residences,
+        [0], [near_weak, far_strong], state, residences,
         MarketParams(proximity_hire_share=1.0), rng(),
     )
     assert matches == [(0, 0)]
@@ -240,8 +347,9 @@ def test_residences_resolve_each_housed_citizen(make_state):
     assert [residences[cid] for cid in members(state, housed)] == [(3.0, 4.0)] * 2
     with pytest.raises(KeyError):
         residences[dead]
+    firm = add_firm(state, 0)
     with pytest.raises(KeyError):
-        run_labor_market([make_firm()], [dead], state.qualification, residences,
+        run_labor_market([firm], [dead], state, residences,
                          MarketParams(proximity_hire_share=1.0), rng())
 
 
@@ -251,68 +359,77 @@ def test_residences_resolve_each_housed_citizen(make_state):
 
 
 def test_pay_wages_worked_example():
-    firm = make_firm(cash=150.0)
-    firm.employees = [0]
-    savings = np.zeros(1)
-    _, taxes = pay([firm], savings, [5], [100.0], employer_column(1, firm.id),
-                   TaxRates(personal_income=0.275))
-    assert firm.payroll_this_month == 100.0
-    assert savings[0] == pytest.approx(72.5, rel=1e-12)
+    state = make_firms(cash=150.0)
+    set_citizens(state, [5], [100.0], employer=[0])
+    state.employees[0] = [0]
+    taxes = pay(state, TaxRates(personal_income=0.275))
+    assert state.payroll_this_month[0] == 100.0
+    assert state.savings[0] == pytest.approx(72.5, rel=1e-12)
     assert taxes == ([0], [pytest.approx(27.5, rel=1e-12)])
-    assert firm.cash == 50.0
-    assert firm.cumulative_profit == -100.0
+    assert state.cash[0] == 50.0
+    assert state.cumulative_profit[0] == -100.0
 
 
 def test_zero_income_tax_rate_writes_no_event():
-    firm = make_firm(cash=10.0)
-    firm.employees = [0]
-    savings = np.zeros(1)
+    state = make_firms(cash=10.0)
+    set_citizens(state, [5], [5.0], employer=[0])
+    state.employees[0] = [0]
     ledger = TaxLedger(1)
-    _, taxes = pay([firm], savings, [5], [5.0], employer_column(1, firm.id),
-                   TaxRates(personal_income=0.0))
-    ledger.add_all(TaxKind.PERSONAL_INCOME, *taxes)
-    assert savings[0] == 5.0
+    ledger.add_all(TaxKind.PERSONAL_INCOME, *pay(state, TaxRates(personal_income=0.0)))
+    assert state.savings[0] == 5.0
     assert ledger.event_count == 0
 
 
 def test_fire_and_shrink_releases_least_qualified():
-    firm = make_firm(cash=100.0)
+    state = make_firms(cash=100.0)
     senior, junior = 0, 1
-    employer = employer_column(2, firm.id)
-    firm.employees = [senior, junior]
-    savings = np.zeros(2)
-    wage, _ = pay([firm], savings, [5, 2], [80.0, 70.0], employer, TaxRates())
-    assert firm.payroll_this_month == 80.0  # junior released; senior affordable
-    assert firm.employees == [senior]
-    assert employer[junior] == -1 and wage[junior] == 0.0
-    assert employer[senior] == firm.id and wage[senior] == 80.0
-    assert firm.cash == 20.0
-    assert savings[junior] == 0.0
+    set_citizens(state, [5, 2], [80.0, 70.0], employer=[0, 0])
+    state.employees[0] = [senior, junior]
+    pay(state, TaxRates())
+    assert state.payroll_this_month[0] == 80.0  # junior released; senior affordable
+    assert state.employees[0] == [senior]
+    assert state.employer[junior] == -1 and state.wage[junior] == 0.0
+    assert state.employer[senior] == 0 and state.wage[senior] == 80.0
+    assert state.cash[0] == 20.0
+    assert state.savings[junior] == 0.0
+
+
+@pytest.mark.xfail(strict=True, reason="releasing every employee keeps the payroll's rounding "
+                   "residual: 0.1 + 0.2 - 0.2 - 0.1 is 2.78e-17, so cash ends below zero")
+def test_releasing_every_employee_leaves_no_payroll():
+    # pay_wages promises non-negative cash at month end; zeroing the residual
+    # would change output bytes, so it is pinned here rather than fixed
+    state = make_firms(cash=0.0)
+    set_citizens(state, [5, 2], [0.1, 0.2], employer=[0, 0])
+    state.employees[0] = [0, 1]
+    pay(state, TaxRates())
+    assert state.employees[0] == []
+    assert state.payroll_this_month[0] == 0.0
+    assert state.cash[0] >= 0.0
 
 
 def test_pay_wages_empty_firm_is_noop():
-    firm = make_firm(cash=10.0)
-    _, taxes = pay([firm], np.zeros(0), [], [], employer_column(0), TaxRates())
-    assert firm.payroll_this_month == 0.0
-    assert firm.cash == 10.0
-    assert taxes == ([], [])
+    state = make_firms(cash=10.0)
+    set_citizens(state, [])
+    assert pay(state, TaxRates()) == ([], [])
+    assert state.payroll_this_month[0] == 0.0
+    assert state.cash[0] == 10.0
 
 
 def test_payroll_resets_when_the_last_employee_is_gone():
     # a firm whose only worker died must not carry last month's payroll into
     # its wage decision (and into the profit metric)
-    firm = make_firm(cash=150.0)
-    employer = employer_column(1, firm.id)
-    firm.employees = [0]
-    savings = np.zeros(1)
-    pay([firm], savings, [5], [100.0], employer, TaxRates())
-    assert firm.payroll_this_month == 100.0
-    firm.employees.remove(0)
-    pay([firm], savings, [5], [100.0], employer, TaxRates())
-    assert firm.payroll_this_month == 0.0
-    firm.wage_offer = 1.0
-    set_wage_and_vacancy(firm, MarketParams())
-    assert firm.wage_offer == 1.0
+    state = make_firms(cash=150.0)
+    set_citizens(state, [5], [100.0], employer=[0])
+    state.employees[0] = [0]
+    pay(state, TaxRates())
+    assert state.payroll_this_month[0] == 100.0
+    state.employees[0].remove(0)
+    pay(state, TaxRates())
+    assert state.payroll_this_month[0] == 0.0
+    state.wage_offer[0] = 1.0
+    set_wage_and_vacancy(state, MarketParams())
+    assert state.wage_offer[0] == 1.0
 
 
 @dataclass
@@ -357,14 +474,15 @@ def pay_wages_one_firm(firm, workers, savings, employer, rates, taxes) -> None:
         wage = citizen.monthly_wage
         tax = wage * rate
         savings[citizen.family_id] += wage - tax
-        taxes.append((firm.municipality, tax))
+        taxes.append((firm.firm_municipality, tax))
     firm.cash -= payroll
     firm.cumulative_profit -= payroll
     firm.payroll_this_month = payroll
 
 
 def random_payroll_world(seed):
-    """Firms, families and employed citizens for one month of production and pay.
+    """Firms, families and employed citizens for one month of production and pay:
+    a state, its market params and its tax rates.
 
     Firm 0 employs nobody in half the worlds, some firms cannot cover their
     payroll, families have earners at several firms, and a third of the
@@ -382,30 +500,30 @@ def random_payroll_world(seed):
         -1 if gen.random() < 0.2 else int(gen.integers(first_hiring, n_firms))
         for _ in range(n_citizens)
     ]
-    firms = [make_firm(firm_id=i, muni=i % 3, inventory=float(gen.uniform(0.0, 2.0)))
-             for i in range(n_firms)]
+    state = make_firms(n_firms, firm_municipality=[i % 3 for i in range(n_firms)],
+                       inventory=[float(gen.uniform(0.0, 2.0)) for _ in range(n_firms)])
     for cid in gen.permutation(n_citizens).tolist():  # payrolls not in id order
         if employer[cid] >= 0:
-            firms[employer[cid]].employees.append(cid)
-    for firm in firms:
-        payroll = sum(wages[cid] for cid in firm.employees)
-        firm.cash = float(gen.uniform(0.0, 1.5)) * payroll
-        firm.cumulative_profit = float(gen.uniform(-2.0, 2.0))
+            state.employees[employer[cid]].append(cid)
+    for f, staff in enumerate(state.employees):
+        payroll = sum(wages[cid] for cid in staff)
+        state.cash[f] = float(gen.uniform(0.0, 1.5)) * payroll
+        state.cumulative_profit[f] = float(gen.uniform(-2.0, 2.0))
     savings = gen.uniform(0.0, 5.0, size=n_families)
     params = MarketParams(productivity_alpha=float(gen.uniform(0.5, 2.0)),
                           qualification_exponent_beta=float(gen.choice([0.5, 1.0, gen.random()])))
     rates = TaxRates(personal_income=float(gen.choice([0.0, 0.275, gen.random() * 0.9])))
-    workers = {cid: Worker(cid, quals[cid], family_of[cid], wages[cid] if employer[cid] >= 0 else 0.0)
-               for cid in range(n_citizens)}
-    return firms, savings, workers, employer, params, rates
+    paid = [wage if firm >= 0 else 0.0 for wage, firm in zip(wages, employer)]
+    set_citizens(state, quals, paid, employer)
+    state.family = np.array(family_of, dtype=np.int64)
+    state.savings = savings
+    return state, params, rates
 
 
-def firm_fields(firms):
-    return [
-        (f.employees, f.inventory.hex(), f.last_production.hex(), f.cash.hex(),
-         f.cumulative_profit.hex(), f.payroll_this_month.hex())
-        for f in firms
-    ]
+def workers_of(state):
+    """Every citizen of ``state`` as a ``Worker`` record, by id."""
+    rows = zip(state.qualification.tolist(), state.family.tolist(), state.wage.tolist())
+    return {cid: Worker(cid, *row) for cid, row in enumerate(rows)}
 
 
 PAYROLL_SEEDS = range(150)
@@ -413,45 +531,41 @@ PAYROLL_SEEDS = range(150)
 
 def test_random_payroll_worlds_cover_the_edge_cases():
     worlds = [random_payroll_world(seed) for seed in PAYROLL_SEEDS]
-    assert any(not w[0][0].employees for w in worlds)
-    assert any(sum(w.monthly_wage for w in world[2].values() if w.id in f.employees) > f.cash
-               for world in worlds for f in world[0])
-    assert any(world[5].personal_income == 0.0 for world in worlds)
+    states = [state for state, _, _ in worlds]
+    assert any(not state.employees[0] for state in states)
+    assert any(sum(state.wage[staff].tolist()) > state.cash[f]
+               for state in states for f, staff in enumerate(state.employees))
+    assert any(rates.personal_income == 0.0 for _, _, rates in worlds)
     assert any(
-        len({employer[cid] for cid, w in workers.items() if w.family_id == fam and employer[cid] >= 0})
-        >= 2
-        for _, savings, workers, employer, _, _ in worlds for fam in range(len(savings))
+        len(set(state.employer[(state.family == fam) & (state.employer >= 0)].tolist())) >= 2
+        for state in states for fam in range(len(state.savings))
     )
 
 
 @pytest.mark.parametrize("seed", PAYROLL_SEEDS)
 def test_month_production_and_payroll_match_per_firm_references_bit_for_bit(seed):
-    firms, savings, workers, employer_ids, params, rates = random_payroll_world(seed)
-    ref_firms, ref_workers = copy.deepcopy((firms, workers))
-    ref_savings = savings.tolist()
-    n = len(workers)
-    qualification = qualification_column([w.qualification for w in workers.values()])
-    wage = np.array([w.monthly_wage for w in workers.values()], dtype=float)
-    employer = np.array(employer_ids, dtype=np.int64)
-    ref_employer = employer.copy()
+    state, params, rates = random_payroll_world(seed)
+    records = firm_records(state)
+    workers = workers_of(state)
+    ref_savings = state.savings.tolist()
+    ref_employer = state.employer.copy()
 
-    units = produce(firms, qualification, output_per_worker(params, 21), params)
-    family = np.array([w.family_id for w in workers.values()], dtype=np.int64)
-    taxes = pay_wages(firms, savings, family, qualification, wage, employer, rates)
+    units = produce(state, output_per_worker(params, 21), params)
+    taxes = pay_wages(state, rates)
 
     ref_units = [
-        produce_one_firm(firm, [ref_workers[cid].qualification for cid in firm.employees], params)
-        for firm in ref_firms
+        produce_one_firm(firm, [workers[cid].qualification for cid in firm.employees], params)
+        for firm in records
     ]
     ref_taxes = []
-    for firm in ref_firms:
-        pay_wages_one_firm(firm, ref_workers, ref_savings, ref_employer, rates, ref_taxes)
+    for firm in records:
+        pay_wages_one_firm(firm, workers, ref_savings, ref_employer, rates, ref_taxes)
 
-    assert [u.hex() for u in units] == [u.hex() for u in ref_units]
-    assert firm_fields(firms) == firm_fields(ref_firms)
-    assert [s.hex() for s in savings.tolist()] == [s.hex() for s in ref_savings]
-    assert employer.tolist() == ref_employer.tolist()
-    assert [w.hex() for w in wage.tolist()] == [ref_workers[cid].monthly_wage.hex() for cid in range(n)]
+    assert hexes(units.tolist()) == hexes(ref_units)
+    assert firm_bits(firm_records(state)) == firm_bits(records)
+    assert hexes(state.savings.tolist()) == hexes(ref_savings)
+    assert state.employer.tolist() == ref_employer.tolist()
+    assert hexes(state.wage.tolist()) == [workers[cid].monthly_wage.hex() for cid in workers]
     assert [(m, t.hex()) for m, t in zip(*(a.tolist() for a in taxes))] == [
         (m, t.hex()) for m, t in ref_taxes
     ]
@@ -473,20 +587,19 @@ def reference_credit_wages(savings: list, family_ids: list, take_home: list) -> 
 def test_wage_credits_match_the_per_employee_loop(savings, staff, rate):
     # (firm, family, wage) per employee: families earn at several firms, and
     # a family row past the payroll's families gets nothing
-    firms = [make_firm(firm_id=i, muni=i, cash=100.0) for i in range(3)]
-    for cid, (firm_id, _, _) in enumerate(staff):
-        firms[firm_id].employees.append(cid)
-    family = np.array([fam % len(savings) for _, fam, _ in staff], dtype=np.int64)
-    wage = np.array([w for _, _, w in staff])
-    column = np.array(savings + [7.0])
-    pay_wages(firms, column, family, qualification_column([5] * len(staff)), wage,
-              employer_column(len(staff), 0), TaxRates(personal_income=rate))
+    state = make_firms(3, firm_municipality=[0, 1, 2])
+    for cid, (firm, _, _) in enumerate(staff):
+        state.employees[firm].append(cid)
+    set_citizens(state, [5] * len(staff), [w for _, _, w in staff],
+                 [firm for firm, _, _ in staff], savings + [7.0])
+    state.family = np.array([fam % len(savings) for _, fam, _ in staff], dtype=np.int64)
+    pay_wages(state, TaxRates(personal_income=rate))
     expected = savings + [7.0]
-    order = [cid for firm in firms for cid in firm.employees]
+    order = [cid for staff in state.employees for cid in staff]
     reference_credit_wages(
-        expected, family[order].tolist(), [w - w * rate for w in wage[order].tolist()]
+        expected, state.family[order].tolist(), [w - w * rate for w in state.wage[order].tolist()]
     )
-    assert [s.hex() for s in column.tolist()] == [s.hex() for s in expected]
+    assert hexes(state.savings.tolist()) == hexes(expected)
 
 
 # ---------------------------------------------------------------------------
@@ -494,97 +607,93 @@ def test_wage_credits_match_the_per_employee_loop(savings, staff, rate):
 # ---------------------------------------------------------------------------
 
 
-def shop(savings, firms, savings_rate, rates):
-    """Family 0 of the ``savings`` column buying from ``firms`` in the order given,
+def shop(state, savings_rate, rates):
+    """Family 0 of ``state.savings`` buying from every firm in id order,
     through the month-wide passes; returns ``consume``'s result."""
-    shopping, budgets = shopping_budgets(savings, np.array([0]), np.array([savings_rate]))
-    rows = np.tile(np.arange(len(firms)), (len(shopping), 1))
-    return consume(savings, shopping, budgets, firms, rows, rates)
+    shopping, budgets = shopping_budgets(state.savings, np.array([0]), np.array([savings_rate]))
+    n_firms = len(state.employees)
+    rows = np.tile(np.arange(n_firms), (len(shopping), 1))
+    return consume(state, shopping, budgets, np.arange(n_firms), rows, rates)
 
 
 def test_consume_worked_example():
-    savings = np.array([10.0])
-    firm = make_firm(price=2.0, inventory=10.0, cash=0.0)
+    state = make_firms(price=2.0, inventory=10.0, cash=0.0)
+    state.savings = np.array([10.0])
     ledger = TaxLedger(1)
-    units, spent, *taxes = shop(savings, [firm], 0.0, TaxRates(consumption=0.2))
+    units, spent, *taxes = shop(state, 0.0, TaxRates(consumption=0.2))
     ledger.add_all(TaxKind.CONSUMPTION, *taxes)
     assert units == 5.0
     assert spent == 10.0
-    assert firm.cash == 8.0  # net of the 20% consumption tax
+    assert state.cash[0] == 8.0  # net of the 20% consumption tax
     assert ledger.by_kind(TaxKind.CONSUMPTION) == {0: 2.0}
-    assert savings[0] == 0.0
+    assert state.savings[0] == 0.0
 
 
 def test_rank_samples_orders_by_price_then_id():
     # equal prices tie on id; repeated picks stay, side by side
-    prices = [2.0, 1.0, 2.0, 1.0, 0.5]
-    firms = [make_firm(firm_id=10 + i, price=p) for i, p in enumerate(prices)]
+    price = np.array([2.0, 1.0, 2.0, 1.0, 0.5])
     picks = np.array([[0, 2, 1, 1], [3, 0, 3, 2], [4, 4, 4, 4]])
-    ranked, rows = rank_samples(firms, picks)
-    assert [[ranked[r].id for r in row] for row in rows] == [
-        [11, 11, 10, 12], [13, 13, 10, 12], [14, 14, 14, 14],
+    ranked, rows = rank_samples(price, picks)
+    assert [[ranked[r] for r in row] for row in rows] == [
+        [1, 1, 0, 2], [3, 3, 0, 2], [4, 4, 4, 4],
     ]
 
 
 def test_rank_samples_matches_sorting_each_sample():
     gen = rng(3)
-    prices = gen.choice([0.5, 1.0, 1.05, 2.0], size=12).tolist()
-    firms = [make_firm(firm_id=i, price=p) for i, p in zip(gen.permutation(12).tolist(), prices)]
-    picks = gen.integers(0, len(firms), size=(50, 10))
-    by_price_then_id = attrgetter("price", "id")
-    expected = [sorted((firms[j] for j in row), key=by_price_then_id) for row in picks.tolist()]
-    ranked, rows = rank_samples(firms, picks)
-    assert [[ranked[r] for r in row] for row in rows] == expected
+    price = gen.choice([0.5, 1.0, 1.05, 2.0], size=12)
+    picks = gen.integers(0, len(price), size=(50, 10))
+    expected = [sorted(row, key=lambda f: (price[f], f)) for row in picks.tolist()]
+    ranked, rows = rank_samples(price, picks)
+    assert [[ranked[r] for r in row] for row in rows.tolist()] == expected
 
 
 def test_consume_cheapest_first():
-    savings = np.array([4.0])
-    pricey = make_firm(firm_id=0, price=4.0, inventory=10.0)
-    cheap = make_firm(firm_id=1, price=1.0, inventory=2.0)
-    ranked, rows = rank_samples([pricey, cheap], np.array([[0, 1]]))
-    units, spent, *_ = consume(savings, np.array([0]), np.array([4.0]), ranked, rows,
+    state = make_firms(2, price=[4.0, 1.0], inventory=[10.0, 2.0])
+    state.savings = np.array([4.0])
+    ranked, rows = rank_samples(state.price, np.array([[0, 1]]))
+    units, spent, *_ = consume(state, np.array([0]), np.array([4.0]), ranked, rows,
                                TaxRates(consumption=0.0))
     # 2 units at 1.0 exhaust the cheap firm, the remaining 2.0 buys 0.5 units at 4.0
     assert units == 2.5
     assert spent == 4.0
-    assert cheap.inventory == 0.0
-    assert pricey.inventory == 9.5
+    assert state.inventory.tolist() == [9.5, 0.0]
 
 
 def test_consume_limited_by_inventory_keeps_rest_saved():
-    savings = np.array([10.0])
-    firm = make_firm(price=1.0, inventory=3.0)
-    units, spent, *_ = shop(savings, [firm], 0.0, TaxRates())
+    state = make_firms(price=1.0, inventory=3.0)
+    state.savings = np.array([10.0])
+    units, spent, *_ = shop(state, 0.0, TaxRates())
     assert units == 3.0
     assert spent == 3.0
-    assert savings[0] == 7.0
+    assert state.savings[0] == 7.0
 
 
 def test_consume_respects_savings_rate():
-    savings = np.array([100.0])
-    firm = make_firm(price=1.0, inventory=1000.0)
-    units, spent, *_ = shop(savings, [firm], 0.5, TaxRates(consumption=0.0))
+    state = make_firms(price=1.0, inventory=1000.0)
+    state.savings = np.array([100.0])
+    units, spent, *_ = shop(state, 0.5, TaxRates(consumption=0.0))
     assert spent == 50.0
-    assert savings[0] == 50.0
+    assert state.savings[0] == 50.0
 
 
 def test_consume_money_conserved():
-    savings = np.array([37.0])
-    firms = [make_firm(firm_id=i, price=1.0 + i, inventory=5.0, cash=0.0) for i in range(3)]
+    state = make_firms(3, price=[1.0, 2.0, 3.0], inventory=5.0, cash=0.0)
+    state.savings = np.array([37.0])
     ledger = TaxLedger(1)
-    before = savings[0]
-    units, spent, *taxes = shop(savings, firms, 0.1, TaxRates(consumption=0.18))
+    before = state.savings[0]
+    units, spent, *taxes = shop(state, 0.1, TaxRates(consumption=0.18))
     ledger.add_all(TaxKind.CONSUMPTION, *taxes)
-    after = savings[0] + sum(f.cash for f in firms) + sum(ledger.total_by_kind().values())
+    after = state.savings[0] + sum(state.cash) + sum(ledger.total_by_kind().values())
     assert math.isclose(after, before, rel_tol=0, abs_tol=1e-12)
 
 
 def test_broke_family_buys_nothing():
-    savings = np.array([0.0])
-    firm = make_firm(inventory=10.0)
-    units, spent, munis, amounts = shop(savings, [firm], 0.1, TaxRates())
+    state = make_firms(inventory=10.0)
+    state.savings = np.array([0.0])
+    units, spent, munis, amounts = shop(state, 0.1, TaxRates())
     assert (units, spent, munis.tolist(), amounts.tolist()) == (0.0, 0.0, [], [])
-    assert firm.inventory == 10.0
+    assert state.inventory[0] == 10.0
 
 
 class ListedRows(np.ndarray):
@@ -600,30 +709,30 @@ class ListedRows(np.ndarray):
 
 def test_consume_reads_the_sample_only_as_far_as_it_buys():
     # three firms with 5.0 units at 1.0; each shopper's row is all three, cheapest first
-    firms = [make_firm(firm_id=i, price=1.0, inventory=5.0, cash=0.0) for i in range(3)]
-    savings = np.array([0.0, 2.0, 2.0, 2.0, 2.0])  # family 0 is broke
-    shopping, budgets = shopping_budgets(savings, np.arange(5), np.zeros(5))
+    state = make_firms(3, price=1.0, inventory=5.0, cash=0.0)
+    state.savings = np.array([0.0, 2.0, 2.0, 2.0, 2.0])  # family 0 is broke
+    shopping, budgets = shopping_budgets(state.savings, np.arange(5), np.zeros(5))
     assert shopping.tolist() == [1, 2, 3, 4]  # no budget, no shopping
     rows = np.tile(np.arange(3), (4, 1)).view(ListedRows)
     rows.listed = []
-    units, spent, munis, amounts = consume(savings, shopping, budgets, firms, rows,
+    units, spent, munis, amounts = consume(state, shopping, budgets, np.arange(3), rows,
                                            TaxRates(consumption=0.25))
     assert (units, spent) == (8.0, 8.0)
     # the third shopper's 2.0 units reach firm 0's last 1.0: the pass ends there,
     # and only the rows from it on become lists, for the walk
     assert rows.listed == [2]
-    assert [f.inventory for f in firms] == [0.0, 2.0, 5.0]
-    assert [f.cash for f in firms] == [3.75, 2.25, 0.0]  # firm 2 is never reached
+    assert state.inventory.tolist() == [0.0, 2.0, 5.0]
+    assert state.cash.tolist() == [3.75, 2.25, 0.0]  # firm 2 is never reached
     assert (munis.tolist(), amounts.tolist()) == ([0, 0, 0, 0, 0], [0.5, 0.5, 0.25, 0.25, 0.5])
-    assert savings.tolist() == [0.0] * 5
+    assert state.savings.tolist() == [0.0] * 5
 
 
 def consume_one_family(
     savings: list, family_id: int, firm_sample, savings_rate: float, rates: TaxRates,
     taxes: list,
 ) -> tuple[float, float]:
-    """Reference: one family's purchases, written straight onto the firms and onto
-    ``savings`` (a list by family id)."""
+    """Reference: one family's purchases, written straight onto the firm records
+    and onto ``savings`` (a list by family id)."""
     budget = (1.0 - savings_rate) * savings[family_id]
     if budget <= 1e-12:
         return 0.0, 0.0
@@ -641,7 +750,7 @@ def consume_one_family(
         firm.revenue_this_month += spent - tax
         firm.cumulative_profit += spent - tax
         if tax:
-            taxes.append((firm.municipality, tax))
+            taxes.append((firm.firm_municipality, tax))
         budget -= spent
         units_total += units
         spent_total += spent
@@ -651,6 +760,23 @@ def consume_one_family(
     return units_total, spent_total
 
 
+def market(gen, firm_rows, munis, savings):
+    """A state of one firm per row of ``firm_rows`` (cash, price, inventory,
+    revenue, profit), firm ``i`` in municipality ``i % munis``, and of
+    families with ``savings``; then each family's sample of firms and savings
+    rate, and the tax rates, drawn from ``gen``."""
+    n_firms = len(firm_rows)
+    cash, price, inventory, revenue, profit = zip(*firm_rows)
+    state = make_firms(n_firms, firm_municipality=[i % munis for i in range(n_firms)], cash=cash,
+                       price=price, inventory=inventory, revenue_this_month=revenue,
+                       cumulative_profit=profit)
+    state.savings = savings
+    picks = gen.integers(0, n_firms, size=(len(savings), int(gen.integers(1, 6))))
+    savings_rates = gen.uniform(0.0, 0.3, size=len(savings))
+    rates = TaxRates(consumption=float(gen.choice([0.0, 0.18, gen.random()])))
+    return state, picks, savings_rates, rates
+
+
 def random_market(seed):
     """Firms and families' savings for one month of shopping.
 
@@ -658,26 +784,21 @@ def random_market(seed):
     families are broke, and a third of the markets have no consumption tax.
     """
     gen = rng(seed)
-    n_firms = int(gen.integers(1, 7))
-    firms = [
-        make_firm(
-            firm_id=i, muni=i % 2,
-            cash=float(gen.uniform(0.0, 20.0)),
-            price=float(gen.choice([0.5, 1.0, 1.0 + gen.random()])),
-            inventory=0.0 if gen.random() < 0.3 else float(gen.uniform(0.0, 3.0)),
-            revenue_this_month=float(gen.uniform(0.0, 3.0)),
-            cumulative_profit=float(gen.uniform(-5.0, 5.0)),
+    firm_rows = [
+        (
+            float(gen.uniform(0.0, 20.0)),
+            float(gen.choice([0.5, 1.0, 1.0 + gen.random()])),
+            0.0 if gen.random() < 0.3 else float(gen.uniform(0.0, 3.0)),
+            float(gen.uniform(0.0, 3.0)),
+            float(gen.uniform(-5.0, 5.0)),
         )
-        for i in range(n_firms)
+        for _ in range(int(gen.integers(1, 7)))
     ]
     n_families = int(gen.integers(1, 13))
     savings = np.array([
         0.0 if gen.random() < 0.25 else float(gen.uniform(0.0, 15.0)) for _ in range(n_families)
     ])
-    picks = gen.integers(0, n_firms, size=(n_families, int(gen.integers(1, 6))))
-    savings_rates = gen.uniform(0.0, 0.3, size=n_families)
-    rates = TaxRates(consumption=float(gen.choice([0.0, 0.18, gen.random()])))
-    return firms, savings, picks, savings_rates, rates
+    return market(gen, firm_rows, 2, savings)
 
 
 def rich_market(seed):
@@ -688,24 +809,18 @@ def rich_market(seed):
     with its first firm still in stock; some stocks run out as well.
     """
     gen = rng(seed)
-    n_firms = int(gen.integers(1, 7))
-    firms = [
-        make_firm(
-            firm_id=i, muni=i % 3,
-            cash=float(gen.uniform(0.0, 1e6)),
-            price=float(gen.choice([1.0, 1.0 + gen.random(), 0.5 + 4.0 * gen.random()])),
-            inventory=0.0 if gen.random() < 0.2 else float(10.0 ** gen.uniform(3.0, 9.0)),
-            revenue_this_month=float(gen.uniform(0.0, 1e4)),
-            cumulative_profit=float(gen.uniform(-1e5, 1e5)),
+    firm_rows = [
+        (
+            float(gen.uniform(0.0, 1e6)),
+            float(gen.choice([1.0, 1.0 + gen.random(), 0.5 + 4.0 * gen.random()])),
+            0.0 if gen.random() < 0.2 else float(10.0 ** gen.uniform(3.0, 9.0)),
+            float(gen.uniform(0.0, 1e4)),
+            float(gen.uniform(-1e5, 1e5)),
         )
-        for i in range(n_firms)
+        for _ in range(int(gen.integers(1, 7)))
     ]
-    n_families = int(gen.integers(1, 25))
-    savings = 10.0 ** gen.uniform(4.0, 7.0, size=n_families)
-    picks = gen.integers(0, n_firms, size=(n_families, int(gen.integers(1, 6))))
-    savings_rates = gen.uniform(0.0, 0.3, size=n_families)
-    rates = TaxRates(consumption=float(gen.choice([0.0, 0.18, gen.random()])))
-    return firms, savings, picks, savings_rates, rates
+    savings = 10.0 ** gen.uniform(4.0, 7.0, size=int(gen.integers(1, 25)))
+    return market(gen, firm_rows, 3, savings)
 
 
 def pass_end(market):
@@ -716,20 +831,22 @@ def pass_end(market):
     and None when every shopper spends its whole budget at its first firm in
     stock; ``place`` is that shopper's place among the month's shoppers.
     """
-    firms, savings, picks, savings_rates, _ = copy.deepcopy(market)
-    shopping, budgets = shopping_budgets(savings, np.arange(len(savings)), savings_rates)
-    ranked, rows = rank_samples(firms, picks[shopping])
+    state, picks, savings_rates, _ = market
+    inventory, price = state.inventory.tolist(), state.price.tolist()
+    shopping, budgets = shopping_budgets(state.savings, np.arange(len(state.savings)),
+                                         savings_rates)
+    ranked, rows = rank_samples(state.price, picks[shopping])
     for place, (budget, row) in enumerate(zip(budgets.tolist(), rows.tolist())):
-        in_stock = [ranked[r] for r in row if ranked[r].inventory > 0.0]
+        in_stock = [ranked[r] for r in row if inventory[ranked[r]] > 0.0]
         if not in_stock:
             continue
         firm = in_stock[0]
-        units = budget / firm.price
-        if units >= firm.inventory:
+        units = budget / price[firm]
+        if units >= inventory[firm]:
             return "stock-out", place, len(budgets)
-        if budget - units * firm.price > 1e-12:
+        if budget - units * price[firm] > 1e-12:
             return "budget", place, len(budgets)
-        firm.inventory -= units
+        inventory[firm] -= units
     return None, len(budgets), len(budgets)
 
 
@@ -739,10 +856,10 @@ RICH_MARKET_SEEDS = range(100)
 
 def test_random_markets_cover_the_edge_cases():
     markets = [random_market(seed) for seed in MARKET_SEEDS]
-    assert any(len(set(row)) < len(row) for m in markets for row in m[2].tolist())
-    assert any(f.inventory == 0.0 for m in markets for f in m[0])
-    assert any(s == 0.0 for m in markets for s in m[1].tolist())
-    assert any(m[4].consumption == 0.0 for m in markets)
+    assert any(len(set(row)) < len(row) for m in markets for row in m[1].tolist())
+    assert any(0.0 in m[0].inventory.tolist() for m in markets)
+    assert any(0.0 in m[0].savings.tolist() for m in markets)
+    assert any(m[3].consumption == 0.0 for m in markets)
 
 
 def test_markets_end_the_pass_everywhere_it_can_end():
@@ -758,39 +875,32 @@ def test_markets_end_the_pass_everywhere_it_can_end():
 
 
 def assert_consume_matches_per_family_reference(market):
-    firms, savings, picks, savings_rates, rates = market
-    ref_firms = copy.deepcopy(firms)
-    ref_savings = savings.tolist()
+    state, picks, savings_rates, rates = market
+    records = firm_records(state)
+    ref_savings = state.savings.tolist()
 
-    families = np.arange(len(savings))
-    shopping, budgets = shopping_budgets(savings, families, savings_rates)
-    ranked, rows = rank_samples(firms, picks[shopping])
-    units, spent, munis, amounts = consume(savings, families[shopping], budgets, ranked, rows,
+    families = np.arange(len(ref_savings))
+    shopping, budgets = shopping_budgets(state.savings, families, savings_rates)
+    ranked, rows = rank_samples(state.price, picks[shopping])
+    units, spent, munis, amounts = consume(state, families[shopping], budgets, ranked, rows,
                                            rates)
 
     ref_taxes = []
-    ref_ranked, ref_rows = rank_samples(ref_firms, picks)
     ref_units = ref_spent = 0.0
-    for family_id, (row, savings_rate) in enumerate(zip(ref_rows, savings_rates.tolist())):
+    for family_id, (row, savings_rate) in enumerate(zip(picks.tolist(), savings_rates.tolist())):
+        sample = sorted(row, key=lambda f: (records[f].price, f))
         u, s = consume_one_family(
-            ref_savings, family_id, [ref_ranked[r] for r in row], savings_rate, rates, ref_taxes
+            ref_savings, family_id, [records[f] for f in sample], savings_rate, rates, ref_taxes
         )
         ref_units += u
         ref_spent += s
 
-    assert money_fields(firms, savings.tolist()) == money_fields(ref_firms, ref_savings)
+    assert firm_bits(firm_records(state)) == firm_bits(records)
+    assert hexes(state.savings.tolist()) == hexes(ref_savings)
     assert [(m, t.hex()) for m, t in zip(munis.tolist(), amounts.tolist())] == [
         (m, t.hex()) for m, t in ref_taxes
     ]
     assert (units.hex(), spent.hex()) == (ref_units.hex(), ref_spent.hex())
-
-
-def money_fields(firms, savings):
-    return (
-        [(f.inventory.hex(), f.cash.hex(), f.revenue_this_month.hex(),
-          f.cumulative_profit.hex()) for f in firms],
-        [s.hex() for s in savings],
-    )
 
 
 @pytest.mark.parametrize("seed", MARKET_SEEDS)
@@ -861,18 +971,16 @@ def test_numpy_folds_in_consume_are_python_left_folds(drawn, seed, extra, width,
 
 
 def test_profit_tax_worked_example():
-    firm = make_firm(cash=1000.0, cumulative_profit=1000.0)
-    taxes = ([], [])
-    settle_profit_tax(firm, TaxRates(company=0.15), taxes)
-    assert firm.cash == 850.0
-    assert firm.cumulative_profit == 0.0
-    assert taxes == ([0], [150.0])
+    state = make_firms(cash=1000.0, cumulative_profit=1000.0)
+    munis, amounts = settle_profit_tax(state, TaxRates(company=0.15))
+    assert state.cash[0] == 850.0
+    assert state.cumulative_profit[0] == 0.0
+    assert (munis.tolist(), amounts.tolist()) == ([0], [150.0])
 
 
 def test_losses_untaxed_but_reset():
-    firm = make_firm(cash=100.0, cumulative_profit=-40.0)
-    taxes = ([], [])
-    settle_profit_tax(firm, TaxRates(), taxes)
-    assert firm.cumulative_profit == 0.0
-    assert firm.cash == 100.0
-    assert taxes == ([], [])
+    state = make_firms(cash=100.0, cumulative_profit=-40.0)
+    munis, amounts = settle_profit_tax(state, TaxRates())
+    assert state.cumulative_profit[0] == 0.0
+    assert state.cash[0] == 100.0
+    assert (munis.tolist(), amounts.tolist()) == ([], [])

@@ -30,7 +30,7 @@ from metrosim.rng import RngStreams
 from metrosim.worldgen import WorldConfig, default_apc_batch, generate_region, instantiate_world
 
 from conftest import (
-    add_family, add_firm, break_invariant, ledger_entries, living, region_of, rng,
+    add_family, add_firm, break_invariant, firm_records, ledger_entries, living, region_of, rng,
 )
 
 
@@ -178,10 +178,10 @@ def test_frozen_shares_split_by_month_zero_populations(gen_config, monkeypatch):
 def test_audit_rejects_an_employed_minor():
     state, runtime, result, _ = apc33_month()
     minor = next(cid for cid in living(state) if state.age[cid] < 12)
-    firm = max(state.firms, key=lambda f: f.cash)
-    state.employer[minor] = firm.id
-    state.wage[minor] = firm.wage_offer
-    firm.employees.append(minor)
+    firm = int(state.cash.argmax())
+    state.employer[minor] = firm
+    state.wage[minor] = state.wage_offer[firm]
+    state.employees[firm].append(minor)
     with pytest.raises(InvariantViolation, match="employment-consistency"):
         engine.step_month(state, runtime, result)
 
@@ -203,10 +203,10 @@ def assert_columns_agree(state, living_before, births, deaths):
     assert np.all(state.family[dead] == -1)
     assert not np.any(state.provisional[dead])
     on_payroll = 0
-    for firm in state.firms:
-        for cid in firm.employees:
-            assert state.employer[cid] == firm.id
-        on_payroll += len(firm.employees)
+    for firm, staff in enumerate(state.employees):
+        for cid in staff:
+            assert state.employer[cid] == firm
+        on_payroll += len(staff)
     assert np.count_nonzero(state.alive & (state.employer >= 0)) == on_payroll
     walked = [0] * len(state.treasuries)
     for cid in ids:
@@ -288,12 +288,12 @@ def test_citizen_columns_hold_every_month(
 
     def checked_step(state, runtime, result):
         living_before = np.count_nonzero(state.alive)
-        on_payroll_before = sum(len(firm.employees) for firm in state.firms)
+        on_payroll_before = sum(map(len, state.employees))
         vital.update(births=0, deaths=0, hires=0, layoffs=0, employed_deaths=0)
         step_month(state, runtime, result)  # raises if the audit fires
         assert_columns_agree(state, living_before, vital["births"], vital["deaths"])
         # the labor flows reconcile with the payrolls
-        on_payroll = sum(len(firm.employees) for firm in state.firms)
+        on_payroll = sum(map(len, state.employees))
         assert (vital["hires"] - vital["layoffs"] - vital["employed_deaths"]
                 == on_payroll - on_payroll_before)
 
@@ -415,8 +415,8 @@ def test_housing_and_tax_phases_match_per_entry_adds(monkeypatch):
         return wrapped
 
     def returning_adding_each(fn, kind):
-        # the payroll and the property tax return their entries: add each,
-        # and hand the engine none
+        # the payroll, the property tax and the profit tax return their
+        # entries: add each, and hand the engine none
         def wrapped(*args):
             munis, amounts = fn(*args)
             entries = add_each_entry(ref_month.ledger, kind)
@@ -425,14 +425,12 @@ def test_housing_and_tax_phases_match_per_entry_adds(monkeypatch):
             return [], []
         return wrapped
 
-    for name, kind in (
-        ("run_housing_market", TaxKind.TRANSMISSION),
-        ("settle_profit_tax", TaxKind.COMPANY),
-    ):
-        monkeypatch.setattr(engine, name, adding_each(getattr(engine, name), kind))
+    monkeypatch.setattr(engine, "run_housing_market",
+                        adding_each(engine.run_housing_market, TaxKind.TRANSMISSION))
     for name, kind in (
         ("pay_wages", TaxKind.PERSONAL_INCOME),
         ("collect_property_tax", TaxKind.PROPERTY),
+        ("settle_profit_tax", TaxKind.COMPANY),
     ):
         monkeypatch.setattr(engine, name, returning_adding_each(getattr(engine, name), kind))
     engine.housing(ref_state, ref_runtime, result, ref_month)
@@ -449,6 +447,43 @@ def test_housing_and_tax_phases_match_per_entry_adds(monkeypatch):
     assert month.sales == ref_month.sales > 1
 
 
+@pytest.mark.parametrize("seed", range(25))
+def test_gdp_and_profit_folds_match_per_firm_loops_bit_for_bit(seed):
+    # random prices (some at the floor) and month figures (zero payrolls,
+    # losses) on a drawn world; each month sum folds firm by firm from 0.0
+    gen = rng(seed)
+    region = generate_region(3, 6_000, 1.0, gen, WorldConfig())
+    state = instantiate_world(region, WorldConfig(population_fraction=0.05), gen)
+    runtime, result = engine.start_run(default_config(), state, seed, region.id)
+    n = len(state.employees)
+    state.price[:] = np.where(gen.random(n) < 0.3, 0.01, gen.uniform(0.01, 3.0, size=n))
+    state.inventory[:] = gen.uniform(0.0, 5.0, size=n)
+    records = firm_records(state)
+    month = engine._Month(TaxLedger(len(state.treasuries)))
+    engine.production(state, runtime, result, month)
+    market = runtime.config.market
+    gdp = 0.0
+    for firm in records:
+        total = 0.0
+        for cid in firm.employees:
+            total += state.qualification.item(cid) ** market.qualification_exponent_beta
+        gdp += market.productivity_alpha * total * firm.price
+    assert type(month.gdp_value) is float and month.gdp_value.hex() == gdp.hex()
+    assert not state.revenue_this_month.any()
+
+    for column in (state.revenue_this_month, state.payroll_this_month):
+        column[:] = np.where(gen.random(n) < 0.3, 0.0, gen.uniform(0.0, 50.0, size=n))
+    profit = 0.0
+    for firm in firm_records(state):
+        profit += firm.revenue_this_month - firm.payroll_this_month
+    month.collected = dict.fromkeys(TAX_KINDS, 0.0)
+    month.populations = state.populations()
+    engine.metrics(state, runtime, result, month)
+    assert result.gdp_value == [month.gdp_value]
+    [average] = result.avg_firm_profit
+    assert type(average) is float and average.hex() == (profit / n).hex()
+
+
 def test_depopulated_municipality_escheats_into_the_pool(make_state, caplog):
     state = make_state(("m00", "m01"))
     add_family(state, 0, [10])
@@ -460,7 +495,7 @@ def test_depopulated_municipality_escheats_into_the_pool(make_state, caplog):
     engine.distribution(state, runtime, result, month)
     assert state.escheat_pool == 4.0
     assert state.treasuries[1].balance == 0.0
-    assert firm.cash == 100.0  # nothing was invested, so nothing was procured
+    assert state.cash[firm] == 100.0  # nothing was invested, so nothing was procured
     assert "municipality m01 depopulated at month 0" in caplog.text
     assert "(region r, case 3, seed 0)" in caplog.text  # names the run
 
@@ -575,7 +610,7 @@ def test_an_unpickled_world_holds_canonical_arrays(gen_config):
     cfg = gen_config(horizon=1)
     world = pickle.loads(pickle.dumps(engine.draw_world(cfg, 0, region_of(cfg))))
     arrays = [value for value in vars(world).values() if isinstance(value, np.ndarray)]
-    assert len(arrays) == 18
+    assert len(arrays) == 18 + 12  # the citizen, family and house columns, then the firms'
     for array in arrays:
         assert array.dtype is np.dtype(array.dtype.str)
 

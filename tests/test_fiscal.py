@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from metrosim.economy import Firm
 from metrosim.errors import ParseError, ValidationError
 from metrosim.fiscal import (
     CASES,
@@ -25,8 +24,9 @@ from metrosim.fiscal import (
     policy_for_case,
     sequential_sum,
 )
+from metrosim.state import SimulationState
 
-from conftest import ledger_entries
+from conftest import add_firm, firm_bits, firm_records, ledger_entries
 
 
 # ---------------------------------------------------------------------------
@@ -415,17 +415,57 @@ def test_invest_zero_population_escheats():
 
 @pytest.mark.parametrize("spent, n_firms", [(5.0, 1), (1.0, 3), (0.7, 7), (123.456, 10)])
 def test_pay_procurement_first_firm_takes_the_remainder(spent, n_firms):
-    firms = [Firm(id=i, municipality=0, location=(0.0, 0.0), cash=0.0)
-             for i in range(n_firms)]
-    pay_procurement(spent, firms)
+    state = SimulationState()
+    firms = [add_firm(state, 0, cash=0.0) for _ in range(n_firms)]
+    pay_procurement(state, [spent], [firms])
     paid = 0.0
     for firm in firms[1:]:
-        assert firm.cash == spent / n_firms
-        paid += firm.cash
-    assert firms[0].cash == spent - paid
-    assert firms[0].cash + paid == spent
-    for firm in firms:
-        assert firm.revenue_this_month == firm.cumulative_profit == firm.cash
+        assert state.cash[firm] == spent / n_firms
+        paid += state.cash[firm]
+    assert state.cash[0] == spent - paid
+    assert state.cash[0] + paid == spent
+    assert state.revenue_this_month.tolist() == state.cumulative_profit.tolist() == state.cash.tolist()
+
+
+def pay_procurement_one_firm_at_a_time(spent, firms):
+    """Reference: the procurement payment, written onto each firm record in turn."""
+    share = spent / len(firms)
+    paid = 0.0
+    for firm in firms[1:]:
+        firm.cash += share
+        firm.cumulative_profit += share
+        firm.revenue_this_month += share
+        paid += share
+    first = firms[0]
+    first.cash += spent - paid
+    first.cumulative_profit += spent - paid
+    first.revenue_this_month += spent - paid
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    columns=st.lists(st.tuples(st.floats(0.0, 1e3), st.floats(-1e3, 1e3), st.floats(0.0, 1e3)),
+                     min_size=1, max_size=12),
+    data=st.data(),
+)
+def test_pay_procurement_matches_the_per_firm_loop_bit_for_bit(columns, data):
+    # firms with cash, profit and revenue of their own; each municipality
+    # pays some of them, in id order, and a firm may be paid by several (as
+    # the region's firms are by every municipality without firms of its own)
+    state = SimulationState()
+    for cash, profit, revenue in columns:
+        firm = add_firm(state, 0, cash=cash)
+        state.cumulative_profit[firm] = profit
+        state.revenue_this_month[firm] = revenue
+    contractors = st.lists(st.sampled_from(range(len(columns))), min_size=1, unique=True)
+    munis = data.draw(st.lists(st.tuples(st.one_of(st.just(0.0), st.floats(1e-6, 1e7)),
+                                         contractors.map(sorted)), min_size=1, max_size=5))
+    records = firm_records(state)
+    pay_procurement(state, [spent for spent, _ in munis], [firms for _, firms in munis])
+    for spent, firms in munis:
+        if spent > 0.0:
+            pay_procurement_one_firm_at_a_time(spent, [records[f] for f in firms])
+    assert firm_bits(firm_records(state)) == firm_bits(records)
 
 
 def test_invest_argument_errors():

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from metrosim.economy import Firm
 from metrosim.errors import ParseError, ValidationError
 from metrosim.fiscal import Treasury, sequential_sum
 from metrosim.state import SimulationState
@@ -22,7 +21,7 @@ from metrosim.worldgen import (
     save_region,
 )
 
-from conftest import living
+from conftest import FIRM_COLUMNS, living
 
 
 def rng(seed=0):
@@ -198,11 +197,8 @@ def test_tiny_municipalities_may_host_no_firms():
     )
     region = RegionSpec(id="pair", name="pair", municipalities=munis)
     state = instantiate_world(region, WorldConfig(population_fraction=0.02), rng())
-    by_muni = {"core": 0, "village": 0}
-    for firm in state.firms:
-        by_muni[state.treasuries[firm.municipality].municipality_id] += 1
-    assert by_muni["village"] == 0
-    assert by_muni["core"] == 4
+    assert state.municipality_ids == ["core", "village"]
+    assert state.firm_municipality.tolist() == [0] * 4
 
 
 def test_region_always_gets_at_least_one_firm():
@@ -211,8 +207,8 @@ def test_region_always_gets_at_least_one_firm():
     )
     region = RegionSpec(id="micro", name="micro", municipalities=munis)
     state = instantiate_world(region, WorldConfig(population_fraction=0.05), rng())
-    assert len(state.firms) == 1
-    assert state.treasuries[state.firms[0].municipality].municipality_id == "only"
+    assert len(state.employees) == 1
+    assert state.treasuries[state.firm_municipality[0]].municipality_id == "only"
     assert_indexed_by_id(state)
 
 
@@ -226,15 +222,16 @@ def test_municipalities_drawn_in_region_order_and_indexed_by_sorted_id():
     state = instantiate_world(region, WorldConfig(population_fraction=0.05), rng())
     assert state.municipality_ids == ["alpha", "zeta"]
     # zeta, listed first, is drawn first: the first house and firm are its own
-    assert state.house_municipality[0] == state.firms[0].municipality == 1
+    assert state.house_municipality[0] == state.firm_municipality[0] == 1
     assert state.house_municipality[state.home[0]] == 1
-    assert state.house_municipality[-1] == state.firms[-1].municipality == 0
+    assert state.house_municipality[-1] == state.firm_municipality[-1] == 0
     assert state.populations() == [15, 15]
 
 
 def assert_indexed_by_id(state):
-    assert [firm.id for firm in state.firms] == list(range(len(state.firms)))
-    # a house's id is its row, so every house column has a row per house
+    # a firm's or a house's id is its row, so every firm column has a row per
+    # firm and every house column a row per house
+    assert {len(getattr(state, name)) for name in FIRM_COLUMNS} == {len(state.employees)}
     columns = (state.house_municipality, state.house_size, state.house_quality,
                state.house_x, state.house_y, state.owner, state.resident)
     assert len({len(column) for column in columns}) == 1
@@ -243,7 +240,7 @@ def assert_indexed_by_id(state):
 def test_firms_and_houses_are_indexed_by_id():
     region = generate_region(5, 30_000, 1.2, rng(3), WorldConfig())
     state = instantiate_world(region, WorldConfig(population_fraction=0.05), rng())
-    assert len(state.firms) > 1 and len(state.resident) > 1
+    assert len(state.employees) > 1 and len(state.resident) > 1
     assert_indexed_by_id(state)
     for family, owned in enumerate(state.owned_houses):
         assert owned == [state.home[family]]
@@ -267,7 +264,7 @@ def test_money_base_matches_circulation():
     state = instantiate_world(small_region(3000), WorldConfig(population_fraction=0.05), rng(4))
     assert state.money_base == state.money_in_circulation()
     total = sequential_sum(
-        state.savings[state.live].tolist() + [f.cash for f in state.firms]
+        state.savings[state.live].tolist() + state.cash.tolist()
     )
     assert state.money_base == total  # nothing else holds money at the start
 
@@ -289,7 +286,7 @@ def test_initial_employment_rate_applied():
     assert len(employed) == round(0.9 * len(adults))
     for cid in employed:
         assert state.wage[cid] > 0
-        assert cid in state.firms[state.employer[cid]].employees
+        assert cid in state.employees[state.employer[cid]]
 
 
 def test_qualifications_within_levels():
@@ -346,14 +343,10 @@ def reference_instantiate_world(region, cfg, rng):
 
     def add_firm(m, centroid):
         cx, cy = centroid
-        loc = (cx + float(rng.normal(0.0, JITTER_SD)), cy + float(rng.normal(0.0, JITTER_SD)))
-        state.firms.append(Firm(
-            id=len(state.firms),
-            municipality=m,
-            location=loc,
-            cash=cfg.initial_firm_cash,
-            wage_offer=float(rng.uniform(*cfg.initial_wage_bounds)),
-        ))
+        x = cx + float(rng.normal(0.0, JITTER_SD))
+        y = cy + float(rng.normal(0.0, JITTER_SD))
+        wage = float(rng.uniform(*cfg.initial_wage_bounds))
+        state.add_firms([m], [x], [y], [wage], [cfg.initial_firm_cash])
 
     for muni in region.municipalities:
         n_citizens = max(1, round(muni.population * cfg.population_fraction))
@@ -384,7 +377,7 @@ def reference_instantiate_world(region, cfg, rng):
                     qual = int(rng.choice(q_levels, p=q_dist)) + 1
                 state.add_citizens([family], [age], [qual])
 
-    if not state.firms:
+    if not state.employees:
         host = max(region.municipalities, key=lambda m: m.population)
         add_firm(index[host.id], host.centroid)
 
@@ -394,14 +387,14 @@ def reference_instantiate_world(region, cfg, rng):
         order = rng.permutation(len(adults))
         for slot in range(n_employed):
             cid = adults[int(order[slot])]
-            firm = state.firms[slot % len(state.firms)]
-            state.employer[cid] = firm.id
-            state.wage[cid] = firm.wage_offer
-            firm.employees.append(cid)
+            firm = slot % len(state.employees)
+            state.employer[cid] = firm
+            state.wage[cid] = state.wage_offer[firm]
+            state.employees[firm].append(cid)
 
-    for firm in state.firms:
-        payroll = sequential_sum(state.wage[firm.employees].tolist())
-        firm.cash = max(firm.cash, cfg.initial_cash_months_of_payroll * payroll)
+    for firm in range(len(state.employees)):
+        payroll = sequential_sum(state.wage[state.employees[firm]].tolist())
+        state.cash[firm] = max(float(state.cash[firm]), cfg.initial_cash_months_of_payroll * payroll)
 
     state.money_base = state.money_in_circulation()
     state.trim()
@@ -411,20 +404,19 @@ def reference_instantiate_world(region, cfg, rng):
 WORLD_COLUMNS = (
     "age", "qualification", "employer", "wage", "family", "alive", "provisional",
     "savings", "home", "live", "arrears", "house_municipality", "house_size",
-    "house_quality", "house_x", "house_y", "owner", "resident",
+    "house_quality", "house_x", "house_y", "owner", "resident", *FIRM_COLUMNS,
 )
 
 
 def world_bits(state):
     """Every column's dtype and bytes, the houses each family owns, each
-    firm's location, wage offer, cash and staff, and the money base."""
+    firm's staff, and the money base."""
     return (
         [(name, getattr(state, name).dtype.str, getattr(state, name).shape,
           getattr(state, name).tobytes()) for name in WORLD_COLUMNS],
         state.owned_houses,
         state._next_citizen_id,
-        [(f.id, f.municipality, f.location[0].hex(), f.location[1].hex(),
-          f.wage_offer.hex(), float(f.cash).hex(), f.employees) for f in state.firms],
+        state.employees,
         state.money_base.hex(),
     )
 
@@ -471,7 +463,7 @@ def test_world_draw_matches_the_per_draw_reference_bit_for_bit(
     # both drew the same count of values from the stream
     assert bulk_rng.random() == reference_rng.random()
     if sum(round(m.firm_count * fraction) for m in region.municipalities) == 0:
-        assert len(bulk.firms) == 1  # the host firm
+        assert len(bulk.employees) == 1  # the host firm
 
 
 def test_the_draw_forms_are_numpys_uniform_and_normal():
