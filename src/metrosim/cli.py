@@ -51,10 +51,10 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+    lines = [",".join(header) + "\n"]
+    lines += [",".join(map(_fmt, row)) + "\n" for row in rows]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(lines)
 
 
 def _config_epilog() -> str:

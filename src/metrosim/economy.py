@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -140,7 +140,7 @@ def run_labor_market(
     vacancies: Sequence[int],
     candidates: Sequence[int],
     state: SimulationState,
-    residences: Mapping[int, tuple[float, float]],
+    residences: tuple[np.ndarray, np.ndarray],
     params: MarketParams,
     rng: np.random.Generator,
 ) -> list[tuple[int, int]]:
@@ -151,13 +151,19 @@ def run_labor_market(
     probability ``proximity_hire_share`` it hires the sample's
     nearest-residence candidate instead. One hire per vacancy; each
     candidate is matched at most once, so the firms that find the pool empty
-    are the last in order. Returns (firm_id, citizen_id) pairs and flags
-    ``vacancy_unfilled`` of the firms whose vacancy went unfilled.
+    are the last in order. ``residences`` holds every citizen's home x and
+    y by citizen id, as ``SimulationState.residences`` gives them. Returns
+    (firm_id, citizen_id) pairs and flags ``vacancy_unfilled`` of the firms
+    whose vacancy went unfilled.
+
+    A sampled candidate's qualification and home are read from the columns
+    by its id, so the pool is the one list that shrinks with each hire.
     """
     offer, firm_x, firm_y = state.wage_offer, state.firm_x, state.firm_y
+    qual = state.qualification
+    home_x, home_y = residences
     order = sorted(map(int, vacancies), key=lambda f: (-offer.item(f), f))
     pool = list(candidates)
-    quals = state.qualification[pool].tolist()
     matches: list[tuple[int, int]] = []
     for firm in order:
         if not pool:
@@ -174,16 +180,14 @@ def run_labor_market(
         for i in sample_idx:
             cid = pool[i]
             if by_proximity:
-                rx, ry = residences[cid]
-                d = (rx - fx) ** 2 + (ry - fy) ** 2
+                d = (home_x.item(cid) - fx) ** 2 + (home_y.item(cid) - fy) ** 2
                 key = (d, cid)  # nearer wins, id breaks ties
             else:
-                key = (-quals[i], cid)  # higher qualification wins
+                key = (-qual.item(cid), cid)  # higher qualification wins
             if best_key is None or key < best_key:
                 best_key = key
                 best_i = i
         hired = pool.pop(best_i)
-        quals.pop(best_i)
         matches.append((firm, hired))
     state.vacancy_unfilled[order[:len(matches)]] = False
     state.vacancy_unfilled[order[len(matches):]] = True
@@ -293,8 +297,8 @@ def consume(
     ``rank_rows[i]``, cheapest first, skipping firms without stock, and
     buys ``min(budget / price, stock)`` at each until its budget is at most
     1e-12 or its sample runs out. Unspent budget stays in ``savings``, from
-    which each shopper's spending is subtracted once. The firm columns the
-    month reads and writes are gathered in rank order and scattered back.
+    which each shopper's spending is subtracted once. Stock and price are
+    gathered in rank order, and the stock left is scattered back.
 
     The month runs as one pass and then a walk, with the bits of a walk over
     every shopper. The pass takes the shoppers in order up to the month's
@@ -304,9 +308,13 @@ def consume(
     the firm's row of arrivals (its stock, then each buyer's units), the
     subtractions of the walk in the walk's order. The pass ends at the first
     shopper whose ``u`` reaches its firm's stock, or whose budget keeps more
-    than 1e-12; the shoppers before it commit at once, their net takings
-    added per firm by ``np.add.at`` in shopper order. The scalar walk takes
-    that shopper and every later one.
+    than 1e-12; the shoppers before it commit at once. The scalar walk takes
+    that shopper and every later one, and keeps only what a later shopper
+    reads: stock, budget and the month totals. Each purchase of the pass and
+    the walk leaves its firm and money spent; after the walk its tax and net
+    takings are computed as arrays, and the takings added to ``cash``,
+    ``revenue_this_month`` and ``cumulative_profit`` by ``np.add.at`` in
+    purchase order, the ``+=`` of a walk in the walk's order.
 
     Returns the month's units bought and money spent, each summed per family
     and then over families from 0.0, left to right (``np.add.accumulate``
@@ -317,8 +325,6 @@ def consume(
     n_firms = len(ranked)
     stock = state.inventory[ranked]
     price = state.price[ranked]
-    muni = state.firm_municipality[ranked]
-    rate = rates.consumption
     # the pass: every shopper's whole budget at its first firm in stock; a
     # shopper without one buys nothing
     in_stock = (stock > 0.0)[rank_rows]
@@ -333,7 +339,8 @@ def consume(
     # each buyer's place among its firm's buyers, and its firm's stock before
     # it: along a firm's row, its stock less each buyer's units in turn
     arrivals = np.bincount(at, minlength=n_firms)
-    by_firm = np.argsort(at, kind="stable")
+    # in the smallest integer type that holds a rank, the stable sort is a radix sort
+    by_firm = np.argsort(at.astype(np.min_scalar_type(n_firms)), kind="stable")
     place = np.empty_like(by_firm)
     place[by_firm] = np.arange(len(at)) - np.repeat(np.cumsum(arrivals) - arrivals, arrivals)
     left = np.zeros((n_firms, arrivals.max(initial=0) + 1))
@@ -345,32 +352,19 @@ def consume(
     end = int(buyer[n_pass]) if n_pass < len(buyer) else len(budgets)
 
     # commit the shoppers before ``end``: each firm's stock after its buyers
-    # among them, their net takings in shopper order, their spending
+    # among them, and their spending
     at = at[:n_pass]
     stock = left[np.arange(n_firms), np.bincount(at, minlength=n_firms)]
-    takings = paid[buyer[:n_pass]]
-    tax = takings * rate
-    net = takings - tax
-    cash = state.cash[ranked]
-    revenue = state.revenue_this_month[ranked]
-    profit = state.cumulative_profit[ranked]
-    for column in (cash, revenue, profit):
-        np.add.at(column, at, net)
-    taxed = tax != 0.0
-    pass_munis, pass_amounts = muni[at[taxed]], tax[taxed]
     savings[shoppers[:end]] -= paid[:end]
     units_month = np.add.accumulate(u[:end])[-1].item() if end else 0.0
     spent_month = np.add.accumulate(paid[:end])[-1].item() if end else 0.0
 
-    # the walk: every shopper from ``end`` on, firm by firm
+    # the walk: every shopper from ``end`` on, firm by firm; it keeps what a
+    # later shopper reads, and each purchase's firm rank and money spent
     inventory = stock.tolist()
     price = price.tolist()
-    cash = cash.tolist()
-    revenue = revenue.tolist()
-    profit = profit.tolist()
-    muni = muni.tolist()
-    tax_munis: list[int] = []
-    tax_amounts: list[float] = []
+    ranks: list[int] = []
+    spends: list[float] = []
     spent_by = []
     for budget, row in zip(budgets[end:].tolist(), rank_rows[end:].tolist()):
         units_total = 0.0
@@ -379,19 +373,14 @@ def consume(
             stock = inventory[r]
             if stock <= 0.0:
                 continue
-            units = budget / price[r]
+            cost = price[r]
+            units = budget / cost
             if units > stock:
                 units = stock
-            spent = units * price[r]
+            spent = units * cost
             inventory[r] = stock - units
-            tax = spent * rate
-            net = spent - tax
-            cash[r] += net
-            revenue[r] += net
-            profit[r] += net
-            if tax:
-                tax_munis.append(muni[r])
-                tax_amounts.append(tax)
+            ranks.append(r)
+            spends.append(spent)
             budget -= spent
             units_total += units
             spent_total += spent
@@ -400,16 +389,20 @@ def consume(
         spent_by.append(spent_total)
         units_month += units_total
         spent_month += spent_total
-    savings[shoppers[end:]] -= spent_by
+    savings[shoppers[end:]] -= np.fromiter(spent_by, dtype=float, count=len(spent_by))
     state.inventory[ranked] = inventory
-    state.cash[ranked] = cash
-    state.revenue_this_month[ranked] = revenue
-    state.cumulative_profit[ranked] = profit
-    return (
-        units_month, spent_month,
-        np.concatenate((pass_munis, np.array(tax_munis, dtype=np.intp))),
-        np.concatenate((pass_amounts, tax_amounts)),
-    )
+
+    # every purchase, pass and walk, in purchase order: its tax and net
+    # takings, added per firm in that order
+    n_walked = len(ranks)
+    firms = ranked[np.concatenate((at, np.fromiter(ranks, dtype=np.intp, count=n_walked)))]
+    spent = np.concatenate((paid[buyer[:n_pass]], np.fromiter(spends, dtype=float, count=n_walked)))
+    tax = spent * rates.consumption
+    net = spent - tax
+    for column in (state.cash, state.revenue_this_month, state.cumulative_profit):
+        np.add.at(column, firms, net)
+    taxed = tax != 0.0
+    return units_month, spent_month, state.firm_municipality[firms[taxed]], tax[taxed]
 
 
 def settle_profit_tax(state: SimulationState, rates: TaxRates) -> tuple[np.ndarray, np.ndarray]:

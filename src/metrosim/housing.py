@@ -148,54 +148,28 @@ def run_housing_market(
     return transactions
 
 
-def collect_property_tax(
-    state: "SimulationState",
-    prices: np.ndarray,
-    rates: TaxRates,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Charge the monthly property tax on family-owned houses, valued at ``prices``.
+def _charge(funds: np.ndarray, dues: np.ndarray) -> np.ndarray:
+    """Each family's payment of one due from its ``funds``, taken from them:
+    the due in full, what is left of the funds, or nothing once they are gone,
+    as the walk's ``min(amount, funds)`` and ``funds -= amount``."""
+    paid = np.where(funds > 0.0, np.minimum(dues, funds), 0.0)
+    funds -= paid
+    return paid
 
-    Municipal stock is not taxed (the municipality does not tax itself). What a family cannot
-    pay accrues as arrears (``state.arrears``) collected from savings in
-    later months, so tax events always correspond to money that actually
-    moved. A family without savings adds its houses' dues to its arrears.
-    Any other family pays its arrears, by ascending municipality, and then
-    its houses' dues in purchase order, each as far as its savings go.
-    Returns every payment, families in id order, as parallel arrays of
-    municipality index and amount.
 
-    One pass serves the families that own exactly one house (their home)
-    and are broke or clear of arrears; the rest, who own several houses or
-    owe arrears they can pay, are walked one by one. The two sets of
-    payments are merged by family id.
-    """
-    rate = rates.property_monthly
+def _pay_arrears_first(
+    state: "SimulationState", walked: list[int], prices: np.ndarray, rate: float
+) -> list[tuple[int, int, float]]:
+    """The property tax walk of families ``walked``, each owing arrears it has
+    savings to pay: its arrears by ascending municipality, then its houses'
+    dues in purchase order. Returns the payments as (family, municipality,
+    amount), in that order."""
     savings, arrears, municipality = state.savings, state.arrears, state.house_municipality
-    owner = state.owner
-    owned = np.bincount(owner[owner >= 0], minlength=len(state.live))
-    payer_in_debt = arrears.any(axis=1) & (savings > 0.0)
-    single = np.flatnonzero((owned == 1) & ~payer_in_debt)
-    walked = np.flatnonzero((owned > 1) | payer_in_debt).tolist()
-
-    # one house: ``min(dues, savings)`` is paid, and the rest owed
-    homes = state.home[single]
-    munis = municipality[homes]
-    dues = prices[homes] * rate
-    held = savings[single]
-    solvent = held > 0.0
-    paid = np.minimum(dues, held)
-    savings[single] = np.where(solvent, held - paid, held)
-    arrears[single, munis] += np.where(solvent, dues - paid, dues)
-    payment = solvent & (dues > 0.0)
-    fams, tax_munis, amounts = single[payment], munis[payment], paid[payment]
-    if not walked:
-        return tax_munis, amounts
-
-    entries: list[tuple[int, int, float]] = []  # (family, municipality, amount)
+    entries: list[tuple[int, int, float]] = []
     rows = arrears[walked].tolist()
     held_by = savings[walked].tolist()
     for i, fam_id in enumerate(walked):
-        # a broke family's arrears pass through unchanged: 0.0 + debt is debt
+        # the row is rebuilt from 0.0, and 0.0 + debt is debt
         dues = [(m, owed) for m, owed in enumerate(rows[i]) if owed > 0.0]
         debt = rows[i] = [0.0] * len(rows[i])
         for house_id in state.owned_houses[fam_id]:
@@ -216,11 +190,84 @@ def collect_property_tax(
         held_by[i] = funds
     arrears[walked] = rows
     savings[walked] = held_by
-    if not entries:
+    return entries
+
+
+def collect_property_tax(
+    state: "SimulationState",
+    prices: np.ndarray,
+    rates: TaxRates,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Charge the monthly property tax on family-owned houses, valued at ``prices``.
+
+    Municipal stock is not taxed (the municipality does not tax itself). What a family cannot
+    pay accrues as arrears (``state.arrears``) collected from savings in
+    later months, so tax events always correspond to money that actually
+    moved. A family without savings adds its houses' dues to its arrears.
+    Any other family pays its arrears, by ascending municipality, and then
+    its houses' dues in purchase order, each as far as its savings go.
+    Returns every payment, families in id order, as parallel arrays of
+    municipality index and amount.
+
+    One pass serves every owner family that is broke or clear of arrears,
+    whatever its house count. Its dues are one row of a family x house
+    matrix in purchase order (a one-house family's house is its home),
+    padded with 0.0 to the largest house count, and the pass charges it one
+    column at a time: the first column for every family, each later one for
+    the families that own several houses. A due takes what the funds
+    cover; from the first due they cannot cover on, the rest is owed,
+    added to the arrears by ``np.add.at`` in due order. The families that
+    owe arrears they can pay are walked one by one, and all payments are
+    merged by family id, each family's in due order.
+    """
+    rate = rates.property_monthly
+    savings, arrears, municipality = state.savings, state.arrears, state.house_municipality
+    owner = state.owner
+    # houses per family; municipal stock (owner -1) falls in bin 0, which is dropped
+    owned = np.bincount(owner + 1, minlength=len(state.live) + 1)[1:]
+    # any() down the columns of a transposed copy runs one vector op per
+    # municipality, not one short loop per family
+    in_debt = np.ascontiguousarray(arrears.T).any(axis=0)
+    payer_in_debt = in_debt & (savings > 0.0)
+    passed = np.flatnonzero((owned > 0) & ~payer_in_debt)
+    walked = np.flatnonzero(payer_in_debt).tolist()
+
+    # the first column is every family's first house; the later columns hold
+    # the other houses of the families that own several, padded with -1,
+    # which prices at 0.0
+    counts = owned[passed]
+    several = np.flatnonzero(counts > 1)
+    bought = [state.owned_houses[f] for f in passed[several].tolist()]
+    width = max(map(len, bought), default=1)
+    columns = [[purchases[k] if k < len(purchases) else -1 for purchases in bought]
+               for k in range(width)]
+    first = state.home[passed]
+    first[several] = columns[0]
+    later = np.array(columns[1:], dtype=np.intp).ravel()
+    houses = np.concatenate((first, later))
+    dues = np.append(prices, 0.0)[houses] * rate
+    funds = savings[passed]
+    paid = [_charge(funds, dues[:len(passed)])]
+    left = funds[several]
+    paid += [_charge(left, due) for due in dues[len(passed):].reshape(width - 1, len(bought))]
+    funds[several] = left
+    savings[passed] = funds
+    paid = np.concatenate(paid)
+    owed = dues - paid
+    fams = np.concatenate((passed, np.repeat(passed[several][None], width - 1, axis=0).ravel()))
+    munis = municipality[houses]
+    owing = owed > 0.0
+    np.add.at(arrears, (fams[owing], munis[owing]), owed[owing])
+    paying = paid > 0.0
+    fams, tax_munis, amounts = fams[paying], munis[paying], paid[paying]
+
+    entries = _pay_arrears_first(state, walked, prices, rate) if walked else []
+    if entries:
+        walked_fams, walked_munis, walked_amounts = zip(*entries)
+        fams = np.concatenate([fams, walked_fams])
+        tax_munis = np.concatenate([tax_munis, walked_munis])
+        amounts = np.concatenate([amounts, walked_amounts])
+    if width == 1 and not entries:
         return tax_munis, amounts
-    walked_fams, walked_munis, walked_amounts = zip(*entries)
-    order = np.argsort(np.concatenate([fams, walked_fams]), kind="stable")
-    return (
-        np.concatenate([tax_munis, walked_munis]).astype(np.intp)[order],
-        np.concatenate([amounts, walked_amounts])[order],
-    )
+    order = np.argsort(fams, kind="stable")
+    return tax_munis[order], amounts[order]

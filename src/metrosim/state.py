@@ -250,39 +250,28 @@ class SimulationState:
         Investment is public procurement paid back to local firms, so invested
         money never leaves circulation; only the escheat pool holds money idle.
         """
-        total = self.escheat_pool
-        for saved in self.savings[self.live].tolist():
-            total += saved
-        for cash in self.cash.tolist():
-            total += cash
-        for treasury in self.treasuries:
-            total += treasury.balance
-        return total
+        # one left fold, as a loop adding each amount in turn
+        amounts = np.concatenate((
+            [self.escheat_pool], self.savings[self.live], self.cash,
+            [treasury.balance for treasury in self.treasuries],
+        ))
+        return np.add.accumulate(amounts)[-1].item()
 
-    def residences(self) -> _Residences:
-        """Citizen id -> home coordinates, for proximity-based hiring.
+    def residences(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every citizen's home coordinates, x and y by citizen id, for
+        proximity-based hiring.
 
-        Each lookup resolves citizen -> family -> home; a dead citizen, who
-        has no family, raises ``KeyError``.
+        A citizen lives in its family's home; a dead citizen, who has no
+        family, has none (NaN).
         """
-        return _Residences(self)
+        family = self.family[:self._next_citizen_id]
+        homes = self.home[family]
+        x, y = self.house_x[homes], self.house_y[homes]
+        dead = family < 0
+        x[dead] = y[dead] = np.nan
+        return x, y
 
     def unemployed_adults(self) -> list[int]:
         """Citizens old enough to work but without an employer, ordered by id."""
         adult = self.age >= self.labor_entry_age_months
         return np.flatnonzero(self.alive & adult & (self.employer < 0)).tolist()
-
-
-class _Residences:
-    """Keyed lookup of a housed citizen's home location."""
-
-    def __init__(self, state: SimulationState):
-        self._state = state
-
-    def __getitem__(self, citizen_id: int) -> tuple[float, float]:
-        state = self._state
-        family = state.family.item(citizen_id)
-        if family < 0:
-            raise KeyError(citizen_id)
-        house_id = state.home.item(family)
-        return state.house_x.item(house_id), state.house_y.item(house_id)

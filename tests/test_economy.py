@@ -23,7 +23,7 @@ from metrosim.economy import (
     shopping_budgets,
 )
 from metrosim.errors import ValidationError
-from metrosim.fiscal import TaxKind, TaxLedger, TaxRates
+from metrosim.fiscal import TaxKind, TaxLedger, TaxRates, Treasury
 from metrosim.state import SimulationState
 
 from conftest import add_family, add_firm, firm_bits, firm_records, members, rng
@@ -293,8 +293,8 @@ def test_higher_wage_firm_picks_first():
     state = make_firms(2, wage_offer=[10.0, 20.0])
     set_citizens(state, [5])
     matches = run_labor_market(
-        np.array([0, 1]), [0], state, {0: (0.0, 0.0)}, MarketParams(proximity_hire_share=0.0),
-        rng(),
+        np.array([0, 1]), [0], state, (np.zeros(1), np.zeros(1)),
+        MarketParams(proximity_hire_share=0.0), rng(),
     )
     assert matches == [(1, 0)]
     assert state.vacancy_unfilled.tolist() == [True, False]
@@ -304,7 +304,7 @@ def test_each_candidate_hired_at_most_once():
     state = make_firms(5, wage_offer=[1.0 + i for i in range(5)])
     workers = [0, 1, 2]
     set_citizens(state, [5, 5, 5])
-    residences = {cid: (0.0, 0.0) for cid in workers}
+    residences = (np.zeros(3), np.zeros(3))
     matches = run_labor_market(np.arange(5), workers, state, residences,
                                MarketParams(proximity_hire_share=0.0), rng())
     assert len(matches) == 3
@@ -319,7 +319,7 @@ def test_qualification_wins_without_proximity():
     weak, strong = 0, 1
     set_citizens(state, [1, 9])
     matches = run_labor_market(
-        [0], [weak, strong], state, {0: (0.0, 0.0), 1: (0.0, 0.0)},
+        [0], [weak, strong], state, (np.zeros(2), np.zeros(2)),
         MarketParams(proximity_hire_share=0.0), rng(),
     )
     assert matches == [(0, 1)]
@@ -329,7 +329,7 @@ def test_proximity_one_prefers_nearby_over_qualified():
     state = make_firms()
     near_weak, far_strong = 0, 1
     set_citizens(state, [1, 9])
-    residences = {0: (1.0, 0.0), 1: (5.0, 0.0)}
+    residences = (np.array([1.0, 5.0]), np.zeros(2))  # by citizen id
     matches = run_labor_market(
         [0], [near_weak, far_strong], state, residences,
         MarketParams(proximity_hire_share=1.0), rng(),
@@ -343,14 +343,105 @@ def test_residences_resolve_each_housed_citizen(make_state):
     widowed = add_family(state, 0, [5, 6])
     [dead, _] = members(state, widowed)
     _remove_citizen(state, dead)
-    residences = state.residences()
-    assert [residences[cid] for cid in members(state, housed)] == [(3.0, 4.0)] * 2
-    with pytest.raises(KeyError):
-        residences[dead]
-    firm = add_firm(state, 0)
-    with pytest.raises(KeyError):
-        run_labor_market([firm], [dead], state, residences,
-                         MarketParams(proximity_hire_share=1.0), rng())
+    x, y = state.residences()
+    people = members(state, housed)
+    assert (x[people].tolist(), y[people].tolist()) == ([3.0, 3.0], [4.0, 4.0])
+    assert len(x) == len(y) == dead + 2
+    # a dead citizen has no home to be hired near
+    assert math.isnan(x[dead]) and math.isnan(y[dead])
+
+
+def reference_run_labor_market(vacancies, candidates, state, residences, params, rng):
+    """``run_labor_market`` as a walk that looks each sampled candidate's
+    qualification and home up one at a time; ``residences`` maps a citizen id
+    to its home's (x, y)."""
+    offer, firm_x, firm_y = state.wage_offer, state.firm_x, state.firm_y
+    order = sorted(map(int, vacancies), key=lambda f: (-offer.item(f), f))
+    pool = list(candidates)
+    quals = state.qualification[pool].tolist()
+    matches = []
+    for firm in order:
+        if not pool:
+            break
+        k = min(params.labor_candidate_sample, len(pool))
+        if k == len(pool):
+            sample_idx = range(len(pool))
+        else:
+            sample_idx = rng.choice(len(pool), size=k, replace=False).tolist()
+        by_proximity = params.proximity_hire_share > 0 and rng.random() < params.proximity_hire_share
+        best_i = None
+        best_key = None
+        fx, fy = firm_x.item(firm), firm_y.item(firm)
+        for i in sample_idx:
+            cid = pool[i]
+            if by_proximity:
+                rx, ry = residences[cid]
+                d = (rx - fx) ** 2 + (ry - fy) ** 2
+                key = (d, cid)
+            else:
+                key = (-quals[i], cid)
+            if best_key is None or key < best_key:
+                best_key = key
+                best_i = i
+        hired = pool.pop(best_i)
+        quals.pop(best_i)
+        matches.append((firm, hired))
+    state.vacancy_unfilled[order[:len(matches)]] = False
+    state.vacancy_unfilled[order[len(matches):]] = True
+    return matches
+
+
+# (candidates, posting firms): a pool larger than the sample, one smaller
+# than the sample, and one that runs dry before the last vacancy
+LABOR_SHAPES = {"large pool": (300, 15), "pool below sample": (7, 3), "dry pool": (25, 30)}
+
+
+def labor_world(seed, n_candidates, n_posting):
+    """A world of one- to three-member families on a coarse grid of homes (so
+    distances tie), drawn qualifications and wage offers (so both tie), and
+    ``n_posting`` of its firms posting; returns the state, the posting firm
+    ids and ``n_candidates`` citizen ids, ascending."""
+    gen = rng(seed)
+    state = SimulationState(treasuries=[Treasury(municipality_id="m00")])
+    n_families = n_candidates
+    homes = state.add_houses([0] * n_families, np.ones(n_families), np.ones(n_families),
+                             gen.integers(0, 5, n_families) * 1.5,
+                             gen.integers(0, 5, n_families) * 0.5)
+    families = state.add_families(homes, np.zeros(n_families))
+    sizes = gen.integers(1, 4, n_families)
+    citizens = state.add_citizens(np.repeat(np.asarray(families), sizes), 360,
+                                  gen.integers(0, 21, int(sizes.sum())))
+    n_firms = n_posting + 5
+    state.add_firms([0] * n_firms, gen.uniform(-1.0, 8.0, n_firms), gen.uniform(-1.0, 3.0, n_firms),
+                    gen.choice([1.0, 1.5, 2.0], n_firms), np.full(n_firms, 100.0))
+    state.vacancy_unfilled[:] = gen.random(n_firms) < 0.5
+    vacancies = np.sort(gen.choice(n_firms, n_posting, replace=False))
+    candidates = np.sort(gen.choice(np.asarray(citizens), n_candidates, replace=False))
+    return state, vacancies, candidates
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("shape", LABOR_SHAPES)
+@pytest.mark.parametrize("share", [0.0, 0.3, 1.0])
+def test_labor_market_matches_the_per_candidate_walk(seed, shape, share):
+    state, vacancies, candidates = labor_world(seed, *LABOR_SHAPES[shape])
+    params = MarketParams(proximity_hire_share=share)
+    ref_unfilled = state.vacancy_unfilled.copy()
+    residences = {}
+    for cid in candidates.tolist():
+        home = state.home.item(state.family.item(cid))
+        residences[cid] = (state.house_x.item(home), state.house_y.item(home))
+    gen, ref_gen = rng(seed + 100), rng(seed + 100)
+    matches = run_labor_market(vacancies, candidates.tolist(), state, state.residences(),
+                               params, gen)
+    unfilled, state.vacancy_unfilled = state.vacancy_unfilled, ref_unfilled
+    ref_matches = reference_run_labor_market(vacancies, candidates.tolist(), state, residences,
+                                             params, ref_gen)
+    assert matches == ref_matches
+    assert gen.bit_generator.state == ref_gen.bit_generator.state
+    assert unfilled.tolist() == state.vacancy_unfilled.tolist()
+    if shape == "dry pool":
+        assert len(matches) == len(candidates) < len(vacancies)
 
 
 # ---------------------------------------------------------------------------
@@ -942,7 +1033,8 @@ def fold_values(drawn, seed, extra):
 )
 def test_numpy_folds_in_consume_are_python_left_folds(drawn, seed, extra, width, slots):
     # consume relies on these three folding left to right, as its scalar walk
-    # does; a numpy that changes one of them fails here, not only in a digest
+    # does, and money_in_circulation on the first; a numpy that changes one
+    # of them fails here, not only in a digest
     values = fold_values(drawn, seed, extra)
     # np.add.accumulate: the month totals over the pass
     assert hexes(np.add.accumulate(np.array(values)).tolist()) == hexes(
@@ -963,6 +1055,21 @@ def test_numpy_folds_in_consume_are_python_left_folds(drawn, seed, extra, width,
     for i, value in zip(index.tolist(), values):
         expected[i] += value
     assert hexes(sums.tolist()) == hexes(expected)
+    # SimulationState.money_in_circulation folds the same way: the escheat
+    # pool, then each live family's savings, each firm's cash and each
+    # treasury's balance, in turn
+    n_families = len(values) // 2
+    state = SimulationState(
+        treasuries=[Treasury(municipality_id=f"m{m}", balance=b) for m, b in enumerate(starts)],
+        escheat_pool=values[0],
+    )
+    state.savings = np.array(values[1:n_families + 1])
+    state.live = gen.random(n_families) < 0.8
+    state.cash = np.array(values[n_families + 1:])
+    audited = [values[0]]
+    audited += [saved for saved, live in zip(state.savings.tolist(), state.live) if live]
+    audited += state.cash.tolist() + starts.tolist()
+    assert state.money_in_circulation().hex() == left_fold(add, audited)[-1].hex()
 
 
 # ---------------------------------------------------------------------------

@@ -515,7 +515,8 @@ def reference_housing_market(world: ScalarWorld, prices, params, rates, rng, tax
 MUNIS = (0, 1, 2)  # indices of m00, m01, m02
 # the kinds of owner the property tax tells apart, each present in every drawn world
 ROLES = ("broke, arrears elsewhere", "two houses", "solvent, arrears in two", "short payer",
-         "escheated", "any", "any")
+         "short at a middle house", "broke, arrears at one of several", "escheated", "any",
+         "any")
 
 savings_draws = st.one_of(st.just(0.0), st.floats(-5.0, 0.0), st.floats(0.0, 40.0))
 price_draws = st.one_of(st.just(0.0), st.floats(0.01, 60.0), st.floats(60.0, 5e4))
@@ -534,22 +535,25 @@ def owner_worlds(draw):
     rates = TaxRates(property_annual=annual)
     prices = []
 
-    def build_house(owner=None, price=None):
+    def build_house(owner=None, price_from=price_draws):
         if draw(st.booleans()):  # municipal stock between the owned houses
             add_house(state, draw(st.sampled_from(MUNIS)))
             prices.append(draw(price_draws))
         house = add_house(state, draw(st.sampled_from(MUNIS)), owner=owner)
-        prices.append(draw(price_draws) if price is None else price)
+        prices.append(draw(price_from))
         return house
 
     for role in draw(st.permutations(ROLES)):
         n_houses = {"two houses": 2, "solvent, arrears in two": draw(st.integers(1, 2)),
+                    "short at a middle house": draw(st.integers(3, 4)),
+                    "broke, arrears at one of several": draw(st.integers(2, 4)),
                     "any": draw(st.integers(1, 3))}.get(role, 1)
-        price = draw(st.floats(0.01, 5e4)) if role == "short payer" else None
-        [fid] = state.add_families([build_house(price=price)], [0.0])
+        own_prices = {"short payer": st.floats(0.01, 5e4),
+                      "short at a middle house": st.floats(0.01, 5e4)}.get(role, price_draws)
+        [fid] = state.add_families([build_house(price_from=own_prices)], [0.0])
         [member] = state.add_citizens([fid], [360], [5])
         for _ in range(n_houses - 1):
-            build_house(owner=fid, price=price)
+            build_house(owner=fid, price_from=own_prices)
         state.owned_houses[fid][:] = draw(st.permutations(state.owned_houses[fid]))
         if role == "broke, arrears elsewhere":
             state.savings[fid] = draw(st.one_of(st.just(0.0), st.floats(-5.0, 0.0)))
@@ -560,8 +564,21 @@ def owner_worlds(draw):
             state.savings[fid] = draw(st.floats(0.01, 40.0))
             for m in draw(st.lists(st.sampled_from(MUNIS), min_size=2, max_size=2, unique=True)):
                 state.arrears[fid, m] = draw(st.floats(0.01, 30.0))
+        elif role == "broke, arrears at one of several":
+            state.savings[fid] = draw(st.one_of(st.just(0.0), st.floats(-5.0, 0.0)))
+            house = draw(st.sampled_from(state.owned_houses[fid]))
+            state.arrears[fid, state.house_municipality[house]] = draw(st.floats(0.01, 30.0))
         elif role == "short payer":  # savings cover part of the month's dues
+            price = prices[state.home[fid]]
             state.savings[fid] = draw(st.floats(0.01, 0.99)) * price * rates.property_monthly
+        elif role == "short at a middle house":
+            # savings cover the dues of the first houses bought, and part of the next
+            dues = [prices[house] * rates.property_monthly for house in state.owned_houses[fid]]
+            covered = draw(st.integers(1, n_houses - 2))
+            funds = 0.0
+            for due in dues[:covered]:
+                funds += due
+            state.savings[fid] = funds + draw(st.floats(0.01, 0.99)) * dues[covered]
         else:
             state.savings[fid] = draw(savings_draws)
             for m, debt in draw(st.dictionaries(st.sampled_from(MUNIS), st.floats(0.01, 30.0))).items():
