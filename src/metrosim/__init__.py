@@ -1,6 +1,6 @@
 """Agent-based simulator of multi-municipality metropolitan economies.
 
-Citizens, families, firms and municipal treasuries interact monthly; five
+Citizens, families, firms and municipalities interact monthly; five
 taxes are collected and redistributed under four alternative policies; the
 outcome variable is each municipality's Quality of Life Index, with an OLS
 layer comparing the policies across a batch of synthetic regions.
@@ -34,7 +34,6 @@ from .fiscal import (
     TaxKind,
     TaxLedger,
     TaxRates,
-    Treasury,
     distribute,
     equal_shares,
     invest,
@@ -59,7 +58,7 @@ __version__ = "1.0.0"
 __all__ = [
     "HousingParams", "MarketParams",
     "MunicipalitySpec", "RegionSpec", "SimulationState", "WorldConfig",
-    "TaxKind", "TaxLedger", "TaxRates", "Treasury",
+    "TaxKind", "TaxLedger", "TaxRates",
     "ChannelWeights", "DistributionPolicy", "MpfTable",
     "policy_for_case", "equal_shares", "mpf_shares", "distribute", "invest",
     "step_ages", "apply_mortality", "apply_fertility",

@@ -132,9 +132,13 @@ def _run_export_rows(result: RunResult) -> tuple[list[str], list[list]]:
     ]
     rows = []
     for month in range(len(result.gdp_index)):
-        for muni in result.municipality_ids:
-            row = [month, muni, result.qli[muni][month], result.populations[muni][month]]
-            row += [result.inflows[muni][k.value][month] for k in TAX_KINDS]
+        # Python numbers, which _fmt writes in their shortest round-trip form
+        qli, populations, inflows = (
+            series[month].tolist() for series in (result.qli, result.populations, result.inflows)
+        )
+        for m, muni in enumerate(result.municipality_ids):
+            row = [month, muni, qli[m], populations[m]]
+            row += [by_kind[m] for by_kind in inflows]
             row += [
                 result.gdp_index[month], result.inflation[month], result.unemployment[month],
                 result.avg_workers_per_firm[month], result.avg_firm_profit[month],
@@ -187,10 +191,9 @@ def cmd_run(args) -> int:
     out_dir = _output_dir(args)
     result = run_scenario(cfg, cfg.engine.seed, region)
     path = _export_run(result, out_dir)
-    final = result.final_qli()
     print(f"run complete: {result.apc_id} case {result.case_id} seed {result.seed}")
-    for muni in result.municipality_ids:
-        print(f"  {muni}: final QLI {final[muni]:.6f}")
+    for muni, final in zip(result.municipality_ids, result.qli[-1].tolist()):
+        print(f"  {muni}: final QLI {final:.6f}")
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -269,11 +272,10 @@ def cmd_compare(args, cfg: ScenarioConfig, regions: list[RegionSpec]):
             for run in scenario.runs:
                 months = len(run.gdp_index)
                 stride_months = [m for m in range(months) if (m + 1) % 12 == 0 or m == months - 1]
+                qli = run.qli.tolist()
                 for month in stride_months:
-                    for muni in run.municipality_ids:
-                        long_rows.append(
-                            [apc_id, case_id, run.seed, month, muni, "qli", run.qli[muni][month]]
-                        )
+                    for muni, value in zip(run.municipality_ids, qli[month]):
+                        long_rows.append([apc_id, case_id, run.seed, month, muni, "qli", value])
                 last = months - 1
                 for metric in ("gdp_index", "inflation", "unemployment",
                                "avg_workers_per_firm", "avg_firm_profit"):

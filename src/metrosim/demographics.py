@@ -174,7 +174,7 @@ def _escheat_family(state: "SimulationState", family_id: int) -> None:
     home = state.home.item(family_id)
     savings = state.savings.item(family_id)
     if savings > 0:
-        state.treasuries[state.house_municipality.item(home)].balance += savings
+        state.treasury[state.house_municipality.item(home)] += savings
     state.savings[family_id] = 0.0
     state.arrears[family_id] = 0.0  # arrears die with the family; nothing was collected
     owned = state.owned_houses[family_id]

@@ -63,18 +63,20 @@ log = logging.getLogger(__name__)
 CURRENCY_UNIT = 0.01  # smallest money unit the conservation audit resolves
 
 
-@dataclass
+@dataclass(eq=False)
 class RunResult:
-    """Everything one run records: one entry per month in every series."""
+    """Everything one run records: one entry per month in every series. A
+    per-municipality series is an array of month x municipality index, and
+    ``inflows`` has the kinds, in ``TAX_KINDS`` order, between the two."""
 
     apc_id: str
     case_id: int
     seed: int
     municipality_ids: list[str] = field(default_factory=list)
     # per-municipality series
-    qli: dict[str, list[float]] = field(default_factory=dict)
-    populations: dict[str, list[int]] = field(default_factory=dict)
-    inflows: dict[str, dict[str, list[float]]] = field(default_factory=dict)
+    qli: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    populations: np.ndarray = field(default_factory=lambda: np.zeros((0, 0), dtype=np.int64))
+    inflows: np.ndarray = field(default_factory=lambda: np.zeros((0, len(TAX_KINDS), 0)))
     # region-wide series
     gdp_value: list[float] = field(default_factory=list)
     gdp_index: list[float] = field(default_factory=list)
@@ -86,8 +88,14 @@ class RunResult:
     taxes_by_kind: dict[str, list[float]] = field(default_factory=dict)
     housing_sales: list[int] = field(default_factory=list)
 
-    def final_qli(self) -> dict[str, float]:
-        return {m: series[-1] for m, series in self.qli.items()}
+    def __eq__(self, other) -> bool:
+        """Equal in every field, the series arrays value by value."""
+        if not isinstance(other, RunResult):
+            return NotImplemented
+        return all(
+            np.array_equal(mine, theirs) if isinstance(mine, np.ndarray) else mine == theirs
+            for mine, theirs in zip(vars(self).values(), vars(other).values())
+        )
 
 
 @dataclass
@@ -105,8 +113,6 @@ class _Runtime:
     # (see SimulationState), so this holds all run
     contractors: list[list[int]]
     output_per_worker: np.ndarray  # q**beta by qualification q
-    # the result's inflow series by municipality index, kinds in TAX_KINDS order
-    inflows: list[list[list[float]]]
     frozen_populations: list[int] | None = None
     money_ops: int = 0  # cumulative count of money-moving events, for audit tolerance
     prev_unit_value: float = math.nan  # last month's mean price paid, for inflation
@@ -225,29 +231,21 @@ def distribution(state: SimulationState, runtime: _Runtime, result: RunResult, m
                 state.month, "distribution-conservation",
                 f"{kind.value}: collected {pool!r} vs allocated {allocated!r}",
             )
-    by_muni = zip(result.municipality_ids, zip(*rows), runtime.inflows)
-    procured = []
-    for m, (muni, amounts, inflows) in enumerate(by_muni):
-        total_alloc = 0.0
-        for series, amount in zip(inflows, amounts):
-            series.append(amount)
-            total_alloc += amount
-        population = month.populations[m]
-        if population <= 0 and m not in runtime.depopulated:
-            runtime.depopulated.add(m)
-            log.warning(
-                "municipality %s depopulated at month %d; its allocations escheat from here on"
-                " (region %s, case %d, seed %d)",
-                muni, state.month, result.apc_id, result.case_id, result.seed,
-            )
-        spent, escheated = invest(
-            state.treasuries[m], total_alloc, population, cfg.fiscal.qli_unit_cost
+    result.inflows[state.month] = rows  # kind x municipality
+    populations = np.array(month.populations)
+    for m in sorted(set(np.flatnonzero(populations <= 0).tolist()) - runtime.depopulated):
+        runtime.depopulated.add(m)
+        log.warning(
+            "municipality %s depopulated at month %d; its allocations escheat from here on"
+            " (region %s, case %d, seed %d)",
+            state.municipality_ids[m], state.month, result.apc_id, result.case_id, result.seed,
         )
-        state.escheat_pool += escheated
-        procured.append(spent)
+    # each municipality's allocation folds its inflows in TAX_KINDS order
+    allocation = np.add.accumulate(result.inflows[state.month], axis=0)[-1]
+    procured = invest(state, allocation, populations, cfg.fiscal.qli_unit_cost)
     # public procurement: the works are bought from the municipality's firms,
     # or the region's where it has none, so taxes recirculate
-    pay_procurement(state, procured, runtime.contractors)
+    pay_procurement(state, procured.tolist(), runtime.contractors)
     runtime.money_ops += (
         month.ledger.event_count + month.sales + int(np.count_nonzero(state.live))
     )
@@ -280,9 +278,8 @@ def metrics(state: SimulationState, runtime: _Runtime, result: RunResult, month:
     for kind in TAX_KINDS:
         result.taxes_by_kind[kind.value].append(month.collected[kind])
     result.housing_sales.append(month.sales)
-    for m, muni in enumerate(result.municipality_ids):
-        result.qli[muni].append(state.treasuries[m].qli)
-        result.populations[muni].append(month.populations[m])
+    result.qli[state.month] = state.qli
+    result.populations[state.month] = month.populations
 
 
 def audit(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
@@ -300,11 +297,9 @@ def audit(state: SimulationState, runtime: _Runtime, result: RunResult, month: _
         )
     vacant_by_muni = vacancies(state).tolist()
     # a municipality has families exactly when it has citizens
-    for treasury, people, vacant in zip(state.treasuries, month.populations, vacant_by_muni):
+    for muni, people, vacant in zip(state.municipality_ids, month.populations, vacant_by_muni):
         if people > 0 and vacant < 1:
-            raise InvariantViolation(
-                closed, "housing-vacancy", f"no vacant house in {treasury.municipality_id}"
-            )
+            raise InvariantViolation(closed, "housing-vacancy", f"no vacant house in {muni}")
 
 
 # One month, in order. Every phase takes (state, runtime, result, month) and
@@ -318,7 +313,7 @@ PHASES = (
 
 def step_month(state: SimulationState, runtime: _Runtime, result: RunResult) -> None:
     """Advance the world by one month: every phase of ``PHASES``, in order."""
-    month = _Month(TaxLedger(len(state.treasuries)))
+    month = _Month(TaxLedger(len(state.municipality_ids)))
     for phase in PHASES:
         phase(state, runtime, result, month)
 
@@ -326,23 +321,22 @@ def step_month(state: SimulationState, runtime: _Runtime, result: RunResult) -> 
 def start_run(
     config: ScenarioConfig, state: SimulationState, seed: int, apc_id: str
 ) -> tuple[_Runtime, RunResult]:
-    """The run state of ``config`` at ``seed`` for a world at month 0, and the
-    run's result, every series empty."""
+    """The run state of ``config`` at ``seed`` for a world at month 0, and the run's
+    result: month ``m`` writes row ``m`` of each per-municipality series."""
+    months, n = config.engine.horizon_months, len(state.municipality_ids)
     result = RunResult(
         apc_id=apc_id,
         case_id=config.fiscal.case_id,
         seed=seed,
-        municipality_ids=state.municipality_ids,
+        municipality_ids=list(state.municipality_ids),
+        qli=np.zeros((months, n)),
+        populations=np.zeros((months, n), dtype=np.int64),
+        inflows=np.zeros((months, len(TAX_KINDS), n)),
+        taxes_by_kind={kind.value: [] for kind in TAX_KINDS},
     )
-    for muni in result.municipality_ids:
-        result.qli[muni] = []
-        result.populations[muni] = []
-        result.inflows[muni] = {kind.value: [] for kind in TAX_KINDS}
-    for kind in TAX_KINDS:
-        result.taxes_by_kind[kind.value] = []
     path = config.fiscal.mpf_table_file
     municipality = state.firm_municipality
-    local = [np.flatnonzero(municipality == m).tolist() for m in range(len(state.treasuries))]
+    local = [np.flatnonzero(municipality == m).tolist() for m in range(n)]
     runtime = _Runtime(
         config=config,
         rng=RngStreams(seed),
@@ -351,7 +345,6 @@ def start_run(
         vital_rates=VitalRates(DEFAULT_VITAL_BRACKETS),
         contractors=[firms or list(range(len(state.employees))) for firms in local],
         output_per_worker=output_per_worker(config.market, state.qualification_levels),
-        inflows=[list(result.inflows[muni].values()) for muni in result.municipality_ids],
         frozen_populations=state.populations() if config.fiscal.freeze_mpf_shares else None,
     )
     return runtime, result
@@ -466,9 +459,8 @@ def summarize_runs(
         scenario.flagged = True
         return scenario
     munis = runs[0].municipality_ids
-    scenario.median_final_qli = {
-        m: median([r.qli[m][-1] for r in runs]) for m in munis
-    }
+    finals = [r.qli[-1].tolist() for r in runs]
+    scenario.median_final_qli = {m: median(qli) for m, qli in zip(munis, zip(*finals))}
 
     def run_mean(series: list[float]) -> float:
         return sequential_sum(series) / len(series)

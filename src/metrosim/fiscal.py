@@ -3,7 +3,7 @@
 Money enters here as (kind, origin municipality index, amount) records, is routed
 through three channels (kept locally, split equally by population, split by
 the progressive population-bracket fund), and leaves as per-municipality
-allocations that treasuries invest into their Quality of Life Index.
+allocations that municipalities invest into their Quality of Life Index.
 """
 from __future__ import annotations
 
@@ -450,50 +450,45 @@ def distribute(
 
 
 # ---------------------------------------------------------------------------
-# Treasuries
+# Investment
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class Treasury:
-    """One municipality's fiscal account and Quality of Life Index."""
-
-    municipality_id: str
-    balance: float = 0.0
-    qli: float = 0.0
-
-
 def invest(
-    treasury: Treasury, allocation: float, population: int, qli_unit_cost: float
-) -> tuple[float, float]:
-    """Credit the allocation and convert the whole balance into QLI.
+    state: SimulationState, allocations: np.ndarray, populations: np.ndarray,
+    qli_unit_cost: float,
+) -> np.ndarray:
+    """Credit each municipality its allocation and convert its whole balance
+    into QLI, one pass over the ``state.treasury`` and ``state.qli`` columns.
 
-    The index rises linearly in the invested amount and inversely in the
-    current population. Returns ``(spent, escheated)``: the amount spent
-    this month, which the caller pays to firms for the public works (see
-    ``pay_procurement``), and the balance that escheats to the region pool
-    because a municipality with no citizens cannot absorb investment.
+    ``allocations`` and ``populations`` are by municipality index. The index
+    rises linearly in the invested amount and inversely in the current
+    population. A municipality whose balance is zero does nothing; one with
+    no citizens cannot absorb investment, so its balance escheats to the
+    region pool, the escheats adding onto it in index order. Returns the
+    amount each municipality spent this month, which the caller pays to
+    firms for the public works (see ``pay_procurement``).
     """
-    if allocation < 0:
-        raise ValidationError(f"negative allocation {allocation}")
+    if allocations.min() < 0:
+        raise ValidationError(f"negative allocation {allocations[allocations < 0][0]}")
     if qli_unit_cost <= 0:
         raise ValidationError("qli_unit_cost must be positive")
-    treasury.balance += allocation
-    if treasury.balance == 0.0:
-        return 0.0, 0.0
-    if population <= 0:
-        log.debug(
-            "municipality %s has no population; %.6f escheats to region pool",
-            treasury.municipality_id,
-            treasury.balance,
-        )
-        escheated = treasury.balance
-        treasury.balance = 0.0
-        return 0.0, escheated
-    invested = treasury.balance
-    treasury.qli += invested / (population * qli_unit_cost)
-    treasury.balance = 0.0
-    return invested, 0.0
+    balance = state.treasury
+    balance += allocations
+    emptied = populations <= 0
+    spent = np.where(emptied, 0.0, balance)
+    # an emptied municipality divides by 1 instead of 0 and adds 0.0, as a
+    # zero balance does: a QLI is never -0.0, so adding 0.0 moves no bit
+    state.qli += spent / (np.maximum(populations, 1) * qli_unit_cost)
+    for m in np.flatnonzero(emptied).tolist():
+        if balance[m]:
+            log.debug(
+                "municipality %s has no population; %.6f escheats to region pool",
+                state.municipality_ids[m], balance[m],
+            )
+            state.escheat_pool += balance.item(m)
+    balance.fill(0.0)  # a balance is never -0.0 either
+    return spent
 
 
 def pay_procurement(

@@ -61,8 +61,7 @@ def hedonic_prices(state: "SimulationState", params: HousingParams) -> np.ndarra
     QLI)``, multiplied left to right. The prices hold until QLI moves, which
     only ``invest`` does.
     """
-    qli = np.array([treasury.qli for treasury in state.treasuries], dtype=float)
-    factor = 1.0 + params.qli_elasticity * qli
+    factor = 1.0 + params.qli_elasticity * state.qli
     return (
         params.hedonic_base * state.house_size * state.house_quality
         * factor[state.house_municipality]
@@ -72,7 +71,7 @@ def hedonic_prices(state: "SimulationState", params: HousingParams) -> np.ndarra
 def vacancies(state: "SimulationState") -> np.ndarray:
     """Vacant houses by municipality index."""
     return np.bincount(
-        state.house_municipality[state.resident < 0], minlength=len(state.treasuries)
+        state.house_municipality[state.resident < 0], minlength=len(state.municipality_ids)
     )
 
 
@@ -134,7 +133,7 @@ def run_housing_market(
         seller = owner.item(chosen)
         savings[buyer] -= price
         if seller < 0:
-            state.treasuries[muni].balance += price - tax
+            state.treasury[muni] += price - tax
         else:
             savings[seller] += price - tax
             state.owned_houses[seller].remove(chosen)

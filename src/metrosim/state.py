@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError
-from .fiscal import Treasury
 
 
 @dataclass
@@ -19,11 +18,12 @@ class SimulationState:
     """One run's agents and audit bookkeeping; the run's random streams are
     ``engine._Runtime.rng``, and a month's taxes ``engine._Month.ledger``.
 
-    Each municipality is one integer index, in ascending order of its id:
-    ``treasuries[m]`` is municipality ``m``'s account and carries the id,
-    and firms, houses, arrears and ledger entries name their municipality
-    by index. A citizen lives in its family's home, so ``populations()``
-    counts the living by their home's municipality.
+    Each municipality is one integer index, in ascending order of its id
+    in ``municipality_ids``: ``treasury[m]`` is municipality ``m``'s balance
+    and ``qli[m]`` its Quality of Life Index, and firms, houses, arrears and
+    ledger entries name their municipality by index. A citizen lives in its
+    family's home, so ``populations()`` counts the living by their home's
+    municipality.
 
     A firm is one row of the columns indexed by firm id, their only store:
     ``firm_municipality``, its location ``firm_x`` and ``firm_y``, ``cash``,
@@ -74,7 +74,7 @@ class SimulationState:
     """
 
     month: int = 0
-    treasuries: list[Treasury] = field(default_factory=list)  # by municipality index
+    municipality_ids: list[str] = field(default_factory=list)  # ascending
     owned_houses: list[list[int]] = field(default_factory=list)  # by family id
     employees: list[list[int]] = field(default_factory=list)  # by firm id
     labor_entry_age_months: int = 192
@@ -112,17 +112,16 @@ class SimulationState:
     revenue_this_month: np.ndarray = field(default_factory=lambda: np.zeros(0))
     payroll_this_month: np.ndarray = field(default_factory=lambda: np.zeros(0))
     vacancy_unfilled: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
+    treasury: np.ndarray = field(init=False)  # balance by municipality index
+    qli: np.ndarray = field(init=False)  # by municipality index
 
     def __post_init__(self):
-        ids = [t.municipality_id for t in self.treasuries]
+        ids = self.municipality_ids
         if ids != sorted(ids):
-            raise ValidationError("treasuries must be in ascending municipality id order")
-        self.arrears = np.zeros((len(self.live), len(self.treasuries)))
-
-    @property
-    def municipality_ids(self) -> list[str]:
-        """Every municipality's id, by index (ascending)."""
-        return [t.municipality_id for t in self.treasuries]
+            raise ValidationError("municipality ids must be in ascending order")
+        self.treasury = np.zeros(len(ids))
+        self.qli = np.zeros(len(ids))
+        self.arrears = np.zeros((len(self.live), len(ids)))
 
     def __setstate__(self, fields: dict) -> None:
         # numpy unpickles an array with a dtype instance that is not its
@@ -174,7 +173,7 @@ class SimulationState:
             self.savings = np.concatenate([self.savings, np.zeros(grow)])
             self.home = np.concatenate([self.home, np.full(grow, -1, dtype=np.int64)])
             self.live = np.concatenate([self.live, np.zeros(grow, dtype=bool)])
-            self.arrears = np.concatenate([self.arrears, np.zeros((grow, len(self.treasuries)))])
+            self.arrears = np.concatenate([self.arrears, np.zeros((grow, len(self.treasury)))])
         ids = range(first, stop)
         self.savings[first:stop] = savings
         self.live[first:stop] = True
@@ -241,7 +240,7 @@ class SimulationState:
         """Living citizens by municipality index of their family's home."""
         homes = self.home[self.family[self.alive]]
         return np.bincount(
-            self.house_municipality[homes], minlength=len(self.treasuries)
+            self.house_municipality[homes], minlength=len(self.municipality_ids)
         ).tolist()
 
     def money_in_circulation(self) -> float:
@@ -252,8 +251,7 @@ class SimulationState:
         """
         # one left fold, as a loop adding each amount in turn
         amounts = np.concatenate((
-            [self.escheat_pool], self.savings[self.live], self.cash,
-            [treasury.balance for treasury in self.treasuries],
+            [self.escheat_pool], self.savings[self.live], self.cash, self.treasury,
         ))
         return np.add.accumulate(amounts)[-1].item()
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -17,11 +18,19 @@ import numpy as np
 
 from .demographics import MAX_AGE_MONTHS
 from .errors import ParseError, ValidationError, count, finite, number
-from .fiscal import Treasury, sequential_sum
+from .fiscal import sequential_sum
 from .state import SimulationState
 
 COORD_BOX = 100.0  # side of the square the region lives in
 JITTER_SD = 2.0  # within-municipality scatter around the centroid
+# region and municipality ids name output files and fill CSV cells, so no
+# path separator, line break, comma or leading dot gets in
+ID_PATTERN = re.compile(r"[A-Za-z0-9][A-Za-z0-9_.-]*")
+
+
+def _check_id(what: str, value: str) -> None:
+    if not ID_PATTERN.fullmatch(value):
+        raise ValidationError(f"{what} id {value!r} must match {ID_PATTERN.pattern}")
 
 
 @dataclass(frozen=True)
@@ -33,6 +42,7 @@ class MunicipalitySpec:
     centroid: tuple[float, float]
 
     def validate(self) -> None:
+        _check_id("municipality", self.id)
         if self.population < 1:
             raise ValidationError(f"municipality {self.id}: population must be >= 1")
         if self.firm_count < 1:
@@ -48,6 +58,7 @@ class RegionSpec:
     municipalities: tuple[MunicipalitySpec, ...]
 
     def validate(self) -> None:
+        _check_id("region", self.id)
         if not self.municipalities:
             raise ValidationError(f"region {self.id}: needs at least one municipality")
         seen: set[str] = set()
@@ -315,7 +326,7 @@ def instantiate_world(
     ids = sorted(muni.id for muni in region.municipalities)
     index = {muni_id: i for i, muni_id in enumerate(ids)}
     state = SimulationState(
-        treasuries=[Treasury(municipality_id=muni_id) for muni_id in ids],
+        municipality_ids=ids,
         labor_entry_age_months=cfg.labor_entry_age_months,
         qualification_levels=cfg.qualification_levels,
     )

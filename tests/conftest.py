@@ -1,7 +1,7 @@
 """Shared builders for the test suite.
 
 Most tests construct tiny worlds by hand; these helpers cover the two
-recurring shapes: a bare state with treasuries, and a scenario config whose
+recurring shapes: a bare state with municipalities, and a scenario config whose
 region is generated (not the shipped batch) so engine tests stay fast.
 """
 from dataclasses import astuple, dataclass, fields
@@ -17,20 +17,20 @@ from metrosim.config import (
     ScenarioConfig,
 )
 from metrosim.errors import InvariantViolation
-from metrosim.fiscal import TAX_KINDS, Treasury
+from metrosim.fiscal import TAX_KINDS
 from metrosim.state import SimulationState
 from metrosim.worldgen import MunicipalitySpec, RegionSpec, WorldConfig
 
 
 @pytest.fixture
 def make_state():
-    """Factory for a minimal SimulationState with treasuries for the given municipality ids.
+    """Factory for a minimal SimulationState of the given municipality ids.
 
     Municipality ``m`` of the builders below is the ``m``-th id in ascending order.
     """
 
     def build(munis=("m00",)) -> SimulationState:
-        return SimulationState(treasuries=[Treasury(municipality_id=m) for m in sorted(munis)])
+        return SimulationState(municipality_ids=sorted(munis))
 
     return build
 
@@ -157,6 +157,36 @@ def firm_bits(records) -> list[tuple]:
         tuple(v.hex() if isinstance(v, float) else v for v in astuple(record))
         for record in records
     ]
+
+
+@dataclass
+class TreasuryRecord:
+    """A municipality's account as one record, for the scalar ``invest``
+    reference: the state's ``treasury`` and ``qli`` columns at one index."""
+
+    balance: float = 0.0
+    qli: float = 0.0
+
+
+def treasury_records(state) -> list[TreasuryRecord]:
+    """Every municipality of ``state`` as a record, by index."""
+    return [TreasuryRecord(*row) for row in zip(state.treasury.tolist(), state.qli.tolist())]
+
+
+def invest_one(treasury: TreasuryRecord, allocation, population, qli_unit_cost):
+    """Reference: one municipality's investment, the rule ``fiscal.invest``
+    applies to every municipality at once; returns ``(spent, escheated)``."""
+    treasury.balance += allocation
+    if treasury.balance == 0.0:
+        return 0.0, 0.0
+    if population <= 0:
+        escheated = treasury.balance
+        treasury.balance = 0.0
+        return 0.0, escheated
+    invested = treasury.balance
+    treasury.qli += invested / (population * qli_unit_cost)
+    treasury.balance = 0.0
+    return invested, 0.0
 
 
 def add_house(state, muni, size=1.0, quality=1.0, owner=None, house_id=None,

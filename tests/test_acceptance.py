@@ -97,13 +97,12 @@ def test_criterion_02_conservation_at_scale():
     # so a completed run certifies the global audit closed 240 times
     result = run_scenario(cfg, seed=0, region=region)
     elapsed = perf_counter() - start
-    assert sum(series[-1] for series in result.populations.values()) > 15_000
-    for kind in TAX_KINDS:
+    assert result.populations[-1].sum() > 15_000
+    inflows = result.inflows.tolist()  # month x kind x municipality
+    for k, kind in enumerate(TAX_KINDS):
         collected = result.taxes_by_kind[kind.value]
         for month in range(cfg.engine.horizon_months):
-            distributed = sum(
-                result.inflows[m][kind.value][month] for m in result.municipality_ids
-            )
+            distributed = sum(inflows[month][k])
             assert abs(distributed - collected[month]) <= CURRENCY_UNIT
     assert elapsed < 60.0, f"20k-agent run took {elapsed:.1f}s"
     print("criterion 2: PASS")
@@ -122,7 +121,8 @@ def test_criterion_03_single_municipality_case_invariance():
         }
         reference = runs[1]
         for case_id in (2, 3, 4):
-            assert runs[case_id].qli == reference.qli  # bit-identical trajectories
+            # bit-identical trajectories
+            assert runs[case_id].qli.tobytes() == reference.qli.tobytes()
     assert perf_counter() - start < 60.0
     print("criterion 3: PASS")
 

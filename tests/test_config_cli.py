@@ -469,6 +469,72 @@ def test_region_file_bad_number_exits_one_before_any_run(tmp_path, capsys, monke
     assert calls == []
 
 
+# ids that would leave --out, make a subdirectory, shift the CSV columns, or name nothing
+BAD_IDS = {"parent-dir": "../escape", "newline": "a\nb", "comma": "a,b", "empty": ""}
+
+
+@pytest.mark.parametrize("bad_id", list(BAD_IDS.values()), ids=list(BAD_IDS))
+@pytest.mark.parametrize("where", ["region", "municipality"])
+def test_region_file_bad_id_exits_one_before_any_run(tmp_path, capsys, monkeypatch, where,
+                                                      bad_id):
+    calls = []
+    monkeypatch.setattr(cli, "run_scenario", lambda *a, **kw: calls.append(a))
+    munis = [GOOD_MUNICIPALITY, dict(GOOD_MUNICIPALITY, id="m01")]
+    if where == "municipality":
+        munis[0] = dict(GOOD_MUNICIPALITY, id=bad_id)
+    region_path = tmp_path / "region.json"
+    region_path.write_text(json.dumps({"id": bad_id if where == "region" else "r",
+                                       "name": "r", "municipalities": munis}), encoding="utf-8")
+    cfg_path = write_config(tmp_path, dict(SMALL_SCENARIO, region={
+        "mode": "file", "path": str(region_path)}))
+    out_dir = tmp_path / "out" / "sub"
+    code = cli.main(["run", "--config", cfg_path, "--out", str(out_dir)])
+    assert code == cli.EXIT_CONFIG
+    assert f"config error: {region_path}: {where} id {bad_id!r} must match" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+    assert not list(tmp_path.rglob("*.csv"))
+    assert calls == []
+
+
+@pytest.mark.parametrize("bad_id", list(BAD_IDS.values()), ids=list(BAD_IDS))
+def test_gen_region_bad_id_exits_one(tmp_path, capsys, bad_id):
+    out = tmp_path / "region.json"
+    code = cli.main(["gen-region", "--municipalities", "3", "--population", "5000",
+                     "--id", bad_id, "--out", str(out)])
+    assert code == cli.EXIT_CONFIG
+    assert f"region id {bad_id!r} must match" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_written_rows_and_medians_hold_python_values(tmp_path, monkeypatch):
+    # a numpy scalar in a row would reach _fmt, which writes what repr gives,
+    # and on numpy 2 that is "np.float64(0.5)"
+    written, scenarios = {}, []
+    write_csv, run_batch = cli._write_csv, cli.run_batch
+
+    def recording_csv(path, header, rows):
+        written[path.name] = rows
+        write_csv(path, header, rows)
+
+    def recording_batch(*args, **kwargs):
+        scenarios.append(run_batch(*args, **kwargs))
+        return scenarios[-1]
+
+    monkeypatch.setattr(cli, "_write_csv", recording_csv)
+    monkeypatch.setattr(cli, "run_batch", recording_batch)
+    code = cli.main(["compare", "--export-runs", "--config", write_config(tmp_path, SMALL_SCENARIO),
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_OK
+    exports = [name for name in written if name.startswith("region_case")]
+    assert len(exports) == 8
+    for name in ["long.csv", *exports]:
+        assert {type(value) for row in written[name] for value in row} == {int, float, str}
+    [batch] = scenarios
+    medians = [scenario.median_final_qli for scenario in batch.values()]
+    assert {type(value) for median in medians for value in median.values()} == {float}
+
+
 def test_mpf_table_read_once_per_batch(tmp_path, monkeypatch):
     table_path = tmp_path / "mpf.csv"
     table_path.write_text("max_population,coefficient\n1000,1.0\n2000,1.5\n", encoding="utf-8")

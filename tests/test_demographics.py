@@ -97,7 +97,7 @@ def test_certain_mortality_empties_population(make_state):
     assert not living(state)
     assert not state.live.any()
     assert state.populations() == [0]
-    assert state.treasuries[0].balance == 10.0  # family savings escheated
+    assert state.treasury[0] == 10.0  # family savings escheated
 
 
 def test_death_count_within_binomial_bound(make_state):
@@ -138,7 +138,7 @@ def test_death_cascade_employer_family_houses(make_state):
     assert state.employees[firm] == []
     assert state.employer[cid] == -1 and not state.alive[cid]
     assert not state.live[family]
-    assert state.treasuries[0].balance == 42.0
+    assert state.treasury[0] == 42.0
     assert state.owner[home] == state.owner[second] == -1
     assert state.resident[home] == state.resident[second] == -1
     # the escheated row owns nothing and owes nothing

@@ -23,7 +23,7 @@ from metrosim.economy import (
     shopping_budgets,
 )
 from metrosim.errors import ValidationError
-from metrosim.fiscal import TaxKind, TaxLedger, TaxRates, Treasury
+from metrosim.fiscal import TAX_KINDS, TaxKind, TaxLedger, TaxRates
 from metrosim.state import SimulationState
 
 from conftest import add_family, add_firm, firm_bits, firm_records, members, rng
@@ -402,7 +402,7 @@ def labor_world(seed, n_candidates, n_posting):
     ``n_posting`` of its firms posting; returns the state, the posting firm
     ids and ``n_candidates`` citizen ids, ascending."""
     gen = rng(seed)
-    state = SimulationState(treasuries=[Treasury(municipality_id="m00")])
+    state = SimulationState(municipality_ids=["m00"])
     n_families = n_candidates
     homes = state.add_houses([0] * n_families, np.ones(n_families), np.ones(n_families),
                              gen.integers(0, 5, n_families) * 1.5,
@@ -1032,9 +1032,10 @@ def fold_values(drawn, seed, extra):
     slots=st.integers(1, 5),
 )
 def test_numpy_folds_in_consume_are_python_left_folds(drawn, seed, extra, width, slots):
-    # consume relies on these three folding left to right, as its scalar walk
-    # does, and money_in_circulation on the first; a numpy that changes one
-    # of them fails here, not only in a digest
+    # consume relies on three of these folding left to right, as its scalar
+    # walk does, money_in_circulation on the first and the distribution
+    # phase on the kind fold; a numpy that changes one of them fails here,
+    # not only in a digest
     values = fold_values(drawn, seed, extra)
     # np.add.accumulate: the month totals over the pass
     assert hexes(np.add.accumulate(np.array(values)).tolist()) == hexes(
@@ -1045,6 +1046,18 @@ def test_numpy_folds_in_consume_are_python_left_folds(drawn, seed, extra, width,
     assert [hexes(row) for row in np.subtract.accumulate(matrix, axis=1).tolist()] == [
         hexes(left_fold(sub, row)) for row in matrix.tolist()
     ]
+    # np.add.accumulate down a kind x municipality matrix: each municipality's
+    # allocation, its inflows added from 0.0 in TAX_KINDS order (an inflow is
+    # never negative, so never -0.0, on which 0.0 + x and x part)
+    inflows = np.abs(np.array(values + [0.0] * (-len(values) % len(TAX_KINDS))))
+    inflows = inflows.reshape(len(TAX_KINDS), -1)
+    totals = []
+    for column in inflows.T.tolist():
+        total = 0.0
+        for amount in column:
+            total += amount
+        totals.append(total)
+    assert hexes(np.add.accumulate(inflows, axis=0)[-1].tolist()) == hexes(totals)
     # np.add.at with repeated indices: net takings in shopper order, per firm
     gen = rng(seed + 1)
     index = gen.integers(0, slots, size=len(values))
@@ -1059,10 +1072,9 @@ def test_numpy_folds_in_consume_are_python_left_folds(drawn, seed, extra, width,
     # pool, then each live family's savings, each firm's cash and each
     # treasury's balance, in turn
     n_families = len(values) // 2
-    state = SimulationState(
-        treasuries=[Treasury(municipality_id=f"m{m}", balance=b) for m, b in enumerate(starts)],
-        escheat_pool=values[0],
-    )
+    state = SimulationState(municipality_ids=[f"m{m}" for m in range(slots)],
+                            escheat_pool=values[0])
+    state.treasury[:] = starts
     state.savings = np.array(values[1:n_families + 1])
     state.live = gen.random(n_families) < 0.8
     state.cash = np.array(values[n_families + 1:])

@@ -68,9 +68,10 @@ def test_series_lengths_match_horizon(gen_config):
     for series in (result.gdp_value, result.gdp_index, result.inflation,
                    result.unemployment, result.units_consumed, result.housing_sales):
         assert len(series) == 7
-    for muni in result.municipality_ids:
-        assert len(result.qli[muni]) == 7
-        assert len(result.populations[muni]) == 7
+    n = len(result.municipality_ids)
+    assert result.qli.shape == result.populations.shape == (7, n)
+    assert result.inflows.shape == (7, len(TAX_KINDS), n)
+    assert (result.qli.dtype, result.populations.dtype) == (np.float64, np.int64)
     for kind in TAX_KINDS:
         assert len(result.taxes_by_kind[kind.value]) == 7
 
@@ -100,21 +101,17 @@ def test_gdp_index_starts_at_hundred(gen_config):
 def test_qli_never_decreases(gen_config):
     cfg = gen_config(horizon=18)
     result = run_scenario(cfg, seed=2, region=region_of(cfg))
-    for muni in result.municipality_ids:
-        series = result.qli[muni]
-        assert all(b >= a for a, b in zip(series, series[1:]))
-        assert series[-1] > 0.0  # some tax money reached every municipality
+    assert (np.diff(result.qli, axis=0) >= 0.0).all()
+    assert (result.qli[-1] > 0.0).all()  # some tax money reached every municipality
 
 
 def test_zero_tax_rates_freeze_public_sector(gen_config):
     cfg = gen_config(horizon=12, tax_rates=TaxRates(0.0, 0.0, 0.0, 0.0, 0.0))
     result = run_scenario(cfg, seed=0, region=region_of(cfg))
-    for muni in result.municipality_ids:
-        assert result.qli[muni] == [0.0] * 12
+    assert not result.qli.any() and not result.inflows.any()
+    assert result.qli.shape[0] == result.inflows.shape[0] == 12
     for kind in TAX_KINDS:
         assert result.taxes_by_kind[kind.value] == [0.0] * 12
-        for muni in result.municipality_ids:
-            assert result.inflows[muni][kind.value] == [0.0] * 12
 
 
 def test_single_municipality_cases_identical(gen_config):
@@ -125,7 +122,7 @@ def test_single_municipality_cases_identical(gen_config):
     runs = {c: run_scenario(with_case(base, c), seed=5, region=region) for c in (1, 2, 3, 4)}
     reference = runs[1]
     for case_id in (2, 3, 4):
-        assert runs[case_id].qli == reference.qli
+        assert runs[case_id].qli.tobytes() == reference.qli.tobytes()
         assert runs[case_id].gdp_value == reference.gdp_value
 
 
@@ -162,14 +159,12 @@ def test_frozen_shares_split_by_month_zero_populations(gen_config, monkeypatch):
     moved = 0
     for month, (ledger, share_base) in enumerate(calls):
         assert share_base == frozen
-        current = [result.populations[m][month] for m in munis]
+        current = result.populations[month].tolist()
         if current == frozen:
             continue
         moved += 1
         expected = distribute(ledger, policy, frozen, MpfTable())
-        for kind in TAX_KINDS:
-            for i, m in enumerate(munis):
-                assert result.inflows[m][kind.value][month] == expected[kind][i]
+        assert result.inflows[month].tolist() == list(expected.values())
         # the equal and MPF channels would split differently by the current populations
         assert expected != distribute(ledger, policy, current, MpfTable())
     assert moved > 0  # births and deaths moved the populations in some month
@@ -208,7 +203,7 @@ def assert_columns_agree(state, living_before, births, deaths):
             assert state.employer[cid] == firm
         on_payroll += len(staff)
     assert np.count_nonzero(state.alive & (state.employer >= 0)) == on_payroll
-    walked = [0] * len(state.treasuries)
+    walked = [0] * len(state.municipality_ids)
     for cid in ids:
         walked[state.house_municipality[state.home[state.family[cid]]]] += 1
     assert state.populations() == walked
@@ -312,7 +307,8 @@ def test_citizen_columns_hold_every_month(
 def test_family_columns_hold_across_escheats(gen_config, monkeypatch):
     # everyone dies at 5% a month, and houses are cheap enough that half the
     # families bid each month, so families that bought a second house die out
-    cfg = gen_config(housing=HousingParams(market_entry_rate=0.5, hedonic_base=0.1))
+    cfg = gen_config(horizon=24,
+                     housing=HousingParams(market_entry_rate=0.5, hedonic_base=0.1))
     state, runtime, result = start_run(cfg, region_of(cfg), seed=0)
     runtime.vital_rates = VitalRates([VitalBracket(0, 101, 0.05, 0.0)])
     deaths = []
@@ -364,7 +360,7 @@ def apc33_month(months_done=0):
     state, runtime, result = start_run(default_config(), region, seed=0)
     for _ in range(months_done):
         engine.step_month(state, runtime, result)
-    month = engine._Month(TaxLedger(len(state.treasuries)))
+    month = engine._Month(TaxLedger(len(state.municipality_ids)))
     return state, runtime, result, month
 
 
@@ -459,7 +455,7 @@ def test_gdp_and_profit_folds_match_per_firm_loops_bit_for_bit(seed):
     state.price[:] = np.where(gen.random(n) < 0.3, 0.01, gen.uniform(0.01, 3.0, size=n))
     state.inventory[:] = gen.uniform(0.0, 5.0, size=n)
     records = firm_records(state)
-    month = engine._Month(TaxLedger(len(state.treasuries)))
+    month = engine._Month(TaxLedger(len(state.municipality_ids)))
     engine.production(state, runtime, result, month)
     market = runtime.config.market
     gdp = 0.0
@@ -494,7 +490,7 @@ def test_depopulated_municipality_escheats_into_the_pool(make_state, caplog):
     runtime, result = engine.start_run(cfg, state, 0, "r")
     engine.distribution(state, runtime, result, month)
     assert state.escheat_pool == 4.0
-    assert state.treasuries[1].balance == 0.0
+    assert state.treasury[1] == 0.0
     assert state.cash[firm] == 100.0  # nothing was invested, so nothing was procured
     assert "municipality m01 depopulated at month 0" in caplog.text
     assert "(region r, case 3, seed 0)" in caplog.text  # names the run
@@ -506,8 +502,8 @@ def test_depopulated_municipality_escheats_into_the_pool(make_state, caplog):
 
 
 def fake_run(final_qli, seed=0):
-    run = RunResult(apc_id="r", case_id=1, seed=seed, municipality_ids=["m00"])
-    run.qli["m00"] = [0.0, 0.0, final_qli]
+    run = RunResult(apc_id="r", case_id=1, seed=seed, municipality_ids=["m00"],
+                    qli=np.array([[0.0], [0.0], [final_qli]]))
     run.gdp_index = [100.0, 101.0, 102.0]
     run.inflation = [0.0, 0.01, 0.01]
     run.unemployment = [0.1, 0.1, 0.1]
@@ -610,7 +606,8 @@ def test_an_unpickled_world_holds_canonical_arrays(gen_config):
     cfg = gen_config(horizon=1)
     world = pickle.loads(pickle.dumps(engine.draw_world(cfg, 0, region_of(cfg))))
     arrays = [value for value in vars(world).values() if isinstance(value, np.ndarray)]
-    assert len(arrays) == 18 + 12  # the citizen, family and house columns, then the firms'
+    # the citizen, family and house columns, the firms', then the municipalities'
+    assert len(arrays) == 18 + 12 + 2
     for array in arrays:
         assert array.dtype is np.dtype(array.dtype.str)
 

@@ -1,8 +1,9 @@
 """Distribution policies, share computation, conservation, and investment."""
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metrosim.errors import ParseError, ValidationError
@@ -14,7 +15,7 @@ from metrosim.fiscal import (
     MpfTable,
     TaxKind,
     TaxLedger,
-    Treasury,
+    TaxRates,
     distribute,
     equal_shares,
     invest,
@@ -24,9 +25,14 @@ from metrosim.fiscal import (
     policy_for_case,
     sequential_sum,
 )
+from metrosim.demographics import _remove_citizen
+from metrosim.housing import HousingParams, hedonic_prices, run_housing_market
 from metrosim.state import SimulationState
 
-from conftest import add_firm, firm_bits, firm_records, ledger_entries
+from conftest import (
+    add_family, add_firm, add_house, firm_bits, firm_records, invest_one, ledger_entries, members,
+    rng, treasury_records,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -381,36 +387,128 @@ def test_distribute_conserves_to_ulp(case_id, amounts, pops):
 # ---------------------------------------------------------------------------
 
 
+def municipalities(n, qli=0.0):
+    """A state of ``n`` municipalities and nothing else, every QLI at ``qli``."""
+    state = SimulationState(municipality_ids=[f"m{m:02d}" for m in range(n)])
+    state.qli[:] = qli
+    return state
+
+
 def test_invest_unit_case():
-    treasury = Treasury(municipality_id="m")
-    spent, escheated = invest(treasury, 100.0, population=100, qli_unit_cost=1.0)
-    assert spent == 100.0
-    assert escheated == 0.0
-    assert treasury.qli == 1.0
-    assert treasury.balance == 0.0
+    state = municipalities(1)
+    spent = invest(state, np.array([100.0]), np.array([100]), qli_unit_cost=1.0)
+    assert spent.tolist() == [100.0]
+    assert state.escheat_pool == 0.0
+    assert state.qli.tolist() == [1.0]
+    assert state.treasury.tolist() == [0.0]
 
 
 def test_invest_zero_allocation_no_change():
-    treasury = Treasury(municipality_id="m", qli=0.7)
-    assert invest(treasury, 0.0, population=10, qli_unit_cost=1.0) == (0.0, 0.0)
-    assert treasury.qli == 0.7
+    state = municipalities(1, qli=0.7)
+    spent = invest(state, np.array([0.0]), np.array([10]), qli_unit_cost=1.0)
+    assert spent.tolist() == [0.0]
+    assert state.escheat_pool == 0.0
+    assert state.qli.tolist() == [0.7]
 
 
 def test_invest_population_halves_increment():
-    t1 = Treasury(municipality_id="a")
-    t2 = Treasury(municipality_id="b")
-    invest(t1, 50.0, population=100, qli_unit_cost=2.0)
-    invest(t2, 50.0, population=200, qli_unit_cost=2.0)
-    assert t1.qli == pytest.approx(2 * t2.qli, rel=1e-15)
+    state = municipalities(2)
+    invest(state, np.array([50.0, 50.0]), np.array([100, 200]), qli_unit_cost=2.0)
+    assert state.qli[0] == pytest.approx(2 * state.qli[1], rel=1e-15)
 
 
 def test_invest_zero_population_escheats():
-    treasury = Treasury(municipality_id="ghost")
-    spent, escheated = invest(treasury, 12.5, population=0, qli_unit_cost=1.0)
-    assert spent == 0.0
-    assert escheated == 12.5
-    assert treasury.balance == 0.0
-    assert treasury.qli == 0.0
+    state = municipalities(1)
+    spent = invest(state, np.array([12.5]), np.array([0]), qli_unit_cost=1.0)
+    assert spent.tolist() == [0.0]
+    assert state.escheat_pool == 12.5
+    assert state.treasury.tolist() == [0.0]
+    assert state.qli.tolist() == [0.0]
+
+
+def invest_bits(state, spent):
+    """What ``invest`` writes and returns, floats as hex."""
+    return ([q.hex() for q in state.qli.tolist()], [b.hex() for b in state.treasury.tolist()],
+            [s.hex() for s in spent], state.escheat_pool.hex())
+
+
+def invest_each(state, allocations, populations, qli_unit_cost):
+    """Reference: ``invest_one`` on each municipality's record in index order,
+    each escheat added onto the pool in turn."""
+    records = treasury_records(state)
+    pool = state.escheat_pool
+    spent = []
+    for record, allocation, population in zip(records, allocations, populations):
+        invested, escheated = invest_one(record, allocation, population, qli_unit_cost)
+        pool += escheated
+        spent.append(invested)
+    qli = [record.qli.hex() for record in records]
+    return qli, [record.balance.hex() for record in records], [s.hex() for s in spent], pool.hex()
+
+
+amount_draws = st.one_of(st.just(0.0), st.floats(1e-9, 1e6))
+municipality_draws = st.tuples(
+    st.lists(amount_draws, max_size=3),  # credits before the allocation
+    st.floats(0.0, 50.0),  # QLI so far
+    amount_draws,  # allocation
+    st.one_of(st.just(0), st.integers(1, 10_000)),  # population
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    munis=st.lists(municipality_draws, min_size=1, max_size=8),
+    pool=st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+    cost=st.floats(1e-3, 1e3),
+)
+# zero balances; an emptied municipality with a balance and one without;
+# several emptied ones, whose escheats fold onto the pool in index order
+@example(munis=[([], 0.0, 0.0, 5), ([], 1.0, 0.0, 0)], pool=0.0, cost=1.0)
+@example(munis=[([0.1], 0.0, 0.0, 0), ([], 0.0, 2.0, 3), ([], 0.0, 0.0, 0)], pool=0.0, cost=1.0)
+@example(munis=[([0.1, 0.2], 0.0, 0.3, 0), ([1e-9], 0.5, 0.0, 0), ([], 0.0, 1e6, 0),
+                ([7.0], 1.0, 0.5, 40)], pool=0.7, cost=3.0)
+def test_invest_pass_matches_the_per_municipality_loop_bit_for_bit(munis, pool, cost):
+    state = municipalities(len(munis))
+    state.escheat_pool = pool
+    for m, (credits, qli, _, _) in enumerate(munis):
+        state.qli[m] = qli
+        for amount in credits:  # as an escheat or a municipal sale credits it
+            state.treasury[m] += amount
+    allocations = [allocation for _, _, allocation, _ in munis]
+    populations = [population for _, _, _, population in munis]
+    expected = invest_each(state, allocations, populations, cost)
+    spent = invest(state, np.array(allocations), np.array(populations), cost)
+    assert invest_bits(state, spent.tolist()) == expected
+
+
+def test_invest_spends_what_escheats_and_municipal_sales_credited(make_state):
+    # m00 empties when its one citizen dies and escheats her savings; a
+    # family of m01 buys a municipal house there; m02 gets nothing, and m03
+    # never had anyone
+    state = make_state(("m00", "m01", "m02", "m03"))
+    heir = add_family(state, 0, [5], savings=7.25)
+    buyer = add_family(state, 1, [5], savings=100.0)
+    add_house(state, 1, size=4.0, quality=10.0)  # hedonic 80, sold at 90
+    add_house(state, 1, size=50.0, quality=50.0)  # unaffordable: the last vacancy
+    add_family(state, 2, [5])
+    add_house(state, 3)
+    [citizen] = members(state, heir)
+    _remove_citizen(state, citizen)
+    params = HousingParams(market_entry_rate=1.0, bid_fraction=1.0)
+    taxes = ([], [])
+    sales = run_housing_market(state, hedonic_prices(state, params), params,
+                               TaxRates(transmission=0.02), rng(), taxes)
+    assert [sale.buyer_family_id for sale in sales] == [buyer]
+    assert state.treasury.tolist() == [7.25, 90.0 - 1.8, 0.0, 0.0]
+    populations = state.populations()
+    assert populations == [0, 1, 1, 0]
+    allocations = [1.5, 2.0, 0.0, 0.0]
+    expected = invest_each(state, allocations, populations, 2.0)
+    spent = invest(state, np.array(allocations), np.array(populations), 2.0)
+    assert invest_bits(state, spent.tolist()) == expected
+    assert spent.tolist() == [0.0, 90.0 - 1.8 + 2.0, 0.0, 0.0]
+    assert state.escheat_pool == 7.25 + 1.5
+    assert not state.treasury.any()
 
 
 @pytest.mark.parametrize("spent, n_firms", [(5.0, 1), (1.0, 3), (0.7, 7), (123.456, 10)])
@@ -469,21 +567,20 @@ def test_pay_procurement_matches_the_per_firm_loop_bit_for_bit(columns, data):
 
 
 def test_invest_argument_errors():
-    treasury = Treasury(municipality_id="m")
+    state = municipalities(2)
+    with pytest.raises(ValidationError, match="negative allocation -1.0"):
+        invest(state, np.array([1.0, -1.0]), np.array([10, 10]), qli_unit_cost=1.0)
     with pytest.raises(ValidationError):
-        invest(treasury, -1.0, population=10, qli_unit_cost=1.0)
-    with pytest.raises(ValidationError):
-        invest(treasury, 1.0, population=10, qli_unit_cost=0.0)
+        invest(state, np.array([1.0, 1.0]), np.array([10, 10]), qli_unit_cost=0.0)
+    assert not state.treasury.any()  # rejected before a balance moved
 
 
 def test_qli_never_decreases_over_random_allocations():
-    import numpy as np
-
-    treasury = Treasury(municipality_id="m")
-    rng = np.random.default_rng(3)
+    state = municipalities(1)
+    gen = rng(3)
     last = 0.0
     for _ in range(200):
-        invest(treasury, float(rng.uniform(0, 10)), population=int(rng.integers(1, 1000)),
+        invest(state, np.array([gen.uniform(0, 10)]), np.array([gen.integers(1, 1000)]),
                qli_unit_cost=50.0)
-        assert treasury.qli >= last
-        last = treasury.qli
+        assert state.qli[0] >= last
+        last = state.qli[0]

@@ -15,6 +15,7 @@ import pytest
 from metrosim import cli
 from metrosim.config import EngineConfig, FiscalConfig, ScenarioConfig
 from metrosim.engine import run_scenario
+from metrosim.fiscal import TAX_KINDS
 from metrosim.worldgen import default_apc_batch, save_region
 
 CONFIG = {
@@ -140,11 +141,27 @@ def test_apc33_run_digest(tmp_path):
 # apc33, apc00, apc17, apc39 x cases 1-4 x 240 months, default config.
 # Recorded without the fields ``horizon`` and ``final_snapshot``, which the
 # record no longer has; the runs are the same as with them (297a5355... at
-# seed 0 and 3508091b... at seed 7 over every field then).
+# seed 0 and 3508091b... at seed 7 over every field then). The
+# per-municipality series were recorded as dicts by municipality id (and by
+# kind within it for the inflows), so ``recorded_form`` hashes them so.
 RUN_RESULT_DIGESTS = {
     0: "7cda998a9d3e198879d6b3dc498a60d0c99d36e79a2fa27b0f32e6d4cf68bb4c",
     7: "71735bb1d2994154dd8d266bb6e2f12038ebf88f7e992a817fd47628f1e260b0",
 }
+
+
+def recorded_form(result):
+    """Every field of ``result`` as the digests were recorded, in field order:
+    each per-municipality array back to its dict of Python lists."""
+    fields = {field.name: getattr(result, field.name) for field in dataclasses.fields(result)}
+    munis = result.municipality_ids
+    for name in ("qli", "populations"):
+        fields[name] = dict(zip(munis, fields[name].T.tolist()))
+    fields["inflows"] = {
+        muni: {kind.value: series for kind, series in zip(TAX_KINDS, by_kind)}
+        for muni, by_kind in zip(munis, result.inflows.transpose(2, 1, 0).tolist())
+    }
+    return fields.values()
 
 
 @pytest.mark.slow
@@ -157,6 +174,6 @@ def test_run_result_digest(seed):
             config = ScenarioConfig(fiscal=FiscalConfig(case_id=case_id),
                                     engine=EngineConfig(horizon_months=240, seed=seed))
             result = run_scenario(config, seed, regions[region_id])
-            for field in dataclasses.fields(result):
-                digest.update(repr(getattr(result, field.name)).encode())
+            for value in recorded_form(result):
+                digest.update(repr(value).encode())
     assert digest.hexdigest() == RUN_RESULT_DIGESTS[seed], f"seed {seed}: run results changed"

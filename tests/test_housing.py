@@ -1,5 +1,4 @@
 """Hedonic pricing, midpoint settlement, moves, and the property tax."""
-import copy
 import math
 from dataclasses import dataclass
 
@@ -10,7 +9,7 @@ from hypothesis import strategies as st
 
 from metrosim.demographics import _remove_citizen
 from metrosim.errors import ValidationError
-from metrosim.fiscal import TaxKind, TaxLedger, TaxRates, Treasury
+from metrosim.fiscal import TaxKind, TaxLedger, TaxRates
 from metrosim.housing import (
     HousingParams,
     Transaction,
@@ -80,16 +79,14 @@ def test_price_table_equals_hedonic_price_per_house():
     region = next(r for r in default_apc_batch() if r.id == "apc33")
     state = instantiate_world(region, WorldConfig(), rng())
     params = HousingParams(hedonic_base=1.7, qli_elasticity=0.37)
-    draws = rng(1).uniform(0.0, 3.0, size=len(state.treasuries))
-    for treasury, qli in zip(state.treasuries, draws.tolist()):
-        treasury.qli = qli
+    state.qli[:] = rng(1).uniform(0.0, 3.0, size=len(state.qli))
     table = hedonic_prices(state, params)
     assert table.shape == (len(state.resident),)
     for house_id, (m, size, quality) in enumerate(zip(
         state.house_municipality.tolist(), state.house_size.tolist(), state.house_quality.tolist()
     )):
         price = table.item(house_id)
-        assert price == hedonic_price(size, quality, state.treasuries[m].qli, params)
+        assert price == hedonic_price(size, quality, state.qli.item(m), params)
 
 
 def test_housing_params_validation():
@@ -140,7 +137,7 @@ def test_municipal_seller_credits_treasury(make_state):
     state, family, target, _ = two_vacancy_state(make_state)
     market(state, ALWAYS_ENTER, TaxRates(transmission=0.02))
     # municipal stock sold: price net of tax lands in the treasury
-    assert state.treasuries[0].balance == pytest.approx(90.0 - 1.8, rel=1e-12)
+    assert state.treasury[0] == pytest.approx(90.0 - 1.8, rel=1e-12)
     assert state.savings[family] == pytest.approx(10.0, rel=1e-12)
 
 
@@ -155,7 +152,7 @@ def test_family_seller_receives_net_price(make_state):
     assert state.savings[seller] == pytest.approx(88.2, rel=1e-12)  # 90 minus 1.8 tax
     assert offered not in state.owned_houses[seller]
     assert state.owner[offered] == buyer
-    assert state.treasuries[0].balance == 0.0
+    assert state.treasury[0] == 0.0
 
 
 def test_money_conserved_through_sale(make_state):
@@ -163,7 +160,7 @@ def test_money_conserved_through_sale(make_state):
     taxes = ([], [])
     before = state.savings[family]
     market(state, ALWAYS_ENTER, TaxRates(transmission=0.02), taxes)
-    after = state.savings[family] + state.treasuries[0].balance + sum(taxes[1])
+    after = state.savings[family] + state.treasury[0] + sum(taxes[1])
     assert math.isclose(after, before, rel_tol=0, abs_tol=1e-12)
 
 
@@ -319,7 +316,7 @@ class ScalarWorld:
     month: int
     families: dict[int, FamilyRecord]
     houses: list[HouseRecord]
-    treasuries: list[Treasury]
+    balances: list[float]  # treasury balance by municipality index
     populations: list[int]  # citizens by municipality index, kept as families move
 
 
@@ -345,7 +342,7 @@ def scalar_world(state) -> ScalarWorld:
                 state.house_municipality.tolist(), state.owner.tolist(), state.resident.tolist()
             ))
         ],
-        treasuries=copy.deepcopy(state.treasuries),
+        balances=state.treasury.tolist(),
         populations=state.populations(),
     )
 
@@ -356,7 +353,7 @@ def world_bits(world: ScalarWorld) -> tuple:
         [(f.id, f.municipality, f.members, f.savings.hex(), f.house_id, f.owned_houses,
           {m: d.hex() for m, d in f.tax_debt.items()}) for f in world.families.values()],
         [(h.owner_family_id, h.resident_family_id) for h in world.houses],
-        [t.balance.hex() for t in world.treasuries],
+        [balance.hex() for balance in world.balances],
         world.populations,
     )
 
@@ -437,7 +434,7 @@ def reference_property_tax(state, prices, rates):
 
 def reference_vacancies(world: ScalarWorld) -> list[int]:
     """The house-by-house vacancy count that ``vacancies`` replaced."""
-    vacant = [0] * len(world.treasuries)
+    vacant = [0] * len(world.balances)
     for house in world.houses:
         if house.resident_family_id is None:
             vacant[house.municipality] += 1
@@ -457,7 +454,7 @@ def reference_housing_market(world: ScalarWorld, prices, params, rates, rng, tax
         return []
 
     listings = []
-    vacant_count = [0] * len(world.treasuries)
+    vacant_count = [0] * len(world.balances)
     for house in world.houses:
         if house.resident_family_id is None:
             vacant_count[house.municipality] += 1
@@ -487,7 +484,7 @@ def reference_housing_market(world: ScalarWorld, prices, params, rates, rng, tax
         seller_id = chosen.owner_family_id
         family.savings -= price
         if seller_id is None:
-            world.treasuries[chosen.municipality].balance += price - tax
+            world.balances[chosen.municipality] += price - tax
         else:
             seller = families[seller_id]
             seller.savings += price - tax
@@ -530,7 +527,7 @@ def owner_worlds(draw):
     A family owns its houses in a drawn purchase order and lives in the first
     one built, as the model keeps it; municipal houses stand vacant among them.
     """
-    state = SimulationState(treasuries=[Treasury(municipality_id=f"m{m:02d}") for m in MUNIS])
+    state = SimulationState(municipality_ids=[f"m{m:02d}" for m in MUNIS])
     annual = draw(st.sampled_from([0.0, 0.005, 0.3, 0.9]))
     rates = TaxRates(property_annual=annual)
     prices = []
@@ -602,8 +599,8 @@ def test_property_tax_matches_the_per_family_loop(world, months):
     state, prices, rates = world
     ref = scalar_world(state)
     plain = scalar_world(state)
-    ledger = TaxLedger(len(state.treasuries))
-    ref_ledger = TaxLedger(len(state.treasuries))
+    ledger = TaxLedger(len(state.municipality_ids))
+    ref_ledger = TaxLedger(len(state.municipality_ids))
     ledger.add(TaxKind.PROPERTY, 2, 1.5)  # an origin paid earlier in the month
     ref_ledger.add(TaxKind.PROPERTY, 2, 1.5)
     for _ in range(months):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from metrosim.errors import ParseError, ValidationError
-from metrosim.fiscal import Treasury, sequential_sum
+from metrosim.fiscal import sequential_sum
 from metrosim.state import SimulationState
 from metrosim.worldgen import (
     JITTER_SD,
@@ -138,6 +138,24 @@ def test_duplicate_municipality_id_rejected():
         region.validate()
 
 
+@pytest.mark.parametrize("good", ["apc00", "m00", "region", "r", "0", "A.b-c_d"])
+def test_file_name_safe_ids_accepted(good):
+    muni = MunicipalitySpec(id=good, population=5, firm_count=1, housing_stock=2, centroid=(0, 0))
+    RegionSpec(id=good, name="ok", municipalities=(muni,)).validate()
+
+
+@pytest.mark.parametrize("bad", ["", "../escape", ".hidden", "-flag", "a/b", "a\\b", "a,b",
+                                 "a b", "a\nb", "m00\n", "\u00e9"])
+def test_ids_outside_the_pattern_rejected(bad):
+    good = MunicipalitySpec(id="m00", population=5, firm_count=1, housing_stock=2,
+                            centroid=(0, 0))
+    with pytest.raises(ValidationError, match="region id"):
+        RegionSpec(id=bad, name="bad", municipalities=(good,)).validate()
+    muni = MunicipalitySpec(id=bad, population=5, firm_count=1, housing_stock=2, centroid=(0, 0))
+    with pytest.raises(ValidationError, match="municipality id"):
+        RegionSpec(id="r", name="bad", municipalities=(muni,)).validate()
+
+
 # ---------------------------------------------------------------------------
 # instantiate_world
 # ---------------------------------------------------------------------------
@@ -208,7 +226,7 @@ def test_region_always_gets_at_least_one_firm():
     region = RegionSpec(id="micro", name="micro", municipalities=munis)
     state = instantiate_world(region, WorldConfig(population_fraction=0.05), rng())
     assert len(state.employees) == 1
-    assert state.treasuries[state.firm_municipality[0]].municipality_id == "only"
+    assert state.municipality_ids[state.firm_municipality[0]] == "only"
     assert_indexed_by_id(state)
 
 
@@ -334,7 +352,7 @@ def reference_instantiate_world(region, cfg, rng):
     ids = sorted(muni.id for muni in region.municipalities)
     index = {muni_id: i for i, muni_id in enumerate(ids)}
     state = SimulationState(
-        treasuries=[Treasury(municipality_id=muni_id) for muni_id in ids],
+        municipality_ids=ids,
         labor_entry_age_months=cfg.labor_entry_age_months,
         qualification_levels=cfg.qualification_levels,
     )
