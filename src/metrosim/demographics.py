@@ -159,10 +159,7 @@ def apply_mortality(
 def _remove_citizen(state: "SimulationState", citizen_id: int) -> None:
     state.alive[citizen_id] = False
     state.provisional[citizen_id] = False
-    employer = int(state.employer[citizen_id])
-    if employer >= 0:
-        state.employees[employer].remove(citizen_id)
-        state.employer[citizen_id] = -1
+    state.employer[citizen_id] = -1
     family = state.family.item(citizen_id)
     state.family[citizen_id] = -1
     if not (state.family == family).any():
@@ -177,9 +174,7 @@ def _escheat_family(state: "SimulationState", family_id: int) -> None:
         state.treasury[state.house_municipality.item(home)] += savings
     state.savings[family_id] = 0.0
     state.arrears[family_id] = 0.0  # arrears die with the family; nothing was collected
-    owned = state.owned_houses[family_id]
-    state.owner[owned] = -1
-    owned.clear()
+    state.owner[state.owner == family_id] = -1
     state.resident[home] = -1
     state.home[family_id] = -1
 

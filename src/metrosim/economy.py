@@ -5,15 +5,16 @@ and wage offers on inventory/cash signals, and compete for workers by wage.
 Families consume from sampled firms, cheapest first. A firm is a row of the
 ``SimulationState`` firm columns, and production, pricing, wage offers, the
 payroll and the profit tax each run as one pass over every firm per month.
-No function here writes the month's ledger: the payroll, consumption and
-the profit tax return their taxes as arrays of municipality index and
-amount, in firm or purchase order, and the engine writes each phase's
-taxes with one ``TaxLedger.add_all``.
+A firm's staff are the citizens whose ``employer`` names it, in payroll
+order (``SimulationState.payroll_order``). No function here writes the
+month's ledger: the payroll, consumption and the profit tax return their
+taxes as arrays of municipality index and amount, in firm or purchase
+order, and the engine writes each phase's taxes with one
+``TaxLedger.add_all``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -79,14 +80,6 @@ def output_per_worker(params: MarketParams, levels: int) -> np.ndarray:
     return np.array([q**beta for q in range(levels + 1)], dtype=float)
 
 
-def _payroll_order(employees: Sequence[list[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """Every employee in firm order, then payroll order, as an index array, and
-    its firm's id."""
-    sizes = np.fromiter(map(len, employees), dtype=np.intp, count=len(employees))
-    staff = np.fromiter(chain.from_iterable(employees), dtype=np.intp, count=int(sizes.sum()))
-    return staff, np.repeat(np.arange(len(employees)), sizes)
-
-
 def _per_firm_sums(owner: np.ndarray, values: np.ndarray, n_firms: int) -> np.ndarray:
     """Each firm's ``values`` added in payroll order from 0.0, as ``np.bincount`` adds a
     bin's entries; floats even when no firm has employees."""
@@ -100,8 +93,8 @@ def produce(state: SimulationState, output: np.ndarray, params: MarketParams) ->
     payroll order. ``output`` is the ``output_per_worker`` table. No money
     moves.
     """
-    staff, owner = _payroll_order(state.employees)
-    totals = _per_firm_sums(owner, output[state.qualification[staff]], len(state.employees))
+    staff, owner = state.payroll_order()
+    totals = _per_firm_sums(owner, output[state.qualification[staff]], len(state.cash))
     units = params.productivity_alpha * totals
     state.inventory += units
     state.last_production[:] = units
@@ -199,14 +192,11 @@ def _release_until_affordable(state: SimulationState, firm: int, payroll: float)
     cash covers the payroll; returns the payroll left, with its subtraction
     sequence.
 
-    The kept employees become the payroll, most qualified first.
+    The kept employees become the payroll, most qualified first, with fresh
+    payroll positions.
     """
-    staff = state.employees[firm]
-    ranked = sorted(
-        zip(state.qualification[staff].tolist(), staff),
-        key=lambda qc: (qc[0], -qc[1]), reverse=True,
-    )
-    staff = [cid for _, cid in ranked]
+    staff = np.flatnonzero(state.employer == firm)  # ascending ids: ties go to the lower
+    staff = staff[np.argsort(-state.qualification[staff], kind="stable")].tolist()
     cash = state.cash.item(firm)
     # walk from the least qualified end, releasing until affordable
     while staff and cash < payroll:
@@ -214,7 +204,7 @@ def _release_until_affordable(state: SimulationState, firm: int, payroll: float)
         payroll -= state.wage.item(released)
         state.employer[released] = -1
         state.wage[released] = 0.0
-    state.employees[firm] = staff
+    state.payroll_position[staff] = state.issue_positions(len(staff))
     return payroll
 
 
@@ -234,15 +224,15 @@ def pay_wages(state: SimulationState, rates: TaxRates) -> tuple[np.ndarray, np.n
     arrays of municipality index and amount: the tax is computed as an
     array, and ``TaxLedger.add_all`` takes it so.
     """
-    employees, wage = state.employees, state.wage
-    index, owner = _payroll_order(employees)
+    wage = state.wage
+    index, owner = state.payroll_order()
     gross = wage[index]
-    payrolls = _per_firm_sums(owner, gross, len(employees))
+    payrolls = _per_firm_sums(owner, gross, len(state.cash))
     short = np.flatnonzero(state.cash < payrolls).tolist()
     for f in short:
         payrolls[f] = _release_until_affordable(state, f, payrolls.item(f))
     if short:
-        index, owner = _payroll_order(employees)
+        index, owner = state.payroll_order()
         gross = wage[index]
     tax = gross * rates.personal_income
     np.add.at(state.savings, state.family[index], gross - tax)

@@ -154,7 +154,7 @@ def consumption(state: SimulationState, runtime: _Runtime, result: RunResult, mo
     """Every live family buys from a uniform sample of firms, cheapest first."""
     market = runtime.config.market
     family_ids = np.flatnonzero(state.live)
-    n_firms = len(state.employees)
+    n_firms = len(state.cash)
     k = min(market.consumption_firm_sample, n_firms)
     sample_matrix = runtime.rng.consumption.integers(0, n_firms, size=(len(family_ids), k))
     # one draw per family, in family order: the same stream values as a
@@ -185,10 +185,8 @@ def labor(state: SimulationState, runtime: _Runtime, result: RunResult, month: _
         month.vacancies, state.unemployed_adults(), state, state.residences(),
         runtime.config.market, runtime.rng.labor,
     )
-    for firm, citizen_id in matches:
-        state.employer[citizen_id] = firm
-        state.wage[citizen_id] = state.wage_offer[firm]
-        state.employees[firm].append(citizen_id)
+    if matches:
+        state.hire(*zip(*matches))
 
 
 def housing(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
@@ -271,8 +269,8 @@ def metrics(state: SimulationState, runtime: _Runtime, result: RunResult, month:
     if math.isfinite(unit_value):
         runtime.prev_unit_value = unit_value
     result.unemployment.append((adults - employed) / adults if adults else 0.0)
-    n_firms = len(state.employees)
-    result.avg_workers_per_firm.append(sum(map(len, state.employees)) / n_firms)
+    n_firms = len(state.cash)
+    result.avg_workers_per_firm.append(int(np.count_nonzero(state.employer >= 0)) / n_firms)
     result.avg_firm_profit.append(profit_total / n_firms)
     result.units_consumed.append(units)
     for kind in TAX_KINDS:
@@ -290,7 +288,7 @@ def audit(state: SimulationState, runtime: _Runtime, result: RunResult, month: _
     if drift > CURRENCY_UNIT * (1.0 + runtime.money_ops / 1e6):
         raise InvariantViolation(closed, "money-conservation", f"audit drift {drift!r}")
     employed = month.employed  # adults only, so an employed minor fails too
-    on_payroll = sum(map(len, state.employees))
+    on_payroll = np.count_nonzero(state.employer >= 0)
     if employed != on_payroll:
         raise InvariantViolation(
             closed, "employment-consistency", f"{employed} employed vs {on_payroll} on payrolls"
@@ -343,7 +341,7 @@ def start_run(
         policy=policy_for_case(config.fiscal.case_id),
         mpf_table=read_mpf_table(path) if path else MpfTable(),
         vital_rates=VitalRates(DEFAULT_VITAL_BRACKETS),
-        contractors=[firms or list(range(len(state.employees))) for firms in local],
+        contractors=[firms or list(range(len(state.cash))) for firms in local],
         output_per_worker=output_per_worker(config.market, state.qualification_levels),
         frozen_populations=state.populations() if config.fiscal.freeze_mpf_shares else None,
     )

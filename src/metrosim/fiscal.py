@@ -90,9 +90,9 @@ class TaxLedger:
     phase's entries of one kind with one ``add_all``. The sums are one kind
     x municipality array, one row per kind in ``TAX_KINDS`` order, and grow
     entry by entry in entry order, from 0.0, across every write of the
-    month, so each has the bits of a left-to-right sum. ``by_kind`` lists the origins in first-payment
-    order. ``add`` stays as the one-entry reference that ``add_all`` must
-    match bit for bit.
+    month, so each has the bits of a left-to-right sum. ``rows`` gives each
+    kind's origins in first-payment order. ``add`` stays as the one-entry
+    reference that ``add_all`` must match bit for bit.
     """
 
     __slots__ = ("_sums", "_origins", "event_count")
@@ -162,12 +162,6 @@ class TaxLedger:
             kind: sequential_sum(map(sums.__getitem__, origins))
             for kind, (sums, origins) in zip(TAX_KINDS, self.rows())
         }
-
-    def by_kind(self, kind: TaxKind) -> dict[int, float]:
-        """Origin index -> the kind's sum this month, in first-payment order."""
-        row = _ROW[kind]
-        sums = self._sums[row].tolist()
-        return {origin: sums[origin] for origin in self._origins[row]}
 
     def rows(self) -> Iterable[tuple[list[float], dict[int, None]]]:
         """Each kind's ``(sums, origins)``, in ``TAX_KINDS`` order: its sum by

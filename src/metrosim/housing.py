@@ -1,21 +1,24 @@
 """Monthly real-estate market with hedonic pricing and midpoint settlement.
 
 A house is a row of ``SimulationState``'s house columns: its municipality,
-size, quality, location, owner (-1 for municipal stock) and resident (-1
-when vacant). Vacant houses are listed each month; a sampled set of
-families bids a fraction of savings; a match settles at the average of the
-hedonic price and the buyer's offer, moving the family and emitting
-transmission tax. Property tax is charged monthly on owned stock, with
-arrears carried as family debt (``SimulationState.arrears``). Neither tax
-is written to the month's ledger here: the market appends each sale's
-municipality index and tax to the ``TaxEntries`` lists the caller passes,
-the property tax returns its payments as arrays, and the engine writes each
-phase's entries with one ``TaxLedger.add_all``.
+size, quality, location, owner (-1 for municipal stock), resident (-1
+when vacant) and purchase position. A family's houses are those its
+``owner`` names, in purchase order (``SimulationState.purchase_order``), so
+a sale writes the buyer's ownership and nothing of the seller's. Vacant
+houses are listed each month; a sampled set of families bids a fraction of
+savings; a match settles at the average of the hedonic price and the
+buyer's offer, moving the family and emitting transmission tax. Property
+tax is charged monthly on owned stock, with arrears carried as family debt
+(``SimulationState.arrears``). Neither tax is written to the month's ledger
+here: the market appends each sale's municipality index and tax to the
+``TaxEntries`` lists the caller passes, the property tax returns its
+payments as arrays, and the engine writes each phase's entries with one
+``TaxLedger.add_all``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -43,15 +46,6 @@ class HousingParams:
             raise ValidationError("qli_elasticity must be non-negative")
         if not 0.0 < self.bid_fraction <= 1.0:
             raise ValidationError("bid_fraction must be in (0, 1]")
-
-
-class Transaction(NamedTuple):
-    month: int
-    house_id: int
-    buyer_family_id: int
-    hedonic: float
-    offer: float
-    price: float
 
 
 def hedonic_prices(state: "SimulationState", params: HousingParams) -> np.ndarray:
@@ -82,8 +76,9 @@ def run_housing_market(
     rates: TaxRates,
     rng: np.random.Generator,
     taxes: TaxEntries,
-) -> list[Transaction]:
-    """Match sampled buyer families to listed vacant houses for one month.
+) -> list[int]:
+    """Match sampled buyer families to listed vacant houses for one month;
+    returns the houses sold, in sale order.
 
     Vacant houses are listed at their ``prices`` (``hedonic_prices``). Every
     live family enters, in id order, with probability ``market_entry_rate``
@@ -111,8 +106,7 @@ def run_housing_market(
     vacant_count = vacancies(state).tolist()
 
     savings, owner = state.savings, state.owner
-    transactions: list[Transaction] = []
-    sold: set[int] = set()
+    sold: dict[int, None] = {}  # an ordered set
     for buyer in buyers:
         offer = params.bid_fraction * savings.item(buyer)
         chosen = -1
@@ -136,15 +130,13 @@ def run_housing_market(
             state.treasury[muni] += price - tax
         else:
             savings[seller] += price - tax
-            state.owned_houses[seller].remove(chosen)
         if tax:
             taxes[0].append(muni)
             taxes[1].append(tax)
         state.move_in(buyer, chosen)
-        sold.add(chosen)
+        sold[chosen] = None
         vacant_count[muni] -= 1
-        transactions.append(Transaction(state.month, chosen, buyer, hedonic, offer, price))
-    return transactions
+    return list(sold)
 
 
 def _charge(funds: np.ndarray, dues: np.ndarray) -> np.ndarray:
@@ -157,12 +149,13 @@ def _charge(funds: np.ndarray, dues: np.ndarray) -> np.ndarray:
 
 
 def _pay_arrears_first(
-    state: "SimulationState", walked: list[int], prices: np.ndarray, rate: float
+    state: "SimulationState", walked: list[int], bought: list[list[int]], prices: np.ndarray,
+    rate: float,
 ) -> list[tuple[int, int, float]]:
     """The property tax walk of families ``walked``, each owing arrears it has
-    savings to pay: its arrears by ascending municipality, then its houses'
-    dues in purchase order. Returns the payments as (family, municipality,
-    amount), in that order."""
+    savings to pay: its arrears by ascending municipality, then the dues of
+    its houses ``bought[i]``, in purchase order. Returns the payments as
+    (family, municipality, amount), in that order."""
     savings, arrears, municipality = state.savings, state.arrears, state.house_municipality
     entries: list[tuple[int, int, float]] = []
     rows = arrears[walked].tolist()
@@ -171,7 +164,7 @@ def _pay_arrears_first(
         # the row is rebuilt from 0.0, and 0.0 + debt is debt
         dues = [(m, owed) for m, owed in enumerate(rows[i]) if owed > 0.0]
         debt = rows[i] = [0.0] * len(rows[i])
-        for house_id in state.owned_houses[fam_id]:
+        for house_id in bought[i]:
             dues.append((municipality.item(house_id), prices.item(house_id) * rate))
         funds = held_by[i]
         for m, amount in dues:
@@ -210,10 +203,10 @@ def collect_property_tax(
 
     One pass serves every owner family that is broke or clear of arrears,
     whatever its house count. Its dues are one row of a family x house
-    matrix in purchase order (a one-house family's house is its home),
-    padded with 0.0 to the largest house count, and the pass charges it one
-    column at a time: the first column for every family, each later one for
-    the families that own several houses. A due takes what the funds
+    matrix in purchase order (``SimulationState.purchase_order``), padded
+    with 0.0 to the largest house count, and the pass charges it one column
+    at a time: the first column for every family, each later one for the
+    families that own several houses. A due takes what the funds
     cover; from the first due they cannot cover on, the rest is owed,
     added to the arrears by ``np.add.at`` in due order. The families that
     owe arrears they can pay are walked one by one, and all payments are
@@ -221,9 +214,10 @@ def collect_property_tax(
     """
     rate = rates.property_monthly
     savings, arrears, municipality = state.savings, state.arrears, state.house_municipality
-    owner = state.owner
-    # houses per family; municipal stock (owner -1) falls in bin 0, which is dropped
-    owned = np.bincount(owner + 1, minlength=len(state.live) + 1)[1:]
+    # family f's ``owned[f]`` houses, in purchase order from ``start[f]`` on
+    by_owner, owners = state.purchase_order()
+    owned = np.bincount(owners, minlength=len(state.live))
+    start = np.cumsum(owned) - owned
     # any() down the columns of a transposed copy runs one vector op per
     # municipality, not one short loop per family
     in_debt = np.ascontiguousarray(arrears.T).any(axis=0)
@@ -231,24 +225,23 @@ def collect_property_tax(
     passed = np.flatnonzero((owned > 0) & ~payer_in_debt)
     walked = np.flatnonzero(payer_in_debt).tolist()
 
-    # the first column is every family's first house; the later columns hold
-    # the other houses of the families that own several, padded with -1,
-    # which prices at 0.0
+    # row k holds each family's k-th house bought, padded with -1, which
+    # prices at 0.0; the first row is charged for every family, the later
+    # ones only for the families that own several
     counts = owned[passed]
     several = np.flatnonzero(counts > 1)
-    bought = [state.owned_houses[f] for f in passed[several].tolist()]
-    width = max(map(len, bought), default=1)
-    columns = [[purchases[k] if k < len(purchases) else -1 for purchases in bought]
-               for k in range(width)]
-    first = state.home[passed]
-    first[several] = columns[0]
-    later = np.array(columns[1:], dtype=np.intp).ravel()
-    houses = np.concatenate((first, later))
+    width = int(counts.max(initial=1))
+    column = np.full(len(owned), -1)
+    column[passed] = np.arange(len(passed))
+    theirs = np.flatnonzero(column[owners] >= 0)
+    columns = np.full((width, len(passed)), -1)
+    columns[theirs - start[owners[theirs]], column[owners[theirs]]] = by_owner[theirs]
+    houses = np.concatenate((columns[0], columns[1:, several].ravel()))
     dues = np.append(prices, 0.0)[houses] * rate
     funds = savings[passed]
     paid = [_charge(funds, dues[:len(passed)])]
     left = funds[several]
-    paid += [_charge(left, due) for due in dues[len(passed):].reshape(width - 1, len(bought))]
+    paid += [_charge(left, due) for due in dues[len(passed):].reshape(width - 1, len(several))]
     funds[several] = left
     savings[passed] = funds
     paid = np.concatenate(paid)
@@ -260,7 +253,9 @@ def collect_property_tax(
     paying = paid > 0.0
     fams, tax_munis, amounts = fams[paying], munis[paying], paid[paying]
 
-    entries = _pay_arrears_first(state, walked, prices, rate) if walked else []
+    bought = [by_owner[s:s + n].tolist() for s, n in zip(start[walked].tolist(),
+                                                          owned[walked].tolist())]
+    entries = _pay_arrears_first(state, walked, bought, prices, rate) if walked else []
     if entries:
         walked_fams, walked_munis, walked_amounts = zip(*entries)
         fams = np.concatenate([fams, walked_fams])

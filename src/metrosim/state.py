@@ -12,6 +12,16 @@ import numpy as np
 
 from .errors import ValidationError
 
+# the citizen and family columns, each with the value of its padding rows
+_CITIZEN_PADDING = dict(age=0, qualification=0, employer=-1, wage=0.0, payroll_position=0,
+                        family=-1, alive=False, provisional=False)
+_FAMILY_PADDING = dict(savings=0.0, home=-1, live=False, arrears=0.0)
+
+
+def _padded(column: np.ndarray, grow: int, fill) -> np.ndarray:
+    """``column`` with ``grow`` more rows of ``fill``."""
+    return np.concatenate([column, np.full((grow, *column.shape[1:]), fill, column.dtype)])
+
 
 @dataclass
 class SimulationState:
@@ -30,41 +40,46 @@ class SimulationState:
     ``inventory``, ``price``, ``wage_offer``, ``cumulative_profit`` (since the
     last profit-tax settlement), the trailing-month signals
     ``last_production``, ``revenue_this_month`` and ``payroll_this_month``,
-    and ``vacancy_unfilled``. ``employees[i]`` lists firm ``i``'s staff in
-    payroll order, which orders every payroll and output sum. Firms are
-    fixed for a run and enter through ``add_firms``.
+    and ``vacancy_unfilled``. Firms are fixed for a run and enter through
+    ``add_firms``.
 
     A house is one row of the columns indexed by house id, their only
     store: ``house_municipality``, ``house_size``, ``house_quality``, its
     location ``house_x`` and ``house_y``, ``owner`` (family id, -1 for
-    municipal stock) and ``resident`` (family id, -1 when vacant). Houses
-    are fixed for a run and enter through ``add_houses``, vacant and
-    municipal; ownership and occupancy change only through ``add_families``,
-    ``move_in``, a seller giving up its house, and escheat.
+    municipal stock), ``resident`` (family id, -1 when vacant) and
+    ``purchase_position``. Houses are fixed for a run and enter through
+    ``add_houses``, vacant and municipal; ownership and occupancy change
+    only through ``add_families``, ``move_in`` and escheat.
 
     A citizen is one row of the columns indexed by citizen id, its only
     store: age, qualification, employer (-1 for none), monthly wage (0.0
-    without an employer), family (-1 once dead), liveness, and whether the
-    qualification is still provisional (born in the run, not yet at
-    labor-entry age). Citizens have one way in, ``add_citizens``, which
-    issues the next ids to a batch of rows written at once, and one way out,
-    ``demographics._remove_citizen``, which clears ``alive``. Ids are never
-    reused, so ``np.flatnonzero(alive)`` lists the living in ascending id
-    order.
+    without an employer), ``payroll_position``, family (-1 once dead),
+    liveness, and whether the qualification is still provisional (born in
+    the run, not yet at labor-entry age). Citizens have one way in,
+    ``add_citizens``, which issues the next ids to a batch of rows written
+    at once, and one way out, ``demographics._remove_citizen``, which clears
+    ``alive``. Ids are never reused, so ``np.flatnonzero(alive)`` lists the
+    living in ascending id order.
 
     A family is likewise one row of the columns indexed by family id, their
     only store: ``savings``, ``home`` (a house id, -1 once escheated),
     ``live`` and ``arrears`` (family x municipality index; 0.0 is no debt,
     and a debt is always > 0). Its members are the living citizens whose
-    ``family`` names it, and its municipality is its home's.
-    ``owned_houses[f]`` lists the houses family ``f`` owns in purchase
-    order, which orders its property tax dues; a house is in that list
-    exactly when its ``owner`` is ``f``. Families have one way in,
-    ``add_families``, which writes a batch of rows at once and moves each
-    family into its first home, and one way out,
+    ``family`` names it, and its municipality is its home's. Families have
+    one way in, ``add_families``, which writes a batch of rows at once and
+    moves each family into its first home, and one way out,
     ``demographics._escheat_family``, run once no living citizen names it,
     which clears ``live`` and zeroes its row. A live family lives in one of
     the houses it owns, so one that owns exactly one house lives in it.
+
+    Two orders are positions in one run-wide sequence (``issue_positions``):
+    ``payroll_order`` lists each firm's staff, the order of its payroll and
+    output sums, by ``payroll_position``, issued at a hire (``hire``) and
+    again when fire-and-shrink keeps a citizen; ``purchase_order`` lists each
+    family's houses, the order of its property tax dues, by
+    ``purchase_position``, issued at a purchase (``add_families``,
+    ``move_in``). Only ``employer`` and ``owner`` say who belongs to whom, so
+    a death, a layoff, a sale or an escheat writes nothing else.
 
     Citizen and family columns grow by doubling, or to the batch being
     added where that is more; rows past the last citizen or family are
@@ -75,17 +90,18 @@ class SimulationState:
 
     month: int = 0
     municipality_ids: list[str] = field(default_factory=list)  # ascending
-    owned_houses: list[list[int]] = field(default_factory=list)  # by family id
-    employees: list[list[int]] = field(default_factory=list)  # by firm id
     labor_entry_age_months: int = 192
     qualification_levels: int = 21
     money_base: float = 0.0
     escheat_pool: float = 0.0
     _next_citizen_id: int = 0
+    _next_family_id: int = 0
+    _next_position: int = 0
     age: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))  # months
     qualification: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     employer: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     wage: np.ndarray = field(default_factory=lambda: np.zeros(0))  # monthly
+    payroll_position: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     family: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     alive: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
     provisional: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=bool))
@@ -100,6 +116,7 @@ class SimulationState:
     house_y: np.ndarray = field(default_factory=lambda: np.zeros(0))
     owner: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     resident: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    purchase_position: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     firm_municipality: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     firm_x: np.ndarray = field(default_factory=lambda: np.zeros(0))
     firm_y: np.ndarray = field(default_factory=lambda: np.zeros(0))
@@ -143,19 +160,10 @@ class SimulationState:
         stop = first + len(families)
         if stop > len(self.alive):
             grow = max(stop, 2 * len(self.alive)) - len(self.alive)
-            self.age = np.concatenate([self.age, np.zeros(grow, dtype=np.int64)])
-            self.qualification = np.concatenate(
-                [self.qualification, np.zeros(grow, dtype=np.int64)]
-            )
-            self.employer = np.concatenate([self.employer, np.full(grow, -1, dtype=np.int64)])
-            self.wage = np.concatenate([self.wage, np.zeros(grow)])
-            self.family = np.concatenate([self.family, np.full(grow, -1, dtype=np.int64)])
-            self.alive = np.concatenate([self.alive, np.zeros(grow, dtype=bool)])
-            self.provisional = np.concatenate([self.provisional, np.zeros(grow, dtype=bool)])
+            for name, fill in _CITIZEN_PADDING.items():
+                setattr(self, name, _padded(getattr(self, name), grow, fill))
         self.age[first:stop] = ages
         self.qualification[first:stop] = qualifications
-        self.employer[first:stop] = -1
-        self.wage[first:stop] = 0.0
         self.family[first:stop] = families
         self.alive[first:stop] = True
         self._next_citizen_id = stop
@@ -165,44 +173,39 @@ class SimulationState:
         """Issue the next family ids to new families without members, one per
         entry: family ``i`` of the entries buys vacant house ``homes[i]`` and
         lives in it, with ``savings[i]``. Returns their ids."""
-        first = len(self.owned_houses)
+        first = self._next_family_id
         homes = np.asarray(homes, dtype=np.int64)
         stop = first + len(homes)
         if stop > len(self.live):
             grow = max(stop, 2 * len(self.live)) - len(self.live)
-            self.savings = np.concatenate([self.savings, np.zeros(grow)])
-            self.home = np.concatenate([self.home, np.full(grow, -1, dtype=np.int64)])
-            self.live = np.concatenate([self.live, np.zeros(grow, dtype=bool)])
-            self.arrears = np.concatenate([self.arrears, np.zeros((grow, len(self.treasury)))])
+            for name, fill in _FAMILY_PADDING.items():
+                setattr(self, name, _padded(getattr(self, name), grow, fill))
         ids = range(first, stop)
         self.savings[first:stop] = savings
         self.live[first:stop] = True
         self.home[first:stop] = homes
         self.owner[homes] = ids
         self.resident[homes] = ids
-        self.owned_houses.extend([house] for house in homes.tolist())
+        self.purchase_position[homes] = self.issue_positions(len(homes))
+        self._next_family_id = stop
         return ids
 
     def add_houses(self, municipality, size, quality, x, y) -> range:
         """Append vacant municipal houses, one per entry of the equal-length
         column values; returns their ids."""
-        first = len(self.resident)
-        self.house_municipality = np.concatenate(
-            [self.house_municipality, np.asarray(municipality, dtype=np.int64)]
-        )
-        self.house_size = np.concatenate([self.house_size, size])
-        self.house_quality = np.concatenate([self.house_quality, quality])
-        self.house_x = np.concatenate([self.house_x, x])
-        self.house_y = np.concatenate([self.house_y, y])
-        grow = len(self.house_municipality) - first
-        self.owner = np.concatenate([self.owner, np.full(grow, -1, dtype=np.int64)])
-        self.resident = np.concatenate([self.resident, np.full(grow, -1, dtype=np.int64)])
-        return range(first, first + grow)
+        first, n = len(self.resident), len(municipality)
+        rows = dict(house_municipality=np.asarray(municipality, dtype=np.int64), house_size=size,
+                    house_quality=quality, house_x=x, house_y=y)
+        for name, values in rows.items():
+            setattr(self, name, np.concatenate([getattr(self, name), values]))
+        for name, fill in (("owner", -1), ("resident", -1), ("purchase_position", 0)):
+            setattr(self, name, _padded(getattr(self, name), n, fill))
+        return range(first, first + n)
 
     def add_firms(self, municipality, x, y, wage_offer, cash) -> range:
         """Append firms without staff or stock, priced at 1.0, one per entry of
         the equal-length column values; returns their ids."""
-        first, n = len(self.employees), len(municipality)
+        first, n = len(self.cash), len(municipality)
         rows = dict(firm_municipality=np.asarray(municipality, dtype=np.int64), firm_x=x, firm_y=y,
                     cash=cash, wage_offer=wage_offer, price=np.ones(n),
                     vacancy_unfilled=np.zeros(n, dtype=bool))
@@ -211,8 +214,38 @@ class SimulationState:
             rows[name] = np.zeros(n)
         for name, values in rows.items():
             setattr(self, name, np.concatenate([getattr(self, name), values]))
-        self.employees.extend([] for _ in range(n))
         return range(first, first + n)
+
+    def issue_positions(self, n: int) -> range:
+        """The next ``n`` positions of the run's sequence, ascending."""
+        first = self._next_position
+        self._next_position = first + n
+        return range(first, first + n)
+
+    def hire(self, firms, citizens) -> None:
+        """Citizen ``citizens[i]`` joins firm ``firms[i]``, last on its payroll, at its offer."""
+        firms, citizens = np.asarray(firms, dtype=np.intp), np.asarray(citizens, dtype=np.intp)
+        self.employer[citizens] = firms
+        self.wage[citizens] = self.wage_offer[firms]
+        self.payroll_position[citizens] = self.issue_positions(len(citizens))
+
+    # positions are unique and below ``_next_position``: one argsort of group *
+    # _next_position + position orders by both, twice as fast as np.lexsort
+
+    def payroll_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every employee by employer id and then payroll position, and its employer."""
+        staff = np.flatnonzero(self.employer >= 0)
+        firms = self.employer[staff]
+        staff = staff[np.argsort(firms * self._next_position + self.payroll_position[staff])]
+        return staff, self.employer[staff]
+
+    def purchase_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every family-owned house by owner id and then purchase position, and
+        its owner."""
+        houses = np.flatnonzero(self.owner >= 0)
+        owners = self.owner[houses]
+        houses = houses[np.argsort(owners * self._next_position + self.purchase_position[houses])]
+        return houses, self.owner[houses]
 
     def move_in(self, family: int, house_id: int) -> None:
         """Family ``family`` buys vacant house ``house_id`` and makes it its home;
@@ -223,18 +256,15 @@ class SimulationState:
             self.resident[old] = -1
         self.owner[house_id] = family
         self.resident[house_id] = family
-        self.owned_houses[family].append(house_id)
+        self.purchase_position[house_id] = self.issue_positions(1)[0]
         self.home[family] = house_id
 
     def trim(self) -> None:
         """Cut the citizen and family columns to their used rows."""
-        n = self._next_citizen_id
-        for name in ("age", "qualification", "employer", "wage", "family", "alive",
-                     "provisional"):
-            setattr(self, name, getattr(self, name)[:n].copy())
-        n = len(self.owned_houses)
-        for name in ("savings", "home", "live", "arrears"):
-            setattr(self, name, getattr(self, name)[:n].copy())
+        for columns, n in ((_CITIZEN_PADDING, self._next_citizen_id),
+                           (_FAMILY_PADDING, self._next_family_id)):
+            for name in columns:
+                setattr(self, name, getattr(self, name)[:n].copy())
 
     def populations(self) -> list[int]:
         """Living citizens by municipality index of their family's home."""

@@ -390,27 +390,22 @@ def instantiate_world(
         families = state.add_families(built[:n_families], savings)
         state.add_citizens(np.repeat(families, sizes), ages, quals)
 
-    if not state.employees:
+    if not len(state.cash):
         # every region needs at least one employer, however small the sample
         host = max(region.municipalities, key=lambda m: m.population)
         add_firms(index[host.id], 1, host.centroid)
 
     # region-wide initial employment so the economy starts warm
-    adults = np.flatnonzero(state.alive & (state.age >= cfg.labor_entry_age_months)).tolist()
+    adults = np.flatnonzero(state.alive & (state.age >= cfg.labor_entry_age_months))
     n_employed = round(cfg.initial_employment_rate * len(adults))
     if n_employed:
         order = rng.permutation(len(adults))
-        for slot in range(n_employed):
-            cid = adults[int(order[slot])]
-            firm = slot % len(state.employees)
-            state.employer[cid] = firm
-            state.wage[cid] = state.wage_offer[firm]
-            state.employees[firm].append(cid)
+        state.hire(np.arange(n_employed) % len(state.cash), adults[order[:n_employed]])
 
     # working capital so the first payrolls don't trigger mass layoffs
-    for firm, staff in enumerate(state.employees):
-        payroll = sequential_sum(state.wage[staff].tolist())
-        state.cash[firm] = max(state.cash.item(firm), cfg.initial_cash_months_of_payroll * payroll)
+    staff, firms = state.payroll_order()
+    payrolls = np.bincount(firms, weights=state.wage[staff], minlength=len(state.cash))
+    np.maximum(state.cash, cfg.initial_cash_months_of_payroll * payrolls, out=state.cash)
 
     state.money_base = state.money_in_circulation()
     state.trim()  # a pickled world carries no padding rows

@@ -122,6 +122,25 @@ def add_firm(state, muni, cash=100.0, wage=1.0, price=1.0, firm_id=None, locatio
     return firm
 
 
+def staff_lists(state) -> list[list[int]]:
+    """Each firm's staff in payroll order, by firm id."""
+    staff, firms = state.payroll_order()
+    return [staff[firms == f].tolist() for f in range(len(state.cash))]
+
+
+def house_lists(state) -> list[list[int]]:
+    """Each family's houses in purchase order, by family id."""
+    houses, owners = state.purchase_order()
+    return [houses[owners == f].tolist() for f in range(state._next_family_id)]
+
+
+def employ(state, firm, citizens):
+    """Put ``citizens`` on firm ``firm``'s payroll after its staff, in the given
+    order, leaving their wages as they are."""
+    state.employer[citizens] = firm
+    state.payroll_position[citizens] = state.issue_positions(len(citizens))
+
+
 @dataclass
 class FirmRecord:
     """A firm as one record, for the per-firm scalar references: the fields
@@ -146,9 +165,9 @@ FIRM_COLUMNS = tuple(f.name for f in fields(FirmRecord))[:-1]
 
 
 def firm_records(state) -> list[FirmRecord]:
-    """Every firm of ``state`` as a record, by id; the staff lists are copies."""
+    """Every firm of ``state`` as a record, by id."""
     columns = [getattr(state, name).tolist() for name in FIRM_COLUMNS]
-    return [FirmRecord(*row, list(staff)) for *row, staff in zip(*columns, state.employees)]
+    return [FirmRecord(*row, staff) for *row, staff in zip(*columns, staff_lists(state))]
 
 
 def firm_bits(records) -> list[tuple]:
@@ -198,7 +217,7 @@ def add_house(state, muni, size=1.0, quality=1.0, owner=None, house_id=None,
     assert house_id is None or house_id == hid
     if owner is not None:
         state.owner[hid] = owner
-        state.owned_houses[owner].append(hid)
+        state.purchase_position[hid] = state.issue_positions(1)[0]
     return hid
 
 
@@ -216,6 +235,12 @@ def rng(seed=0) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def kind_sums(ledger, kind) -> dict[int, float]:
+    """Origin index -> the ledger's sum of ``kind``, in first-payment order."""
+    sums, origins = list(ledger.rows())[TAX_KINDS.index(kind)]
+    return {origin: sums[origin] for origin in origins}
+
+
 def ledger_entries(ledger) -> list[tuple]:
     """Every ``(kind, origin, amount.hex())`` of a ledger, origins in first-payment order.
 
@@ -225,5 +250,5 @@ def ledger_entries(ledger) -> list[tuple]:
     return [
         (kind, origin, amount.hex())
         for kind in TAX_KINDS
-        for origin, amount in ledger.by_kind(kind).items()
+        for origin, amount in kind_sums(ledger, kind).items()
     ]

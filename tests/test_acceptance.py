@@ -25,6 +25,7 @@ from metrosim.economy import MarketParams
 from metrosim.engine import batch_tasks, run_batch, run_scenario
 from metrosim.fiscal import TAX_KINDS, MpfTable, TaxKind, mpf_shares, policy_for_case
 from metrosim.housing import HousingParams, run_housing_market
+from metrosim.state import SimulationState
 from metrosim.worldgen import default_apc_batch, generate_region
 
 from conftest import region_of
@@ -146,20 +147,38 @@ def test_criterion_04_per_capita_share_monotone():
 def test_criterion_05_midpoint_settlement_exact(monkeypatch):
     region = default_apc_batch()[0]
     cfg = default_config()
-    transactions = []
+    bid, rate = cfg.housing.bid_fraction, cfg.tax_rates.transmission
+    # per sale: the house's hedonic price, the buyer's savings at its turn
+    # and after paying, and the sale's transmission tax entry
+    sales = []
+    month = {}
+    move_in = SimulationState.move_in
 
-    def recording_market(*args):
-        settled = run_housing_market(*args)
-        transactions.extend(settled)
-        return settled
+    def recording_move_in(state, family, house):
+        # a sale moves only its buyer's and seller's savings, so a buyer holds
+        # at its turn what it held once the sale before was paid
+        held = month["held"]
+        month["sales"].append((month["prices"].item(house), held.item(family),
+                               state.savings.item(family)))
+        held[:] = state.savings
+        move_in(state, family, house)
 
+    def recording_market(state, prices, params, rates, rng, taxes):
+        month.update(held=state.savings.copy(), prices=prices, sales=[])
+        sold = run_housing_market(state, prices, params, rates, rng, taxes)
+        assert len(sold) == len(month["sales"]) == len(taxes[1])  # every sale is taxed
+        sales.extend(zip(month["sales"], taxes[1]))
+        return sold
+
+    monkeypatch.setattr(SimulationState, "move_in", recording_move_in)
     monkeypatch.setattr(engine, "run_housing_market", recording_market)
     result = run_scenario(cfg, seed=0, region=region)
-    assert transactions, "a default run should see housing turnover"
-    assert len(transactions) == sum(result.housing_sales)
-    for t in transactions:
-        midpoint = (t.hedonic + t.offer) / 2.0
-        assert abs(t.price - midpoint) <= 1e-12 * max(1.0, abs(t.price))
+    assert sales, "a default run should see housing turnover"
+    assert len(sales) == sum(result.housing_sales)
+    for (hedonic, before, after), tax in sales:
+        midpoint = (hedonic + bid * before) / 2.0
+        assert tax == midpoint * rate
+        assert abs((before - after) - midpoint) <= 1e-12 * max(1.0, midpoint)
     print("criterion 5: PASS")
 
 

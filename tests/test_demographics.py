@@ -14,7 +14,7 @@ from metrosim.demographics import (
 )
 from metrosim.errors import ConfigError, ValidationError
 
-from conftest import add_family, add_firm, add_house, living, members, rng
+from conftest import add_family, add_firm, add_house, house_lists, living, members, rng, staff_lists
 
 
 def flat_rates(mortality=0.0, fertility=0.0):
@@ -126,23 +126,21 @@ def test_death_cascade_employer_family_houses(make_state):
     family = add_family(state, 0, [5], savings=42.0)
     firm = add_firm(state, 0)
     [cid] = members(state, family)
-    state.employer[cid] = firm
-    state.wage[cid] = 1.0
-    state.employees[firm].append(cid)
+    state.hire([firm], [cid])
     home = state.home.item(family)
     second = add_house(state, 0, owner=family)
     state.arrears[family, 0] = 0.7
 
     deaths = apply_mortality(state, flat_rates(mortality=1.0), rng())
     assert deaths == 1
-    assert state.employees[firm] == []
+    assert staff_lists(state)[firm] == []
     assert state.employer[cid] == -1 and not state.alive[cid]
     assert not state.live[family]
     assert state.treasury[0] == 42.0
     assert state.owner[home] == state.owner[second] == -1
     assert state.resident[home] == state.resident[second] == -1
     # the escheated row owns nothing and owes nothing
-    assert state.owned_houses[family] == []
+    assert house_lists(state)[family] == []
     assert state.home[family] == -1
     assert state.savings[family] == 0.0 and not state.arrears[family].any()
 

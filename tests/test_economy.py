@@ -26,7 +26,17 @@ from metrosim.errors import ValidationError
 from metrosim.fiscal import TAX_KINDS, TaxKind, TaxLedger, TaxRates
 from metrosim.state import SimulationState
 
-from conftest import add_family, add_firm, firm_bits, firm_records, members, rng
+from conftest import (
+    add_family,
+    add_firm,
+    employ,
+    firm_bits,
+    firm_records,
+    kind_sums,
+    members,
+    rng,
+    staff_lists,
+)
 
 
 def make_firms(n=1, **columns):
@@ -43,12 +53,13 @@ def make_firms(n=1, **columns):
 def set_citizens(state, quals, wages=None, employer=None, savings=None):
     """Citizens ``0..n-1`` of qualifications ``quals``: citizen ``i`` is the one
     member of family ``i`` (of ``savings``, 0.0 by default), earns ``wages[i]``
-    (0.0 by default) and works for firm ``employer[i]`` (-1, none, by default).
-    The firms' staff lists are left to the caller."""
+    (0.0 by default) and works for firm ``employer[i]`` (-1, none, by default),
+    each payroll in id order."""
     n = len(quals)
     state.qualification = np.array(quals, dtype=np.int64)
     state.wage = np.array([0.0] * n if wages is None else wages, dtype=float)
     state.employer = np.array([-1] * n if employer is None else employer, dtype=np.int64)
+    state.payroll_position = np.array(state.issue_positions(n), dtype=np.int64)
     state.family = np.arange(n, dtype=np.int64)
     state.alive = np.ones(n, dtype=bool)
     state.savings = np.zeros(n) if savings is None else np.array(savings, dtype=float)
@@ -58,8 +69,7 @@ def produce_one(quals, params, **columns):
     """One firm employing citizens ``0..len(quals)-1`` of these qualifications;
     returns the state and the firm's units."""
     state = make_firms(**columns)
-    set_citizens(state, quals)
-    state.employees[0] = list(range(len(quals)))
+    set_citizens(state, quals, employer=[0] * len(quals))
     (units,) = produce(state, output_per_worker(params, 21), params).tolist()
     return state, units
 
@@ -452,7 +462,6 @@ def test_labor_market_matches_the_per_candidate_walk(seed, shape, share):
 def test_pay_wages_worked_example():
     state = make_firms(cash=150.0)
     set_citizens(state, [5], [100.0], employer=[0])
-    state.employees[0] = [0]
     taxes = pay(state, TaxRates(personal_income=0.275))
     assert state.payroll_this_month[0] == 100.0
     assert state.savings[0] == pytest.approx(72.5, rel=1e-12)
@@ -464,7 +473,6 @@ def test_pay_wages_worked_example():
 def test_zero_income_tax_rate_writes_no_event():
     state = make_firms(cash=10.0)
     set_citizens(state, [5], [5.0], employer=[0])
-    state.employees[0] = [0]
     ledger = TaxLedger(1)
     ledger.add_all(TaxKind.PERSONAL_INCOME, *pay(state, TaxRates(personal_income=0.0)))
     assert state.savings[0] == 5.0
@@ -475,10 +483,9 @@ def test_fire_and_shrink_releases_least_qualified():
     state = make_firms(cash=100.0)
     senior, junior = 0, 1
     set_citizens(state, [5, 2], [80.0, 70.0], employer=[0, 0])
-    state.employees[0] = [senior, junior]
     pay(state, TaxRates())
     assert state.payroll_this_month[0] == 80.0  # junior released; senior affordable
-    assert state.employees[0] == [senior]
+    assert staff_lists(state) == [[senior]]
     assert state.employer[junior] == -1 and state.wage[junior] == 0.0
     assert state.employer[senior] == 0 and state.wage[senior] == 80.0
     assert state.cash[0] == 20.0
@@ -492,9 +499,8 @@ def test_releasing_every_employee_leaves_no_payroll():
     # would change output bytes, so it is pinned here rather than fixed
     state = make_firms(cash=0.0)
     set_citizens(state, [5, 2], [0.1, 0.2], employer=[0, 0])
-    state.employees[0] = [0, 1]
     pay(state, TaxRates())
-    assert state.employees[0] == []
+    assert staff_lists(state) == [[]]
     assert state.payroll_this_month[0] == 0.0
     assert state.cash[0] >= 0.0
 
@@ -512,10 +518,9 @@ def test_payroll_resets_when_the_last_employee_is_gone():
     # its wage decision (and into the profit metric)
     state = make_firms(cash=150.0)
     set_citizens(state, [5], [100.0], employer=[0])
-    state.employees[0] = [0]
     pay(state, TaxRates())
     assert state.payroll_this_month[0] == 100.0
-    state.employees[0].remove(0)
+    state.employer[0] = -1
     pay(state, TaxRates())
     assert state.payroll_this_month[0] == 0.0
     state.wage_offer[0] = 1.0
@@ -593,10 +598,11 @@ def random_payroll_world(seed):
     ]
     state = make_firms(n_firms, firm_municipality=[i % 3 for i in range(n_firms)],
                        inventory=[float(gen.uniform(0.0, 2.0)) for _ in range(n_firms)])
+    staff_of = [[] for _ in range(n_firms)]
     for cid in gen.permutation(n_citizens).tolist():  # payrolls not in id order
         if employer[cid] >= 0:
-            state.employees[employer[cid]].append(cid)
-    for f, staff in enumerate(state.employees):
+            staff_of[employer[cid]].append(cid)
+    for f, staff in enumerate(staff_of):
         payroll = sum(wages[cid] for cid in staff)
         state.cash[f] = float(gen.uniform(0.0, 1.5)) * payroll
         state.cumulative_profit[f] = float(gen.uniform(-2.0, 2.0))
@@ -606,6 +612,8 @@ def random_payroll_world(seed):
     rates = TaxRates(personal_income=float(gen.choice([0.0, 0.275, gen.random() * 0.9])))
     paid = [wage if firm >= 0 else 0.0 for wage, firm in zip(wages, employer)]
     set_citizens(state, quals, paid, employer)
+    for f, staff in enumerate(staff_of):
+        employ(state, f, staff)
     state.family = np.array(family_of, dtype=np.int64)
     state.savings = savings
     return state, params, rates
@@ -623,9 +631,11 @@ PAYROLL_SEEDS = range(150)
 def test_random_payroll_worlds_cover_the_edge_cases():
     worlds = [random_payroll_world(seed) for seed in PAYROLL_SEEDS]
     states = [state for state, _, _ in worlds]
-    assert any(not state.employees[0] for state in states)
+    assert any(not staff_lists(state)[0] for state in states)
     assert any(sum(state.wage[staff].tolist()) > state.cash[f]
-               for state in states for f, staff in enumerate(state.employees))
+               for state in states for f, staff in enumerate(staff_lists(state)))
+    # some payroll is not in id order
+    assert any(staff != sorted(staff) for state in states for staff in staff_lists(state))
     assert any(rates.personal_income == 0.0 for _, _, rates in worlds)
     assert any(
         len(set(state.employer[(state.family == fam) & (state.employer >= 0)].tolist())) >= 2
@@ -679,14 +689,12 @@ def test_wage_credits_match_the_per_employee_loop(savings, staff, rate):
     # (firm, family, wage) per employee: families earn at several firms, and
     # a family row past the payroll's families gets nothing
     state = make_firms(3, firm_municipality=[0, 1, 2])
-    for cid, (firm, _, _) in enumerate(staff):
-        state.employees[firm].append(cid)
     set_citizens(state, [5] * len(staff), [w for _, _, w in staff],
                  [firm for firm, _, _ in staff], savings + [7.0])
     state.family = np.array([fam % len(savings) for _, fam, _ in staff], dtype=np.int64)
     pay_wages(state, TaxRates(personal_income=rate))
     expected = savings + [7.0]
-    order = [cid for staff in state.employees for cid in staff]
+    order = [cid for staff in staff_lists(state) for cid in staff]
     reference_credit_wages(
         expected, state.family[order].tolist(), [w - w * rate for w in state.wage[order].tolist()]
     )
@@ -702,7 +710,7 @@ def shop(state, savings_rate, rates):
     """Family 0 of ``state.savings`` buying from every firm in id order,
     through the month-wide passes; returns ``consume``'s result."""
     shopping, budgets = shopping_budgets(state.savings, np.array([0]), np.array([savings_rate]))
-    n_firms = len(state.employees)
+    n_firms = len(state.cash)
     rows = np.tile(np.arange(n_firms), (len(shopping), 1))
     return consume(state, shopping, budgets, np.arange(n_firms), rows, rates)
 
@@ -716,7 +724,7 @@ def test_consume_worked_example():
     assert units == 5.0
     assert spent == 10.0
     assert state.cash[0] == 8.0  # net of the 20% consumption tax
-    assert ledger.by_kind(TaxKind.CONSUMPTION) == {0: 2.0}
+    assert kind_sums(ledger, TaxKind.CONSUMPTION) == {0: 2.0}
     assert state.savings[0] == 0.0
 
 

@@ -30,7 +30,8 @@ from metrosim.rng import RngStreams
 from metrosim.worldgen import WorldConfig, default_apc_batch, generate_region, instantiate_world
 
 from conftest import (
-    add_family, add_firm, break_invariant, firm_records, ledger_entries, living, region_of, rng,
+    add_family, add_firm, break_invariant, firm_records, kind_sums, ledger_entries, living,
+    region_of, rng,
 )
 
 
@@ -173,10 +174,7 @@ def test_frozen_shares_split_by_month_zero_populations(gen_config, monkeypatch):
 def test_audit_rejects_an_employed_minor():
     state, runtime, result, _ = apc33_month()
     minor = next(cid for cid in living(state) if state.age[cid] < 12)
-    firm = int(state.cash.argmax())
-    state.employer[minor] = firm
-    state.wage[minor] = state.wage_offer[firm]
-    state.employees[firm].append(minor)
+    state.hire([int(state.cash.argmax())], [minor])
     with pytest.raises(InvariantViolation, match="employment-consistency"):
         engine.step_month(state, runtime, result)
 
@@ -197,12 +195,11 @@ def assert_columns_agree(state, living_before, births, deaths):
     dead = ~state.alive
     assert np.all(state.family[dead] == -1)
     assert not np.any(state.provisional[dead])
-    on_payroll = 0
-    for firm, staff in enumerate(state.employees):
-        for cid in staff:
-            assert state.employer[cid] == firm
-        on_payroll += len(staff)
-    assert np.count_nonzero(state.alive & (state.employer >= 0)) == on_payroll
+    # only the living are on a payroll, and a payroll's positions order it
+    # fully: no two employees share one
+    staff, _ = state.payroll_order()
+    assert state.alive[staff].all()
+    assert len(np.unique(state.payroll_position[staff])) == len(staff)
     walked = [0] * len(state.municipality_ids)
     for cid in ids:
         walked[state.house_municipality[state.home[state.family[cid]]]] += 1
@@ -211,23 +208,20 @@ def assert_columns_agree(state, living_before, births, deaths):
     assert not np.any(state.wage[unemployed])  # wage 0.0 without an employer
     quals = state.qualification[state.alive]
     assert np.all((quals >= 1) & (quals <= state.qualification_levels))
-    # a live family lives in a house it owns, and only there; the property
-    # tax's one-house pass relies on it
+    # a live family lives in a house it owns, and only there
     for f in families:
-        assert state.home[f] in state.owned_houses[f]
         assert state.owner[state.home[f]] == f
         assert state.resident[state.home[f]] == f
     occupied = np.flatnonzero(state.resident >= 0)
     assert sorted(state.home[state.live].tolist()) == occupied.tolist()
-    # a house has owner f >= 0 exactly when it is in family f's list, once;
-    # municipal stock (owner -1) is in no list
-    listed = sorted((h, f) for f, owned in enumerate(state.owned_houses) for h in owned)
-    assert listed == [(h, f) for h, f in enumerate(state.owner.tolist()) if f >= 0]
+    # no two of the owned houses share a purchase position
+    houses, _ = state.purchase_order()
+    assert len(np.unique(state.purchase_position[houses])) == len(houses)
     # an escheated row (and the padding after the last family) holds nothing
     gone = ~state.live
     assert not state.savings[gone].any() and not state.arrears[gone].any()
     assert np.all(state.home[gone] == -1)
-    assert not any(owned for f, owned in enumerate(state.owned_houses) if gone[f])
+    assert state.live[state.owner[state.owner >= 0]].all()
     assert np.all(state.arrears >= 0.0)
 
 
@@ -283,12 +277,12 @@ def test_citizen_columns_hold_every_month(
 
     def checked_step(state, runtime, result):
         living_before = np.count_nonzero(state.alive)
-        on_payroll_before = sum(map(len, state.employees))
+        on_payroll_before = np.count_nonzero(state.employer >= 0)
         vital.update(births=0, deaths=0, hires=0, layoffs=0, employed_deaths=0)
         step_month(state, runtime, result)  # raises if the audit fires
         assert_columns_agree(state, living_before, vital["births"], vital["deaths"])
         # the labor flows reconcile with the payrolls
-        on_payroll = sum(map(len, state.employees))
+        on_payroll = np.count_nonzero(state.employer >= 0)
         assert (vital["hires"] - vital["layoffs"] - vital["employed_deaths"]
                 == on_payroll - on_payroll_before)
 
@@ -434,7 +428,7 @@ def test_housing_and_tax_phases_match_per_entry_adds(monkeypatch):
 
     kinds = (TaxKind.TRANSMISSION, TaxKind.PERSONAL_INCOME, TaxKind.PROPERTY, TaxKind.COMPANY)
     for kind in kinds:
-        assert len(ref_month.ledger.by_kind(kind)) > 1, kind
+        assert len(kind_sums(ref_month.ledger, kind)) > 1, kind
     assert ledger_entries(month.ledger) == ledger_entries(ref_month.ledger)
     assert {k: a.hex() for k, a in month.ledger.total_by_kind().items()} == {
         k: a.hex() for k, a in ref_month.ledger.total_by_kind().items()
@@ -451,7 +445,7 @@ def test_gdp_and_profit_folds_match_per_firm_loops_bit_for_bit(seed):
     region = generate_region(3, 6_000, 1.0, gen, WorldConfig())
     state = instantiate_world(region, WorldConfig(population_fraction=0.05), gen)
     runtime, result = engine.start_run(default_config(), state, seed, region.id)
-    n = len(state.employees)
+    n = len(state.cash)
     state.price[:] = np.where(gen.random(n) < 0.3, 0.01, gen.uniform(0.01, 3.0, size=n))
     state.inventory[:] = gen.uniform(0.0, 5.0, size=n)
     records = firm_records(state)
@@ -607,9 +601,14 @@ def test_an_unpickled_world_holds_canonical_arrays(gen_config):
     world = pickle.loads(pickle.dumps(engine.draw_world(cfg, 0, region_of(cfg))))
     arrays = [value for value in vars(world).values() if isinstance(value, np.ndarray)]
     # the citizen, family and house columns, the firms', then the municipalities'
-    assert len(arrays) == 18 + 12 + 2
+    assert len(arrays) == 20 + 12 + 2
     for array in arrays:
         assert array.dtype is np.dtype(array.dtype.str)
+    # the agents are columns: besides the municipality ids, a world holds no
+    # Python container, whose unpickling would cost every batch task per agent
+    others = {name: type(value) for name, value in vars(world).items()
+              if not isinstance(value, (np.ndarray, int, float)) and name != "municipality_ids"}
+    assert others == {}
 
 
 def test_run_task_carries_no_world(gen_config):

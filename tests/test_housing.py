@@ -12,7 +12,6 @@ from metrosim.errors import ValidationError
 from metrosim.fiscal import TaxKind, TaxLedger, TaxRates
 from metrosim.housing import (
     HousingParams,
-    Transaction,
     collect_property_tax,
     hedonic_prices,
     run_housing_market,
@@ -21,7 +20,7 @@ from metrosim.housing import (
 from metrosim.state import SimulationState
 from metrosim.worldgen import WorldConfig, default_apc_batch, instantiate_world
 
-from conftest import add_family, add_house, ledger_entries, members, rng
+from conftest import add_family, add_house, house_lists, ledger_entries, members, rng
 
 
 ALWAYS_ENTER = HousingParams(market_entry_rate=1.0, bid_fraction=1.0)
@@ -116,20 +115,19 @@ def two_vacancy_state(make_state, savings=100.0, size=4.0, quality=10.0):
 def test_midpoint_settlement_and_transmission_tax(make_state):
     # hedonic 2.0 * 4 * 10 = 80 against a full-savings offer of 100 -> 90
     state, family, target, _ = two_vacancy_state(make_state)
+    hedonic = hedonic_prices(state, ALWAYS_ENTER).item(target)
+    before = state.savings.item(family)
     taxes = ([], [])
-    deals = market(state, ALWAYS_ENTER, TaxRates(transmission=0.02), taxes)
-    assert len(deals) == 1
-    deal = deals[0]
-    assert deal.hedonic == 80.0
-    assert deal.offer == 100.0
-    assert deal.price == 90.0
-    assert deal.price == (deal.hedonic + deal.offer) / 2.0
-    assert taxes == ([0], [pytest.approx(1.8, rel=1e-12)])
-    # the buyer moved in and now owns both houses
+    assert market(state, ALWAYS_ENTER, TaxRates(transmission=0.02), taxes) == [target]
+    price = (hedonic + ALWAYS_ENTER.bid_fraction * before) / 2.0
+    assert (hedonic, price) == (80.0, 90.0)
+    assert before - state.savings[family] == price
+    assert taxes == ([0], [price * 0.02])
+    # the buyer moved in and now owns both houses, the new one bought last
     assert state.home[family] == target
     assert state.owner[target] == family
     assert state.resident[target] == family
-    assert sorted(state.owned_houses[family]) == [0, 1]
+    assert house_lists(state)[family] == [0, target]
     assert state.resident[0] == -1  # old residence emptied
 
 
@@ -147,10 +145,9 @@ def test_family_seller_receives_net_price(make_state):
     buyer = add_family(state, 0, [5], savings=100.0, fam_id=1)
     offered = add_house(state, 0, size=4.0, quality=10.0, owner=seller)
     add_house(state, 0, size=50.0, quality=50.0)  # spare vacancy
-    deals = market(state, ALWAYS_ENTER, TaxRates(transmission=0.02))
-    assert [d.buyer_family_id for d in deals] == [buyer]
+    assert market(state, ALWAYS_ENTER, TaxRates(transmission=0.02)) == [offered]
     assert state.savings[seller] == pytest.approx(88.2, rel=1e-12)  # 90 minus 1.8 tax
-    assert offered not in state.owned_houses[seller]
+    assert house_lists(state)[seller] == [state.home[seller]]
     assert state.owner[offered] == buyer
     assert state.treasury[0] == 0.0
 
@@ -171,8 +168,7 @@ def test_a_buyer_family_carries_its_head_count(make_state):
     target = add_house(state, 1, size=4.0, quality=10.0)
     add_house(state, 1, size=50.0, quality=50.0)  # and so does m01
     assert state.populations() == [3, 0]
-    deals = market(state, ALWAYS_ENTER, TaxRates())
-    assert [d.house_id for d in deals] == [target]
+    assert market(state, ALWAYS_ENTER, TaxRates()) == [target]
     assert state.house_municipality[state.home[family]] == 1
     assert state.populations() == [0, 3]
 
@@ -213,8 +209,7 @@ def test_house_sells_at_most_once_per_month(make_state):
     target = add_house(state, 0, size=4.0, quality=10.0)
     add_house(state, 0, size=4.0, quality=10.0)
     add_house(state, 0, size=50.0, quality=50.0)  # spare
-    deals = market(state, ALWAYS_ENTER, TaxRates())
-    sold = [d.house_id for d in deals]
+    sold = market(state, ALWAYS_ENTER, TaxRates())
     assert len(sold) == len(set(sold)) == 2
     assert target in sold
 
@@ -322,6 +317,7 @@ class ScalarWorld:
 
 def scalar_world(state) -> ScalarWorld:
     live = np.flatnonzero(state.live).tolist()
+    owned = house_lists(state)
     return ScalarWorld(
         month=state.month,
         families={
@@ -331,7 +327,7 @@ def scalar_world(state) -> ScalarWorld:
                 members=len(members(state, f)),
                 savings=state.savings.item(f),
                 house_id=state.home.item(f),
-                owned_houses=list(state.owned_houses[f]),
+                owned_houses=owned[f],
                 tax_debt=debts(state, f),
             )
             for f in live
@@ -503,9 +499,7 @@ def reference_housing_market(world: ScalarWorld, prices, params, rates, rng, tax
         family.municipality = chosen.municipality
         sold.add(chosen.id)
         vacant_count[chosen.municipality] -= 1
-        transactions.append(
-            Transaction(world.month, chosen.id, family.id, chosen_hedonic, offer, price)
-        )
+        transactions.append(chosen.id)
     return transactions
 
 
@@ -551,7 +545,8 @@ def owner_worlds(draw):
         [member] = state.add_citizens([fid], [360], [5])
         for _ in range(n_houses - 1):
             build_house(owner=fid, price_from=own_prices)
-        state.owned_houses[fid][:] = draw(st.permutations(state.owned_houses[fid]))
+        bought = draw(st.permutations(house_lists(state)[fid]))  # in a drawn purchase order
+        state.purchase_position[bought] = state.issue_positions(len(bought))
         if role == "broke, arrears elsewhere":
             state.savings[fid] = draw(st.one_of(st.just(0.0), st.floats(-5.0, 0.0)))
             home_muni = state.house_municipality[state.home[fid]]
@@ -563,14 +558,14 @@ def owner_worlds(draw):
                 state.arrears[fid, m] = draw(st.floats(0.01, 30.0))
         elif role == "broke, arrears at one of several":
             state.savings[fid] = draw(st.one_of(st.just(0.0), st.floats(-5.0, 0.0)))
-            house = draw(st.sampled_from(state.owned_houses[fid]))
+            house = draw(st.sampled_from(house_lists(state)[fid]))
             state.arrears[fid, state.house_municipality[house]] = draw(st.floats(0.01, 30.0))
         elif role == "short payer":  # savings cover part of the month's dues
             price = prices[state.home[fid]]
             state.savings[fid] = draw(st.floats(0.01, 0.99)) * price * rates.property_monthly
         elif role == "short at a middle house":
             # savings cover the dues of the first houses bought, and part of the next
-            dues = [prices[house] * rates.property_monthly for house in state.owned_houses[fid]]
+            dues = [prices[house] * rates.property_monthly for house in house_lists(state)[fid]]
             covered = draw(st.integers(1, n_houses - 2))
             funds = 0.0
             for due in dues[:covered]:
@@ -587,7 +582,7 @@ def owner_worlds(draw):
 
 
 def assert_escheated_rows_empty(state):
-    gone = ~state.live[:len(state.owned_houses)]
+    gone = ~state.live[:state._next_family_id]
     assert not state.savings[:len(gone)][gone].any()
     assert not state.arrears[:len(gone)][gone].any()
     assert (state.home[:len(gone)][gone] == -1).all()
@@ -642,7 +637,7 @@ def test_housing_market_matches_the_per_house_loop(world, entry, bid, transmissi
     ref_taxes = ([], [])
     ref_deals = reference_housing_market(ref, prices.tolist(), params, rates, rng(seed),
                                          ref_taxes)
-    assert [tuple(map(str, d)) for d in deals] == [tuple(map(str, d)) for d in ref_deals]
+    assert deals == ref_deals
     assert (taxes[0], [t.hex() for t in taxes[1]]) == (
         ref_taxes[0], [t.hex() for t in ref_taxes[1]]
     )

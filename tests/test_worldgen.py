@@ -21,7 +21,7 @@ from metrosim.worldgen import (
     save_region,
 )
 
-from conftest import FIRM_COLUMNS, living
+from conftest import FIRM_COLUMNS, house_lists, living, staff_lists
 
 
 def rng(seed=0):
@@ -181,7 +181,7 @@ def test_families_partition_citizens():
         small_region(1500), WorldConfig(population_fraction=0.02, mean_family_size=3.0), rng()
     )
     assert len(living(state)) == 30
-    assert len(state.owned_houses) == 10 == np.count_nonzero(state.live)
+    assert len(state.live) == 10 == np.count_nonzero(state.live)
     # every family has at least one member, and every living citizen a family
     assert sorted(set(state.family[living(state)].tolist())) == list(range(10))
 
@@ -202,7 +202,7 @@ def test_hamlet_samples_to_one_household():
     # household so no municipality starts the run empty
     state = instantiate_world(small_region(40), WorldConfig(population_fraction=0.002), rng())
     assert len(living(state)) == 1
-    assert len(state.owned_houses) == 1
+    assert len(state.live) == 1
     assert len(state.resident) >= 2
 
 
@@ -225,7 +225,7 @@ def test_region_always_gets_at_least_one_firm():
     )
     region = RegionSpec(id="micro", name="micro", municipalities=munis)
     state = instantiate_world(region, WorldConfig(population_fraction=0.05), rng())
-    assert len(state.employees) == 1
+    assert len(state.cash) == 1
     assert state.municipality_ids[state.firm_municipality[0]] == "only"
     assert_indexed_by_id(state)
 
@@ -249,21 +249,22 @@ def test_municipalities_drawn_in_region_order_and_indexed_by_sorted_id():
 def assert_indexed_by_id(state):
     # a firm's or a house's id is its row, so every firm column has a row per
     # firm and every house column a row per house
-    assert {len(getattr(state, name)) for name in FIRM_COLUMNS} == {len(state.employees)}
+    assert {len(getattr(state, name)) for name in FIRM_COLUMNS} == {len(state.cash)}
     columns = (state.house_municipality, state.house_size, state.house_quality,
-               state.house_x, state.house_y, state.owner, state.resident)
+               state.house_x, state.house_y, state.owner, state.resident,
+               state.purchase_position)
     assert len({len(column) for column in columns}) == 1
 
 
 def test_firms_and_houses_are_indexed_by_id():
     region = generate_region(5, 30_000, 1.2, rng(3), WorldConfig())
     state = instantiate_world(region, WorldConfig(population_fraction=0.05), rng())
-    assert len(state.employees) > 1 and len(state.resident) > 1
+    assert len(state.cash) > 1 and len(state.resident) > 1
     assert_indexed_by_id(state)
-    for family, owned in enumerate(state.owned_houses):
+    for family, owned in enumerate(house_lists(state)):
         assert owned == [state.home[family]]
         assert state.resident[state.home[family]] == family
-    assert np.count_nonzero(state.resident >= 0) == len(state.owned_houses)
+    assert np.count_nonzero(state.resident >= 0) == len(state.live)
 
 
 def test_instantiation_deterministic():
@@ -291,7 +292,7 @@ def test_fresh_world_has_no_padding_rows():
     # a shipped world pickles every row it holds, so none may be unused
     state = instantiate_world(small_region(3000), WorldConfig(population_fraction=0.05), rng(4))
     assert len(state.alive) == len(state.age) == state._next_citizen_id == len(living(state))
-    assert len(state.live) == len(state.arrears) == len(state.owned_houses)
+    assert len(state.live) == len(state.arrears) == state._next_family_id
     [born] = state.add_citizens([0], 0, 1)  # the first birth grows the columns
     assert state.alive[born] and state.family[born] == 0
     assert len(state.alive) > born
@@ -304,7 +305,7 @@ def test_initial_employment_rate_applied():
     assert len(employed) == round(0.9 * len(adults))
     for cid in employed:
         assert state.wage[cid] > 0
-        assert cid in state.employees[state.employer[cid]]
+        assert cid in staff_lists(state)[state.employer[cid]]
 
 
 def test_qualifications_within_levels():
@@ -346,7 +347,9 @@ def test_qualification_distribution_with_two_levels():
 
 def reference_instantiate_world(region, cfg, rng):
     """``instantiate_world`` as one draw and one row at a time: numpy's
-    ``uniform`` and ``normal``, each family and each citizen written alone."""
+    ``uniform`` and ``normal``, each family, each citizen and each hire
+    written alone. Returns the state and each firm's staff as a list, in
+    payroll order."""
     region.validate()
     cfg.validate()
     ids = sorted(muni.id for muni in region.municipalities)
@@ -358,6 +361,7 @@ def reference_instantiate_world(region, cfg, rng):
     )
     q_levels = cfg.qualification_levels
     q_dist = cfg.initial_qualification_distribution
+    staff = []
 
     def add_firm(m, centroid):
         cx, cy = centroid
@@ -365,6 +369,7 @@ def reference_instantiate_world(region, cfg, rng):
         y = cy + float(rng.normal(0.0, JITTER_SD))
         wage = float(rng.uniform(*cfg.initial_wage_bounds))
         state.add_firms([m], [x], [y], [wage], [cfg.initial_firm_cash])
+        staff.append([])
 
     for muni in region.municipalities:
         n_citizens = max(1, round(muni.population * cfg.population_fraction))
@@ -395,7 +400,7 @@ def reference_instantiate_world(region, cfg, rng):
                     qual = int(rng.choice(q_levels, p=q_dist)) + 1
                 state.add_citizens([family], [age], [qual])
 
-    if not state.employees:
+    if not staff:
         host = max(region.municipalities, key=lambda m: m.population)
         add_firm(index[host.id], host.centroid)
 
@@ -405,36 +410,36 @@ def reference_instantiate_world(region, cfg, rng):
         order = rng.permutation(len(adults))
         for slot in range(n_employed):
             cid = adults[int(order[slot])]
-            firm = slot % len(state.employees)
-            state.employer[cid] = firm
-            state.wage[cid] = state.wage_offer[firm]
-            state.employees[firm].append(cid)
+            firm = slot % len(staff)
+            state.hire([firm], [cid])
+            staff[firm].append(cid)
 
-    for firm in range(len(state.employees)):
-        payroll = sequential_sum(state.wage[state.employees[firm]].tolist())
+    for firm in range(len(staff)):
+        payroll = sequential_sum(state.wage[staff[firm]].tolist())
         state.cash[firm] = max(float(state.cash[firm]), cfg.initial_cash_months_of_payroll * payroll)
 
     state.money_base = state.money_in_circulation()
     state.trim()
-    return state
+    return state, staff
 
 
 WORLD_COLUMNS = (
-    "age", "qualification", "employer", "wage", "family", "alive", "provisional",
-    "savings", "home", "live", "arrears", "house_municipality", "house_size",
-    "house_quality", "house_x", "house_y", "owner", "resident", *FIRM_COLUMNS,
+    "age", "qualification", "employer", "wage", "payroll_position", "family", "alive",
+    "provisional", "savings", "home", "live", "arrears", "house_municipality", "house_size",
+    "house_quality", "house_x", "house_y", "owner", "resident", "purchase_position",
+    *FIRM_COLUMNS,
 )
 
 
 def world_bits(state):
     """Every column's dtype and bytes, the houses each family owns, each
-    firm's staff, and the money base."""
+    firm's staff, the id and position counters, and the money base."""
     return (
         [(name, getattr(state, name).dtype.str, getattr(state, name).shape,
           getattr(state, name).tobytes()) for name in WORLD_COLUMNS],
-        state.owned_houses,
-        state._next_citizen_id,
-        state.employees,
+        house_lists(state),
+        staff_lists(state),
+        (state._next_citizen_id, state._next_family_id, state._next_position),
         state.money_base.hex(),
     )
 
@@ -476,12 +481,13 @@ def test_world_draw_matches_the_per_draw_reference_bit_for_bit(
     )
     bulk_rng, reference_rng = rng(seed), rng(seed)
     bulk = instantiate_world(region, cfg, bulk_rng)
-    reference = reference_instantiate_world(region, cfg, reference_rng)
+    reference, staff = reference_instantiate_world(region, cfg, reference_rng)
     assert world_bits(bulk) == world_bits(reference)
+    assert staff_lists(bulk) == staff
     # both drew the same count of values from the stream
     assert bulk_rng.random() == reference_rng.random()
     if sum(round(m.firm_count * fraction) for m in region.municipalities) == 0:
-        assert len(bulk.employees) == 1  # the host firm
+        assert len(bulk.cash) == 1  # the host firm
 
 
 def test_the_draw_forms_are_numpys_uniform_and_normal():
