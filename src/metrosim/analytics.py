@@ -18,7 +18,7 @@ import numpy as np
 
 from .engine import ScenarioResult
 from .errors import ValidationError, columns, finite
-from .fiscal import CASES, POLICIES, sequential_sum
+from .fiscal import CASES, POLICIES, TAX_KINDS, sequential_sum
 
 log = logging.getLogger(__name__)
 
@@ -417,12 +417,14 @@ def validation_report(runs: Sequence) -> ValidationReport:
     """
     if not runs:
         raise ValidationError("validation needs at least one completed run")
-    totals: dict[str, float] = {}
-    for run in runs:
-        for kind, series in run.taxes_by_kind.items():
-            totals[kind] = totals.get(kind, 0.0) + sequential_sum(series)
-    grand = sequential_sum(totals.values())
-    shares = {kind: totals[kind] / grand if grand > 0 else None for kind in sorted(totals)}
+    totals = np.zeros(len(TAX_KINDS))
+    for run in runs:  # each kind's months fold left to right onto its total
+        totals += [sequential_sum(series) for series in run.taxes_by_kind.T.tolist()]
+    grand = sequential_sum(totals.tolist())
+    shares = {
+        kind: total / grand if grand > 0 else None
+        for kind, total in sorted(zip((kind.value for kind in TAX_KINDS), totals.tolist()))
+    }
     gdp_total = sequential_sum(sequential_sum(r.gdp_value) for r in runs)
     tax_to_gdp = grand / gdp_total if gdp_total > 0 else math.nan
 

@@ -47,7 +47,9 @@ from .fiscal import (
     TaxKind,
     TaxLedger,
     distribute,
+    equal_shares,
     invest,
+    mpf_shares,
     pay_procurement,
     policy_for_case,
     read_mpf_table,
@@ -66,8 +68,9 @@ CURRENCY_UNIT = 0.01  # smallest money unit the conservation audit resolves
 @dataclass(eq=False)
 class RunResult:
     """Everything one run records: one entry per month in every series. A
-    per-municipality series is an array of month x municipality index, and
-    ``inflows`` has the kinds, in ``TAX_KINDS`` order, between the two."""
+    per-municipality series is an array of month x municipality index,
+    ``inflows`` has the kinds, in ``TAX_KINDS`` order, between the two, and
+    ``taxes_by_kind`` is an array of month x kind."""
 
     apc_id: str
     case_id: int
@@ -85,7 +88,7 @@ class RunResult:
     avg_workers_per_firm: list[float] = field(default_factory=list)
     avg_firm_profit: list[float] = field(default_factory=list)
     units_consumed: list[float] = field(default_factory=list)
-    taxes_by_kind: dict[str, list[float]] = field(default_factory=dict)
+    taxes_by_kind: np.ndarray = field(default_factory=lambda: np.zeros((0, len(TAX_KINDS))))
     housing_sales: list[int] = field(default_factory=list)
 
     def __eq__(self, other) -> bool:
@@ -113,7 +116,8 @@ class _Runtime:
     # (see SimulationState), so this holds all run
     contractors: list[list[int]]
     output_per_worker: np.ndarray  # q**beta by qualification q
-    frozen_populations: list[int] | None = None
+    # the equal and mpf share vectors of month 0, under fiscal.freeze_mpf_shares
+    frozen_shares: tuple[np.ndarray, np.ndarray] | None = None
     money_ops: int = 0  # cumulative count of money-moving events, for audit tolerance
     prev_unit_value: float = math.nan  # last month's mean price paid, for inflation
     depopulated: set[int] = field(default_factory=set)  # municipalities already reported empty
@@ -131,7 +135,7 @@ class _Month:
     house_prices: np.ndarray = field(default_factory=lambda: np.zeros(0))  # by house id
     sales: int = 0
     populations: list[int] = field(default_factory=list)  # by municipality index
-    collected: dict[TaxKind, float] = field(default_factory=dict)
+    collected: np.ndarray = field(default_factory=lambda: np.zeros(len(TAX_KINDS)))  # by kind
     employed: int = 0  # employed adults, counted by ``metrics``
 
 
@@ -211,25 +215,32 @@ def taxes(state: SimulationState, runtime: _Runtime, result: RunResult, month: _
         month.ledger.add_all(TaxKind.COMPANY, *settle_profit_tax(state, cfg.tax_rates))
 
 
+def share_vectors(
+    month: int, populations: list[int], table: MpfTable
+) -> tuple[np.ndarray, np.ndarray]:
+    """The equal and mpf share vectors of ``populations``, by municipality index."""
+    if sum(populations) <= 0:
+        raise InvariantViolation(month, "region-population", "no citizens left in region")
+    return np.array(equal_shares(populations)), np.array(mpf_shares(populations, table))
+
+
 def distribution(state: SimulationState, runtime: _Runtime, result: RunResult, month: _Month):
     """Route the month's taxes under the case, invest them, and pay local firms for the works."""
     cfg = runtime.config
     month.populations = state.populations()
     month.collected = month.ledger.total_by_kind()
-    share_base = runtime.frozen_populations or month.populations
-    if sum(share_base) <= 0:
-        raise InvariantViolation(state.month, "region-population", "no citizens left in region")
-    allocations = distribute(month.ledger, runtime.policy, share_base, runtime.mpf_table)
-    # both dicts are keyed in TAX_KINDS order
-    rows = list(allocations.values())
-    for kind, pool, row in zip(TAX_KINDS, month.collected.values(), rows):
-        allocated = sequential_sum(row)
-        if abs(pool - allocated) > CURRENCY_UNIT:
+    base = runtime.frozen_shares or share_vectors(
+        state.month, month.populations, runtime.mpf_table)
+    allocations = distribute(month.ledger.sums, runtime.policy, *base)
+    # each kind's allocations folded in municipality order
+    allocated = np.add.accumulate(allocations, axis=1)[:, -1].tolist()
+    for kind, pool, total in zip(TAX_KINDS, month.collected.tolist(), allocated):
+        if not abs(pool - total) <= CURRENCY_UNIT:  # NaN fails too
             raise InvariantViolation(
                 state.month, "distribution-conservation",
-                f"{kind.value}: collected {pool!r} vs allocated {allocated!r}",
+                f"{kind.value}: collected {pool!r} vs allocated {total!r}",
             )
-    result.inflows[state.month] = rows  # kind x municipality
+    result.inflows[state.month] = allocations
     populations = np.array(month.populations)
     for m in sorted(set(np.flatnonzero(populations <= 0).tolist()) - runtime.depopulated):
         runtime.depopulated.add(m)
@@ -239,7 +250,7 @@ def distribution(state: SimulationState, runtime: _Runtime, result: RunResult, m
             state.municipality_ids[m], state.month, result.apc_id, result.case_id, result.seed,
         )
     # each municipality's allocation folds its inflows in TAX_KINDS order
-    allocation = np.add.accumulate(result.inflows[state.month], axis=0)[-1]
+    allocation = np.add.accumulate(allocations, axis=0)[-1]
     procured = invest(state, allocation, populations, cfg.fiscal.qli_unit_cost)
     # public procurement: the works are bought from the municipality's firms,
     # or the region's where it has none, so taxes recirculate
@@ -273,8 +284,7 @@ def metrics(state: SimulationState, runtime: _Runtime, result: RunResult, month:
     result.avg_workers_per_firm.append(int(np.count_nonzero(state.employer >= 0)) / n_firms)
     result.avg_firm_profit.append(profit_total / n_firms)
     result.units_consumed.append(units)
-    for kind in TAX_KINDS:
-        result.taxes_by_kind[kind.value].append(month.collected[kind])
+    result.taxes_by_kind[state.month] = month.collected
     result.housing_sales.append(month.sales)
     result.qli[state.month] = state.qli
     result.populations[state.month] = month.populations
@@ -285,7 +295,7 @@ def audit(state: SimulationState, runtime: _Runtime, result: RunResult, month: _
     closed = state.month
     state.month = closed + 1
     drift = abs(state.money_in_circulation() - state.money_base)
-    if drift > CURRENCY_UNIT * (1.0 + runtime.money_ops / 1e6):
+    if not drift <= CURRENCY_UNIT * (1.0 + runtime.money_ops / 1e6):  # NaN fails too
         raise InvariantViolation(closed, "money-conservation", f"audit drift {drift!r}")
     employed = month.employed  # adults only, so an employed minor fails too
     on_payroll = np.count_nonzero(state.employer >= 0)
@@ -330,20 +340,22 @@ def start_run(
         qli=np.zeros((months, n)),
         populations=np.zeros((months, n), dtype=np.int64),
         inflows=np.zeros((months, len(TAX_KINDS), n)),
-        taxes_by_kind={kind.value: [] for kind in TAX_KINDS},
+        taxes_by_kind=np.zeros((months, len(TAX_KINDS))),
     )
     path = config.fiscal.mpf_table_file
+    mpf_table = read_mpf_table(path) if path else MpfTable()
     municipality = state.firm_municipality
     local = [np.flatnonzero(municipality == m).tolist() for m in range(n)]
     runtime = _Runtime(
         config=config,
         rng=RngStreams(seed),
         policy=policy_for_case(config.fiscal.case_id),
-        mpf_table=read_mpf_table(path) if path else MpfTable(),
+        mpf_table=mpf_table,
         vital_rates=VitalRates(DEFAULT_VITAL_BRACKETS),
         contractors=[firms or list(range(len(state.cash))) for firms in local],
         output_per_worker=output_per_worker(config.market, state.qualification_levels),
-        frozen_populations=state.populations() if config.fiscal.freeze_mpf_shares else None,
+        frozen_shares=(share_vectors(state.month, state.populations(), mpf_table)
+                       if config.fiscal.freeze_mpf_shares else None),
     )
     return runtime, result
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import functools
 import logging
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
@@ -84,27 +84,28 @@ class TaxLedger:
     Each month gets a fresh ledger, ``engine._Month.ledger``, sized to the
     region's ``n_munis`` municipalities, which lives as long as the month.
     Origins are municipality indices in ``0 .. n_munis - 1``; any other is
-    rejected before a sum moves. Tax producers never write here: they return
-    each entry's index and amount as parallel arrays, or append them to a
-    pair of parallel lists (``TaxEntries``), and the engine writes each
-    phase's entries of one kind with one ``add_all``. The sums are one kind
-    x municipality array, one row per kind in ``TAX_KINDS`` order, and grow
-    entry by entry in entry order, from 0.0, across every write of the
-    month, so each has the bits of a left-to-right sum. ``rows`` gives each
-    kind's origins in first-payment order. ``add`` stays as the one-entry
-    reference that ``add_all`` must match bit for bit.
+    rejected before a sum moves, as is a negative or non-finite amount. Tax
+    producers never write here: they return each entry's index and amount
+    as parallel arrays, or append them to a pair of parallel lists
+    (``TaxEntries``), and the engine writes each phase's entries of one kind
+    with one ``add_all``. ``sums`` is one kind x municipality array, one row
+    per kind in ``TAX_KINDS`` order (0.0 where nothing was paid), and its
+    sums grow entry by entry in entry order, from 0.0, across every write of
+    the month, so each has the bits of a left-to-right sum. ``add`` stays as
+    the one-entry reference that ``add_all`` must match bit for bit.
     """
 
-    __slots__ = ("_sums", "_origins", "event_count")
+    __slots__ = ("sums", "_origins", "event_count")
 
     def __init__(self, n_munis: int):
-        self._sums = np.zeros((len(TAX_KINDS), n_munis))
-        # each kind's origins in first-payment order (dicts as ordered sets)
+        self.sums = np.zeros((len(TAX_KINDS), n_munis))
+        # each kind's origins in first-payment order (dicts as ordered sets),
+        # the order ``total_by_kind`` adds them in
         self._origins: list[dict[int, None]] = [{} for _ in TAX_KINDS]
         self.event_count = 0
 
     def _check_origin(self, kind: TaxKind, low: int, high: int) -> None:
-        n = self._sums.shape[1]
+        n = self.sums.shape[1]
         if low < 0 or high >= n:
             bad = low if low < 0 else high
             raise ValidationError(
@@ -112,13 +113,13 @@ class TaxLedger:
             )
 
     def add(self, kind: TaxKind, origin: int, amount: float) -> None:
-        if amount < 0:
-            raise ValidationError(f"negative tax amount {amount} for {kind.value} in {origin}")
+        if not 0.0 <= amount < np.inf:  # a negative, a NaN or an infinity
+            raise ValidationError(f"invalid tax amount {amount} for {kind.value} in {origin}")
         if amount == 0.0:
             return
         self._check_origin(kind, origin, origin)
         row = _ROW[kind]
-        self._sums[row, origin] += amount
+        self.sums[row, origin] += amount
         self._origins[row].setdefault(origin)
         self.event_count += 1
 
@@ -132,12 +133,12 @@ class TaxLedger:
         if not amounts.size:
             return
         munis = np.asarray(munis, dtype=np.intp)
-        if not amounts.min() > 0.0:  # a zero, a negative or a NaN
-            negative = np.flatnonzero(amounts < 0)
-            if negative.size:
-                i = negative[0]
+        if not (amounts.min() > 0.0 and amounts.max() < np.inf):  # a zero or a bad amount
+            bad = np.flatnonzero(~((amounts >= 0.0) & (amounts < np.inf)))
+            if bad.size:
+                i = bad[0]
                 raise ValidationError(
-                    f"negative tax amount {amounts[i]} for {kind.value} in {munis[i]}"
+                    f"invalid tax amount {amounts[i]} for {kind.value} in {munis[i]}"
                 )
             paid = amounts != 0.0
             munis, amounts = munis[paid], amounts[paid]
@@ -145,7 +146,7 @@ class TaxLedger:
                 return
         self._check_origin(kind, munis.min(), munis.max())
         row = _ROW[kind]
-        np.add.at(self._sums[row], munis, amounts)
+        np.add.at(self.sums[row], munis, amounts)
         # an entry with the origin of the entry before it pays no origin's
         # first, so only the heads of runs go to dict.fromkeys, which keeps
         # first payments in order; update appends only the new origins
@@ -155,19 +156,13 @@ class TaxLedger:
         self._origins[row].update(dict.fromkeys(munis[head].tolist()))
         self.event_count += len(munis)
 
-    def total_by_kind(self) -> dict[TaxKind, float]:
-        """Each kind's month total, its origins' sums added in first-payment
-        order; keyed in ``TAX_KINDS`` order."""
-        return {
-            kind: sequential_sum(map(sums.__getitem__, origins))
-            for kind, (sums, origins) in zip(TAX_KINDS, self.rows())
-        }
-
-    def rows(self) -> Iterable[tuple[list[float], dict[int, None]]]:
-        """Each kind's ``(sums, origins)``, in ``TAX_KINDS`` order: its sum by
-        municipality index (0.0 where nothing was paid) and its origins in
-        first-payment order."""
-        return zip(self._sums.tolist(), self._origins)
+    def total_by_kind(self) -> np.ndarray:
+        """Each kind's month total, in ``TAX_KINDS`` order: its origins' sums
+        added in first-payment order."""
+        return np.array([
+            sequential_sum(map(sums.__getitem__, origins))
+            for sums, origins in zip(self.sums.tolist(), self._origins)
+        ])
 
 
 @dataclass(frozen=True)
@@ -193,9 +188,8 @@ class DistributionPolicy:
 
     case_id: int
     weights: Mapping[TaxKind, ChannelWeights]
-    # the weights in TAX_KINDS order, resolved once: a TaxKind key hashes
-    # through a Python-level Enum.__hash__
-    channels: tuple[ChannelWeights, ...] = field(init=False, repr=False, compare=False)
+    # kind x (local, equal, mpf), the kinds in TAX_KINDS order, resolved once
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         missing = [k for k in TAX_KINDS if k not in self.weights]
@@ -203,7 +197,9 @@ class DistributionPolicy:
             raise ValidationError(f"policy missing weights for {[k.value for k in missing]}")
         for kind, w in self.weights.items():
             w.validate(kind.value)
-        object.__setattr__(self, "channels", tuple(self.weights[kind] for kind in TAX_KINDS))
+        matrix = np.array([astuple(self.weights[kind]) for kind in TAX_KINDS])
+        matrix.flags.writeable = False  # the POLICIES are shared by every run
+        object.__setattr__(self, "matrix", matrix)
 
     @property
     def merged(self) -> bool:  # no tax keeps a local share: the paper's alternative0 = false
@@ -393,54 +389,42 @@ def mpf_shares(populations: Sequence[int], table: MpfTable) -> list[float]:
 
 
 def distribute(
-    ledger: TaxLedger,
-    policy: DistributionPolicy,
-    populations: Sequence[int],
-    table: MpfTable,
-) -> dict[TaxKind, list[float]]:
-    """Route every ledger amount through the policy's channels.
+    sums: np.ndarray, policy: DistributionPolicy, equal: np.ndarray, mpf: np.ndarray
+) -> np.ndarray:
+    """Route a month's taxes through the policy's channels.
 
-    ``populations`` and the returned allocations are indexed by
-    municipality; origins are routed in index order. For each kind the
-    allocations sum to the collected amount to the last ulp: the
-    floating-point residual of the split is folded into the largest
-    allocation (the money analogue of a largest-remainder correction).
-    The allocations are keyed in ``TAX_KINDS`` order.
+    ``sums`` is the ledger's kind x municipality array (``TaxLedger.sums``),
+    ``equal`` and ``mpf`` the month's share vectors, and the result is the
+    kind x municipality allocation. Each origin, in index order, adds its
+    local part at its own column, then ``(w * amount) * share`` of the equal
+    and of the mpf channel at every column: the parts tensor kind x origin x
+    channel x municipality (120 n**2 bytes for n municipalities), folded
+    left to right by ``np.add.accumulate``. An unpaid origin or a zero
+    weight adds +0.0, which moves no bit, since no allocation is ever -0.0.
+    Each kind's floating-point residual goes to its largest allocation, ties
+    to the highest index, so the allocations sum to the pool to the last ulp.
     """
-    n = len(populations)
-    eq = equal_shares(populations)
-    mp = mpf_shares(populations, table)
-
-    out: dict[TaxKind, list[float]] = {}
-    for kind, w, (sums, origins) in zip(TAX_KINDS, policy.channels, ledger.rows()):
-        alloc = [0.0] * n
-        if origins:
-            local, equal, mpf = w.local, w.equal, w.mpf
-            pool_total = 0.0
-            for origin in sorted(origins):
-                if origin >= n:
-                    raise ValidationError(f"ledger origin {origin!r} not in region")
-                amount = sums[origin]
-                pool_total += amount
-                if local:
-                    alloc[origin] += local * amount
-                # (w * amount) * share: the bits of w * amount * share
-                if equal:
-                    part = equal * amount
-                    alloc = [x + part * share for x, share in zip(alloc, eq)]
-                if mpf:
-                    part = mpf * amount
-                    alloc = [x + part * share for x, share in zip(alloc, mp)]
-            # folding once lands within an ulp of the pool; the re-sum can
-            # round again, so a second pass usually clears the remainder
-            for _ in range(2):
-                residual = pool_total - sequential_sum(alloc)
-                if residual == 0.0:
-                    break
-                largest = max(range(n), key=lambda m: (alloc[m], m))
-                alloc[largest] += residual
-        out[kind] = alloc
-    return out
+    kinds, n = sums.shape
+    if equal.shape != (n,) or mpf.shape != (n,):
+        raise ValidationError(f"ledger of {n} municipalities, shares of {len(equal)}/{len(mpf)}")
+    # origin x channel x municipality: the identity keeps the local part at
+    # its origin (x 1.0 there, x 0.0 elsewhere), then the two share vectors
+    basis = np.empty((n, 3, n))
+    basis[:, 0] = np.eye(n)
+    basis[:, 1] = equal
+    basis[:, 2] = mpf
+    scaled = sums[:, :, None] * policy.matrix[:, None, :]  # w * amount by kind, origin, channel
+    parts = (scaled[..., None] * basis).reshape(kinds, 3 * n, n)
+    alloc = np.add.accumulate(parts, axis=1)[:, -1]
+    pool = np.add.accumulate(sums, axis=1)[:, -1]
+    # folding once lands within an ulp of the pool; the re-sum can round
+    # again, so a second pass usually clears the remainder
+    for _ in range(2):
+        residual = pool - np.add.accumulate(alloc, axis=1)[:, -1]
+        if not residual.any():
+            break
+        alloc[np.arange(kinds), n - 1 - alloc[:, ::-1].argmax(1)] += residual
+    return alloc
 
 
 # ---------------------------------------------------------------------------

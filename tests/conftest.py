@@ -17,7 +17,8 @@ from metrosim.config import (
     ScenarioConfig,
 )
 from metrosim.errors import InvariantViolation
-from metrosim.fiscal import TAX_KINDS
+from metrosim.engine import share_vectors
+from metrosim.fiscal import TAX_KINDS, MpfTable, distribute
 from metrosim.state import SimulationState
 from metrosim.worldgen import MunicipalitySpec, RegionSpec, WorldConfig
 
@@ -235,10 +236,17 @@ def rng(seed=0) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def route(ledger, policy, populations, table=None) -> np.ndarray:
+    """``distribute`` of the ledger's sums under ``policy``, by the shares of
+    ``populations`` as the engine computes them: kind x municipality."""
+    shares = share_vectors(0, populations, table or MpfTable())
+    return distribute(ledger.sums, policy, *shares)
+
+
 def kind_sums(ledger, kind) -> dict[int, float]:
     """Origin index -> the ledger's sum of ``kind``, in first-payment order."""
-    sums, origins = list(ledger.rows())[TAX_KINDS.index(kind)]
-    return {origin: sums[origin] for origin in origins}
+    row = TAX_KINDS.index(kind)
+    return {origin: ledger.sums.item(row, origin) for origin in ledger._origins[row]}
 
 
 def ledger_entries(ledger) -> list[tuple]:

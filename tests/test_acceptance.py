@@ -100,8 +100,7 @@ def test_criterion_02_conservation_at_scale():
     elapsed = perf_counter() - start
     assert result.populations[-1].sum() > 15_000
     inflows = result.inflows.tolist()  # month x kind x municipality
-    for k, kind in enumerate(TAX_KINDS):
-        collected = result.taxes_by_kind[kind.value]
+    for k, collected in enumerate(result.taxes_by_kind.T.tolist()):  # kind by kind
         for month in range(cfg.engine.horizon_months):
             distributed = sum(inflows[month][k])
             assert abs(distributed - collected[month]) <= CURRENCY_UNIT

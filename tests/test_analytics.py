@@ -420,13 +420,8 @@ def test_format_fit_report_layout():
 
 def macro_run(consumption=10.0, income=5.0):
     run = RunResult(apc_id="r", case_id=1, seed=0)
-    run.taxes_by_kind = {
-        "consumption": [consumption, consumption],
-        "personal_income": [income, income],
-        "transmission": [0.0, 0.0],
-        "company": [0.0, 0.0],
-        "property": [0.0, 0.0],
-    }
+    # month x kind: consumption, personal income, transmission, company, property
+    run.taxes_by_kind = np.array([[consumption, income, 0.0, 0.0, 0.0]] * 2)
     run.gdp_value = [100.0, 100.0]
     run.inflation = [0.0, 0.01]
     run.unemployment = [0.1, 0.2]

@@ -783,7 +783,7 @@ def test_consume_money_conserved():
     before = state.savings[0]
     units, spent, *taxes = shop(state, 0.1, TaxRates(consumption=0.18))
     ledger.add_all(TaxKind.CONSUMPTION, *taxes)
-    after = state.savings[0] + sum(state.cash) + sum(ledger.total_by_kind().values())
+    after = state.savings[0] + sum(state.cash) + sum(ledger.total_by_kind().tolist())
     assert math.isclose(after, before, rel_tol=0, abs_tol=1e-12)
 
 

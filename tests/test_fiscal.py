@@ -10,6 +10,8 @@ from metrosim.errors import ParseError, ValidationError
 from metrosim.fiscal import (
     CASES,
     POLICIES,
+    ChannelWeights,
+    DistributionPolicy,
     TAX_KINDS,
     DEFAULT_MPF_KNOTS,
     MpfTable,
@@ -31,7 +33,7 @@ from metrosim.state import SimulationState
 
 from conftest import (
     add_family, add_firm, add_house, firm_bits, firm_records, invest_one, kind_sums,
-    ledger_entries, members, rng, treasury_records,
+    ledger_entries, members, rng, route, treasury_records,
 )
 
 
@@ -102,8 +104,7 @@ def test_ledger_accumulates_by_kind_and_origin():
     ledger.add(TaxKind.CONSUMPTION, 1, 1.0)
     ledger.add(TaxKind.PROPERTY, 0, 4.0)
     assert kind_sums(ledger, TaxKind.CONSUMPTION) == {0: 5.0, 1: 1.0}
-    assert sum(ledger.total_by_kind().values()) == 10.0
-    assert ledger.total_by_kind()[TaxKind.PROPERTY] == 4.0
+    assert ledger.total_by_kind().tolist() == [6.0, 0.0, 0.0, 0.0, 4.0]
     assert ledger.event_count == 4
 
 
@@ -113,7 +114,7 @@ def test_ledger_rejects_negative_skips_zero():
         ledger.add(TaxKind.COMPANY, 0, -0.01)
     ledger.add(TaxKind.COMPANY, 0, 0.0)
     assert ledger.event_count == 0
-    assert sum(ledger.total_by_kind().values()) == 0.0
+    assert not ledger.total_by_kind().any()
 
 
 @settings(max_examples=200, deadline=None)
@@ -159,6 +160,23 @@ def test_ledger_add_all_rejects_negative():
         TaxLedger(1).add_all(TaxKind.PROPERTY, [0, -1], [1.0, 2.0])
 
 
+@pytest.mark.parametrize("amount", [math.nan, math.inf, -math.inf])
+def test_ledger_add_rejects_a_non_finite_amount(amount):
+    ledger = TaxLedger(2)
+    with pytest.raises(ValidationError, match="invalid tax amount"):
+        ledger.add(TaxKind.PROPERTY, 1, amount)
+    assert not ledger.sums.any() and ledger.event_count == 0
+
+
+@pytest.mark.parametrize("amount", [math.nan, math.inf, -math.inf])
+def test_ledger_add_all_rejects_a_non_finite_amount(amount):
+    # the bad amount sits among zeros and positives, which alone would be kept
+    ledger = TaxLedger(2)
+    with pytest.raises(ValidationError, match="invalid tax amount"):
+        ledger.add_all(TaxKind.PROPERTY, [0, 1, 1], [1.0, 0.0, amount])
+    assert not ledger.sums.any() and ledger.event_count == 0
+
+
 class FlatLedger:
     """Reference ledger: one dict keyed by ``(kind, origin)``, one entry at a time."""
 
@@ -179,7 +197,7 @@ class FlatLedger:
         out = {k: 0.0 for k in TAX_KINDS}
         for (kind, _origin), amount in self.amounts.items():
             out[kind] += amount
-        return {k: a.hex() for k, a in out.items()}
+        return [a.hex() for a in out.values()]
 
 
 ENTRY = st.tuples(st.integers(0, 3), st.one_of(st.just(0.0), st.floats(0.0, 1e6)))
@@ -208,7 +226,7 @@ def test_ledger_matches_a_flat_reference(calls, negative, n_munis):
                 reference.add(kind, *entry)
         for k in TAX_KINDS:
             assert [(o, a.hex()) for o, a in kind_sums(ledger, k).items()] == reference.by_kind(k)
-        assert {k: a.hex() for k, a in ledger.total_by_kind().items()} == reference.total_by_kind()
+        assert [a.hex() for a in ledger.total_by_kind().tolist()] == reference.total_by_kind()
         assert ledger.event_count == reference.event_count
     kind, batched = negative
     with pytest.raises(ValidationError):
@@ -329,9 +347,9 @@ def test_load_mpf_table(tmp_path):
 def test_distribute_case1_consumption_worked_example():
     ledger = TaxLedger(2)
     ledger.add(TaxKind.CONSUMPTION, 0, 100.0)
-    alloc = distribute(ledger, policy_for_case(1), [75, 25], MpfTable())
+    alloc = route(ledger, policy_for_case(1), [75, 25])
     # 18.75 stays local, 81.25 splits by population
-    assert alloc[TaxKind.CONSUMPTION] == [79.6875, 20.3125]
+    assert alloc.tolist() == [[79.6875, 20.3125]] + [[0.0, 0.0]] * 4
 
 
 def test_distribute_case3_is_identity_routing():
@@ -339,9 +357,9 @@ def test_distribute_case3_is_identity_routing():
     ledger.add(TaxKind.PROPERTY, 1, 2.5)
     ledger.add(TaxKind.PROPERTY, 0, 7.5)
     ledger.add(TaxKind.COMPANY, 1, 1.0)
-    alloc = distribute(ledger, policy_for_case(3), [10, 90], MpfTable())
-    assert alloc[TaxKind.PROPERTY] == [7.5, 2.5]
-    assert alloc[TaxKind.COMPANY] == [0.0, 1.0]
+    alloc = route(ledger, policy_for_case(3), [10, 90])
+    assert alloc[TAX_KINDS.index(TaxKind.PROPERTY)].tolist() == [7.5, 2.5]
+    assert alloc[TAX_KINDS.index(TaxKind.COMPANY)].tolist() == [0.0, 1.0]
 
 
 def test_distribute_single_municipality_case_equivalence():
@@ -350,17 +368,101 @@ def test_distribute_single_municipality_case_equivalence():
         ledger = TaxLedger(1)
         for kind in TAX_KINDS:
             ledger.add(kind, 0, 11.3)
-        allocations.append(distribute(ledger, policy_for_case(case_id), [500], MpfTable()))
-    assert allocations[0] == allocations[1] == allocations[2] == allocations[3]
-    for kind in TAX_KINDS:
-        assert allocations[0][kind] == [11.3]
+        allocations.append(route(ledger, policy_for_case(case_id), [500]).tolist())
+    assert allocations == [[[11.3]] * len(TAX_KINDS)] * 4
 
 
 def test_distribute_unknown_origin_rejected():
     ledger = TaxLedger(2)
     ledger.add(TaxKind.PROPERTY, 1, 1.0)
+    # shares for one municipality cannot route a ledger of two
     with pytest.raises(ValidationError):
-        distribute(ledger, policy_for_case(3), [10], MpfTable())
+        route(ledger, policy_for_case(3), [10])
+
+
+def distribute_per_origin(ledger, policy, eq, mp):
+    """Reference: ``distribute`` as a loop over each kind's paid origins in
+    index order, channel by channel, on Python lists of shares."""
+    n = len(eq)
+    out = []
+    for kind, sums, origins in zip(TAX_KINDS, ledger.sums.tolist(), ledger._origins):
+        w = policy.weights[kind]
+        alloc = [0.0] * n
+        if origins:
+            local, equal, mpf = w.local, w.equal, w.mpf
+            pool_total = 0.0
+            for origin in sorted(origins):
+                amount = sums[origin]
+                pool_total += amount
+                if local:
+                    alloc[origin] += local * amount
+                if equal:
+                    part = equal * amount
+                    alloc = [x + part * share for x, share in zip(alloc, eq)]
+                if mpf:
+                    part = mpf * amount
+                    alloc = [x + part * share for x, share in zip(alloc, mp)]
+            for _ in range(2):
+                residual = pool_total - sequential_sum(alloc)
+                if residual == 0.0:
+                    break
+                largest = max(range(n), key=lambda m: (alloc[m], m))
+                alloc[largest] += residual
+        out.append(alloc)
+    return out
+
+
+# each case's kind x (local, equal, mpf) weights, in TAX_KINDS order
+CASE = {case_id: tuple(map(tuple, p.matrix.tolist())) for case_id, p in POLICIES.items()}
+
+
+def weight_row(draw):
+    """(local, equal, mpf) summing to 1 within the policy tolerance."""
+    local, rest = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    equal = (1.0 - local) * rest
+    return local, equal, max(0.0, 1.0 - local - equal)
+
+
+@st.composite
+def routings(draw):
+    """(populations, kind x weight rows, ledger entries (kind row, origin, amount))."""
+    populations = draw(
+        st.lists(st.integers(0, 200_000), min_size=1, max_size=12).filter(lambda p: sum(p) > 0)
+    )
+    rows = sorted({row for weights in CASE.values() for row in weights})
+    weights = tuple(
+        draw(st.sampled_from(rows)) if draw(st.booleans()) else weight_row(draw)
+        for _ in TAX_KINDS
+    )
+    entry = st.tuples(
+        st.integers(0, len(TAX_KINDS) - 1),
+        st.integers(0, len(populations) - 1),
+        st.one_of(st.just(0.0), st.floats(0.0, 1e6)),
+    )
+    return populations, weights, draw(st.lists(entry, max_size=30))
+
+
+@settings(max_examples=300, deadline=None)
+@given(routing=routings())
+@example(routing=([3, 5], CASE[1], []))  # no kind paid
+@example(routing=([500], CASE[1], [(0, 0, 11.3), (1, 0, 7.0)]))  # one municipality
+@example(routing=([1, 5, 4, 7], CASE[4], [(2, 1, 4.94), (2, 0, 0.43)]))  # a second pass
+@example(routing=([8, 8, 3, 1], CASE[4], [(3, 0, 5.0), (3, 1, 2.0)]))  # a tie for the largest
+@example(routing=([0, 10, 25], CASE[1], [(0, 0, 3.5), (1, 2, 9.25)]))  # a zero population
+@example(routing=([4, 9], CASE[1], [(2, 0, 1.25), (0, 1, 2.5)]))  # zero-weight channels
+@example(routing=([3, 3, 9], CASE[1], [(0, 0, 2.66), (0, 2, 5.39)]))  # local, then equal
+def test_distribute_matches_the_per_origin_loop_bit_for_bit(routing):
+    populations, weights, entries = routing
+    policy = DistributionPolicy(
+        0, {kind: ChannelWeights(*w) for kind, w in zip(TAX_KINDS, weights)}
+    )
+    ledger = TaxLedger(len(populations))
+    for row, origin, amount in entries:
+        ledger.add(TAX_KINDS[row], origin, amount)
+    eq, mp = equal_shares(populations), mpf_shares(populations, MpfTable())
+    alloc = distribute(ledger.sums, policy, np.array(eq), np.array(mp))
+    expected = distribute_per_origin(ledger, policy, eq, mp)
+    assert alloc.tobytes() == np.array(expected).tobytes(), (alloc.tolist(), expected)
 
 
 @settings(max_examples=100, deadline=None)
@@ -373,10 +475,10 @@ def test_distribute_conserves_to_ulp(case_id, amounts, pops):
     ledger = TaxLedger(len(pops))
     for i, amount in enumerate(amounts):
         ledger.add(TAX_KINDS[i % len(TAX_KINDS)], i % len(pops), amount)
-    alloc = distribute(ledger, policy_for_case(case_id), pops, MpfTable())
-    for kind in TAX_KINDS:
+    alloc = route(ledger, policy_for_case(case_id), pops)
+    for kind, row in zip(TAX_KINDS, alloc.tolist()):
         pool = sum(kind_sums(ledger, kind).values())
-        total = sum(alloc[kind])
+        total = sum(row)
         # residual folding leaves at most ulp-scale daylight, far inside the
         # penny-per-million-events budget the engine audits against
         assert math.isclose(total, pool, rel_tol=1e-12, abs_tol=1e-12)

@@ -143,7 +143,8 @@ def test_apc33_run_digest(tmp_path):
 # record no longer has; the runs are the same as with them (297a5355... at
 # seed 0 and 3508091b... at seed 7 over every field then). The
 # per-municipality series were recorded as dicts by municipality id (and by
-# kind within it for the inflows), so ``recorded_form`` hashes them so.
+# kind within it for the inflows), and the month's taxes as a dict of series
+# by kind, so ``recorded_form`` hashes them so.
 RUN_RESULT_DIGESTS = {
     0: "7cda998a9d3e198879d6b3dc498a60d0c99d36e79a2fa27b0f32e6d4cf68bb4c",
     7: "71735bb1d2994154dd8d266bb6e2f12038ebf88f7e992a817fd47628f1e260b0",
@@ -152,7 +153,8 @@ RUN_RESULT_DIGESTS = {
 
 def recorded_form(result):
     """Every field of ``result`` as the digests were recorded, in field order:
-    each per-municipality array back to its dict of Python lists."""
+    each per-municipality array, and the taxes by kind, back to its dict of
+    Python lists."""
     fields = {field.name: getattr(result, field.name) for field in dataclasses.fields(result)}
     munis = result.municipality_ids
     for name in ("qli", "populations"):
@@ -160,6 +162,9 @@ def recorded_form(result):
     fields["inflows"] = {
         muni: {kind.value: series for kind, series in zip(TAX_KINDS, by_kind)}
         for muni, by_kind in zip(munis, result.inflows.transpose(2, 1, 0).tolist())
+    }
+    fields["taxes_by_kind"] = {
+        kind.value: series for kind, series in zip(TAX_KINDS, result.taxes_by_kind.T.tolist())
     }
     return fields.values()
 

@@ -3,6 +3,7 @@ and flags of the package."""
 import ast
 import importlib
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -75,3 +76,24 @@ def test_workload_command_lines_parse(tmp_path, name):
                                                         run.JOBS)
     else:
         assert args.func is expected[command]
+
+
+def test_traced_run_records_each_month_and_its_counters(tmp_path):
+    # the tracer's full span set on a small run: every wrapped phase records
+    # one span a month, and the observers read the results they wrap
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "region": {"mode": "generate", "n_municipalities": 3, "total_population": 6_000,
+                   "skew": 1.0},
+        "world": {"population_fraction": 0.05},
+        "engine": {"horizon_months": 6, "seed": 5},
+    }), encoding="utf-8")
+    tracer = tracing.Tracer()
+    with tracer.patched(tracing.FULL_SPANS, tracing.FULL_COUNTERS):
+        code = cli.main(["run", "--config", str(config), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_OK
+    for name in ("fiscal.distribute", "fiscal.invest", "engine.step_month"):
+        assert len(tracer.durations(name)) == 6, name
+    for name in ("economy.hires", "housing.sales", "demographics.births"):
+        count = tracer.counts[name]
+        assert type(count) is int and count >= 0, (name, count)
